@@ -65,6 +65,7 @@ impl Interval {
     }
 
     /// Pointwise sum (saturating).
+    #[allow(clippy::should_implement_trait)]
     pub fn add(self, other: Interval) -> Interval {
         Interval {
             lo: self.lo.saturating_add(other.lo),
@@ -173,10 +174,9 @@ pub fn region_accesses(program: &StreamProgram) -> BTreeMap<usize, Vec<RegionAcc
                 indices,
                 ..
             } => match (indices.iter().min(), indices.iter().max()) {
-                (Some(&lo), Some(&hi)) => (
-                    lo as usize * record_len,
-                    (hi as usize + 1) * record_len,
-                ),
+                (Some(&lo), Some(&hi)) => {
+                    (lo as usize * record_len, (hi as usize + 1) * record_len)
+                }
                 _ => (0, 0),
             },
             StreamOp::Load {

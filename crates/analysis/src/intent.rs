@@ -32,16 +32,13 @@ use crate::ProgramContext;
 /// The narrowest intent a set of access kinds admits, if any single
 /// intent covers them all.
 fn inferred_intent(kinds: &BTreeSet<AccessKind>) -> Option<AccessIntent> {
-    for intent in [
+    [
         AccessIntent::ReadOnly,
         AccessIntent::WriteOwned,
         AccessIntent::ReduceAdd,
-    ] {
-        if kinds.iter().all(|&k| intent.permits(k)) {
-            return Some(intent);
-        }
-    }
-    None
+    ]
+    .into_iter()
+    .find(|intent| kinds.iter().all(|&k| intent.permits(k)))
 }
 
 /// One Error per `(region, access kind)` the declared intent forbids;
@@ -111,10 +108,11 @@ pub fn check(ctx: &ProgramContext) -> Vec<Diagnostic> {
                 match inferred_intent(&kinds) {
                     Some(fix) => {
                         d = d
-                            .note(format!(
+                            .note(
                                 "the partitioner handles undeclared regions conservatively; \
                                  a declared intent documents the contract it admits on"
-                            ))
+                                    .to_string(),
+                            )
                             .help(format!(
                                 "the footprint fits {fix}; declare it with \
                                  ProgramBuilder::intent"

@@ -272,10 +272,11 @@ impl Lint {
                  engines would stop at the reported iteration with a\n\
                  `StreamUnderrun` error.\n\
                  \n\
-                 The same analysis, run in the other direction, produces a static\n\
-                 underrun-freedom proof: when every stream's worst-case demand is\n\
-                 covered, the proof object is stamped on the program and the tape and\n\
-                 batch engines skip their runtime underrun checks for that launch.\n\
+                 The lint is silent on conditional streams by design: their\n\
+                 consumption is data-dependent, so neither an underrun nor its\n\
+                 absence can be proven from record counts. The engines keep their\n\
+                 per-pop depth checks on every launch, so a conditional stream that\n\
+                 does run dry is still a typed `StreamUnderrun`, never a panic.\n\
                  \n\
                  Fix a flagged launch by sizing the producer (gather index list or\n\
                  load record count) to at least the iteration count, or by reducing\n\

@@ -7,17 +7,10 @@
 //! iteration; when even the *upper bound* of availability cannot cover
 //! that, the underrun is certain and the pass errors with the first
 //! iteration the engines will blame. Conditional streams (pop interval
-//! `[0, k]`) can never be proven to underrun — their shortfall stays a
-//! runtime possibility the checked engine path handles — so this pass
-//! stays silent about them, exactly mirroring which launches
-//! [`StreamProgram::prove_underruns`] leaves unproven.
-//!
-//! The positive side of the same analysis is the [`UnderrunProof`]
-//! object the app layer stamps on the program: launches this pass finds
-//! clean and unconditional run the engines' check-elided fast path.
-//!
-//! [`StreamProgram::prove_underruns`]: merrimac_sim::program::StreamProgram::prove_underruns
-//! [`UnderrunProof`]: merrimac_kernel::UnderrunProof
+//! `[0, k]`) consume a data-dependent count, so neither an underrun nor
+//! its absence is provable from record counts: this pass stays silent
+//! about them and the engines' always-on per-pop depth check turns a
+//! shortfall into a typed `StreamUnderrun`.
 
 use merrimac_sim::program::StreamOp;
 

@@ -42,8 +42,10 @@ fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
     median
 }
 
-/// Report a three-engine comparison as interactions/second plus the
-/// batch engine's speedup over each of the other two — the numbers the
+/// Report the interpreter, the scalar tape loop (`CompiledTape::run`,
+/// the batch engine's remainder path) and the batch engine as
+/// interactions/second plus the batch engine's speedup over each of
+/// the other two — the numbers the
 /// CI micro smoke job archives so host functional-execution throughput
 /// is tracked across commits.
 fn engine_summary(label: &str, interactions: usize, interp_s: f64, tape_s: f64, batch_s: f64) {
@@ -127,25 +129,6 @@ fn main() {
         tape.run_batched(&inputs, &kparams, n, BatchWidth::W16)
             .expect("batch")
     });
-    // Check-elided proven paths: the same launches under a static
-    // underrun proof, which skips prove_fast_underrun and every per-pop
-    // depth check. The delta against the checked lines above is the
-    // measured win the EXPERIMENTS.md lint table reports.
-    let records: Vec<usize> = inputs.iter().map(|d| d.num_records()).collect();
-    let proof = tape
-        .prove_underrun_free(&records, n)
-        .expect("expanded inputs prove safe");
-    let proven_tape_s = bench("tape_expanded_256_proven", || {
-        tape.run_proven(&inputs, &kparams, n, &proof).expect("tape")
-    });
-    let proven_batch_s = bench("batch8_expanded_256_proven", || {
-        tape.run_batched_proven(&inputs, &kparams, n, BatchWidth::W8, &proof)
-            .expect("batch")
-    });
-    let proven_batch16_s = bench("batch16_expanded_256_proven", || {
-        tape.run_batched_proven(&inputs, &kparams, n, BatchWidth::W16, &proof)
-            .expect("batch")
-    });
 
     // `variable` exercises the general tape path (conditional centre
     // stream): new centre every 8 iterations.
@@ -178,33 +161,6 @@ fn main() {
             .run_batched(&vinputs, &kparams, n, BatchWidth::W8)
             .expect("batch")
     });
-    // General-path elision: with the centre stream fully staged the
-    // prover covers the worst case, so the proven run drops the
-    // per-iteration every-stream checks and every per-pop depth check —
-    // the checks the general path otherwise pays on each conditional
-    // read.
-    let vstaged = vec![
-        vinputs[0].clone(),
-        vinputs[1].clone(),
-        StreamData::new(
-            18,
-            (0..n * 18)
-                .map(|i| (i as f64 * 0.011).cos() + 2.0)
-                .collect(),
-        ),
-    ];
-    let vrecords: Vec<usize> = vstaged.iter().map(|d| d.num_records()).collect();
-    let vproof = vtape
-        .prove_underrun_free(&vrecords, n)
-        .expect("staged variable inputs prove safe");
-    let vstaged_tape_s = bench("tape_variable_256_staged", || {
-        vtape.run(&vstaged, &kparams, n).expect("tape")
-    });
-    let vproven_tape_s = bench("tape_variable_256_proven", || {
-        vtape
-            .run_proven(&vstaged, &kparams, n, &vproof)
-            .expect("tape")
-    });
 
     println!();
     engine_summary(
@@ -214,23 +170,5 @@ fn main() {
         tape_s,
         batch_s.min(batch16_s),
     );
-    engine_summary(
-        "expanded (proven)",
-        n,
-        interp_s,
-        proven_tape_s,
-        proven_batch_s.min(proven_batch16_s),
-    );
-    println!(
-        "{:<24} tape {:>5.2}x | batch {:>5.2}x (checked / proven)",
-        "underrun-proof elision",
-        tape_s / proven_tape_s,
-        batch_s.min(batch16_s) / proven_batch_s.min(proven_batch16_s)
-    );
     engine_summary("variable (general path)", n, vinterp_s, vtape_s, vbatch_s);
-    println!(
-        "{:<24} tape {:>5.2}x (checked / proven, staged centres)",
-        "general-path elision",
-        vstaged_tape_s / vproven_tape_s
-    );
 }

@@ -394,7 +394,7 @@ impl<'a> RunSpec<'a> {
             self.engine = Some(KernelEngine::parse(&value).ok_or(EnvOverrideError {
                 var: "MERRIMAC_KERNEL_ENGINE",
                 value,
-                expected: "`batch`, `tape` or `interp`",
+                expected: "`batch` or `interp`",
             })?);
         }
         if let Some(value) = env_value("MERRIMAC_TAPE_BATCH") {
@@ -554,6 +554,27 @@ mod tests {
             .expect("valid width");
         assert_eq!(spec.tape_batch, Some(BatchWidth::W16));
         std::env::remove_var("MERRIMAC_TAPE_BATCH");
+
+        // The removed scalar-tape engine value is junk like any other
+        // (the CI matrix may have set this variable: put it back).
+        let engine = std::env::var_os("MERRIMAC_KERNEL_ENGINE");
+        std::env::set_var("MERRIMAC_KERNEL_ENGINE", "tape");
+        let err = RunSpec::new(&system, &list, Variant::Expanded)
+            .from_env_overrides()
+            .unwrap_err();
+        match engine {
+            Some(v) => std::env::set_var("MERRIMAC_KERNEL_ENGINE", v),
+            None => std::env::remove_var("MERRIMAC_KERNEL_ENGINE"),
+        }
+        assert_eq!(KernelEngine::parse("tape"), None);
+        match err {
+            RunError::Env(e) => {
+                assert_eq!(e.var, "MERRIMAC_KERNEL_ENGINE");
+                assert_eq!(e.value, "tape");
+                assert_eq!(e.expected, "`batch` or `interp`");
+            }
+            other => panic!("expected Env error, got {other}"),
+        }
     }
 
     #[test]

@@ -86,9 +86,9 @@ pub struct StreamMdApp {
     /// Simulated node count for [`crate::multinode::run_multinode`]
     /// (validated against `network` at build time; 1 = single node).
     pub nodes: usize,
-    /// Functional kernel-execution engine (batched SoA tape, scalar
-    /// tape, or the reference interpreter). Simulated results are
-    /// bitwise-identical under all three; only host wall-clock differs.
+    /// Functional kernel-execution engine (batched SoA tape or the
+    /// reference interpreter). Simulated results are bitwise-identical
+    /// under both; only host wall-clock differs.
     /// First-class configuration state: set it via
     /// [`crate::SimConfigBuilder::engine`] (or the checked
     /// `RunSpec::from_env_overrides` in `merrimac_bench`) instead of
@@ -235,12 +235,8 @@ impl StreamMdApp {
                 ),
             }
         }
-        // Stamp static underrun proofs so the functional engines run
-        // their check-elided fast paths wherever safety is provable.
-        let mut program = pb.build();
-        program.underrun_proofs = program.prove_underruns();
         StepProgram {
-            program,
+            program: pb.build(),
             memory: mem,
             layout,
             forces,
@@ -306,6 +302,16 @@ impl StreamMdApp {
         Ok(())
     }
 
+    /// The stream processor every execution path of this app runs on
+    /// (single-node steps and each node of a multi-node step).
+    pub(crate) fn processor(&self) -> StreamProcessor {
+        StreamProcessor::new(self.cfg.clone())
+            .with_costs(self.costs.clone())
+            .with_policy(self.policy)
+            .with_engine(self.engine)
+            .with_batch_width(self.tape_batch)
+    }
+
     /// Execute an already-built step program — the per-run half of the
     /// compile-once / run-many split. The cached [`StepProgram`] stays
     /// pristine: execution works on a clone of its memory image, so the
@@ -318,12 +324,9 @@ impl StreamMdApp {
         step: &StepProgram,
     ) -> Result<StepOutcome, SimError> {
         let mut mem = step.memory.clone();
-        let proc = StreamProcessor::new(self.cfg.clone())
-            .with_costs(self.costs.clone())
-            .with_policy(self.policy)
-            .with_engine(self.engine)
-            .with_batch_width(self.tape_batch);
-        let report = proc.run_parallel(&mut mem, &step.program, self.threads)?;
+        let report = self
+            .processor()
+            .run_parallel(&mut mem, &step.program, self.threads)?;
 
         // Extract forces for the real molecules (one Vec3 per site).
         let layout = &step.layout;

@@ -184,8 +184,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Functional kernel-execution engine (batched SoA tape, scalar
-    /// tape, or the reference interpreter). Unset, the legacy
+    /// Functional kernel-execution engine (batched SoA tape or the
+    /// reference interpreter). Unset, the legacy
     /// `MERRIMAC_KERNEL_ENGINE` default applies; prefer setting it here
     /// (or via `RunSpec::from_env_overrides` in `merrimac_bench`, which
     /// rejects malformed values with a typed error).

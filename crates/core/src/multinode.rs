@@ -41,7 +41,7 @@ use merrimac_net::multinode::{
 };
 use merrimac_net::topology::{NetError, Topology};
 use merrimac_sim::machine::SimError;
-use merrimac_sim::{StreamProcessor, StreamProgram};
+use merrimac_sim::StreamProgram;
 
 use crate::app::{StepOutcome, StepProgram, StreamMdApp};
 use crate::layout::Strip;
@@ -189,11 +189,7 @@ pub fn run_multinode_program(
         .map(|s| strip_owner(s, &owner, n_real))
         .collect();
 
-    let proc = StreamProcessor::new(app.cfg.clone())
-        .with_costs(app.costs.clone())
-        .with_policy(app.policy)
-        .with_engine(app.engine)
-        .with_batch_width(app.tape_batch);
+    let proc = app.processor();
 
     let mut per_node = Vec::with_capacity(nodes);
     let mut loads = Vec::with_capacity(nodes);
@@ -209,7 +205,7 @@ pub fn run_multinode_program(
         let (compute_cycles, forces) = if strips.is_empty() {
             (0, vec![0.0; step.layout.force_records * w])
         } else {
-            let mut sub = StreamProgram {
+            let sub = StreamProgram {
                 buffers: step.program.buffers.clone(),
                 ops: step
                     .program
@@ -219,11 +215,7 @@ pub fn run_multinode_program(
                     .cloned()
                     .collect(),
                 intents: step.program.intents.clone(),
-                underrun_proofs: Default::default(),
             };
-            // Filtering renumbers ops, so the parent's proofs (keyed by
-            // op index) do not transfer; re-prove the sub-program.
-            sub.underrun_proofs = sub.prove_underruns();
             let mut mem = step.memory.clone();
             let report = proc.run_parallel(&mut mem, &sub, app.threads)?;
             (report.cycles, mem.data(step.forces).to_vec())

@@ -46,7 +46,7 @@
 use std::fmt;
 
 use crate::interp::{InterpError, InterpOutput, StreamData};
-use crate::tape::{mask, Code, CompiledTape, ScalarState, TapeOp, UnderrunProof, NO_COND};
+use crate::tape::{mask, Code, CompiledTape, ScalarState, TapeOp, NO_COND};
 
 /// Lane count of the batched SoA engine: 8 or 16 iterations per batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -227,7 +227,10 @@ impl fmt::Display for BatchPlanViolation {
                 write!(f, "op slot {dst} is scheduled more than once")
             }
             BatchPlanViolation::CondReadOutsideSeq { dst, phase } => {
-                write!(f, "conditional read at slot {dst} scheduled in {phase} instead of seq")
+                write!(
+                    f,
+                    "conditional read at slot {dst} scheduled in {phase} instead of seq"
+                )
             }
             BatchPlanViolation::PreReadsCoupled { dst, arg } => {
                 write!(f, "vec_pre op at slot {dst} reads lane-coupled slot {arg}")
@@ -310,7 +313,10 @@ impl CompiledTape {
         for op in &plan.vec_pre {
             for a in used_args(op).into_iter().flatten() {
                 if coupled[a as usize] {
-                    out.push(BatchPlanViolation::PreReadsCoupled { dst: op.dst, arg: a });
+                    out.push(BatchPlanViolation::PreReadsCoupled {
+                        dst: op.dst,
+                        arg: a,
+                    });
                 }
             }
         }
@@ -319,7 +325,10 @@ impl CompiledTape {
         for op in &plan.seq {
             for a in used_args(op).into_iter().flatten() {
                 if in_post[a as usize] {
-                    out.push(BatchPlanViolation::SeqReadsPost { dst: op.dst, arg: a });
+                    out.push(BatchPlanViolation::SeqReadsPost {
+                        dst: op.dst,
+                        arg: a,
+                    });
                 }
             }
         }
@@ -350,7 +359,10 @@ impl CompiledTape {
         ] {
             for w in ops.windows(2) {
                 if w[1].dst <= w[0].dst {
-                    out.push(BatchPlanViolation::PhaseOrder { phase, dst: w[1].dst });
+                    out.push(BatchPlanViolation::PhaseOrder {
+                        phase,
+                        dst: w[1].dst,
+                    });
                 }
             }
         }
@@ -379,8 +391,8 @@ impl CompiledTape {
     /// Execute the tape in SoA batches of `width` lanes. Bitwise
     /// identical to [`CompiledTape::run`]: same outputs, consumed
     /// counts, final registers, and the same [`InterpError`] values on
-    /// failure — `tests/tape_equivalence.rs` holds all three engines to
-    /// this differentially.
+    /// failure — `tests/tape_equivalence.rs` holds the interpreter, the
+    /// scalar tape loop and this engine to that differentially.
     pub fn run_batched(
         &self,
         inputs: &[StreamData],
@@ -389,35 +401,12 @@ impl CompiledTape {
         width: BatchWidth,
     ) -> Result<InterpOutput, InterpError> {
         match width {
-            BatchWidth::W8 => self.run_batched_impl::<8, true>(inputs, params, iterations),
-            BatchWidth::W16 => self.run_batched_impl::<16, true>(inputs, params, iterations),
+            BatchWidth::W8 => self.run_batched_impl::<8>(inputs, params, iterations),
+            BatchWidth::W16 => self.run_batched_impl::<16>(inputs, params, iterations),
         }
     }
 
-    /// [`CompiledTape::run_batched`] with a static underrun proof:
-    /// after the O(streams) [`UnderrunProof::covers`] revalidation, the
-    /// up-front underrun decision, the every-stream batch clamp and the
-    /// per-pop depth checks are all elided — the proof guarantees none
-    /// of them could fire. Bitwise-identical to the checked path; a
-    /// proof that does not cover the launch falls back to it.
-    pub fn run_batched_proven(
-        &self,
-        inputs: &[StreamData],
-        params: &[f64],
-        iterations: usize,
-        width: BatchWidth,
-        proof: &UnderrunProof,
-    ) -> Result<InterpOutput, InterpError> {
-        if !proof.covers(inputs, iterations) {
-            return self.run_batched(inputs, params, iterations, width);
-        }
-        match width {
-            BatchWidth::W8 => self.run_batched_impl::<8, false>(inputs, params, iterations),
-            BatchWidth::W16 => self.run_batched_impl::<16, false>(inputs, params, iterations),
-        }
-    }
-
-    fn run_batched_impl<const B: usize, const CHECKED: bool>(
+    fn run_batched_impl<const B: usize>(
         &self,
         inputs: &[StreamData],
         params: &[f64],
@@ -438,35 +427,29 @@ impl CompiledTape {
             lanes[slot as usize] = [params[p as usize]; B];
         }
 
-        if CHECKED && self.fast_path {
+        if self.fast_path {
             // The scalar fast path decides underrun before the loop; the
-            // batch engine inherits the proof (and its blame order)
-            // wholesale. A static UnderrunProof discharges this.
+            // batch engine inherits that decision (and its blame order)
+            // wholesale.
             self.prove_fast_underrun(inputs, iterations)?;
         }
         // Full batches run vectorized only while every every-iteration
         // stream still covers the whole batch; the scalar tail owns the
-        // (possibly erroring) remainder. A proven launch needs no clamp:
-        // the proof guarantees every every-iteration stream covers all
-        // `iterations`, so the clamp would be a no-op.
+        // (possibly erroring) remainder.
         let num_records: Vec<usize> = inputs.iter().map(|d| d.num_records()).collect();
-        let batches = if CHECKED {
-            let every_limit = self
-                .input_every_iter
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| **e)
-                .map(|(s, _)| num_records[s])
-                .min()
-                .unwrap_or(usize::MAX);
-            iterations.min(every_limit) / B
-        } else {
-            iterations / B
-        };
+        let every_limit = self
+            .input_every_iter
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| **e)
+            .map(|(s, _)| num_records[s])
+            .min()
+            .unwrap_or(usize::MAX);
+        let batches = iterations.min(every_limit) / B;
 
         let mut st = ScalarState::new(self, inputs.len());
         for b in 0..batches {
-            self.exec_batch::<B, CHECKED>(
+            self.exec_batch::<B>(
                 inputs,
                 &num_records,
                 &mut lanes,
@@ -496,27 +479,15 @@ impl CompiledTape {
         } else {
             if done < iterations {
                 let mut vals = self.init_vals(params);
-                if CHECKED {
-                    self.run_general_range(
-                        inputs,
-                        &mut vals,
-                        &mut regs,
-                        &mut outputs,
-                        &mut st,
-                        done,
-                        iterations,
-                    )?;
-                } else {
-                    self.run_general_range_unchecked(
-                        inputs,
-                        &mut vals,
-                        &mut regs,
-                        &mut outputs,
-                        &mut st,
-                        done,
-                        iterations,
-                    );
-                }
+                self.run_general_range(
+                    inputs,
+                    &mut vals,
+                    &mut regs,
+                    &mut outputs,
+                    &mut st,
+                    done,
+                    iterations,
+                )?;
             }
             st.cursors
         };
@@ -533,7 +504,7 @@ impl CompiledTape {
     /// lane-major write drain, cursor advance. `base` is the absolute
     /// iteration index of lane 0 (for underrun blame).
     #[allow(clippy::too_many_arguments)]
-    fn exec_batch<const B: usize, const CHECKED: bool>(
+    fn exec_batch<const B: usize>(
         &self,
         inputs: &[StreamData],
         num_records: &[usize],
@@ -576,7 +547,7 @@ impl CompiledTape {
                             let s = cr.stream as usize;
                             let slot = cr.slot as usize;
                             if st.pop_gen[slot] != st.generation {
-                                if CHECKED && st.cursors[s] >= num_records[s] {
+                                if st.cursors[s] >= num_records[s] {
                                     return Err(InterpError::StreamUnderrun {
                                         stream: s,
                                         iteration: base + l,
@@ -989,10 +960,9 @@ mod tests {
 
     #[test]
     fn audit_passes_on_analyzed_plans() {
-        for k in [accum_kernel()] {
-            let tape = CompiledTape::compile(&k);
-            assert_eq!(tape.audit_batch_plan(), vec![], "kernel '{}'", k.name);
-        }
+        let k = accum_kernel();
+        let tape = CompiledTape::compile(&k);
+        assert_eq!(tape.audit_batch_plan(), vec![], "kernel '{}'", k.name);
         // Conditional kernel: CondReads pin ops into seq; the audit
         // must still find nothing to complain about.
         let mut b = KernelBuilder::new("cond_audit");
@@ -1034,8 +1004,13 @@ mod tests {
             "violations: {v:?}"
         );
         assert!(
-            v.iter()
-                .any(|x| matches!(x, BatchPlanViolation::PhaseOrder { phase: "vec_pre", .. })),
+            v.iter().any(|x| matches!(
+                x,
+                BatchPlanViolation::PhaseOrder {
+                    phase: "vec_pre",
+                    ..
+                }
+            )),
             "violations: {v:?}"
         );
 
@@ -1084,41 +1059,5 @@ mod tests {
             )),
             "violations: {v:?}"
         );
-    }
-
-    #[test]
-    fn proven_batched_run_is_bitwise_identical() {
-        let k = accum_kernel();
-        let tape = CompiledTape::compile(&k);
-        for n in [0usize, 1, 8, 23, 48] {
-            let data: Vec<f64> = (0..2 * n).map(|i| 1.0 + 0.25 * i as f64).collect();
-            let inputs = [StreamData::new(2, data)];
-            let proof = tape
-                .prove_underrun_free(&[n], n)
-                .expect("exact-length inputs must prove safe");
-            for w in WIDTHS {
-                let checked = tape.run_batched(&inputs, &[], n, w).unwrap();
-                let proven = tape.run_batched_proven(&inputs, &[], n, w, &proof).unwrap();
-                assert_eq!(checked, proven, "width {w}, n {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn stale_proof_falls_back_to_the_checked_path() {
-        let k = accum_kernel();
-        let tape = CompiledTape::compile(&k);
-        // Proof for 8 iterations does not cover a 32-iteration launch
-        // over short inputs: the proven entry point must re-check and
-        // reproduce the checked path's error exactly.
-        let proof = tape.prove_underrun_free(&[8], 8).unwrap();
-        let data: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let inputs = [StreamData::new(2, data)];
-        for w in WIDTHS {
-            let checked = tape.run_batched(&inputs, &[], 32, w);
-            let proven = tape.run_batched_proven(&inputs, &[], 32, w, &proof);
-            assert_eq!(checked, proven);
-            assert!(proven.is_err());
-        }
     }
 }

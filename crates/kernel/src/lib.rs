@@ -47,4 +47,4 @@ pub use ir::{Kernel, Node, NodeId, OpKind, StreamMode};
 pub use pipeline::{modulo_schedule, PipelinedSchedule};
 pub use schedule::{list_schedule, Schedule};
 pub use stats::KernelStats;
-pub use tape::{CompiledTape, UnderrunProof};
+pub use tape::CompiledTape;

@@ -159,52 +159,6 @@ pub struct CompiledTape {
     pub(crate) batch: BatchPlan,
 }
 
-/// A static proof that a launch of this tape cannot underrun any input
-/// stream, produced by [`CompiledTape::prove_underrun_free`].
-///
-/// The proof records the worst-case records each stream can consume
-/// over the proven iteration count (one per iteration for
-/// every-iteration streams, `iterations × pop-slots` for conditional
-/// streams). A launch presents the proof to [`CompiledTape::run_proven`]
-/// or [`CompiledTape::run_batched_proven`]; after an O(streams)
-/// revalidation ([`UnderrunProof::covers`]) the engines execute with no
-/// per-iteration availability checks and no per-pop depth checks — they
-/// provably cannot fire. Misuse is safe: a proof that does not cover
-/// the launch falls back to the checked path, bitwise-identically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnderrunProof {
-    /// Iterations the proof covers (a launch may run fewer).
-    iterations: usize,
-    /// Worst-case records consumed per input stream over `iterations`.
-    needed_records: Vec<usize>,
-}
-
-impl UnderrunProof {
-    /// Iterations the proof covers.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Worst-case records consumed per input stream.
-    pub fn needed_records(&self) -> &[usize] {
-        &self.needed_records
-    }
-
-    /// Does this proof discharge the underrun checks for a launch of
-    /// `iterations` over `inputs`? Consumption bounds are monotone in
-    /// the iteration count, so any launch no longer than the proven one
-    /// whose streams are at least as deep as the proven worst case is
-    /// covered.
-    pub fn covers(&self, inputs: &[StreamData], iterations: usize) -> bool {
-        iterations <= self.iterations
-            && inputs.len() == self.needed_records.len()
-            && inputs
-                .iter()
-                .zip(&self.needed_records)
-                .all(|(d, n)| d.num_records() >= *n)
-    }
-}
-
 impl CompiledTape {
     /// Compile `kernel` into a tape. Validates the kernel once here so
     /// [`CompiledTape::run`] never re-validates.
@@ -422,78 +376,6 @@ impl CompiledTape {
         max
     }
 
-    /// Statically prove a launch of `iterations` over streams holding
-    /// `records[s]` records cannot underrun: every stream must cover
-    /// its worst-case consumption (`iterations × max pops/iter`).
-    /// Returns `None` when the worst case is not covered — which for a
-    /// conditional stream does *not* mean the launch fails, only that
-    /// safety cannot be guaranteed without the runtime checks.
-    pub fn prove_underrun_free(
-        &self,
-        records: &[usize],
-        iterations: usize,
-    ) -> Option<UnderrunProof> {
-        if records.len() != self.input_record_len.len() {
-            return None;
-        }
-        let needed: Vec<usize> = (0..records.len())
-            .map(|s| iterations.saturating_mul(self.max_pops_per_iter(s)))
-            .collect();
-        if needed.iter().zip(records).all(|(n, r)| r >= n) {
-            Some(UnderrunProof {
-                iterations,
-                needed_records: needed,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// [`CompiledTape::run`] with a static underrun proof: after the
-    /// O(streams) [`UnderrunProof::covers`] revalidation, the loop runs
-    /// with no underrun decision up front and no per-pop depth checks.
-    /// Bitwise-identical to the checked path (the skipped checks
-    /// provably never fire); a proof that does not cover the launch
-    /// falls back to the checked path.
-    pub fn run_proven(
-        &self,
-        inputs: &[StreamData],
-        params: &[f64],
-        iterations: usize,
-        proof: &UnderrunProof,
-    ) -> Result<InterpOutput, InterpError> {
-        if !proof.covers(inputs, iterations) {
-            return self.run(inputs, params, iterations);
-        }
-        self.validate_signature(inputs, params)?;
-        let mut outputs = self.make_outputs(iterations);
-        let mut regs = self.reg_init.clone();
-        let mut vals = self.init_vals(params);
-        let records_consumed = if self.fast_path {
-            let mut row_base = vec![0usize; inputs.len()];
-            self.run_fast_range(inputs, &mut vals, &mut regs, &mut outputs, &mut row_base, iterations);
-            vec![iterations; inputs.len()]
-        } else {
-            let mut st = ScalarState::new(self, inputs.len());
-            self.run_general_range_unchecked(
-                inputs,
-                &mut vals,
-                &mut regs,
-                &mut outputs,
-                &mut st,
-                0,
-                iterations,
-            );
-            st.cursors
-        };
-        Ok(InterpOutput {
-            outputs,
-            records_consumed,
-            iterations,
-            final_regs: regs,
-        })
-    }
-
     /// Copy the iteration's register and stream-record reads into their
     /// value slots. Sources only — no dependence on tape results — so
     /// the whole batch legally runs before the arithmetic ops.
@@ -533,10 +415,33 @@ impl CompiledTape {
         let mut regs = self.reg_init.clone();
         let mut vals = self.init_vals(params);
 
+        // Fast path: every input stream pops exactly once per iteration,
+        // so underrun is decided before the loop and the body runs with
+        // no per-iteration availability checks.
         let records_consumed = if self.fast_path {
-            self.run_fast(inputs, &mut vals, &mut regs, &mut outputs, iterations)?
+            self.prove_fast_underrun(inputs, iterations)?;
+            let mut row_base = vec![0usize; inputs.len()];
+            self.run_fast_range(
+                inputs,
+                &mut vals,
+                &mut regs,
+                &mut outputs,
+                &mut row_base,
+                iterations,
+            );
+            vec![iterations; inputs.len()]
         } else {
-            self.run_general(inputs, &mut vals, &mut regs, &mut outputs, iterations)?
+            let mut st = ScalarState::new(self, inputs.len());
+            self.run_general_range(
+                inputs,
+                &mut vals,
+                &mut regs,
+                &mut outputs,
+                &mut st,
+                0,
+                iterations,
+            )?;
+            st.cursors
         };
 
         Ok(InterpOutput {
@@ -609,23 +514,6 @@ impl CompiledTape {
         vals
     }
 
-    /// Fast path: every input stream pops exactly once per iteration,
-    /// so underrun is decidable before the loop and the body runs with
-    /// no per-iteration availability checks.
-    fn run_fast(
-        &self,
-        inputs: &[StreamData],
-        vals: &mut [f64],
-        regs: &mut [f64],
-        outputs: &mut [StreamData],
-        iterations: usize,
-    ) -> Result<Vec<usize>, InterpError> {
-        self.prove_fast_underrun(inputs, iterations)?;
-        let mut row_base = vec![0usize; inputs.len()];
-        self.run_fast_range(inputs, vals, regs, outputs, &mut row_base, iterations);
-        Ok(vec![iterations; inputs.len()])
-    }
-
     /// Decide fast-path underrun before any iteration runs: the first
     /// stream (in index order) to run dry loses — matching the
     /// interpreter's per-iteration check order.
@@ -681,62 +569,14 @@ impl CompiledTape {
         }
     }
 
-    /// General path: conditional streams pop on demand through the flat
-    /// pop table, reset per iteration by a generation counter.
-    fn run_general(
-        &self,
-        inputs: &[StreamData],
-        vals: &mut [f64],
-        regs: &mut [f64],
-        outputs: &mut [StreamData],
-        iterations: usize,
-    ) -> Result<Vec<usize>, InterpError> {
-        let mut st = ScalarState::new(self, inputs.len());
-        self.run_general_range(inputs, vals, regs, outputs, &mut st, 0, iterations)?;
-        Ok(st.cursors)
-    }
-
-    /// General-path iterations `start..end`, resuming from (and
-    /// advancing) `st`. Iteration indices in underrun errors are
-    /// absolute, so a caller that ran `start` iterations by other means
-    /// (the batched engine) reports the same error values as a scalar
-    /// run from zero.
+    /// General-path iterations `start..end` — conditional streams pop
+    /// on demand through the flat pop table, reset per iteration by a
+    /// generation counter — resuming from (and advancing) `st`.
+    /// Iteration indices in underrun errors are absolute, so a caller
+    /// that ran `start` iterations by other means (the batched engine)
+    /// reports the same error values as a scalar run from zero.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_general_range(
-        &self,
-        inputs: &[StreamData],
-        vals: &mut [f64],
-        regs: &mut [f64],
-        outputs: &mut [StreamData],
-        st: &mut ScalarState,
-        start: usize,
-        end: usize,
-    ) -> Result<(), InterpError> {
-        self.run_general_range_impl::<true>(inputs, vals, regs, outputs, st, start, end)
-    }
-
-    /// The check-elided general path: identical iteration bodies with
-    /// the per-iteration availability checks and per-pop depth checks
-    /// compiled out. Only reachable behind a validated
-    /// [`UnderrunProof`], which guarantees the elided checks could
-    /// never have fired.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_general_range_unchecked(
-        &self,
-        inputs: &[StreamData],
-        vals: &mut [f64],
-        regs: &mut [f64],
-        outputs: &mut [StreamData],
-        st: &mut ScalarState,
-        start: usize,
-        end: usize,
-    ) {
-        self.run_general_range_impl::<false>(inputs, vals, regs, outputs, st, start, end)
-            .expect("unchecked general range is infallible");
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_general_range_impl<const CHECKED: bool>(
         &self,
         inputs: &[StreamData],
         vals: &mut [f64],
@@ -749,14 +589,12 @@ impl CompiledTape {
         let num_records: Vec<usize> = inputs.iter().map(|d| d.num_records()).collect();
         for iter in start..end {
             st.generation += 1;
-            if CHECKED {
-                for (s, every) in self.input_every_iter.iter().enumerate() {
-                    if *every && st.cursors[s] >= num_records[s] {
-                        return Err(InterpError::StreamUnderrun {
-                            stream: s,
-                            iteration: iter,
-                        });
-                    }
+            for (s, every) in self.input_every_iter.iter().enumerate() {
+                if *every && st.cursors[s] >= num_records[s] {
+                    return Err(InterpError::StreamUnderrun {
+                        stream: s,
+                        iteration: iter,
+                    });
                 }
             }
             self.read_prologue(inputs, &st.row_base, regs, vals);
@@ -768,7 +606,7 @@ impl CompiledTape {
                             let s = cr.stream as usize;
                             let slot = cr.slot as usize;
                             if st.pop_gen[slot] != st.generation {
-                                if CHECKED && st.cursors[s] >= num_records[s] {
+                                if st.cursors[s] >= num_records[s] {
                                     return Err(InterpError::StreamUnderrun {
                                         stream: s,
                                         iteration: iter,

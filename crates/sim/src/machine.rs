@@ -156,19 +156,16 @@ pub(crate) enum ExecMode<'a> {
 ///
 /// The batched SoA engine ([`merrimac_kernel::batch`], executing the
 /// compiled tape in vectorizable lanes of 8/16 iterations) is the
-/// default. The scalar bytecode tape and the graph-walking
-/// [`Interpreter`] remain as bisection oracles behind
-/// `MERRIMAC_KERNEL_ENGINE=tape|interp`. All three produce
-/// bitwise-identical outputs, consumed counts and final registers —
-/// proven differentially by `tests/tape_equivalence.rs`.
+/// default. The graph-walking [`Interpreter`] remains as the
+/// independent bisection oracle behind `MERRIMAC_KERNEL_ENGINE=interp`.
+/// Both produce bitwise-identical outputs, consumed counts and final
+/// registers — proven differentially by `tests/tape_equivalence.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelEngine {
     /// Batched SoA execution of the compiled tape, 8/16 lanes per
     /// batch ([`BatchWidth`]).
     #[default]
     Batch,
-    /// Flat bytecode tape, one scalar iteration at a time.
-    Tape,
     /// Reference graph-walking interpreter.
     Interp,
 }
@@ -181,15 +178,14 @@ impl KernelEngine {
     pub fn parse(value: &str) -> Option<Self> {
         match value {
             "batch" => Some(KernelEngine::Batch),
-            "tape" => Some(KernelEngine::Tape),
             "interp" => Some(KernelEngine::Interp),
             _ => None,
         }
     }
 
     /// Resolve from the `MERRIMAC_KERNEL_ENGINE` environment variable
-    /// (`batch`, `tape` or `interp`; anything else, including unset,
-    /// means batch). Lenient legacy default for a raw
+    /// (`batch` or `interp`; anything else, including unset, means
+    /// batch). Lenient legacy default for a raw
     /// [`StreamProcessor`]; the validated front doors
     /// (`SimConfigBuilder::engine`, `RunSpec::from_env_overrides`)
     /// reject malformed values instead.
@@ -203,7 +199,6 @@ impl KernelEngine {
     pub fn name(self) -> &'static str {
         match self {
             KernelEngine::Batch => "batch",
-            KernelEngine::Tape => "tape",
             KernelEngine::Interp => "interp",
         }
     }
@@ -220,7 +215,6 @@ impl std::fmt::Display for KernelEngine {
 /// SRF words moved (inputs consumed + outputs written). Shared between
 /// the inline scoreboard and the parallel per-strip executor so the two
 /// paths cannot drift.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel_functional(
     label: &str,
     kernel: &crate::kernelc::CompiledKernel,
@@ -229,7 +223,6 @@ pub(crate) fn kernel_functional(
     iterations: u64,
     engine: KernelEngine,
     batch: BatchWidth,
-    proof: Option<&merrimac_kernel::UnderrunProof>,
 ) -> Result<(Vec<StreamData>, u64), SimError> {
     let unroll = kernel.opt.unroll as u64;
     if !iterations.is_multiple_of(unroll) {
@@ -265,28 +258,13 @@ pub(crate) fn kernel_functional(
         shaped
     };
     let unrolled_iters = iterations / unroll;
-    // A static underrun proof routes the tape engines through their
-    // check-elided entry points; a stale proof falls back to the
-    // checked path inside those entry points, so results (and errors)
-    // are bitwise-identical either way.
-    let out = match (engine, proof) {
-        (KernelEngine::Batch, Some(p)) => {
-            kernel
-                .tape
-                .run_batched_proven(&shaped, params, unrolled_iters as usize, batch, p)?
-        }
-        (KernelEngine::Batch, None) => {
+    let out = match engine {
+        KernelEngine::Batch => {
             kernel
                 .tape
                 .run_batched(&shaped, params, unrolled_iters as usize, batch)?
         }
-        (KernelEngine::Tape, Some(p)) => {
-            kernel
-                .tape
-                .run_proven(&shaped, params, unrolled_iters as usize, p)?
-        }
-        (KernelEngine::Tape, None) => kernel.tape.run(&shaped, params, unrolled_iters as usize)?,
-        (KernelEngine::Interp, _) => {
+        KernelEngine::Interp => {
             Interpreter::new(&kernel.ir).run(&shaped, params, unrolled_iters as usize)?
         }
     };
@@ -319,8 +297,8 @@ pub struct StreamProcessor {
     pub partition_verbose: bool,
     /// Which functional engine executes kernel dataflow graphs.
     /// Defaults from the `MERRIMAC_KERNEL_ENGINE` environment variable
-    /// (batch unless set to `tape` or `interp`). Simulated results are
-    /// bitwise-identical under all three; only host wall-clock differs.
+    /// (batch unless set to `interp`). Simulated results are
+    /// bitwise-identical under both; only host wall-clock differs.
     pub kernel_engine: KernelEngine,
     /// Lane width of the batched engine ([`KernelEngine::Batch`]).
     /// Defaults from the `MERRIMAC_TAPE_BATCH` environment variable
@@ -356,8 +334,8 @@ impl StreamProcessor {
         self
     }
 
-    /// Select the functional kernel-execution engine (batch, tape or
-    /// the reference interpreter) regardless of the environment default.
+    /// Select the functional kernel-execution engine (batch or the
+    /// reference interpreter) regardless of the environment default.
     pub fn with_engine(mut self, engine: KernelEngine) -> Self {
         self.kernel_engine = engine;
         self
@@ -821,7 +799,6 @@ impl StreamProcessor {
                                     *iterations,
                                     self.kernel_engine,
                                     self.tape_batch,
-                                    program.underrun_proofs.get(&i),
                                 )?;
                                 for (o, b) in outs.into_iter().zip(outputs) {
                                     buffers[b.0] = Some(o);

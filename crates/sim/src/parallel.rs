@@ -801,7 +801,6 @@ fn exec_strip(
                     *iterations,
                     engine,
                     batch,
-                    program.underrun_proofs.get(&i),
                 )?;
                 for (o, b) in outs.into_iter().zip(outputs) {
                     buffers.insert(b.0, o);

@@ -17,8 +17,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use merrimac_kernel::UnderrunProof;
-
 use crate::kernelc::CompiledKernel;
 
 /// Handle to a memory region (an array in node DRAM).
@@ -252,104 +250,12 @@ pub struct StreamProgram {
     /// Declared access intents, keyed by `RegionId.0`. Regions without a
     /// declared intent are handled conservatively by the partitioner.
     pub intents: BTreeMap<usize, AccessIntent>,
-    /// Static underrun-freedom proofs, keyed by kernel op index. A
-    /// present proof lets the functional engines elide per-pop depth
-    /// checks for that launch; absent proofs mean the checked path.
-    /// Populated by [`StreamProgram::prove_underruns`] (the app layer
-    /// stamps these after building); results are bitwise-identical
-    /// either way, only host wall-clock differs.
-    pub underrun_proofs: BTreeMap<usize, UnderrunProof>,
 }
 
 impl StreamProgram {
     /// The declared intent for `region`, if any.
     pub fn declared_intent(&self, region: RegionId) -> Option<AccessIntent> {
         self.intents.get(&region.0).copied()
-    }
-
-    /// Statically prove underrun-freedom per kernel op. Forward walk in
-    /// program order tracking a lower bound on the words each SRF
-    /// buffer holds: gathers and loads contribute exact counts, kernel
-    /// outputs contribute only their guaranteed (unconditional-write)
-    /// words per unrolled iteration. An op is present in the returned
-    /// map only when every input stream provably covers every
-    /// iteration; everything else stays on the checked engine path, so
-    /// the proof is sound by construction (never claims safety the
-    /// record counts do not imply).
-    pub fn prove_underruns(&self) -> BTreeMap<usize, UnderrunProof> {
-        // Lower bound on words available per buffer id. Buffers are
-        // re-produced by overwrite in the executors, so availability is
-        // replaced, not accumulated.
-        let mut avail: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut proofs = BTreeMap::new();
-        for (i, lop) in self.ops.iter().enumerate() {
-            match &lop.op {
-                StreamOp::Gather {
-                    record_len,
-                    indices,
-                    dst,
-                    ..
-                } => {
-                    avail.insert(dst.0, indices.len() * record_len);
-                }
-                StreamOp::Load {
-                    record_len,
-                    records,
-                    dst,
-                    ..
-                } => {
-                    avail.insert(dst.0, records * record_len);
-                }
-                StreamOp::Kernel {
-                    kernel,
-                    inputs,
-                    outputs,
-                    iterations,
-                    ..
-                } => {
-                    let unroll = kernel.opt.unroll as u64;
-                    if unroll == 0 || *iterations % unroll != 0 {
-                        // The launch itself will be rejected; whatever
-                        // this op would have produced is unknown.
-                        for b in outputs {
-                            avail.remove(&b.0);
-                        }
-                        continue;
-                    }
-                    let unrolled = (*iterations / unroll) as usize;
-                    // Record counts as the engines will see them after
-                    // the unroll reshape: floor(words / unrolled record
-                    // length) — a lower bound, hence sound.
-                    let mut records = Vec::with_capacity(inputs.len());
-                    let known = inputs.iter().enumerate().all(|(s, b)| {
-                        let rl = kernel
-                            .ir
-                            .inputs
-                            .get(s)
-                            .map(|sig| sig.record_len as usize)
-                            .unwrap_or(0);
-                        match avail.get(&b.0) {
-                            Some(w) if rl > 0 => {
-                                records.push(w / rl);
-                                true
-                            }
-                            _ => false,
-                        }
-                    });
-                    if known {
-                        if let Some(p) = kernel.tape.prove_underrun_free(&records, unrolled) {
-                            proofs.insert(i, p);
-                        }
-                    }
-                    let mins = kernel.tape.min_out_words_per_iter();
-                    for (o, b) in outputs.iter().enumerate() {
-                        avail.insert(b.0, unrolled * mins.get(o).copied().unwrap_or(0));
-                    }
-                }
-                StreamOp::ScatterAdd { .. } | StreamOp::Store { .. } => {}
-            }
-        }
-        proofs
     }
 }
 

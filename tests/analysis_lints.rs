@@ -360,7 +360,11 @@ fn verifier_program(
     (mem, pb.build())
 }
 
-fn analyze_fixture(cfg: &MachineConfig, mem: &Memory, program: &StreamProgram) -> Vec<merrimac_analysis::Diagnostic> {
+fn analyze_fixture(
+    cfg: &MachineConfig,
+    mem: &Memory,
+    program: &StreamProgram,
+) -> Vec<merrimac_analysis::Diagnostic> {
     analyze_program(&ProgramContext {
         cfg,
         policy: SdrPolicy::Eager,
@@ -459,12 +463,8 @@ fn batch_plan_split_fixture_fires_once_as_error() {
         let x = b.read(s, 0);
         let y = b.mul(x, x);
         b.write(o, &[y]);
-        let mut ck = CompiledKernel::compile(
-            b.build(),
-            &cfg,
-            &OpCosts::default(),
-            KernelOpt::default(),
-        );
+        let mut ck =
+            CompiledKernel::compile(b.build(), &cfg, &OpCosts::default(), KernelOpt::default());
         ck.tape.corrupt_batch_plan_for_tests();
         Arc::new(ck)
     };

@@ -1,28 +1,33 @@
-//! Differential proof that all three host engines — the reference
-//! graph-walking interpreter, the scalar bytecode tape, and the batched
-//! SoA tape (at both widths, 8 and 16) — are the same function: over
-//! random kernels (with and without conditional streams, unrolled and
-//! not), every engine must produce bitwise-identical outputs,
-//! records-consumed counts, final registers — and identical errors when
-//! a stream underruns. A strip-level test then shows `run_with_threads`
-//! produces identical `RunReport`s and region contents under every
-//! engine at every thread count.
+//! Differential proof that the host engines are the same function: the
+//! reference graph-walking interpreter, the batched SoA tape (at both
+//! widths, 8 and 16) and `CompiledTape::run`, the scalar tape loop the
+//! batch remainder shares. Over random kernels (with and without
+//! conditional streams, unrolled and not), each must produce
+//! bitwise-identical outputs, records-consumed counts, final registers —
+//! and identical errors when a stream underruns. Strip-level tests then
+//! show `run_with_threads` produces identical `RunReport`s and region
+//! contents under either engine at every thread count, and that a
+//! conditional stream run dry in a real StreamMD step is the same typed
+//! error everywhere.
 
 use std::sync::Arc;
 
 use merrimac_arch::{MachineConfig, OpCosts};
+use merrimac_bench::small_system;
 use merrimac_kernel::builder::Val;
-use merrimac_kernel::interp::{InterpOutput, Interpreter, StreamData};
+use merrimac_kernel::interp::{InterpError, InterpOutput, Interpreter, StreamData};
 use merrimac_kernel::ir::{Kernel, Node, StreamMode};
 use merrimac_kernel::unroll::unroll;
 use merrimac_kernel::{BatchWidth, CompiledTape, KernelBuilder};
+use merrimac_sim::program::StreamOp;
 use merrimac_sim::{
     AccessIntent, CompiledKernel, KernelEngine, KernelOpt, Memory, ProgramBuilder, RegionId,
-    StreamProcessor,
+    SimError, StreamProcessor,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use streammd::{StreamMdApp, Variant};
 
 // ---- random kernel generation -----------------------------------------
 
@@ -215,12 +220,9 @@ fn assert_bitwise_equal(tape: &InterpOutput, interp: &InterpOutput, ctx: &str) {
     );
 }
 
-/// Run all three engines on `k` (the batched tape at both widths) and
-/// require identical results (or identical errors). Also pins the
-/// static underrun prover: it must never claim safety for a launch any
-/// engine underruns on (soundness), and whenever it does produce a
-/// proof, the check-elided proven entry points must be bitwise-identical
-/// to the checked paths.
+/// Run the interpreter, the scalar tape loop and the batched tape (at
+/// both widths) on `k` and require identical results (or identical
+/// errors).
 fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], iterations: usize) {
     let compiled = CompiledTape::compile(k);
     let tape = compiled.run(inputs, params, iterations);
@@ -233,29 +235,6 @@ fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], itera
             k.name
         ),
     }
-    let records: Vec<usize> = inputs.iter().map(|d| d.num_records()).collect();
-    let proof = compiled.prove_underrun_free(&records, iterations);
-    if matches!(
-        &tape,
-        Err(merrimac_kernel::interp::InterpError::StreamUnderrun { .. })
-    ) {
-        assert!(
-            proof.is_none(),
-            "kernel '{}': prover claimed underrun-freedom but the scalar tape underran",
-            k.name
-        );
-    }
-    if let Some(p) = &proof {
-        let proven = compiled.run_proven(inputs, params, iterations, p);
-        match (&proven, &tape) {
-            (Ok(a), Ok(t)) => assert_bitwise_equal(a, t, &format!("{} (proven)", k.name)),
-            _ => assert_eq!(
-                proven, tape,
-                "kernel '{}': proven tape disagrees with checked tape",
-                k.name
-            ),
-        }
-    }
     for width in [BatchWidth::W8, BatchWidth::W16] {
         let batch = compiled.run_batched(inputs, params, iterations, width);
         match (&batch, &tape) {
@@ -265,19 +244,6 @@ fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], itera
                 "kernel '{}': batch {width} disagrees with scalar tape on error",
                 k.name
             ),
-        }
-        if let Some(p) = &proof {
-            let proven = compiled.run_batched_proven(inputs, params, iterations, width, p);
-            match (&proven, &batch) {
-                (Ok(a), Ok(b)) => {
-                    assert_bitwise_equal(a, b, &format!("{} (proven batch {width})", k.name))
-                }
-                _ => assert_eq!(
-                    proven, batch,
-                    "kernel '{}': proven batch {width} disagrees with checked batch",
-                    k.name
-                ),
-            }
         }
     }
 }
@@ -404,11 +370,7 @@ fn strip_run_reports_identical_under_all_engines() {
     let strips = 4;
     let n = 200;
     let mut baseline: Option<(Vec<f64>, merrimac_sim::RunReport)> = None;
-    for engine in [
-        KernelEngine::Interp,
-        KernelEngine::Tape,
-        KernelEngine::Batch,
-    ] {
+    for engine in [KernelEngine::Interp, KernelEngine::Batch] {
         for threads in [1usize, 4] {
             let (mut mem, program) = strip_program(strips, n);
             let proc = StreamProcessor::new(MachineConfig::default()).with_engine(engine);
@@ -492,16 +454,7 @@ fn serial_fallback_identical_under_all_engines() {
         .with_engine(KernelEngine::Interp)
         .run(&mut m1, &p1)
         .expect("interp");
-    let (mut m2, p2) = build();
-    let r2 = StreamProcessor::new(cfg.clone())
-        .with_engine(KernelEngine::Tape)
-        .run(&mut m2, &p2)
-        .expect("tape");
-    assert!(!r1.partition.parallelized && !r2.partition.parallelized);
-    assert_eq!(m1.data(RegionId(2)), m2.data(RegionId(2)));
-    assert_eq!(r1.cycles, r2.cycles);
-    assert_eq!(r1.counters, r2.counters);
-    assert_eq!(r1.cache_stats, r2.cache_stats);
+    assert!(!r1.partition.parallelized);
     for width in [BatchWidth::W8, BatchWidth::W16] {
         let (mut m3, p3) = build();
         let r3 = StreamProcessor::new(cfg.clone())
@@ -514,6 +467,81 @@ fn serial_fallback_identical_under_all_engines() {
         assert_eq!(r1.cycles, r3.cycles, "batch {width}");
         assert_eq!(r1.counters, r3.counters, "batch {width}");
         assert_eq!(r1.cache_stats, r3.cache_stats, "batch {width}");
+    }
+}
+
+/// A conditional stream run dry inside a real StreamMD step is a typed
+/// error, identically everywhere. The STREAM_UNDERRUN lint is silent on
+/// conditional streams by design (their consumption is data-dependent),
+/// so the engines' per-pop depth check is the only guard: load too few
+/// centre records into a strip of the `variable` program and every
+/// engine × width × thread count must blame the same
+/// `(stream, iteration)` — never index past the stream, never return
+/// forces. One record short runs dry on the strip's last iteration, in
+/// the batch engine's scalar remainder; half the records short runs dry
+/// mid-strip, in the sequential phase of a full batch.
+#[test]
+fn truncated_centre_stream_is_the_same_typed_error_everywhere() {
+    let (system, list) = small_system(216);
+    let mut app = StreamMdApp::builder()
+        .neighbor(list.params)
+        .build()
+        .expect("valid configuration");
+    let sid = 0;
+    let label = format!("load centers {sid}");
+    for in_remainder in [true, false] {
+        let mut step = app.build_step_program(&system, &list, Variant::Variable);
+        let iterations = step.layout.strips[sid].iterations as usize;
+        let lop = step
+            .program
+            .ops
+            .iter_mut()
+            .find(|lop| lop.label == label)
+            .expect("variable strip loads its centre records");
+        let StreamOp::Load { records, .. } = &mut lop.op else {
+            panic!("'{label}' is a load");
+        };
+        *records -= if in_remainder { 1 } else { *records / 2 };
+        app.admit_built(&step)
+            .expect("the lint cannot see a conditional-stream shortfall");
+
+        let mut blamed = None;
+        for (engine, width) in [
+            (KernelEngine::Batch, BatchWidth::W8),
+            (KernelEngine::Batch, BatchWidth::W16),
+            (KernelEngine::Interp, BatchWidth::W8),
+        ] {
+            for threads in [1usize, 4] {
+                app.engine = engine;
+                app.tape_batch = width;
+                app.threads = threads;
+                let ctx = format!("{engine}/{width}/{threads} threads");
+                let err = app
+                    .run_step_program(&system, &step)
+                    .err()
+                    .unwrap_or_else(|| panic!("{ctx}: forces returned from a truncated stream"));
+                let SimError::Interp(InterpError::StreamUnderrun { stream, iteration }) = err
+                else {
+                    panic!("{ctx}: expected a stream underrun, got {err}");
+                };
+                // Kernel inputs are [n_pos, flags, centres].
+                assert_eq!(stream, 2, "{ctx}");
+                assert_eq!(*blamed.get_or_insert(iteration), iteration, "{ctx}");
+            }
+        }
+        // Both check sites are exercised at both widths.
+        let blamed = blamed.expect("ran");
+        if in_remainder {
+            assert!(
+                blamed >= iterations - iterations % 8,
+                "{blamed}/{iterations}"
+            );
+        } else {
+            assert!(
+                blamed < iterations - iterations % 16,
+                "{blamed}/{iterations}"
+            );
+        }
     }
 }
 
