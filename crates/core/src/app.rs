@@ -1,7 +1,8 @@
 //! End-to-end StreamMD: neighbour list → stream layout → stream program
 //! → Merrimac simulation → forces + performance report.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
@@ -98,6 +99,71 @@ pub struct StreamMdApp {
     /// batch); irrelevant to results, which are bitwise-identical at
     /// either width.
     pub tape_batch: BatchWidth,
+    /// Kernels this app (and every clone of it) has compiled, so a
+    /// driven trajectory, a multi-node run or a repeated
+    /// [`StreamMdApp::build_step_program`] schedules each kernel once.
+    pub(crate) kernels: KernelMemo,
+}
+
+/// Everything [`StreamMdApp::compile`] reads. The fields it comes from
+/// are public and mutable, so the key — not the app's identity — decides
+/// whether a compiled kernel can be reused.
+#[derive(Debug, Clone, PartialEq)]
+struct KernelKey {
+    workload: Workload,
+    variant: Variant,
+    block_l: usize,
+    kernel_opt: KernelOpt,
+    fpus_per_cluster: usize,
+    costs: OpCosts,
+}
+
+/// Compiled kernels by [`KernelKey`], shared between the clones of an
+/// app. An app meets a handful of keys in its life (one per variant it
+/// runs), so a scanned list serves.
+#[derive(Clone, Default)]
+pub(crate) struct KernelMemo(Arc<Mutex<Vec<MemoEntry>>>);
+
+type MemoEntry = (KernelKey, Arc<CompiledKernel>);
+
+impl KernelMemo {
+    fn get_or_compile(
+        &self,
+        key: KernelKey,
+        compile: impl FnOnce() -> CompiledKernel,
+    ) -> Arc<CompiledKernel> {
+        // Entries are only ever appended whole, so the list is valid
+        // even if a thread panicked while holding the lock.
+        let lock = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let find = |entries: &[MemoEntry]| {
+            entries
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, kernel)| kernel.clone())
+        };
+        if let Some(hit) = find(&lock()) {
+            return hit;
+        }
+        // Compile outside the lock: other variants need not wait, and a
+        // panicking compile poisons nothing. If another thread compiled
+        // the same key meanwhile, its kernel is the one everybody shares.
+        let compiled = Arc::new(compile());
+        let mut entries = lock();
+        if let Some(hit) = find(&entries) {
+            return hit;
+        }
+        entries.push((key, compiled.clone()));
+        compiled
+    }
+}
+
+impl fmt::Debug for KernelMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        f.debug_list()
+            .entries(entries.iter().map(|(key, _)| key))
+            .finish()
+    }
 }
 
 /// A built (but not yet executed) StreamMD step: the stream program,
@@ -141,6 +207,7 @@ impl StreamMdApp {
             nodes: 1,
             engine: KernelEngine::from_env(),
             tape_batch: BatchWidth::from_env(),
+            kernels: KernelMemo::default(),
         }
     }
 
@@ -163,13 +230,18 @@ impl StreamMdApp {
     }
 
     fn compile(&self, workload: Workload, variant: Variant) -> Arc<CompiledKernel> {
-        let k = kernels::workload_kernel(workload, variant, self.block_l);
-        Arc::new(CompiledKernel::compile(
-            k,
-            &self.cfg,
-            &self.costs,
-            self.kernel_opt,
-        ))
+        let key = KernelKey {
+            workload,
+            variant,
+            block_l: self.block_l,
+            kernel_opt: self.kernel_opt,
+            fpus_per_cluster: self.cfg.fpus_per_cluster,
+            costs: self.costs.clone(),
+        };
+        self.kernels.get_or_compile(key, || {
+            let k = kernels::workload_kernel(workload, variant, self.block_l);
+            CompiledKernel::compile(k, &self.cfg, &self.costs, self.kernel_opt)
+        })
     }
 
     /// Run one force step of `variant` over `system`.
@@ -857,6 +929,115 @@ mod tests {
                 "{variant}: only {} strip(s)",
                 out.perf.phases.partition_strips
             );
+        }
+    }
+
+    fn kernel_of(step: &StepProgram) -> Arc<CompiledKernel> {
+        step.program
+            .ops
+            .iter()
+            .find_map(|op| match &op.op {
+                merrimac_sim::StreamOp::Kernel { kernel, .. } => Some(kernel.clone()),
+                _ => None,
+            })
+            .expect("a step program launches a kernel")
+    }
+
+    /// Everything of a compile but the tape, which does not compare.
+    fn assert_same_compile(a: &CompiledKernel, b: &CompiledKernel, what: &str) {
+        assert!(a.ir == b.ir, "{what}: ir");
+        assert!(a.lowered == b.lowered, "{what}: lowered");
+        assert!(a.schedule == b.schedule, "{what}: schedule");
+        assert!(a.pipelined == b.pipelined, "{what}: pipelined");
+        assert_eq!(a.stats, b.stats, "{what}: stats");
+        assert_eq!(a.opt, b.opt, "{what}: opt");
+    }
+
+    #[test]
+    fn an_app_compiles_each_kernel_once() {
+        let (system, list, app) = small_system();
+        let first = kernel_of(&app.build_step_program(&system, &list, Variant::Fixed));
+        let second = kernel_of(&app.build_step_program(&system, &list, Variant::Fixed));
+        assert!(Arc::ptr_eq(&first, &second));
+        // A clone shares what the original compiled; another variant is
+        // another kernel.
+        let cloned = kernel_of(
+            &app.clone()
+                .build_step_program(&system, &list, Variant::Fixed),
+        );
+        assert!(Arc::ptr_eq(&first, &cloned));
+        let other = kernel_of(&app.build_step_program(&system, &list, Variant::Duplicated));
+        assert!(!Arc::ptr_eq(&first, &other));
+    }
+
+    #[test]
+    fn the_key_not_the_app_decides_a_memo_hit() {
+        // Every field the compile reads is public and mutable: changing
+        // one between calls must yield what a fresh app with that value
+        // compiles, never the kernel memoised under the old value.
+        type Mutation = (&'static str, fn(&mut StreamMdApp));
+        let mutations: [Mutation; 4] = [
+            ("block_l", |app| app.block_l = 4),
+            ("kernel_opt", |app| app.kernel_opt = KernelOpt::optimized()),
+            ("costs", |app| app.costs.madd_latency = 6),
+            ("cfg.fpus_per_cluster", |app| app.cfg.fpus_per_cluster = 2),
+        ];
+        let (system, list, base) = small_system();
+        for (field, mutate) in mutations {
+            let mut app = base.clone();
+            let stale = kernel_of(&app.build_step_program(&system, &list, Variant::Fixed));
+            mutate(&mut app);
+            let got = kernel_of(&app.build_step_program(&system, &list, Variant::Fixed));
+            assert!(!Arc::ptr_eq(&stale, &got), "{field}: stale kernel reused");
+
+            let mut fresh = StreamMdApp::builder()
+                .neighbor(base.neighbor)
+                .build()
+                .unwrap();
+            mutate(&mut fresh);
+            let want = kernel_of(&fresh.build_step_program(&system, &list, Variant::Fixed));
+            assert_same_compile(&got, &want, field);
+            assert!(
+                got.schedule != stale.schedule || got.ir != stale.ir,
+                "{field}: the mutation does not reach the compile"
+            );
+
+            // Back to the old value: the old kernel, still memoised.
+            app.block_l = base.block_l;
+            app.kernel_opt = base.kernel_opt;
+            app.costs = base.costs.clone();
+            app.cfg.fpus_per_cluster = base.cfg.fpus_per_cluster;
+            let again = kernel_of(&app.build_step_program(&system, &list, Variant::Fixed));
+            assert!(Arc::ptr_eq(&stale, &again), "{field}: old key forgotten");
+        }
+    }
+
+    #[test]
+    fn clones_of_an_app_build_different_variants_on_two_threads() {
+        fn assert_shareable<T: Clone + std::fmt::Debug + Send + Sync>() {}
+        assert_shareable::<StreamMdApp>();
+
+        let (system, list, app) = small_system();
+        let start = std::sync::Barrier::new(2);
+        let build = |variant| {
+            let (app, system, list, start) = (app.clone(), &system, &list, &start);
+            move || {
+                start.wait();
+                kernel_of(&app.build_step_program(system, list, variant))
+            }
+        };
+        let (fixed, variable) = std::thread::scope(|s| {
+            let fixed = s.spawn(build(Variant::Fixed));
+            let variable = s.spawn(build(Variant::Variable));
+            (
+                fixed.join().expect("fixed build"),
+                variable.join().expect("variable build"),
+            )
+        });
+        // Both landed in the memo the clones share with `app`.
+        for (variant, built) in [(Variant::Fixed, fixed), (Variant::Variable, variable)] {
+            let hit = kernel_of(&app.build_step_program(&system, &list, variant));
+            assert!(Arc::ptr_eq(&built, &hit), "{variant}");
         }
     }
 

@@ -317,6 +317,7 @@ impl SimConfigBuilder {
             nodes: self.nodes,
             engine: self.engine.unwrap_or_else(KernelEngine::from_env),
             tape_batch: self.tape_batch.unwrap_or_else(BatchWidth::from_env),
+            kernels: Default::default(),
         })
     }
 }

@@ -405,6 +405,35 @@ mod tests {
     }
 
     #[test]
+    fn long_lived_app_drives_the_trajectory_of_an_app_per_step() {
+        // One app compiles the kernel once for the whole run; an app per
+        // step compiles it every step. The trajectories must agree to
+        // the bit. The list is rebuilt before every step (0 skin), so a
+        // run of 20 steps and 20 runs of one step see the same lists.
+        let mut a = WaterBox::builder().molecules(27).seed(58).build();
+        let mut b = a.clone();
+        let params = NeighborListParams {
+            cutoff: (0.40 * a.pbc().side()).min(1.0),
+            skin: 0.0,
+            rebuild_interval: 1,
+        };
+        let fresh_driver = || {
+            let app = StreamMdApp::builder().neighbor(params).build().unwrap();
+            MerrimacDriver::new(app, Variant::Fixed)
+        };
+        let long = fresh_driver().run(&mut a, 20).expect("long-lived app");
+        let mut cycles = Vec::new();
+        for _ in 0..20 {
+            let r = fresh_driver().run(&mut b, 1).expect("app per step");
+            cycles.push(r.steps[0].force_cycles);
+        }
+        assert_eq!(a.positions(), b.positions());
+        assert_eq!(a.velocities(), b.velocities());
+        let long_cycles: Vec<u64> = long.steps.iter().map(|s| s.force_cycles).collect();
+        assert_eq!(long_cycles, cycles);
+    }
+
+    #[test]
     fn atomic_trajectory_runs_without_constraints() {
         use md_sim::water::WaterModel;
         for model in [WaterModel::lj_atom(), WaterModel::charged_atom()] {

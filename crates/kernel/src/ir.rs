@@ -138,10 +138,21 @@ pub enum Node {
 impl Node {
     /// Data dependencies of this node.
     pub fn deps(&self) -> Vec<NodeId> {
+        let mut deps = Vec::new();
+        self.for_each_dep(|d| deps.push(d));
+        deps
+    }
+
+    /// Visit the data dependencies in [`Node::deps`] order without
+    /// allocating — the form the passes that walk every node use.
+    pub fn for_each_dep(&self, mut f: impl FnMut(NodeId)) {
         match self {
-            Node::Const(_) | Node::Param(_) | Node::ReadReg(_) | Node::Read { .. } => vec![],
-            Node::CondRead { pred, fallback, .. } => vec![*pred, *fallback],
-            Node::Op { args, .. } => args.clone(),
+            Node::Const(_) | Node::Param(_) | Node::ReadReg(_) | Node::Read { .. } => {}
+            Node::CondRead { pred, fallback, .. } => {
+                f(*pred);
+                f(*fallback);
+            }
+            Node::Op { args, .. } => args.iter().copied().for_each(f),
         }
     }
 

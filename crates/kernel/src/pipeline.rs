@@ -14,7 +14,7 @@
 use merrimac_arch::OpCosts;
 
 use crate::ir::{Kernel, Node, NodeId};
-use crate::schedule::{heights, live_set};
+use crate::schedule::{live_ops, live_set, DepTable, Schedule};
 
 /// A modulo-scheduled loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,90 +69,178 @@ impl PipelinedSchedule {
     }
 }
 
-fn latency_of(node: &Node, costs: &OpCosts) -> u64 {
-    node.fpu_class().map_or(0, |c| costs.latency(c))
+fn res_mii_of(ops: usize, num_slots: usize) -> u64 {
+    (ops as u64).div_ceil(num_slots as u64).max(1)
 }
 
 /// Resource-constrained minimum II.
 pub fn res_mii(kernel: &Kernel, num_slots: usize) -> u64 {
-    let live = live_set(kernel);
-    let ops = kernel
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(i, n)| live[*i] && n.issues())
-        .count() as u64;
-    ops.div_ceil(num_slots as u64).max(1)
+    res_mii_of(live_ops(kernel, &live_set(kernel)), num_slots)
 }
 
 /// Recurrence-constrained minimum II: for every loop-carried register,
 /// the latency of the path from its `ReadReg` to its update value must
 /// fit in one II (dependence distance 1).
 pub fn rec_mii(kernel: &Kernel, costs: &OpCosts) -> u64 {
-    // Longest path from each ReadReg(r) node to the update node of r.
-    // Computed by DP over SSA order: dist[n] = max latency path from any
-    // ReadReg of interest to n's *value availability*.
-    let n = kernel.nodes.len();
-    let mut best = 1u64;
-    for (reg, update) in &kernel.reg_updates {
-        let mut dist: Vec<Option<u64>> = vec![None; n];
-        for (i, node) in kernel.nodes.iter().enumerate() {
-            if matches!(node, Node::ReadReg(r) if r == reg) {
-                dist[i] = Some(0);
-            } else {
-                let mut d = None;
-                for dep in node.deps() {
-                    if let Some(x) = dist[dep as usize] {
-                        d = Some(d.unwrap_or(0).max(x));
-                    }
-                }
-                if let Some(base) = d {
-                    dist[i] = Some(base + latency_of(node, costs));
-                }
-            }
-        }
-        if let Some(Some(d)) = dist.get(*update as usize) {
-            best = best.max(*d);
-        }
-    }
-    best
+    DepTable::new(kernel, costs).rec_mii()
 }
 
 /// Modulo-schedule `kernel` onto `num_slots` slots. Panics on unlowered
 /// kernels; always succeeds (II grows until the schedule fits).
 pub fn modulo_schedule(kernel: &Kernel, costs: &OpCosts, num_slots: usize) -> PipelinedSchedule {
-    assert!(
-        kernel.is_lowered(),
-        "kernel {} must be lowered before pipelining",
-        kernel.name
-    );
-    let serial = crate::schedule::list_schedule(kernel, costs, num_slots);
-    let mii = res_mii(kernel, num_slots).max(rec_mii(kernel, costs));
-    let mut ii = mii;
-    // Pipelining can never be useful past the serial schedule length; if
-    // the simple placement heuristic cannot fit a smaller II (pathological
-    // recurrence shapes), degrade gracefully to the serial schedule
-    // expressed as a modulo schedule with II = serial length.
-    while ii < serial.length {
-        if let Some(s) = try_schedule(kernel, costs, num_slots, ii, serial.length) {
-            return s;
+    let table = DepTable::new(kernel, costs);
+    table.modulo_schedule(&table.list_schedule(num_slots))
+}
+
+impl DepTable<'_> {
+    /// See [`rec_mii`].
+    fn rec_mii(&self) -> u64 {
+        // Longest path from each ReadReg(r) node to the update node of r.
+        // Computed by DP over SSA order: dist[n] = max latency path from any
+        // ReadReg of interest to n's *value availability*.
+        let nodes = &self.kernel.nodes;
+        let mut dist: Vec<Option<u64>> = vec![None; nodes.len()];
+        let mut best = 1u64;
+        for (reg, update) in &self.kernel.reg_updates {
+            for (i, node) in nodes.iter().enumerate() {
+                dist[i] = if matches!(node, Node::ReadReg(r) if r == reg) {
+                    Some(0)
+                } else {
+                    self.deps(i)
+                        .iter()
+                        .filter_map(|&dep| dist[dep as usize])
+                        .max()
+                        .map(|base| base + self.latency[i])
+                };
+            }
+            if let Some(Some(d)) = dist.get(*update as usize) {
+                best = best.max(*d);
+            }
         }
-        ii += 1;
+        best
     }
-    from_serial(kernel, &serial)
+
+    /// Modulo-schedule the kernel given its serial schedule
+    /// ([`DepTable::list_schedule`] of this table), onto the same slots.
+    pub fn modulo_schedule(&self, serial: &Schedule) -> PipelinedSchedule {
+        let num_slots = serial.num_slots;
+        let mut ii = res_mii_of(self.ops, num_slots).max(self.rec_mii());
+        // Pipelining can never be useful past the serial schedule length; if
+        // the simple placement heuristic cannot fit a smaller II (pathological
+        // recurrence shapes), degrade gracefully to the serial schedule
+        // expressed as a modulo schedule with II = serial length.
+        while ii < serial.length {
+            if let Some(s) = self.try_schedule(num_slots, ii, serial.length) {
+                return s;
+            }
+            ii += 1;
+        }
+        from_serial(serial)
+    }
+
+    fn try_schedule(
+        &self,
+        num_slots: usize,
+        ii: u64,
+        depth_target: u64,
+    ) -> Option<PipelinedSchedule> {
+        let nodes = &self.kernel.nodes;
+        let n = nodes.len();
+
+        // Nodes are placed in SSA (topological) order so dependencies are
+        // resolved first. Placement is ALAP-biased: a node starts its slot
+        // search at `depth_target − height`, i.e. as late as its remaining
+        // critical path allows. Critical-path nodes therefore place ASAP,
+        // while shallow side chains — in particular the consumers of
+        // loop-carried registers (conditional-write guards, accumulator
+        // select/add chains) — drift to the end of the schedule, which keeps
+        // the cross-iteration recurrence margin `ready(update) ≤ t_use + II`
+        // satisfiable at the resource-bound II.
+        let mut issue_time: Vec<Option<u64>> = vec![None; n];
+        let mut value_ready: Vec<Option<u64>> = vec![None; n];
+        let mut rows: Vec<Vec<Option<NodeId>>> = vec![vec![None; num_slots]; ii as usize];
+        let mut used: Vec<usize> = vec![0; ii as usize];
+
+        for i in 0..n {
+            if !self.live[i] {
+                continue;
+            }
+            // Deps are earlier in SSA order, already resolved.
+            let earliest = self
+                .deps(i)
+                .iter()
+                .map(|&d| value_ready[d as usize].unwrap_or(0))
+                .max()
+                .unwrap_or(0);
+            if !nodes[i].issues() {
+                value_ready[i] = Some(earliest);
+                continue;
+            }
+            let alap_start = depth_target.saturating_sub(self.height[i]);
+            let earliest = earliest.max(alap_start);
+            // Find the first cycle >= earliest with a free modulo slot,
+            // searching at most II consecutive cycles (after that the pattern
+            // repeats and the row set is full). Slots of a row fill left
+            // to right.
+            let t = (earliest..earliest + ii).find(|t| used[(t % ii) as usize] < num_slots)?;
+            let row = (t % ii) as usize;
+            rows[row][used[row]] = Some(i as NodeId);
+            used[row] += 1;
+            issue_time[i] = Some(t);
+            value_ready[i] = Some(t + self.latency[i]);
+        }
+
+        // Verify recurrences: update value of register r (iteration k) must be
+        // ready by the time iteration k+1 needs it. A ReadReg consumer at
+        // flat time t in iteration k+1 executes at absolute time t + II
+        // relative to iteration k, so we need ready(update) <= t_use + II for
+        // every use.
+        for (reg, update) in &self.kernel.reg_updates {
+            let Some(ready) = value_ready[*update as usize] else {
+                continue;
+            };
+            for (i, node) in nodes.iter().enumerate() {
+                if !self.live[i] || !matches!(node, Node::ReadReg(r) if r == reg) {
+                    continue;
+                }
+                for &j in self.users(i) {
+                    let j = j as usize;
+                    if !self.live[j] {
+                        continue;
+                    }
+                    let t_use = issue_time[j].or(value_ready[j]).unwrap_or(0);
+                    if ready > t_use + ii {
+                        return None;
+                    }
+                }
+            }
+        }
+
+        let depth = value_ready
+            .iter()
+            .flatten()
+            .copied()
+            .max()
+            .unwrap_or(0)
+            .max(ii);
+
+        Some(PipelinedSchedule {
+            ii,
+            issue_time,
+            value_ready,
+            rows,
+            num_slots,
+            depth,
+        })
+    }
 }
 
 /// Express a serial list schedule as a (degenerate) modulo schedule with
 /// II equal to the schedule length.
-fn from_serial(kernel: &Kernel, serial: &crate::schedule::Schedule) -> PipelinedSchedule {
+fn from_serial(serial: &Schedule) -> PipelinedSchedule {
     let ii = serial.length.max(1);
     let mut rows: Vec<Vec<Option<NodeId>>> = vec![vec![None; serial.num_slots]; ii as usize];
-    for (t, row) in serial.slots.iter().enumerate() {
-        for (s, op) in row.iter().enumerate() {
-            rows[t][s] = *op;
-        }
-    }
-    let _ = kernel;
+    rows[..serial.slots.len()].clone_from_slice(&serial.slots);
     PipelinedSchedule {
         ii,
         issue_time: serial.issue_cycle.clone(),
@@ -161,112 +249,6 @@ fn from_serial(kernel: &Kernel, serial: &crate::schedule::Schedule) -> Pipelined
         num_slots: serial.num_slots,
         depth: serial.length,
     }
-}
-
-fn try_schedule(
-    kernel: &Kernel,
-    costs: &OpCosts,
-    num_slots: usize,
-    ii: u64,
-    depth_target: u64,
-) -> Option<PipelinedSchedule> {
-    let n = kernel.nodes.len();
-    let live = live_set(kernel);
-    let height = heights(kernel, costs, &live);
-
-    // Nodes are placed in SSA (topological) order so dependencies are
-    // resolved first. Placement is ALAP-biased: a node starts its slot
-    // search at `depth_target − height`, i.e. as late as its remaining
-    // critical path allows. Critical-path nodes therefore place ASAP,
-    // while shallow side chains — in particular the consumers of
-    // loop-carried registers (conditional-write guards, accumulator
-    // select/add chains) — drift to the end of the schedule, which keeps
-    // the cross-iteration recurrence margin `ready(update) ≤ t_use + II`
-    // satisfiable at the resource-bound II.
-    let mut issue_time: Vec<Option<u64>> = vec![None; n];
-    let mut value_ready: Vec<Option<u64>> = vec![None; n];
-    let mut rows: Vec<Vec<Option<NodeId>>> = vec![vec![None; num_slots]; ii as usize];
-    let mut used: Vec<usize> = vec![0; ii as usize];
-
-    for i in 0..n {
-        if !live[i] {
-            continue;
-        }
-        let node = &kernel.nodes[i];
-        let mut earliest = 0u64;
-        for d in node.deps() {
-            // Deps are earlier in SSA order, already resolved.
-            earliest = earliest.max(value_ready[d as usize].unwrap_or(0));
-        }
-        if !node.issues() {
-            value_ready[i] = Some(earliest);
-            continue;
-        }
-        let alap_start = depth_target.saturating_sub(height[i]);
-        let earliest = earliest.max(alap_start);
-        // Find the first cycle >= earliest with a free modulo slot,
-        // searching at most II consecutive cycles (after that the pattern
-        // repeats and the row set is full).
-        let mut placed = false;
-        for t in earliest..earliest + ii {
-            let row = (t % ii) as usize;
-            if used[row] < num_slots {
-                let slot = rows[row].iter().position(|s| s.is_none()).unwrap();
-                rows[row][slot] = Some(i as NodeId);
-                used[row] += 1;
-                issue_time[i] = Some(t);
-                value_ready[i] = Some(t + latency_of(node, costs));
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return None;
-        }
-    }
-
-    // Verify recurrences: update value of register r (iteration k) must be
-    // ready by the time iteration k+1 needs it. A ReadReg consumer at
-    // flat time t in iteration k+1 executes at absolute time t + II
-    // relative to iteration k, so we need ready(update) <= t_use + II for
-    // every use.
-    for (reg, update) in &kernel.reg_updates {
-        let ready = match value_ready[*update as usize] {
-            Some(r) => r,
-            None => continue,
-        };
-        for (i, node) in kernel.nodes.iter().enumerate() {
-            if !live[i] || !matches!(node, Node::ReadReg(r) if r == reg) {
-                continue;
-            }
-            // Consumers of this ReadReg node.
-            for (j, user) in kernel.nodes.iter().enumerate() {
-                if !live[j] || !user.deps().contains(&(i as NodeId)) {
-                    continue;
-                }
-                let t_use = issue_time[j].or(value_ready[j]).unwrap_or(0);
-                if ready > t_use + ii {
-                    return None;
-                }
-            }
-        }
-    }
-
-    let depth = (0..n)
-        .filter(|&i| live[i])
-        .filter_map(|i| value_ready[i])
-        .max()
-        .unwrap_or(0)
-        .max(ii);
-
-    Some(PipelinedSchedule {
-        ii,
-        issue_time,
-        value_ready,
-        rows,
-        num_slots,
-        depth,
-    })
 }
 
 #[cfg(test)]
@@ -376,6 +358,22 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), p.issued_ops());
+    }
+
+    #[test]
+    fn a_class_slower_than_madd_pipelines() {
+        // `modulo_schedule` used to die in the serial schedule it starts
+        // from (see `schedule::tests::a_class_slower_than_madd_schedules`).
+        let costs = OpCosts {
+            simple_latency: 20,
+            ..OpCosts::default()
+        };
+        let k = crate::schedule::tests::mov_chain(100);
+        let p = modulo_schedule(&k, &costs, 4);
+        assert_eq!(p.ii, 25, "no recurrence: 100 ops on 4 slots");
+        assert_eq!(p.issued_ops(), 100);
+        assert!(p.depth >= 100 * 20, "the chain is serial");
+        crate::validate::validate_pipelined(&k, &p, &costs).expect("valid");
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! static scheduling discipline the paper's "communication scheduling"
 //! compiler implements.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use merrimac_arch::OpCosts;
 
-use crate::ir::{Kernel, Node, NodeId};
+use crate::ir::{Kernel, NodeId};
 
 /// A scheduled loop body (non-pipelined: one iteration completes before
 /// the next begins, as in the left half of Figure 10).
@@ -73,185 +74,270 @@ pub fn live_set(kernel: &Kernel) -> Vec<bool> {
             continue;
         }
         live[n as usize] = true;
-        stack.extend(kernel.nodes[n as usize].deps());
+        kernel.nodes[n as usize].for_each_dep(|d| stack.push(d));
     }
     live
 }
 
-fn latency_of(node: &Node, costs: &OpCosts) -> u64 {
-    node.fpu_class().map_or(0, |c| costs.latency(c))
+/// Live issuing nodes: what a schedule has to place.
+pub(crate) fn live_ops(kernel: &Kernel, live: &[bool]) -> usize {
+    (0..kernel.nodes.len())
+        .filter(|&i| live[i] && kernel.nodes[i].issues())
+        .count()
 }
 
-/// Longest-latency path from each node to any live root (the classic list
-/// scheduling priority).
-pub fn heights(kernel: &Kernel, costs: &OpCosts, live: &[bool]) -> Vec<u64> {
-    let n = kernel.nodes.len();
-    let mut height = vec![0u64; n];
-    // users: reverse edges.
-    let mut users: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (i, node) in kernel.nodes.iter().enumerate() {
-        for d in node.deps() {
-            users[d as usize].push(i as NodeId);
+/// The dependence structure of one lowered kernel, built once and read
+/// by every scheduling pass: the list scheduler here and the MII bounds
+/// and modulo placement in [`crate::pipeline`].
+pub struct DepTable<'k> {
+    pub(crate) kernel: &'k Kernel,
+    /// Node `i`'s dependencies are `dep_edges[dep_start[i]..dep_start[i + 1]]`,
+    /// in [`crate::ir::Node::deps`] order (a repeated argument is a repeated
+    /// edge).
+    dep_start: Vec<usize>,
+    dep_edges: Vec<NodeId>,
+    /// The reverse edges, laid out the same way.
+    user_start: Vec<usize>,
+    user_edges: Vec<NodeId>,
+    pub(crate) live: Vec<bool>,
+    /// Issue-to-use latency per node (0 for non-issuing nodes).
+    pub(crate) latency: Vec<u64>,
+    /// Longest-latency path from each live node to any live root — the
+    /// classic list-scheduling priority.
+    pub(crate) height: Vec<u64>,
+    /// [`live_ops`] of the kernel.
+    pub(crate) ops: usize,
+}
+
+impl<'k> DepTable<'k> {
+    /// Panics if the kernel still contains iterative ops (run
+    /// [`crate::lower::lower_kernel`] first).
+    pub fn new(kernel: &'k Kernel, costs: &OpCosts) -> Self {
+        assert!(
+            kernel.is_lowered(),
+            "kernel {} must be lowered before scheduling",
+            kernel.name
+        );
+        let n = kernel.nodes.len();
+        let mut dep_start = Vec::with_capacity(n + 1);
+        let mut dep_edges = Vec::new();
+        let mut user_start = vec![0usize; n + 1];
+        for node in &kernel.nodes {
+            dep_start.push(dep_edges.len());
+            node.for_each_dep(|d| {
+                dep_edges.push(d);
+                user_start[d as usize + 1] += 1;
+            });
         }
-    }
-    for i in (0..n).rev() {
-        if !live[i] {
-            continue;
+        dep_start.push(dep_edges.len());
+        for i in 0..n {
+            user_start[i + 1] += user_start[i];
         }
-        let max_user = users[i]
+        // Users fill in ascending id order, as a scan over the nodes
+        // would list them.
+        let mut fill = user_start.clone();
+        let mut user_edges = vec![0; dep_edges.len()];
+        for i in 0..n {
+            for &d in &dep_edges[dep_start[i]..dep_start[i + 1]] {
+                user_edges[fill[d as usize]] = i as NodeId;
+                fill[d as usize] += 1;
+            }
+        }
+
+        let live = live_set(kernel);
+        let latency: Vec<u64> = kernel
+            .nodes
             .iter()
-            .map(|&u| height[u as usize])
-            .max()
-            .unwrap_or(0);
-        height[i] = latency_of(&kernel.nodes[i], costs) + max_user;
+            .map(|node| node.fpu_class().map_or(0, |c| costs.latency(c)))
+            .collect();
+        let mut table = Self {
+            kernel,
+            dep_start,
+            dep_edges,
+            user_start,
+            user_edges,
+            ops: live_ops(kernel, &live),
+            live,
+            latency,
+            height: vec![0; n],
+        };
+        for i in (0..n).rev() {
+            if table.live[i] {
+                let above = table.users(i).iter().map(|&u| table.height[u as usize]);
+                table.height[i] = table.latency[i] + above.max().unwrap_or(0);
+            }
+        }
+        table
     }
-    height
+
+    pub(crate) fn deps(&self, i: usize) -> &[NodeId] {
+        &self.dep_edges[self.dep_start[i]..self.dep_start[i + 1]]
+    }
+
+    pub(crate) fn users(&self, i: usize) -> &[NodeId] {
+        &self.user_edges[self.user_start[i]..self.user_start[i + 1]]
+    }
+
+    /// List-schedule the kernel onto `num_slots` FPU slots.
+    ///
+    /// Event-driven, O((n + e) log n) plus one row per cycle: a node
+    /// waits on a count of unsettled dependencies; when the count
+    /// reaches zero it enters a queue ordered by the cycle its operands
+    /// are ready, and from there a ready heap. Each cycle issues the
+    /// `num_slots` ready ops of greatest height, the smaller node id
+    /// first among equals — a total order, so the schedule is a function
+    /// of kernel, costs and slot count alone. An op issued at cycle `t`
+    /// releases its users at `t + latency` and never before `t + 1`: a
+    /// word is complete before anything that reads it is chosen.
+    /// Non-issuing nodes (conditional-stream reads over op results)
+    /// settle the moment their last operand does and pass its time on.
+    pub fn list_schedule(&self, num_slots: usize) -> Schedule {
+        assert!(num_slots > 0);
+        let n = self.kernel.nodes.len();
+        let mut issue_cycle: Vec<Option<u64>> = vec![None; n];
+        let mut slots: Vec<Vec<Option<NodeId>>> = Vec::new();
+        let mut ready: BinaryHeap<(u64, Reverse<NodeId>)> = BinaryHeap::new();
+        let mut wait = Waiting::new(self);
+
+        let mut scheduled = 0usize;
+        let mut t: u64 = 0;
+        while scheduled < self.ops {
+            while let Some(&Reverse((at, node))) = wait.released.peek() {
+                if at > t {
+                    break;
+                }
+                wait.released.pop();
+                ready.push((self.height[node as usize], Reverse(node)));
+            }
+            if ready.is_empty() {
+                // Nothing can issue until the next release: stall rows.
+                // With ops left and nothing in flight the dependence
+                // graph has a cycle, which SSA order rules out.
+                let Some(&Reverse((at, _))) = wait.released.peek() else {
+                    panic!("kernel {}: dependence cycle", self.kernel.name);
+                };
+                slots.resize(slots.len() + (at - t) as usize, vec![None; num_slots]);
+                t = at;
+                continue;
+            }
+            let mut row = vec![None; num_slots];
+            for slot in row.iter_mut() {
+                let Some((_, Reverse(node))) = ready.pop() else {
+                    break;
+                };
+                *slot = Some(node);
+                issue_cycle[node as usize] = Some(t);
+                let value = t + self.latency[node as usize];
+                wait.settle(node as usize, value, value.max(t + 1));
+                scheduled += 1;
+            }
+            slots.push(row);
+            t += 1;
+        }
+
+        let value_ready = wait.value_ready;
+        let length = value_ready
+            .iter()
+            .flatten()
+            .copied()
+            .max()
+            .unwrap_or(0)
+            .max(slots.len() as u64);
+
+        Schedule {
+            slots,
+            issue_cycle,
+            value_ready,
+            num_slots,
+            length,
+        }
+    }
 }
 
-/// List-schedule the kernel onto `num_slots` FPU slots.
+/// The not-yet-released part of a list schedule in progress.
+struct Waiting<'t, 'k> {
+    table: &'t DepTable<'k>,
+    /// Dependencies of each node not yet settled.
+    pending: Vec<usize>,
+    /// While a node waits: the latest value time and release cycle among
+    /// its settled dependencies. Once it settles: its own.
+    value_at: Vec<u64>,
+    release_at: Vec<u64>,
+    value_ready: Vec<Option<u64>>,
+    /// Issuing nodes with every operand settled, by release cycle.
+    released: BinaryHeap<Reverse<(u64, NodeId)>>,
+    /// Settled nodes whose users are still to be told (scratch).
+    settled: Vec<usize>,
+}
+
+impl<'t, 'k> Waiting<'t, 'k> {
+    /// Everything that waits on no op is settled at cycle 0.
+    fn new(table: &'t DepTable<'k>) -> Self {
+        let n = table.kernel.nodes.len();
+        let mut wait = Self {
+            table,
+            pending: (0..n).map(|i| table.deps(i).len()).collect(),
+            value_at: vec![0; n],
+            release_at: vec![0; n],
+            value_ready: vec![None; n],
+            released: BinaryHeap::new(),
+            settled: Vec::new(),
+        };
+        for i in 0..n {
+            if table.live[i] && table.deps(i).is_empty() {
+                if table.kernel.nodes[i].issues() {
+                    wait.released.push(Reverse((0, i as NodeId)));
+                } else {
+                    wait.settle(i, 0, 0);
+                }
+            }
+        }
+        wait
+    }
+
+    /// Node `node` has its value at cycle `value`, and its users may
+    /// issue from cycle `release` on.
+    fn settle(&mut self, node: usize, value: u64, release: u64) {
+        self.value_at[node] = value;
+        self.release_at[node] = release;
+        self.value_ready[node] = Some(value);
+        self.settled.push(node);
+        while let Some(d) = self.settled.pop() {
+            let (value, release) = (self.value_at[d], self.release_at[d]);
+            for &u in self.table.users(d) {
+                let u = u as usize;
+                if !self.table.live[u] {
+                    continue;
+                }
+                self.value_at[u] = self.value_at[u].max(value);
+                self.release_at[u] = self.release_at[u].max(release);
+                self.pending[u] -= 1;
+                if self.pending[u] > 0 {
+                    continue;
+                }
+                if self.table.kernel.nodes[u].issues() {
+                    self.released
+                        .push(Reverse((self.release_at[u], u as NodeId)));
+                } else {
+                    self.value_ready[u] = Some(self.value_at[u]);
+                    self.settled.push(u);
+                }
+            }
+        }
+    }
+}
+
+/// List-schedule the kernel onto `num_slots` FPU slots (see
+/// [`DepTable::list_schedule`]).
 ///
 /// Panics if the kernel still contains iterative ops (run
 /// [`crate::lower::lower_kernel`] first).
 pub fn list_schedule(kernel: &Kernel, costs: &OpCosts, num_slots: usize) -> Schedule {
-    assert!(
-        kernel.is_lowered(),
-        "kernel {} must be lowered before scheduling",
-        kernel.name
-    );
-    assert!(num_slots > 0);
-    let n = kernel.nodes.len();
-    let live = live_set(kernel);
-    let height = heights(kernel, costs, &live);
-
-    let mut value_ready: Vec<Option<u64>> = vec![None; n];
-    let mut issue_cycle: Vec<Option<u64>> = vec![None; n];
-    // Seed non-issuing nodes whose deps are all non-issuing (transitively):
-    // resolved lazily below.
-    let mut slots: Vec<Vec<Option<NodeId>>> = Vec::new();
-
-    // Resolve value_ready for non-issuing nodes whose deps are known.
-    fn try_resolve(kernel: &Kernel, i: usize, value_ready: &mut [Option<u64>]) -> Option<u64> {
-        if let Some(v) = value_ready[i] {
-            return Some(v);
-        }
-        let node = &kernel.nodes[i];
-        if node.issues() {
-            return None; // set when scheduled
-        }
-        let mut ready = 0u64;
-        for d in node.deps() {
-            match value_ready[d as usize] {
-                Some(r) => ready = ready.max(r),
-                None => return None,
-            }
-        }
-        value_ready[i] = Some(ready);
-        Some(ready)
-    }
-
-    // Initial pass: resolve pure chains of non-issuing nodes.
-    for (i, &alive) in live.iter().enumerate() {
-        if alive {
-            try_resolve(kernel, i, &mut value_ready);
-        }
-    }
-
-    let total_to_schedule = (0..n)
-        .filter(|&i| live[i] && kernel.nodes[i].issues())
-        .count();
-    let mut scheduled = 0usize;
-    let mut t: u64 = 0;
-    // Safety bound: every op takes at most latency+1 cycles serialized.
-    let bound = (total_to_schedule as u64 + 1) * (costs.madd_latency + 2) + 64;
-
-    while scheduled < total_to_schedule {
-        assert!(
-            t < bound,
-            "list scheduler failed to converge for {}",
-            kernel.name
-        );
-        // Gather ready nodes at cycle t.
-        let mut ready: Vec<(u64, NodeId)> = Vec::new();
-        for i in 0..n {
-            if !live[i] || issue_cycle[i].is_some() || !kernel.nodes[i].issues() {
-                continue;
-            }
-            let mut ok = true;
-            let mut earliest = 0u64;
-            for d in kernel.nodes[i].deps() {
-                match try_resolve(kernel, d as usize, &mut value_ready) {
-                    Some(r) => earliest = earliest.max(r),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok && earliest <= t {
-                ready.push((height[i], i as NodeId));
-            }
-        }
-        // Highest priority first; stable tiebreak on node id for
-        // determinism.
-        ready.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        let mut row = vec![None; num_slots];
-        for (slot, &(_, node)) in ready.iter().take(num_slots).enumerate() {
-            row[slot] = Some(node);
-            issue_cycle[node as usize] = Some(t);
-            let lat = latency_of(&kernel.nodes[node as usize], costs);
-            value_ready[node as usize] = Some(t + lat);
-            scheduled += 1;
-        }
-        slots.push(row);
-        t += 1;
-    }
-
-    // Trim trailing empty rows (can appear if the last ready set was
-    // empty while waiting on latencies — they still represent stall
-    // cycles, so only rows after the final issue are trimmed).
-    while slots
-        .last()
-        .is_some_and(|row| row.iter().all(|s| s.is_none()))
-    {
-        slots.pop();
-    }
-
-    // Final resolution of all live non-issuing nodes.
-    for (i, &alive) in live.iter().enumerate() {
-        if alive {
-            try_resolve(kernel, i, &mut value_ready);
-        }
-    }
-    let length = (0..n)
-        .filter(|&i| live[i])
-        .filter_map(|i| value_ready[i])
-        .max()
-        .unwrap_or(0)
-        .max(slots.len() as u64);
-
-    Schedule {
-        slots,
-        issue_cycle,
-        value_ready,
-        num_slots,
-        length,
-    }
-}
-
-/// Dependence-edge map (used by the validator and the pipeliner).
-pub fn user_map(kernel: &Kernel) -> HashMap<NodeId, Vec<NodeId>> {
-    let mut users: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for (i, node) in kernel.nodes.iter().enumerate() {
-        for d in node.deps() {
-            users.entry(d).or_default().push(i as NodeId);
-        }
-    }
-    users
+    DepTable::new(kernel, costs).list_schedule(num_slots)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
     use crate::ir::StreamMode;
@@ -349,6 +435,35 @@ mod tests {
         b.write(o, &[r]);
         let k = b.build();
         list_schedule(&k, &OpCosts::default(), 4);
+    }
+
+    /// A serial chain of `len` register moves.
+    pub(crate) fn mov_chain(len: usize) -> Kernel {
+        let mut b = KernelBuilder::new("mov-chain");
+        let s = b.input("x", 1, StreamMode::EveryIteration);
+        let o = b.output("y", 1);
+        let mut v = b.read(s, 0);
+        for _ in 0..len {
+            v = b.mov(v);
+        }
+        b.write(o, &[v]);
+        b.build()
+    }
+
+    #[test]
+    fn a_class_slower_than_madd_schedules() {
+        // The scan loop bounded its cycles by (ops + 1)·(madd_latency + 2)
+        // + 64 = 670 here and panicked "failed to converge" at the 34th
+        // mov: any `OpCosts` is a valid input.
+        let costs = OpCosts {
+            simple_latency: 20,
+            ..OpCosts::default()
+        };
+        let s = list_schedule(&mov_chain(100), &costs, 4);
+        assert_eq!(s.issued_ops(), 100);
+        assert_eq!(s.issue_span(), 99 * 20 + 1);
+        assert_eq!(s.length, 100 * 20);
+        assert!((s.issue_rate() - 100.0 / 1981.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use merrimac_arch::{MachineConfig, OpCosts};
 use merrimac_kernel::{
-    list_schedule, lower::lower_kernel, modulo_schedule, unroll::unroll, CompiledTape, Kernel,
-    KernelStats, PipelinedSchedule, Schedule,
+    lower::lower_kernel, schedule::DepTable, unroll::unroll, CompiledTape, Kernel, KernelStats,
+    PipelinedSchedule, Schedule,
 };
 
 /// Compilation options — the knobs Figure 10 turns.
@@ -79,12 +79,12 @@ impl CompiledKernel {
         let ir = unroll(&kernel, opt.unroll);
         let tape = CompiledTape::compile(&ir);
         let lowered = lower_kernel(&ir, costs);
-        let schedule = list_schedule(&lowered, costs, cfg.fpus_per_cluster);
-        let pipelined = if opt.software_pipeline {
-            Some(modulo_schedule(&lowered, costs, cfg.fpus_per_cluster))
-        } else {
-            None
-        };
+        // One dependence table and one serial schedule serve both forms.
+        let table = DepTable::new(&lowered, costs);
+        let schedule = table.list_schedule(cfg.fpus_per_cluster);
+        let pipelined = opt
+            .software_pipeline
+            .then(|| table.modulo_schedule(&schedule));
         let stats = KernelStats::analyze(&ir, &lowered);
         Self {
             source: kernel,
