@@ -5,7 +5,7 @@
 //! vectorized before lane state exists), `seq` (the per-lane scalar
 //! core: register chains and conditional pops in iteration order) and
 //! `vec_post` (lane-coupled but state-free consumers). The batch engine
-//! is bitwise-identical to the scalar tape *only if* every op lands in
+//! is bitwise-identical to the interpreter *only if* every op lands in
 //! exactly one phase, conditional reads stay sequential, no phase-1 op
 //! reads lane-coupled state, nothing the next lane needs resolves in
 //! phase 3, and each phase preserves tape (SSA) order.
@@ -46,7 +46,7 @@ pub fn check(ctx: &ProgramContext) -> Vec<Diagnostic> {
             format!("kernel '{}' (op '{}')", kernel.source.name, lop.label),
             format!(
                 "batch plan violates {} split invariant{}; the SoA engine is not \
-                 bitwise-equivalent to the scalar tape for this kernel",
+                 bitwise-equivalent to the interpreter for this kernel",
                 violations.len(),
                 if violations.len() == 1 { "" } else { "s" }
             ),
@@ -56,7 +56,7 @@ pub fn check(ctx: &ProgramContext) -> Vec<Diagnostic> {
         }
         diags.push(d.help(
             "the cached BatchPlan is unsound — recompile the kernel (BatchPlan::analyze) \
-             or run it on the tape/interp engines until the plan is fixed",
+             or run it on the interp engine until the plan is fixed",
         ));
     }
     diags

@@ -289,7 +289,7 @@ impl Lint {
                  feeding register updates and pop predicates, scalar in iteration\n\
                  order) and `vec_post` (lane-coupled but state-free consumers,\n\
                  vectorized after the sequential core resolves). Bitwise identity\n\
-                 with the scalar engines holds only while the split satisfies its\n\
+                 with the interpreter holds only while the split satisfies its\n\
                  invariants: every tape op lands in exactly one phase, conditional\n\
                  reads stay sequential, no pre-phase op reads a register slot or a\n\
                  later phase's result, no sequential op reads a post-phase result,\n\

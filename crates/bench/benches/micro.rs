@@ -43,22 +43,22 @@ fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
     median
 }
 
-/// Report the interpreter, the scalar tape loop (`CompiledTape::run`,
-/// the batch engine's remainder path) and the batch engine as
-/// interactions/second plus the batch engine's speedup over each of
-/// the other two — the numbers the
+/// Report the interpreter, the batch engine at one lane
+/// (`CompiledTape::run`, what a launch's remainder costs) and at its
+/// full width as interactions/second plus the full-width speedup over
+/// each of the other two — the numbers the
 /// CI micro smoke job archives so host functional-execution throughput
 /// is tracked across commits.
-fn engine_summary(label: &str, interactions: usize, interp_s: f64, tape_s: f64, batch_s: f64) {
+fn engine_summary(label: &str, interactions: usize, interp_s: f64, lane1_s: f64, batch_s: f64) {
     let rate = |s: f64| interactions as f64 / s / 1e6;
     println!(
-        "{label:<24} interp {:>8.2} Mint/s | tape {:>8.2} Mint/s | batch {:>8.2} Mint/s | \
-         batch/interp {:>5.2}x | batch/tape {:>5.2}x",
+        "{label:<24} interp {:>8.2} Mint/s | lane1 {:>8.2} Mint/s | batch {:>8.2} Mint/s | \
+         batch/interp {:>5.2}x | batch/lane1 {:>5.2}x",
         rate(interp_s),
-        rate(tape_s),
+        rate(lane1_s),
         rate(batch_s),
         interp_s / batch_s,
-        tape_s / batch_s
+        lane1_s / batch_s
     );
 }
 
@@ -130,8 +130,8 @@ fn main() {
             .expect("interp")
     });
     let tape = CompiledTape::compile(&kern);
-    let tape_s = bench("tape_expanded_256", || {
-        tape.run(&inputs, &kparams, n).expect("tape")
+    let lane1_s = bench("lane1_expanded_256", || {
+        tape.run(&inputs, &kparams, n).expect("lane1")
     });
     let batch_s = bench("batch8_expanded_256", || {
         tape.run_batched(&inputs, &kparams, n, BatchWidth::W8)
@@ -142,8 +142,8 @@ fn main() {
             .expect("batch")
     });
 
-    // `variable` exercises the general tape path (conditional centre
-    // stream): new centre every 8 iterations.
+    // `variable` exercises conditional pops (the centre stream): new
+    // centre every 8 iterations.
     let vkern = variable_kernel();
     let centres = n.div_ceil(8);
     let vinputs = vec![
@@ -165,8 +165,8 @@ fn main() {
             .expect("interp")
     });
     let vtape = CompiledTape::compile(&vkern);
-    let vtape_s = bench("tape_variable_256", || {
-        vtape.run(&vinputs, &kparams, n).expect("tape")
+    let vlane1_s = bench("lane1_variable_256", || {
+        vtape.run(&vinputs, &kparams, n).expect("lane1")
     });
     let vbatch_s = bench("batch8_variable_256", || {
         vtape
@@ -176,11 +176,11 @@ fn main() {
 
     println!();
     engine_summary(
-        "expanded (fast path)",
+        "expanded (every-iter)",
         n,
         interp_s,
-        tape_s,
+        lane1_s,
         batch_s.min(batch16_s),
     );
-    engine_summary("variable (general path)", n, vinterp_s, vtape_s, vbatch_s);
+    engine_summary("variable (conditional)", n, vinterp_s, vlane1_s, vbatch_s);
 }

@@ -336,7 +336,7 @@ impl StreamMdApp {
         merrimac_analysis::analyze_program(&ProgramContext {
             cfg: &self.cfg,
             policy: self.policy,
-            strip_lookahead: StreamProcessor::new(self.cfg.clone()).strip_lookahead,
+            strip_lookahead: self.processor().strip_lookahead,
             program: &step.program,
             memory: &step.memory,
         })

@@ -1,17 +1,17 @@
-//! Batched structure-of-arrays execution of a compiled tape — the
-//! vectorized host fast path.
+//! Batched structure-of-arrays execution of a compiled tape — the one
+//! loop that runs a [`CompiledTape`].
 //!
-//! The scalar tape ([`crate::tape`]) retired the interpreter's
-//! per-iteration graph walk but still dispatches one opcode per scalar
-//! iteration. This module executes the same tape over batches of
+//! The tape ([`crate::tape`]) retired the interpreter's per-iteration
+//! graph walk; executed one iteration at a time it still dispatches one
+//! opcode per iteration. This module executes it over batches of
 //! `B ∈ {8, 16}` iterations held in `[f64; B]` lane arrays, so each op
 //! becomes one tight loop the compiler can autovectorize and the per-op
 //! dispatch cost is amortized over the whole batch — the same shape
 //! MD-Bench gives its SIMD force kernels, and a faithful host-side echo
 //! of Merrimac running one kernel across parallel cluster lanes.
 //!
-//! Bitwise identity with the scalar engines is the hard constraint. It
-//! is preserved by partitioning the tape at compile time ([`BatchPlan`])
+//! Bitwise identity with the interpreter is the hard constraint. It is
+//! preserved by partitioning the tape at compile time ([`BatchPlan`])
 //! into three dataflow-ordered phases:
 //!
 //! 1. **`vec_pre`** — ops with no transitive dependence on loop-carried
@@ -21,7 +21,7 @@
 //! 2. **`seq`** — the loop-carried core: every conditional read plus
 //!    the lane-coupled backward slice feeding register updates and pop
 //!    predicates/fallbacks. These run scalar, lane by lane in iteration
-//!    order, so conditional pops happen in exactly the scalar engine's
+//!    order, so conditional pops happen in exactly the interpreter's
 //!    order (iteration-major, op order within an iteration) and
 //!    register chains thread through the batch unchanged. This is the
 //!    compress side of the paper's conditional-stream semantics: a pop
@@ -34,19 +34,19 @@
 //! Every op still computes the same `f64` expression on the same
 //! operand values, so reordering between phases cannot change a single
 //! bit. Writes drain lane-major (iteration order) at batch end, which
-//! expands conditionally-written records in exactly the scalar append
-//! order. The remainder — `iterations % B`, plus everything past the
-//! point where an every-iteration stream can still cover a full batch —
-//! runs through the *same* scalar-tape helpers as [`CompiledTape::run`]
-//! ([`crate::tape::ScalarState`] hand-off), so underrun errors and
-//! their `(stream, iteration)` values are shared code, not a
-//! reimplementation. `tests/tape_equivalence.rs` pins all of this
-//! differentially against both scalar oracles.
+//! expands conditionally-written records in exactly the interpreter's
+//! append order. The remainder — `iterations % B` — runs through the
+//! *same* `exec_batch` at one lane, carrying the same stream state, and
+//! [`CompiledTape::run`] is that loop from iteration zero: there is no
+//! second iteration body. An
+//! every-iteration stream that cannot cover the launch bounds the loop
+//! and is blamed once, after it. `tests/tape_equivalence.rs` pins all of
+//! this differentially against the interpreter.
 
 use std::fmt;
 
 use crate::interp::{InterpError, InterpOutput, StreamData};
-use crate::tape::{mask, Code, CompiledTape, ScalarState, TapeOp, NO_COND};
+use crate::tape::{mask, Code, CompiledTape, TapeOp, NO_COND};
 
 /// Lane count of the batched SoA engine: 8 or 16 iterations per batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -389,10 +389,10 @@ impl CompiledTape {
     }
 
     /// Execute the tape in SoA batches of `width` lanes. Bitwise
-    /// identical to [`CompiledTape::run`]: same outputs, consumed
-    /// counts, final registers, and the same [`InterpError`] values on
-    /// failure — `tests/tape_equivalence.rs` holds the interpreter, the
-    /// scalar tape loop and this engine to that differentially.
+    /// identical to [`crate::interp::Interpreter::run`]: same outputs,
+    /// consumed counts, final registers, and the same [`InterpError`]
+    /// values on failure — `tests/tape_equivalence.rs` holds this engine
+    /// at 1, 8 and 16 lanes to the interpreter differentially.
     pub fn run_batched(
         &self,
         inputs: &[StreamData],
@@ -401,12 +401,41 @@ impl CompiledTape {
         width: BatchWidth,
     ) -> Result<InterpOutput, InterpError> {
         match width {
-            BatchWidth::W8 => self.run_batched_impl::<8>(inputs, params, iterations),
-            BatchWidth::W16 => self.run_batched_impl::<16>(inputs, params, iterations),
+            BatchWidth::W8 => self.run_lanes::<8>(inputs, params, iterations),
+            BatchWidth::W16 => self.run_lanes::<16>(inputs, params, iterations),
         }
     }
 
-    fn run_batched_impl<const B: usize>(
+    /// Execute `iterations` loop iterations over `inputs` with launch
+    /// `params`, one iteration per batch — the loop
+    /// [`CompiledTape::run_batched`] runs its remainder through.
+    /// Semantically identical to [`crate::interp::Interpreter::run`] on
+    /// the same kernel, including error values.
+    pub fn run(
+        &self,
+        inputs: &[StreamData],
+        params: &[f64],
+        iterations: usize,
+    ) -> Result<InterpOutput, InterpError> {
+        self.run_lanes::<1>(inputs, params, iterations)
+    }
+
+    /// One [f64; B] lane array per value slot. Constants and params
+    /// broadcast once per launch; SSA guarantees phase results overwrite
+    /// their slots before any lane reads them.
+    fn init_lanes<const B: usize>(&self, params: &[f64]) -> Vec<[f64; B]> {
+        let mut lanes = vec![[0.0; B]; self.num_nodes];
+        for &(slot, c) in &self.const_inits {
+            lanes[slot as usize] = [c; B];
+        }
+        for &(slot, p) in &self.param_inits {
+            lanes[slot as usize] = [params[p as usize]; B];
+        }
+        lanes
+    }
+
+    /// The launch loop: full batches at `B` lanes, the remainder at one.
+    fn run_lanes<const B: usize>(
         &self,
         inputs: &[StreamData],
         params: &[f64],
@@ -416,39 +445,23 @@ impl CompiledTape {
         let mut outputs = self.make_outputs(iterations);
         let mut regs = self.reg_init.clone();
 
-        // One [f64; B] lane array per value slot. Constants and params
-        // broadcast once per launch; SSA guarantees phase results
-        // overwrite their slots before any lane reads them.
-        let mut lanes: Vec<[f64; B]> = vec![[0.0; B]; self.num_nodes];
-        for &(slot, c) in &self.const_inits {
-            lanes[slot as usize] = [c; B];
-        }
-        for &(slot, p) in &self.param_inits {
-            lanes[slot as usize] = [params[p as usize]; B];
-        }
-
-        if self.fast_path {
-            // The scalar fast path decides underrun before the loop; the
-            // batch engine inherits that decision (and its blame order)
-            // wholesale.
-            self.prove_fast_underrun(inputs, iterations)?;
-        }
-        // Full batches run vectorized only while every every-iteration
-        // stream still covers the whole batch; the scalar tail owns the
-        // (possibly erroring) remainder.
+        // Every-iteration streams pop once per iteration, so the first
+        // of them (in index order) to hold fewer records than the launch
+        // has iterations bounds the loop, and takes the blame below.
         let num_records: Vec<usize> = inputs.iter().map(|d| d.num_records()).collect();
-        let every_limit = self
-            .input_every_iter
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| **e)
-            .map(|(s, _)| num_records[s])
-            .min()
-            .unwrap_or(usize::MAX);
-        let batches = iterations.min(every_limit) / B;
+        let mut runnable = iterations;
+        let mut dry = None;
+        for (s, every) in self.input_every_iter.iter().enumerate() {
+            if *every && num_records[s] < runnable {
+                runnable = num_records[s];
+                dry = Some(s);
+            }
+        }
 
-        let mut st = ScalarState::new(self, inputs.len());
-        for b in 0..batches {
+        let mut st = StreamState::new(self, inputs.len());
+        let full = runnable - runnable % B;
+        let mut lanes = self.init_lanes::<B>(params);
+        for base in (0..full).step_by(B) {
             self.exec_batch::<B>(
                 inputs,
                 &num_records,
@@ -456,45 +469,36 @@ impl CompiledTape {
                 &mut regs,
                 &mut outputs,
                 &mut st,
-                b * B,
+                base,
             )?;
         }
-
-        // Scalar remainder through the shared tape helpers: identical
-        // iteration bodies, error values and append order.
-        let done = batches * B;
-        let records_consumed = if self.fast_path {
-            if done < iterations {
-                let mut vals = self.init_vals(params);
-                self.run_fast_range(
+        if full < runnable {
+            let mut lane = self.init_lanes::<1>(params);
+            for base in full..runnable {
+                self.exec_batch::<1>(
                     inputs,
-                    &mut vals,
-                    &mut regs,
-                    &mut outputs,
-                    &mut st.row_base,
-                    iterations - done,
-                );
-            }
-            vec![iterations; inputs.len()]
-        } else {
-            if done < iterations {
-                let mut vals = self.init_vals(params);
-                self.run_general_range(
-                    inputs,
-                    &mut vals,
+                    &num_records,
+                    &mut lane,
                     &mut regs,
                     &mut outputs,
                     &mut st,
-                    done,
-                    iterations,
+                    base,
                 )?;
             }
-            st.cursors
-        };
+        }
+        // The interpreter checks every-iteration streams at the top of
+        // an iteration, before any conditional pop of that iteration; a
+        // conditional stream that ran dry earlier already returned.
+        if let Some(stream) = dry {
+            return Err(InterpError::StreamUnderrun {
+                stream,
+                iteration: runnable,
+            });
+        }
 
         Ok(InterpOutput {
             outputs,
-            records_consumed,
+            records_consumed: st.cursors,
             iterations,
             final_regs: regs,
         })
@@ -502,7 +506,8 @@ impl CompiledTape {
 
     /// One full batch of `B` iterations: SoA gather, the three phases,
     /// lane-major write drain, cursor advance. `base` is the absolute
-    /// iteration index of lane 0 (for underrun blame).
+    /// iteration index of lane 0 (for underrun blame). Every
+    /// every-iteration stream must hold `B` more records.
     #[allow(clippy::too_many_arguments)]
     fn exec_batch<const B: usize>(
         &self,
@@ -511,7 +516,7 @@ impl CompiledTape {
         lanes: &mut [[f64; B]],
         regs: &mut [f64],
         outputs: &mut [StreamData],
-        st: &mut ScalarState,
+        st: &mut StreamState,
         base: usize,
     ) -> Result<(), InterpError> {
         // SoA gather: transpose B consecutive records of each
@@ -533,7 +538,7 @@ impl CompiledTape {
             exec_vec::<B>(op, lanes);
         }
         // Phase 2: scalar per lane, in iteration order — register chains
-        // and conditional pops resolve exactly as in the scalar engine.
+        // and conditional pops resolve exactly as in the interpreter.
         for l in 0..B {
             st.generation += 1;
             for &(dst, r) in &self.reg_reads {
@@ -576,7 +581,7 @@ impl CompiledTape {
             exec_vec::<B>(op, lanes);
         }
         // Drain writes lane-major so appends interleave exactly as the
-        // scalar per-iteration write plan — the expand side: conditional
+        // interpreter's per-iteration writes — the expand side: conditional
         // writes scatter only their active lanes. (`l` picks one lane
         // out of every referenced lane array, so it is a genuine index.)
         #[allow(clippy::needless_range_loop)]
@@ -605,11 +610,39 @@ impl CompiledTape {
     }
 }
 
+/// Mutable stream state of one launch, carried across its batches:
+/// cursors and conditional-pop bookkeeping.
+#[derive(Debug)]
+pub(crate) struct StreamState {
+    /// Records consumed so far per input stream.
+    cursors: Vec<usize>,
+    /// Word offset of each stream's next record.
+    row_base: Vec<usize>,
+    /// Generation stamp of each pop slot's last pop.
+    pop_gen: Vec<u64>,
+    /// Word offset of each pop slot's current record.
+    pop_base: Vec<usize>,
+    /// Iterations started so far — the pop-slot reset generation.
+    generation: u64,
+}
+
+impl StreamState {
+    fn new(tape: &CompiledTape, num_inputs: usize) -> Self {
+        Self {
+            cursors: vec![0; num_inputs],
+            row_base: vec![0; num_inputs],
+            pop_gen: vec![0; tape.pop_slots],
+            pop_base: vec![0; tape.pop_slots],
+            generation: 0,
+        }
+    }
+}
+
 /// Execute one lane-independent op over all `B` lanes. Operand arrays
 /// are copied out by value (`[f64; B]` is `Copy`) so the destination
 /// store borrows cleanly and each match arm is one flat loop the
-/// compiler can autovectorize. Same `f64` expressions as the scalar
-/// `eval_arith`, lane by lane.
+/// compiler can autovectorize. Same `f64` expressions as the
+/// interpreter's `Node::Op` arm, lane by lane.
 #[inline(always)]
 fn exec_vec<const B: usize>(op: &TapeOp, lanes: &mut [[f64; B]]) {
     let a = lanes[op.a as usize];
@@ -733,8 +766,8 @@ fn exec_vec<const B: usize>(op: &TapeOp, lanes: &mut [[f64; B]]) {
     lanes[op.dst as usize] = d;
 }
 
-/// Scalar evaluation of one op at lane `l` — the phase-2 twin of the
-/// tape's `eval_arith`, bit-for-bit the same `f64` expressions.
+/// Scalar evaluation of one op at lane `l` — the phase-2 twin of
+/// [`exec_vec`], bit-for-bit the same `f64` expressions.
 #[inline(always)]
 fn eval_arith_lane<const B: usize>(op: &TapeOp, lanes: &[[f64; B]], l: usize) -> f64 {
     let a = lanes[op.a as usize][l];
@@ -773,6 +806,7 @@ fn eval_arith_lane<const B: usize>(op: &TapeOp, lanes: &[[f64; B]], l: usize) ->
 mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
+    use crate::interp::Interpreter;
     use crate::ir::{Kernel, StreamMode};
 
     const WIDTHS: [BatchWidth; 2] = [BatchWidth::W8, BatchWidth::W16];
@@ -780,11 +814,17 @@ mod tests {
     fn assert_matches_scalar(k: &Kernel, inputs: &[StreamData], params: &[f64], iterations: usize) {
         let tape = CompiledTape::compile(k);
         let scalar = tape.run(inputs, params, iterations);
+        assert_eq!(
+            scalar,
+            Interpreter::new(k).run(inputs, params, iterations),
+            "one-lane tape vs interpreter diverged on kernel '{}' over {iterations} iterations",
+            k.name
+        );
         for w in WIDTHS {
             let batched = tape.run_batched(inputs, params, iterations, w);
             assert_eq!(
                 batched, scalar,
-                "batch({w}) vs scalar tape diverged on kernel '{}' over {iterations} iterations",
+                "batch({w}) vs one-lane tape diverged on kernel '{}' over {iterations} iterations",
                 k.name
             );
         }
@@ -870,10 +910,36 @@ mod tests {
     #[test]
     fn fast_path_underrun_error_matches_scalar() {
         let k = accum_kernel();
-        // 10 records, 32 iterations: the up-front proof must blame the
-        // same (stream, iteration) as the scalar engines.
+        // 10 records, 32 iterations: the bound on the loop must blame
+        // the same (stream, iteration) as the interpreter.
         let data: Vec<f64> = (0..20).map(|i| i as f64).collect();
         assert_matches_scalar(&k, &[StreamData::new(2, data)], &[], 32);
+
+        // Two every-iteration streams tied at the minimum: the lower
+        // index is blamed, whichever way round the longer stream sits.
+        let mut b = KernelBuilder::new("tied");
+        let streams: Vec<_> = ["a", "b", "c"]
+            .iter()
+            .map(|n| b.input(n, 1, StreamMode::EveryIteration))
+            .collect();
+        let o = b.output("y", 1);
+        let reads: Vec<_> = streams.iter().map(|s| b.read(*s, 0)).collect();
+        let ab = b.add(reads[0], reads[1]);
+        let abc = b.add(ab, reads[2]);
+        b.write(o, &[abc]);
+        let k = b.build();
+        let stream = |n: usize| StreamData::new(1, (0..n).map(|i| i as f64).collect());
+        for (lens, blamed) in [([30, 11, 11], 1), ([11, 30, 11], 0), ([11, 11, 30], 0)] {
+            let inputs = lens.map(stream);
+            assert_matches_scalar(&k, &inputs, &[], 24);
+            assert_eq!(
+                CompiledTape::compile(&k).run_batched(&inputs, &[], 24, BatchWidth::W8),
+                Err(InterpError::StreamUnderrun {
+                    stream: blamed,
+                    iteration: 11
+                })
+            );
+        }
     }
 
     #[test]
@@ -912,8 +978,7 @@ mod tests {
     #[test]
     fn every_iteration_underrun_in_general_path_matches_scalar() {
         // Mixed modes: the every-iteration stream runs dry first, so
-        // the batched engine must stop vectorizing at the limit and let
-        // the shared scalar tail produce the error.
+        // the loop must stop at the limit and blame it afterwards.
         let mut b = KernelBuilder::new("mixed");
         let se = b.input("e", 1, StreamMode::EveryIteration);
         let sc = b.input("c", 1, StreamMode::Conditional);
@@ -937,6 +1002,33 @@ mod tests {
                 ],
                 &[],
                 n,
+            );
+        }
+        // A conditional stream that pops every iteration, at the lower
+        // index, as long as the every-iteration stream: both are dry in
+        // iteration 11, and the every-iteration stream — checked at the
+        // top of the iteration, before any pop — is blamed. One
+        // conditional record fewer and the pop in iteration 10 is.
+        let mut b = KernelBuilder::new("same_iteration");
+        let sc = b.input("c", 1, StreamMode::Conditional);
+        let se = b.input("e", 1, StreamMode::EveryIteration);
+        let o = b.output("out", 1);
+        let one = b.constant(1.0);
+        let zero = b.constant(0.0);
+        let v = b.cond_read(sc, 0, one, zero);
+        let x = b.read(se, 0);
+        let sum = b.add(x, v);
+        b.write(o, &[sum]);
+        let k = b.build();
+        for (cond_records, stream, iteration) in [(11, 1, 11), (10, 0, 10)] {
+            let inputs = [
+                StreamData::new(1, cond[..cond_records].to_vec()),
+                StreamData::new(1, every[..11].to_vec()),
+            ];
+            assert_matches_scalar(&k, &inputs, &[], 24);
+            assert_eq!(
+                CompiledTape::compile(&k).run_batched(&inputs, &[], 24, BatchWidth::W8),
+                Err(InterpError::StreamUnderrun { stream, iteration })
             );
         }
     }

@@ -23,10 +23,11 @@
 //!   of a fresh `HashMap` per iteration;
 //! * a write plan with exact per-launch capacity reservation
 //!   (`iterations × words appended per iteration`);
-//! * a fast-path loop for kernels with no conditional input streams
-//!   (the `expanded`/`fixed`/`duplicated` StreamMD variants): stream
-//!   underrun is proven impossible up front, so the iteration body runs
-//!   with no per-iteration availability checks at all.
+//! * the [`BatchPlan`] phase split the execution loop runs.
+//!
+//! This module only compiles. The one loop that executes a tape is
+//! [`crate::batch`]'s, over lanes of 8 or 16 iterations
+//! ([`CompiledTape::run_batched`]) or one ([`CompiledTape::run`]).
 //!
 //! The tape is semantically bitwise-identical to the interpreter — same
 //! `f64` operations in the same order, same pop semantics, same error
@@ -34,7 +35,7 @@
 //! over random kernels. The interpreter remains the reference oracle.
 
 use crate::batch::BatchPlan;
-use crate::interp::{InterpError, InterpOutput, StreamData};
+use crate::interp::{InterpError, StreamData};
 use crate::ir::{Kernel, Node, OpKind, StreamMode};
 
 /// Sentinel for "no condition" in a [`WritePlan`].
@@ -121,7 +122,7 @@ pub(crate) struct WritePlan {
 
 /// A kernel compiled to a flat execution tape. Immutable and shareable
 /// across threads; all mutable execution state lives on the stack of
-/// [`CompiledTape::run`].
+/// the launch that runs it.
 #[derive(Debug, Clone)]
 pub struct CompiledTape {
     pub(crate) name: String,
@@ -153,7 +154,6 @@ pub struct CompiledTape {
     /// Worst-case words appended per iteration to each output — exact
     /// for outputs with only unconditional writes.
     pub(crate) out_words_per_iter: Vec<usize>,
-    pub(crate) fast_path: bool,
     /// Dataflow phase partition of `ops` for the batched SoA engine
     /// ([`crate::batch`]), precomputed here so every launch reuses it.
     pub(crate) batch: BatchPlan,
@@ -161,7 +161,7 @@ pub struct CompiledTape {
 
 impl CompiledTape {
     /// Compile `kernel` into a tape. Validates the kernel once here so
-    /// [`CompiledTape::run`] never re-validates.
+    /// no launch re-validates.
     pub fn compile(kernel: &Kernel) -> Self {
         kernel.validate_ssa();
         let mut const_inits = Vec::new();
@@ -270,11 +270,6 @@ impl CompiledTape {
             out_words_per_iter[w.stream as usize] += w.values.len();
         }
 
-        let fast_path = kernel
-            .inputs
-            .iter()
-            .all(|s| s.mode == StreamMode::EveryIteration);
-
         let mut tape = Self {
             name: kernel.name.clone(),
             num_nodes: kernel.nodes.len(),
@@ -306,17 +301,16 @@ impl CompiledTape {
                 .map(|s| s.record_len as usize)
                 .collect(),
             out_words_per_iter,
-            fast_path,
             batch: BatchPlan::default(),
         };
         tape.batch = BatchPlan::analyze(&tape);
         tape
     }
 
-    /// True when the kernel has no conditional input streams, so the
-    /// underrun-check-free fast loop runs.
+    /// True when the kernel has no conditional input streams: every
+    /// stream pops exactly once per iteration.
     pub fn is_fast_path(&self) -> bool {
-        self.fast_path
+        self.input_every_iter.iter().all(|every| *every)
     }
 
     /// Instructions executed per iteration (prologue reads plus the
@@ -376,82 +370,6 @@ impl CompiledTape {
         max
     }
 
-    /// Copy the iteration's register and stream-record reads into their
-    /// value slots. Sources only — no dependence on tape results — so
-    /// the whole batch legally runs before the arithmetic ops.
-    #[inline(always)]
-    fn read_prologue(
-        &self,
-        inputs: &[StreamData],
-        row_base: &[usize],
-        regs: &[f64],
-        vals: &mut [f64],
-    ) {
-        for &(dst, r) in &self.reg_reads {
-            vals[dst as usize] = regs[r as usize];
-        }
-        for g in &self.stream_reads {
-            let s = g.stream as usize;
-            let base = row_base[s];
-            let row = &inputs[s].data[base..base + self.input_record_len[s]];
-            for &(dst, f) in &g.reads {
-                vals[dst as usize] = row[f as usize];
-            }
-        }
-    }
-
-    /// Execute `iterations` loop iterations over `inputs` with launch
-    /// `params`. Semantically identical to
-    /// [`crate::interp::Interpreter::run`] on the same kernel, including
-    /// error values.
-    pub fn run(
-        &self,
-        inputs: &[StreamData],
-        params: &[f64],
-        iterations: usize,
-    ) -> Result<InterpOutput, InterpError> {
-        self.validate_signature(inputs, params)?;
-        let mut outputs = self.make_outputs(iterations);
-        let mut regs = self.reg_init.clone();
-        let mut vals = self.init_vals(params);
-
-        // Fast path: every input stream pops exactly once per iteration,
-        // so underrun is decided before the loop and the body runs with
-        // no per-iteration availability checks.
-        let records_consumed = if self.fast_path {
-            self.prove_fast_underrun(inputs, iterations)?;
-            let mut row_base = vec![0usize; inputs.len()];
-            self.run_fast_range(
-                inputs,
-                &mut vals,
-                &mut regs,
-                &mut outputs,
-                &mut row_base,
-                iterations,
-            );
-            vec![iterations; inputs.len()]
-        } else {
-            let mut st = ScalarState::new(self, inputs.len());
-            self.run_general_range(
-                inputs,
-                &mut vals,
-                &mut regs,
-                &mut outputs,
-                &mut st,
-                0,
-                iterations,
-            )?;
-            st.cursors
-        };
-
-        Ok(InterpOutput {
-            outputs,
-            records_consumed,
-            iterations,
-            final_regs: regs,
-        })
-    }
-
     /// Check the launch signature: stream count, per-stream record
     /// length and param count. Shared by every engine that executes
     /// this tape so mismatch messages are identical.
@@ -499,227 +417,6 @@ impl CompiledTape {
                 s
             })
             .collect()
-    }
-
-    /// Value-slot array with the once-per-launch init plan applied
-    /// (constants and params hoisted out of the iteration loop).
-    pub(crate) fn init_vals(&self, params: &[f64]) -> Vec<f64> {
-        let mut vals = vec![0.0f64; self.num_nodes];
-        for &(slot, c) in &self.const_inits {
-            vals[slot as usize] = c;
-        }
-        for &(slot, p) in &self.param_inits {
-            vals[slot as usize] = params[p as usize];
-        }
-        vals
-    }
-
-    /// Decide fast-path underrun before any iteration runs: the first
-    /// stream (in index order) to run dry loses — matching the
-    /// interpreter's per-iteration check order.
-    pub(crate) fn prove_fast_underrun(
-        &self,
-        inputs: &[StreamData],
-        iterations: usize,
-    ) -> Result<(), InterpError> {
-        let mut limit = iterations;
-        let mut bad = None;
-        for (s, d) in inputs.iter().enumerate() {
-            let n = d.num_records();
-            if n < limit {
-                limit = n;
-                bad = Some(s);
-            }
-        }
-        if let Some(stream) = bad {
-            return Err(InterpError::StreamUnderrun {
-                stream,
-                iteration: limit,
-            });
-        }
-        Ok(())
-    }
-
-    /// `count` fast-path iterations resuming at `row_base` (advanced in
-    /// place). Underrun must already be proven impossible for the whole
-    /// launch ([`Self::prove_fast_underrun`]).
-    pub(crate) fn run_fast_range(
-        &self,
-        inputs: &[StreamData],
-        vals: &mut [f64],
-        regs: &mut [f64],
-        outputs: &mut [StreamData],
-        row_base: &mut [usize],
-        count: usize,
-    ) {
-        for _ in 0..count {
-            self.read_prologue(inputs, row_base, regs, vals);
-            // Arithmetic only (conditional reads cannot occur on the
-            // fast path; plain reads live in the prologue).
-            for op in &self.ops {
-                vals[op.dst as usize] = eval_arith(op, vals);
-            }
-            self.apply_writes(vals, outputs);
-            for &(r, v) in &self.reg_updates {
-                regs[r as usize] = vals[v as usize];
-            }
-            for (base, rl) in row_base.iter_mut().zip(&self.input_record_len) {
-                *base += rl;
-            }
-        }
-    }
-
-    /// General-path iterations `start..end` — conditional streams pop
-    /// on demand through the flat pop table, reset per iteration by a
-    /// generation counter — resuming from (and advancing) `st`.
-    /// Iteration indices in underrun errors are absolute, so a caller
-    /// that ran `start` iterations by other means (the batched engine)
-    /// reports the same error values as a scalar run from zero.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_general_range(
-        &self,
-        inputs: &[StreamData],
-        vals: &mut [f64],
-        regs: &mut [f64],
-        outputs: &mut [StreamData],
-        st: &mut ScalarState,
-        start: usize,
-        end: usize,
-    ) -> Result<(), InterpError> {
-        let num_records: Vec<usize> = inputs.iter().map(|d| d.num_records()).collect();
-        for iter in start..end {
-            st.generation += 1;
-            for (s, every) in self.input_every_iter.iter().enumerate() {
-                if *every && st.cursors[s] >= num_records[s] {
-                    return Err(InterpError::StreamUnderrun {
-                        stream: s,
-                        iteration: iter,
-                    });
-                }
-            }
-            self.read_prologue(inputs, &st.row_base, regs, vals);
-            for op in &self.ops {
-                vals[op.dst as usize] = match op.code {
-                    Code::CondRead => {
-                        let cr = &self.cond_reads[op.a as usize];
-                        if vals[cr.pred as usize] != 0.0 {
-                            let s = cr.stream as usize;
-                            let slot = cr.slot as usize;
-                            if st.pop_gen[slot] != st.generation {
-                                if st.cursors[s] >= num_records[s] {
-                                    return Err(InterpError::StreamUnderrun {
-                                        stream: s,
-                                        iteration: iter,
-                                    });
-                                }
-                                st.pop_gen[slot] = st.generation;
-                                st.pop_base[slot] = st.row_base[s];
-                                st.cursors[s] += 1;
-                                st.row_base[s] += self.input_record_len[s];
-                            }
-                            inputs[s].data[st.pop_base[slot] + cr.field as usize]
-                        } else {
-                            vals[cr.fallback as usize]
-                        }
-                    }
-                    _ => eval_arith(op, vals),
-                };
-            }
-            self.apply_writes(vals, outputs);
-            for &(r, v) in &self.reg_updates {
-                regs[r as usize] = vals[v as usize];
-            }
-            for (s, every) in self.input_every_iter.iter().enumerate() {
-                if *every {
-                    st.cursors[s] += 1;
-                    st.row_base[s] += self.input_record_len[s];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Run the write plan for one iteration, preserving the kernel's
-    /// write order (appends to the same output stream interleave exactly
-    /// as the interpreter's).
-    #[inline]
-    fn apply_writes(&self, vals: &[f64], outputs: &mut [StreamData]) {
-        for w in &self.writes {
-            if w.cond != NO_COND && vals[w.cond as usize] == 0.0 {
-                continue;
-            }
-            let out = &mut outputs[w.stream as usize].data;
-            let range = w.start as usize..(w.start + w.len) as usize;
-            out.extend(self.write_values[range].iter().map(|&v| vals[v as usize]));
-        }
-    }
-}
-
-/// Resumable mutable state of the general scalar path: stream cursors
-/// and conditional-pop bookkeeping. The batched engine
-/// ([`crate::batch`]) carries one of these across its vector batches
-/// and hands it to [`CompiledTape::run_general_range`] for the scalar
-/// remainder, so both paths share one implementation of pop and
-/// underrun semantics instead of duplicating them.
-#[derive(Debug)]
-pub(crate) struct ScalarState {
-    /// Records consumed so far per input stream.
-    pub(crate) cursors: Vec<usize>,
-    /// Word offset of each stream's next record.
-    pub(crate) row_base: Vec<usize>,
-    /// Generation stamp of each pop slot's last pop.
-    pub(crate) pop_gen: Vec<u64>,
-    /// Word offset of each pop slot's current record.
-    pub(crate) pop_base: Vec<usize>,
-    /// Iterations started so far — the pop-slot reset generation.
-    pub(crate) generation: u64,
-}
-
-impl ScalarState {
-    pub(crate) fn new(tape: &CompiledTape, num_inputs: usize) -> Self {
-        Self {
-            cursors: vec![0; num_inputs],
-            row_base: vec![0; num_inputs],
-            pop_gen: vec![0; tape.pop_slots],
-            pop_base: vec![0; tape.pop_slots],
-            generation: 0,
-        }
-    }
-}
-
-/// Evaluate an arithmetic/logical tape op. Bit-for-bit the same `f64`
-/// expressions as the interpreter's `Node::Op` arm.
-#[inline(always)]
-fn eval_arith(op: &TapeOp, vals: &[f64]) -> f64 {
-    let a = vals[op.a as usize];
-    match op.code {
-        Code::Add => a + vals[op.b as usize],
-        Code::Sub => a - vals[op.b as usize],
-        Code::Mul => a * vals[op.b as usize],
-        Code::Madd => a * vals[op.b as usize] + vals[op.c as usize],
-        Code::Nmsub => vals[op.c as usize] - a * vals[op.b as usize],
-        Code::Div => a / vals[op.b as usize],
-        Code::Sqrt => a.sqrt(),
-        Code::Rsqrt => 1.0 / a.sqrt(),
-        Code::SeedRecip => (1.0 / a) as f32 as f64,
-        Code::SeedRsqrt => (1.0 / a.sqrt()) as f32 as f64,
-        Code::CmpEq => mask(a == vals[op.b as usize]),
-        Code::CmpLt => mask(a < vals[op.b as usize]),
-        Code::CmpLe => mask(a <= vals[op.b as usize]),
-        Code::Sel => {
-            if a != 0.0 {
-                vals[op.b as usize]
-            } else {
-                vals[op.c as usize]
-            }
-        }
-        Code::And => mask(a != 0.0 && vals[op.b as usize] != 0.0),
-        Code::Or => mask(a != 0.0 || vals[op.b as usize] != 0.0),
-        Code::Not => mask(a == 0.0),
-        Code::Min => a.min(vals[op.b as usize]),
-        Code::Max => a.max(vals[op.b as usize]),
-        Code::Mov => a,
-        Code::CondRead => unreachable!("conditional read in eval_arith"),
     }
 }
 

@@ -8,9 +8,14 @@
 //! strip *i*'s kernel, the memory unit gathers strip *i+1* and scatters
 //! strip *i−1*, exactly as in Figure 5 — provided enough stream
 //! descriptor registers are free, which is where [`SdrPolicy`] bites.
+//!
+//! The scoreboard is pure timing: every cost is a function of addresses,
+//! indices and op shapes, so it never reads or writes region data or SRF
+//! buffers. The functional execution of a program happens before it, in
+//! [`crate::parallel`], and reaches it as one [`OpRecord`] per op.
 
 use merrimac_arch::{MachineConfig, OpCosts};
-use merrimac_kernel::interp::{InterpError, Interpreter, StreamData};
+use merrimac_kernel::interp::InterpError;
 use merrimac_kernel::BatchWidth;
 
 use crate::cache::CacheAccessStats;
@@ -125,38 +130,27 @@ impl RunReport {
     }
 }
 
-/// Per-op functional results captured by the parallel phase-A pass
-/// ([`StreamProcessor::run_parallel`]): the few facts the timing
-/// scoreboard needs that come from *executing* an op rather than from
-/// its static description.
+/// What the timing scoreboard needs to know about one op that comes
+/// from *executing* it rather than from its static description.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OpRecord {
     /// SRF words a kernel op moved (records consumed + outputs written).
     pub kernel_srf_words: u64,
-    /// Memory-system cost of this op, computed in phase A against the
-    /// op's strip shard. `Some` for every memory op of a partitioned
-    /// program; the timing pass consumes it instead of re-running the
-    /// (stateful, serial) cache model.
+    /// Records a store op wrote (its source stream's length).
+    pub store_records: usize,
+    /// Memory-system cost of this op, when the op's strip shard priced
+    /// it in phase A — every memory op of a partitioned program. `None`
+    /// leaves the pricing to the scoreboard's one shared cache, at issue
+    /// time (the serial fallback).
     pub mem_cost: Option<MemOpCost>,
-}
-
-/// How the scoreboard obtains functional results while scheduling.
-#[derive(Clone, Copy)]
-pub(crate) enum ExecMode<'a> {
-    /// Execute each op functionally as it issues (the classic path).
-    Inline,
-    /// Functional execution already happened (parallel per-strip pass);
-    /// compute only costs and timing. Region data must already be in
-    /// its final state — every cost function is address-based, so the
-    /// schedule and cycle counts are bitwise-identical to [`Inline`].
-    Precomputed(&'a [OpRecord]),
 }
 
 /// Which functional engine executes kernel dataflow graphs.
 ///
 /// The batched SoA engine ([`merrimac_kernel::batch`], executing the
 /// compiled tape in vectorizable lanes of 8/16 iterations) is the
-/// default. The graph-walking [`Interpreter`] remains as the
+/// default. The graph-walking
+/// [`Interpreter`](merrimac_kernel::interp::Interpreter) remains as the
 /// independent bisection oracle behind `MERRIMAC_KERNEL_ENGINE=interp`.
 /// Both produce bitwise-identical outputs, consumed counts and final
 /// registers — proven differentially by `tests/tape_equivalence.rs`.
@@ -208,74 +202,6 @@ impl std::fmt::Display for KernelEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Run a kernel op's dataflow graph: unroll check, input reshape,
-/// execution on the selected engine. Returns the output streams and the
-/// SRF words moved (inputs consumed + outputs written). Shared between
-/// the inline scoreboard and the parallel per-strip executor so the two
-/// paths cannot drift.
-pub(crate) fn kernel_functional(
-    label: &str,
-    kernel: &crate::kernelc::CompiledKernel,
-    input_data: Vec<StreamData>,
-    params: &[f64],
-    iterations: u64,
-    engine: KernelEngine,
-    batch: BatchWidth,
-) -> Result<(Vec<StreamData>, u64), SimError> {
-    let unroll = kernel.opt.unroll as u64;
-    if !iterations.is_multiple_of(unroll) {
-        return Err(SimError::Program(format!(
-            "kernel '{label}': {iterations} iterations not divisible by unroll {unroll}"
-        )));
-    }
-    // Reshape every-iteration inputs to the unrolled record length —
-    // skipped entirely when every input already matches the unrolled
-    // signature (unroll = 1, or pre-shaped buffers), so the common case
-    // moves no stream and re-validates nothing.
-    let all_match = input_data
-        .iter()
-        .zip(&kernel.ir.inputs)
-        .all(|(d, sig)| sig.record_len as usize == d.record_len);
-    let shaped = if all_match {
-        input_data
-    } else {
-        let mut shaped = Vec::with_capacity(input_data.len());
-        for (d, sig) in input_data.into_iter().zip(&kernel.ir.inputs) {
-            if sig.record_len as usize != d.record_len {
-                if d.data.len() % sig.record_len as usize != 0 {
-                    return Err(SimError::Program(format!(
-                        "kernel '{label}': input not reshapeable to {} words",
-                        sig.record_len
-                    )));
-                }
-                shaped.push(StreamData::new(sig.record_len as usize, d.data));
-            } else {
-                shaped.push(d);
-            }
-        }
-        shaped
-    };
-    let unrolled_iters = iterations / unroll;
-    let out = match engine {
-        KernelEngine::Batch => {
-            kernel
-                .tape
-                .run_batched(&shaped, params, unrolled_iters as usize, batch)?
-        }
-        KernelEngine::Interp => {
-            Interpreter::new(&kernel.ir).run(&shaped, params, unrolled_iters as usize)?
-        }
-    };
-    let mut srf_words = 0u64;
-    for (s, d) in out.records_consumed.iter().zip(&shaped) {
-        srf_words += (*s * d.record_len) as u64;
-    }
-    for o in &out.outputs {
-        srf_words += o.data.len() as u64;
-    }
-    Ok((out.outputs, srf_words))
 }
 
 /// A Merrimac node ready to execute stream programs.
@@ -431,18 +357,23 @@ impl StreamProcessor {
     }
 
     /// The scoreboard: schedules ops onto the memory pipeline and the
-    /// cluster array. In [`ExecMode::Inline`] it also executes each op
-    /// functionally as it issues; in [`ExecMode::Precomputed`] the data
-    /// movement already happened and only costs/timing are computed.
+    /// cluster array. A pure function of `program`, the region layout of
+    /// `memory` (addresses only) and `records`, one per op in program
+    /// order; the caller has validated the program.
     pub(crate) fn schedule(
         &self,
-        memory: &mut Memory,
+        memory: &Memory,
         program: &StreamProgram,
-        mode: ExecMode,
+        records: &[OpRecord],
     ) -> Result<RunReport, SimError> {
-        self.validate_program(program)?;
         let n_ops = program.ops.len();
         let n_bufs = program.buffers.len();
+        if records.len() < n_ops {
+            return Err(SimError::Program(format!(
+                "{} op records for a program of {n_ops} ops",
+                records.len()
+            )));
+        }
 
         // ---- static dependence analysis --------------------------------
         // Producer of each buffer; consumers of each buffer.
@@ -492,7 +423,6 @@ impl StreamProcessor {
 
         // ---- dynamic state ----------------------------------------------
         let mut state = vec![OpState::Waiting; n_ops];
-        let mut buffers: Vec<Option<StreamData>> = vec![None; n_bufs];
         let mut buffer_released = vec![false; n_bufs];
         let mut consumers_left: Vec<usize> = consumers.iter().map(|c| c.len()).collect();
         let mut srf = SrfAllocator::new(&self.cfg);
@@ -626,151 +556,13 @@ impl StreamProcessor {
                     continue;
                 }
 
-                // ---- start the op: functional execution + cost ----------
+                // ---- start the op: cost ---------------------------------
                 let (cost_cycles, unit) = match &lop.op {
-                    StreamOp::Gather {
-                        region,
-                        record_len,
-                        indices,
-                        dst,
-                    } => {
-                        let cost = match mode {
-                            ExecMode::Inline => {
-                                memsys.gather_cost(memory, *region, *record_len, indices, false)
-                            }
-                            ExecMode::Precomputed(recs) => {
-                                recs[i].mem_cost.expect("precomputed gather cost")
-                            }
-                        };
-                        if matches!(mode, ExecMode::Inline) {
-                            let mut data = Vec::with_capacity(indices.len() * record_len);
-                            let src = memory.data(*region);
-                            for &idx in indices.iter() {
-                                let s = idx as usize * record_len;
-                                data.extend_from_slice(&src[s..s + record_len]);
-                            }
-                            buffers[dst.0] = Some(StreamData::new(*record_len, data));
-                        }
-                        counters.mem_refs += cost.words;
-                        counters.dram_words += cost.dram_words;
-                        counters.cache_hits += cost.cache.hits;
-                        counters.cache_misses += cost.cache.misses;
-                        (self.cfg.memory_op_startup + cost.cycles, Unit::Memory)
-                    }
-                    StreamOp::Load {
-                        region,
-                        record_len,
-                        start,
-                        records,
-                        dst,
-                    } => {
-                        let cost = match mode {
-                            ExecMode::Inline => memsys.sequential_cost(
-                                memory,
-                                *region,
-                                *record_len,
-                                *start,
-                                *records,
-                                false,
-                            ),
-                            ExecMode::Precomputed(recs) => {
-                                recs[i].mem_cost.expect("precomputed load cost")
-                            }
-                        };
-                        if matches!(mode, ExecMode::Inline) {
-                            let s = start * record_len;
-                            let data = memory.data(*region)[s..s + records * record_len].to_vec();
-                            buffers[dst.0] = Some(StreamData::new(*record_len, data));
-                        }
-                        counters.mem_refs += cost.words;
-                        counters.dram_words += cost.dram_words;
-                        counters.cache_hits += cost.cache.hits;
-                        counters.cache_misses += cost.cache.misses;
-                        (self.cfg.memory_op_startup + cost.cycles, Unit::Memory)
-                    }
-                    StreamOp::ScatterAdd {
-                        src,
-                        region,
-                        record_len,
-                        indices,
-                    } => {
-                        if matches!(mode, ExecMode::Inline) {
-                            let data = buffers[src.0]
-                                .as_ref()
-                                .expect("scatter-add source produced")
-                                .clone();
-                            if data.num_records() != indices.len() {
-                                return Err(SimError::Program(format!(
-                                    "scatter-add '{}': {} records vs {} indices",
-                                    lop.label,
-                                    data.num_records(),
-                                    indices.len()
-                                )));
-                            }
-                            let dst = memory.data_mut(*region);
-                            for (r, &idx) in indices.iter().enumerate() {
-                                let base = idx as usize * *record_len;
-                                for f in 0..*record_len {
-                                    dst[base + f] += data.record(r)[f];
-                                }
-                            }
-                        }
-                        let cost = match mode {
-                            ExecMode::Inline => {
-                                memsys.scatter_add_cost(memory, *region, *record_len, indices)
-                            }
-                            ExecMode::Precomputed(recs) => {
-                                recs[i].mem_cost.expect("precomputed scatter-add cost")
-                            }
-                        };
-                        counters.mem_refs += cost.words;
-                        counters.dram_words += cost.dram_words;
-                        counters.cache_hits += cost.cache.hits;
-                        counters.cache_misses += cost.cache.misses;
-                        (self.cfg.memory_op_startup + cost.cycles, Unit::Memory)
-                    }
-                    StreamOp::Store {
-                        src,
-                        region,
-                        record_len,
-                        start,
-                    } => {
-                        let cost = match mode {
-                            ExecMode::Inline => {
-                                let data = buffers[src.0]
-                                    .as_ref()
-                                    .expect("store source produced")
-                                    .clone();
-                                let records = data.num_records();
-                                let dst = memory.data_mut(*region);
-                                let s = start * record_len;
-                                dst[s..s + records * record_len].copy_from_slice(&data.data);
-                                memsys.sequential_cost(
-                                    memory,
-                                    *region,
-                                    *record_len,
-                                    *start,
-                                    records,
-                                    true,
-                                )
-                            }
-                            ExecMode::Precomputed(recs) => {
-                                recs[i].mem_cost.expect("precomputed store cost")
-                            }
-                        };
-                        counters.mem_refs += cost.words;
-                        counters.dram_words += cost.dram_words;
-                        counters.cache_hits += cost.cache.hits;
-                        counters.cache_misses += cost.cache.misses;
-                        (self.cfg.memory_op_startup + cost.cycles, Unit::Memory)
-                    }
                     StreamOp::Kernel {
                         kernel,
-                        inputs,
-                        outputs,
-                        params,
                         iterations,
                         max_cluster_iterations,
+                        ..
                     } => {
                         let unroll = kernel.opt.unroll as u64;
                         if iterations % unroll != 0 {
@@ -780,34 +572,7 @@ impl StreamProcessor {
                             )));
                         }
                         let unrolled_iters = iterations / unroll;
-                        let srf_words = match mode {
-                            ExecMode::Inline => {
-                                let input_data: Vec<StreamData> = inputs
-                                    .iter()
-                                    .map(|b| {
-                                        buffers[b.0]
-                                            .as_ref()
-                                            .expect("kernel input produced")
-                                            .clone()
-                                    })
-                                    .collect();
-                                let (outs, srf_words) = kernel_functional(
-                                    &lop.label,
-                                    kernel,
-                                    input_data,
-                                    params,
-                                    *iterations,
-                                    self.kernel_engine,
-                                    self.tape_batch,
-                                )?;
-                                for (o, b) in outs.into_iter().zip(outputs) {
-                                    buffers[b.0] = Some(o);
-                                }
-                                srf_words
-                            }
-                            ExecMode::Precomputed(recs) => recs[i].kernel_srf_words,
-                        };
-                        counters.srf_refs += srf_words;
+                        counters.srf_refs += records[i].kernel_srf_words;
                         counters.lrf_refs += kernel.stats.lrf_refs * unrolled_iters;
                         counters.hardware_flops += kernel.stats.hardware_flops * unrolled_iters;
                         counters.hardware_ops += kernel.stats.hardware_ops * unrolled_iters;
@@ -819,6 +584,20 @@ impl StreamProcessor {
                             *max_cluster_iterations,
                         );
                         (c.cycles, Unit::Kernel)
+                    }
+                    mem_op => {
+                        // Unpriced ops meet the one shared, warm cache in
+                        // issue order — which interleaves strips, so it
+                        // cannot be precomputed in program order.
+                        let rec = &records[i];
+                        let cost = rec
+                            .mem_cost
+                            .unwrap_or_else(|| memsys.op_cost(memory, mem_op, rec.store_records));
+                        counters.mem_refs += cost.words;
+                        counters.dram_words += cost.dram_words;
+                        counters.cache_hits += cost.cache.hits;
+                        counters.cache_misses += cost.cache.misses;
+                        (self.cfg.memory_op_startup + cost.cycles, Unit::Memory)
                     }
                 };
 
@@ -1114,6 +893,20 @@ mod tests {
         }
         // The diagnostic must name the strip size.
         assert!(err.to_string().contains(&n.to_string()), "{err}");
+    }
+
+    #[test]
+    fn scoreboard_rejects_a_short_record_slice() {
+        let cfg = MachineConfig::default();
+        let mut mem = Memory::new();
+        let vals = mem.region("vals", vec![1.0; 4]);
+        let mut pb = ProgramBuilder::new();
+        let bv = pb.buffer("v", 1);
+        pb.load("load", vals, 1, 0, 4, bv);
+        let err = StreamProcessor::new(cfg)
+            .schedule(&mem, &pb.build(), &[])
+            .expect_err("one op, no record");
+        assert!(matches!(err, SimError::Program(_)), "{err}");
     }
 
     #[test]

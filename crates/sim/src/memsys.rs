@@ -22,7 +22,7 @@
 use merrimac_arch::MachineConfig;
 
 use crate::cache::{CacheAccessStats, StreamCache};
-use crate::program::{Memory, RegionId};
+use crate::program::{Memory, RegionId, StreamOp};
 
 /// Cost and traffic of one stream memory operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,6 +80,53 @@ impl MemSystem {
     /// Reset cache contents.
     pub fn flush_cache(&mut self) {
         self.cache.flush();
+    }
+
+    /// Price one stream op against this memory system's cache state.
+    /// Address-based throughout: region data is never read. A store
+    /// moves as many records as its source stream held when it ran
+    /// (`store_records`); a kernel moves nothing through the memory
+    /// system.
+    pub(crate) fn op_cost(
+        &mut self,
+        mem: &Memory,
+        op: &StreamOp,
+        store_records: usize,
+    ) -> MemOpCost {
+        match op {
+            StreamOp::Gather {
+                region,
+                record_len,
+                indices,
+                ..
+            } => self.gather_cost(mem, *region, *record_len, indices, false),
+            StreamOp::Load {
+                region,
+                record_len,
+                start,
+                records,
+                ..
+            } => self.sequential_cost(mem, *region, *record_len, *start, *records, false),
+            StreamOp::ScatterAdd {
+                region,
+                record_len,
+                indices,
+                ..
+            } => self.scatter_add_cost(mem, *region, *record_len, indices),
+            StreamOp::Store {
+                region,
+                record_len,
+                start,
+                ..
+            } => self.sequential_cost(mem, *region, *record_len, *start, store_records, true),
+            StreamOp::Kernel { .. } => MemOpCost {
+                cycles: 0,
+                words: 0,
+                addresses: 0,
+                cache: CacheAccessStats::default(),
+                dram_words: 0,
+            },
+        }
     }
 
     fn line_words(&self) -> u64 {

@@ -1,12 +1,15 @@
-//! Parallel execution engine: fan per-strip functional work *and*
-//! per-strip memory timing across host threads, then replay the
-//! (inherently sequential) scoreboard against precomputed results.
+//! Functional execution of a stream program, and the parallel engine
+//! around it: fan per-strip functional work *and* per-strip memory
+//! timing across host threads, then run the (inherently sequential)
+//! scoreboard over the per-op records.
 //!
 //! The split is sound because every cost function in [`crate::memsys`]
 //! and [`crate::cluster`] depends only on *addresses, indices and
-//! static op shapes* — never on region data values — so the timing
-//! pass produces bitwise-identical cycles and counters whether or not
-//! it executed the data movement itself.
+//! static op shapes* — never on region data values — so the scoreboard
+//! ([`StreamProcessor::schedule`]) executes nothing: `exec_op` here is
+//! the one functional implementation of gather, load, kernel,
+//! scatter-add and store, for partitioned programs and the serial
+//! fallback alike.
 //!
 //! ## The access-intent partition contract
 //!
@@ -31,8 +34,9 @@
 //!   strip *k+1* starts).
 //!
 //! Anything else produces a typed [`FallbackReason`] and the program
-//! runs on the serial scoreboard with the shared-cache memory model
-//! (still exact, just not parallel).
+//! executes serially, op by op in program order against the live
+//! regions, and is timed with the shared-cache memory model (still
+//! exact, just not parallel).
 //!
 //! ## Determinism contract
 //!
@@ -50,25 +54,28 @@
 //!    private cold [`MemSystem`] shard ([`MemSystem::strip_shard`]), so
 //!    a strip's costs are a pure function of its own address trace;
 //!    per-strip [`CacheAccessStats`] merge in ascending strip order;
-//! 4. the timing pass is serial and byte-for-byte the same scoreboard
-//!    as the fallback path, consuming the precomputed per-op costs.
+//! 4. the timing pass is serial and the same scoreboard call as the
+//!    fallback path's; it reads the per-op records and no region data,
+//!    so nothing phase A did on another thread can reach it except
+//!    through those records.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use merrimac_arch::MachineConfig;
-use merrimac_kernel::interp::StreamData;
+use merrimac_kernel::interp::{Interpreter, StreamData};
 use merrimac_kernel::BatchWidth;
 use rayon::prelude::*;
 
 use crate::cache::CacheAccessStats;
 use crate::counters::Counters;
+use crate::kernelc::CompiledKernel;
 use crate::machine::{
-    buffer_capacity_words, kernel_functional, produced_buffers, ExecMode, KernelEngine, OpRecord,
-    RunReport, SimError, StreamProcessor,
+    buffer_capacity_words, produced_buffers, KernelEngine, OpRecord, RunReport, SimError,
+    StreamProcessor,
 };
 use crate::memsys::MemSystem;
 use crate::program::{
-    AccessIntent, AccessKind, BufferId, Memory, RegionId, StreamOp, StreamProgram,
+    AccessIntent, AccessKind, BufferId, LabelledOp, Memory, RegionId, StreamOp, StreamProgram,
 };
 
 /// Why a program could not be partitioned across strips.
@@ -615,7 +622,7 @@ impl StreamProcessor {
         threads: usize,
     ) -> Result<RunReport, SimError> {
         // Reject un-runnable programs before burning functional work on
-        // them (the serial path validates inside `schedule`).
+        // them; the scoreboard relies on this having passed.
         self.validate_program(program)?;
         let partition = partition_program(program);
         if self.partition_verbose {
@@ -623,7 +630,8 @@ impl StreamProcessor {
         }
         let summary = partition.summary();
         if !partition.is_parallel() {
-            let mut report = self.schedule(memory, program, ExecMode::Inline)?;
+            let records = exec_serial(memory, program, self.kernel_engine, self.tape_batch)?;
+            let mut report = self.schedule(memory, program, &records)?;
             report.partition = summary;
             return Ok(report);
         }
@@ -680,8 +688,8 @@ impl StreamProcessor {
             dst[start..start + data.len()].copy_from_slice(&data);
         }
 
-        // ---- phase B: serial timing against precomputed results -------
-        let mut report = self.schedule(memory, program, ExecMode::Precomputed(&records))?;
+        // ---- phase B: serial timing over the per-op records ------------
+        let mut report = self.schedule(memory, program, &records)?;
         debug_assert_eq!(
             (
                 kernel_counters.srf_refs,
@@ -705,6 +713,226 @@ impl StreamProcessor {
     }
 }
 
+/// The serial fallback's functional pass: every op in program order,
+/// each write applied straight to the live region — so a later read
+/// sees it, and scatter-adds accumulate in program order with no
+/// overlay in between.
+fn exec_serial(
+    memory: &mut Memory,
+    program: &StreamProgram,
+    engine: KernelEngine,
+    batch: BatchWidth,
+) -> Result<Vec<OpRecord>, SimError> {
+    let mut buffers = HashMap::new();
+    let mut records = Vec::with_capacity(program.ops.len());
+    for lop in &program.ops {
+        let (rec, src) = exec_op(memory, lop, &mut buffers, engine, batch)?;
+        records.push(rec);
+        match (&lop.op, src) {
+            (
+                StreamOp::ScatterAdd {
+                    region,
+                    record_len,
+                    indices,
+                    ..
+                },
+                Some(src),
+            ) => scatter_add_into(memory.data_mut(*region), src, *record_len, indices),
+            (
+                StreamOp::Store {
+                    region,
+                    record_len,
+                    start,
+                    ..
+                },
+                Some(src),
+            ) => {
+                let s = start * record_len;
+                memory.data_mut(*region)[s..s + src.data.len()].copy_from_slice(&src.data);
+            }
+            _ => {}
+        }
+    }
+    Ok(records)
+}
+
+/// Functionally execute one op. Gathers, loads and kernels fill
+/// `buffers`; a scatter-add or a store changes nothing here and hands
+/// back its checked source stream for the caller to fold into a strip
+/// overlay or the live region. The record carries no memory cost.
+fn exec_op<'b>(
+    memory: &Memory,
+    lop: &LabelledOp,
+    buffers: &'b mut HashMap<usize, StreamData>,
+    engine: KernelEngine,
+    batch: BatchWidth,
+) -> Result<(OpRecord, Option<&'b StreamData>), SimError> {
+    let mut rec = OpRecord::default();
+    match &lop.op {
+        StreamOp::Gather {
+            region,
+            record_len,
+            indices,
+            dst,
+        } => {
+            let src = memory.data(*region);
+            let mut data = Vec::with_capacity(indices.len() * record_len);
+            for &idx in indices.iter() {
+                let s = idx as usize * record_len;
+                data.extend_from_slice(&src[s..s + record_len]);
+            }
+            buffers.insert(dst.0, StreamData::new(*record_len, data));
+        }
+        StreamOp::Load {
+            region,
+            record_len,
+            start,
+            records,
+            dst,
+        } => {
+            let s = start * record_len;
+            let data = memory.data(*region)[s..s + records * record_len].to_vec();
+            buffers.insert(dst.0, StreamData::new(*record_len, data));
+        }
+        StreamOp::Kernel {
+            kernel,
+            inputs,
+            outputs,
+            params,
+            iterations,
+            ..
+        } => {
+            let input_data: Vec<StreamData> = inputs
+                .iter()
+                .map(|b| produced(buffers, lop, *b, "input").cloned())
+                .collect::<Result<_, _>>()?;
+            let (outs, srf_words) = kernel_functional(
+                &lop.label,
+                kernel,
+                input_data,
+                params,
+                *iterations,
+                engine,
+                batch,
+            )?;
+            for (o, b) in outs.into_iter().zip(outputs) {
+                buffers.insert(b.0, o);
+            }
+            rec.kernel_srf_words = srf_words;
+        }
+        StreamOp::ScatterAdd { src, indices, .. } => {
+            let data = produced(buffers, lop, *src, "source")?;
+            if data.num_records() != indices.len() {
+                return Err(SimError::Program(format!(
+                    "scatter-add '{}': {} records vs {} indices",
+                    lop.label,
+                    data.num_records(),
+                    indices.len()
+                )));
+            }
+            return Ok((rec, Some(data)));
+        }
+        StreamOp::Store { src, .. } => {
+            let data = produced(buffers, lop, *src, "source")?;
+            rec.store_records = data.num_records();
+            return Ok((rec, Some(data)));
+        }
+    }
+    Ok((rec, None))
+}
+
+/// The stream an earlier op of the same program left in buffer `b`.
+fn produced<'b>(
+    buffers: &'b HashMap<usize, StreamData>,
+    lop: &LabelledOp,
+    b: BufferId,
+    what: &str,
+) -> Result<&'b StreamData, SimError> {
+    buffers.get(&b.0).ok_or_else(|| {
+        SimError::Program(format!(
+            "{} '{}': {what} buffer never produced",
+            lop.op.mnemonic(),
+            lop.label
+        ))
+    })
+}
+
+/// `dst[index record] += src record`, record by record in stream order.
+fn scatter_add_into(dst: &mut [f64], src: &StreamData, record_len: usize, indices: &[u32]) {
+    for (r, &idx) in indices.iter().enumerate() {
+        let base = idx as usize * record_len;
+        for (d, x) in dst[base..base + record_len].iter_mut().zip(src.record(r)) {
+            *d += *x;
+        }
+    }
+}
+
+/// Run a kernel op's dataflow graph: unroll check, input reshape,
+/// execution on the selected engine. Returns the output streams and the
+/// SRF words moved (inputs consumed + outputs written).
+fn kernel_functional(
+    label: &str,
+    kernel: &CompiledKernel,
+    input_data: Vec<StreamData>,
+    params: &[f64],
+    iterations: u64,
+    engine: KernelEngine,
+    batch: BatchWidth,
+) -> Result<(Vec<StreamData>, u64), SimError> {
+    let unroll = kernel.opt.unroll as u64;
+    if !iterations.is_multiple_of(unroll) {
+        return Err(SimError::Program(format!(
+            "kernel '{label}': {iterations} iterations not divisible by unroll {unroll}"
+        )));
+    }
+    // Reshape every-iteration inputs to the unrolled record length —
+    // skipped entirely when every input already matches the unrolled
+    // signature (unroll = 1, or pre-shaped buffers), so the common case
+    // moves no stream and re-validates nothing.
+    let all_match = input_data
+        .iter()
+        .zip(&kernel.ir.inputs)
+        .all(|(d, sig)| sig.record_len as usize == d.record_len);
+    let shaped = if all_match {
+        input_data
+    } else {
+        let mut shaped = Vec::with_capacity(input_data.len());
+        for (d, sig) in input_data.into_iter().zip(&kernel.ir.inputs) {
+            if sig.record_len as usize != d.record_len {
+                if d.data.len() % sig.record_len as usize != 0 {
+                    return Err(SimError::Program(format!(
+                        "kernel '{label}': input not reshapeable to {} words",
+                        sig.record_len
+                    )));
+                }
+                shaped.push(StreamData::new(sig.record_len as usize, d.data));
+            } else {
+                shaped.push(d);
+            }
+        }
+        shaped
+    };
+    let unrolled_iters = iterations / unroll;
+    let out = match engine {
+        KernelEngine::Batch => {
+            kernel
+                .tape
+                .run_batched(&shaped, params, unrolled_iters as usize, batch)?
+        }
+        KernelEngine::Interp => {
+            Interpreter::new(&kernel.ir).run(&shaped, params, unrolled_iters as usize)?
+        }
+    };
+    let mut srf_words = 0u64;
+    for (s, d) in out.records_consumed.iter().zip(&shaped) {
+        srf_words += (*s * d.record_len) as u64;
+    }
+    for o in &out.outputs {
+        srf_words += o.data.len() as u64;
+    }
+    Ok((out.outputs, srf_words))
+}
+
 /// Functionally execute one strip's ops against the (read-only) input
 /// regions, accumulating writes into private overlays and costing every
 /// memory op in op-index order against a private cold [`MemSystem`]
@@ -717,7 +945,7 @@ fn exec_strip(
     engine: KernelEngine,
     batch: BatchWidth,
 ) -> Result<StripOutcome, SimError> {
-    let mut buffers: HashMap<usize, StreamData> = HashMap::new();
+    let mut buffers = HashMap::new();
     let mut memsys = MemSystem::strip_shard(cfg);
     let mut out = StripOutcome {
         records: Vec::new(),
@@ -728,117 +956,17 @@ fn exec_strip(
     };
     for &i in ops {
         let lop = &program.ops[i];
-        match &lop.op {
-            StreamOp::Gather {
-                region,
-                record_len,
-                indices,
-                dst,
-            } => {
-                let cost = memsys.gather_cost(memory, *region, *record_len, indices, false);
-                let src = memory.data(*region);
-                let mut data = Vec::with_capacity(indices.len() * record_len);
-                for &idx in indices.iter() {
-                    let s = idx as usize * record_len;
-                    data.extend_from_slice(&src[s..s + record_len]);
-                }
-                buffers.insert(dst.0, StreamData::new(*record_len, data));
-                out.records.push((
-                    i,
-                    OpRecord {
-                        mem_cost: Some(cost),
-                        ..OpRecord::default()
-                    },
-                ));
-            }
-            StreamOp::Load {
-                region,
-                record_len,
-                start,
-                records,
-                dst,
-            } => {
-                let cost =
-                    memsys.sequential_cost(memory, *region, *record_len, *start, *records, false);
-                let s = start * record_len;
-                let data = memory.data(*region)[s..s + records * record_len].to_vec();
-                buffers.insert(dst.0, StreamData::new(*record_len, data));
-                out.records.push((
-                    i,
-                    OpRecord {
-                        mem_cost: Some(cost),
-                        ..OpRecord::default()
-                    },
-                ));
-            }
-            StreamOp::Kernel {
-                kernel,
-                inputs,
-                outputs,
-                params,
-                iterations,
-                ..
-            } => {
-                let input_data: Vec<StreamData> = inputs
-                    .iter()
-                    .map(|b| {
-                        buffers
-                            .get(&b.0)
-                            .ok_or_else(|| {
-                                SimError::Program(format!(
-                                    "kernel '{}': input buffer never produced",
-                                    lop.label
-                                ))
-                            })
-                            .cloned()
-                    })
-                    .collect::<Result<_, _>>()?;
-                let (outs, srf_words) = kernel_functional(
-                    &lop.label,
-                    kernel,
-                    input_data,
-                    params,
-                    *iterations,
-                    engine,
-                    batch,
-                )?;
-                for (o, b) in outs.into_iter().zip(outputs) {
-                    buffers.insert(b.0, o);
-                }
-                let unrolled = *iterations / kernel.opt.unroll as u64;
-                out.kernel_counters.srf_refs += srf_words;
-                out.kernel_counters.lrf_refs += kernel.stats.lrf_refs * unrolled;
-                out.kernel_counters.hardware_flops += kernel.stats.hardware_flops * unrolled;
-                out.kernel_counters.hardware_ops += kernel.stats.hardware_ops * unrolled;
-                out.kernel_counters.kernel_iterations += *iterations;
-                out.records.push((
-                    i,
-                    OpRecord {
-                        kernel_srf_words: srf_words,
-                        ..OpRecord::default()
-                    },
-                ));
-            }
-            StreamOp::ScatterAdd {
-                src,
-                region,
-                record_len,
-                indices,
-            } => {
-                let data = buffers.get(&src.0).ok_or_else(|| {
-                    SimError::Program(format!(
-                        "scatter-add '{}': source buffer never produced",
-                        lop.label
-                    ))
-                })?;
-                if data.num_records() != indices.len() {
-                    return Err(SimError::Program(format!(
-                        "scatter-add '{}': {} records vs {} indices",
-                        lop.label,
-                        data.num_records(),
-                        indices.len()
-                    )));
-                }
+        let (mut rec, src) = exec_op(memory, lop, &mut buffers, engine, batch)?;
+        match (&lop.op, src) {
+            (
+                StreamOp::ScatterAdd {
+                    region,
+                    record_len,
+                    indices,
+                    ..
+                },
+                Some(src),
+            ) => {
                 let pos = match out.scatter.iter().position(|(r, _)| *r == region.0) {
                     Some(p) => p,
                     None => {
@@ -847,48 +975,38 @@ fn exec_strip(
                         out.scatter.len() - 1
                     }
                 };
-                let overlay = &mut out.scatter[pos].1;
-                for (r, &idx) in indices.iter().enumerate() {
-                    let base = idx as usize * *record_len;
-                    for f in 0..*record_len {
-                        overlay[base + f] += data.record(r)[f];
-                    }
-                }
-                let cost = memsys.scatter_add_cost(memory, *region, *record_len, indices);
-                out.records.push((
-                    i,
-                    OpRecord {
-                        mem_cost: Some(cost),
-                        ..OpRecord::default()
-                    },
-                ));
+                scatter_add_into(&mut out.scatter[pos].1, src, *record_len, indices);
             }
-            StreamOp::Store {
-                src,
-                region,
-                record_len,
-                start,
-            } => {
-                let data = buffers.get(&src.0).ok_or_else(|| {
-                    SimError::Program(format!(
-                        "store '{}': source buffer never produced",
-                        lop.label
-                    ))
-                })?;
-                let records = data.num_records();
-                let cost =
-                    memsys.sequential_cost(memory, *region, *record_len, *start, records, true);
-                out.records.push((
-                    i,
-                    OpRecord {
-                        mem_cost: Some(cost),
-                        ..OpRecord::default()
-                    },
-                ));
-                out.stores
-                    .push((region.0, start * record_len, data.data.clone()));
+            (
+                StreamOp::Store {
+                    region,
+                    record_len,
+                    start,
+                    ..
+                },
+                Some(src),
+            ) => out
+                .stores
+                .push((region.0, start * record_len, src.data.clone())),
+            (
+                StreamOp::Kernel {
+                    kernel, iterations, ..
+                },
+                _,
+            ) => {
+                let unrolled = *iterations / kernel.opt.unroll as u64;
+                out.kernel_counters.srf_refs += rec.kernel_srf_words;
+                out.kernel_counters.lrf_refs += kernel.stats.lrf_refs * unrolled;
+                out.kernel_counters.hardware_flops += kernel.stats.hardware_flops * unrolled;
+                out.kernel_counters.hardware_ops += kernel.stats.hardware_ops * unrolled;
+                out.kernel_counters.kernel_iterations += *iterations;
             }
+            _ => {}
         }
+        if lop.op.is_memory() {
+            rec.mem_cost = Some(memsys.op_cost(memory, &lop.op, rec.store_records));
+        }
+        out.records.push((i, rec));
     }
     out.cache_stats = memsys.stats();
     Ok(out)

@@ -1,7 +1,7 @@
 //! Differential proof that the host engines are the same function: the
 //! reference graph-walking interpreter, the batched SoA tape (at both
-//! widths, 8 and 16) and `CompiledTape::run`, the scalar tape loop the
-//! batch remainder shares. Over random kernels (with and without
+//! widths, 8 and 16) and `CompiledTape::run`, the same loop at the one
+//! lane the batch remainder runs at. Over random kernels (with and without
 //! conditional streams, unrolled and not), each must produce
 //! bitwise-identical outputs, records-consumed counts, final registers —
 //! and identical errors when a stream underruns. Strip-level tests then
