@@ -18,24 +18,28 @@ use merrimac_kernel::{
     list_schedule, modulo_schedule, BatchWidth, CompiledTape, Interpreter, StreamData,
 };
 use merrimac_sim::cache::StreamCache;
-use merrimac_sim::{CompiledKernel, KernelOpt};
+use merrimac_sim::{CompiledKernel, KernelOpt, MemSystem, StreamOp};
 use streammd::kernels::{block_kernel, expanded_kernel, kernel_params, variable_kernel};
+use streammd::{StreamMdApp, Variant};
 
 const SAMPLES: usize = 20;
+
+/// Median of `SAMPLES` draws of `sample`.
+fn median(sample: impl FnMut() -> f64) -> f64 {
+    let mut draws: Vec<f64> = std::iter::repeat_with(sample).take(SAMPLES).collect();
+    draws.sort_by(f64::total_cmp);
+    draws[SAMPLES / 2]
+}
 
 /// Time `f` (warm-up pass, then median of `SAMPLES` runs) and return
 /// the median in seconds.
 fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
     black_box(f());
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(f());
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    let median = times[times.len() / 2];
+    let median = median(|| {
+        let t0 = Instant::now();
+        black_box(f());
+        t0.elapsed().as_secs_f64()
+    });
     println!(
         "{name:<32} {:>12.3} µs/iter (median of {SAMPLES})",
         median * 1e6
@@ -92,6 +96,52 @@ fn main() {
         let mut cache = StreamCache::new(&cfg);
         cache.access_trace(0..65536u64, false)
     });
+
+    // The two loops of the memory-timing half of a run, on the paper's
+    // expanded step: pricing one strip's scatter-adds against a cold
+    // shard (ns per word), and the scoreboard over the whole program
+    // (µs per op, from `RunReport::host`).
+    let (paper, paper_list) = merrimac_bench::paper_system();
+    let app = StreamMdApp::builder().build().expect("defaults are valid");
+    let step = app.build_step_program(&paper, &paper_list, Variant::Expanded);
+    let strip = step.program.ops[0].strip;
+    let scatters: Vec<_> = step
+        .program
+        .ops
+        .iter()
+        .filter(|lop| lop.strip == strip)
+        .filter_map(|lop| match &lop.op {
+            StreamOp::ScatterAdd {
+                region,
+                record_len,
+                indices,
+                ..
+            } => Some((*region, *record_len, indices.clone())),
+            _ => None,
+        })
+        .collect();
+    let words: usize = scatters.iter().map(|(_, len, idx)| len * idx.len()).sum();
+    let strip_s = bench("scatter_add_cost_expanded_strip", || {
+        let mut shard = MemSystem::strip_shard(&cfg);
+        for (region, len, idx) in &scatters {
+            black_box(shard.scatter_add_cost(&step.memory, *region, *len, idx));
+        }
+    });
+    println!(
+        "{:<32} {:>12.3} ns/word ({words} words)",
+        "",
+        strip_s * 1e9 / words as f64
+    );
+    let ops = step.program.ops.len();
+    let scoreboard_s = median(|| {
+        let outcome = app.run_step_program(&paper, &step).expect("expanded runs");
+        outcome.report.host.scoreboard.as_secs_f64()
+    });
+    println!(
+        "{:<32} {:>12.3} µs/op (median of {SAMPLES}, {ops} ops)",
+        "scoreboard_expanded_900",
+        scoreboard_s * 1e6 / ops as f64
+    );
 
     let costs = OpCosts::default();
     let k = lower_kernel(&expanded_kernel(), &costs);

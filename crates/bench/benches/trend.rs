@@ -230,7 +230,6 @@ fn main() {
 
     let baseline_dir = trend::baseline_dir();
     if std::env::var("TREND_REFRESH").map(|v| v == "1") == Ok(true) {
-        std::fs::create_dir_all(&baseline_dir).expect("create baseline dir");
         let path = current.write(&baseline_dir).expect("write baseline");
         println!("[ok] refreshed baseline {}", path.display());
         return;

@@ -523,8 +523,10 @@ impl PerfReport {
         Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Write `BENCH_<label>.json` under `dir`, returning the path.
+    /// Write `BENCH_<label>.json` under `dir` (created if missing),
+    /// returning the path.
     pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("BENCH_{}.json", self.label));
         std::fs::write(&path, self.to_json())?;
         Ok(path)
@@ -584,6 +586,19 @@ mod tests {
         let back = std::fs::read_to_string(&path).expect("reads");
         assert_eq!(back, json);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn write_creates_a_missing_report_dir() {
+        // A harness learns the directory from `BENCH_REPORT_DIR` only
+        // after its whole run; a missing one must not lose the report.
+        let root = std::env::temp_dir().join(format!("merrimac_report_{}", std::process::id()));
+        let dir = root.join("not").join("there");
+        let path = PerfReport::new("missing_dir", 8, 1)
+            .write(&dir)
+            .expect("creates the directory");
+        assert!(path.starts_with(&dir) && path.is_file());
+        std::fs::remove_dir_all(root).ok();
     }
 
     #[test]

@@ -40,7 +40,7 @@ use merrimac_net::multinode::{
     PhaseMessage,
 };
 use merrimac_net::topology::{NetError, Topology};
-use merrimac_sim::machine::SimError;
+use merrimac_sim::machine::{HostPhases, SimError};
 use merrimac_sim::StreamProgram;
 
 use crate::app::{StepOutcome, StepProgram, StreamMdApp};
@@ -64,6 +64,8 @@ pub struct NodeRun {
     /// words). Summed over nodes this matches the canonical forces up
     /// to floating-point association.
     pub forces: Vec<f64>,
+    /// Host time of this node's run by phase (zero for an idle node).
+    pub host: HostPhases,
 }
 
 /// Result of one simulated multi-node force step.
@@ -202,8 +204,9 @@ pub fn run_multinode_program(
         // the shared buffer/intent declarations, run on a private
         // memory shard (its halo arrives by message, so the shard
         // simply starts with the imported positions in place).
-        let (compute_cycles, forces) = if strips.is_empty() {
-            (0, vec![0.0; step.layout.force_records * w])
+        let (compute_cycles, forces, host) = if strips.is_empty() {
+            let idle = vec![0.0; step.layout.force_records * w];
+            (0, idle, HostPhases::default())
         } else {
             let sub = StreamProgram {
                 buffers: step.program.buffers.clone(),
@@ -218,7 +221,7 @@ pub fn run_multinode_program(
             };
             let mut mem = step.memory.clone();
             let report = proc.run_parallel(&mut mem, &sub, app.threads)?;
-            (report.cycles, mem.data(step.forces).to_vec())
+            (report.cycles, mem.data(step.forces).to_vec(), report.host)
         };
 
         // Halo traffic: positions referenced but not owned come in;
@@ -294,6 +297,7 @@ pub fn run_multinode_program(
             owned_molecules: owner.iter().filter(|&&o| o == node).count(),
             compute_cycles,
             forces,
+            host,
         });
     }
 

@@ -48,6 +48,18 @@ fn hydrogens(b: f64, theta: f64) -> (Vec3, Vec3) {
     (h1, h2)
 }
 
+/// Lennard-Jones `(C6, C12) = (4εσ⁶, 4εσ¹²)`. The powers are explicit
+/// products in the association `powi`'s runtime routine uses (σ²·σ⁴ and
+/// σ⁴·σ⁸): `powi` itself is folded at compile time in release builds but
+/// called in debug builds, one ulp apart, which made every force bit
+/// depend on the build profile.
+fn lj_c6_c12(eps: f64, sigma: f64) -> (f64, f64) {
+    let s2 = sigma * sigma;
+    let s4 = s2 * s2;
+    let s8 = s4 * s4;
+    (4.0 * eps * (s2 * s4), 4.0 * eps * (s4 * s8))
+}
+
 impl WaterModel {
     /// SPC: the simple point charge model (the paper's "model used for our
     /// GROMACS tests"). Bond 0.1 nm, tetrahedral angle 109.47°,
@@ -56,6 +68,7 @@ impl WaterModel {
         let (h1, h2) = hydrogens(0.1, 109.47_f64.to_radians());
         let sigma: f64 = 0.3166;
         let eps = 0.650;
+        let (c6, c12) = lj_c6_c12(eps, sigma);
         Self {
             name: "SPC".into(),
             sites: vec![
@@ -75,8 +88,8 @@ impl WaterModel {
                     mass: MASS_H,
                 },
             ],
-            c6: 4.0 * eps * sigma.powi(6),
-            c12: 4.0 * eps * sigma.powi(12),
+            c6,
+            c12,
         }
     }
 
@@ -85,6 +98,7 @@ impl WaterModel {
         let (h1, h2) = hydrogens(0.09572, 104.52_f64.to_radians());
         let sigma: f64 = 0.315_06;
         let eps = 0.6364;
+        let (c6, c12) = lj_c6_c12(eps, sigma);
         Self {
             name: "TIP3P".into(),
             sites: vec![
@@ -104,8 +118,8 @@ impl WaterModel {
                     mass: MASS_H,
                 },
             ],
-            c6: 4.0 * eps * sigma.powi(6),
-            c12: 4.0 * eps * sigma.powi(12),
+            c6,
+            c12,
         }
     }
 
@@ -121,6 +135,7 @@ impl WaterModel {
         let lp2 = Vec3::new(0.0, -l * lp_angle.sin(), -l * lp_angle.cos());
         let sigma: f64 = 0.312;
         let eps = 0.6694;
+        let (c6, c12) = lj_c6_c12(eps, sigma);
         Self {
             name: "TIP5P".into(),
             sites: vec![
@@ -150,8 +165,8 @@ impl WaterModel {
                     mass: 0.0,
                 },
             ],
-            c6: 4.0 * eps * sigma.powi(6),
-            c12: 4.0 * eps * sigma.powi(12),
+            c6,
+            c12,
         }
     }
 
@@ -166,6 +181,7 @@ impl WaterModel {
         let qh = 0.4622;
         let sigma: f64 = 0.3234;
         let eps = 0.600;
+        let (c6, c12) = lj_c6_c12(eps, sigma);
         Self {
             name: "PPC-static".into(),
             sites: vec![
@@ -185,8 +201,8 @@ impl WaterModel {
                     mass: MASS_H,
                 },
             ],
-            c6: 4.0 * eps * sigma.powi(6),
-            c12: 4.0 * eps * sigma.powi(12),
+            c6,
+            c12,
         }
     }
 
@@ -197,6 +213,7 @@ impl WaterModel {
     pub fn lj_atom() -> Self {
         let sigma: f64 = 0.34;
         let eps = 0.996;
+        let (c6, c12) = lj_c6_c12(eps, sigma);
         Self {
             name: "LJ-atom".into(),
             sites: vec![Site {
@@ -204,8 +221,8 @@ impl WaterModel {
                 charge: 0.0,
                 mass: 39.948,
             }],
-            c6: 4.0 * eps * sigma.powi(6),
-            c12: 4.0 * eps * sigma.powi(12),
+            c6,
+            c12,
         }
     }
 

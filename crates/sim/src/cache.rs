@@ -4,8 +4,15 @@
 //! The cache sits between the address generators and the external DRDRAM
 //! (Section 2.2). Gathers whose indices revisit recently-touched
 //! molecules hit in the cache and avoid DRAM traffic; the simulator runs
-//! every stream memory operation's word addresses through this model to
+//! every stream memory operation's address trace through this model to
 //! obtain hit/miss counts and per-bank pressure.
+//!
+//! Stream memory operations move *records* — runs of contiguous words —
+//! so the model is priced per **line segment** (the words of one run on
+//! one line): one lookup that advances the LRU clock, the counts and the
+//! bank load by the segment's `k` words leaves exactly the state and the
+//! statistics of `k` single-word lookups (DESIGN.md, "Memory timing").
+//! The per-word model survives as the test-only `reference` module.
 
 use merrimac_arch::MachineConfig;
 
@@ -50,15 +57,64 @@ struct Line {
     used: u64,
 }
 
+/// Division by a cache-shape constant. A line lookup is a handful of
+/// instructions, so the two `div`s that map an address to its line and
+/// bank would dominate it; every shipped shape is a power of two, where
+/// a shift or a mask does the same, and any other shape divides.
+#[derive(Debug, Clone, Copy)]
+struct ShapeDiv {
+    by: u64,
+    shift: Option<u32>,
+}
+
+impl ShapeDiv {
+    fn new(by: usize) -> Self {
+        let by = by as u64;
+        Self {
+            by,
+            shift: by.is_power_of_two().then(|| by.trailing_zeros()),
+        }
+    }
+
+    fn quot(self, x: u64) -> u64 {
+        match self.shift {
+            Some(shift) => x >> shift,
+            None => x / self.by,
+        }
+    }
+
+    fn rem(self, x: u64) -> u64 {
+        match self.shift {
+            Some(_) => x & (self.by - 1),
+            None => x % self.by,
+        }
+    }
+}
+
+/// The words of one run that fall on one line: at least one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment {
+    /// Line address (word address ÷ line words).
+    pub line: u64,
+    /// Bank the line lives in.
+    pub bank: usize,
+    /// First word address.
+    pub first: u64,
+    pub words: u64,
+}
+
 /// A set-associative, line-interleaved cache model.
 #[derive(Debug, Clone)]
 pub struct StreamCache {
-    line_words: u64,
+    line_words: ShapeDiv,
+    banks: ShapeDiv,
     ways: usize,
     sets: usize,
-    banks: usize,
     lines: Vec<Line>,
     clock: u64,
+    /// Accesses per bank of the trace in progress; every trace zeroes it
+    /// first, so it carries nothing from one trace to the next.
+    bank_load: Vec<u64>,
 }
 
 impl StreamCache {
@@ -66,10 +122,10 @@ impl StreamCache {
         let sets = cfg.cache_sets();
         assert!(sets > 0 && sets.is_power_of_two());
         Self {
-            line_words: cfg.cache_line_words as u64,
+            line_words: ShapeDiv::new(cfg.cache_line_words),
+            banks: ShapeDiv::new(cfg.cache_banks),
             ways: cfg.cache_ways,
             sets,
-            banks: cfg.cache_banks,
             lines: vec![
                 Line {
                     tag: 0,
@@ -80,35 +136,150 @@ impl StreamCache {
                 sets * cfg.cache_ways
             ],
             clock: 0,
+            bank_load: vec![0; cfg.cache_banks],
         }
     }
 
     /// Total capacity in words.
     pub fn capacity_words(&self) -> u64 {
-        (self.sets * self.ways) as u64 * self.line_words
+        (self.sets * self.ways) as u64 * self.line_words.by
+    }
+
+    /// The line segments of the word run `start..start + len`, in
+    /// address order.
+    pub(crate) fn segments(&self, start: u64, len: u64) -> impl Iterator<Item = Segment> {
+        let (line_words, banks) = (self.line_words, self.banks);
+        let mut line = line_words.quot(start);
+        let (mut first, end) = (start, start + len);
+        std::iter::from_fn(move || {
+            (first < end).then(|| {
+                let words = (end - first).min((line + 1) * line_words.by - first);
+                let bank = banks.rem(line) as usize;
+                let segment = Segment {
+                    line,
+                    bank,
+                    first,
+                    words,
+                };
+                line += 1;
+                first += words;
+                segment
+            })
+        })
     }
 
     /// Run a word-address trace through the cache. `write` marks lines
-    /// dirty (stores and scatter-adds).
+    /// dirty (stores and scatter-adds). Consecutive ascending addresses
+    /// are priced as one run.
     pub fn access_trace(
         &mut self,
         addrs: impl Iterator<Item = u64>,
         write: bool,
     ) -> CacheAccessStats {
+        let mut addrs = addrs.peekable();
+        let runs = std::iter::from_fn(|| {
+            let start = addrs.next()?;
+            let mut len = 1;
+            while addrs.next_if_eq(&(start + len)).is_some() {
+                len += 1;
+            }
+            Some((start, len))
+        });
+        self.access_runs(runs, write)
+    }
+
+    /// Run a trace of contiguous word runs `(start, len)` through the
+    /// cache: the result of a single-word access to every word of every
+    /// run in order, at one lookup per line segment.
+    pub(crate) fn access_runs(
+        &mut self,
+        runs: impl Iterator<Item = (u64, u64)>,
+        write: bool,
+    ) -> CacheAccessStats {
         let mut st = CacheAccessStats::default();
-        let mut bank_load = vec![0u64; self.banks];
+        self.bank_load.fill(0);
+        for (start, len) in runs {
+            for segment in self.segments(start, len) {
+                self.touch_line(segment, write, &mut st);
+            }
+        }
+        st.max_bank_load = self.bank_load.iter().copied().max().unwrap_or(0);
+        st
+    }
+
+    /// `k ≥ 1` consecutive accesses to one line (only the segment's line,
+    /// bank and word count matter). The first one hits, or misses and
+    /// replaces the set's LRU victim; the other `k − 1` hit the line it
+    /// left most-recently-used, so they only advance the clock, the
+    /// counts and the line's LRU stamp.
+    fn touch_line(&mut self, segment: Segment, write: bool, st: &mut CacheAccessStats) {
+        let (line_addr, k) = (segment.line, segment.words);
+        self.clock += k;
+        st.accesses += k;
+        self.bank_load[segment.bank] += k;
+        // `sets` is a power of two (asserted in `new`).
+        let base = (line_addr as usize & (self.sets - 1)) * self.ways;
+        let ways = &mut self.lines[base..base + self.ways];
+        if let Some(l) = ways.iter_mut().find(|l| l.valid && l.tag == line_addr) {
+            st.hits += k;
+            l.used = self.clock;
+            l.dirty |= write;
+            return;
+        }
+        st.misses += 1;
+        st.hits += k - 1;
+        // LRU victim.
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|l| if l.valid { l.used } else { 0 })
+            .expect("at least one way");
+        if victim.valid && victim.dirty {
+            st.writebacks += 1;
+        }
+        *victim = Line {
+            tag: line_addr,
+            valid: true,
+            dirty: write,
+            used: self.clock,
+        };
+    }
+
+    /// Forget all contents (e.g. between independent experiments).
+    pub fn flush(&mut self) {
+        for l in &mut self.lines {
+            l.valid = false;
+            l.dirty = false;
+        }
+    }
+}
+
+/// The per-word model the segment pricing must reproduce: every word
+/// address is looked up on its own. Test-only; the differential tests
+/// here and in [`crate::memsys`] compare the production trace against it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{CacheAccessStats, Line, StreamCache};
+
+    pub(crate) fn access_trace(
+        cache: &mut StreamCache,
+        addrs: impl Iterator<Item = u64>,
+        write: bool,
+    ) -> CacheAccessStats {
+        let mut st = CacheAccessStats::default();
+        let banks = cache.bank_load.len();
+        let mut bank_load = vec![0u64; banks];
         for addr in addrs {
-            self.clock += 1;
+            cache.clock += 1;
             st.accesses += 1;
-            let line_addr = addr / self.line_words;
-            bank_load[(line_addr % self.banks as u64) as usize] += 1;
-            let set = line_addr as usize % self.sets;
+            let line_addr = addr / cache.line_words.by;
+            bank_load[(line_addr % banks as u64) as usize] += 1;
+            let set = line_addr as usize % cache.sets;
             let tag = line_addr;
-            let base = set * self.ways;
-            let ways = &mut self.lines[base..base + self.ways];
+            let base = set * cache.ways;
+            let ways = &mut cache.lines[base..base + cache.ways];
             if let Some(l) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
                 st.hits += 1;
-                l.used = self.clock;
+                l.used = cache.clock;
                 l.dirty |= write;
                 continue;
             }
@@ -125,19 +296,11 @@ impl StreamCache {
                 tag,
                 valid: true,
                 dirty: write,
-                used: self.clock,
+                used: cache.clock,
             };
         }
         st.max_bank_load = bank_load.iter().copied().max().unwrap_or(0);
         st
-    }
-
-    /// Forget all contents (e.g. between independent experiments).
-    pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            l.valid = false;
-            l.dirty = false;
-        }
     }
 }
 
@@ -219,5 +382,54 @@ mod tests {
         let st = c.access_trace(std::iter::repeat_n(3, 100), false);
         assert_eq!(st.max_bank_load, 100);
         assert_eq!(st.misses, 1);
+    }
+
+    /// Both production entry points against the per-word reference on
+    /// two caches fed the same traces; comparing `lines` and `clock`
+    /// pins the state, not only the statistics.
+    fn assert_matches_reference(cfg: &MachineConfig, traces: &[(Vec<(u64, u64)>, bool)]) {
+        let words = |runs: &[(u64, u64)]| -> Vec<u64> {
+            runs.iter().flat_map(|&(s, l)| s..s + l).collect()
+        };
+        let (mut by_run, mut by_word, mut oracle) = (
+            StreamCache::new(cfg),
+            StreamCache::new(cfg),
+            StreamCache::new(cfg),
+        );
+        for (runs, write) in traces {
+            let want = reference::access_trace(&mut oracle, words(runs).into_iter(), *write);
+            assert_eq!(by_run.access_runs(runs.iter().copied(), *write), want);
+            assert_eq!(by_word.access_trace(words(runs).into_iter(), *write), want);
+            for c in [&by_run, &by_word] {
+                assert_eq!(c.lines, oracle.lines);
+                assert_eq!(c.clock, oracle.clock);
+            }
+        }
+    }
+
+    #[test]
+    fn record_longer_than_a_line_matches_per_word() {
+        // 20-word records on 8-word lines: three or four lines each,
+        // starting at every offset within a line.
+        let runs: Vec<(u64, u64)> = (0..40u64).map(|i| (i * 21, 20)).collect();
+        assert_matches_reference(
+            &MachineConfig::default(),
+            &[(runs.clone(), true), (runs, false)],
+        );
+    }
+
+    #[test]
+    fn non_contiguous_iterator_matches_per_word() {
+        // Repeats, descending addresses, same-line neighbours that are
+        // not adjacent words, and a tiny 2-set cache so victims and
+        // writebacks occur.
+        let cfg = MachineConfig {
+            cache_words: 64,
+            ..MachineConfig::default()
+        };
+        let addrs = [3u64, 3, 5, 1, 64, 66, 2, 130, 129, 128, 7, 8, 200, 0, 65];
+        let runs: Vec<(u64, u64)> = addrs.iter().map(|&a| (a, 1)).collect();
+        assert_matches_reference(&cfg, &[(runs.clone(), true), (runs, false)]);
+        assert_matches_reference(&cfg, &[(vec![], true), (vec![(9, 0)], false)]);
     }
 }

@@ -38,7 +38,8 @@ pub use cache::CacheAccessStats;
 pub use counters::{Counters, PhaseCycles};
 pub use kernelc::{CompiledKernel, KernelOpt};
 pub use machine::{
-    buffer_capacity_words, produced_buffers, KernelEngine, RunReport, SimError, StreamProcessor,
+    buffer_capacity_words, produced_buffers, HostPhases, KernelEngine, RunReport, SimError,
+    StreamProcessor,
 };
 pub use memsys::{MemOpCost, MemSystem};
 pub use merrimac_kernel::BatchWidth;

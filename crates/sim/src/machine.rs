@@ -14,6 +14,9 @@
 //! buffers. The functional execution of a program happens before it, in
 //! [`crate::parallel`], and reaches it as one [`OpRecord`] per op.
 
+use std::collections::BTreeMap;
+use std::time::Duration;
+
 use merrimac_arch::{MachineConfig, OpCosts};
 use merrimac_kernel::interp::InterpError;
 use merrimac_kernel::BatchWidth;
@@ -22,7 +25,7 @@ use crate::cache::CacheAccessStats;
 use crate::counters::{Counters, PhaseCycles};
 use crate::memsys::{MemOpCost, MemSystem};
 use crate::parallel::PartitionSummary;
-use crate::program::{BufferId, Memory, StreamOp, StreamProgram};
+use crate::program::{AccessKind, BufferId, Memory, StreamOp, StreamProgram};
 use crate::sdr::{SdrFile, SdrPolicy};
 use crate::srf::SrfAllocator;
 use crate::timeline::{Timeline, Unit};
@@ -98,6 +101,72 @@ impl From<InterpError> for SimError {
     }
 }
 
+/// Host wall-clock of one program run by pipeline phase: plain
+/// `Instant` deltas, so unlike every other field of a [`RunReport`] they
+/// differ from run to run and determinism checks must not compare them.
+/// The per-op phases are accumulated per strip and summed in strip
+/// order. On the serial fallback they stay zero: `phase_a_wall` is the
+/// whole functional pass and `scoreboard` includes pricing the memory
+/// ops.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HostPhases {
+    /// `validate_program` + `partition_program`.
+    pub validate_partition: Duration,
+    /// Phase A as the caller saw it: every strip's functional execution
+    /// and memory pricing, across the worker threads.
+    pub phase_a_wall: Duration,
+    /// Gathers materialised into strip buffers (summed over threads).
+    pub gather: Duration,
+    /// Sequential loads (summed over threads).
+    pub load: Duration,
+    /// Kernel launches, marshalling included (summed over threads).
+    pub kernel: Duration,
+    /// Scatter-adds and stores folded into the strip's overlays (summed
+    /// over threads).
+    pub scatter: Duration,
+    /// `MemSystem::op_cost` on the strip's shard (summed over threads).
+    pub op_cost: Duration,
+    /// Strip outcomes merged into per-op records and per-region overlay
+    /// lists.
+    pub merge: Duration,
+    /// Overlay tree-sum and its application, then the buffered stores.
+    pub reduce: Duration,
+    /// The timing scoreboard.
+    pub scoreboard: Duration,
+}
+
+impl HostPhases {
+    /// Add another run's (or strip's) phases to this one's.
+    pub fn add(&mut self, o: &HostPhases) {
+        self.validate_partition += o.validate_partition;
+        self.phase_a_wall += o.phase_a_wall;
+        self.gather += o.gather;
+        self.load += o.load;
+        self.kernel += o.kernel;
+        self.scatter += o.scatter;
+        self.op_cost += o.op_cost;
+        self.merge += o.merge;
+        self.reduce += o.reduce;
+        self.scoreboard += o.scoreboard;
+    }
+
+    /// Every phase with its field name, in pipeline order.
+    pub fn named(&self) -> [(&'static str, Duration); 10] {
+        [
+            ("validate_partition", self.validate_partition),
+            ("phase_a_wall", self.phase_a_wall),
+            ("gather", self.gather),
+            ("load", self.load),
+            ("kernel", self.kernel),
+            ("scatter", self.scatter),
+            ("op_cost", self.op_cost),
+            ("merge", self.merge),
+            ("reduce", self.reduce),
+            ("scoreboard", self.scoreboard),
+        ]
+    }
+}
+
 /// Report of one program run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -121,6 +190,8 @@ pub struct RunReport {
     /// partitioned runs this is the deterministic strip-order merge of
     /// the per-strip shard stats.
     pub cache_stats: CacheAccessStats,
+    /// Where the host's time went (not a simulated quantity).
+    pub host: HostPhases,
 }
 
 impl RunReport {
@@ -236,8 +307,8 @@ pub struct StreamProcessor {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpState {
     Waiting,
-    Running { end: u64 },
-    Done { end: u64 },
+    Running,
+    Done,
 }
 
 impl StreamProcessor {
@@ -374,58 +445,25 @@ impl StreamProcessor {
                 records.len()
             )));
         }
-
-        // ---- static dependence analysis --------------------------------
-        // Producer of each buffer; consumers of each buffer.
-        let mut producer: Vec<Option<usize>> = vec![None; n_bufs];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n_bufs];
-        for (i, lop) in program.ops.iter().enumerate() {
-            for b in produced_buffers(&lop.op) {
-                if producer[b.0].is_some() {
-                    return Err(SimError::Program(format!(
-                        "buffer {} has two producers",
-                        program.buffers[b.0].name
-                    )));
-                }
-                producer[b.0] = Some(i);
-            }
-            for b in consumed_buffers(&lop.op) {
-                consumers[b.0].push(i);
-            }
-        }
-        // Op-level dependencies: buffer producers, plus region hazards
-        // (any earlier op that writes a region this op touches, and any
-        // earlier op that reads a region this op writes).
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
-        for (i, lop) in program.ops.iter().enumerate() {
-            for b in consumed_buffers(&lop.op) {
-                match producer[b.0] {
-                    Some(p) => deps[i].push(p),
-                    None => {
-                        return Err(SimError::Program(format!(
-                            "buffer {} consumed but never produced",
-                            program.buffers[b.0].name
-                        )))
-                    }
-                }
-            }
-            let (reads, writes) = region_access(&lop.op);
-            for (j, other) in program.ops.iter().enumerate().take(i) {
-                let (oreads, owrites) = region_access(&other.op);
-                let raw = reads.iter().any(|r| owrites.contains(r));
-                let war = writes.iter().any(|w| oreads.contains(w));
-                let waw = writes.iter().any(|w| owrites.contains(w));
-                if raw || war || waw {
-                    deps[i].push(j);
-                }
-            }
-        }
+        let table = OpTable::new(program)?;
 
         // ---- dynamic state ----------------------------------------------
         let mut state = vec![OpState::Waiting; n_ops];
+        // Every op below this index is done.
+        let mut first_open = 0usize;
+        // Ops in flight as `(op, end)`: one per unit, plus any zero-cost
+        // ops started in the same cycle.
+        let mut running: Vec<(usize, u64)> = Vec::new();
+        // Unfinished ops per strip; the first key bounds the prefetch
+        // window.
+        let mut open_strips: BTreeMap<usize, usize> = BTreeMap::new();
+        for lop in &program.ops {
+            *open_strips.entry(lop.strip).or_default() += 1;
+        }
         let mut buffer_released = vec![false; n_bufs];
-        let mut consumers_left: Vec<usize> = consumers.iter().map(|c| c.len()).collect();
+        let mut consumers_left = table.consumers.clone();
         let mut srf = SrfAllocator::new(&self.cfg);
+        let srf_words = srf.capacity_words_per_cluster() * self.cfg.clusters;
         let mut sdr = SdrFile::new(self.cfg.stream_descriptor_registers);
         // SDRs held by memory op i awaiting a late (naive-policy) release:
         // maps buffer -> count of SDRs released when that buffer dies.
@@ -444,66 +482,39 @@ impl StreamProcessor {
         // Release a buffer's SRF space and any naive-policy SDRs parked
         // on it.
         macro_rules! release_buffer {
-            ($b:expr, $sdr:ident) => {{
+            ($b:expr) => {{
                 let b: usize = $b;
                 if !buffer_released[b] {
                     buffer_released[b] = true;
                     srf.release(b);
                     for _ in 0..sdr_held_on_buffer[b] {
-                        $sdr.release();
+                        sdr.release();
                     }
                     sdr_held_on_buffer[b] = 0;
                 }
             }};
         }
 
-        // Mark op completion effects.
-        macro_rules! complete_op {
-            ($i:expr, $end:expr) => {{
-                let i: usize = $i;
-                state[i] = OpState::Done { end: $end };
-                done_count += 1;
-                // Consumption bookkeeping: each buffer this op consumed
-                // loses one consumer; at zero the buffer dies.
-                for b in consumed_buffers(&program.ops[i].op) {
-                    consumers_left[b.0] -= 1;
-                    if consumers_left[b.0] == 0 {
-                        release_buffer!(b.0, sdr);
-                    }
-                }
-                // Buffers produced but never consumed die immediately.
-                for b in produced_buffers(&program.ops[i].op) {
-                    if consumers[b.0].is_empty() {
-                        release_buffer!(b.0, sdr);
-                    }
-                }
-            }};
-        }
-
         while done_count < n_ops {
-            // Finish anything that completed by `now`.
-            // (Completion is processed when time advances; see below.)
-
             let mut started_something = false;
             let mut mem_blocked_on_sdr = false;
 
             // Oldest strip that still has unfinished work bounds the
             // prefetch window.
-            let min_incomplete_strip = program
-                .ops
-                .iter()
-                .zip(&state)
-                .filter(|(_, st)| !matches!(st, OpState::Done { .. }))
-                .map(|(op, _)| op.strip)
-                .min()
-                .unwrap_or(usize::MAX);
+            let horizon = open_strips
+                .keys()
+                .next()
+                .map_or(usize::MAX, |s| s.saturating_add(self.strip_lookahead));
+            while state.get(first_open) == Some(&OpState::Done) {
+                first_open += 1;
+            }
 
-            for i in 0..n_ops {
+            for i in first_open..n_ops {
                 if state[i] != OpState::Waiting {
                     continue;
                 }
                 let lop = &program.ops[i];
-                if lop.strip > min_incomplete_strip.saturating_add(self.strip_lookahead) {
+                if lop.strip > horizon {
                     continue;
                 }
                 let is_mem = lop.op.is_memory();
@@ -515,44 +526,36 @@ impl StreamProcessor {
                 if !unit_free {
                     continue;
                 }
-                let ready = deps[i].iter().all(|&d| match state[d] {
-                    OpState::Done { end } => end <= now,
-                    _ => false,
-                });
-                if !ready {
+                // Completion is processed as time advances, so a done
+                // dependency ended at or before `now`.
+                if !table.deps(i).iter().all(|&d| state[d] == OpState::Done) {
                     continue;
                 }
                 // Resources: SRF for produced buffers.
-                let mut allocated: Vec<usize> = Vec::new();
-                let mut srf_ok = true;
-                for b in produced_buffers(&lop.op) {
-                    let words = buffer_capacity_words(program, &lop.op, b);
-                    if words > srf.capacity_words_per_cluster() * self.cfg.clusters {
+                let produced = table.produced(i);
+                let mut allocated = 0;
+                for &(b, words) in produced {
+                    if words > srf_words {
                         return Err(SimError::SrfImpossible(format!(
                             "buffer {} needs {} words",
-                            program.buffers[b.0].name, words
+                            program.buffers[b].name, words
                         )));
                     }
-                    match srf.alloc(b.0, words) {
-                        Ok(()) => allocated.push(b.0),
-                        Err(_) => {
-                            srf_ok = false;
-                            break;
-                        }
+                    if srf.alloc(b, words).is_err() {
+                        break;
                     }
+                    allocated += 1;
                 }
-                if !srf_ok {
-                    for b in allocated {
+                // SDR for memory ops, asked for only once the SRF fits. A
+                // refused candidate gives its SRF space back, but the
+                // allocator's peak has seen it.
+                let srf_ok = allocated == produced.len();
+                let sdr_ok = srf_ok && (!is_mem || sdr.try_alloc());
+                if !sdr_ok {
+                    for &(b, _) in &produced[..allocated] {
                         srf.release(b);
                     }
-                    continue;
-                }
-                // SDR for memory ops.
-                if is_mem && !sdr.try_alloc() {
-                    for b in &allocated {
-                        srf.release(*b);
-                    }
-                    mem_blocked_on_sdr = true;
+                    mem_blocked_on_sdr |= srf_ok;
                     continue;
                 }
 
@@ -602,7 +605,8 @@ impl StreamProcessor {
                 };
 
                 let end = now + cost_cycles;
-                state[i] = OpState::Running { end };
+                state[i] = OpState::Running;
+                running.push((i, end));
                 match &lop.op {
                     StreamOp::Gather { .. } => phases.gather += cost_cycles,
                     StreamOp::Load { .. } => phases.load += cost_cycles,
@@ -619,14 +623,11 @@ impl StreamProcessor {
                         // frees it when that stream dies; the eager one
                         // (and ops with no produced stream) free it at
                         // operation completion.
-                        if self.policy == SdrPolicy::Naive {
-                            if let Some(b) = produced_buffers(&lop.op).first() {
-                                sdr_held_on_buffer[b.0] += 1;
-                            } else {
-                                releases_at_completion[i] = true;
+                        match produced.first() {
+                            Some(&(b, _)) if self.policy == SdrPolicy::Naive => {
+                                sdr_held_on_buffer[b] += 1
                             }
-                        } else {
-                            releases_at_completion[i] = true;
+                            _ => releases_at_completion[i] = true,
                         }
                     }
                     Unit::Kernel => kernel_free_at = end,
@@ -640,36 +641,44 @@ impl StreamProcessor {
             }
 
             // Advance time to the next completion.
-            let next = state
-                .iter()
-                .filter_map(|s| match s {
-                    OpState::Running { end } => Some(*end),
-                    _ => None,
-                })
-                .min();
-            match next {
-                Some(t) => {
-                    if mem_blocked_on_sdr && mem_free_at <= now {
-                        sdr_stall_cycles += t - now;
-                    }
-                    now = t;
-                    // Complete everything ending at or before `now`.
-                    for i in 0..n_ops {
-                        if let OpState::Running { end } = state[i] {
-                            if end <= now {
-                                if releases_at_completion[i] {
-                                    sdr.release();
-                                }
-                                complete_op!(i, end);
-                            }
-                        }
+            let Some(next) = running.iter().map(|&(_, end)| end).min() else {
+                return Err(SimError::Deadlock(format!(
+                    "{} of {} ops done, nothing running",
+                    done_count, n_ops
+                )));
+            };
+            if mem_blocked_on_sdr && mem_free_at <= now {
+                sdr_stall_cycles += next - now;
+            }
+            now = next;
+            // Complete everything ending at or before `now`, in op order.
+            running.sort_unstable();
+            while let Some(at) = running.iter().position(|&(_, end)| end <= now) {
+                let (i, _) = running.remove(at);
+                if releases_at_completion[i] {
+                    sdr.release();
+                }
+                state[i] = OpState::Done;
+                done_count += 1;
+                let strip = program.ops[i].strip;
+                let open = open_strips.get_mut(&strip).expect("op's strip was counted");
+                *open -= 1;
+                if *open == 0 {
+                    open_strips.remove(&strip);
+                }
+                // Consumption bookkeeping: each buffer this op consumed
+                // loses one consumer; at zero the buffer dies.
+                for &b in table.consumed(i) {
+                    consumers_left[b] -= 1;
+                    if consumers_left[b] == 0 {
+                        release_buffer!(b);
                     }
                 }
-                None => {
-                    return Err(SimError::Deadlock(format!(
-                        "{} of {} ops done, nothing running",
-                        done_count, n_ops
-                    )));
+                // Buffers produced but never consumed die immediately.
+                for &(b, _) in table.produced(i) {
+                    if table.consumers[b] == 0 {
+                        release_buffer!(b);
+                    }
                 }
             }
         }
@@ -687,7 +696,107 @@ impl StreamProcessor {
             // merged per-strip shard stats.
             partition: PartitionSummary::default(),
             cache_stats: memsys.stats(),
+            host: HostPhases::default(),
         })
+    }
+}
+
+/// What the scoreboard reads of a program's static shape, built once
+/// per schedule: each op's produced buffers (with their worst-case SRF
+/// words), consumed buffers and dependencies, as ranges of three flat
+/// arrays.
+struct OpTable {
+    /// `(buffer, capacity words)` of every produced buffer, op by op.
+    produced: Vec<(usize, usize)>,
+    consumed: Vec<usize>,
+    deps: Vec<usize>,
+    /// Where each op's slice of `[produced, consumed, deps]` starts; one
+    /// more entry than ops, so op `i` owns `bounds[i]..bounds[i + 1]`.
+    bounds: Vec<[usize; 3]>,
+    /// Consumer ops per buffer.
+    consumers: Vec<usize>,
+}
+
+impl OpTable {
+    fn new(program: &StreamProgram) -> Result<Self, SimError> {
+        let n_bufs = program.buffers.len();
+        let mut t = OpTable {
+            produced: Vec::new(),
+            consumed: Vec::new(),
+            deps: Vec::new(),
+            bounds: vec![[0; 3]],
+            consumers: vec![0; n_bufs],
+        };
+        // Producer of each buffer.
+        let mut producer: Vec<Option<usize>> = vec![None; n_bufs];
+        for (i, lop) in program.ops.iter().enumerate() {
+            for b in produced_buffers(&lop.op) {
+                if producer[b.0].is_some() {
+                    return Err(SimError::Program(format!(
+                        "buffer {} has two producers",
+                        program.buffers[b.0].name
+                    )));
+                }
+                producer[b.0] = Some(i);
+            }
+        }
+        // Region hazards. An op must follow every earlier op that writes
+        // a region it touches and every earlier op that reads a region it
+        // writes; depending on the region's last writer and the reads
+        // since is enough, because that writer could only issue once
+        // everything before it on the region had completed.
+        #[derive(Default)]
+        struct RegionOrder {
+            last_writer: Option<usize>,
+            reads_since: Vec<usize>,
+        }
+        let mut regions: BTreeMap<usize, RegionOrder> = BTreeMap::new();
+        for (i, lop) in program.ops.iter().enumerate() {
+            for b in produced_buffers(&lop.op) {
+                let words = buffer_capacity_words(program, &lop.op, b);
+                t.produced.push((b.0, words));
+            }
+            for b in consumed_buffers(&lop.op) {
+                let Some(p) = producer[b.0] else {
+                    return Err(SimError::Program(format!(
+                        "buffer {} consumed but never produced",
+                        program.buffers[b.0].name
+                    )));
+                };
+                t.consumed.push(b.0);
+                t.consumers[b.0] += 1;
+                t.deps.push(p);
+            }
+            if let Some((region, kind)) = lop.op.region_use() {
+                let order = regions.entry(region.0).or_default();
+                t.deps.extend(order.last_writer);
+                if kind == AccessKind::Read {
+                    order.reads_since.push(i);
+                } else {
+                    t.deps.append(&mut order.reads_since);
+                    order.last_writer = Some(i);
+                }
+            }
+            t.bounds
+                .push([t.produced.len(), t.consumed.len(), t.deps.len()]);
+        }
+        Ok(t)
+    }
+
+    fn span(&self, op: usize, array: usize) -> std::ops::Range<usize> {
+        self.bounds[op][array]..self.bounds[op + 1][array]
+    }
+
+    fn produced(&self, op: usize) -> &[(usize, usize)] {
+        &self.produced[self.span(op, 0)]
+    }
+
+    fn consumed(&self, op: usize) -> &[usize] {
+        &self.consumed[self.span(op, 1)]
+    }
+
+    fn deps(&self, op: usize) -> &[usize] {
+        &self.deps[self.span(op, 2)]
     }
 }
 
@@ -706,17 +815,6 @@ fn consumed_buffers(op: &StreamOp) -> Vec<BufferId> {
         StreamOp::Kernel { inputs, .. } => inputs.clone(),
         StreamOp::ScatterAdd { src, .. } | StreamOp::Store { src, .. } => vec![*src],
         _ => vec![],
-    }
-}
-
-/// (regions read, regions written)
-fn region_access(op: &StreamOp) -> (Vec<usize>, Vec<usize>) {
-    match op {
-        StreamOp::Gather { region, .. } | StreamOp::Load { region, .. } => (vec![region.0], vec![]),
-        StreamOp::ScatterAdd { region, .. } | StreamOp::Store { region, .. } => {
-            (vec![], vec![region.0])
-        }
-        StreamOp::Kernel { .. } => (vec![], vec![]),
     }
 }
 

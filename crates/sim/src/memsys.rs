@@ -6,8 +6,8 @@
 //! * the two address generators produce up to 8 single-word addresses per
 //!   cycle (Table 1), bounding any gather/scatter to 8 words/cycle;
 //! * the stream cache sustains 8 words per cycle across its banks; the
-//!   actual address trace is run through the [`StreamCache`] model to
-//!   split hits from misses;
+//!   op's address trace — one contiguous run of words per record — is
+//!   run through the [`StreamCache`] model to split hits from misses;
 //! * misses and writebacks move whole lines over the DRDRAM interface at
 //!   the random-access rate for gathers/scatters (2 words/cycle) or the
 //!   streaming rate for unit-stride transfers (4.8 words/cycle);
@@ -18,10 +18,14 @@
 //!
 //! The returned cost is the max of the bottleneck terms — the standard
 //! throughput composition for decoupled stream memory systems.
+//!
+//! Cache and combining store are both priced per *line segment* of a
+//! record, never per word; the per-word model they must reproduce op
+//! for op is the test-only `reference` module at the end of this file.
 
 use merrimac_arch::MachineConfig;
 
-use crate::cache::{CacheAccessStats, StreamCache};
+use crate::cache::{CacheAccessStats, Segment, StreamCache};
 use crate::program::{Memory, RegionId, StreamOp};
 
 /// Cost and traffic of one stream memory operation.
@@ -47,6 +51,75 @@ pub struct MemSystem {
     cache: StreamCache,
     /// Cumulative cache behaviour over every op costed so far.
     stats: CacheAccessStats,
+    combining: CombiningStore,
+}
+
+/// The scatter-add units' combining stores: per bank, a FIFO window of
+/// the last `window` word addresses that bank's unit added to. An add
+/// to an address still in its bank's window merges for free; any other
+/// add occupies the unit and enters the window, evicting the oldest
+/// entry of a full one. `window == 0` disables combining. The windows
+/// live for one scatter-add op.
+#[derive(Debug, Clone)]
+struct CombiningStore {
+    window: usize,
+    /// `banks × window` slots; bank `b` owns `b * window ..`, of which
+    /// the first `len[b]` are valid.
+    entries: Vec<u64>,
+    len: Vec<usize>,
+    /// Slot each bank writes next, wrapping: the first free one, then
+    /// the oldest of a full window.
+    next: Vec<usize>,
+    /// Adds each bank's unit performed (the ones that did not merge).
+    load: Vec<u64>,
+}
+
+impl CombiningStore {
+    fn new(banks: usize, window: usize) -> Self {
+        Self {
+            window,
+            entries: vec![0; banks * window],
+            len: vec![0; banks],
+            next: vec![0; banks],
+            load: vec![0; banks],
+        }
+    }
+
+    /// Empty every window and zero the loads, for the next op.
+    fn reset(&mut self) {
+        self.len.fill(0);
+        self.next.fill(0);
+        self.load.fill(0);
+    }
+
+    /// Adds to the consecutive words of one line segment. When no entry
+    /// of its bank's window lies in the segment none of the words can
+    /// merge — they are distinct, and pushing one never brings another
+    /// into the window — so all are performed without looking each one
+    /// up.
+    fn add_segment(&mut self, segment: Segment) {
+        let (bank, start, k) = (segment.bank, segment.first, segment.words);
+        self.load[bank] += k;
+        if self.window == 0 {
+            return;
+        }
+        let slots = &mut self.entries[bank * self.window..][..self.window];
+        let (len, next) = (&mut self.len[bank], &mut self.next[bank]);
+        let fresh = slots[..*len].iter().all(|&e| e.wrapping_sub(start) >= k);
+        for word in start..start + k {
+            if !fresh && slots[..*len].contains(&word) {
+                self.load[bank] -= 1; // combined
+                continue;
+            }
+            slots[*next] = word;
+            *next = if *next + 1 == slots.len() {
+                0
+            } else {
+                *next + 1
+            };
+            *len = (*len + 1).min(slots.len());
+        }
+    }
 }
 
 impl MemSystem {
@@ -55,6 +128,7 @@ impl MemSystem {
             cfg: cfg.clone(),
             cache: StreamCache::new(cfg),
             stats: CacheAccessStats::default(),
+            combining: CombiningStore::new(cfg.cache_banks, cfg.combining_store_entries),
         }
     }
 
@@ -145,6 +219,26 @@ impl MemSystem {
         ag.max(cache).max(dram)
     }
 
+    /// Fold one op's cache trace into the running stats and price it:
+    /// misses and writebacks move whole lines over the DRAM pins.
+    fn traced_cost(
+        &mut self,
+        cache: CacheAccessStats,
+        words: u64,
+        addresses: u64,
+        random: bool,
+    ) -> MemOpCost {
+        self.stats.merge(&cache);
+        let dram_words = (cache.misses + cache.writebacks) * self.line_words();
+        MemOpCost {
+            cycles: self.throughput_cycles(words, addresses, dram_words, random),
+            words,
+            addresses,
+            cache,
+            dram_words,
+        }
+    }
+
     /// Cost an indexed gather of `indices.len()` records of `record_len`
     /// words.
     ///
@@ -166,22 +260,10 @@ impl MemSystem {
     ) -> MemOpCost {
         let words = (indices.len() * record_len) as u64;
         if self.cfg.cache_allocates_gathers {
-            let addrs = indices.iter().flat_map(|&i| {
-                let base = i as u64 * record_len as u64;
-                (0..record_len as u64).map(move |f| base + f)
-            });
-            let trace = addrs.map(|w| mem.word_address(region, w));
-            let cache = self.cache.access_trace(trace, write);
-            self.stats.merge(&cache);
-            let dram_words = (cache.misses + cache.writebacks) * self.line_words();
-            let cycles = self.throughput_cycles(words, words, dram_words, true);
-            return MemOpCost {
-                cycles,
-                words,
-                addresses: words,
-                cache,
-                dram_words,
-            };
+            let cache = self
+                .cache
+                .access_runs(record_runs(mem, region, record_len, indices), write);
+            return self.traced_cost(cache, words, words, true);
         }
         let cache = crate::cache::CacheAccessStats {
             accesses: words,
@@ -211,25 +293,16 @@ impl MemSystem {
         write: bool,
     ) -> MemOpCost {
         let words = (records * record_len) as u64;
-        let base = (start * record_len) as u64;
-        let trace = (base..base + words).map(|w| mem.word_address(region, w));
-        let cache = self.cache.access_trace(trace, write);
-        self.stats.merge(&cache);
-        let dram_words = (cache.misses + cache.writebacks) * self.line_words();
+        let first = mem.word_address(region, (start * record_len) as u64);
+        let cache = self
+            .cache
+            .access_runs(std::iter::once((first, words)), write);
         // Strided transfers need one address per record, not per word.
-        let addresses = records as u64;
-        let cycles = self.throughput_cycles(words, addresses, dram_words, false);
-        MemOpCost {
-            cycles,
-            words,
-            addresses,
-            cache,
-            dram_words,
-        }
+        self.traced_cost(cache, words, records as u64, false)
     }
 
     /// Cost a scatter-add of `indices.len()` records. Bank pressure and
-    /// combining are modelled per word address.
+    /// combining are modelled per line segment of each record.
     pub fn scatter_add_cost(
         &mut self,
         mem: &Memory,
@@ -239,59 +312,154 @@ impl MemSystem {
     ) -> MemOpCost {
         let words = (indices.len() * record_len) as u64;
         // Cache trace (read-modify-write marks lines dirty).
-        let addrs: Vec<u64> = indices
-            .iter()
-            .flat_map(|&i| {
-                let base = i as u64 * record_len as u64;
-                (0..record_len as u64).map(move |f| base + f)
-            })
-            .map(|w| mem.word_address(region, w))
-            .collect();
-        let cache = self.cache.access_trace(addrs.iter().copied(), true);
-        self.stats.merge(&cache);
-        let dram_words = (cache.misses + cache.writebacks) * self.line_words();
+        let cache = self
+            .cache
+            .access_runs(record_runs(mem, region, record_len, indices), true);
+        let mut cost = self.traced_cost(cache, words, words, true);
 
         // Per-bank scatter-add pressure with a combining window: an add
         // matching an address already in the bank's combining store merges
         // for free.
-        let banks = self.cfg.cache_banks;
-        let window = self.cfg.combining_store_entries;
         let units = self.cfg.scatter_add_units_per_bank.max(1) as u64;
-        let mut bank_load = vec![0u64; banks];
-        let mut windows: Vec<std::collections::VecDeque<u64>> =
-            vec![std::collections::VecDeque::with_capacity(window); banks];
-        for &a in &addrs {
-            let b = ((a / self.line_words()) % banks as u64) as usize;
-            if window > 0 && windows[b].contains(&a) {
-                continue; // combined
+        self.combining.reset();
+        for (start, len) in record_runs(mem, region, record_len, indices) {
+            for segment in self.cache.segments(start, len) {
+                self.combining.add_segment(segment);
             }
-            if window > 0 {
-                if windows[b].len() == window {
-                    windows[b].pop_front();
-                }
-                windows[b].push_back(a);
-            }
-            bank_load[b] += 1;
         }
-        let bank_cycles = bank_load
+        let bank_cycles = self
+            .combining
+            .load
             .iter()
             .map(|&l| l.div_ceil(units))
             .max()
             .unwrap_or(0);
-        let base = self.throughput_cycles(words, words, dram_words, true);
-        let cycles = base.max(bank_cycles) + self.cfg.scatter_add_latency;
-        MemOpCost {
-            cycles,
-            words,
-            addresses: words,
-            cache,
-            dram_words,
+        cost.cycles = cost.cycles.max(bank_cycles) + self.cfg.scatter_add_latency;
+        cost
+    }
+}
+
+/// The word runs `(first address, record_len)` of an indexed op's
+/// records, in index order.
+fn record_runs<'a>(
+    mem: &'a Memory,
+    region: RegionId,
+    record_len: usize,
+    indices: &'a [u32],
+) -> impl Iterator<Item = (u64, u64)> + 'a {
+    let len = record_len as u64;
+    indices
+        .iter()
+        .map(move |&i| (mem.word_address(region, i as u64 * len), len))
+}
+
+/// The per-word pricing the production methods above must reproduce
+/// op for op: every word address goes through the per-word cache model
+/// ([`crate::cache::reference`]) and a double-ended-queue combining window.
+/// Test-only; `tests::run_pricing_equals_per_word_model` is the
+/// differential test against it.
+#[cfg(test)]
+mod reference {
+    use std::collections::VecDeque;
+
+    use super::*;
+    use crate::cache::reference::access_trace;
+
+    fn word_addresses<'a>(
+        mem: &'a Memory,
+        region: RegionId,
+        record_len: usize,
+        indices: &'a [u32],
+    ) -> impl Iterator<Item = u64> + 'a {
+        indices
+            .iter()
+            .flat_map(move |&i| {
+                let base = i as u64 * record_len as u64;
+                (0..record_len as u64).map(move |f| base + f)
+            })
+            .map(move |w| mem.word_address(region, w))
+    }
+
+    impl MemSystem {
+        pub(super) fn gather_cost_per_word(
+            &mut self,
+            mem: &Memory,
+            region: RegionId,
+            record_len: usize,
+            indices: &[u32],
+            write: bool,
+        ) -> MemOpCost {
+            if !self.cfg.cache_allocates_gathers {
+                // Non-allocating gathers never reach the cache.
+                return self.gather_cost(mem, region, record_len, indices, write);
+            }
+            let words = (indices.len() * record_len) as u64;
+            let trace = word_addresses(mem, region, record_len, indices);
+            let cache = access_trace(&mut self.cache, trace, write);
+            self.traced_cost(cache, words, words, true)
+        }
+
+        pub(super) fn sequential_cost_per_word(
+            &mut self,
+            mem: &Memory,
+            region: RegionId,
+            record_len: usize,
+            start: usize,
+            records: usize,
+            write: bool,
+        ) -> MemOpCost {
+            let words = (records * record_len) as u64;
+            let base = (start * record_len) as u64;
+            let trace = (base..base + words).map(|w| mem.word_address(region, w));
+            let cache = access_trace(&mut self.cache, trace, write);
+            self.traced_cost(cache, words, records as u64, false)
+        }
+
+        pub(super) fn scatter_add_cost_per_word(
+            &mut self,
+            mem: &Memory,
+            region: RegionId,
+            record_len: usize,
+            indices: &[u32],
+        ) -> MemOpCost {
+            let words = (indices.len() * record_len) as u64;
+            let addrs: Vec<u64> = word_addresses(mem, region, record_len, indices).collect();
+            let cache = access_trace(&mut self.cache, addrs.iter().copied(), true);
+            let mut cost = self.traced_cost(cache, words, words, true);
+
+            let banks = self.cfg.cache_banks;
+            let window = self.cfg.combining_store_entries;
+            let units = self.cfg.scatter_add_units_per_bank.max(1) as u64;
+            let mut bank_load = vec![0u64; banks];
+            let mut windows: Vec<VecDeque<u64>> = vec![VecDeque::with_capacity(window); banks];
+            for &a in &addrs {
+                let b = ((a / self.line_words()) % banks as u64) as usize;
+                if window > 0 && windows[b].contains(&a) {
+                    continue; // combined
+                }
+                if window > 0 {
+                    if windows[b].len() == window {
+                        windows[b].pop_front();
+                    }
+                    windows[b].push_back(a);
+                }
+                bank_load[b] += 1;
+            }
+            let bank_cycles = bank_load
+                .iter()
+                .map(|&l| l.div_ceil(units))
+                .max()
+                .unwrap_or(0);
+            cost.cycles = cost.cycles.max(bank_cycles) + self.cfg.scatter_add_latency;
+            cost
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn setup(words: usize) -> (MemSystem, Memory, RegionId) {
@@ -410,5 +578,102 @@ mod tests {
         let cl = ms.gather_cost(&mem, r, 9, &large, false);
         assert!(cl.cycles > cs.cycles * 16);
         assert_eq!(cl.words, 4096 * 9);
+    }
+
+    #[test]
+    fn empty_index_streams_cost_only_the_fixed_latency() {
+        let (mut ms, mem, r) = setup(64);
+        let gather = ms.gather_cost(&mem, r, 9, &[], false);
+        assert_eq!((gather.cycles, gather.words), (0, 0));
+        let scatter = ms.scatter_add_cost(&mem, r, 9, &[]);
+        assert_eq!(scatter.cycles, MachineConfig::default().scatter_add_latency);
+        assert_eq!(scatter.cache, CacheAccessStats::default());
+        assert_eq!(ms.sequential_cost(&mem, r, 9, 3, 0, true).words, 0);
+        assert_eq!(ms.stats(), CacheAccessStats::default());
+    }
+
+    /// One memory op of the differential test, over a region of
+    /// `RECORDS` records: an index stream or a `(start, records)` range.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Gather(Vec<u32>, bool),
+        ScatterAdd(Vec<u32>),
+        Sequential(usize, usize, bool),
+    }
+
+    const RECORDS: u32 = 96;
+
+    /// Index streams with repeats (a small range) and hot spots (half
+    /// the draws land on three records).
+    fn indices() -> impl Strategy<Value = Vec<u32>> {
+        prop::collection::vec((0u32..RECORDS, 0u32..6), 0..120).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(i, hot)| if hot < 3 { 7 + hot } else { i })
+                .collect()
+        })
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u32..4, indices(), 0usize..RECORDS as usize, 0u32..2).prop_map(
+            |(kind, idx, start, write)| match kind {
+                0 => Op::Gather(idx, write == 1),
+                1 | 2 => Op::ScatterAdd(idx),
+                _ => Op::Sequential(start, idx.len().min(RECORDS as usize - start), write == 1),
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Sequences of gather / load / scatter-add / store ops on one
+        /// warm `MemSystem` price exactly as the per-word model does, op
+        /// by op: equal later costs is what proves equal cache state.
+        #[test]
+        fn run_pricing_equals_per_word_model(
+            // 3-word lines (and most bank counts) take the dividing
+            // arm of the address → line → bank mapping, not the shift.
+            line_words in prop::sample::select(vec![1usize, 3, 4, 8]),
+            (ways, banks) in (prop::sample::select(vec![1usize, 2, 4]), 1usize..9),
+            window in prop::sample::select(vec![0usize, 1, 8]),
+            units in 1usize..3,
+            record_len in 1usize..13,
+            ops in prop::collection::vec(op(), 1..10),
+        ) {
+            // A 16-set cache: small enough that the traces evict.
+            let cfg = MachineConfig {
+                cache_line_words: line_words,
+                cache_ways: ways,
+                cache_words: 16 * ways * line_words,
+                cache_banks: banks,
+                combining_store_entries: window,
+                scatter_add_units_per_bank: units,
+                cache_allocates_gathers: true,
+                ..MachineConfig::default()
+            };
+            let mut mem = Memory::new();
+            mem.region("pad", vec![0.0; 13]);
+            let r = mem.region("r", vec![0.0; RECORDS as usize * record_len]);
+            let (mut ms, mut oracle) = (MemSystem::new(&cfg), MemSystem::new(&cfg));
+            for op in &ops {
+                let (got, want) = match op {
+                    Op::Gather(idx, write) => (
+                        ms.gather_cost(&mem, r, record_len, idx, *write),
+                        oracle.gather_cost_per_word(&mem, r, record_len, idx, *write),
+                    ),
+                    Op::ScatterAdd(idx) => (
+                        ms.scatter_add_cost(&mem, r, record_len, idx),
+                        oracle.scatter_add_cost_per_word(&mem, r, record_len, idx),
+                    ),
+                    Op::Sequential(start, n, write) => (
+                        ms.sequential_cost(&mem, r, record_len, *start, *n, *write),
+                        oracle.sequential_cost_per_word(&mem, r, record_len, *start, *n, *write),
+                    ),
+                };
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(ms.stats(), oracle.stats());
+            }
+        }
     }
 }

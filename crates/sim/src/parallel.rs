@@ -60,6 +60,7 @@
 //!    through those records.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::Instant;
 
 use merrimac_arch::MachineConfig;
 use merrimac_kernel::interp::{Interpreter, StreamData};
@@ -70,8 +71,8 @@ use crate::cache::CacheAccessStats;
 use crate::counters::Counters;
 use crate::kernelc::CompiledKernel;
 use crate::machine::{
-    buffer_capacity_words, produced_buffers, KernelEngine, OpRecord, RunReport, SimError,
-    StreamProcessor,
+    buffer_capacity_words, produced_buffers, HostPhases, KernelEngine, OpRecord, RunReport,
+    SimError, StreamProcessor,
 };
 use crate::memsys::MemSystem;
 use crate::program::{
@@ -595,6 +596,8 @@ struct StripOutcome {
     kernel_counters: Counters,
     /// Cumulative cache behaviour of this strip's memory shard.
     cache_stats: CacheAccessStats,
+    /// Host time of this strip's ops by kind, and of pricing them.
+    host: HostPhases,
 }
 
 impl StreamProcessor {
@@ -623,21 +626,32 @@ impl StreamProcessor {
     ) -> Result<RunReport, SimError> {
         // Reject un-runnable programs before burning functional work on
         // them; the scoreboard relies on this having passed.
+        let t = Instant::now();
         self.validate_program(program)?;
         let partition = partition_program(program);
+        let mut host = HostPhases {
+            validate_partition: t.elapsed(),
+            ..HostPhases::default()
+        };
         if self.partition_verbose {
             eprintln!("{}", partition.describe(program, memory));
         }
         let summary = partition.summary();
         if !partition.is_parallel() {
+            let t = Instant::now();
             let records = exec_serial(memory, program, self.kernel_engine, self.tape_batch)?;
+            host.phase_a_wall = t.elapsed();
+            let t = Instant::now();
             let mut report = self.schedule(memory, program, &records)?;
+            host.scoreboard = t.elapsed();
             report.partition = summary;
+            report.host = host;
             return Ok(report);
         }
         let strips = partition.strips;
 
         // ---- phase A: per-strip functional execution + memory costs ----
+        let t = Instant::now();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads.max(1))
             .build()
@@ -653,8 +667,10 @@ impl StreamProcessor {
                 .collect()
         });
         let outcomes = outcomes?;
+        host.phase_a_wall = t.elapsed();
 
         // ---- deterministic merge --------------------------------------
+        let t = Instant::now();
         let mut records: Vec<OpRecord> = vec![OpRecord::default(); program.ops.len()];
         let mut kernel_counters = Counters::default();
         let mut cache_stats = CacheAccessStats::default();
@@ -666,6 +682,7 @@ impl StreamProcessor {
             // and shard cache stats, in ascending strip order.
             kernel_counters.add(&o.kernel_counters);
             cache_stats.merge(&o.cache_stats);
+            host.add(&o.host);
         }
         // Scatter overlays, grouped by region in strip order, reduced by
         // a fixed-shape pairwise tree, then added into the base region.
@@ -677,6 +694,8 @@ impl StreamProcessor {
             }
             stores.extend(o.stores);
         }
+        host.merge = t.elapsed();
+        let t = Instant::now();
         for (region, overlays) in by_region {
             let total = pool.install(|| tree_sum(overlays));
             for (d, v) in memory.data_mut(RegionId(region)).iter_mut().zip(&total) {
@@ -687,9 +706,12 @@ impl StreamProcessor {
             let dst = memory.data_mut(RegionId(region));
             dst[start..start + data.len()].copy_from_slice(&data);
         }
+        host.reduce = t.elapsed();
 
         // ---- phase B: serial timing over the per-op records ------------
+        let t = Instant::now();
         let mut report = self.schedule(memory, program, &records)?;
+        host.scoreboard = t.elapsed();
         debug_assert_eq!(
             (
                 kernel_counters.srf_refs,
@@ -709,6 +731,7 @@ impl StreamProcessor {
         );
         report.partition = summary;
         report.cache_stats = cache_stats;
+        report.host = host;
         Ok(report)
     }
 }
@@ -953,9 +976,11 @@ fn exec_strip(
         stores: Vec::new(),
         kernel_counters: Counters::default(),
         cache_stats: CacheAccessStats::default(),
+        host: HostPhases::default(),
     };
     for &i in ops {
         let lop = &program.ops[i];
+        let t = Instant::now();
         let (mut rec, src) = exec_op(memory, lop, &mut buffers, engine, batch)?;
         match (&lop.op, src) {
             (
@@ -1003,8 +1028,16 @@ fn exec_strip(
             }
             _ => {}
         }
+        *match &lop.op {
+            StreamOp::Gather { .. } => &mut out.host.gather,
+            StreamOp::Load { .. } => &mut out.host.load,
+            StreamOp::Kernel { .. } => &mut out.host.kernel,
+            StreamOp::ScatterAdd { .. } | StreamOp::Store { .. } => &mut out.host.scatter,
+        } += t.elapsed();
         if lop.op.is_memory() {
+            let t = Instant::now();
             rec.mem_cost = Some(memsys.op_cost(memory, &lop.op, rec.store_records));
+            out.host.op_cost += t.elapsed();
         }
         out.records.push((i, rec));
     }

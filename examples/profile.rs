@@ -1,0 +1,40 @@
+//! Where a force step's host time goes: `RunReport::host` per variant on
+//! the paper's 900-molecule box, per-step means in ms over warm steps at
+//! 2 engine threads. The columns from `gather` to `op_cost` are summed
+//! over the worker threads, so they can exceed `phase_a_wall`.
+//!
+//! ```sh
+//! cargo run --release --example profile
+//! ```
+
+use std::time::Instant;
+
+use merrimac_repro::prelude::*;
+use merrimac_repro::sim::HostPhases;
+
+const STEPS: u32 = 20;
+
+fn main() {
+    let system = WaterBox::paper_dataset(42);
+    let app = StreamMdApp::builder().threads(2).build().expect("valid");
+    let list = NeighborList::build(&system, app.neighbor);
+    print!("{:10} {:>7}", "variant", "step");
+    for (name, _) in HostPhases::default().named() {
+        print!(" {name:>w$}", w = name.len().max(6));
+    }
+    println!();
+    for variant in Variant::ALL {
+        let run = || app.run_step_with_list(&system, &list, variant);
+        run().expect("runs"); // warm: kernel compile, allocator
+        let (mut host, t) = (HostPhases::default(), Instant::now());
+        for _ in 0..STEPS {
+            host.add(&run().expect("runs").report.host);
+        }
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3 / STEPS as f64;
+        print!("{:10} {:7.2}", variant.name(), ms(t.elapsed()));
+        for (name, d) in host.named() {
+            print!(" {:w$.2}", ms(d), w = name.len().max(6));
+        }
+        println!();
+    }
+}
