@@ -1,14 +1,16 @@
-//! BATCH_PLAN_SPLIT: audit every launched kernel's three-phase batch
-//! plan against the invariants the SoA engine's correctness rests on.
+//! BATCH_PLAN_SPLIT: audit every launched kernel's staged batch plan
+//! against the invariants the SoA engine's correctness rests on.
 //!
-//! `BatchPlan::analyze` splits a tape into `vec_pre` (lane-independent,
-//! vectorized before lane state exists), `seq` (the per-lane scalar
-//! core: register chains and conditional pops in iteration order) and
-//! `vec_post` (lane-coupled but state-free consumers). The batch engine
-//! is bitwise-identical to the interpreter *only if* every op lands in
-//! exactly one phase, conditional reads stay sequential, no phase-1 op
-//! reads lane-coupled state, nothing the next lane needs resolves in
-//! phase 3, and each phase preserves tape (SSA) order.
+//! `BatchPlan::analyze` splits a tape into vector stages around a pop
+//! scan and a latch fill (`vec_pre`, `pops`, `vec_pop`, the fill,
+//! `vec_latch`), then `seq` (the per-lane scalar core: the register
+//! chains and conditional pops that are left) and `vec_post`. The batch
+//! engine is bitwise-identical to the interpreter *only if* every op
+//! lands in exactly one stage, a stream's conditional reads are all in
+//! `pops` — their predicates and fallbacks lane-independent — or all in
+//! `seq`, a latch's update is `Sel(p, x, ReadReg(r))` with `p` and `x`
+//! written before the fill, no op reads a slot a later stage writes,
+//! and each stage preserves tape (SSA) order.
 //!
 //! `CompiledTape::audit_batch_plan` re-derives those invariants from
 //! the tape — independently of the analysis that built the plan — and

@@ -25,7 +25,7 @@
 //! * [`underrun`] — statically proves underrun-freedom for every
 //!   kernel launch, or pinpoints the first offending iteration
 //!   (STREAM_UNDERRUN);
-//! * [`batch_split`] — audits each kernel's cached three-phase batch
+//! * [`batch_split`] — audits each kernel's cached staged batch
 //!   plan against the SoA engine's invariants (BATCH_PLAN_SPLIT).
 //!
 //! The last three share the [`dataflow`] abstract-interpretation

@@ -126,7 +126,7 @@ impl Lint {
                 "a kernel launch is statically proven to underrun one of its input streams"
             }
             Lint::BatchPlanSplit => {
-                "a compiled tape's three-phase batch plan violates the compress/expand split invariants"
+                "a compiled tape's staged batch plan violates the compress/expand split invariants"
             }
         }
     }
@@ -283,17 +283,19 @@ impl Lint {
                  the launch's iterations to what the buffer holds."
             }
             Lint::BatchPlanSplit => {
-                "The batched SoA engine executes each compiled tape in three\n\
-                 dataflow-ordered phases: `vec_pre` (lane-independent ops,\n\
-                 vectorized), `seq` (conditional reads plus the lane-coupled slice\n\
-                 feeding register updates and pop predicates, scalar in iteration\n\
-                 order) and `vec_post` (lane-coupled but state-free consumers,\n\
-                 vectorized after the sequential core resolves). Bitwise identity\n\
-                 with the interpreter holds only while the split satisfies its\n\
-                 invariants: every tape op lands in exactly one phase, conditional\n\
-                 reads stay sequential, no pre-phase op reads a register slot or a\n\
-                 later phase's result, no sequential op reads a post-phase result,\n\
-                 and each phase preserves tape (SSA) order.\n\
+                "The batched SoA engine executes each compiled tape in\n\
+                 dataflow-ordered stages: `vec_pre` (lane-independent ops), `pops`\n\
+                 (one lane-order scan resolving every conditional stream whose\n\
+                 predicates and fallbacks are `vec_pre` values), `vec_pop`, the latch\n\
+                 fill (registers whose one update is `Sel(p, x, own read)`: moves\n\
+                 only), `vec_latch`, `seq` (the remaining conditional reads and\n\
+                 register chains, scalar in iteration order) and `vec_post`. Bitwise\n\
+                 identity with the interpreter holds only while the split satisfies\n\
+                 its invariants: every tape op lands in exactly one stage; a stream's\n\
+                 conditional reads are all in `pops`, their predicates and fallbacks\n\
+                 lane-independent, or all in `seq`; a latch's update is that select,\n\
+                 its operands written before the fill; no op reads a slot a later\n\
+                 stage writes; and each stage preserves tape (SSA) order.\n\
                  \n\
                  This pass audits the plan cached on every compiled kernel against\n\
                  those invariants and reports each violation with the offending op\n\

@@ -18,7 +18,7 @@ use merrimac_kernel::{
     list_schedule, modulo_schedule, BatchWidth, CompiledTape, Interpreter, StreamData,
 };
 use merrimac_sim::cache::StreamCache;
-use merrimac_sim::{CompiledKernel, KernelOpt, MemSystem, StreamOp};
+use merrimac_sim::{CompiledKernel, KernelOpt, MemSystem, StreamOp, StreamProcessor};
 use streammd::kernels::{block_kernel, expanded_kernel, kernel_params, variable_kernel};
 use streammd::{StreamMdApp, Variant};
 
@@ -223,6 +223,83 @@ fn main() {
             .run_batched(&vinputs, &kparams, n, BatchWidth::W8)
             .expect("batch")
     });
+
+    // What a launch costs around its tape: one strip of the paper's
+    // 900-molecule program through the real `exec_op` path
+    // (`HostPhases::kernel` of a run of that strip alone), beside the
+    // bare tape on the same streams.
+    for variant in [Variant::Expanded, Variant::Variable] {
+        let step = app.build_step_program(&paper, &paper_list, variant);
+        let mut program = step.program.clone();
+        let strip = program.ops[0].strip;
+        program.ops.retain(|lop| lop.strip == strip);
+        let launch = program.ops.iter().find_map(|lop| match &lop.op {
+            StreamOp::Kernel {
+                kernel,
+                inputs,
+                params,
+                iterations,
+                ..
+            } => Some((kernel, inputs, params, *iterations as usize)),
+            _ => None,
+        });
+        let (kernel, inputs, params, iterations) = launch.expect("a strip launches its kernel");
+        let streams: Vec<StreamData> = inputs
+            .iter()
+            .map(|b| {
+                let staged = program.ops.iter().find_map(|lop| match &lop.op {
+                    StreamOp::Gather {
+                        region,
+                        record_len,
+                        indices,
+                        dst,
+                    } if dst == b => {
+                        let src = step.memory.data(*region);
+                        let words = indices
+                            .iter()
+                            .flat_map(|&i| &src[i as usize * record_len..][..*record_len]);
+                        Some(StreamData::new(*record_len, words.copied().collect()))
+                    }
+                    StreamOp::Load {
+                        region,
+                        record_len,
+                        start,
+                        records,
+                        dst,
+                    } if dst == b => {
+                        let src = &step.memory.data(*region)[start * record_len..];
+                        Some(StreamData::new(
+                            *record_len,
+                            src[..records * record_len].to_vec(),
+                        ))
+                    }
+                    _ => None,
+                });
+                staged.expect("a gather or a load stages every kernel input")
+            })
+            .collect();
+        let name = variant.name();
+        let tape_s = bench(&format!("tape_{name}_strip"), || {
+            kernel
+                .tape
+                .run_batched(&streams, params, iterations, BatchWidth::W8)
+                .expect("batch")
+        });
+        let proc = StreamProcessor::new(cfg.clone());
+        let launch_s = median(|| {
+            let mut memory = step.memory.clone();
+            let report = proc.run(&mut memory, &program).expect("strip runs");
+            report.host.kernel.as_secs_f64()
+        });
+        println!(
+            "{:<32} {:>12.3} µs/iter (median of {SAMPLES}); launch/tape {:.2}x, \
+             {:.0} ns per kernel iteration of {iterations}",
+            format!("launch_{name}_strip"),
+            launch_s * 1e6,
+            launch_s / tape_s,
+            launch_s * 1e9 / iterations as f64
+        );
+    }
 
     println!();
     engine_summary(

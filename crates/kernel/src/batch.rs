@@ -12,41 +12,54 @@
 //!
 //! Bitwise identity with the interpreter is the hard constraint. It is
 //! preserved by partitioning the tape at compile time ([`BatchPlan`])
-//! into three dataflow-ordered phases:
+//! into stages, each reading only what an earlier stage (or, in tape
+//! order, its own) has written for every lane. A batch runs:
 //!
-//! 1. **`vec_pre`** — ops with no transitive dependence on loop-carried
-//!    registers or conditional reads. Lane-independent, so they run
-//!    vectorized over the whole batch first. For the arithmetic-heavy
-//!    StreamMD variants this is nearly the entire tape.
-//! 2. **`seq`** — the loop-carried core: every conditional read plus
-//!    the lane-coupled backward slice feeding register updates and pop
-//!    predicates/fallbacks. These run scalar, lane by lane in iteration
-//!    order, so conditional pops happen in exactly the interpreter's
-//!    order (iteration-major, op order within an iteration) and
-//!    register chains thread through the batch unchanged. This is the
-//!    compress side of the paper's conditional-stream semantics: a pop
-//!    fills only the lanes whose predicate is live; inactive lanes take
-//!    their fallback value.
-//! 3. **`vec_post`** — lane-coupled consumers that feed neither
-//!    register updates nor pops; once phase 2 has materialized per-lane
-//!    register and conditional-read values they vectorize too.
+//! 1. **`vec_pre`** — ops on this iteration's own stream records,
+//!    constants and params: lane-independent, so vectorized. For the
+//!    every-iteration StreamMD variants this is nearly the entire tape.
+//! 2. **`pops`** — the conditional reads of every *resolvable* stream,
+//!    one whose pop predicates and fallbacks are all `vec_pre` values.
+//!    Which lanes pop is then known for the whole batch: one lane-order
+//!    scan over the predicate lanes pops the records — iteration-major,
+//!    tape order within an iteration, so each pop sees the cursor the
+//!    interpreter's would and an underrun blames the same lane — and
+//!    gathers each read's field, or its fallback, into its lane. This is
+//!    the compress side of the paper's conditional streams; it advances
+//!    integers and copies words, so it is exact.
+//! 3. **`vec_pop`** — vectorized ops on the popped values.
+//! 4. **`latches`** — a register whose one update is
+//!    `Sel(p, x, ReadReg(r))`, `p` and `x` known by now, never computes:
+//!    lane `l` of its read holds the `x` of the last earlier lane with
+//!    `p ≠ 0`, or the value carried into the batch. That forward fill is
+//!    moves only, so no bit can change; the `Sel` itself stays an
+//!    ordinary vector op on the filled read.
+//! 5. **`vec_latch`** — vectorized ops on the latched values: for
+//!    `variable`, the whole interaction.
+//! 6. **`seq`** — what is really serial: the other registers, the
+//!    conditional reads of streams with a lane-coupled predicate or
+//!    fallback, and the coupled backward slice feeding those register
+//!    updates and pops. Scalar, lane by lane in iteration order, so
+//!    register chains thread through the batch as in the interpreter.
+//! 7. **`vec_post`** — lane-coupled consumers that feed neither
+//!    register updates nor pops, vectorized once `seq` has run.
 //!
 //! Every op still computes the same `f64` expression on the same
-//! operand values, so reordering between phases cannot change a single
+//! operand values, so reordering between stages cannot change a single
 //! bit. Writes drain lane-major (iteration order) at batch end, which
 //! expands conditionally-written records in exactly the interpreter's
 //! append order. The remainder — `iterations % B` — runs through the
 //! *same* `exec_batch` at one lane, carrying the same stream state, and
 //! [`CompiledTape::run`] is that loop from iteration zero: there is no
-//! second iteration body. An
-//! every-iteration stream that cannot cover the launch bounds the loop
-//! and is blamed once, after it. `tests/tape_equivalence.rs` pins all of
-//! this differentially against the interpreter.
+//! second iteration body. An every-iteration stream that cannot cover
+//! the launch bounds the loop and is blamed once, after it.
+//! `tests/tape_equivalence.rs` and `tests/conditional_batch.rs` pin all
+//! of this differentially against the interpreter.
 
 use std::fmt;
 
-use crate::interp::{InterpError, InterpOutput, StreamData};
-use crate::tape::{mask, Code, CompiledTape, TapeOp, NO_COND};
+use crate::interp::{InterpError, InterpOutput, StreamData, StreamView};
+use crate::tape::{mask, Code, CompiledTape, TapeOp, APPEND, NO_COND};
 
 /// Lane count of the batched SoA engine: 8 or 16 iterations per batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,19 +112,40 @@ impl std::fmt::Display for BatchWidth {
     }
 }
 
-/// Compile-time phase partition of a tape's ops (see the module docs).
-/// Built once in [`CompiledTape::compile`] and cached on the tape, so
-/// every launch reuses the analysis.
+/// A register that only ever latches: its one update is
+/// `Sel(pred, fresh, ReadReg(reg))`.
+#[derive(Debug, Clone)]
+pub(crate) struct Latch {
+    pub(crate) reg: u32,
+    /// Every `ReadReg(reg)` slot.
+    pub(crate) reads: Vec<u32>,
+    pub(crate) pred: u32,
+    pub(crate) fresh: u32,
+}
+
+/// Compile-time stage partition of a tape's ops, in execution order
+/// (see the module docs). Built once in [`CompiledTape::compile`] and
+/// cached on the tape, so every launch reuses the analysis.
 #[derive(Debug, Clone, Default)]
 pub struct BatchPlan {
-    /// Phase 1: lane-independent ops, vectorized before any lane state.
     pub(crate) vec_pre: Vec<TapeOp>,
-    /// Phase 2: the scalar per-lane core, in original tape order.
+    /// Conditional reads of the resolvable streams, in tape order.
+    pub(crate) pops: Vec<TapeOp>,
+    pub(crate) vec_pop: Vec<TapeOp>,
+    pub(crate) latches: Vec<Latch>,
+    pub(crate) vec_latch: Vec<TapeOp>,
+    /// The scalar per-lane core, in original tape order.
     pub(crate) seq: Vec<TapeOp>,
-    /// Phase 3: lane-coupled but state-free consumers, vectorized after
-    /// phase 2 resolves the per-lane register/conditional values.
     pub(crate) vec_post: Vec<TapeOp>,
 }
+
+/// The stage from which a slot holds its value for every lane of a
+/// batch: at once, after the pop scan, after the latch fill, or only
+/// lane by lane.
+const PRE: u8 = 0;
+const POP: u8 = 1;
+const LATCH: u8 = 2;
+const COUPLED: u8 = 3;
 
 impl BatchPlan {
     pub(crate) fn analyze(tape: &CompiledTape) -> Self {
@@ -119,78 +153,108 @@ impl BatchPlan {
         // A slot is lane-coupled when its value is not a pure function
         // of this iteration's own stream records: register reads carry
         // state from earlier lanes, conditional reads depend on the
-        // shared pop cursor. Coupling propagates forward through use.
-        let mut coupled = vec![false; n];
+        // shared pop cursor. Coupling propagates forward through use —
+        // but only from the pops and registers that do not resolve
+        // without arithmetic, which the next two steps take out.
+        let mut stage = vec![PRE; n];
         for &(dst, _) in &tape.reg_reads {
-            coupled[dst as usize] = true;
+            stage[dst as usize] = COUPLED;
         }
-        for op in &tape.ops {
-            if op.code == Code::CondRead
-                || used_args(op)
-                    .into_iter()
-                    .flatten()
-                    .any(|a| coupled[a as usize])
-            {
-                coupled[op.dst as usize] = true;
+        let mut resolved = vec![false; tape.input_every_iter.len()];
+        let propagate = |stage: &mut [u8], resolved: &[bool]| {
+            for op in &tape.ops {
+                stage[op.dst as usize] = if op.code != Code::CondRead {
+                    let args = tape.operands(op).into_iter().flatten();
+                    args.map(|a| stage[a as usize]).max().unwrap_or(PRE)
+                } else if resolved[tape.cond_reads[op.a as usize].stream as usize] {
+                    POP
+                } else {
+                    COUPLED
+                };
+            }
+        };
+        propagate(&mut stage, &resolved);
+        // A stream resolves when every pop on it is decided by `vec_pre`
+        // values alone; one coupled slot keeps all its reads in `seq`.
+        resolved.fill(true);
+        for cr in &tape.cond_reads {
+            if stage[cr.pred as usize] != PRE || stage[cr.fallback as usize] != PRE {
+                resolved[cr.stream as usize] = false;
             }
         }
+        propagate(&mut stage, &resolved);
+        let mut plan = BatchPlan::default();
+        for &(reg, v) in &tape.reg_updates {
+            let sel = tape.ops.iter().find(|op| {
+                (op.dst, op.code) == (v, Code::Sel)
+                    && stage[op.a as usize] <= POP
+                    && stage[op.b as usize] <= POP
+                    && tape.reg_reads.contains(&(op.c, reg))
+                    && tape.reg_updates.iter().filter(|u| u.0 == reg).count() == 1
+            });
+            if let Some(op) = sel {
+                let reads = tape.reg_reads.iter().filter(|rr| rr.1 == reg);
+                let reads: Vec<u32> = reads.map(|rr| rr.0).collect();
+                for &slot in &reads {
+                    stage[slot as usize] = LATCH;
+                }
+                let (pred, fresh) = (op.a, op.b);
+                plan.latches.push(Latch {
+                    reg,
+                    reads,
+                    pred,
+                    fresh,
+                });
+            }
+        }
+        propagate(&mut stage, &resolved);
         // `needed` marks the backward slice that must resolve before
-        // the next lane may start: register-update sources plus pop
-        // predicates and fallbacks.
+        // the next lane may start: the pops left to `seq`, with their
+        // predicates and fallbacks, and the sources of the register
+        // updates it performs.
         let mut needed = vec![false; n];
-        for &(_, v) in &tape.reg_updates {
+        for &(_, v) in tape.reg_updates.iter().filter(|u| !plan.latched(u.0)) {
             needed[v as usize] = true;
         }
-        for cr in &tape.cond_reads {
-            needed[cr.pred as usize] = true;
-            needed[cr.fallback as usize] = true;
-        }
         for op in tape.ops.iter().rev() {
-            if op.code != Code::CondRead && needed[op.dst as usize] {
-                for a in used_args(op).into_iter().flatten() {
+            if needed[op.dst as usize]
+                || stage[op.dst as usize] == COUPLED && op.code == Code::CondRead
+            {
+                for a in tape.operands(op).into_iter().flatten() {
                     needed[a as usize] = true;
                 }
             }
         }
-        // Uncoupled ops never observe lane state, so hoisting them to
-        // phase 1 is dataflow-safe even when `needed` (their results are
-        // ready before any lane of phase 2 reads them). Coupled ops stay
+        // Uncoupled ops never observe lane state, so running them ahead
+        // of `seq` is dataflow-safe even when `needed`. Coupled ops stay
         // sequential only while something per-lane depends on them.
-        let mut plan = BatchPlan::default();
         for op in &tape.ops {
-            if op.code == Code::CondRead {
-                plan.seq.push(*op);
-            } else if !coupled[op.dst as usize] {
-                plan.vec_pre.push(*op);
-            } else if needed[op.dst as usize] {
-                plan.seq.push(*op);
-            } else {
-                plan.vec_post.push(*op);
+            let cond = op.code == Code::CondRead;
+            match stage[op.dst as usize] {
+                PRE => &mut plan.vec_pre,
+                POP if cond => &mut plan.pops,
+                POP => &mut plan.vec_pop,
+                LATCH => &mut plan.vec_latch,
+                _ if cond || needed[op.dst as usize] => &mut plan.seq,
+                _ => &mut plan.vec_post,
             }
+            .push(*op);
         }
         plan
     }
-}
 
-/// The operand slots an op actually reads. Unused slots default to 0 in
-/// [`TapeOp`] and must not leak into the dependence analysis, or node 0
-/// would falsely couple every unary op.
-fn used_args(op: &TapeOp) -> [Option<u32>; 3] {
-    match op.code {
-        Code::Sqrt | Code::Rsqrt | Code::SeedRecip | Code::SeedRsqrt | Code::Not | Code::Mov => {
-            [Some(op.a), None, None]
-        }
-        Code::Madd | Code::Nmsub | Code::Sel => [Some(op.a), Some(op.b), Some(op.c)],
-        Code::CondRead => [None, None, None],
-        _ => [Some(op.a), Some(op.b), None],
+    /// Whether a latch fills register `reg`; seq reads and updates the
+    /// registers none does.
+    fn latched(&self, reg: u32) -> bool {
+        self.latches.iter().any(|la| la.reg == reg)
     }
 }
 
-/// One violated invariant of the three-phase batch split, as found by
+/// One violated invariant of the batch plan's stage split, as found by
 /// [`CompiledTape::audit_batch_plan`]. A correct [`BatchPlan`] never
-/// produces any of these; each variant names the op slot (and where
-/// relevant the phase or operand) that breaks the contract the batch
-/// engine's correctness proof rests on.
+/// produces any of these; each variant names the op slot or register
+/// that breaks the contract the batch engine's correctness proof rests
+/// on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPlanViolation {
     /// A tape op's destination slot appears in no phase: the batch
@@ -199,18 +263,26 @@ pub enum BatchPlanViolation {
     /// A destination slot appears in more than one phase (or twice in
     /// one): the op would execute multiple times per iteration.
     DuplicateOp { dst: u32 },
-    /// A conditional read was scheduled outside the sequential phase,
-    /// where the shared pop cursor cannot resolve in lane order.
-    CondReadOutsideSeq { dst: u32, phase: &'static str },
-    /// A phase-1 (pre-vectorized) op reads a lane-coupled slot — a
-    /// register read, a sequential result, or a phase-3 result — whose
-    /// per-lane value does not exist yet when phase 1 runs.
-    PreReadsCoupled { dst: u32, arg: u32 },
-    /// A sequential op reads a slot that only resolves in phase 3,
-    /// which runs after the whole sequential phase.
-    SeqReadsPost { dst: u32, arg: u32 },
-    /// A register-update source or a pop predicate/fallback resolves
-    /// only in phase 3 — the next lane would observe a stale value.
+    /// A conditional read in a vector stage, where no pop cursor
+    /// resolves in lane order, or in `seq` on a stream the pop scan
+    /// also reads, whose pops would leave tape order — or an
+    /// arithmetic op in the pop scan.
+    MisplacedOp { dst: u32, phase: &'static str },
+    /// An op reads a slot no earlier stage (nor, in tape order, its
+    /// own) has written for its lane: a `vec_pre` op or a resolved pop's
+    /// predicate or fallback reading lane-coupled state, an op ahead of
+    /// the latch fill reading a latched value, `seq` reading `vec_post`.
+    ReadsUnready {
+        phase: &'static str,
+        dst: u32,
+        arg: u32,
+    },
+    /// A latch whose register's one update is not
+    /// `Sel(pred, fresh, ReadReg(reg))` with `pred` and `fresh` written
+    /// before the fill — a forward fill would not compute it.
+    NotALatch { reg: u32 },
+    /// A register-update source resolves only in `vec_post` — the next
+    /// lane would observe a stale value.
     NeededInPost { dst: u32 },
     /// Ops inside one phase are out of tape (SSA) order, so an op could
     /// read an operand slot before the phase has written it.
@@ -220,38 +292,81 @@ pub enum BatchPlanViolation {
 impl fmt::Display for BatchPlanViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            BatchPlanViolation::MissingOp { dst } => {
-                write!(f, "op slot {dst} is scheduled in no phase")
-            }
-            BatchPlanViolation::DuplicateOp { dst } => {
-                write!(f, "op slot {dst} is scheduled more than once")
-            }
-            BatchPlanViolation::CondReadOutsideSeq { dst, phase } => {
+            Self::MissingOp { dst } => write!(f, "op slot {dst} is scheduled in no phase"),
+            Self::DuplicateOp { dst } => write!(f, "op slot {dst} is scheduled more than once"),
+            Self::MisplacedOp { dst, phase } => write!(
+                f,
+                "slot {dst} cannot run in {phase}: conditional reads, and only they, belong \
+                 to pops or seq, a stream's all to one of them"
+            ),
+            Self::ReadsUnready { phase, dst, arg } => write!(
+                f,
+                "{phase} op at slot {dst} reads slot {arg}, which is lane-coupled or written \
+                 by a later stage"
+            ),
+            Self::NotALatch { reg } => write!(
+                f,
+                "register {reg} is filled as a latch, but its update is not one select \
+                 between a resolved value and its own read"
+            ),
+            Self::NeededInPost { dst } => {
                 write!(
                     f,
-                    "conditional read at slot {dst} scheduled in {phase} instead of seq"
+                    "slot {dst} feeds a register update but resolves in vec_post"
                 )
             }
-            BatchPlanViolation::PreReadsCoupled { dst, arg } => {
-                write!(f, "vec_pre op at slot {dst} reads lane-coupled slot {arg}")
-            }
-            BatchPlanViolation::SeqReadsPost { dst, arg } => {
-                write!(f, "seq op at slot {dst} reads vec_post slot {arg}")
-            }
-            BatchPlanViolation::NeededInPost { dst } => {
-                write!(
-                    f,
-                    "slot {dst} feeds a register update or pop control but resolves in vec_post"
-                )
-            }
-            BatchPlanViolation::PhaseOrder { phase, dst } => {
-                write!(f, "{phase} breaks tape order at slot {dst}")
-            }
+            Self::PhaseOrder { phase, dst } => write!(f, "{phase} breaks tape order at slot {dst}"),
         }
     }
 }
 
 impl CompiledTape {
+    /// The slots an op reads: a conditional read's are its predicate
+    /// and fallback. Unused slots default to 0 in [`TapeOp`] and must
+    /// not leak into the dependence analysis, or node 0 would falsely
+    /// couple every unary op.
+    fn operands(&self, op: &TapeOp) -> [Option<u32>; 3] {
+        match op.code {
+            Code::Sqrt
+            | Code::Rsqrt
+            | Code::SeedRecip
+            | Code::SeedRsqrt
+            | Code::Not
+            | Code::Mov => [Some(op.a), None, None],
+            Code::Madd | Code::Nmsub | Code::Sel => [Some(op.a), Some(op.b), Some(op.c)],
+            Code::CondRead => {
+                let cr = &self.cond_reads[op.a as usize];
+                [Some(cr.pred), Some(cr.fallback), None]
+            }
+            _ => [Some(op.a), Some(op.b), None],
+        }
+    }
+
+    /// The plan's op lists in execution order, each with its name and
+    /// its position among the stages (the latch fill is position 3).
+    fn stages(&self) -> [(&'static str, u8, &[TapeOp]); 6] {
+        let p = &self.batch;
+        [
+            ("vec_pre", 0, &p.vec_pre),
+            ("pops", 1, &p.pops),
+            ("vec_pop", 2, &p.vec_pop),
+            ("vec_latch", 4, &p.vec_latch),
+            ("seq", 5, &p.seq),
+            ("vec_post", 6, &p.vec_post),
+        ]
+    }
+
+    /// Ops per stage of the cached plan, in execution order; `latches`
+    /// counts registers.
+    pub fn batch_stage_sizes(&self) -> Vec<(&'static str, usize)> {
+        let mut sizes = self
+            .stages()
+            .map(|(name, _, ops)| (name, ops.len()))
+            .to_vec();
+        sizes.insert(3, ("latches", self.batch.latches.len()));
+        sizes
+    }
+
     /// Re-derive every invariant the batch engine assumes of its cached
     /// [`BatchPlan`] and report each breach. Independent of
     /// [`BatchPlan::analyze`]'s own bookkeeping on purpose: the audit
@@ -259,111 +374,99 @@ impl CompiledTape {
     /// analysis (or a hand-corrupted plan in tests) is caught rather
     /// than re-trusted. Returns an empty vector for a sound plan.
     pub fn audit_batch_plan(&self) -> Vec<BatchPlanViolation> {
+        use BatchPlanViolation as V;
         let plan = &self.batch;
         let mut out = Vec::new();
         let n = self.num_nodes;
 
-        // Phase membership by destination slot, plus the multi-set
-        // count for exactly-once coverage.
-        let mut in_pre = vec![false; n];
-        let mut in_seq = vec![false; n];
-        let mut in_post = vec![false; n];
+        // When each slot is written, by stage position (constants,
+        // params and stream reads at 0), plus the multi-set count for
+        // exactly-once coverage. A register read is written by the
+        // latch fill if a latch lists it, else lane by lane in seq.
+        let mut ready = vec![0u8; n];
         let mut count = vec![0usize; n];
-        for op in &plan.vec_pre {
-            in_pre[op.dst as usize] = true;
-            count[op.dst as usize] += 1;
+        for (_, at, ops) in self.stages() {
+            for op in ops {
+                ready[op.dst as usize] = at;
+                count[op.dst as usize] += 1;
+            }
         }
-        for op in &plan.seq {
-            in_seq[op.dst as usize] = true;
-            count[op.dst as usize] += 1;
+        for &(dst, _) in &self.reg_reads {
+            ready[dst as usize] = 5;
         }
-        for op in &plan.vec_post {
-            in_post[op.dst as usize] = true;
-            count[op.dst as usize] += 1;
+        for &slot in plan.latches.iter().flat_map(|la| &la.reads) {
+            ready[slot as usize] = 3;
         }
         for op in &self.ops {
             match count[op.dst as usize] {
-                0 => out.push(BatchPlanViolation::MissingOp { dst: op.dst }),
+                0 => out.push(V::MissingOp { dst: op.dst }),
                 1 => {}
-                _ => out.push(BatchPlanViolation::DuplicateOp { dst: op.dst }),
+                _ => out.push(V::DuplicateOp { dst: op.dst }),
             }
         }
 
-        // Conditional reads must resolve the shared pop cursor in lane
-        // order — only the sequential phase provides that.
-        for (phase, ops) in [("vec_pre", &plan.vec_pre), ("vec_post", &plan.vec_post)] {
-            for op in ops.iter() {
-                if op.code == Code::CondRead {
-                    out.push(BatchPlanViolation::CondReadOutsideSeq { dst: op.dst, phase });
+        // Pops take the shared cursor in lane order — only the scan and
+        // seq provide that — and a stream's pops stay in tape order only
+        // under one of the two. Every op reads only what is already
+        // written for its lane; the pop scan runs for the whole batch at
+        // once, so its reads must be lane-independent from the start.
+        let mut scanned = vec![false; self.input_every_iter.len()];
+        for (phase, at, ops) in self.stages() {
+            for op in ops {
+                let (dst, cond) = (op.dst, op.code == Code::CondRead);
+                let split = cond && {
+                    let stream = self.cond_reads[op.a as usize].stream as usize;
+                    scanned[stream] |= phase == "pops";
+                    scanned[stream] && phase == "seq"
+                };
+                if split || cond != (phase == "pops") && !(cond && phase == "seq") {
+                    out.push(V::MisplacedOp { dst, phase });
+                    continue;
+                }
+                let limit = if phase == "pops" { 0 } else { at };
+                for arg in self.operands(op).into_iter().flatten() {
+                    if ready[arg as usize] > limit {
+                        out.push(V::ReadsUnready { phase, dst, arg });
+                    }
                 }
             }
-        }
-
-        // Lane-coupled slots: register reads carry prior-lane state;
-        // seq and post results are per-lane by construction.
-        let mut coupled = vec![false; n];
-        for &(dst, _) in &self.reg_reads {
-            coupled[dst as usize] = true;
-        }
-        for s in 0..n {
-            if in_seq[s] || in_post[s] {
-                coupled[s] = true;
-            }
-        }
-        for op in &plan.vec_pre {
-            for a in used_args(op).into_iter().flatten() {
-                if coupled[a as usize] {
-                    out.push(BatchPlanViolation::PreReadsCoupled {
-                        dst: op.dst,
-                        arg: a,
-                    });
-                }
-            }
-        }
-
-        // The sequential phase runs strictly before phase 3.
-        for op in &plan.seq {
-            for a in used_args(op).into_iter().flatten() {
-                if in_post[a as usize] {
-                    out.push(BatchPlanViolation::SeqReadsPost {
-                        dst: op.dst,
-                        arg: a,
-                    });
-                }
-            }
-        }
-
-        // Everything the next lane depends on — register-update sources
-        // and pop predicates/fallbacks — must resolve by end of seq.
-        let mut needed_now = vec![false; n];
-        for &(_, v) in &self.reg_updates {
-            needed_now[v as usize] = true;
-        }
-        for cr in &self.cond_reads {
-            needed_now[cr.pred as usize] = true;
-            needed_now[cr.fallback as usize] = true;
-        }
-        for s in 0..n {
-            if needed_now[s] && in_post[s] {
-                out.push(BatchPlanViolation::NeededInPost { dst: s as u32 });
-            }
-        }
-
-        // Tape order within each phase: dsts are strictly increasing in
-        // tape order (SSA), so any inversion means an op could read a
-        // slot its own phase has not written yet.
-        for (phase, ops) in [
-            ("vec_pre", &plan.vec_pre),
-            ("seq", &plan.seq),
-            ("vec_post", &plan.vec_post),
-        ] {
+            // Tape order within each phase: dsts are strictly increasing
+            // in tape order (SSA), so any inversion means an op could
+            // read a slot its own phase has not written yet.
             for w in ops.windows(2) {
                 if w[1].dst <= w[0].dst {
-                    out.push(BatchPlanViolation::PhaseOrder {
-                        phase,
-                        dst: w[1].dst,
-                    });
+                    let dst = w[1].dst;
+                    out.push(V::PhaseOrder { phase, dst });
                 }
+            }
+        }
+
+        // A latch's register is filled once and has one update, a select
+        // between a value written before the fill and one of the
+        // register's own reads — all of which the latch lists.
+        for la in &plan.latches {
+            let reads = self.reg_reads.iter().filter(|rr| rr.1 == la.reg);
+            let mut updates = self.reg_updates.iter().filter(|u| u.0 == la.reg);
+            let sound = match (updates.next(), updates.next()) {
+                (Some(&(_, v)), None) => self.ops.iter().any(|op| {
+                    (op.dst, op.code, op.a, op.b) == (v, Code::Sel, la.pred, la.fresh)
+                        && la.reads.contains(&op.c)
+                        && ready[la.pred as usize] <= 2
+                        && ready[la.fresh as usize] <= 2
+                }),
+                _ => false,
+            };
+            let once = plan.latches.iter().filter(|o| o.reg == la.reg).count() == 1;
+            if !(sound && once && reads.map(|rr| rr.0).eq(la.reads.iter().copied())) {
+                out.push(V::NotALatch { reg: la.reg });
+            }
+        }
+        // Everything the next lane depends on must resolve by the end
+        // of seq: pop predicates and fallbacks (checked above) and the
+        // sources of the register updates seq performs.
+        for &(_, v) in self.reg_updates.iter().filter(|u| !plan.latched(u.0)) {
+            if ready[v as usize] > 5 {
+                out.push(V::NeededInPost { dst: v });
             }
         }
 
@@ -373,18 +476,21 @@ impl CompiledTape {
     /// Drop the last op of the first non-empty phase, leaving a plan
     /// the audit must flag with exactly one `MissingOp`. Test-only
     /// sabotage hook for the BATCH_PLAN_SPLIT fixtures — never called
-    /// by production code.
+    /// by production code; the rest of the corruption table needs the
+    /// plan's private fields and lives in this module's tests.
     #[doc(hidden)]
     pub fn corrupt_batch_plan_for_tests(&mut self) {
-        for ops in [
-            &mut self.batch.vec_pre,
-            &mut self.batch.seq,
-            &mut self.batch.vec_post,
-        ] {
-            if !ops.is_empty() {
-                ops.pop();
-                return;
-            }
+        let p = &mut self.batch;
+        let phases = [
+            &mut p.vec_pre,
+            &mut p.pops,
+            &mut p.vec_pop,
+            &mut p.vec_latch,
+            &mut p.seq,
+            &mut p.vec_post,
+        ];
+        if let Some(ops) = phases.into_iter().find(|ops| !ops.is_empty()) {
+            ops.pop();
         }
     }
 
@@ -396,6 +502,19 @@ impl CompiledTape {
     pub fn run_batched(
         &self,
         inputs: &[StreamData],
+        params: &[f64],
+        iterations: usize,
+        width: BatchWidth,
+    ) -> Result<InterpOutput, InterpError> {
+        let views: Vec<StreamView> = inputs.iter().map(StreamData::view).collect();
+        self.run_views(&views, params, iterations, width)
+    }
+
+    /// [`CompiledTape::run_batched`] on borrowed words: what a caller
+    /// that keeps its streams elsewhere launches without copying them.
+    pub fn run_views(
+        &self,
+        inputs: &[StreamView],
         params: &[f64],
         iterations: usize,
         width: BatchWidth,
@@ -417,7 +536,8 @@ impl CompiledTape {
         params: &[f64],
         iterations: usize,
     ) -> Result<InterpOutput, InterpError> {
-        self.run_lanes::<1>(inputs, params, iterations)
+        let views: Vec<StreamView> = inputs.iter().map(StreamData::view).collect();
+        self.run_lanes::<1>(&views, params, iterations)
     }
 
     /// One [f64; B] lane array per value slot. Constants and params
@@ -437,7 +557,7 @@ impl CompiledTape {
     /// The launch loop: full batches at `B` lanes, the remainder at one.
     fn run_lanes<const B: usize>(
         &self,
-        inputs: &[StreamData],
+        inputs: &[StreamView],
         params: &[f64],
         iterations: usize,
     ) -> Result<InterpOutput, InterpError> {
@@ -448,7 +568,7 @@ impl CompiledTape {
         // Every-iteration streams pop once per iteration, so the first
         // of them (in index order) to hold fewer records than the launch
         // has iterations bounds the loop, and takes the blame below.
-        let num_records: Vec<usize> = inputs.iter().map(|d| d.num_records()).collect();
+        let num_records: Vec<usize> = inputs.iter().map(|d| d.data.len() / d.record_len).collect();
         let mut runnable = iterations;
         let mut dry = None;
         for (s, every) in self.input_every_iter.iter().enumerate() {
@@ -504,14 +624,45 @@ impl CompiledTape {
         })
     }
 
-    /// One full batch of `B` iterations: SoA gather, the three phases,
-    /// lane-major write drain, cursor advance. `base` is the absolute
-    /// iteration index of lane 0 (for underrun blame). Every
+    /// One conditional read at lane `l`: its popped record's field when
+    /// the predicate is live, else its fallback. The first read of a
+    /// pop slot in tape order pops the record; the slot's other reads
+    /// share its predicate, so they are live with it. `None` when the
+    /// pop finds the stream dry.
+    #[inline(always)]
+    fn cond_read<const B: usize>(
+        &self,
+        op: &TapeOp,
+        inputs: &[StreamView],
+        num_records: &[usize],
+        lanes: &[[f64; B]],
+        st: &mut StreamState,
+        l: usize,
+    ) -> Option<f64> {
+        let cr = &self.cond_reads[op.a as usize];
+        if lanes[cr.pred as usize][l] == 0.0 {
+            return Some(lanes[cr.fallback as usize][l]);
+        }
+        let (s, slot) = (cr.stream as usize, cr.slot as usize);
+        if cr.leads {
+            if st.cursors[s] >= num_records[s] {
+                return None;
+            }
+            st.pop_base[slot] = st.row_base[s];
+            st.cursors[s] += 1;
+            st.row_base[s] += self.input_record_len[s];
+        }
+        Some(inputs[s].data[st.pop_base[slot] + cr.field as usize])
+    }
+
+    /// One full batch of `B` iterations: SoA gather, the stages of the
+    /// plan, lane-major write drain, cursor advance. `base` is the
+    /// absolute iteration index of lane 0 (for underrun blame). Every
     /// every-iteration stream must hold `B` more records.
     #[allow(clippy::too_many_arguments)]
     fn exec_batch<const B: usize>(
         &self,
-        inputs: &[StreamData],
+        inputs: &[StreamView],
         num_records: &[usize],
         lanes: &mut [[f64; B]],
         regs: &mut [f64],
@@ -519,6 +670,7 @@ impl CompiledTape {
         st: &mut StreamState,
         base: usize,
     ) -> Result<(), InterpError> {
+        let plan = &self.batch;
         // SoA gather: transpose B consecutive records of each
         // every-iteration stream into the read slots' lane arrays.
         for g in &self.stream_reads {
@@ -533,51 +685,71 @@ impl CompiledTape {
                 lanes[dst as usize] = lane;
             }
         }
-        // Phase 1: lane-independent arithmetic, vectorized.
-        for op in &self.batch.vec_pre {
+        for op in &plan.vec_pre {
             exec_vec::<B>(op, lanes);
         }
-        // Phase 2: scalar per lane, in iteration order — register chains
-        // and conditional pops resolve exactly as in the interpreter.
+        // The pop scan. A dry stream stops it, but is blamed only once
+        // seq has run up to the same read: a pop seq owns may run dry
+        // in an earlier lane, or earlier in this one.
+        let mut dry = None;
+        'scan: for l in 0..B {
+            for op in &plan.pops {
+                match self.cond_read(op, inputs, num_records, lanes, st, l) {
+                    Some(v) => lanes[op.dst as usize][l] = v,
+                    None => {
+                        dry = Some((l, op));
+                        break 'scan;
+                    }
+                }
+            }
+        }
+        for op in &plan.vec_pop {
+            exec_vec::<B>(op, lanes);
+        }
+        // The latch fill: each lane reads what the lane before latched.
+        for la in &plan.latches {
+            let (pred, fresh) = (lanes[la.pred as usize], lanes[la.fresh as usize]);
+            let mut read = [0.0f64; B];
+            let held = &mut regs[la.reg as usize];
+            for l in 0..B {
+                read[l] = *held;
+                if pred[l] != 0.0 {
+                    *held = fresh[l];
+                }
+            }
+            for &slot in &la.reads {
+                lanes[slot as usize] = read;
+            }
+        }
+        for op in &plan.vec_latch {
+            exec_vec::<B>(op, lanes);
+        }
+        // Seq: scalar per lane, in iteration order — the register chains
+        // and pops left to it resolve exactly as in the interpreter.
         for l in 0..B {
-            st.generation += 1;
-            for &(dst, r) in &self.reg_reads {
+            let stop = dry.filter(|d| d.0 == l).map(|d| d.1);
+            for &(dst, r) in &st.reg_reads {
                 lanes[dst as usize][l] = regs[r as usize];
             }
-            for op in &self.batch.seq {
-                let v = match op.code {
-                    Code::CondRead => {
-                        let cr = &self.cond_reads[op.a as usize];
-                        if lanes[cr.pred as usize][l] != 0.0 {
-                            let s = cr.stream as usize;
-                            let slot = cr.slot as usize;
-                            if st.pop_gen[slot] != st.generation {
-                                if st.cursors[s] >= num_records[s] {
-                                    return Err(InterpError::StreamUnderrun {
-                                        stream: s,
-                                        iteration: base + l,
-                                    });
-                                }
-                                st.pop_gen[slot] = st.generation;
-                                st.pop_base[slot] = st.row_base[s];
-                                st.cursors[s] += 1;
-                                st.row_base[s] += self.input_record_len[s];
-                            }
-                            inputs[s].data[st.pop_base[slot] + cr.field as usize]
-                        } else {
-                            lanes[cr.fallback as usize][l]
-                        }
-                    }
+            for op in &plan.seq {
+                if stop.is_some_and(|pop| pop.dst < op.dst) {
+                    break;
+                }
+                lanes[op.dst as usize][l] = match op.code {
+                    Code::CondRead => self
+                        .cond_read(op, inputs, num_records, lanes, st, l)
+                        .ok_or_else(|| self.underrun(op, base + l))?,
                     _ => eval_arith_lane::<B>(op, lanes, l),
                 };
-                lanes[op.dst as usize][l] = v;
             }
-            for &(r, v) in &self.reg_updates {
+            if let Some(pop) = stop {
+                return Err(self.underrun(pop, base + l));
+            }
+            for &(r, v) in &st.reg_updates {
                 regs[r as usize] = lanes[v as usize][l];
             }
         }
-        // Phase 3: vectorized consumers of the resolved lane state.
-        for op in &self.batch.vec_post {
+        for op in &plan.vec_post {
             exec_vec::<B>(op, lanes);
         }
         // Drain writes lane-major so appends interleave exactly as the
@@ -590,13 +762,20 @@ impl CompiledTape {
                 if w.cond != NO_COND && lanes[w.cond as usize][l] == 0.0 {
                     continue;
                 }
-                let out = &mut outputs[w.stream as usize].data;
                 let range = w.start as usize..(w.start + w.len) as usize;
-                out.extend(
-                    self.write_values[range]
-                        .iter()
-                        .map(|&v| lanes[v as usize][l]),
-                );
+                let values = self.write_values[range]
+                    .iter()
+                    .map(|&v| lanes[v as usize][l]);
+                let out = &mut outputs[w.stream as usize].data;
+                if w.at == APPEND {
+                    out.extend(values);
+                } else {
+                    let at = (base + l) * self.out_words_per_iter[w.stream as usize];
+                    let at = at + w.at as usize;
+                    for (d, v) in out[at..at + w.len as usize].iter_mut().zip(values) {
+                        *d = v;
+                    }
+                }
             }
         }
         // Every-iteration streams advance once per lane, as a block.
@@ -608,32 +787,39 @@ impl CompiledTape {
         }
         Ok(())
     }
+
+    /// The error of conditional read `op` finding its stream dry.
+    fn underrun(&self, op: &TapeOp, iteration: usize) -> InterpError {
+        let stream = self.cond_reads[op.a as usize].stream as usize;
+        InterpError::StreamUnderrun { stream, iteration }
+    }
 }
 
-/// Mutable stream state of one launch, carried across its batches:
-/// cursors and conditional-pop bookkeeping.
+/// State of one launch, carried across its batches: cursors and
+/// conditional-pop bookkeeping, and the register traffic left to seq.
 #[derive(Debug)]
 pub(crate) struct StreamState {
     /// Records consumed so far per input stream.
     cursors: Vec<usize>,
     /// Word offset of each stream's next record.
     row_base: Vec<usize>,
-    /// Generation stamp of each pop slot's last pop.
-    pop_gen: Vec<u64>,
     /// Word offset of each pop slot's current record.
     pop_base: Vec<usize>,
-    /// Iterations started so far — the pop-slot reset generation.
-    generation: u64,
+    /// The tape's `reg_reads` and `reg_updates` less the latches'.
+    reg_reads: Vec<(u32, u32)>,
+    reg_updates: Vec<(u32, u32)>,
 }
 
 impl StreamState {
     fn new(tape: &CompiledTape, num_inputs: usize) -> Self {
+        let seq = |reg: u32| !tape.batch.latched(reg);
+        let (reads, updates) = (tape.reg_reads.iter(), tape.reg_updates.iter());
         Self {
             cursors: vec![0; num_inputs],
             row_base: vec![0; num_inputs],
-            pop_gen: vec![0; tape.pop_slots],
             pop_base: vec![0; tape.pop_slots],
-            generation: 0,
+            reg_reads: reads.copied().filter(|rr| seq(rr.1)).collect(),
+            reg_updates: updates.copied().filter(|u| seq(u.0)).collect(),
         }
     }
 }
@@ -888,19 +1074,7 @@ mod tests {
         // Conditional pop (compress) driven by a register parity chain,
         // plus a conditional write (expand) — both sides of the batch
         // mask machinery, over enough iterations for several batches.
-        let mut b = KernelBuilder::new("cond_batch");
-        let s = b.input("vals", 1, StreamMode::Conditional);
-        let o = b.output("out", 1);
-        let parity = b.reg(1.0);
-        let cur = b.reg(0.0);
-        let want = b.read_reg(parity);
-        let prev = b.read_reg(cur);
-        let v = b.cond_read(s, 0, want, prev);
-        let flip = b.not(want);
-        b.set_reg(parity, flip);
-        b.set_reg(cur, v);
-        b.write_if(o, want, &[v]);
-        let k = b.build();
+        let k = parity_kernel();
         let data: Vec<f64> = (0..40).map(|i| 10.0 * (i + 1) as f64).collect();
         for n in [0usize, 5, 8, 16, 19, 33, 80] {
             assert_matches_scalar(&k, &[StreamData::new(1, data.clone())], &[], n);
@@ -1113,8 +1287,13 @@ mod tests {
         hoist.batch.vec_pre.push(seq_op);
         let v = hoist.audit_batch_plan();
         assert!(
-            v.iter()
-                .any(|x| matches!(x, BatchPlanViolation::PreReadsCoupled { .. })),
+            v.iter().any(|x| matches!(
+                x,
+                BatchPlanViolation::ReadsUnready {
+                    phase: "vec_pre",
+                    ..
+                }
+            )),
             "violations: {v:?}"
         );
 
@@ -1138,18 +1317,249 @@ mod tests {
         let val = b.cond_read(s, 0, one, zero);
         b.write(o, &[val]);
         let mut mis = CompiledTape::compile(&b.build());
-        let cr = mis.batch.seq.remove(0);
+        let cr = mis.batch.pops.remove(0);
         mis.batch.vec_post.push(cr);
         let v = mis.audit_batch_plan();
         assert!(
             v.iter().any(|x| matches!(
                 x,
-                BatchPlanViolation::CondReadOutsideSeq {
+                BatchPlanViolation::MisplacedOp {
                     phase: "vec_post",
                     ..
                 }
             )),
             "violations: {v:?}"
         );
+    }
+
+    /// The shape of the `variable` kernels: a flag stream decides when
+    /// a centre record is popped and latched and the accumulator is
+    /// flushed; the arithmetic reads the latched centre.
+    fn latch_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("latch");
+        let sx = b.input("x", 1, StreamMode::EveryIteration);
+        let sf = b.input("flag", 1, StreamMode::EveryIteration);
+        let sc = b.input("centres", 2, StreamMode::Conditional);
+        let flushed = b.output("flushed", 1);
+        let o = b.output("y", 1);
+        let zero = b.constant(0.0);
+        let flag = b.read(sf, 0);
+        let is_new = b.cmp_lt(zero, flag);
+        let acc_reg = b.reg(0.0);
+        let acc_prev = b.read_reg(acc_reg);
+        b.write_if(flushed, is_new, &[acc_prev]);
+        let centre_reg = b.reg(0.5);
+        let prev = b.read_reg(centre_reg);
+        let pos = b.cond_read(sc, 0, is_new, zero);
+        let shift = b.cond_read(sc, 1, is_new, zero);
+        let fresh = b.add(pos, shift);
+        let centre = b.sel(is_new, fresh, prev);
+        b.set_reg(centre_reg, centre);
+        let x = b.read(sx, 0);
+        let d = b.sub(x, centre);
+        let f = b.mul(d, d);
+        let kept = b.sel(is_new, zero, acc_prev);
+        let acc = b.add(f, kept);
+        b.set_reg(acc_reg, acc);
+        b.write(o, &[f]);
+        b.build()
+    }
+
+    /// Inputs for [`latch_kernel`]: `n` iterations, a new centre every
+    /// `every`-th, `centres` centre records.
+    fn latch_inputs(n: usize, every: usize, centres: usize) -> [StreamData; 3] {
+        let flag = |i: usize| if i.is_multiple_of(every) { 1.0 } else { 0.0 };
+        [
+            StreamData::new(1, (0..n).map(|i| 0.5 * i as f64).collect()),
+            StreamData::new(1, (0..n).map(flag).collect()),
+            StreamData::new(2, (0..2 * centres).map(|i| 1.0 + i as f64).collect()),
+        ]
+    }
+
+    #[test]
+    fn flag_driven_pops_and_latches_leave_seq_the_accumulator() {
+        let k = latch_kernel();
+        let tape = CompiledTape::compile(&k);
+        assert_eq!(
+            tape.batch_stage_sizes(),
+            [
+                ("vec_pre", 1),
+                ("pops", 2),
+                ("vec_pop", 1),
+                ("latches", 1),
+                ("vec_latch", 3),
+                ("seq", 2),
+                ("vec_post", 0)
+            ]
+        );
+        assert_eq!(tape.audit_batch_plan(), vec![]);
+        for (n, every) in [
+            (0, 1),
+            (1, 1),
+            (7, 3),
+            (8, 8),
+            (9, 1),
+            (23, 5),
+            (48, 7),
+            (100, 3),
+        ] {
+            assert_matches_scalar(&k, &latch_inputs(n, every, n.div_ceil(every)), &[], n);
+        }
+        // No new centre at all: the register's initial value is latched.
+        let mut inputs = latch_inputs(20, 1, 0);
+        inputs[1].data.fill(0.0);
+        assert_matches_scalar(&k, &inputs, &[], 20);
+    }
+
+    /// A conditional pop driven by a register parity chain: genuinely
+    /// lane-coupled, so it stays in `seq`.
+    fn parity_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("cond_batch");
+        let s = b.input("vals", 1, StreamMode::Conditional);
+        let o = b.output("out", 1);
+        let parity = b.reg(1.0);
+        let cur = b.reg(0.0);
+        let want = b.read_reg(parity);
+        let prev = b.read_reg(cur);
+        let v = b.cond_read(s, 0, want, prev);
+        let flip = b.not(want);
+        b.set_reg(parity, flip);
+        b.set_reg(cur, v);
+        b.write_if(o, want, &[v]);
+        b.build()
+    }
+
+    /// Move the first op `pick` takes from one phase into another, kept
+    /// in tape order.
+    fn hand(from: &mut Vec<TapeOp>, to: &mut Vec<TapeOp>, pick: fn(&TapeOp) -> bool) -> bool {
+        let Some(i) = from.iter().position(pick) else {
+            return false;
+        };
+        to.push(from.remove(i));
+        to.sort_by_key(|op| op.dst);
+        true
+    }
+
+    /// The corruption table (ROADMAP 6c): each entry breaks a sound plan
+    /// one way — `false` when the plan has nothing of that kind to break
+    /// — and names the violation the audit must answer with.
+    type Corruption = (
+        &'static str,
+        fn(&mut CompiledTape) -> bool,
+        fn(&BatchPlanViolation) -> bool,
+    );
+    const CORRUPTIONS: [Corruption; 5] = [
+        (
+            "drop an op",
+            |t| {
+                t.corrupt_batch_plan_for_tests();
+                true
+            },
+            |v| matches!(v, BatchPlanViolation::MissingOp { .. }),
+        ),
+        (
+            "duplicate an op",
+            |t| {
+                let first = t.batch.seq[0];
+                t.batch.seq.push(first);
+                true
+            },
+            |v| matches!(v, BatchPlanViolation::DuplicateOp { .. }),
+        ),
+        (
+            "mark a data-dependent pop resolved",
+            |t| {
+                let p = &mut t.batch;
+                hand(&mut p.seq, &mut p.pops, |op| op.code == Code::CondRead)
+            },
+            |v| {
+                matches!(
+                    v,
+                    BatchPlanViolation::ReadsUnready { phase: "pops", .. }
+                        | BatchPlanViolation::MisplacedOp { phase: "seq", .. }
+                )
+            },
+        ),
+        (
+            "mark an arithmetic register a latch",
+            |t| {
+                let adds = t.batch.seq.iter().filter(|op| op.code == Code::Add);
+                let updated = |op: &TapeOp| t.reg_updates.iter().find(|u| u.1 == op.dst);
+                let Some((&(reg, _), op)) = adds.filter_map(|op| Some((updated(op)?, op))).next()
+                else {
+                    return false;
+                };
+                let reads = t.reg_reads.iter().filter(|rr| rr.1 == reg);
+                let reads = reads.map(|rr| rr.0).collect();
+                let (pred, fresh) = (op.a, op.b);
+                t.batch.latches.push(Latch {
+                    reg,
+                    reads,
+                    pred,
+                    fresh,
+                });
+                true
+            },
+            |v| matches!(v, BatchPlanViolation::NotALatch { .. }),
+        ),
+        (
+            "move an interaction op ahead of the latch fill",
+            |t| {
+                let p = &mut t.batch;
+                hand(&mut p.vec_latch, &mut p.vec_pop, |_| true)
+            },
+            |v| {
+                matches!(
+                    v,
+                    BatchPlanViolation::ReadsUnready {
+                        phase: "vec_pop",
+                        ..
+                    }
+                )
+            },
+        ),
+    ];
+
+    #[test]
+    fn audit_flags_every_corruption_in_the_table() {
+        // A stream with one resolvable read and one whose fallback is a
+        // register read: all of it stays in seq, and handing the scan
+        // either read is flagged.
+        let mut b = KernelBuilder::new("mixed_slots");
+        let sf = b.input("flag", 1, StreamMode::EveryIteration);
+        let sc = b.input("c", 1, StreamMode::Conditional);
+        let o = b.output("y", 2);
+        let zero = b.constant(0.0);
+        let flag = b.read(sf, 0);
+        let live = b.cmp_lt(zero, flag);
+        let r = b.reg(0.0);
+        let prev = b.read_reg(r);
+        let plain = b.cond_read(sc, 0, live, zero);
+        let other = b.not(live);
+        let coupled = b.cond_read(sc, 0, other, prev);
+        b.set_reg(r, coupled);
+        b.write(o, &[plain, coupled]);
+        let mixed = b.build();
+        let tape = CompiledTape::compile(&mixed);
+        assert!(tape.batch.pops.is_empty(), "plan: {:?}", tape.batch);
+        assert_eq!(tape.audit_batch_plan(), vec![]);
+
+        for (name, corrupt, answers) in CORRUPTIONS {
+            let mut applied = 0;
+            for k in [
+                accum_kernel(),
+                latch_kernel(),
+                parity_kernel(),
+                mixed.clone(),
+            ] {
+                let mut tape = CompiledTape::compile(&k);
+                if corrupt(&mut tape) {
+                    applied += 1;
+                    let v = tape.audit_batch_plan();
+                    assert!(v.iter().any(answers), "{name} on '{}': {v:?}", k.name);
+                }
+            }
+            assert!(applied >= 1, "{name}: no kernel to corrupt");
+        }
     }
 }

@@ -45,6 +45,23 @@ impl StreamData {
     pub fn record(&self, i: usize) -> &[f64] {
         &self.data[i * self.record_len..(i + 1) * self.record_len]
     }
+
+    pub fn view(&self) -> StreamView<'_> {
+        StreamView {
+            record_len: self.record_len,
+            data: &self.data,
+        }
+    }
+}
+
+/// Borrowed words read as records of `record_len` — what a tape launch
+/// takes, so a caller holding its streams elsewhere (or at another
+/// record length: an unrolled kernel reads the same words as wider
+/// records) launches without copying them.
+#[derive(Debug, Clone, Copy)]
+pub struct StreamView<'a> {
+    pub record_len: usize,
+    pub data: &'a [f64],
 }
 
 /// Errors the interpreter can report.

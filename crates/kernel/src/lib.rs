@@ -42,7 +42,7 @@ pub mod validate;
 
 pub use batch::{BatchPlanViolation, BatchWidth};
 pub use builder::KernelBuilder;
-pub use interp::{InterpOutput, Interpreter, StreamData};
+pub use interp::{InterpOutput, Interpreter, StreamData, StreamView};
 pub use ir::{Kernel, Node, NodeId, OpKind, StreamMode};
 pub use pipeline::{modulo_schedule, PipelinedSchedule};
 pub use schedule::{list_schedule, Schedule};

@@ -19,15 +19,17 @@
 //! * loop-invariant constants and parameters hoisted into an init plan
 //!   executed once per launch, not once per iteration;
 //! * a flat conditional-pop table with one slot per distinct
-//!   `(stream, predicate)` pair, reset by a generation counter instead
-//!   of a fresh `HashMap` per iteration;
-//! * a write plan with exact per-launch capacity reservation
-//!   (`iterations × words appended per iteration`);
-//! * the [`BatchPlan`] phase split the execution loop runs.
+//!   `(stream, predicate)` pair, popped by the slot's first read in
+//!   tape order, instead of a fresh `HashMap` per iteration;
+//! * a write plan: an output whose writes are all unconditional is
+//!   sized once per launch and written by offset; one with a conditional
+//!   write is reserved at its worst case and appended to;
+//! * the [`BatchPlan`] stage split the execution loop runs.
 //!
 //! This module only compiles. The one loop that executes a tape is
 //! [`crate::batch`]'s, over lanes of 8 or 16 iterations
-//! ([`CompiledTape::run_batched`]) or one ([`CompiledTape::run`]).
+//! ([`CompiledTape::run_batched`], or [`CompiledTape::run_views`] on
+//! borrowed words) or one ([`CompiledTape::run`]).
 //!
 //! The tape is semantically bitwise-identical to the interpreter — same
 //! `f64` operations in the same order, same pop semantics, same error
@@ -35,11 +37,13 @@
 //! over random kernels. The interpreter remains the reference oracle.
 
 use crate::batch::BatchPlan;
-use crate::interp::{InterpError, StreamData};
+use crate::interp::{InterpError, StreamData, StreamView};
 use crate::ir::{Kernel, Node, OpKind, StreamMode};
 
 /// Sentinel for "no condition" in a [`WritePlan`].
 pub(crate) const NO_COND: u32 = u32::MAX;
+/// [`WritePlan::at`] of a write to an output that is appended to.
+pub(crate) const APPEND: u32 = u32::MAX;
 
 /// Tape opcodes. Plain register/stream reads never appear here: they
 /// are source nodes with no operands, so the compiler batches them into
@@ -100,6 +104,7 @@ pub(crate) struct StreamReads {
 /// predicates (e.g. the copies introduced by unrolling) pop
 /// independently — exactly the interpreter's per-predicate `HashMap`
 /// semantics, but with the slot assignment done at compile time.
+/// `leads` marks the slot's first read in tape order: the one that pops.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CondReadSlot {
     pub(crate) stream: u32,
@@ -107,17 +112,21 @@ pub(crate) struct CondReadSlot {
     pub(crate) pred: u32,
     pub(crate) fallback: u32,
     pub(crate) slot: u32,
+    pub(crate) leads: bool,
 }
 
 /// One output write per iteration: `write_values[start..start+len]`
-/// appended to `outputs[stream]` when `cond` (a value slot, or
-/// [`NO_COND`]) is non-zero.
+/// put to `outputs[stream]` when `cond` (a value slot, or [`NO_COND`])
+/// is non-zero — at word `at` of the iteration's block of
+/// `out_words_per_iter` words, or appended when `at` is [`APPEND`]
+/// (some write to the stream is conditional, so blocks vary in length).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WritePlan {
     pub(crate) stream: u32,
     pub(crate) cond: u32,
     pub(crate) start: u32,
     pub(crate) len: u32,
+    pub(crate) at: u32,
 }
 
 /// A kernel compiled to a flat execution tape. Immutable and shareable
@@ -199,19 +208,18 @@ impl CompiledTape {
                     fallback,
                 } => {
                     let key = (*stream, *pred);
-                    let slot = match slot_keys.iter().position(|k| *k == key) {
-                        Some(s) => s,
-                        None => {
-                            slot_keys.push(key);
-                            slot_keys.len() - 1
-                        }
-                    };
+                    let seen = slot_keys.iter().position(|k| *k == key);
+                    let slot = seen.unwrap_or(slot_keys.len());
+                    if seen.is_none() {
+                        slot_keys.push(key);
+                    }
                     cond_reads.push(CondReadSlot {
                         stream: *stream,
                         field: *field,
                         pred: *pred,
                         fallback: *fallback,
                         slot: slot as u32,
+                        leads: seen.is_none(),
                     });
                     ops.push(TapeOp {
                         code: Code::CondRead,
@@ -261,11 +269,20 @@ impl CompiledTape {
         for w in &kernel.writes {
             let start = write_values.len() as u32;
             write_values.extend_from_slice(&w.values);
+            let appended = kernel
+                .writes
+                .iter()
+                .any(|o| o.stream == w.stream && o.cond.is_some());
             writes.push(WritePlan {
                 stream: w.stream,
                 cond: w.cond.unwrap_or(NO_COND),
                 start,
                 len: w.values.len() as u32,
+                at: if appended {
+                    APPEND
+                } else {
+                    out_words_per_iter[w.stream as usize] as u32
+                },
             });
             out_words_per_iter[w.stream as usize] += w.values.len();
         }
@@ -363,11 +380,7 @@ impl CompiledTape {
     /// every write counted, conditional or not. The lower bound is
     /// [`CompiledTape::min_out_words_per_iter`].
     pub fn max_out_words_per_iter(&self) -> Vec<usize> {
-        let mut max = vec![0usize; self.out_record_len.len()];
-        for w in &self.writes {
-            max[w.stream as usize] += w.len as usize;
-        }
-        max
+        self.out_words_per_iter.clone()
     }
 
     /// Check the launch signature: stream count, per-stream record
@@ -375,7 +388,7 @@ impl CompiledTape {
     /// this tape so mismatch messages are identical.
     pub(crate) fn validate_signature(
         &self,
-        inputs: &[StreamData],
+        inputs: &[StreamView],
         params: &[f64],
     ) -> Result<(), InterpError> {
         if inputs.len() != self.input_record_len.len() {
@@ -405,15 +418,23 @@ impl CompiledTape {
         Ok(())
     }
 
-    /// Output streams with exact per-launch capacity reservation
-    /// (`iterations × worst-case words appended per iteration`).
+    /// Output streams for a launch of `iterations`: at full length when
+    /// every write lands at a fixed offset, else empty with the worst
+    /// case (`iterations × words appended per iteration`) reserved.
     pub(crate) fn make_outputs(&self, iterations: usize) -> Vec<StreamData> {
-        self.out_record_len
-            .iter()
-            .zip(&self.out_words_per_iter)
-            .map(|(rl, w)| {
-                let mut s = StreamData::empty(*rl);
-                s.data.reserve_exact(iterations * w);
+        (0..self.out_record_len.len())
+            .map(|o| {
+                let words = iterations * self.out_words_per_iter[o];
+                let mut s = StreamData::empty(self.out_record_len[o]);
+                if self
+                    .writes
+                    .iter()
+                    .any(|w| w.stream as usize == o && w.at == APPEND)
+                {
+                    s.data.reserve_exact(words);
+                } else {
+                    s.data = vec![0.0; words];
+                }
                 s
             })
             .collect()

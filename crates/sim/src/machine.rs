@@ -388,6 +388,33 @@ impl StreamProcessor {
                 }
             }
         }
+        // Buffer ids are public integers, and every table indexed by one
+        // (here, in the scoreboard, in the strips' buffer tables) relies
+        // on this check. A kernel op names one buffer per kernel output,
+        // or a stream would be dropped on the floor.
+        let declared = program.buffers.len();
+        for lop in &program.ops {
+            let mut ids = produced_buffers(&lop.op)
+                .into_iter()
+                .chain(consumed_buffers(&lop.op));
+            let mut wrong = ids
+                .find(|b| b.0 >= declared)
+                .map(|b| format!("names buffer {} of {declared} declared", b.0));
+            if let StreamOp::Kernel {
+                kernel, outputs, ..
+            } = &lop.op
+            {
+                let (named, n) = (outputs.len(), kernel.ir.outputs.len());
+                if named != n {
+                    wrong = Some(format!(
+                        "lists {named} buffers for its kernel's {n} outputs"
+                    ));
+                }
+            }
+            if let Some(wrong) = wrong {
+                return Err(SimError::Program(format!("op '{}' {wrong}", lop.label)));
+            }
+        }
         // Per-buffer allocation shares, from each buffer's producer op
         // (allocation happens when the producer issues and uses the
         // worst-case capacity, spread across clusters).
@@ -991,6 +1018,66 @@ mod tests {
         }
         // The diagnostic must name the strip size.
         assert!(err.to_string().contains(&n.to_string()), "{err}");
+    }
+
+    /// The load → square → store program over 8 words, its buffers and
+    /// ops left open for a test to bend.
+    fn square_program() -> (Memory, StreamProgram) {
+        let cfg = MachineConfig::default();
+        let mut mem = Memory::new();
+        let src = mem.region("xs", vec![1.0; 8]);
+        let out = mem.region("ys", vec![0.0; 8]);
+        let mut pb = ProgramBuilder::new();
+        let (bx, by) = (pb.buffer("x", 1), pb.buffer("y", 1));
+        pb.load("load x", src, 1, 0, 8, bx);
+        let k = square_kernel(&cfg, KernelOpt::default());
+        pb.kernel("square", k, vec![bx], vec![by], vec![], 8, 1);
+        pb.store("store y", by, out, 1, 0);
+        (mem, pb.build())
+    }
+
+    #[test]
+    fn out_of_range_buffer_id_is_a_program_error_naming_the_op() {
+        // `BufferId` is a public integer: a hand-built id past the
+        // declared buffers used to index out of bounds in this very
+        // preflight, wherever in the program it appears.
+        for op in 0..3 {
+            let (mut mem, mut program) = square_program();
+            let stray = crate::program::BufferId(7);
+            match &mut program.ops[op].op {
+                StreamOp::Load { dst, .. } => *dst = stray,
+                StreamOp::Kernel { inputs, .. } => inputs[0] = stray,
+                StreamOp::Store { src, .. } => *src = stray,
+                other => panic!("unexpected {}", other.mnemonic()),
+            }
+            let err = StreamProcessor::new(MachineConfig::default())
+                .run(&mut mem, &program)
+                .expect_err("must be rejected");
+            assert!(matches!(err, SimError::Program(_)), "{err}");
+            let label = &program.ops[op].label;
+            assert!(err.to_string().contains(label.as_str()), "{err}");
+            assert!(err.to_string().contains("buffer 7"), "{err}");
+        }
+    }
+
+    #[test]
+    fn kernel_op_must_name_a_buffer_per_kernel_output() {
+        // Fewer buffers than the kernel has outputs used to drop the
+        // unnamed streams silently; more would name buffers nothing
+        // fills.
+        for outputs in [vec![], vec![1, 1]] {
+            let (mut mem, mut program) = square_program();
+            let StreamOp::Kernel { outputs: o, .. } = &mut program.ops[1].op else {
+                panic!("op 1 is the kernel");
+            };
+            *o = outputs.into_iter().map(crate::program::BufferId).collect();
+            let err = StreamProcessor::new(MachineConfig::default())
+                .run(&mut mem, &program)
+                .expect_err("must be rejected");
+            assert!(matches!(err, SimError::Program(_)), "{err}");
+            assert!(err.to_string().contains("'square'"), "{err}");
+            assert!(err.to_string().contains("output"), "{err}");
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! ([`StreamProcessor::schedule`]) executes nothing: `exec_op` here is
 //! the one functional implementation of gather, load, kernel,
 //! scatter-add and store, for partitioned programs and the serial
-//! fallback alike.
+//! fallback alike. A strip's SRF buffers are one dense table indexed by
+//! [`BufferId`]; a kernel launch borrows its inputs from it — as wider
+//! records of the same words when the kernel is unrolled — and copies
+//! nothing.
 //!
 //! ## The access-intent partition contract
 //!
@@ -63,7 +66,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 use merrimac_arch::MachineConfig;
-use merrimac_kernel::interp::{Interpreter, StreamData};
+use merrimac_kernel::interp::{Interpreter, StreamData, StreamView};
 use merrimac_kernel::BatchWidth;
 use rayon::prelude::*;
 
@@ -746,7 +749,7 @@ fn exec_serial(
     engine: KernelEngine,
     batch: BatchWidth,
 ) -> Result<Vec<OpRecord>, SimError> {
-    let mut buffers = HashMap::new();
+    let mut buffers = vec![None; program.buffers.len()];
     let mut records = Vec::with_capacity(program.ops.len());
     for lop in &program.ops {
         let (rec, src) = exec_op(memory, lop, &mut buffers, engine, batch)?;
@@ -780,13 +783,15 @@ fn exec_serial(
 }
 
 /// Functionally execute one op. Gathers, loads and kernels fill
-/// `buffers`; a scatter-add or a store changes nothing here and hands
-/// back its checked source stream for the caller to fold into a strip
-/// overlay or the live region. The record carries no memory cost.
+/// `buffers` — one entry per declared buffer, indexed by [`BufferId`],
+/// which `validate_program` has checked to be in range; a kernel borrows
+/// its inputs from there. A scatter-add or a store changes nothing here
+/// and hands back its checked source stream for the caller to fold into
+/// a strip overlay or the live region. The record carries no memory cost.
 fn exec_op<'b>(
     memory: &Memory,
     lop: &LabelledOp,
-    buffers: &'b mut HashMap<usize, StreamData>,
+    buffers: &'b mut [Option<StreamData>],
     engine: KernelEngine,
     batch: BatchWidth,
 ) -> Result<(OpRecord, Option<&'b StreamData>), SimError> {
@@ -804,7 +809,7 @@ fn exec_op<'b>(
                 let s = idx as usize * record_len;
                 data.extend_from_slice(&src[s..s + record_len]);
             }
-            buffers.insert(dst.0, StreamData::new(*record_len, data));
+            buffers[dst.0] = Some(StreamData::new(*record_len, data));
         }
         StreamOp::Load {
             region,
@@ -815,7 +820,7 @@ fn exec_op<'b>(
         } => {
             let s = start * record_len;
             let data = memory.data(*region)[s..s + records * record_len].to_vec();
-            buffers.insert(dst.0, StreamData::new(*record_len, data));
+            buffers[dst.0] = Some(StreamData::new(*record_len, data));
         }
         StreamOp::Kernel {
             kernel,
@@ -825,21 +830,21 @@ fn exec_op<'b>(
             iterations,
             ..
         } => {
-            let input_data: Vec<StreamData> = inputs
+            let views = inputs
                 .iter()
-                .map(|b| produced(buffers, lop, *b, "input").cloned())
+                .map(|b| produced(buffers, lop, *b, "input").map(StreamData::view))
                 .collect::<Result<_, _>>()?;
             let (outs, srf_words) = kernel_functional(
                 &lop.label,
                 kernel,
-                input_data,
+                views,
                 params,
                 *iterations,
                 engine,
                 batch,
             )?;
             for (o, b) in outs.into_iter().zip(outputs) {
-                buffers.insert(b.0, o);
+                buffers[b.0] = Some(o);
             }
             rec.kernel_srf_words = srf_words;
         }
@@ -866,12 +871,12 @@ fn exec_op<'b>(
 
 /// The stream an earlier op of the same program left in buffer `b`.
 fn produced<'b>(
-    buffers: &'b HashMap<usize, StreamData>,
+    buffers: &'b [Option<StreamData>],
     lop: &LabelledOp,
     b: BufferId,
     what: &str,
 ) -> Result<&'b StreamData, SimError> {
-    buffers.get(&b.0).ok_or_else(|| {
+    buffers[b.0].as_ref().ok_or_else(|| {
         SimError::Program(format!(
             "{} '{}': {what} buffer never produced",
             lop.op.mnemonic(),
@@ -896,7 +901,7 @@ fn scatter_add_into(dst: &mut [f64], src: &StreamData, record_len: usize, indice
 fn kernel_functional(
     label: &str,
     kernel: &CompiledKernel,
-    input_data: Vec<StreamData>,
+    mut inputs: Vec<StreamView>,
     params: &[f64],
     iterations: u64,
     engine: KernelEngine,
@@ -908,46 +913,34 @@ fn kernel_functional(
             "kernel '{label}': {iterations} iterations not divisible by unroll {unroll}"
         )));
     }
-    // Reshape every-iteration inputs to the unrolled record length —
-    // skipped entirely when every input already matches the unrolled
-    // signature (unroll = 1, or pre-shaped buffers), so the common case
-    // moves no stream and re-validates nothing.
-    let all_match = input_data
-        .iter()
-        .zip(&kernel.ir.inputs)
-        .all(|(d, sig)| sig.record_len as usize == d.record_len);
-    let shaped = if all_match {
-        input_data
-    } else {
-        let mut shaped = Vec::with_capacity(input_data.len());
-        for (d, sig) in input_data.into_iter().zip(&kernel.ir.inputs) {
-            if sig.record_len as usize != d.record_len {
-                if d.data.len() % sig.record_len as usize != 0 {
-                    return Err(SimError::Program(format!(
-                        "kernel '{label}': input not reshapeable to {} words",
-                        sig.record_len
-                    )));
-                }
-                shaped.push(StreamData::new(sig.record_len as usize, d.data));
-            } else {
-                shaped.push(d);
+    // An unrolled kernel reads the same words as records `unroll` times
+    // as long: re-view them, moving nothing.
+    for (d, sig) in inputs.iter_mut().zip(&kernel.ir.inputs) {
+        let record_len = sig.record_len as usize;
+        if d.record_len != record_len {
+            if d.data.len() % record_len != 0 {
+                return Err(SimError::Program(format!(
+                    "kernel '{label}': input not reshapeable to {record_len} words"
+                )));
             }
+            d.record_len = record_len;
         }
-        shaped
-    };
-    let unrolled_iters = iterations / unroll;
+    }
+    let unrolled_iters = (iterations / unroll) as usize;
     let out = match engine {
-        KernelEngine::Batch => {
-            kernel
-                .tape
-                .run_batched(&shaped, params, unrolled_iters as usize, batch)?
-        }
+        KernelEngine::Batch => kernel
+            .tape
+            .run_views(&inputs, params, unrolled_iters, batch)?,
+        // The oracle keeps its owned-stream signature, and pays a copy.
         KernelEngine::Interp => {
-            Interpreter::new(&kernel.ir).run(&shaped, params, unrolled_iters as usize)?
+            let owned = inputs
+                .iter()
+                .map(|d| StreamData::new(d.record_len, d.data.to_vec()));
+            Interpreter::new(&kernel.ir).run(&owned.collect::<Vec<_>>(), params, unrolled_iters)?
         }
     };
     let mut srf_words = 0u64;
-    for (s, d) in out.records_consumed.iter().zip(&shaped) {
+    for (s, d) in out.records_consumed.iter().zip(&inputs) {
         srf_words += (*s * d.record_len) as u64;
     }
     for o in &out.outputs {
@@ -968,7 +961,7 @@ fn exec_strip(
     engine: KernelEngine,
     batch: BatchWidth,
 ) -> Result<StripOutcome, SimError> {
-    let mut buffers = HashMap::new();
+    let mut buffers = vec![None; program.buffers.len()];
     let mut memsys = MemSystem::strip_shard(cfg);
     let mut out = StripOutcome {
         records: Vec::new(),

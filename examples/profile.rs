@@ -1,7 +1,9 @@
 //! Where a force step's host time goes: `RunReport::host` per variant on
 //! the paper's 900-molecule box, per-step means in ms over warm steps at
 //! 2 engine threads. The columns from `gather` to `op_cost` are summed
-//! over the worker threads, so they can exceed `phase_a_wall`.
+//! over the worker threads, so they can exceed `phase_a_wall`. The last
+//! column is what a kernel launch costs per kernel iteration: `kernel`
+//! over the step's iteration count, in thread-ns.
 //!
 //! ```sh
 //! cargo run --release --example profile
@@ -22,19 +24,25 @@ fn main() {
     for (name, _) in HostPhases::default().named() {
         print!(" {name:>w$}", w = name.len().max(6));
     }
-    println!();
+    println!(" kernel ns/iter");
     for variant in Variant::ALL {
         let run = || app.run_step_with_list(&system, &list, variant);
         run().expect("runs"); // warm: kernel compile, allocator
         let (mut host, t) = (HostPhases::default(), Instant::now());
+        let mut iterations = 0;
         for _ in 0..STEPS {
-            host.add(&run().expect("runs").report.host);
+            let report = run().expect("runs").report;
+            host.add(&report.host);
+            iterations += report.counters.kernel_iterations;
         }
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3 / STEPS as f64;
         print!("{:10} {:7.2}", variant.name(), ms(t.elapsed()));
         for (name, d) in host.named() {
             print!(" {:w$.2}", ms(d), w = name.len().max(6));
         }
-        println!();
+        println!(
+            " {:14.1}",
+            host.kernel.as_secs_f64() * 1e9 / iterations as f64
+        );
     }
 }
