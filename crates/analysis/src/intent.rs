@@ -1,7 +1,7 @@
 //! INTENT_MISMATCH / INTENT_UNDECLARED: prove declared region access
 //! intents against the actual access footprint.
 //!
-//! The strip partitioner (`merrimac_sim::parallel::partition_program`)
+//! The strip partitioner (`merrimac_sim::partition_program`)
 //! admits parallel execution *on trust* in the declared
 //! `ReadOnly`/`WriteOwned`/`ReduceAdd` intents; the simulator's
 //! `validate_program` rejects intent-violating ops only at run time.

@@ -11,7 +11,7 @@
 //!   register-file model and flag op windows where descriptor demand
 //!   exceeds capacity, reporting the predicted overlap loss;
 //! * [`ordering`] — the per-strip read/write ordering analysis
-//!   (`merrimac_sim::parallel::read_write_hazards`, which the strip
+//!   (`merrimac_sim::read_write_hazards`, which the strip
 //!   partitioner itself consumes for `WriteOwned` admission) rendered
 //!   as diagnostics;
 //! * [`srf_preflight`] — the SRF capacity floor check, naming which
@@ -102,11 +102,6 @@ pub fn analyze_program(ctx: &ProgramContext) -> Vec<Diagnostic> {
 /// Run the kernel dataflow lints over one kernel in isolation.
 pub fn analyze_kernel(kernel: &Kernel) -> Vec<Diagnostic> {
     kernel_lints::check(kernel)
-}
-
-/// Does any diagnostic block execution?
-pub fn has_errors(diags: &[Diagnostic]) -> bool {
-    diags.iter().any(|d| d.severity == Severity::Error)
 }
 
 /// Counts by severity: `(errors, warnings, infos)`.

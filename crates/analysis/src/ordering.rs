@@ -1,13 +1,13 @@
 //! Per-strip read/write ordering pass: surface every read that overlaps
 //! an earlier store of the same region in program order.
 //!
-//! The analysis itself lives in `merrimac_sim::parallel::read_write_hazards`
+//! The analysis itself lives in `merrimac_sim::read_write_hazards`
 //! — the partitioner consumes it directly for `WriteOwned` admission, so
 //! this pass and the engine can never disagree about what falls back.
 //! Here each hazard becomes a diagnostic naming both ops, their strips
 //! and the overlapping word ranges.
 
-use merrimac_sim::parallel::read_write_hazards;
+use merrimac_sim::read_write_hazards;
 
 use crate::diag::Diagnostic;
 use crate::lints::Lint;

@@ -87,13 +87,6 @@ pub struct MachineConfig {
     /// matching the paper's near-equal SRF/MEM reference counts
     /// (Figure 8). Enabling it is the cache ablation of the benches.
     pub cache_allocates_gathers: bool,
-    /// Host worker threads the execution engine uses for the functional
-    /// and memory-timing phases of a simulated step (not a property of
-    /// the modeled machine). Results and cycle counts are
-    /// bitwise-identical at any value; 1 runs serially. The default
-    /// honours the `MERRIMAC_HOST_THREADS` environment variable (CI
-    /// runs the tier-1 suite across a thread matrix this way).
-    pub host_threads: usize,
 }
 
 impl Default for MachineConfig {
@@ -124,11 +117,6 @@ impl Default for MachineConfig {
             kernel_startup: 150,
             dram_capacity_bytes: 2 * 1024 * 1024 * 1024,
             cache_allocates_gathers: false,
-            host_threads: std::env::var("MERRIMAC_HOST_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&t| t >= 1)
-                .unwrap_or(1),
         }
     }
 }

@@ -2,13 +2,15 @@
 //! a 216-molecule box at engine thread counts {1, 4}, verifies the
 //! parallel engine's bitwise-determinism contract, and writes
 //! `BENCH_streammd_216.json` (override the directory with
-//! `BENCH_REPORT_DIR`).
+//! `BENCH_REPORT_DIR`). The kernel engine and the partition report come
+//! from the environment (`HostExec::from_vars`, strict); the thread
+//! counts are the harness's own.
 
 use std::time::Instant;
 
 use merrimac_analysis::severity_counts;
 use merrimac_bench::{
-    analyze, banner, run, small_system, LintRecord, PerfReport, RunSpec, VariantRecord,
+    analyze, banner, run, small_system, HostExec, LintRecord, PerfReport, RunSpec, VariantRecord,
 };
 use streammd::Variant;
 
@@ -20,6 +22,10 @@ fn main() {
         "perf report",
         "per-variant GFLOPS/intensity/locality as BENCH_*.json",
     );
+    let host = HostExec::from_vars(|var| std::env::var(var).ok()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    });
     let (system, list) = small_system(MOLECULES);
     let mut report = PerfReport::new(format!("streammd_{MOLECULES}"), MOLECULES, THREADS);
 
@@ -29,10 +35,12 @@ fn main() {
     );
     for variant in Variant::ALL {
         let t0 = Instant::now();
-        let serial = run(RunSpec::new(&system, &list, variant));
+        let serial = run(RunSpec::new(&system, &list, variant).host(host).threads(1));
         let serial_wall = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let parallel = run(RunSpec::new(&system, &list, variant).threads(THREADS));
+        let parallel = run(RunSpec::new(&system, &list, variant)
+            .host(host)
+            .threads(THREADS));
         let parallel_wall = t1.elapsed().as_secs_f64();
         match (serial, parallel) {
             (Ok(s), Ok(p)) => {

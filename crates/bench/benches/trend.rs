@@ -1,16 +1,18 @@
 //! Perf-trend regression gate: run every StreamMD variant on the trend
-//! dataset, diff the measurements against the committed baseline
-//! (`bench/baselines/BENCH_<label>.json`), print the delta table, and
-//! exit non-zero on regression. CI runs the 216-molecule gate on every
-//! push and the 900-molecule paper-scale gate on `main`; run either
-//! locally with `cargo trend` (alias) or
-//! `cargo bench -p merrimac-bench --bench trend`.
+//! dataset, diff the simulated metrics (GFLOPS, intensity, locality,
+//! cycles — all bit-deterministic, gated at `Tolerances::default()`)
+//! against the committed baseline (`bench/baselines/BENCH_<label>.json`),
+//! print the delta table, and exit non-zero on regression. Host
+//! wall-clock is recorded, not gated: the repo benchmark owns it. CI
+//! runs the 216-molecule gate on every push and the 900-molecule
+//! paper-scale gate on `main`; run either locally with `cargo trend`
+//! (alias) or `cargo bench -p merrimac-bench --bench trend`.
 //!
 //! Environment knobs:
 //!
 //! * `TREND_DATASET=900` — run the paper's 900-molecule dataset (label
-//!   `trend_900`, looser wall-clock tolerance) instead of the default
-//!   216-molecule box (label `trend_216`).
+//!   `trend_900`) instead of the default 216-molecule box (label
+//!   `trend_216`).
 //! * `TREND_DATASET=multinode` — run the 216-molecule box through the
 //!   end-to-end multi-node runner at several node counts (label
 //!   `trend_multinode`, records like `variable@n8`); `cycles` is the
@@ -24,14 +26,16 @@
 //! * `TREND_THREADS` — engine worker threads for the functional phase
 //!   (default: host parallelism capped at 8). Simulated metrics are
 //!   bitwise-identical at any count; only wall-clock moves.
+//! * `MERRIMAC_KERNEL_ENGINE`, `MERRIMAC_PARTITION_VERBOSE` — the rest of
+//!   the run's `HostExec`, resolved strictly here at the edge (a
+//!   malformed value stops the gate; `MERRIMAC_HOST_THREADS` is checked
+//!   too, but `TREND_THREADS` decides the count).
 //! * `TREND_REFRESH=1` — rewrite the committed baseline from this run
 //!   (after an intentional perf or model change) and exit.
 //! * `TREND_BASELINE_DIR` — read/write baselines here instead of the
 //!   committed directory.
 //! * `BENCH_REPORT_DIR` — where the current report and the
 //!   `TREND_DELTA.txt` table land (default: current directory).
-//! * `TREND_TOL_{GFLOPS,INTENSITY,LOCALITY,CYCLES,WALL}` — tolerance
-//!   overrides (fractions).
 //! * `TREND_INJECT_GFLOPS_FACTOR` / `TREND_INJECT_VARIANT` — scale the
 //!   measured GFLOPS of one variant (default: all) before diffing; a
 //!   self-test hook proving the gate trips (e.g. factor `0.95`).
@@ -42,8 +46,8 @@ use std::time::Instant;
 use md_sim::neighbor::NeighborList;
 use md_sim::system::WaterBox;
 use merrimac_bench::{
-    atomic_system, banner, paper_system, render_table, run, small_system, trend, PerfReport,
-    RunSpec, Tolerances, VariantRecord,
+    atomic_system, banner, paper_system, render_table, run, small_system, trend, HostExec,
+    PerfReport, RunSpec, Tolerances, VariantRecord,
 };
 use streammd::Variant;
 
@@ -69,7 +73,6 @@ struct Dataset {
     molecules: usize,
     system: WaterBox,
     list: NeighborList,
-    tolerance_defaults: Tolerances,
     mode: Mode,
 }
 
@@ -82,7 +85,6 @@ fn dataset_from_env() -> Dataset {
                 molecules: 900,
                 system,
                 list,
-                tolerance_defaults: Tolerances::paper_scale(),
                 mode: Mode::Variants,
             }
         }
@@ -93,7 +95,6 @@ fn dataset_from_env() -> Dataset {
                 molecules: 512,
                 system,
                 list,
-                tolerance_defaults: Tolerances::default(),
                 mode: Mode::Variants,
             }
         }
@@ -104,7 +105,6 @@ fn dataset_from_env() -> Dataset {
                 molecules: 512,
                 system,
                 list,
-                tolerance_defaults: Tolerances::default(),
                 mode: Mode::Variants,
             }
         }
@@ -115,7 +115,6 @@ fn dataset_from_env() -> Dataset {
                 molecules: 216,
                 system,
                 list,
-                tolerance_defaults: Tolerances::default(),
                 mode: Mode::MultiNode(MULTINODE_POINTS),
             }
         }
@@ -126,7 +125,6 @@ fn dataset_from_env() -> Dataset {
                 molecules: 216,
                 system,
                 list,
-                tolerance_defaults: Tolerances::default(),
                 mode: Mode::Variants,
             }
         }
@@ -148,6 +146,11 @@ fn threads_from_env() -> usize {
 fn main() {
     let ds = dataset_from_env();
     let threads = threads_from_env();
+    let host = HostExec::from_vars(|var| std::env::var(var).ok()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    });
+    let host = HostExec { threads, ..host };
     banner(
         "trend gate",
         "per-variant perf vs. committed baseline, fail on regression",
@@ -161,7 +164,7 @@ fn main() {
         Mode::Variants => {
             for variant in Variant::ALL {
                 let t0 = Instant::now();
-                match run(RunSpec::new(&ds.system, &ds.list, variant).threads(threads)) {
+                match run(RunSpec::new(&ds.system, &ds.list, variant).host(host)) {
                     Ok(out) => {
                         let wall = t0.elapsed().as_secs_f64();
                         current.variants.push(VariantRecord::from_outcome(
@@ -184,7 +187,7 @@ fn main() {
                 let name = format!("{}@n{nodes}", variant.name());
                 let t0 = Instant::now();
                 let spec = RunSpec::new(&ds.system, &ds.list, variant)
-                    .threads(threads)
+                    .host(host)
                     .nodes(nodes);
                 match run(spec) {
                     Ok(out) => {
@@ -251,8 +254,7 @@ fn main() {
         }
     };
 
-    let tol = Tolerances::from_env_or(ds.tolerance_defaults);
-    let diff = merrimac_bench::compare(&baseline, &current, &tol);
+    let diff = merrimac_bench::compare(&baseline, &current, &Tolerances::default());
     let table = render_table(&diff);
     println!("{table}");
     write_delta_table(&table);

@@ -6,22 +6,23 @@
 //! and consistent.
 //!
 //! Variant execution goes through one entry point: describe the run
-//! with a [`RunSpec`] — dataset, variant, engine threads, simulated
-//! node count, kernel engine — and pass it to [`run`]. The
+//! with a [`RunSpec`] — dataset, variant, simulated node count and the
+//! host's [`HostExec`] — and pass it to [`run`]. The
 //! configuration is validated by `StreamMdApp::builder()`, so
 //! un-runnable setups (e.g. a strip too large to double-buffer in the
 //! SRF, or a node count outside the modeled network) surface as a
 //! typed [`RunError`] naming the offending knob instead of wedging the
-//! simulated scoreboard. `MERRIMAC_*` environment overrides are parsed
-//! in exactly one place, [`RunSpec::from_env_overrides`], and malformed
-//! values are a typed [`RunError::Env`] instead of a silent fallback.
+//! simulated scoreboard. A spec never reads the environment unless its
+//! caller asks with [`RunSpec::from_env_overrides`], where a malformed
+//! `MERRIMAC_*` value is a typed [`RunError::Env`].
 
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
 use md_sim::water::WaterModel;
 use merrimac_analysis::{Diagnostic, Severity};
+use merrimac_sim::env_usize;
 use merrimac_sim::machine::SimError;
-use merrimac_sim::{BatchWidth, KernelEngine};
+pub use merrimac_sim::{EnvOverrideError, HostExec};
 use streammd::{StepOutcome, StreamMdApp, Variant, Workload};
 
 pub mod json;
@@ -100,29 +101,6 @@ impl std::error::Error for VariantError {
         Some(&self.source)
     }
 }
-
-/// A malformed `MERRIMAC_*` environment override, rejected by
-/// [`RunSpec::from_env_overrides`] with the variable, the offending
-/// value and what was expected — instead of the silent fall-back the
-/// scattered ad-hoc parsers used to apply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvOverrideError {
-    pub var: &'static str,
-    pub value: String,
-    pub expected: &'static str,
-}
-
-impl std::fmt::Display for EnvOverrideError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "environment override {}={:?} is malformed: expected {}",
-            self.var, self.value, self.expected
-        )
-    }
-}
-
-impl std::error::Error for EnvOverrideError {}
 
 /// The one failure type a run — one-shot [`run`] call or campaign job —
 /// can produce. `bench::VariantError` (simulator/configuration
@@ -313,32 +291,22 @@ impl Dataset {
 }
 
 /// One execution, fully described: the dataset, its neighbour list, the
-/// variant, the engine thread count, the simulated node count and the
-/// kernel engine. Both the one-shot path ([`run`]) and the campaign
-/// service go through this one description. Extend with the builder
-/// methods; execute with [`run`].
+/// variant, the simulated node count and how the host executes it. Both
+/// the one-shot path ([`run`]) and the campaign service go through this
+/// one description. Extend with the builder methods; execute with
+/// [`run`].
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec<'a> {
     pub system: &'a WaterBox,
     pub list: &'a NeighborList,
     pub variant: Variant,
-    /// Host worker threads for the functional phase (simulated results
-    /// are identical at any count).
-    pub threads: usize,
     /// Simulated Merrimac nodes; `1` runs the single-node step, larger
     /// counts the end-to-end multi-node runner (validated against the
     /// modeled network at build time).
     pub nodes: usize,
-    /// Functional kernel-execution engine. `None` leaves the
-    /// `SimConfigBuilder` default (the legacy lenient
-    /// `MERRIMAC_KERNEL_ENGINE` fallback); set it explicitly — or via
-    /// [`RunSpec::from_env_overrides`], which rejects malformed values.
-    pub engine: Option<KernelEngine>,
-    /// Lane width of the batched engine. `None` leaves the
-    /// `SimConfigBuilder` default (the legacy lenient
-    /// `MERRIMAC_TAPE_BATCH` fallback); results are bitwise-identical
-    /// at either width.
-    pub tape_batch: Option<BatchWidth>,
+    /// Host threads, kernel engine, partition report (simulated results
+    /// are identical under every value).
+    pub host: HostExec,
 }
 
 impl<'a> RunSpec<'a> {
@@ -347,15 +315,19 @@ impl<'a> RunSpec<'a> {
             system,
             list,
             variant,
-            threads: 1,
             nodes: 1,
-            engine: None,
-            tape_batch: None,
+            host: HostExec::default(),
         }
     }
 
+    pub fn host(mut self, host: HostExec) -> Self {
+        self.host = host;
+        self
+    }
+
+    /// Shorthand for the host's worker-thread count alone.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.host.threads = threads;
         self
     }
 
@@ -365,80 +337,29 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    pub fn engine(mut self, engine: KernelEngine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Lane width of the batched engine (default 8).
-    pub fn tape_batch(mut self, width: BatchWidth) -> Self {
-        self.tape_batch = Some(width);
-        self
-    }
-
-    /// Apply the `MERRIMAC_HOST_THREADS`, `MERRIMAC_NODES`,
-    /// `MERRIMAC_KERNEL_ENGINE` and `MERRIMAC_TAPE_BATCH` environment
-    /// overrides to this spec — the single place those variables are
-    /// parsed. Unset variables leave the spec untouched; a
+    /// Take `host` from the process environment
+    /// ([`HostExec::from_vars`]) and, if set, `nodes` from
+    /// `MERRIMAC_NODES`. Unset variables mean the defaults; a
     /// set-but-malformed value is a typed [`RunError::Env`] naming the
-    /// variable, instead of the silent fall-back the legacy defaults
-    /// apply.
+    /// variable, the value and the grammar.
     pub fn from_env_overrides(mut self) -> Result<Self, RunError> {
-        if let Some(threads) = env_usize("MERRIMAC_HOST_THREADS")? {
-            self.threads = threads;
-        }
-        if let Some(nodes) = env_usize("MERRIMAC_NODES")? {
+        let env = |var: &str| std::env::var(var).ok();
+        self.host = HostExec::from_vars(env)?;
+        if let Some(nodes) = env_usize(env, "MERRIMAC_NODES")? {
             self.nodes = nodes;
-        }
-        if let Some(value) = env_value("MERRIMAC_KERNEL_ENGINE") {
-            self.engine = Some(KernelEngine::parse(&value).ok_or(EnvOverrideError {
-                var: "MERRIMAC_KERNEL_ENGINE",
-                value,
-                expected: "`batch` or `interp`",
-            })?);
-        }
-        if let Some(value) = env_value("MERRIMAC_TAPE_BATCH") {
-            self.tape_batch = Some(BatchWidth::parse(&value).ok_or(EnvOverrideError {
-                var: "MERRIMAC_TAPE_BATCH",
-                value,
-                expected: "`8` or `16`",
-            })?);
         }
         Ok(self)
     }
 
     /// The validated application this spec describes.
-    fn build_app(&self) -> Result<StreamMdApp, RunError> {
-        let mut b = StreamMdApp::builder()
+    pub fn build_app(&self) -> Result<StreamMdApp, RunError> {
+        StreamMdApp::builder()
             .neighbor(self.list.params)
-            .threads(self.threads)
+            .host(self.host)
             .variants(&[self.variant])
-            .nodes(self.nodes);
-        if let Some(engine) = self.engine {
-            b = b.engine(engine);
-        }
-        if let Some(width) = self.tape_batch {
-            b = b.tape_batch(width);
-        }
-        b.build().map_err(|e| RunError::sim(self.variant, e))
-    }
-}
-
-fn env_value(var: &str) -> Option<String> {
-    std::env::var(var).ok()
-}
-
-fn env_usize(var: &'static str) -> Result<Option<usize>, EnvOverrideError> {
-    let Some(value) = env_value(var) else {
-        return Ok(None);
-    };
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(EnvOverrideError {
-            var,
-            value,
-            expected: "a positive integer",
-        }),
+            .nodes(self.nodes)
+            .build()
+            .map_err(|e| RunError::sim(self.variant, e))
     }
 }
 
@@ -528,53 +449,6 @@ mod tests {
     #[test]
     fn pct_formats() {
         assert_eq!(pct(0.1234), "12.3%");
-    }
-
-    #[test]
-    fn tape_batch_env_override_is_checked() {
-        // Junk is a typed error naming the variable; a valid width
-        // lands in the spec. (Other tests tolerate this variable being
-        // transiently set: widths are bitwise-equivalent and the
-        // legacy `BatchWidth::from_env` fallback is lenient.)
-        let (system, list) = small_system(27);
-        std::env::set_var("MERRIMAC_TAPE_BATCH", "12");
-        let err = RunSpec::new(&system, &list, Variant::Expanded)
-            .from_env_overrides()
-            .unwrap_err();
-        match err {
-            RunError::Env(e) => {
-                assert_eq!(e.var, "MERRIMAC_TAPE_BATCH");
-                assert_eq!(e.value, "12");
-            }
-            other => panic!("expected Env error, got {other}"),
-        }
-        std::env::set_var("MERRIMAC_TAPE_BATCH", "16");
-        let spec = RunSpec::new(&system, &list, Variant::Expanded)
-            .from_env_overrides()
-            .expect("valid width");
-        assert_eq!(spec.tape_batch, Some(BatchWidth::W16));
-        std::env::remove_var("MERRIMAC_TAPE_BATCH");
-
-        // The removed scalar-tape engine value is junk like any other
-        // (the CI matrix may have set this variable: put it back).
-        let engine = std::env::var_os("MERRIMAC_KERNEL_ENGINE");
-        std::env::set_var("MERRIMAC_KERNEL_ENGINE", "tape");
-        let err = RunSpec::new(&system, &list, Variant::Expanded)
-            .from_env_overrides()
-            .unwrap_err();
-        match engine {
-            Some(v) => std::env::set_var("MERRIMAC_KERNEL_ENGINE", v),
-            None => std::env::remove_var("MERRIMAC_KERNEL_ENGINE"),
-        }
-        assert_eq!(KernelEngine::parse("tape"), None);
-        match err {
-            RunError::Env(e) => {
-                assert_eq!(e.var, "MERRIMAC_KERNEL_ENGINE");
-                assert_eq!(e.value, "tape");
-                assert_eq!(e.expected, "`batch` or `interp`");
-            }
-            other => panic!("expected Env error, got {other}"),
-        }
     }
 
     #[test]

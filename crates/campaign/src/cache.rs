@@ -24,12 +24,11 @@ use streammd::{StepProgram, StreamMdApp, Variant};
 /// Identity of a cacheable compiled artifact.
 ///
 /// `machine` is a fingerprint of every app knob that shapes the built
-/// program or its analysis verdict (machine config with the
-/// execution-only host-thread count zeroed, op costs, SDR policy,
-/// kernel options, block length, strip override). Threads, kernel
-/// engine and node count are deliberately absent: results are
-/// bitwise-identical across them, so jobs differing only there share
-/// artifacts.
+/// program or its analysis verdict (machine config, op costs, SDR
+/// policy, kernel options, block length, strip override). The host
+/// settings (`HostExec`) and the node count are not among them: results
+/// are bitwise-identical across those, so jobs differing only there
+/// share artifacts.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     pub dataset: DatasetId,
@@ -40,13 +39,9 @@ pub struct CacheKey {
 impl CacheKey {
     /// Key for running `variant` over `dataset` on `app`'s machine.
     pub fn for_app(app: &StreamMdApp, dataset: DatasetId, variant: Variant) -> Self {
-        let mut cfg = app.cfg.clone();
-        // Execution-only: any host-thread count produces bitwise-identical
-        // simulated results, so it must not split the cache.
-        cfg.host_threads = 0;
         let machine = format!(
-            "{cfg:?}|{:?}|{:?}|{:?}|L{}|strip{:?}",
-            app.costs, app.policy, app.kernel_opt, app.block_l, app.strip_iterations
+            "{:?}|{:?}|{:?}|{:?}|L{}|strip{:?}",
+            app.cfg, app.costs, app.policy, app.kernel_opt, app.block_l, app.strip_iterations
         );
         Self {
             dataset,
@@ -161,11 +156,6 @@ impl ArtifactCache {
                 CacheStatus::Hit
             },
         )
-    }
-
-    /// Record a job that deliberately skipped the cache.
-    pub fn note_bypass(&self) {
-        self.counters.lock().unwrap().bypass += 1;
     }
 
     pub fn stats(&self) -> CacheStats {

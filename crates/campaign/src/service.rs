@@ -17,8 +17,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use merrimac_bench::{CampaignRecord, Dataset, RunError, RunSpec, VariantError};
-use merrimac_sim::{BatchWidth, KernelEngine};
-use streammd::{run_multinode_program, StepOutcome, StreamMdApp, Variant};
+use merrimac_sim::HostExec;
+use streammd::{run_multinode_program, StepOutcome, Variant};
 
 use crate::cache::{ArtifactCache, CacheKey, CacheStats, CacheStatus, StepArtifact};
 
@@ -29,11 +29,9 @@ use crate::cache::{ArtifactCache, CacheKey, CacheStats, CacheStatus, StepArtifac
 pub struct JobSpec {
     pub dataset: Arc<Dataset>,
     pub variant: Variant,
-    pub threads: usize,
     pub nodes: usize,
-    pub engine: Option<KernelEngine>,
-    /// Lane width of the batched engine (results are width-invariant).
-    pub tape_batch: Option<BatchWidth>,
+    /// How the host executes the job; never part of the cache key.
+    pub host: HostExec,
 }
 
 impl JobSpec {
@@ -41,15 +39,19 @@ impl JobSpec {
         Self {
             dataset,
             variant,
-            threads: 1,
             nodes: 1,
-            engine: None,
-            tape_batch: None,
+            host: HostExec::default(),
         }
     }
 
+    pub fn host(mut self, host: HostExec) -> Self {
+        self.host = host;
+        self
+    }
+
+    /// Shorthand for the host's worker-thread count alone.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.host.threads = threads;
         self
     }
 
@@ -58,25 +60,14 @@ impl JobSpec {
         self
     }
 
-    pub fn engine(mut self, engine: KernelEngine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    pub fn tape_batch(mut self, width: BatchWidth) -> Self {
-        self.tape_batch = Some(width);
-        self
-    }
-
     /// The equivalent borrowed one-shot spec (what `bench::run` would
-    /// execute for this job).
+    /// execute for this job). The service builds its app from it, so
+    /// preflight failures (e.g. a node count outside the modeled
+    /// network) render identically from the service and the binary.
     pub fn run_spec(&self) -> RunSpec<'_> {
-        let mut spec = RunSpec::new(&self.dataset.system, &self.dataset.list, self.variant)
-            .threads(self.threads)
-            .nodes(self.nodes);
-        spec.engine = self.engine;
-        spec.tape_batch = self.tape_batch;
-        spec
+        RunSpec::new(&self.dataset.system, &self.dataset.list, self.variant)
+            .host(self.host)
+            .nodes(self.nodes)
     }
 
     /// Human-readable job identity for logs and reports.
@@ -87,29 +78,6 @@ impl JobSpec {
             self.dataset.id,
             self.nodes
         )
-    }
-
-    /// Validated app — the same construction path as `bench::run`, so
-    /// preflight failures (e.g. a node count outside the modeled
-    /// network) render identically from the service and the binary.
-    fn build_app(&self) -> Result<StreamMdApp, RunError> {
-        let mut b = StreamMdApp::builder()
-            .neighbor(self.dataset.list.params)
-            .threads(self.threads)
-            .variants(&[self.variant])
-            .nodes(self.nodes);
-        if let Some(engine) = self.engine {
-            b = b.engine(engine);
-        }
-        if let Some(width) = self.tape_batch {
-            b = b.tape_batch(width);
-        }
-        b.build().map_err(|source| {
-            RunError::from(VariantError {
-                variant: self.variant,
-                source,
-            })
-        })
     }
 }
 
@@ -405,7 +373,7 @@ fn worker_loop(shared: &Shared, tx: &Sender<JobResult>) {
 fn execute(shared: &Shared, q: Queued) -> JobResult {
     let t0 = Instant::now();
     let spec = &q.spec;
-    let (cache, result) = match spec.build_app() {
+    let (cache, result) = match spec.run_spec().build_app() {
         Err(e) => (None, Err(e)),
         Ok(app) => {
             // Single- and multi-node jobs share one cached artifact per
@@ -481,6 +449,27 @@ mod tests {
         assert_eq!(m.cache.bypass, 0);
         assert!(m.cache_hit_rate() > 0.6);
         assert!(m.total_iterations > 0);
+    }
+
+    #[test]
+    fn jobs_differing_only_in_host_share_one_cache_key() {
+        let ds = Arc::new(Dataset::small(27));
+        let plain = JobSpec::new(ds.clone(), Variant::Variable);
+        let other = plain.clone().host(HostExec {
+            threads: 3,
+            engine: merrimac_sim::KernelEngine::Interp,
+            partition_verbose: false,
+        });
+        let key = |spec: &JobSpec| {
+            let app = spec.run_spec().build_app().expect("valid");
+            CacheKey::for_app(&app, spec.dataset.id, spec.variant)
+        };
+        assert_eq!(key(&plain), key(&other));
+        let out = run_campaign(vec![Job::new(plain), Job::new(other)], 1);
+        let c = out.metrics.cache;
+        assert_eq!((c.misses, c.hits, c.distinct_keys), (1, 1, 1));
+        let forces = |r: &JobResult| r.result.as_ref().expect("runs").forces.clone();
+        assert_eq!(forces(&out.results[0]), forces(&out.results[1]));
     }
 
     #[test]

@@ -12,8 +12,8 @@ use merrimac_arch::{MachineConfig, NetworkConfig, OpCosts};
 use merrimac_sim::machine::SimError;
 use merrimac_sim::program::Memory;
 use merrimac_sim::{
-    AccessIntent, BatchWidth, CompiledKernel, KernelEngine, KernelOpt, ProgramBuilder, RegionId,
-    RunReport, SdrPolicy, StreamProcessor, StreamProgram,
+    AccessIntent, BatchWidth, CompiledKernel, HostExec, KernelEngine, KernelOpt, ProgramBuilder,
+    RegionId, RunReport, SdrPolicy, StreamProcessor, StreamProgram,
 };
 
 use crate::kernels;
@@ -89,12 +89,12 @@ pub struct StreamMdApp {
     pub nodes: usize,
     /// Functional kernel-execution engine (batched SoA tape or the
     /// reference interpreter). Simulated results are bitwise-identical
-    /// under both; only host wall-clock differs.
-    /// First-class configuration state: set it via
-    /// [`crate::SimConfigBuilder::engine`] (or the checked
-    /// `RunSpec::from_env_overrides` in `merrimac_bench`) instead of
-    /// exporting `MERRIMAC_KERNEL_ENGINE` ad hoc.
+    /// under both; only host wall-clock differs. With `threads` and
+    /// `partition_verbose`, one [`HostExec`] set through
+    /// [`crate::SimConfigBuilder::host`].
     pub engine: KernelEngine,
+    /// Print the strip partitioner's report to stderr before each run.
+    pub partition_verbose: bool,
     /// Lane width of the batched engine (8 or 16 iterations per SoA
     /// batch); irrelevant to results, which are bitwise-identical at
     /// either width.
@@ -185,9 +185,14 @@ impl StreamMdApp {
         crate::config::SimConfigBuilder::new()
     }
 
+    /// The defaults every construction path starts from, unchecked:
+    /// [`crate::SimConfigBuilder`] validates what is set on top of them.
     pub fn new(cfg: MachineConfig) -> Self {
+        let host = HostExec::default();
         Self {
-            threads: cfg.host_threads.max(1),
+            threads: host.threads,
+            engine: host.engine,
+            partition_verbose: host.partition_verbose,
             cfg,
             costs: OpCosts::default(),
             policy: SdrPolicy::Eager,
@@ -205,8 +210,7 @@ impl StreamMdApp {
             analyze: false,
             network: NetworkConfig::default(),
             nodes: 1,
-            engine: KernelEngine::from_env(),
-            tape_batch: BatchWidth::from_env(),
+            tape_batch: BatchWidth::default(),
             kernels: KernelMemo::default(),
         }
     }
@@ -377,11 +381,13 @@ impl StreamMdApp {
     /// The stream processor every execution path of this app runs on
     /// (single-node steps and each node of a multi-node step).
     pub(crate) fn processor(&self) -> StreamProcessor {
-        StreamProcessor::new(self.cfg.clone())
+        let mut proc = StreamProcessor::new(self.cfg.clone())
             .with_costs(self.costs.clone())
             .with_policy(self.policy)
             .with_engine(self.engine)
-            .with_batch_width(self.tape_batch)
+            .with_batch_width(self.tape_batch);
+        proc.partition_verbose = self.partition_verbose;
+        proc
     }
 
     /// Execute an already-built step program — the per-run half of the

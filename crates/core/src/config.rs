@@ -40,7 +40,7 @@ use md_sim::neighbor::NeighborListParams;
 use merrimac_arch::{MachineConfig, NetworkConfig, OpCosts};
 use merrimac_net::topology::{NetError, Topology};
 use merrimac_sim::machine::SimError;
-use merrimac_sim::{BatchWidth, KernelEngine, KernelOpt, SdrPolicy};
+use merrimac_sim::{HostExec, KernelOpt, SdrPolicy};
 
 use crate::app::StreamMdApp;
 use crate::variant::Variant;
@@ -50,21 +50,11 @@ use crate::workload::Workload;
 /// [`SimConfigBuilder::new`] or [`StreamMdApp::builder`].
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {
-    cfg: MachineConfig,
-    costs: OpCosts,
-    policy: SdrPolicy,
-    kernel_opt: KernelOpt,
-    neighbor: NeighborListParams,
-    block_l: usize,
-    strip_iterations: Option<usize>,
-    threads: Option<usize>,
+    /// The app under construction; it starts as [`StreamMdApp::new`]'s
+    /// defaults, so the two constructors cannot drift apart.
+    app: StreamMdApp,
     variants: Vec<Variant>,
     workloads: Vec<Workload>,
-    analyze: bool,
-    network: NetworkConfig,
-    nodes: usize,
-    engine: Option<KernelEngine>,
-    tape_batch: Option<BatchWidth>,
 }
 
 impl Default for SimConfigBuilder {
@@ -76,78 +66,68 @@ impl Default for SimConfigBuilder {
 impl SimConfigBuilder {
     pub fn new() -> Self {
         Self {
-            cfg: MachineConfig::default(),
-            costs: OpCosts::default(),
-            policy: SdrPolicy::Eager,
-            kernel_opt: KernelOpt {
-                unroll: 1,
-                software_pipeline: true,
-            },
-            neighbor: NeighborListParams {
-                cutoff: 1.0,
-                skin: 0.0,
-                rebuild_interval: 10,
-            },
-            block_l: 8,
-            strip_iterations: None,
-            threads: None,
+            app: StreamMdApp::new(MachineConfig::default()),
             variants: Variant::ALL.to_vec(),
             workloads: Workload::ALL.to_vec(),
-            analyze: false,
-            network: NetworkConfig::default(),
-            nodes: 1,
-            engine: None,
-            tape_batch: None,
         }
     }
 
     /// Machine parameters (Table 1 defaults).
     pub fn machine(mut self, cfg: MachineConfig) -> Self {
-        self.cfg = cfg;
+        self.app.cfg = cfg;
         self
     }
 
     /// Per-op cycle cost overrides.
     pub fn costs(mut self, costs: OpCosts) -> Self {
-        self.costs = costs;
+        self.app.costs = costs;
         self
     }
 
     /// Stream-descriptor-register retirement policy (Figure 7).
     pub fn policy(mut self, policy: SdrPolicy) -> Self {
-        self.policy = policy;
+        self.app.policy = policy;
         self
     }
 
     /// Kernel compilation options (unroll, software pipelining).
     pub fn kernel_opt(mut self, opt: KernelOpt) -> Self {
-        self.kernel_opt = opt;
+        self.app.kernel_opt = opt;
         self
     }
 
     /// Neighbour-list policy.
     pub fn neighbor(mut self, params: NeighborListParams) -> Self {
-        self.neighbor = params;
+        self.app.neighbor = params;
         self
     }
 
     /// Fixed-list block length L (paper: 8).
     pub fn block_l(mut self, l: usize) -> Self {
-        self.block_l = l;
+        self.app.block_l = l;
         self
     }
 
     /// Strip size override (kernel iterations per strip). Validated at
     /// build time against the SRF footprint of every variant in scope.
     pub fn strip_iterations(mut self, iters: usize) -> Self {
-        self.strip_iterations = Some(iters);
+        self.app.strip_iterations = Some(iters);
         self
     }
 
-    /// Host worker threads for the functional phase of the execution
-    /// engine (simulated results are identical at any count).
+    /// How the host executes the run (default [`HostExec::default`]:
+    /// 1 thread, the batch engine, quiet). Simulated results are
+    /// bitwise-identical under every value.
+    pub fn host(mut self, host: HostExec) -> Self {
+        self.app.threads = host.threads;
+        self.app.engine = host.engine;
+        self.app.partition_verbose = host.partition_verbose;
+        self
+    }
+
+    /// Shorthand for the host's worker-thread count alone.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.app.threads = threads;
         self
     }
 
@@ -171,7 +151,7 @@ impl SimConfigBuilder {
     /// The interconnection network multi-node steps are priced over
     /// (paper Section 2.3; Table defaults give the 8,192-node system).
     pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
+        self.app.network = network;
         self
     }
 
@@ -180,26 +160,7 @@ impl SimConfigBuilder {
     /// network size — an out-of-range count is a typed preflight error,
     /// not a mid-run panic.
     pub fn nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
-    /// Functional kernel-execution engine (batched SoA tape or the
-    /// reference interpreter). Unset, the legacy
-    /// `MERRIMAC_KERNEL_ENGINE` default applies; prefer setting it here
-    /// (or via `RunSpec::from_env_overrides` in `merrimac_bench`, which
-    /// rejects malformed values with a typed error).
-    pub fn engine(mut self, engine: KernelEngine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Lane width of the batched engine ([`KernelEngine::Batch`]): 8 or
-    /// 16 iterations per SoA batch. Unset, the legacy
-    /// `MERRIMAC_TAPE_BATCH` default applies (8). Results are
-    /// bitwise-identical at either width; only host wall-clock differs.
-    pub fn tape_batch(mut self, width: BatchWidth) -> Self {
-        self.tape_batch = Some(width);
+        self.app.nodes = nodes;
         self
     }
 
@@ -210,44 +171,45 @@ impl SimConfigBuilder {
     /// dataset and so run per step, refusing programs with Error
     /// diagnostics before a single simulated cycle.
     pub fn analyze(mut self) -> Self {
-        self.analyze = true;
+        self.app.analyze = true;
         self
     }
 
     /// Validate every knob and produce the application.
     pub fn build(self) -> Result<StreamMdApp, SimError> {
-        if self.block_l == 0 {
+        let app = self.app;
+        if app.block_l == 0 {
             return Err(SimError::Config("block_l must be at least 1".into()));
         }
-        if self.kernel_opt.unroll == 0 {
+        if app.kernel_opt.unroll == 0 {
             return Err(SimError::Config("kernel unroll must be at least 1".into()));
         }
-        if self.threads == Some(0) {
+        if app.threads == 0 {
             return Err(SimError::Config("threads must be at least 1".into()));
         }
-        if self.strip_iterations == Some(0) {
+        if app.strip_iterations == Some(0) {
             return Err(SimError::Config(
                 "strip_iterations must be at least 1".into(),
             ));
         }
-        if self.cfg.clusters == 0 || self.cfg.srf_words_per_cluster == 0 {
+        if app.cfg.clusters == 0 || app.cfg.srf_words_per_cluster == 0 {
             return Err(SimError::Config(
                 "machine needs at least one cluster and a non-empty SRF".into(),
             ));
         }
-        if !self.neighbor.cutoff.is_finite() || self.neighbor.cutoff <= 0.0 {
+        if !app.neighbor.cutoff.is_finite() || app.neighbor.cutoff <= 0.0 {
             return Err(SimError::Config(format!(
                 "neighbour cutoff must be positive and finite, got {}",
-                self.neighbor.cutoff
+                app.neighbor.cutoff
             )));
         }
-        if !self.neighbor.skin.is_finite() || self.neighbor.skin < 0.0 {
+        if !app.neighbor.skin.is_finite() || app.neighbor.skin < 0.0 {
             return Err(SimError::Config(format!(
                 "neighbour skin must be non-negative and finite, got {}",
-                self.neighbor.skin
+                app.neighbor.skin
             )));
         }
-        if self.neighbor.rebuild_interval == 0 {
+        if app.neighbor.rebuild_interval == 0 {
             return Err(SimError::Config(
                 "neighbour rebuild_interval must be at least 1".into(),
             ));
@@ -257,7 +219,7 @@ impl SimConfigBuilder {
                 "workload scope must name at least one workload".into(),
             ));
         }
-        if let Some(strip) = self.strip_iterations {
+        if let Some(strip) = app.strip_iterations {
             // Validate at the widest record in scope: any strip that
             // fits the widest workload fits the narrower ones too.
             let width = self
@@ -269,24 +231,24 @@ impl SimConfigBuilder {
             for &variant in &self.variants {
                 let needed = strip_working_set_per_cluster(
                     variant,
-                    self.block_l,
+                    app.block_l,
                     strip,
-                    self.cfg.clusters.max(1),
+                    app.cfg.clusters.max(1),
                     width,
                 );
-                if needed > self.cfg.srf_words_per_cluster {
+                if needed > app.cfg.srf_words_per_cluster {
                     return Err(SimError::StripSrfOverflow {
-                        label: format!("variant {variant}, L = {}", self.block_l),
+                        label: format!("variant {variant}, L = {}", app.block_l),
                         strip_iterations: strip as u64,
                         needed_words_per_cluster: needed,
-                        capacity_words_per_cluster: self.cfg.srf_words_per_cluster,
+                        capacity_words_per_cluster: app.cfg.srf_words_per_cluster,
                     });
                 }
             }
         }
-        if self.network.nodes_per_board == 0
-            || self.network.boards_per_backplane == 0
-            || self.network.backplanes == 0
+        if app.network.nodes_per_board == 0
+            || app.network.boards_per_backplane == 0
+            || app.network.backplanes == 0
         {
             return Err(SimError::Config(
                 "network needs at least one node per board, board and backplane".into(),
@@ -295,30 +257,14 @@ impl SimConfigBuilder {
         // The multi-node preflight: reject node counts the modeled
         // network cannot hold, via the same `Topology::worst_level`
         // helper the runner and the analytic estimator use.
-        let topo = Topology::new(self.network.clone());
-        topo.worst_level(self.nodes).map_err(|e| match e {
+        let topo = Topology::new(app.network.clone());
+        topo.worst_level(app.nodes).map_err(|e| match e {
             NetError::NodeCountOutOfRange { nodes, total } => {
                 SimError::NodesOutOfRange { nodes, total }
             }
             other => SimError::Config(other.to_string()),
         })?;
-        let threads = self.threads.unwrap_or(self.cfg.host_threads.max(1));
-        Ok(StreamMdApp {
-            threads,
-            cfg: self.cfg,
-            costs: self.costs,
-            policy: self.policy,
-            kernel_opt: self.kernel_opt,
-            neighbor: self.neighbor,
-            block_l: self.block_l,
-            strip_iterations: self.strip_iterations,
-            analyze: self.analyze,
-            network: self.network,
-            nodes: self.nodes,
-            engine: self.engine.unwrap_or_else(KernelEngine::from_env),
-            tape_batch: self.tape_batch.unwrap_or_else(BatchWidth::from_env),
-            kernels: Default::default(),
-        })
+        Ok(app)
     }
 }
 
@@ -362,18 +308,31 @@ pub(crate) fn strip_working_set_per_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use merrimac_sim::KernelEngine;
 
     #[test]
-    fn defaults_build() {
+    fn host_lands_on_the_app_last_call_winning() {
+        let host_of = |app: &StreamMdApp| HostExec {
+            threads: app.threads,
+            engine: app.engine,
+            partition_verbose: app.partition_verbose,
+        };
         let app = SimConfigBuilder::new().build().expect("defaults are valid");
+        assert_eq!(host_of(&app), HostExec::default());
         assert_eq!(app.block_l, 8);
-        // `host_threads` honours MERRIMAC_HOST_THREADS (the CI thread
-        // matrix), so compare against the machine default, not 1.
-        assert_eq!(
-            app.threads,
-            merrimac_arch::MachineConfig::default().host_threads.max(1)
-        );
         assert!(app.strip_iterations.is_none());
+
+        let h = HostExec {
+            threads: 3,
+            engine: KernelEngine::Interp,
+            partition_verbose: true,
+        };
+        let app = SimConfigBuilder::new().host(h).build().unwrap();
+        assert_eq!(host_of(&app), h);
+        let app = SimConfigBuilder::new().host(h).threads(5).build().unwrap();
+        assert_eq!(host_of(&app), HostExec { threads: 5, ..h });
+        let app = SimConfigBuilder::new().threads(5).host(h).build().unwrap();
+        assert_eq!(host_of(&app), h);
     }
 
     #[test]
@@ -507,17 +466,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err}");
-    }
-
-    #[test]
-    fn threads_default_to_machine_host_threads() {
-        let cfg = MachineConfig {
-            host_threads: 6,
-            ..MachineConfig::default()
-        };
-        let app = SimConfigBuilder::new().machine(cfg).build().unwrap();
-        assert_eq!(app.threads, 6);
-        let app = SimConfigBuilder::new().threads(3).build().unwrap();
-        assert_eq!(app.threads, 3);
     }
 }

@@ -90,11 +90,6 @@ impl DriverReport {
             self.total_force_cycles as f64 / self.steps.len() as f64
         }
     }
-
-    /// Wall-clock seconds per step at the machine clock.
-    pub fn seconds_per_step(&self, clock_hz: f64) -> f64 {
-        self.cycles_per_step() / clock_hz
-    }
 }
 
 /// MD driver: velocity Verlet + SHAKE on the scalar side, forces from

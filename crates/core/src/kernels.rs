@@ -354,9 +354,9 @@ pub fn variable_kernel() -> Kernel {
     let ctx = Ctx::new(&mut b);
     let (acc0, acc_regs) = accum_regs(&mut b);
 
-    // Loop-carried centre state: 18 position/shift words (pre-shifted
-    // below and stored shifted: 9 regs suffice per site set? We store the
-    // *shifted* centre, 9 values, plus 9 accumulated force components).
+    // Loop-carried centre state: the 18 position/shift words of a centre
+    // record are added once, on refresh, so the registers hold the 9
+    // *shifted* centre coordinates plus 9 accumulated force components.
     let zero = b.constant(0.0);
     let flag = b.read(s_flag, 0);
     let is_new = b.cmp_lt(zero, flag);

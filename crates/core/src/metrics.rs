@@ -98,11 +98,6 @@ impl PhaseBreakdown {
         }
     }
 
-    /// Total memory-unit busy cycles.
-    pub fn memory_cycles(&self) -> u64 {
-        self.gather_cycles + self.load_cycles + self.scatter_add_cycles + self.store_cycles
-    }
-
     /// Fraction of `makespan` each phase occupied (gather, load, kernel,
     /// scatter-add, store). Phases overlap across units, so the
     /// fractions can legitimately sum past 1.

@@ -74,29 +74,6 @@ pub enum BatchWidth {
 }
 
 impl BatchWidth {
-    /// The width a `MERRIMAC_TAPE_BATCH` value names, if any. Typed
-    /// rejection of malformed values happens at the validated front
-    /// door (`merrimac_bench::RunSpec::from_env_overrides`), which
-    /// calls this.
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "8" => Some(BatchWidth::W8),
-            "16" => Some(BatchWidth::W16),
-            _ => None,
-        }
-    }
-
-    /// Resolve from the `MERRIMAC_TAPE_BATCH` environment variable
-    /// (`8` or `16`; anything else, including unset, means 8). Lenient
-    /// legacy default for raw construction — results are
-    /// bitwise-identical at either width, only host wall-clock differs.
-    pub fn from_env() -> Self {
-        std::env::var("MERRIMAC_TAPE_BATCH")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// Iterations per batch.
     pub fn lanes(self) -> usize {
         match self {
@@ -1017,11 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn width_knob_parses_and_reports_lanes() {
-        assert_eq!(BatchWidth::parse("8"), Some(BatchWidth::W8));
-        assert_eq!(BatchWidth::parse("16"), Some(BatchWidth::W16));
-        assert_eq!(BatchWidth::parse("12"), None);
-        assert_eq!(BatchWidth::parse(""), None);
+    fn width_reports_lanes() {
         assert_eq!(BatchWidth::default().lanes(), 8);
         assert_eq!(BatchWidth::W16.lanes(), 16);
         assert_eq!(BatchWidth::W16.to_string(), "16");

@@ -202,14 +202,6 @@ impl KernelBuilder {
 
     // ---- 3-vector helpers -------------------------------------------------
 
-    pub fn v3_const(&mut self, x: f64, y: f64, z: f64) -> V3 {
-        V3 {
-            x: self.constant(x),
-            y: self.constant(y),
-            z: self.constant(z),
-        }
-    }
-
     pub fn v3_add(&mut self, a: V3, b: V3) -> V3 {
         V3 {
             x: self.add(a.x, b.x),
@@ -223,15 +215,6 @@ impl KernelBuilder {
             x: self.sub(a.x, b.x),
             y: self.sub(a.y, b.y),
             z: self.sub(a.z, b.z),
-        }
-    }
-
-    /// Component-wise `a*s + b` (scale-accumulate).
-    pub fn v3_scale_add(&mut self, a: V3, s: Val, b: V3) -> V3 {
-        V3 {
-            x: self.madd(a.x, s, b.x),
-            y: self.madd(a.y, s, b.y),
-            z: self.madd(a.z, s, b.z),
         }
     }
 
@@ -255,22 +238,6 @@ impl KernelBuilder {
         let xx = self.mul(a.x, b.x);
         let xy = self.madd(a.y, b.y, xx);
         self.madd(a.z, b.z, xy)
-    }
-
-    pub fn v3_sel(&mut self, mask: Val, a: V3, b: V3) -> V3 {
-        V3 {
-            x: self.sel(mask, a.x, b.x),
-            y: self.sel(mask, a.y, b.y),
-            z: self.sel(mask, a.z, b.z),
-        }
-    }
-
-    pub fn v3_read_reg(&mut self, r: [RegId; 3]) -> V3 {
-        V3 {
-            x: self.read_reg(r[0]),
-            y: self.read_reg(r[1]),
-            z: self.read_reg(r[2]),
-        }
     }
 
     // ---- side effects -----------------------------------------------------

@@ -31,7 +31,6 @@ pub mod builder;
 pub mod interp;
 pub mod ir;
 pub mod lower;
-pub mod opt;
 pub mod pipeline;
 pub mod render;
 pub mod schedule;

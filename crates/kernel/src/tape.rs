@@ -330,18 +330,6 @@ impl CompiledTape {
         self.input_every_iter.iter().all(|every| *every)
     }
 
-    /// Instructions executed per iteration (prologue reads plus the
-    /// arithmetic tape).
-    pub fn ops_per_iteration(&self) -> usize {
-        self.reg_reads.len()
-            + self
-                .stream_reads
-                .iter()
-                .map(|g| g.reads.len())
-                .sum::<usize>()
-            + self.ops.len()
-    }
-
     /// Worst-case records popped from input stream `s` in one
     /// iteration: exactly one for every-iteration streams, one per
     /// distinct `(stream, predicate)` pop slot for conditional streams

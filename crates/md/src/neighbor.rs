@@ -173,11 +173,6 @@ impl NeighborList {
         self.lists.iter().map(|l| l.neighbors.len()).sum()
     }
 
-    /// Number of (centre, shift) lists.
-    pub fn num_lists(&self) -> usize {
-        self.lists.len()
-    }
-
     /// Mean neighbours per *molecule* (not per list).
     pub fn mean_neighbors_per_molecule(&self, num_molecules: usize) -> f64 {
         if num_molecules == 0 {

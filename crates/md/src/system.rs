@@ -120,19 +120,6 @@ impl WaterBox {
         out
     }
 
-    /// The StreamMD position array for any site count: `3 × num_sites`
-    /// coordinates per molecule, molecule-major (9 words for 3-site
-    /// water, 3 for single-site atoms).
-    pub fn positions_flat(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.positions.len() * 3);
-        for p in &self.positions {
-            out.push(p.x);
-            out.push(p.y);
-            out.push(p.z);
-        }
-        out
-    }
-
     /// Centre of mass of molecule `m`.
     pub fn molecule_com(&self, m: usize) -> Vec3 {
         let sites = &self.model.sites;

@@ -58,12 +58,6 @@ impl Vec3 {
         )
     }
 
-    /// Component-wise multiplication.
-    #[inline]
-    pub fn mul_elem(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
     /// Unit vector in the same direction. Returns `ZERO` for a zero vector
     /// rather than NaN so force accumulation on coincident dummy particles
     /// stays finite.

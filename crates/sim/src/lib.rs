@@ -19,16 +19,21 @@
 //! * [`machine`] — the scoreboard that issues stream operations onto the
 //!   memory system and cluster array, exposing the software-pipelined
 //!   overlap of Figure 5;
+//! * [`partition`]/[`parallel`] — which strips are independent, and the
+//!   functional execution fanned across host threads ([`host`]: the one
+//!   value that says how);
 //! * [`timeline`]/[`counters`] — the measurement layer behind Figures
 //!   7–9 and Table 4.
 
 pub mod cache;
 pub mod cluster;
 pub mod counters;
+pub mod host;
 pub mod kernelc;
 pub mod machine;
 pub mod memsys;
 pub mod parallel;
+pub mod partition;
 pub mod program;
 pub mod sdr;
 pub mod srf;
@@ -36,6 +41,7 @@ pub mod timeline;
 
 pub use cache::CacheAccessStats;
 pub use counters::{Counters, PhaseCycles};
+pub use host::{env_usize, EnvOverrideError, HostExec};
 pub use kernelc::{CompiledKernel, KernelOpt};
 pub use machine::{
     buffer_capacity_words, produced_buffers, HostPhases, KernelEngine, RunReport, SimError,
@@ -43,7 +49,7 @@ pub use machine::{
 };
 pub use memsys::{MemOpCost, MemSystem};
 pub use merrimac_kernel::BatchWidth;
-pub use parallel::{
+pub use partition::{
     partition_program, read_write_hazards, FallbackKind, FallbackReason, OrderingHazard,
     PartitionReport, PartitionSummary,
 };

@@ -24,7 +24,7 @@ use merrimac_kernel::BatchWidth;
 use crate::cache::CacheAccessStats;
 use crate::counters::{Counters, PhaseCycles};
 use crate::memsys::{MemOpCost, MemSystem};
-use crate::parallel::PartitionSummary;
+use crate::partition::PartitionSummary;
 use crate::program::{AccessKind, BufferId, Memory, StreamOp, StreamProgram};
 use crate::sdr::{SdrFile, SdrPolicy};
 use crate::srf::SrfAllocator;
@@ -222,7 +222,7 @@ pub(crate) struct OpRecord {
 /// compiled tape in vectorizable lanes of 8/16 iterations) is the
 /// default. The graph-walking
 /// [`Interpreter`](merrimac_kernel::interp::Interpreter) remains as the
-/// independent bisection oracle behind `MERRIMAC_KERNEL_ENGINE=interp`.
+/// independent bisection oracle ([`crate::HostExec::engine`]).
 /// Both produce bitwise-identical outputs, consumed counts and final
 /// registers — proven differentially by `tests/tape_equivalence.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -236,29 +236,14 @@ pub enum KernelEngine {
 }
 
 impl KernelEngine {
-    /// The engine a value of `MERRIMAC_KERNEL_ENGINE` names, if any.
-    /// This is the single place the value grammar lives; typed rejection
-    /// of malformed values happens in `merrimac_bench`'s
-    /// `RunSpec::from_env_overrides`, which calls this.
+    /// The engine `value` names, if any — the one place the grammar
+    /// lives ([`crate::HostExec::from_vars`] rejects anything else).
     pub fn parse(value: &str) -> Option<Self> {
         match value {
             "batch" => Some(KernelEngine::Batch),
             "interp" => Some(KernelEngine::Interp),
             _ => None,
         }
-    }
-
-    /// Resolve from the `MERRIMAC_KERNEL_ENGINE` environment variable
-    /// (`batch` or `interp`; anything else, including unset, means
-    /// batch). Lenient legacy default for a raw
-    /// [`StreamProcessor`]; the validated front doors
-    /// (`SimConfigBuilder::engine`, `RunSpec::from_env_overrides`)
-    /// reject malformed values instead.
-    pub fn from_env() -> Self {
-        std::env::var("MERRIMAC_KERNEL_ENGINE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
     }
 
     pub fn name(self) -> &'static str {
@@ -289,18 +274,13 @@ pub struct StreamProcessor {
     pub strip_lookahead: usize,
     /// Print the strip partitioner's report (read-shared/owned/reduce
     /// regions, or the typed fallback reason) to stderr before each run.
-    /// Defaults from the `MERRIMAC_PARTITION_VERBOSE` environment
-    /// variable.
     pub partition_verbose: bool,
     /// Which functional engine executes kernel dataflow graphs.
-    /// Defaults from the `MERRIMAC_KERNEL_ENGINE` environment variable
-    /// (batch unless set to `interp`). Simulated results are
-    /// bitwise-identical under both; only host wall-clock differs.
+    /// Simulated results are bitwise-identical under both; only host
+    /// wall-clock differs.
     pub kernel_engine: KernelEngine,
     /// Lane width of the batched engine ([`KernelEngine::Batch`]).
-    /// Defaults from the `MERRIMAC_TAPE_BATCH` environment variable
-    /// (8 unless set to `16`). Results are bitwise-identical at either
-    /// width.
+    /// Results are bitwise-identical at either width.
     pub tape_batch: BatchWidth,
 }
 
@@ -318,11 +298,9 @@ impl StreamProcessor {
             costs: OpCosts::default(),
             policy: SdrPolicy::Eager,
             strip_lookahead: 1,
-            partition_verbose: std::env::var("MERRIMAC_PARTITION_VERBOSE")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false),
-            kernel_engine: KernelEngine::from_env(),
-            tape_batch: BatchWidth::from_env(),
+            partition_verbose: false,
+            kernel_engine: KernelEngine::default(),
+            tape_batch: BatchWidth::default(),
         }
     }
 
@@ -331,15 +309,13 @@ impl StreamProcessor {
         self
     }
 
-    /// Select the functional kernel-execution engine (batch or the
-    /// reference interpreter) regardless of the environment default.
+    /// Select the functional kernel-execution engine (default: batch).
     pub fn with_engine(mut self, engine: KernelEngine) -> Self {
         self.kernel_engine = engine;
         self
     }
 
-    /// Select the lane width of the batched engine regardless of the
-    /// environment default.
+    /// Select the lane width of the batched engine (default: 8).
     pub fn with_batch_width(mut self, width: BatchWidth) -> Self {
         self.tape_batch = width;
         self

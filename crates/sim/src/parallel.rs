@@ -14,32 +14,9 @@
 //! records of the same words when the kernel is unrolled — and copies
 //! nothing.
 //!
-//! ## The access-intent partition contract
-//!
-//! [`partition_program`] admits a program to the parallel path when
-//! every strip's work is independent under the declared (or safely
-//! inferable) per-region access intents:
-//!
-//! * regions that are only **read** (gather/load) may be shared by any
-//!   number of strips — read sharing is always safe;
-//! * regions that are only **scatter-added** ([`AccessIntent::ReduceAdd`])
-//!   accumulate into per-strip overlays merged by the deterministic
-//!   tree reduction;
-//! * regions that are **stored** (and, if declared
-//!   [`AccessIntent::WriteOwned`], also read) parallelize when each
-//!   strip owns a provably disjoint slice and no read *overlaps* an
-//!   earlier store's word range in program order
-//!   ([`read_write_hazards`]) — the phase-A pass reads pre-state, so a
-//!   read that follows an overlapping write would observe stale data.
-//!   Reads of ranges disjoint from every earlier store compose freely,
-//!   which is what admits software-pipelined in-place update patterns
-//!   (strip *k* loads, transforms and stores back its own slice before
-//!   strip *k+1* starts).
-//!
-//! Anything else produces a typed [`FallbackReason`] and the program
-//! executes serially, op by op in program order against the live
-//! regions, and is timed with the shared-cache memory model (still
-//! exact, just not parallel).
+//! Which programs take the parallel path is [`crate::partition`]'s
+//! decision; anything it refuses runs serially, op by op in program
+//! order against the live regions, through the same `exec_op`.
 //!
 //! ## Determinism contract
 //!
@@ -62,7 +39,7 @@
 //!    so nothing phase A did on another thread can reach it except
 //!    through those records.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use merrimac_arch::MachineConfig;
@@ -73,514 +50,10 @@ use rayon::prelude::*;
 use crate::cache::CacheAccessStats;
 use crate::counters::Counters;
 use crate::kernelc::CompiledKernel;
-use crate::machine::{
-    buffer_capacity_words, produced_buffers, HostPhases, KernelEngine, OpRecord, RunReport,
-    SimError, StreamProcessor,
-};
+use crate::machine::{HostPhases, KernelEngine, OpRecord, RunReport, SimError, StreamProcessor};
 use crate::memsys::MemSystem;
-use crate::program::{
-    AccessIntent, AccessKind, BufferId, LabelledOp, Memory, RegionId, StreamOp, StreamProgram,
-};
-
-/// Why a program could not be partitioned across strips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackReason {
-    /// An SRF buffer is produced in one strip and consumed in another,
-    /// so the strips are not independent units of work.
-    BufferCrossesStrips {
-        buffer: BufferId,
-        strips: (usize, usize),
-    },
-    /// A region is accessed with incompatible kinds (e.g. read in one
-    /// strip, stored in another without a `WriteOwned` declaration).
-    RegionConflict {
-        region: RegionId,
-        strips: (usize, usize),
-        kinds: (AccessKind, AccessKind),
-    },
-    /// Two strips store overlapping word ranges of the same region, so
-    /// the merge order would be observable.
-    WriteWriteOverlap {
-        region: RegionId,
-        strips: (usize, usize),
-    },
-    /// A `WriteOwned` region is read *after* an overlapping store in
-    /// program order; the phase-A pass reads pre-state and would
-    /// observe stale data.
-    ReadAfterWrite {
-        region: RegionId,
-        strips: (usize, usize),
-    },
-}
-
-impl FallbackReason {
-    /// The reason's kind, for compact summaries.
-    pub fn kind(&self) -> FallbackKind {
-        match self {
-            FallbackReason::BufferCrossesStrips { .. } => FallbackKind::BufferCrossesStrips,
-            FallbackReason::RegionConflict { .. } => FallbackKind::RegionConflict,
-            FallbackReason::WriteWriteOverlap { .. } => FallbackKind::WriteWriteOverlap,
-            FallbackReason::ReadAfterWrite { .. } => FallbackKind::ReadAfterWrite,
-        }
-    }
-
-    /// Human-readable description naming the buffer/region involved.
-    pub fn describe(&self, program: &StreamProgram, memory: &Memory) -> String {
-        let region_name = |r: &RegionId| {
-            if r.0 < memory.num_regions() {
-                format!("'{}'", memory.name(*r))
-            } else {
-                format!("#{}", r.0)
-            }
-        };
-        match self {
-            FallbackReason::BufferCrossesStrips { buffer, strips } => {
-                let name = program
-                    .buffers
-                    .get(buffer.0)
-                    .map(|b| b.name.clone())
-                    .unwrap_or_else(|| format!("#{}", buffer.0));
-                format!(
-                    "buffer '{name}' is used by strips {} and {}",
-                    strips.0, strips.1
-                )
-            }
-            FallbackReason::RegionConflict {
-                region,
-                strips,
-                kinds,
-            } => format!(
-                "region {} is {} by strip {} and {} by strip {} (no compatible intent)",
-                region_name(region),
-                kinds.0,
-                strips.0,
-                kinds.1,
-                strips.1
-            ),
-            FallbackReason::WriteWriteOverlap { region, strips } => format!(
-                "strips {} and {} store overlapping ranges of region {}",
-                strips.0,
-                strips.1,
-                region_name(region)
-            ),
-            FallbackReason::ReadAfterWrite { region, strips } => format!(
-                "write-owned region {} is written by strip {} before strip {} reads an overlapping range",
-                region_name(region),
-                strips.1,
-                strips.0
-            ),
-        }
-    }
-}
-
-/// Compact classification of [`FallbackReason`], suitable for reports
-/// and the benchmark JSON schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FallbackKind {
-    BufferCrossesStrips,
-    RegionConflict,
-    WriteWriteOverlap,
-    ReadAfterWrite,
-}
-
-impl FallbackKind {
-    /// Stable string code used in `BENCH_*.json` (schema 3).
-    pub fn code(&self) -> &'static str {
-        match self {
-            FallbackKind::BufferCrossesStrips => "buffer_crosses_strips",
-            FallbackKind::RegionConflict => "region_conflict",
-            FallbackKind::WriteWriteOverlap => "write_write_overlap",
-            FallbackKind::ReadAfterWrite => "read_after_write",
-        }
-    }
-
-    /// Inverse of [`FallbackKind::code`].
-    pub fn from_code(code: &str) -> Option<Self> {
-        match code {
-            "buffer_crosses_strips" => Some(FallbackKind::BufferCrossesStrips),
-            "region_conflict" => Some(FallbackKind::RegionConflict),
-            "write_write_overlap" => Some(FallbackKind::WriteWriteOverlap),
-            "read_after_write" => Some(FallbackKind::ReadAfterWrite),
-            _ => None,
-        }
-    }
-}
-
-/// Copyable digest of a [`PartitionReport`], carried on every
-/// [`RunReport`] and surfaced through `PhaseBreakdown` into the bench
-/// schema.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PartitionSummary {
-    /// Did the program run on the parallel per-strip engine?
-    pub parallelized: bool,
-    /// Number of strip groups the partitioner formed.
-    pub strips: u32,
-    /// Why the program fell back to serial, if it did.
-    pub fallback: Option<FallbackKind>,
-}
-
-/// The strip partitioner's full verdict on a program.
-#[derive(Debug, Clone)]
-pub struct PartitionReport {
-    /// Op indices grouped by strip, in ascending strip order.
-    pub strips: Vec<Vec<usize>>,
-    /// Regions read by two or more strips (the read-shared positions
-    /// table of StreamMD is the motivating case).
-    pub read_shared_regions: Vec<RegionId>,
-    /// Scatter-add reduction targets merged across strips.
-    pub reduce_regions: Vec<RegionId>,
-    /// Regions stored (and possibly read, under `WriteOwned`) in
-    /// provably disjoint per-strip slices.
-    pub owned_write_regions: Vec<RegionId>,
-    /// `None` iff the program parallelizes.
-    pub fallback: Option<FallbackReason>,
-}
-
-impl PartitionReport {
-    /// Did the partitioner admit the program to the parallel path?
-    pub fn is_parallel(&self) -> bool {
-        self.fallback.is_none()
-    }
-
-    /// Copyable digest for reports.
-    pub fn summary(&self) -> PartitionSummary {
-        PartitionSummary {
-            parallelized: self.fallback.is_none(),
-            strips: self.strips.len() as u32,
-            fallback: self.fallback.as_ref().map(FallbackReason::kind),
-        }
-    }
-
-    /// Human-readable description, printed under
-    /// `MERRIMAC_PARTITION_VERBOSE`.
-    pub fn describe(&self, program: &StreamProgram, memory: &Memory) -> String {
-        match &self.fallback {
-            Some(reason) => format!(
-                "partition: serial fallback ({}) — {}",
-                reason.kind().code(),
-                reason.describe(program, memory)
-            ),
-            None => {
-                let names = |rs: &[RegionId]| {
-                    rs.iter()
-                        .map(|r| memory.name(*r).to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                };
-                format!(
-                    "partition: parallel across {} strips; read-shared: [{}]; reduce: [{}]; owned-write: [{}]",
-                    self.strips.len(),
-                    names(&self.read_shared_regions),
-                    names(&self.reduce_regions),
-                    names(&self.owned_write_regions)
-                )
-            }
-        }
-    }
-}
-
-/// One region access seen by the partitioner.
-struct RegionAccess {
-    strip: usize,
-    kind: AccessKind,
-    /// Word range a store writes (upper bound via the source buffer's
-    /// capacity), for the cross-strip disjointness check.
-    store_range: Option<(usize, usize)>,
-}
-
-/// A read that follows an overlapping store of the same region in
-/// program order — the pair the per-strip ordering analysis flags.
-///
-/// The phase-A parallel pass reads *pre-state* (stores are buffered and
-/// applied after every strip finishes), so such a read would observe
-/// stale data under parallel execution even though the serial
-/// scoreboard handles it correctly. Word ranges are conservative upper
-/// bounds: stores via the source buffer's capacity, gathers via the
-/// bounding box of their indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OrderingHazard {
-    pub region: RegionId,
-    /// Op index of the earlier store.
-    pub write_op: usize,
-    pub write_strip: usize,
-    /// Word range `[start, end)` the store writes.
-    pub write_range: (usize, usize),
-    /// Op index of the later, overlapping read.
-    pub read_op: usize,
-    pub read_strip: usize,
-    /// Word range `[start, end)` the read covers.
-    pub read_range: (usize, usize),
-}
-
-/// Stores seen so far per region: `(op index, strip, word range)`.
-type StoresByRegion = BTreeMap<usize, Vec<(usize, usize, (usize, usize))>>;
-
-/// Per-strip read/write ordering analysis: every (store, later
-/// overlapping read) pair on the same region, in program order.
-///
-/// An empty result means the program is free of read-after-write
-/// hazards and `WriteOwned` regions are eligible for the parallel
-/// path (subject to the cross-strip store-disjointness check). Reads
-/// whose ranges are disjoint from every earlier store — the
-/// software-pipelined in-place update pattern — produce no hazard.
-/// Same-strip pairs count too: phase A buffers stores and reads
-/// pre-state even within one strip.
-pub fn read_write_hazards(program: &StreamProgram) -> Vec<OrderingHazard> {
-    // Producer op of each buffer, bounding store ranges by capacity.
-    let mut producer: HashMap<usize, usize> = HashMap::new();
-    for (i, lop) in program.ops.iter().enumerate() {
-        for b in produced_buffers(&lop.op) {
-            producer.entry(b.0).or_insert(i);
-        }
-    }
-    let mut writes: StoresByRegion = BTreeMap::new();
-    let mut hazards = Vec::new();
-    for (i, lop) in program.ops.iter().enumerate() {
-        match &lop.op {
-            StreamOp::Load {
-                region,
-                record_len,
-                start,
-                records,
-                ..
-            } => {
-                let r = (start * record_len, (start + records) * record_len);
-                note_read(&writes, &mut hazards, *region, i, lop.strip, r);
-            }
-            StreamOp::Gather {
-                region,
-                record_len,
-                indices,
-                ..
-            } => {
-                let (Some(min), Some(max)) = (indices.iter().min(), indices.iter().max()) else {
-                    continue; // empty gather reads nothing
-                };
-                let r = (*min as usize * record_len, (*max as usize + 1) * record_len);
-                note_read(&writes, &mut hazards, *region, i, lop.strip, r);
-            }
-            StreamOp::Store {
-                src,
-                region,
-                record_len,
-                start,
-            } => {
-                let cap = producer
-                    .get(&src.0)
-                    .map(|&p| buffer_capacity_words(program, &program.ops[p].op, *src))
-                    .unwrap_or(0);
-                let s = start * record_len;
-                writes
-                    .entry(region.0)
-                    .or_default()
-                    .push((i, lop.strip, (s, s + cap)));
-            }
-            StreamOp::Kernel { .. } | StreamOp::ScatterAdd { .. } => {}
-        }
-    }
-    hazards
-}
-
-/// Record hazards for one read against every earlier overlapping store.
-fn note_read(
-    writes: &StoresByRegion,
-    hazards: &mut Vec<OrderingHazard>,
-    region: RegionId,
-    read_op: usize,
-    read_strip: usize,
-    read_range: (usize, usize),
-) {
-    let Some(ws) = writes.get(&region.0) else {
-        return;
-    };
-    for &(write_op, write_strip, write_range) in ws {
-        if write_range.0 < read_range.1 && read_range.0 < write_range.1 {
-            hazards.push(OrderingHazard {
-                region,
-                write_op,
-                write_strip,
-                write_range,
-                read_op,
-                read_strip,
-                read_range,
-            });
-        }
-    }
-}
-
-/// Classify `program` for parallel strip execution under the declared
-/// access intents. See the module docs for the full contract.
-pub fn partition_program(program: &StreamProgram) -> PartitionReport {
-    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (i, lop) in program.ops.iter().enumerate() {
-        groups.entry(lop.strip).or_default().push(i);
-    }
-    let strips: Vec<Vec<usize>> = groups.into_values().collect();
-    let fail = |fallback: FallbackReason| PartitionReport {
-        strips: Vec::new(),
-        read_shared_regions: Vec::new(),
-        reduce_regions: Vec::new(),
-        owned_write_regions: Vec::new(),
-        fallback: Some(fallback),
-    };
-
-    // Every SRF buffer must live within one strip.
-    let mut buffer_strip: HashMap<usize, usize> = HashMap::new();
-    for lop in &program.ops {
-        let bufs: Vec<usize> = match &lop.op {
-            StreamOp::Gather { dst, .. } | StreamOp::Load { dst, .. } => vec![dst.0],
-            StreamOp::Kernel {
-                inputs, outputs, ..
-            } => inputs.iter().chain(outputs).map(|b| b.0).collect(),
-            StreamOp::ScatterAdd { src, .. } | StreamOp::Store { src, .. } => vec![src.0],
-        };
-        for b in bufs {
-            let home = *buffer_strip.entry(b).or_insert(lop.strip);
-            if home != lop.strip {
-                return fail(FallbackReason::BufferCrossesStrips {
-                    buffer: BufferId(b),
-                    strips: (home, lop.strip),
-                });
-            }
-        }
-    }
-
-    // Producer op of each buffer, for bounding store ranges.
-    let mut producer: HashMap<usize, usize> = HashMap::new();
-    for (i, lop) in program.ops.iter().enumerate() {
-        for b in produced_buffers(&lop.op) {
-            producer.entry(b.0).or_insert(i);
-        }
-    }
-
-    // Per-strip ordering analysis, consumed by the `WriteOwned`
-    // admission below: only reads that *overlap* an earlier store's
-    // range are hazards.
-    let hazards = read_write_hazards(program);
-
-    // Per-region access lists, in op-index order.
-    let mut accesses: BTreeMap<usize, Vec<RegionAccess>> = BTreeMap::new();
-    for lop in program.ops.iter() {
-        let Some((region, kind)) = lop.op.region_use() else {
-            continue;
-        };
-        let store_range = match &lop.op {
-            StreamOp::Store {
-                src,
-                record_len,
-                start,
-                ..
-            } => {
-                let cap = producer
-                    .get(&src.0)
-                    .map(|&p| buffer_capacity_words(program, &program.ops[p].op, *src))
-                    .unwrap_or(0);
-                let s = start * record_len;
-                Some((s, s + cap))
-            }
-            _ => None,
-        };
-        accesses.entry(region.0).or_default().push(RegionAccess {
-            strip: lop.strip,
-            kind,
-            store_range,
-        });
-    }
-
-    let mut read_shared_regions = Vec::new();
-    let mut reduce_regions = Vec::new();
-    let mut owned_write_regions = Vec::new();
-    for (region, accs) in &accesses {
-        let region = RegionId(*region);
-        let first = |k: AccessKind| accs.iter().find(|a| a.kind == k);
-        let reads: Vec<&RegionAccess> =
-            accs.iter().filter(|a| a.kind == AccessKind::Read).collect();
-        let has_reduce = accs.iter().any(|a| a.kind == AccessKind::Reduce);
-        let writes: Vec<&RegionAccess> = accs
-            .iter()
-            .filter(|a| a.kind == AccessKind::Write)
-            .collect();
-
-        // Reductions compose with nothing else: a read would observe
-        // pre-reduction state, a store would race the merge.
-        if has_reduce {
-            let reduce = first(AccessKind::Reduce).expect("reduce access present");
-            if let Some(r) = reads.first() {
-                return fail(FallbackReason::RegionConflict {
-                    region,
-                    strips: (r.strip, reduce.strip),
-                    kinds: (AccessKind::Read, AccessKind::Reduce),
-                });
-            }
-            if let Some(w) = writes.first() {
-                return fail(FallbackReason::RegionConflict {
-                    region,
-                    strips: (reduce.strip, w.strip),
-                    kinds: (AccessKind::Reduce, AccessKind::Write),
-                });
-            }
-        }
-
-        // Reads and writes mix only under a declared `WriteOwned`
-        // intent, and only when no read overlaps an earlier store's
-        // word range (phase A reads pre-state). Disjoint-range reads
-        // after a store — the software-pipelined in-place update
-        // pattern — are admitted.
-        if !reads.is_empty() && !writes.is_empty() {
-            if program.declared_intent(region) != Some(AccessIntent::WriteOwned) {
-                return fail(FallbackReason::RegionConflict {
-                    region,
-                    strips: (reads[0].strip, writes[0].strip),
-                    kinds: (AccessKind::Read, AccessKind::Write),
-                });
-            }
-            if let Some(h) = hazards.iter().find(|h| h.region == region) {
-                return fail(FallbackReason::ReadAfterWrite {
-                    region,
-                    strips: (h.read_strip, h.write_strip),
-                });
-            }
-        }
-
-        // Stores from different strips must target provably disjoint
-        // word ranges (same-strip stores are ordered by the scoreboard's
-        // WAW hazard and replayed in op order).
-        for (ai, a) in writes.iter().enumerate() {
-            for b in writes.iter().skip(ai + 1) {
-                if a.strip == b.strip {
-                    continue;
-                }
-                let (a0, a1) = a.store_range.expect("store range");
-                let (b0, b1) = b.store_range.expect("store range");
-                if a0 < b1 && b0 < a1 {
-                    return fail(FallbackReason::WriteWriteOverlap {
-                        region,
-                        strips: (a.strip, b.strip),
-                    });
-                }
-            }
-        }
-
-        if !writes.is_empty() {
-            owned_write_regions.push(region);
-        } else if has_reduce {
-            reduce_regions.push(region);
-        } else {
-            let strips_reading: BTreeSet<usize> = reads.iter().map(|r| r.strip).collect();
-            if strips_reading.len() >= 2 {
-                read_shared_regions.push(region);
-            }
-        }
-    }
-
-    PartitionReport {
-        strips,
-        read_shared_regions,
-        reduce_regions,
-        owned_write_regions,
-        fallback: None,
-    }
-}
+use crate::partition::partition_program;
+use crate::program::{BufferId, LabelledOp, Memory, RegionId, StreamOp, StreamProgram};
 
 /// Everything one strip's functional execution produced.
 struct StripOutcome {
@@ -607,7 +80,7 @@ impl StreamProcessor {
     /// Execute `program` with the functional *and* memory-timing phases
     /// fanned across `threads` worker threads. See the module docs for
     /// the determinism contract; ineligible programs fall back to the
-    /// serial scoreboard with a typed [`FallbackReason`].
+    /// serial scoreboard with a typed [`crate::FallbackReason`].
     pub fn run_parallel(
         &self,
         memory: &mut Memory,
@@ -1074,7 +547,8 @@ mod tests {
 
     use super::*;
     use crate::kernelc::{CompiledKernel, KernelOpt};
-    use crate::program::ProgramBuilder;
+    use crate::partition::{read_write_hazards, FallbackKind, FallbackReason};
+    use crate::program::{AccessIntent, AccessKind, ProgramBuilder};
 
     fn square_kernel(cfg: &MachineConfig) -> Arc<CompiledKernel> {
         let mut b = KernelBuilder::new("square");

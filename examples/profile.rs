@@ -3,7 +3,9 @@
 //! 2 engine threads. The columns from `gather` to `op_cost` are summed
 //! over the worker threads, so they can exceed `phase_a_wall`. The last
 //! column is what a kernel launch costs per kernel iteration: `kernel`
-//! over the step's iteration count, in thread-ns.
+//! over the step's iteration count, in thread-ns. The kernel engine
+//! comes from the environment, strictly
+//! (`MERRIMAC_KERNEL_ENGINE=interp` profiles the oracle).
 //!
 //! ```sh
 //! cargo run --release --example profile
@@ -12,13 +14,21 @@
 use std::time::Instant;
 
 use merrimac_repro::prelude::*;
-use merrimac_repro::sim::HostPhases;
+use merrimac_repro::sim::{HostExec, HostPhases};
 
 const STEPS: u32 = 20;
 
 fn main() {
     let system = WaterBox::paper_dataset(42);
-    let app = StreamMdApp::builder().threads(2).build().expect("valid");
+    let host = HostExec::from_vars(|var| std::env::var(var).ok()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    });
+    let app = StreamMdApp::builder()
+        .host(host)
+        .threads(2)
+        .build()
+        .expect("valid");
     let list = NeighborList::build(&system, app.neighbor);
     print!("{:10} {:>7}", "variant", "step");
     for (name, _) in HostPhases::default().named() {

@@ -39,8 +39,7 @@ fn usage() -> ! {
          \x20 --paper            use the paper's 900-molecule dataset\n\
          \x20 --workload W       water (default), lj, or charged\n\
          \x20 --json             emit one JSON document instead of text\n\
-         \x20 --deny warnings    promote warnings to errors (also via\n\
-         \x20                    MERRIMAC_LINT_DENY=warnings)\n\
+         \x20 --deny warnings    promote warnings to errors\n\
          \x20 --allow LINT_ID    suppress one lint (repeatable)\n\
          \x20 --explain LINT_ID  print the long explanation for one lint"
     );
@@ -116,10 +115,7 @@ fn main() -> ExitCode {
     let mut paper = false;
     let mut workload = String::from("water");
     let mut json = false;
-    let mut deny_warnings = matches!(
-        std::env::var("MERRIMAC_LINT_DENY").as_deref(),
-        Ok("warnings") | Ok("warn") | Ok("1")
-    );
+    let mut deny_warnings = false;
     let mut allow: Vec<Lint> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
