@@ -20,7 +20,7 @@ use merrimac_kernel::{
 use merrimac_sim::cache::StreamCache;
 use merrimac_sim::{CompiledKernel, KernelOpt, MemSystem, StreamOp, StreamProcessor};
 use streammd::kernels::{block_kernel, expanded_kernel, kernel_params, variable_kernel};
-use streammd::{StreamMdApp, Variant};
+use streammd::{run_multinode_program, StreamMdApp, Variant};
 
 const SAMPLES: usize = 20;
 
@@ -141,6 +141,32 @@ fn main() {
         "{:<32} {:>12.3} µs/op (median of {SAMPLES}, {ops} ops)",
         "scoreboard_expanded_900",
         scoreboard_s * 1e6 / ops as f64
+    );
+    // The overlay reduction of the same step — one force-region image
+    // per strip, tree-summed in place (`HostPhases::reduce`) — and the
+    // nine scoreboard passes an 8-node `variable` step makes over its
+    // one execution (the whole step, then each node's share).
+    let layers = step.layout.strips.len();
+    let words = step.memory.data(step.forces).len();
+    let reduce_s = median(|| {
+        let outcome = app.run_step_program(&paper, &step).expect("expanded runs");
+        outcome.report.host.reduce.as_secs_f64()
+    });
+    println!(
+        "{:<32} {:>12.3} µs/iter (median of {SAMPLES}, {layers} layers x {words} words)",
+        "tree_sum_73x8100",
+        reduce_s * 1e6
+    );
+    let variable = app.build_step_program(&paper, &paper_list, Variant::Variable);
+    let time_s = median(|| {
+        let step = run_multinode_program(&app, &paper, &variable, 8).expect("8 nodes run");
+        step.outcome.report.host.scoreboard.as_secs_f64()
+    });
+    println!(
+        "{:<32} {:>12.3} µs/iter (median of {SAMPLES}, 9 timings of {} ops)",
+        "time_8_nodes_variable_900",
+        time_s * 1e6,
+        variable.program.ops.len()
     );
 
     let costs = OpCosts::default();

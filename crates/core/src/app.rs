@@ -405,7 +405,18 @@ impl StreamMdApp {
         let report = self
             .processor()
             .run_parallel(&mut mem, &step.program, self.threads)?;
+        Ok(self.summarise_step(system, step, &mem, report))
+    }
 
+    /// The outcome of a step whose program ran on `mem` and was timed as
+    /// `report`: the real molecules' forces and the Figure 9 summary.
+    pub(crate) fn summarise_step(
+        &self,
+        system: &WaterBox,
+        step: &StepProgram,
+        mem: &Memory,
+        report: RunReport,
+    ) -> StepOutcome {
         // Extract forces for the real molecules (one Vec3 per site).
         let layout = &step.layout;
         let n = system.num_molecules();
@@ -439,13 +450,13 @@ impl StreamMdApp {
             overlap: report.timeline.overlap_fraction(),
             phases: PhaseBreakdown::from_report(&report),
         };
-        Ok(StepOutcome {
+        StepOutcome {
             forces: out,
             perf,
             report,
             dataset: layout.stats,
             iterations: layout.total_iterations(),
-        })
+        }
     }
 
     #[allow(clippy::too_many_arguments)]

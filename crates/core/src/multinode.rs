@@ -2,20 +2,39 @@
 //!
 //! The water box is spatially decomposed over N simulated Merrimac
 //! nodes ([`merrimac_net::NodeGrid`]); every strip of the canonical
-//! step program runs on the node that owns its first centre molecule,
-//! and the step is timed as three dependent phases over the folded-Clos
-//! [`Topology`]:
+//! step program belongs to the node that owns its first centre
+//! molecule, and the step is timed as three dependent phases over the
+//! folded-Clos [`Topology`]:
 //!
 //! 1. **halo import** — each node pulls the position records (10 words:
 //!    9 coordinates + index) of every remote molecule its strips
 //!    reference, one message per owning peer, priced at the
 //!    peer-pair's [`Topology::level`] bandwidth/latency;
-//! 2. **local compute** — the node's strips run through the existing
-//!    deterministic parallel engine (`merrimac_sim::parallel`) on a
-//!    private memory shard;
+//! 2. **local compute** — the node's strips are *timed*, not run: the
+//!    scoreboard schedules the node's ops over the records of the one
+//!    canonical execution (below);
 //! 3. **force return** — accumulated partial forces for remote
 //!    molecules (9 words each) return to their owners as network
 //!    scatter-add messages.
+//!
+//! ## A strip executes once
+//!
+//! Merrimac's nodes run the same strips whichever node they land on,
+//! and the simulator says so: a strip's functional result and the cost
+//! of each of its memory ops are a function of that strip alone (a
+//! private cold cache shard per strip, `merrimac_sim::parallel`,
+//! determinism contract 3). So the canonical program is executed once,
+//! on one clone of the step's memory image
+//! ([`StreamProcessor::execute`](merrimac_sim::StreamProcessor::execute)),
+//! and that execution is timed N + 1 times
+//! ([`StreamProcessor::time`](merrimac_sim::StreamProcessor::time)):
+//! whole, for t₁ and the forces' report, and once per node over the ops
+//! of the node's strips. The contract `tests/multinode_execution.rs`
+//! holds: a node's timing equals, in every simulated field, what
+//! running its sub-program (its ops over the same buffer and intent
+//! declarations) on a fresh clone of the memory image reports. A node's
+//! ops keep their canonical strip ids in its timeline; the scoreboard's
+//! prefetch window counts strips, so the gaps between them cost nothing.
 //!
 //! ## Deterministic cross-node reduction
 //!
@@ -26,10 +45,9 @@
 //! strip order with the engine's fixed-shape pairwise tree (whose shape
 //! depends only on the strip count). A hierarchical per-node merge
 //! would re-associate the floating-point sums and make the result drift
-//! with N; replaying the reduction in canonical order makes the strip →
-//! node assignment invisible to the arithmetic, exactly like the thread
-//! count already is. The per-node runs produce the *timing* (and their
-//! partial forces are checked against the canonical total in tests).
+//! with N; reducing in canonical order makes the strip → node
+//! assignment invisible to the arithmetic, exactly like the thread
+//! count already is. The node count reaches only the *timing*.
 
 use std::collections::BTreeMap;
 
@@ -40,32 +58,34 @@ use merrimac_net::multinode::{
     PhaseMessage,
 };
 use merrimac_net::topology::{NetError, Topology};
-use merrimac_sim::machine::{HostPhases, SimError};
-use merrimac_sim::StreamProgram;
+use merrimac_sim::machine::SimError;
+use merrimac_sim::program::LabelledOp;
+use merrimac_sim::PhaseCycles;
 
 use crate::app::{StepOutcome, StepProgram, StreamMdApp};
 use crate::layout::Strip;
 use crate::metrics::MultiNodeBreakdown;
 use crate::variant::Variant;
 
-/// One node's share of the step: its strips, its simulated run, and the
-/// traffic it exchanged.
-#[derive(Debug, Clone)]
+/// One node's share of the step: its strips, their timing on the
+/// node's stream processor (all zero for a node without strips), and the
+/// molecules it owns.
+#[derive(Debug, Clone, Default)]
 pub struct NodeRun {
     pub node: usize,
-    /// Canonical strip ids this node executed.
+    /// Canonical strip ids this node holds.
     pub strips: Vec<usize>,
     /// Molecules whose force records this node owns.
     pub owned_molecules: usize,
-    /// Cycles the node's sub-program took on its stream processor.
+    /// Cycles the node's strips take on its stream processor.
     pub compute_cycles: u64,
-    /// This node's force-region image after running its strips — its
-    /// partial contribution to the global reduction (`(n + 2) × width`
-    /// words). Summed over nodes this matches the canonical forces up
-    /// to floating-point association.
-    pub forces: Vec<f64>,
-    /// Host time of this node's run by phase (zero for an idle node).
-    pub host: HostPhases,
+    /// Those cycles' busy time by stream-operation class.
+    pub phases: PhaseCycles,
+    /// Cycles the node's memory unit idled for want of an SDR.
+    pub sdr_stall_cycles: u64,
+    /// Memory/compute overlap of the node's timeline (Figure 7), as
+    /// [`merrimac_sim::Timeline::overlap_fraction`].
+    pub overlap: f64,
 }
 
 /// Result of one simulated multi-node force step.
@@ -152,9 +172,9 @@ pub fn run_multinode(
 /// Run one force step decomposed over `nodes` simulated nodes from an
 /// already-built canonical step program — the multi-node half of the
 /// compile-once / run-many split. The cached [`StepProgram`] is shared
-/// untouched: the canonical single-node run and every node's sub-program
-/// execute on clones of its memory image, so the same build serves any
-/// node count (the strip structure is canonical and N-independent).
+/// untouched: the one canonical execution works on a clone of its
+/// memory image, so the same build serves any node count (the strip
+/// structure is canonical and N-independent).
 pub fn run_multinode_program(
     app: &StreamMdApp,
     system: &WaterBox,
@@ -166,10 +186,15 @@ pub fn run_multinode_program(
     let variant = step.layout.variant;
     let w = step.layout.width;
 
-    // Canonical run: the N-independent strip structure and the global
-    // fixed-shape reduction. This *is* the deterministic cross-node
-    // force merge (module docs); it also prices the single-node step.
-    let canonical = app.run_step_program(system, step)?;
+    // The canonical execution: the N-independent strip structure and
+    // the global fixed-shape reduction. This *is* the deterministic
+    // cross-node force merge (module docs); timed whole it is the
+    // single-node step.
+    let proc = app.processor();
+    let mut mem = step.memory.clone();
+    let executed = proc.execute(&mut mem, &step.program, app.threads)?;
+    let whole = proc.time(&mem, &step.program, &executed, |_| true)?;
+    let mut outcome = app.summarise_step(system, step, &mem, whole);
     let n_real = system.num_molecules();
 
     // Spatial decomposition: molecules → nodes by the wrapped position
@@ -191,38 +216,30 @@ pub fn run_multinode_program(
         .map(|s| strip_owner(s, &owner, n_real))
         .collect();
 
-    let proc = app.processor();
-
     let mut per_node = Vec::with_capacity(nodes);
     let mut loads = Vec::with_capacity(nodes);
     for node in 0..nodes {
         let strips: Vec<usize> = (0..step.layout.strips.len())
             .filter(|&sid| strip_node[sid] == node)
             .collect();
-
-        // The node's sub-program: the canonical ops of its strips over
-        // the shared buffer/intent declarations, run on a private
-        // memory shard (its halo arrives by message, so the shard
-        // simply starts with the imported positions in place).
-        let (compute_cycles, forces, host) = if strips.is_empty() {
-            let idle = vec![0.0; step.layout.force_records * w];
-            (0, idle, HostPhases::default())
-        } else {
-            let sub = StreamProgram {
-                buffers: step.program.buffers.clone(),
-                ops: step
-                    .program
-                    .ops
-                    .iter()
-                    .filter(|op| strip_node[op.strip] == node)
-                    .cloned()
-                    .collect(),
-                intents: step.program.intents.clone(),
-            };
-            let mut mem = step.memory.clone();
-            let report = proc.run_parallel(&mut mem, &sub, app.threads)?;
-            (report.cycles, mem.data(step.forces).to_vec(), report.host)
+        let mut run = NodeRun {
+            node,
+            strips,
+            owned_molecules: owner.iter().filter(|&&o| o == node).count(),
+            ..NodeRun::default()
         };
+        // The node's compute phase: its strips' ops over the canonical
+        // records (its halo arrives by message, so its memory simply
+        // has the imported positions in place). No strips, no cycles.
+        if !run.strips.is_empty() {
+            let keep = |op: &LabelledOp| strip_node[op.strip] == node;
+            let timed = proc.time(&mem, &step.program, &executed, keep)?;
+            outcome.report.host.scoreboard += timed.host.scoreboard;
+            run.compute_cycles = timed.cycles;
+            run.phases = timed.phases;
+            run.sdr_stall_cycles = timed.sdr_stall_cycles;
+            run.overlap = timed.timeline.overlap_fraction();
+        }
 
         // Halo traffic: positions referenced but not owned come in;
         // scatter targets not owned go back out. Distinct molecules per
@@ -235,7 +252,7 @@ pub fn run_multinode_program(
                 v[idx as usize] = true;
             }
         };
-        for &sid in &strips {
+        for &sid in &run.strips {
             let s = &step.layout.strips[sid];
             for &i in s.i_central.iter().chain(&s.i_neighbor) {
                 mark(&mut referenced, i);
@@ -285,20 +302,13 @@ pub fn run_multinode_program(
 
         loads.push(NodeLoad {
             node,
-            compute_cycles,
+            compute_cycles: run.compute_cycles,
             import_cycles,
             return_cycles,
             halo_in_words: imports.iter().map(|m| m.words).sum(),
             force_out_words: returns.iter().map(|m| m.words).sum(),
         });
-        per_node.push(NodeRun {
-            node,
-            strips,
-            owned_molecules: owner.iter().filter(|&&o| o == node).count(),
-            compute_cycles,
-            forces,
-            host,
-        });
+        per_node.push(run);
     }
 
     let timing = MultiNodeTiming { nodes: loads };
@@ -314,7 +324,6 @@ pub fn run_multinode_program(
 
     // Rewrite the summary to the multi-node step: barrier-to-barrier
     // cycles and the aggregate solution rate over them.
-    let mut outcome = canonical;
     let step_cycles = breakdown.step_cycles;
     outcome.perf.cycles = step_cycles;
     outcome.perf.seconds = app.cfg.cycles_to_seconds(step_cycles);

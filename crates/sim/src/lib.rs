@@ -49,6 +49,7 @@ pub use machine::{
 };
 pub use memsys::{MemOpCost, MemSystem};
 pub use merrimac_kernel::BatchWidth;
+pub use parallel::Executed;
 pub use partition::{
     partition_program, read_write_hazards, FallbackKind, FallbackReason, OrderingHazard,
     PartitionReport, PartitionSummary,

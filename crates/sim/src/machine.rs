@@ -25,7 +25,7 @@ use crate::cache::CacheAccessStats;
 use crate::counters::{Counters, PhaseCycles};
 use crate::memsys::{MemOpCost, MemSystem};
 use crate::partition::PartitionSummary;
-use crate::program::{AccessKind, BufferId, Memory, StreamOp, StreamProgram};
+use crate::program::{AccessKind, BufferId, LabelledOp, Memory, StreamOp, StreamProgram};
 use crate::sdr::{SdrFile, SdrPolicy};
 use crate::srf::SrfAllocator;
 use crate::timeline::{Timeline, Unit};
@@ -107,7 +107,8 @@ impl From<InterpError> for SimError {
 /// The per-op phases are accumulated per strip and summed in strip
 /// order. On the serial fallback they stay zero: `phase_a_wall` is the
 /// whole functional pass and `scoreboard` includes pricing the memory
-/// ops.
+/// ops. Everything but `scoreboard` belongs to the execution; a report
+/// timed from a shared [`crate::Executed`] repeats it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostPhases {
     /// `validate_program` + `partition_program`.
@@ -186,9 +187,8 @@ pub struct RunReport {
     /// How the strip partitioner classified this program (parallelized
     /// vs serial fallback, with a typed reason).
     pub partition: PartitionSummary,
-    /// Aggregate stream-cache behaviour over the whole run. For
-    /// partitioned runs this is the deterministic strip-order merge of
-    /// the per-strip shard stats.
+    /// Aggregate stream-cache behaviour of the ops timed: the merge of
+    /// their memory costs' stats.
     pub cache_stats: CacheAccessStats,
     /// Where the host's time went (not a simulated quantity).
     pub host: HostPhases,
@@ -267,7 +267,8 @@ pub struct StreamProcessor {
     pub costs: OpCosts,
     pub policy: SdrPolicy,
     /// How many strips ahead of the oldest incomplete strip the memory
-    /// unit may prefetch. One strip of lookahead is the double-buffering
+    /// unit may prefetch, counted in the scheduled strips' order, not in
+    /// strip ids. One strip of lookahead is the double-buffering
     /// discipline of the paper's stream scheduler (Figure 5); unbounded
     /// lookahead can deadlock the SRF allocator, exactly the hazard
     /// static stream scheduling exists to prevent.
@@ -430,25 +431,36 @@ impl StreamProcessor {
         Ok(())
     }
 
-    /// The scoreboard: schedules ops onto the memory pipeline and the
-    /// cluster array. A pure function of `program`, the region layout of
-    /// `memory` (addresses only) and `records`, one per op in program
-    /// order; the caller has validated the program.
+    /// The scoreboard: schedules the ops `keep` selects onto the memory
+    /// pipeline and the cluster array. A pure function of those ops, the
+    /// region layout of `memory` (addresses only) and their `records`
+    /// (one per program op, in program order); the caller has validated
+    /// the program. Dependencies are built over the kept ops alone, so
+    /// the result is what the kept ops would schedule to as a program of
+    /// their own.
     pub(crate) fn schedule(
         &self,
         memory: &Memory,
         program: &StreamProgram,
         records: &[OpRecord],
+        keep: impl Fn(&LabelledOp) -> bool,
     ) -> Result<RunReport, SimError> {
-        let n_ops = program.ops.len();
         let n_bufs = program.buffers.len();
-        if records.len() < n_ops {
+        if records.len() < program.ops.len() {
             return Err(SimError::Program(format!(
-                "{} op records for a program of {n_ops} ops",
-                records.len()
+                "{} op records for a program of {} ops",
+                records.len(),
+                program.ops.len()
             )));
         }
-        let table = OpTable::new(program)?;
+        let (ops, recs): (Vec<&LabelledOp>, Vec<&OpRecord>) = program
+            .ops
+            .iter()
+            .zip(records)
+            .filter(|(lop, _)| keep(lop))
+            .unzip();
+        let n_ops = ops.len();
+        let table = OpTable::new(program, &ops)?;
 
         // ---- dynamic state ----------------------------------------------
         let mut state = vec![OpState::Waiting; n_ops];
@@ -457,12 +469,22 @@ impl StreamProcessor {
         // Ops in flight as `(op, end)`: one per unit, plus any zero-cost
         // ops started in the same cycle.
         let mut running: Vec<(usize, u64)> = Vec::new();
-        // Unfinished ops per strip; the first key bounds the prefetch
-        // window.
-        let mut open_strips: BTreeMap<usize, usize> = BTreeMap::new();
-        for lop in &program.ops {
-            *open_strips.entry(lop.strip).or_default() += 1;
+        // The prefetch window counts strips, not strip ids: `rank[i]` is
+        // the position of op `i`'s strip among the distinct ids scheduled,
+        // so a node's share of a program (ids 3, 11, 17, …) double-buffers
+        // like 0, 1, 2. The oldest rank with open ops bounds the window.
+        let mut strip_ids: Vec<usize> = ops.iter().map(|lop| lop.strip).collect();
+        strip_ids.sort_unstable();
+        strip_ids.dedup();
+        let rank: Vec<usize> = ops
+            .iter()
+            .map(|lop| strip_ids.partition_point(|&s| s < lop.strip))
+            .collect();
+        let mut open_in_strip = vec![0usize; strip_ids.len()];
+        for &r in &rank {
+            open_in_strip[r] += 1;
         }
+        let mut oldest_open = 0usize;
         let mut buffer_released = vec![false; n_bufs];
         let mut consumers_left = table.consumers.clone();
         let mut srf = SrfAllocator::new(&self.cfg);
@@ -472,7 +494,10 @@ impl StreamProcessor {
         // maps buffer -> count of SDRs released when that buffer dies.
         let mut sdr_held_on_buffer: Vec<usize> = vec![0; n_bufs];
         let mut releases_at_completion: Vec<bool> = vec![false; n_ops];
-        let mut memsys = MemSystem::new(&self.cfg);
+        // Built at the first unpriced record: a partitioned program's
+        // ops all arrive priced and need no cache here.
+        let mut memsys: Option<MemSystem> = None;
+        let mut cache_stats = CacheAccessStats::default();
         let mut timeline = Timeline::default();
         let mut counters = Counters::default();
         let mut phases = PhaseCycles::default();
@@ -502,12 +527,10 @@ impl StreamProcessor {
             let mut started_something = false;
             let mut mem_blocked_on_sdr = false;
 
-            // Oldest strip that still has unfinished work bounds the
-            // prefetch window.
-            let horizon = open_strips
-                .keys()
-                .next()
-                .map_or(usize::MAX, |s| s.saturating_add(self.strip_lookahead));
+            while open_in_strip.get(oldest_open) == Some(&0) {
+                oldest_open += 1;
+            }
+            let horizon = oldest_open.saturating_add(self.strip_lookahead);
             while state.get(first_open) == Some(&OpState::Done) {
                 first_open += 1;
             }
@@ -516,8 +539,8 @@ impl StreamProcessor {
                 if state[i] != OpState::Waiting {
                     continue;
                 }
-                let lop = &program.ops[i];
-                if lop.strip > horizon {
+                let (lop, rec) = (ops[i], recs[i]);
+                if rank[i] > horizon {
                     continue;
                 }
                 let is_mem = lop.op.is_memory();
@@ -578,7 +601,7 @@ impl StreamProcessor {
                             )));
                         }
                         let unrolled_iters = iterations / unroll;
-                        counters.srf_refs += records[i].kernel_srf_words;
+                        counters.srf_refs += rec.kernel_srf_words;
                         counters.lrf_refs += kernel.stats.lrf_refs * unrolled_iters;
                         counters.hardware_flops += kernel.stats.hardware_flops * unrolled_iters;
                         counters.hardware_ops += kernel.stats.hardware_ops * unrolled_iters;
@@ -595,10 +618,12 @@ impl StreamProcessor {
                         // Unpriced ops meet the one shared, warm cache in
                         // issue order — which interleaves strips, so it
                         // cannot be precomputed in program order.
-                        let rec = &records[i];
-                        let cost = rec
-                            .mem_cost
-                            .unwrap_or_else(|| memsys.op_cost(memory, mem_op, rec.store_records));
+                        let cost = rec.mem_cost.unwrap_or_else(|| {
+                            memsys
+                                .get_or_insert_with(|| MemSystem::new(&self.cfg))
+                                .op_cost(memory, mem_op, rec.store_records)
+                        });
+                        cache_stats.merge(&cost.cache);
                         counters.mem_refs += cost.words;
                         counters.dram_words += cost.dram_words;
                         counters.cache_hits += cost.cache.hits;
@@ -663,12 +688,7 @@ impl StreamProcessor {
                 }
                 state[i] = OpState::Done;
                 done_count += 1;
-                let strip = program.ops[i].strip;
-                let open = open_strips.get_mut(&strip).expect("op's strip was counted");
-                *open -= 1;
-                if *open == 0 {
-                    open_strips.remove(&strip);
-                }
+                open_in_strip[rank[i]] -= 1;
                 // Consumption bookkeeping: each buffer this op consumed
                 // loses one consumer; at zero the buffer dies.
                 for &b in table.consumed(i) {
@@ -694,11 +714,9 @@ impl StreamProcessor {
             sdr_peak: sdr.peak(),
             srf_peak_words_per_cluster: srf.peak_words_per_cluster(),
             sdr_stall_cycles,
-            // The caller (`run_with_threads`) overwrites these with the
-            // partitioner's verdict and, for partitioned runs, the
-            // merged per-strip shard stats.
+            cache_stats,
+            // `StreamProcessor::time` fills these in from the execution.
             partition: PartitionSummary::default(),
-            cache_stats: memsys.stats(),
             host: HostPhases::default(),
         })
     }
@@ -721,7 +739,9 @@ struct OpTable {
 }
 
 impl OpTable {
-    fn new(program: &StreamProgram) -> Result<Self, SimError> {
+    /// The table of `ops`, a subset of `program`'s in program order; op
+    /// numbers are positions in `ops`.
+    fn new(program: &StreamProgram, ops: &[&LabelledOp]) -> Result<Self, SimError> {
         let n_bufs = program.buffers.len();
         let mut t = OpTable {
             produced: Vec::new(),
@@ -732,7 +752,7 @@ impl OpTable {
         };
         // Producer of each buffer.
         let mut producer: Vec<Option<usize>> = vec![None; n_bufs];
-        for (i, lop) in program.ops.iter().enumerate() {
+        for (i, lop) in ops.iter().enumerate() {
             for b in produced_buffers(&lop.op) {
                 if producer[b.0].is_some() {
                     return Err(SimError::Program(format!(
@@ -754,7 +774,7 @@ impl OpTable {
             reads_since: Vec<usize>,
         }
         let mut regions: BTreeMap<usize, RegionOrder> = BTreeMap::new();
-        for (i, lop) in program.ops.iter().enumerate() {
+        for (i, lop) in ops.iter().enumerate() {
             for b in produced_buffers(&lop.op) {
                 let words = buffer_capacity_words(program, &lop.op, b);
                 t.produced.push((b.0, words));
@@ -1065,7 +1085,7 @@ mod tests {
         let bv = pb.buffer("v", 1);
         pb.load("load", vals, 1, 0, 4, bv);
         let err = StreamProcessor::new(cfg)
-            .schedule(&mem, &pb.build(), &[])
+            .schedule(&mem, &pb.build(), &[], |_| true)
             .expect_err("one op, no record");
         assert!(matches!(err, SimError::Program(_)), "{err}");
     }
@@ -1085,26 +1105,22 @@ mod tests {
         assert_eq!(mem.data(acc), &[4.0, 6.0]);
     }
 
-    #[test]
-    fn strip_pipelining_overlaps_memory_and_compute() {
-        // Two strips: gather(1) should overlap kernel(0).
-        let cfg = MachineConfig::default();
-        let k = square_kernel(&cfg, KernelOpt::default());
-        let n = 4096usize;
+    /// gather → square → store over `n` words per strip, one strip per
+    /// entry of `ids` (its strip id), labelled by position.
+    fn pipelined_program(cfg: &MachineConfig, n: usize, ids: &[usize]) -> (Memory, StreamProgram) {
+        let k = square_kernel(cfg, KernelOpt::default());
         let mut mem = Memory::new();
-        let xs = mem.region("xs", (0..2 * n).map(|i| i as f64).collect());
-        let out = mem.region("out", vec![0.0; 2 * n]);
+        let xs = mem.region("xs", (0..ids.len() * n).map(|i| i as f64).collect());
+        let out = mem.region("out", vec![0.0; ids.len() * n]);
         let mut pb = ProgramBuilder::new();
-        for strip in 0..2 {
+        for (pos, &strip) in ids.iter().enumerate() {
             pb.strip(strip);
-            let bx = pb.buffer(&format!("x{strip}"), 1);
-            let by = pb.buffer(&format!("y{strip}"), 1);
-            let idx: Vec<u32> = (0..n as u32)
-                .map(|i| i + (strip as u32) * n as u32)
-                .collect();
-            pb.gather(format!("gather {strip}"), xs, 1, Arc::new(idx), bx);
+            let bx = pb.buffer(&format!("x{pos}"), 1);
+            let by = pb.buffer(&format!("y{pos}"), 1);
+            let idx: Vec<u32> = (0..n as u32).map(|i| i + (pos * n) as u32).collect();
+            pb.gather(format!("gather {pos}"), xs, 1, Arc::new(idx), bx);
             pb.kernel(
-                format!("kernel {strip}"),
+                format!("kernel {pos}"),
                 k.clone(),
                 vec![bx],
                 vec![by],
@@ -1112,9 +1128,17 @@ mod tests {
                 n as u64,
                 (n as u64).div_ceil(16),
             );
-            pb.store(format!("store {strip}"), by, out, 1, strip * n);
+            pb.store(format!("store {pos}"), by, out, 1, pos * n);
         }
-        let program = pb.build();
+        (mem, pb.build())
+    }
+
+    #[test]
+    fn strip_pipelining_overlaps_memory_and_compute() {
+        // Two strips: gather(1) should overlap kernel(0).
+        let cfg = MachineConfig::default();
+        let n = 4096usize;
+        let (mut mem, program) = pipelined_program(&cfg, n, &[0, 1]);
         let r = StreamProcessor::new(cfg).run(&mut mem, &program).unwrap();
         assert!(
             r.timeline.overlap() > 0,
@@ -1122,7 +1146,36 @@ mod tests {
             r.timeline.render(24)
         );
         // Functional correctness across strips.
-        assert_eq!(mem.data(out)[2 * n - 1], ((2 * n - 1) * (2 * n - 1)) as f64);
+        use crate::program::RegionId;
+        assert_eq!(
+            mem.data(RegionId(1))[2 * n - 1],
+            ((2 * n - 1) * (2 * n - 1)) as f64
+        );
+    }
+
+    #[test]
+    fn the_prefetch_window_counts_strips_not_strip_ids() {
+        // A node's share of a multi-node step keeps canonical strip ids:
+        // gaps between them must not switch the double-buffering off.
+        let cfg = MachineConfig::default();
+        let run = |ids: &[usize]| {
+            let (mut mem, program) = pipelined_program(&cfg, 4096, ids);
+            let proc = StreamProcessor::new(cfg.clone());
+            proc.run(&mut mem, &program).unwrap()
+        };
+        let (dense, sparse) = (run(&[0, 1, 2]), run(&[0, 5, 9]));
+        assert!(dense.timeline.overlap() > 0);
+        assert_eq!(dense.cycles, sparse.cycles);
+        assert_eq!(dense.phases, sparse.phases);
+        let spans = |r: &RunReport| -> Vec<_> {
+            let spans = r.timeline.intervals.iter();
+            spans
+                .map(|i| (i.unit, i.start, i.end, i.label.clone()))
+                .collect()
+        };
+        assert_eq!(spans(&dense), spans(&sparse));
+        // Ids dense from another base are the same window as before.
+        assert_eq!(spans(&dense), spans(&run(&[7, 8, 9])));
     }
 
     #[test]
@@ -1131,42 +1184,14 @@ mod tests {
             stream_descriptor_registers: 2,
             ..MachineConfig::default()
         };
-        let k = square_kernel(&cfg, KernelOpt::default());
-        let n = 4096usize;
-        let strips = 6;
-        let build = || {
-            let mut mem = Memory::new();
-            let xs = mem.region("xs", (0..strips * n).map(|i| i as f64).collect());
-            let out = mem.region("out", vec![0.0; strips * n]);
-            let mut pb = ProgramBuilder::new();
-            for strip in 0..strips {
-                pb.strip(strip);
-                let bx = pb.buffer(&format!("x{strip}"), 1);
-                let by = pb.buffer(&format!("y{strip}"), 1);
-                let idx: Vec<u32> = (0..n as u32)
-                    .map(|i| i + (strip as u32) * n as u32)
-                    .collect();
-                pb.gather(format!("gather {strip}"), xs, 1, Arc::new(idx), bx);
-                pb.kernel(
-                    format!("kernel {strip}"),
-                    k.clone(),
-                    vec![bx],
-                    vec![by],
-                    vec![],
-                    n as u64,
-                    (n as u64).div_ceil(16),
-                );
-                pb.store(format!("store {strip}"), by, out, 1, strip * n);
-            }
-            (mem, pb.build())
-        };
+        let build = || pipelined_program(&cfg, 4096, &[0, 1, 2, 3, 4, 5]);
         let (mut m1, p1) = build();
         let naive = StreamProcessor::new(cfg.clone())
             .with_policy(SdrPolicy::Naive)
             .run(&mut m1, &p1)
             .unwrap();
         let (mut m2, p2) = build();
-        let eager = StreamProcessor::new(cfg)
+        let eager = StreamProcessor::new(cfg.clone())
             .with_policy(SdrPolicy::Eager)
             .run(&mut m2, &p2)
             .unwrap();

@@ -137,11 +137,10 @@ impl MemSystem {
     ///
     /// Sharding contract: each strip's memory ops are costed against its
     /// own shard in op-index order, so a strip's costs depend only on
-    /// that strip's address trace — never on which thread ran it or when.
-    /// The shards' [`CacheAccessStats`] are merged in ascending strip
-    /// order with [`CacheAccessStats::merge`] (plain `u64` sums plus a
-    /// max, both order-insensitive), making the aggregate bitwise-
-    /// identical at every host thread count.
+    /// that strip's address trace — never on which thread ran it, when,
+    /// or beside which other strips. Each cost carries its own
+    /// [`CacheAccessStats`]; a report merges those of the ops it times
+    /// (plain `u64` sums plus a max, both order-insensitive).
     pub fn strip_shard(cfg: &MachineConfig) -> Self {
         Self::new(cfg)
     }

@@ -1,7 +1,9 @@
 //! Functional execution of a stream program, and the parallel engine
 //! around it: fan per-strip functional work *and* per-strip memory
-//! timing across host threads, then run the (inherently sequential)
-//! scoreboard over the per-op records.
+//! timing across host threads ([`StreamProcessor::execute`]), then run
+//! the (inherently sequential) scoreboard over the per-op records
+//! ([`StreamProcessor::time`]) — once for a run, any number of times
+//! over subsets of one execution's ops.
 //!
 //! The split is sound because every cost function in [`crate::memsys`]
 //! and [`crate::cluster`] depends only on *addresses, indices and
@@ -32,8 +34,10 @@
 //!    on the worker count or completion order;
 //! 3. each strip's memory ops are costed in op-index order against a
 //!    private cold [`MemSystem`] shard ([`MemSystem::strip_shard`]), so
-//!    a strip's costs are a pure function of its own address trace;
-//!    per-strip [`CacheAccessStats`] merge in ascending strip order;
+//!    a strip's costs are a pure function of its own address trace — of
+//!    neither the thread that ran it nor the other strips run with it;
+//!    a report's [`crate::CacheAccessStats`] are the merge (`u64` sums
+//!    and a max) of the costs of the ops it schedules;
 //! 4. the timing pass is serial and the same scoreboard call as the
 //!    fallback path's; it reads the per-op records and no region data,
 //!    so nothing phase A did on another thread can reach it except
@@ -47,12 +51,10 @@ use merrimac_kernel::interp::{Interpreter, StreamData, StreamView};
 use merrimac_kernel::BatchWidth;
 use rayon::prelude::*;
 
-use crate::cache::CacheAccessStats;
-use crate::counters::Counters;
 use crate::kernelc::CompiledKernel;
 use crate::machine::{HostPhases, KernelEngine, OpRecord, RunReport, SimError, StreamProcessor};
 use crate::memsys::MemSystem;
-use crate::partition::partition_program;
+use crate::partition::{partition_program, PartitionReport};
 use crate::program::{BufferId, LabelledOp, Memory, RegionId, StreamOp, StreamProgram};
 
 /// Everything one strip's functional execution produced.
@@ -66,14 +68,19 @@ struct StripOutcome {
     scatter: Vec<(usize, Vec<f64>)>,
     /// Sequential stores: `(region, start word, data)`, in op order.
     stores: Vec<(usize, usize, Vec<f64>)>,
-    /// Kernel-side counters (SRF/LRF traffic, FLOPs, iterations) this
-    /// strip contributed — all `u64` sums, so aggregation across
-    /// threads is lossless and order-independent.
-    kernel_counters: Counters,
-    /// Cumulative cache behaviour of this strip's memory shard.
-    cache_stats: CacheAccessStats,
     /// Host time of this strip's ops by kind, and of pricing them.
     host: HostPhases,
+}
+
+/// What [`StreamProcessor::execute`] leaves for the timing pass: one
+/// record per op, the partitioner's verdict and where the host's time
+/// went. [`StreamProcessor::time`] reads it any number of times.
+#[derive(Debug)]
+pub struct Executed {
+    pub(crate) records: Vec<OpRecord>,
+    pub partition: PartitionReport,
+    /// Every phase but `scoreboard`, which each timing adds.
+    pub host: HostPhases,
 }
 
 impl StreamProcessor {
@@ -91,15 +98,28 @@ impl StreamProcessor {
     }
 
     /// The single engine behind [`StreamProcessor::run`] and
-    /// [`StreamProcessor::run_parallel`]: partition, fan out, merge,
-    /// replay. Cycle numbers depend only on whether the program
-    /// partitions — never on the entry point or thread count.
+    /// [`StreamProcessor::run_parallel`]: execute, then time every op.
+    /// Cycle numbers depend only on whether the program partitions —
+    /// never on the entry point or thread count.
     pub(crate) fn run_with_threads(
         &self,
         memory: &mut Memory,
         program: &StreamProgram,
         threads: usize,
     ) -> Result<RunReport, SimError> {
+        let executed = self.execute(memory, program, threads)?;
+        self.time(memory, program, &executed, |_| true)
+    }
+
+    /// Everything up to the scoreboard: validate, partition, fan the
+    /// strips out (phase A), merge their records and fold their writes
+    /// into `memory`.
+    pub fn execute(
+        &self,
+        memory: &mut Memory,
+        program: &StreamProgram,
+        threads: usize,
+    ) -> Result<Executed, SimError> {
         // Reject un-runnable programs before burning functional work on
         // them; the scoreboard relies on this having passed.
         let t = Instant::now();
@@ -112,19 +132,16 @@ impl StreamProcessor {
         if self.partition_verbose {
             eprintln!("{}", partition.describe(program, memory));
         }
-        let summary = partition.summary();
         if !partition.is_parallel() {
             let t = Instant::now();
             let records = exec_serial(memory, program, self.kernel_engine, self.tape_batch)?;
             host.phase_a_wall = t.elapsed();
-            let t = Instant::now();
-            let mut report = self.schedule(memory, program, &records)?;
-            host.scoreboard = t.elapsed();
-            report.partition = summary;
-            report.host = host;
-            return Ok(report);
+            return Ok(Executed {
+                records,
+                partition,
+                host,
+            });
         }
-        let strips = partition.strips;
 
         // ---- phase A: per-strip functional execution + memory costs ----
         let t = Instant::now();
@@ -137,9 +154,9 @@ impl StreamProcessor {
         let engine = self.kernel_engine;
         let batch = self.tape_batch;
         let outcomes: Result<Vec<StripOutcome>, SimError> = pool.install(|| {
-            strips
+            (&partition.strips)
                 .into_par_iter()
-                .map(|ops| exec_strip(cfg, shared, program, &ops, engine, batch))
+                .map(|ops| exec_strip(cfg, shared, program, ops, engine, batch))
                 .collect()
         });
         let outcomes = outcomes?;
@@ -148,23 +165,15 @@ impl StreamProcessor {
         // ---- deterministic merge --------------------------------------
         let t = Instant::now();
         let mut records: Vec<OpRecord> = vec![OpRecord::default(); program.ops.len()];
-        let mut kernel_counters = Counters::default();
-        let mut cache_stats = CacheAccessStats::default();
-        for o in &outcomes {
-            for (i, r) in &o.records {
-                records[*i] = *r;
-            }
-            // Lossless (u64) aggregation of per-strip kernel counters
-            // and shard cache stats, in ascending strip order.
-            kernel_counters.add(&o.kernel_counters);
-            cache_stats.merge(&o.cache_stats);
-            host.add(&o.host);
-        }
         // Scatter overlays, grouped by region in strip order, reduced by
         // a fixed-shape pairwise tree, then added into the base region.
         let mut by_region: BTreeMap<usize, Vec<Vec<f64>>> = BTreeMap::new();
         let mut stores: Vec<(usize, usize, Vec<f64>)> = Vec::new();
         for o in outcomes {
+            for (i, r) in o.records {
+                records[i] = r;
+            }
+            host.add(&o.host);
             for (region, overlay) in o.scatter {
                 by_region.entry(region).or_default().push(overlay);
             }
@@ -172,9 +181,9 @@ impl StreamProcessor {
         }
         host.merge = t.elapsed();
         let t = Instant::now();
-        for (region, overlays) in by_region {
-            let total = pool.install(|| tree_sum(overlays));
-            for (d, v) in memory.data_mut(RegionId(region)).iter_mut().zip(&total) {
+        for (region, mut overlays) in by_region {
+            let total = tree_sum(&mut overlays);
+            for (d, v) in memory.data_mut(RegionId(region)).iter_mut().zip(total) {
                 *d += *v;
             }
         }
@@ -183,31 +192,46 @@ impl StreamProcessor {
             dst[start..start + data.len()].copy_from_slice(&data);
         }
         host.reduce = t.elapsed();
+        Ok(Executed {
+            records,
+            partition,
+            host,
+        })
+    }
 
-        // ---- phase B: serial timing over the per-op records ------------
+    /// Phase B, the serial timing pass: the scoreboard over the ops
+    /// `keep` selects and their records. For a partitioned execution the
+    /// report equals, in every field but `host` and `partition`, what
+    /// [`StreamProcessor::run_parallel`] returns for the kept ops as a
+    /// program of their own on a fresh memory image — a record depends
+    /// on its own strip only — so one execution can be timed whole and
+    /// once per node; `execute` already validated and partitioned it.
+    /// An unpartitioned execution can only be timed whole: its memory
+    /// ops are priced here, on one warm cache in issue order, which a
+    /// subset run on its own would not reproduce.
+    pub fn time(
+        &self,
+        memory: &Memory,
+        program: &StreamProgram,
+        executed: &Executed,
+        keep: impl Fn(&LabelledOp) -> bool,
+    ) -> Result<RunReport, SimError> {
         let t = Instant::now();
-        let mut report = self.schedule(memory, program, &records)?;
-        host.scoreboard = t.elapsed();
-        debug_assert_eq!(
-            (
-                kernel_counters.srf_refs,
-                kernel_counters.lrf_refs,
-                kernel_counters.hardware_flops,
-                kernel_counters.hardware_ops,
-                kernel_counters.kernel_iterations,
-            ),
-            (
-                report.counters.srf_refs,
-                report.counters.lrf_refs,
-                report.counters.hardware_flops,
-                report.counters.hardware_ops,
-                report.counters.kernel_iterations,
-            ),
-            "phase-A kernel counter aggregation must match the scoreboard"
-        );
-        report.partition = summary;
-        report.cache_stats = cache_stats;
-        report.host = host;
+        if let Some(reason) = &executed.partition.fallback {
+            if !program.ops.iter().all(&keep) {
+                return Err(SimError::Program(format!(
+                    "a subset of an unpartitioned execution cannot be timed ({}): {}",
+                    reason.kind().code(),
+                    reason.describe(program, memory)
+                )));
+            }
+        }
+        let mut report = self.schedule(memory, program, &executed.records, keep)?;
+        report.partition = executed.partition.summary();
+        report.host = HostPhases {
+            scoreboard: t.elapsed(),
+            ..executed.host
+        };
         Ok(report)
     }
 }
@@ -440,8 +464,6 @@ fn exec_strip(
         records: Vec::new(),
         scatter: Vec::new(),
         stores: Vec::new(),
-        kernel_counters: Counters::default(),
-        cache_stats: CacheAccessStats::default(),
         host: HostPhases::default(),
     };
     for &i in ops {
@@ -479,19 +501,6 @@ fn exec_strip(
             ) => out
                 .stores
                 .push((region.0, start * record_len, src.data.clone())),
-            (
-                StreamOp::Kernel {
-                    kernel, iterations, ..
-                },
-                _,
-            ) => {
-                let unrolled = *iterations / kernel.opt.unroll as u64;
-                out.kernel_counters.srf_refs += rec.kernel_srf_words;
-                out.kernel_counters.lrf_refs += kernel.stats.lrf_refs * unrolled;
-                out.kernel_counters.hardware_flops += kernel.stats.hardware_flops * unrolled;
-                out.kernel_counters.hardware_ops += kernel.stats.hardware_ops * unrolled;
-                out.kernel_counters.kernel_iterations += *iterations;
-            }
             _ => {}
         }
         *match &lop.op {
@@ -507,34 +516,26 @@ fn exec_strip(
         }
         out.records.push((i, rec));
     }
-    out.cache_stats = memsys.stats();
     Ok(out)
 }
 
-/// Pairwise tree reduction of equally-sized accumulators. The tree's
-/// shape is a function of `layers.len()` alone, so the result is
-/// bitwise-identical at every worker count; each level's pair-sums run
-/// in parallel.
-fn tree_sum(mut layers: Vec<Vec<f64>>) -> Vec<f64> {
-    while layers.len() > 1 {
-        let mut pairs: Vec<(Vec<f64>, Option<Vec<f64>>)> = Vec::new();
-        let mut it = layers.into_iter();
-        while let Some(a) = it.next() {
-            pairs.push((a, it.next()));
+/// Pairwise tree reduction of equally-sized accumulators, in place,
+/// into the first one: at stride 1, 2, 4, … layer `i` (a multiple of
+/// twice the stride) takes layer `i + stride`, and a layer without a
+/// partner passes through. The tree's shape — so every bit of the sum —
+/// is a function of `layers.len()` alone.
+fn tree_sum(layers: &mut [Vec<f64>]) -> &[f64] {
+    let mut stride = 1;
+    while stride < layers.len() {
+        for i in (0..layers.len() - stride).step_by(2 * stride) {
+            let (head, tail) = layers.split_at_mut(i + stride);
+            for (x, y) in head[i].iter_mut().zip(&tail[0]) {
+                *x += *y;
+            }
         }
-        layers = pairs
-            .into_par_iter()
-            .map(|(mut a, b)| {
-                if let Some(b) = b {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += *y;
-                    }
-                }
-                a
-            })
-            .collect();
+        stride *= 2;
     }
-    layers.pop().unwrap_or_default()
+    layers.first().map_or(&[], Vec::as_slice)
 }
 
 #[cfg(test)]
@@ -1009,23 +1010,55 @@ mod tests {
         assert_eq!(FallbackKind::from_code("nonsense"), None);
     }
 
+    /// The level-by-level reduction `tree_sum` replaced, kept as its
+    /// reference: a fresh list of pairs per level, each pair summed into
+    /// its left member.
+    fn tree_sum_by_levels(mut layers: Vec<Vec<f64>>) -> Vec<f64> {
+        while layers.len() > 1 {
+            let mut next = Vec::new();
+            let mut it = layers.into_iter();
+            while let Some(mut a) = it.next() {
+                if let Some(b) = it.next() {
+                    for (x, y) in a.iter_mut().zip(&b) {
+                        *x += *y;
+                    }
+                }
+                next.push(a);
+            }
+            layers = next;
+        }
+        layers.pop().unwrap_or_default()
+    }
+
     #[test]
-    fn tree_sum_shape_is_width_independent() {
-        let layers: Vec<Vec<f64>> = (0..7)
-            .map(|s| {
-                (0..50)
-                    .map(|i| ((s * 50 + i) as f64).sin() * 1e-3)
-                    .collect()
-            })
-            .collect();
-        let expect = tree_sum(layers.clone());
-        for threads in [1usize, 2, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let got = pool.install(|| tree_sum(layers.clone()));
-            assert_eq!(expect, got, "tree_sum diverged at {threads} threads");
+    fn in_place_tree_sum_is_the_level_by_level_sum_bit_for_bit() {
+        // Magnitudes spread over 22 decades make the association show in
+        // the low bits. Each special keeps a column to itself, so no word
+        // ever adds two different NaN bit patterns (which payload that
+        // keeps is the compiler's choice of operand order).
+        for n in (0..=9).chain([31, 73]) {
+            let layers: Vec<Vec<f64>> = (0..n)
+                .map(|s| {
+                    (0..40)
+                        .map(|i| match i {
+                            0 => -0.0,
+                            1 if s % 3 == 0 => f64::NAN,
+                            2 if s % 4 == 1 => f64::INFINITY,
+                            3 if s % 5 == 2 => f64::NEG_INFINITY,
+                            4 if s % 2 == 0 => -0.0,
+                            _ => {
+                                let decade = (s * 7 + i) % 23 - 15;
+                                ((s * 40 + i) as f64).sin() * 10f64.powi(decade)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let want = tree_sum_by_levels(layers.clone());
+            let mut layers = layers;
+            let got = tree_sum(&mut layers);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "{n} layers");
         }
     }
 }

@@ -5,18 +5,44 @@
 //! column is what a kernel launch costs per kernel iteration: `kernel`
 //! over the step's iteration count, in thread-ns. The kernel engine
 //! comes from the environment, strictly
-//! (`MERRIMAC_KERNEL_ENGINE=interp` profiles the oracle).
+//! (`MERRIMAC_KERNEL_ENGINE=interp` profiles the oracle). The last row
+//! is the `variable` step over 8 simulated nodes: one execution, so one
+//! `phase_a_wall` and one `reduce`, and a `scoreboard` summed over its
+//! nine timings (the whole step and each node's share).
 //!
 //! ```sh
 //! cargo run --release --example profile
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use merrimac_repro::prelude::*;
-use merrimac_repro::sim::{HostExec, HostPhases};
+use merrimac_repro::sim::{HostExec, HostPhases, RunReport};
+use merrimac_repro::streammd::run_multinode;
 
 const STEPS: u32 = 20;
+
+/// One table row: `run` once to warm (kernel compile, allocator), then
+/// the per-step means of `STEPS` more.
+fn profile(name: &str, run: impl Fn() -> RunReport) {
+    run();
+    let (mut host, t) = (HostPhases::default(), Instant::now());
+    let mut iterations = 0;
+    for _ in 0..STEPS {
+        let report = run();
+        host.add(&report.host);
+        iterations += report.counters.kernel_iterations;
+    }
+    let ms = |d: Duration| d.as_secs_f64() * 1e3 / STEPS as f64;
+    print!("{name:11} {:7.2}", ms(t.elapsed()));
+    for (name, d) in host.named() {
+        print!(" {:w$.2}", ms(d), w = name.len().max(6));
+    }
+    println!(
+        " {:14.1}",
+        host.kernel.as_secs_f64() * 1e9 / iterations as f64
+    );
+}
 
 fn main() {
     let system = WaterBox::paper_dataset(42);
@@ -30,29 +56,19 @@ fn main() {
         .build()
         .expect("valid");
     let list = NeighborList::build(&system, app.neighbor);
-    print!("{:10} {:>7}", "variant", "step");
+    print!("{:11} {:>7}", "variant", "step");
     for (name, _) in HostPhases::default().named() {
         print!(" {name:>w$}", w = name.len().max(6));
     }
     println!(" kernel ns/iter");
     for variant in Variant::ALL {
-        let run = || app.run_step_with_list(&system, &list, variant);
-        run().expect("runs"); // warm: kernel compile, allocator
-        let (mut host, t) = (HostPhases::default(), Instant::now());
-        let mut iterations = 0;
-        for _ in 0..STEPS {
-            let report = run().expect("runs").report;
-            host.add(&report.host);
-            iterations += report.counters.kernel_iterations;
-        }
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3 / STEPS as f64;
-        print!("{:10} {:7.2}", variant.name(), ms(t.elapsed()));
-        for (name, d) in host.named() {
-            print!(" {:w$.2}", ms(d), w = name.len().max(6));
-        }
-        println!(
-            " {:14.1}",
-            host.kernel.as_secs_f64() * 1e9 / iterations as f64
-        );
+        profile(variant.name(), || {
+            let step = app.run_step_with_list(&system, &list, variant);
+            step.expect("runs").report
+        });
     }
+    profile("variable@n8", || {
+        let step = run_multinode(&app, &system, &list, Variant::Variable, 8);
+        step.expect("runs").outcome.report
+    });
 }

@@ -1,9 +1,11 @@
 //! End-to-end simulated multi-node execution: the spatial decomposition
-//! runs every strip on its owning node over the folded-Clos topology,
+//! gives every strip to its owning node over the folded-Clos topology,
 //! and the acceptance contract is that the total forces are
 //! **bitwise-identical at any node count and any host thread count**
-//! (the cross-node reduction replays in canonical global strip order;
-//! see `streammd::multinode`).
+//! (the cross-node reduction runs in canonical global strip order; see
+//! `streammd::multinode`). Each strip executes once: a node's compute
+//! phase is the one execution *timed* over that node's ops, held here to
+//! what running the node's sub-program on its own reports.
 //!
 //! The CI host-thread matrix extends here: `MERRIMAC_NODES` adds one
 //! extra node count to the identity sweep, so one matrix job covers a
@@ -11,9 +13,11 @@
 
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
-use merrimac_bench::RunSpec;
+use merrimac_bench::{paper_system, RunSpec};
+use merrimac_sim::program::{BufferDecl, LabelledOp};
+use merrimac_sim::{BufferId, RunReport, StreamOp, StreamProcessor, StreamProgram};
 use streammd::multinode::MultiNodeOutcome;
-use streammd::{SimConfigBuilder, SimError, Variant};
+use streammd::{run_multinode_program, SimConfigBuilder, SimError, StreamMdApp, Variant};
 
 fn setup(molecules: usize) -> (WaterBox, NeighborList) {
     let system = WaterBox::builder().molecules(molecules).seed(7).build();
@@ -74,39 +78,188 @@ fn forces_bitwise_identical_across_nodes_and_threads() {
     }
 }
 
-/// The per-node partial force images must sum (elementwise) to the
-/// canonical total up to floating-point association — every strip runs
-/// on exactly one node and nothing is dropped or double-counted.
+/// The processor an app's steps run on, rebuilt from its public fields.
+fn processor(app: &StreamMdApp) -> StreamProcessor {
+    StreamProcessor::new(app.cfg.clone())
+        .with_costs(app.costs.clone())
+        .with_policy(app.policy)
+        .with_engine(app.engine)
+        .with_batch_width(app.tape_batch)
+}
+
+/// Every simulated field of a report (`host` is wall-clock; `partition`
+/// describes the execution, which for a timed node is the whole step).
+fn assert_same_timing(want: &RunReport, got: &RunReport, ctx: &str) {
+    assert_eq!(want.cycles, got.cycles, "{ctx}: cycles");
+    assert_eq!(want.timeline, got.timeline, "{ctx}: timeline");
+    assert_eq!(want.counters, got.counters, "{ctx}: counters");
+    assert_eq!(want.phases, got.phases, "{ctx}: phases");
+    assert_eq!(want.sdr_peak, got.sdr_peak, "{ctx}: SDR peak");
+    assert_eq!(
+        want.srf_peak_words_per_cluster, got.srf_peak_words_per_cluster,
+        "{ctx}: SRF peak"
+    );
+    assert_eq!(
+        want.sdr_stall_cycles, got.sdr_stall_cycles,
+        "{ctx}: SDR stalls"
+    );
+    assert_eq!(want.cache_stats, got.cache_stats, "{ctx}: cache stats");
+}
+
+/// The contract of `StreamProcessor::time`, on the programs the
+/// multi-node runner gives it: timing one execution over a node's ops
+/// reports what running the node's sub-program — those ops over the same
+/// buffer and intent declarations — on a fresh memory image does, and a
+/// `NodeRun` is read off that report. The hand runs also show that every
+/// strip runs on exactly one node and nothing is dropped: their force
+/// images sum to the canonical forces up to floating-point association.
 #[test]
-fn node_partials_cover_the_canonical_reduction() {
+fn timing_a_nodes_ops_equals_running_its_sub_program() {
+    for (molecules, strip) in [(64, Some(96)), (216, None)] {
+        let (system, list) = setup(molecules);
+        for variant in [Variant::Variable, Variant::Fixed, Variant::Expanded] {
+            for threads in [1usize, 4] {
+                let mut builder = SimConfigBuilder::new()
+                    .neighbor(list.params)
+                    .variants(&[variant])
+                    .threads(threads);
+                if let Some(iterations) = strip {
+                    builder = builder.strip_iterations(iterations);
+                }
+                let app = builder.build().expect("valid");
+                let step = app.build_step_program(&system, &list, variant);
+                let proc = processor(&app);
+                let mut mem = step.memory.clone();
+                let executed = proc
+                    .execute(&mut mem, &step.program, threads)
+                    .expect("executes");
+                for nodes in [2usize, 4, 8] {
+                    let ctx =
+                        format!("water-{molecules} {variant} nodes={nodes} threads={threads}");
+                    let m = run_multinode_program(&app, &system, &step, nodes)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let mut summed = vec![0.0f64; mem.data(step.forces).len()];
+                    for run in &m.per_node {
+                        let ctx = format!("{ctx} node {}", run.node);
+                        let keep = |op: &LabelledOp| run.strips.contains(&op.strip);
+                        let sub = StreamProgram {
+                            buffers: step.program.buffers.clone(),
+                            ops: step
+                                .program
+                                .ops
+                                .iter()
+                                .filter(|op| keep(op))
+                                .cloned()
+                                .collect(),
+                            intents: step.program.intents.clone(),
+                        };
+                        let mut node_mem = step.memory.clone();
+                        let want = proc
+                            .run_parallel(&mut node_mem, &sub, threads)
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        for (acc, w) in summed.iter_mut().zip(node_mem.data(step.forces)) {
+                            *acc += w;
+                        }
+                        let got = proc
+                            .time(&mem, &step.program, &executed, keep)
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        assert_same_timing(&want, &got, &ctx);
+                        assert_eq!(run.compute_cycles, got.cycles, "{ctx}: NodeRun cycles");
+                        assert_eq!(run.phases, got.phases, "{ctx}: NodeRun phases");
+                        assert_eq!(run.sdr_stall_cycles, got.sdr_stall_cycles, "{ctx}");
+                        assert_eq!(run.overlap, got.timeline.overlap_fraction(), "{ctx}");
+                        assert_eq!(run.strips.is_empty(), run.compute_cycles == 0, "{ctx}");
+                    }
+                    for (word, (s, c)) in summed.iter().zip(mem.data(step.forces)).enumerate() {
+                        assert!(
+                            (s - c).abs() <= 1e-9 * c.abs().max(1.0),
+                            "{ctx}: force word {word}: node sum {s} vs canonical {c}"
+                        );
+                    }
+                    // Every strip landed on exactly one node.
+                    let mut assigned: Vec<usize> =
+                        m.per_node.iter().flat_map(|n| n.strips.clone()).collect();
+                    assigned.sort_unstable();
+                    let all: Vec<usize> = (0..step.layout.strips.len()).collect();
+                    assert_eq!(assigned, all, "{ctx}");
+                    let owned: usize = m.per_node.iter().map(|n| n.owned_molecules).sum();
+                    assert_eq!(owned, system.num_molecules(), "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// The paper's box on 8 nodes, which the CI trend gate does not run (its
+/// 216-molecule box leaves most nodes a single strip — how a prefetch
+/// window counted in strip ids went unseen): 31 strips, one to six to a
+/// node, with gaps between a node's canonical strip ids.
+#[test]
+fn paper_box_on_eight_nodes_matches_recorded_cycles() {
+    let (system, list) = paper_system();
+    let m = run_nodes(&system, &list, Variant::Variable, 8, 2);
+    assert_eq!(m.outcome.report.cycles, 482_387, "single-node step");
+    assert_eq!(m.breakdown.step_cycles, 112_677);
+    assert_eq!(m.breakdown.comm_cycles_max, 5_293);
+    let compute: Vec<u64> = m.per_node.iter().map(|n| n.compute_cycles).collect();
+    assert_eq!(
+        compute,
+        [107_348, 107_384, 75_905, 90_575, 68_828, 45_121, 30_248, 60_738]
+    );
+}
+
+/// An execution the partitioner refused can only be timed whole: its
+/// memory ops are priced by the scoreboard on one warm cache in issue
+/// order, which no subset run on its own would see. The program is the
+/// forced fallback of `tests/fallback_goldens.rs`: intents cleared, plus
+/// a load of the scatter-added `forces` region.
+#[test]
+fn a_subset_of_an_unpartitioned_execution_is_a_typed_error() {
     let (system, list) = setup(64);
-    let m = run_nodes(&system, &list, Variant::Variable, 4, 2);
-    let words = m.per_node[0].forces.len();
-    let mut summed = vec![0.0f64; words];
-    for node in &m.per_node {
-        for (acc, &w) in summed.iter_mut().zip(&node.forces) {
-            *acc += w;
-        }
-    }
-    let n_sites = system.num_molecules() * 3;
-    for site in 0..n_sites {
-        let canonical = m.outcome.forces[site];
-        for (axis, c) in [canonical.x, canonical.y, canonical.z]
-            .into_iter()
-            .enumerate()
-        {
-            let s = summed[site * 3 + axis];
-            assert!(
-                (s - c).abs() <= 1e-9 * c.abs().max(1.0),
-                "site {site} axis {axis}: node sum {s} vs canonical {c}"
-            );
-        }
-    }
-    // Every strip landed on exactly one node.
-    let assigned: usize = m.per_node.iter().map(|n| n.strips.len()).sum();
-    assert_eq!(assigned, m.outcome.report.partition.strips as usize);
-    let owned: usize = m.per_node.iter().map(|n| n.owned_molecules).sum();
-    assert_eq!(owned, system.num_molecules());
+    let app = SimConfigBuilder::new()
+        .neighbor(list.params)
+        .strip_iterations(96)
+        .build()
+        .expect("valid");
+    let mut step = app.build_step_program(&system, &list, Variant::Variable);
+    step.program.intents.clear();
+    step.program.buffers.push(BufferDecl {
+        name: "forces readback".into(),
+        record_len: 3,
+    });
+    step.program.ops.push(LabelledOp {
+        op: StreamOp::Load {
+            region: step.forces,
+            record_len: 3,
+            start: 0,
+            records: 32,
+            dst: BufferId(step.program.buffers.len() - 1),
+        },
+        label: "load forces readback".into(),
+        strip: step.program.ops.last().expect("non-empty program").strip,
+    });
+    let proc = processor(&app);
+    let mut mem = step.memory.clone();
+    let executed = proc.execute(&mut mem, &step.program, 2).expect("executes");
+    assert!(!executed.partition.is_parallel());
+
+    let err = proc
+        .time(&mem, &step.program, &executed, |op| op.strip == 0)
+        .expect_err("a subset of unpriced records");
+    assert!(matches!(err, SimError::Program(_)), "{err}");
+    let text = err.to_string();
+    assert!(text.contains("region_conflict"), "{text}");
+    assert!(text.contains("'forces'"), "{text}");
+
+    // The whole program still runs through the fallback, as `run` does.
+    let whole = proc
+        .time(&mem, &step.program, &executed, |_| true)
+        .expect("the whole program");
+    let mut fresh = step.memory.clone();
+    let run = proc.run(&mut fresh, &step.program).expect("runs");
+    assert_same_timing(&run, &whole, "forced fallback");
+    assert_eq!(run.partition, whole.partition);
+    assert_eq!(fresh.data(step.forces), mem.data(step.forces));
 }
 
 /// One node is exactly the single-processor step: same cycles, no
