@@ -43,12 +43,6 @@ impl P4Config {
         interactions as f64 * self.cycles_per_interaction / self.clock_hz
     }
 
-    /// Seconds for a full time step (force phase scaled by the measured
-    /// force fraction).
-    pub fn step_time_seconds(&self, interactions: u64) -> f64 {
-        self.force_time_seconds(interactions) / self.force_fraction
-    }
-
     /// Solution GFLOPS: programmer-visible flops (234 per interaction, the
     /// same accounting as Merrimac) divided by force-phase time.
     pub fn solution_gflops(&self, interactions: u64, flops_per_interaction: u64) -> f64 {
@@ -78,12 +72,6 @@ mod tests {
         // a handful of GFLOPS; our model must land in the single digits.
         let g = p.solution_gflops(61_680, 234);
         assert!(g > 1.0 && g < 10.0, "P4 solution GFLOPS = {g}");
-    }
-
-    #[test]
-    fn step_time_exceeds_force_time() {
-        let p = P4Config::default();
-        assert!(p.step_time_seconds(1000) > p.force_time_seconds(1000));
     }
 
     #[test]

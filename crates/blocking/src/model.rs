@@ -1,7 +1,5 @@
 //! Geometric paving model for the blocking scheme.
 
-use merrimac_arch::MachineConfig;
-
 /// Model configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockingConfig {
@@ -40,17 +38,6 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Calibration derived from machine peak numbers: interactions cost
-    /// their issued ops over the FPU slots; words cost DRDRAM
-    /// random-access bandwidth.
-    pub fn from_machine(cfg: &MachineConfig, ops_per_interaction: f64) -> Self {
-        Self {
-            kernel_cycles_per_interaction: ops_per_interaction
-                / (cfg.clusters * cfg.fpus_per_cluster) as f64,
-            memory_cycles_per_word: 1.0 / cfg.dram_random_words_per_cycle,
-        }
-    }
-
     /// The balance the paper's simulator exhibited. The paper's variable
     /// scheme sustained ~34% of its optimal kernel rate and an effective
     /// random-gather bandwidth well below the DRDRAM peak, leaving it
@@ -294,12 +281,5 @@ mod tests {
         let cal = Calibration::paper_like();
         let p = evaluate(&cfg, &cal, 2.0);
         assert_eq!(p.molecules_per_cluster, 8.0);
-    }
-
-    #[test]
-    fn machine_calibration_is_sane() {
-        let cal = Calibration::from_machine(&MachineConfig::default(), 450.0);
-        assert!((cal.kernel_cycles_per_interaction - 450.0 / 64.0).abs() < 1e-12);
-        assert!((cal.memory_cycles_per_word - 0.5).abs() < 1e-12);
     }
 }

@@ -250,6 +250,7 @@ impl StreamMdApp {
 
     /// Run one force step of `variant` over `system`.
     pub fn run_step(&self, system: &WaterBox, variant: Variant) -> Result<StepOutcome, SimError> {
+        check_inputs(system, self.neighbor)?;
         let list = NeighborList::build(system, self.neighbor);
         self.run_step_with_list(system, &list, variant)
     }
@@ -258,6 +259,10 @@ impl StreamMdApp {
     /// the layout, memory image, access intents and op sequence exactly
     /// as [`StreamMdApp::run_step_with_list`] would run them. This is
     /// the entry point for static analysis (`merrimac-lint`).
+    ///
+    /// The model must have 1 or 3 interaction sites (the kernels are
+    /// generated for those; the force field asserts it) — the `run_*`
+    /// entry points check that and return an error instead.
     pub fn build_step_program(
         &self,
         system: &WaterBox,
@@ -289,27 +294,10 @@ impl StreamMdApp {
             .intent(forces, AccessIntent::ReduceAdd);
         for (sid, s) in layout.strips.iter().enumerate() {
             pb.strip(sid);
-            match variant {
-                Variant::Expanded => self.emit_expanded(
-                    &mut pb, &mut mem, sid, s, w, &kernel, &params, positions, shifts, forces,
-                ),
-                Variant::Fixed | Variant::Duplicated => self.emit_blocks(
-                    &mut pb,
-                    &mut mem,
-                    sid,
-                    s,
-                    w,
-                    &kernel,
-                    &params,
-                    positions,
-                    shifts,
-                    forces,
-                    variant == Variant::Fixed,
-                ),
-                Variant::Variable => self.emit_variable(
-                    &mut pb, &mut mem, sid, s, w, &kernel, &params, positions, forces,
-                ),
-            }
+            let streams = StripStreams::of(variant, s, w, positions, shifts);
+            emit_strip(
+                &mut pb, &mut mem, sid, s, w, streams, &kernel, &params, forces,
+            );
         }
         StepProgram {
             program: pb.build(),
@@ -353,6 +341,7 @@ impl StreamMdApp {
         list: &NeighborList,
         variant: Variant,
     ) -> Result<StepOutcome, SimError> {
+        check_inputs(system, list.params)?;
         let step = self.build_step_program(system, list, variant);
         if self.analyze {
             self.admit_built(&step)?;
@@ -458,265 +447,156 @@ impl StreamMdApp {
             iterations: layout.total_iterations(),
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit_expanded(
-        &self,
-        pb: &mut ProgramBuilder,
-        mem: &mut Memory,
-        sid: usize,
-        s: &Strip,
-        w: usize,
-        kernel: &Arc<CompiledKernel>,
-        params: &[f64],
-        positions: merrimac_sim::RegionId,
-        shifts: merrimac_sim::RegionId,
-        forces: merrimac_sim::RegionId,
-    ) {
-        let iters = s.iterations;
-        // Index streams live in memory and are loaded through the SRF
-        // before the address generators can use them.
-        for (name, idx) in [
-            ("i_central", &s.i_central),
-            ("i_neighbor", &s.i_neighbor),
-            ("i_shift", &s.i_shift),
-        ] {
-            let r = mem.region(
-                &format!("{name}[{sid}]"),
-                idx.iter().map(|&i| i as f64).collect(),
-            );
-            pb.intent(r, AccessIntent::ReadOnly);
-            let buf = pb.buffer(&format!("{name}.{sid}"), 1);
-            pb.load(format!("load {name} {sid}"), r, 1, 0, idx.len(), buf);
-        }
-        let b_cpos = pb.buffer(&format!("c_pos.{sid}"), w);
-        let b_shift = pb.buffer(&format!("c_shift.{sid}"), w);
-        let b_npos = pb.buffer(&format!("n_pos.{sid}"), w);
-        let b_cf = pb.buffer(&format!("c_partial.{sid}"), w);
-        let b_nf = pb.buffer(&format!("n_partial.{sid}"), w);
-        pb.gather(
-            format!("gather c_pos {sid}"),
-            positions,
-            w,
-            Arc::new(s.i_central.clone()),
-            b_cpos,
-        );
-        pb.gather(
-            format!("gather shift {sid}"),
-            shifts,
-            w,
-            Arc::new(s.i_shift.clone()),
-            b_shift,
-        );
-        pb.gather(
-            format!("gather n_pos {sid}"),
-            positions,
-            w,
-            Arc::new(s.i_neighbor.clone()),
-            b_npos,
-        );
-        pb.kernel(
-            format!("interact {sid}"),
-            kernel.clone(),
-            vec![b_cpos, b_shift, b_npos],
-            vec![b_cf, b_nf],
-            params.to_vec(),
-            iters,
-            s.max_cluster_iterations,
-        );
-        pb.scatter_add(
-            format!("scatter+ c {sid}"),
-            b_cf,
-            forces,
-            w,
-            Arc::new(s.c_scatter.clone()),
-        );
-        pb.scatter_add(
-            format!("scatter+ n {sid}"),
-            b_nf,
-            forces,
-            w,
-            Arc::new(s.n_scatter.clone()),
-        );
+/// What a step needs of its inputs, checked where they enter and before
+/// any list is built: a model the kernels are generated for, and a list
+/// radius the minimum-image convention can serve (the invariant
+/// `NeighborList::build` asserts).
+pub(crate) fn check_inputs(
+    system: &WaterBox,
+    neighbor: NeighborListParams,
+) -> Result<(), SimError> {
+    let sites = system.num_sites();
+    if sites != 1 && sites != 3 {
+        return Err(SimError::Config(format!(
+            "model '{}' has {sites} interaction sites; stream programs are generated for 1 or 3",
+            system.model().name
+        )));
     }
+    let (radius, side) = (neighbor.list_radius(), system.pbc().side());
+    if radius * 2.0 > side + 1e-12 {
+        return Err(SimError::Config(format!(
+            "cutoff + skin = {radius} nm is more than half the box side {side} nm; \
+             the minimum image would be ambiguous"
+        )));
+    }
+    Ok(())
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit_blocks(
-        &self,
-        pb: &mut ProgramBuilder,
-        mem: &mut Memory,
-        sid: usize,
-        s: &Strip,
-        w: usize,
-        kernel: &Arc<CompiledKernel>,
-        params: &[f64],
-        positions: merrimac_sim::RegionId,
-        shifts: merrimac_sim::RegionId,
-        forces: merrimac_sim::RegionId,
-        neighbor_partials: bool,
-    ) {
-        for (name, idx) in [
-            ("i_central", &s.i_central),
-            ("i_neighbor", &s.i_neighbor),
-            ("i_shift", &s.i_shift),
-        ] {
-            let r = mem.region(
-                &format!("{name}[{sid}]"),
-                idx.iter().map(|&i| i as f64).collect(),
-            );
-            pb.intent(r, AccessIntent::ReadOnly);
-            let buf = pb.buffer(&format!("{name}.{sid}"), 1);
-            pb.load(format!("load {name} {sid}"), r, 1, 0, idx.len(), buf);
+/// One variant's streams for one strip, each list in declaration order.
+/// Names are per strip: regions `name[sid]`, buffers `name.sid`.
+struct StripStreams<'a> {
+    /// Index streams `(name, record indices)`: they live in memory and
+    /// are loaded through the SRF before the address generators can use
+    /// them.
+    index: Vec<(&'static str, &'a [u32])>,
+    /// Streams the kernel reads as loaded `(region name, buffer name,
+    /// words, record width)`.
+    loaded: Vec<(&'static str, &'static str, &'a [f64], usize)>,
+    /// Streams the kernel reads through a gather `(buffer name, label
+    /// name, source region, record indices)`, ahead of the loaded ones.
+    gathered: Vec<(&'static str, &'static str, RegionId, &'a [u32])>,
+    /// Streams the kernel writes, each scatter-added into the force
+    /// array `(buffer name, label name, record indices)`.
+    outputs: Vec<(&'static str, &'static str, &'a [u32])>,
+}
+
+impl<'a> StripStreams<'a> {
+    fn of(variant: Variant, s: &'a Strip, w: usize, positions: RegionId, shifts: RegionId) -> Self {
+        let n_pos = ("n_pos", "n_pos", positions, &s.i_neighbor[..]);
+        let c_force = ("c_force", "c", &s.c_scatter[..]);
+        let n_partial = ("n_partial", "n", &s.n_scatter[..]);
+        if variant == Variant::Variable {
+            // Centre records are sequential (prepared in list order by
+            // the scalar core): position + shift, 2·width words.
+            return Self {
+                index: vec![("i_neighbor", &s.i_neighbor)],
+                loaded: vec![
+                    ("flags", "flags", &s.flags, 1),
+                    ("center_recs", "centers", &s.center_records, 2 * w),
+                ],
+                gathered: vec![n_pos],
+                outputs: vec![c_force, n_partial],
+            };
         }
-        let b_cpos = pb.buffer(&format!("c_pos.{sid}"), w);
-        let b_shift = pb.buffer(&format!("c_shift.{sid}"), w);
-        let b_npos = pb.buffer(&format!("n_pos.{sid}"), w);
-        let b_cf = pb.buffer(&format!("c_force.{sid}"), w);
-        pb.gather(
-            format!("gather c_pos {sid}"),
-            positions,
-            w,
-            Arc::new(s.i_central.clone()),
-            b_cpos,
-        );
-        pb.gather(
-            format!("gather shift {sid}"),
-            shifts,
-            w,
-            Arc::new(s.i_shift.clone()),
-            b_shift,
-        );
-        pb.gather(
-            format!("gather n_pos {sid}"),
-            positions,
-            w,
-            Arc::new(s.i_neighbor.clone()),
-            b_npos,
-        );
-        let mut outputs = vec![b_cf];
-        let mut b_nf = None;
-        if neighbor_partials {
-            let b = pb.buffer(&format!("n_partial.{sid}"), w);
-            outputs.push(b);
-            b_nf = Some(b);
-        }
-        pb.kernel(
-            format!("interact {sid}"),
-            kernel.clone(),
-            vec![b_cpos, b_shift, b_npos],
-            outputs,
-            params.to_vec(),
-            s.iterations,
-            s.max_cluster_iterations,
-        );
-        pb.scatter_add(
-            format!("scatter+ c {sid}"),
-            b_cf,
-            forces,
-            w,
-            Arc::new(s.c_scatter.clone()),
-        );
-        if let Some(b) = b_nf {
-            pb.scatter_add(
-                format!("scatter+ n {sid}"),
-                b,
-                forces,
-                w,
-                Arc::new(s.n_scatter.clone()),
-            );
+        Self {
+            index: vec![
+                ("i_central", &s.i_central),
+                ("i_neighbor", &s.i_neighbor),
+                ("i_shift", &s.i_shift),
+            ],
+            loaded: Vec::new(),
+            gathered: vec![
+                ("c_pos", "c_pos", positions, &s.i_central),
+                ("c_shift", "shift", shifts, &s.i_shift),
+                n_pos,
+            ],
+            outputs: match variant {
+                Variant::Expanded => vec![("c_partial", "c", &s.c_scatter), n_partial],
+                Variant::Fixed => vec![c_force, n_partial],
+                // `duplicated` computes every interaction from both
+                // sides, so there are no neighbour partials.
+                _ => vec![c_force],
+            },
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit_variable(
-        &self,
-        pb: &mut ProgramBuilder,
-        mem: &mut Memory,
-        sid: usize,
-        s: &Strip,
-        w: usize,
-        kernel: &Arc<CompiledKernel>,
-        params: &[f64],
-        positions: merrimac_sim::RegionId,
-        forces: merrimac_sim::RegionId,
-    ) {
-        let iters = s.iterations;
-        // Neighbour index stream.
-        let r_idx = mem.region(
-            &format!("i_neighbor[{sid}]"),
-            s.i_neighbor.iter().map(|&i| i as f64).collect(),
-        );
-        pb.intent(r_idx, AccessIntent::ReadOnly);
-        let b_idx = pb.buffer(&format!("i_neighbor.{sid}"), 1);
+/// Emit one strip: loads, gathers, the kernel launch, scatter-adds.
+#[allow(clippy::too_many_arguments)]
+fn emit_strip(
+    pb: &mut ProgramBuilder,
+    mem: &mut Memory,
+    sid: usize,
+    s: &Strip,
+    w: usize,
+    streams: StripStreams,
+    kernel: &Arc<CompiledKernel>,
+    params: &[f64],
+    forces: RegionId,
+) {
+    let mut load = |region: &str, buffer: &str, words: Vec<f64>, record_len: usize| {
+        let records = words.len() / record_len;
+        let r = mem.region(&format!("{region}[{sid}]"), words);
+        pb.intent(r, AccessIntent::ReadOnly);
+        let buf = pb.buffer(&format!("{buffer}.{sid}"), record_len);
         pb.load(
-            format!("load i_neighbor {sid}"),
-            r_idx,
-            1,
+            format!("load {buffer} {sid}"),
+            r,
+            record_len,
             0,
-            s.i_neighbor.len(),
-            b_idx,
+            records,
+            buf,
         );
-        // Flag stream.
-        let r_flags = mem.region(&format!("flags[{sid}]"), s.flags.clone());
-        pb.intent(r_flags, AccessIntent::ReadOnly);
-        let b_flags = pb.buffer(&format!("flags.{sid}"), 1);
-        pb.load(
-            format!("load flags {sid}"),
-            r_flags,
-            1,
-            0,
-            s.flags.len(),
-            b_flags,
-        );
-        // Centre records (sequential: prepared in list order by the
-        // scalar core). Records are 2·width words: positions + shift.
-        let rec = 2 * w;
-        let n_centers = s.center_records.len() / rec;
-        let r_centers = mem.region(&format!("center_recs[{sid}]"), s.center_records.clone());
-        pb.intent(r_centers, AccessIntent::ReadOnly);
-        let b_centers = pb.buffer(&format!("centers.{sid}"), rec);
-        pb.load(
-            format!("load centers {sid}"),
-            r_centers,
-            rec,
-            0,
-            n_centers,
-            b_centers,
-        );
-        // Neighbour positions.
-        let b_npos = pb.buffer(&format!("n_pos.{sid}"), w);
-        pb.gather(
-            format!("gather n_pos {sid}"),
-            positions,
-            w,
-            Arc::new(s.i_neighbor.clone()),
-            b_npos,
-        );
-        let b_cf = pb.buffer(&format!("c_force.{sid}"), w);
-        let b_nf = pb.buffer(&format!("n_partial.{sid}"), w);
-        pb.kernel(
-            format!("interact {sid}"),
-            kernel.clone(),
-            vec![b_npos, b_flags, b_centers],
-            vec![b_cf, b_nf],
-            params.to_vec(),
-            iters,
-            s.max_cluster_iterations,
-        );
-        pb.scatter_add(
-            format!("scatter+ c {sid}"),
-            b_cf,
-            forces,
-            w,
-            Arc::new(s.c_scatter.clone()),
-        );
-        pb.scatter_add(
-            format!("scatter+ n {sid}"),
-            b_nf,
-            forces,
-            w,
-            Arc::new(s.n_scatter.clone()),
-        );
+        buf
+    };
+    for &(name, idx) in &streams.index {
+        load(name, name, idx.iter().map(|&i| i as f64).collect(), 1);
+    }
+    let loaded: Vec<_> = streams
+        .loaded
+        .iter()
+        .map(|&(region, buffer, words, record_len)| {
+            load(region, buffer, words.to_vec(), record_len)
+        })
+        .collect();
+    let gathered: Vec<_> = streams
+        .gathered
+        .iter()
+        .map(|&(buffer, ..)| pb.buffer(&format!("{buffer}.{sid}"), w))
+        .collect();
+    let outputs: Vec<_> = streams
+        .outputs
+        .iter()
+        .map(|&(buffer, ..)| pb.buffer(&format!("{buffer}.{sid}"), w))
+        .collect();
+    for (&(_, label, region, idx), &buf) in streams.gathered.iter().zip(&gathered) {
+        let label = format!("gather {label} {sid}");
+        pb.gather(label, region, w, Arc::new(idx.to_vec()), buf);
+    }
+    pb.kernel(
+        format!("interact {sid}"),
+        kernel.clone(),
+        gathered.into_iter().chain(loaded).collect(),
+        outputs.clone(),
+        params.to_vec(),
+        s.iterations,
+        s.max_cluster_iterations,
+    );
+    for (&(_, label, idx), buf) in streams.outputs.iter().zip(outputs) {
+        let label = format!("scatter+ {label} {sid}");
+        pb.scatter_add(label, buf, forces, w, Arc::new(idx.to_vec()));
     }
 }
 

@@ -6,9 +6,9 @@
 //! concentrating on the force interaction of water molecules and
 //! interface with the rest of GROMACS directly through Merrimac's shared
 //! memory system." Here the "scalar processor" work — integration,
-//! constraints, neighbour-list construction — runs in plain Rust
-//! (`md-sim`), while every force evaluation goes through the stream
-//! program on the simulated machine.
+//! constraints, neighbour-list construction — is `md-sim`'s integrator
+//! ([`Integrator::run_with`]), stepped with every force evaluation going
+//! through the stream program on the simulated machine.
 //!
 //! The driver also accumulates the machine-level cost of the whole
 //! trajectory, which is what a capability-machine user would care about:
@@ -18,41 +18,12 @@
 //! several time-steps").
 
 use md_sim::integrate::Integrator;
-use md_sim::neighbor::NeighborList;
 use md_sim::system::WaterBox;
-use md_sim::units::KB;
-use md_sim::vec3::Vec3;
 use merrimac_sim::machine::SimError;
 use merrimac_sim::Counters;
-use rayon::prelude::*;
 
-use crate::app::StreamMdApp;
+use crate::app::{check_inputs, StreamMdApp};
 use crate::variant::Variant;
-
-/// The three rigid-water distance constraints (site pair, squared rest
-/// length) plus the site masses — shared by SHAKE and RATTLE.
-#[derive(Debug, Clone, Copy)]
-struct RigidWater {
-    constraints: [(usize, usize, f64); 3],
-    masses: [f64; 3],
-}
-
-impl RigidWater {
-    fn of(system: &WaterBox) -> Self {
-        let model = system.model();
-        let d01 = (model.sites[1].offset - model.sites[0].offset).norm2();
-        let d02 = (model.sites[2].offset - model.sites[0].offset).norm2();
-        let d12 = (model.sites[2].offset - model.sites[1].offset).norm2();
-        Self {
-            constraints: [(0, 1, d01), (0, 2, d02), (1, 2, d12)],
-            masses: [
-                model.sites[0].mass,
-                model.sites[1].mass,
-                model.sites[2].mass,
-            ],
-        }
-    }
-}
 
 /// Per-step record of a driven trajectory.
 #[derive(Debug, Clone, Copy)]
@@ -114,214 +85,41 @@ impl MerrimacDriver {
         }
     }
 
-    /// Evaluate forces on the simulated machine.
-    fn forces(
-        &self,
-        system: &WaterBox,
-        list: &NeighborList,
-    ) -> Result<(Vec<Vec3>, u64, Counters), SimError> {
-        let out = self.app.run_step_with_list(system, list, self.variant)?;
-        Ok((out.forces, out.perf.cycles, out.report.counters))
-    }
-
     /// Run `steps` MD steps, returning the trajectory report. The system
-    /// is advanced in place.
+    /// is advanced in place, on `app.threads` host threads (lists,
+    /// force steps and constraint solves alike).
     pub fn run(&self, system: &mut WaterBox, steps: usize) -> Result<DriverReport, SimError> {
-        // Reuse the scalar-side integrator mechanics for constraints by
-        // delegating the position/velocity updates to a private Verlet
-        // implementation mirroring `md_sim::integrate`.
+        check_inputs(system, self.app.neighbor)?;
         let integ = Integrator {
             dt: self.dt,
             neighbor: self.app.neighbor,
             shake_tol: self.shake_tol,
             max_iter: 100,
         };
-        let masses: Vec<f64> = system.model().sites.iter().map(|s| s.mass).collect();
-        let inv_m: Vec<f64> = masses.iter().map(|m| 1.0 / m).collect();
-        let ns = system.num_sites();
-        // Rigid 3-site molecules keep 6 DoF each (translation + rotation);
-        // point particles keep 3. Both lose 3 to momentum conservation.
-        let constrained = ns == 3;
-        let dof = if constrained {
-            (6 * system.num_molecules()) as f64 - 3.0
-        } else {
-            (3 * ns * system.num_molecules()) as f64 - 3.0
-        };
-
-        let mut list = NeighborList::build(system, self.app.neighbor);
-        let mut rebuilds = 1usize;
-        let (mut forces, mut cycles, counters) = self.forces(system, &list)?;
-        let mut drift = 0.0f64;
+        // The first list counts; every force evaluation, the initial
+        // state's included, is on the machine's bill.
         let mut report = DriverReport {
             steps: Vec::with_capacity(steps),
             total_force_cycles: 0,
-            rebuilds: 0,
+            rebuilds: 1,
             total_counters: Counters::default(),
         };
-        report.total_force_cycles += cycles;
-        report.total_counters.add(&counters);
-
-        for step in 0..steps {
-            // Half kick.
-            for (i, v) in system.velocities_mut().iter_mut().enumerate() {
-                *v += forces[i] * (inv_m[i % ns] * self.dt * 0.5);
-            }
-            // Drift + constraints (reuse the integrator's SHAKE by doing
-            // a zero-force half step through its public surface is not
-            // possible; replicate the update here).
-            let old_pos = system.positions().to_vec();
-            let mut new_pos = old_pos.clone();
-            for i in 0..new_pos.len() {
-                new_pos[i] = old_pos[i] + system.velocities()[i] * self.dt;
-            }
-            if constrained {
-                shake_rigid_water(
-                    system,
-                    &old_pos,
-                    &mut new_pos,
-                    self.shake_tol,
-                    self.app.threads,
-                );
-            }
-            let mut max_disp = 0.0f64;
-            {
-                let vel = system.velocities_mut();
-                for i in 0..new_pos.len() {
-                    vel[i] = (new_pos[i] - old_pos[i]) / self.dt;
-                }
-            }
-            for i in 0..new_pos.len() {
-                max_disp = max_disp.max((new_pos[i] - old_pos[i]).norm());
-            }
-            system.positions_mut().copy_from_slice(&new_pos);
-            drift += max_disp;
-
-            // Neighbour list policy: scheduled rebuild or exhausted skin.
-            let scheduled = (step + 1) % self.app.neighbor.rebuild_interval == 0;
-            let rebuilt = scheduled || drift * 2.0 > self.app.neighbor.skin;
-            if rebuilt {
-                list = NeighborList::build(system, self.app.neighbor);
-                rebuilds += 1;
-                drift = 0.0;
-            }
-            let (f, c, counters) = self.forces(system, &list)?;
-            forces = f;
-            cycles = c;
-            report.total_force_cycles += cycles;
-            report.total_counters.add(&counters);
-
-            // Second half kick + velocity constraint projection.
-            for (i, v) in system.velocities_mut().iter_mut().enumerate() {
-                *v += forces[i] * (inv_m[i % ns] * self.dt * 0.5);
-            }
-            if constrained {
-                let pos_snapshot = system.positions().to_vec();
-                rattle_rigid_water(
-                    system,
-                    &pos_snapshot,
-                    self.shake_tol,
-                    self.dt,
-                    self.app.threads,
-                );
-            }
-
-            let ke: f64 = system
-                .velocities()
-                .iter()
-                .enumerate()
-                .map(|(i, v)| 0.5 * masses[i % ns] * v.norm2())
-                .sum();
+        let stepped = integ.run_with(system, steps, self.app.threads, |system, list| {
+            let out = self.app.run_step_with_list(system, list, self.variant)?;
+            report.total_force_cycles += out.perf.cycles;
+            report.total_counters.add(&out.report.counters);
+            Ok::<_, SimError>((out.forces, out.perf.cycles))
+        })?;
+        for (step, force_cycles) in stepped {
+            report.rebuilds += step.rebuilt_list as usize;
             report.steps.push(DriverStep {
-                force_cycles: cycles,
-                rebuilt_list: rebuilt,
-                kinetic: ke,
-                temperature: 2.0 * ke / (dof * KB),
+                force_cycles,
+                rebuilt_list: step.rebuilt_list,
+                kinetic: step.kinetic,
+                temperature: step.temperature,
             });
         }
-        report.rebuilds = rebuilds;
-        let _ = integ; // parameters documented above; scalar mechanics inlined
         Ok(report)
-    }
-}
-
-/// Fan a pure per-molecule constraint solve across `threads` workers.
-/// Molecules are independent and the map is order-preserving, so the
-/// result is bitwise-identical at every thread count.
-fn per_molecule(n: usize, threads: usize, f: impl Fn(usize) -> [Vec3; 3] + Sync) -> Vec<[Vec3; 3]> {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-        .expect("thread pool");
-    pool.install(|| (0..n).into_par_iter().map(f).collect())
-}
-
-/// SHAKE for rigid 3-site water (shared with the reference integrator's
-/// constraint topology), parallel over molecules.
-fn shake_rigid_water(
-    system: &WaterBox,
-    old_pos: &[Vec3],
-    new_pos: &mut [Vec3],
-    tol: f64,
-    threads: usize,
-) {
-    let w = RigidWater::of(system);
-    let solved = per_molecule(system.num_molecules(), threads, |m| {
-        let base = m * 3;
-        let mut cur = [new_pos[base], new_pos[base + 1], new_pos[base + 2]];
-        for _ in 0..100 {
-            let mut converged = true;
-            for &(a, b, d2) in &w.constraints {
-                let d = cur[a] - cur[b];
-                let diff = d.norm2() - d2;
-                if diff.abs() > tol * d2 {
-                    converged = false;
-                    let ref_d = old_pos[base + a] - old_pos[base + b];
-                    let g = diff / (2.0 * ref_d.dot(d) * (1.0 / w.masses[a] + 1.0 / w.masses[b]));
-                    cur[a] -= ref_d * (g / w.masses[a]);
-                    cur[b] += ref_d * (g / w.masses[b]);
-                }
-            }
-            if converged {
-                break;
-            }
-        }
-        cur
-    });
-    for (m, mol) in solved.iter().enumerate() {
-        new_pos[m * 3..m * 3 + 3].copy_from_slice(mol);
-    }
-}
-
-/// RATTLE velocity projection for rigid 3-site water, parallel over
-/// molecules.
-fn rattle_rigid_water(system: &mut WaterBox, pos: &[Vec3], tol: f64, dt: f64, threads: usize) {
-    let w = RigidWater::of(system);
-    let n = system.num_molecules();
-    let vel = system.velocities_mut();
-    let solved = per_molecule(n, threads, |m| {
-        let base = m * 3;
-        let mut v = [vel[base], vel[base + 1], vel[base + 2]];
-        for _ in 0..100 {
-            let mut converged = true;
-            for &(a, b, d2) in &w.constraints {
-                let d = pos[base + a] - pos[base + b];
-                let vrel = v[a] - v[b];
-                let dv = d.dot(vrel);
-                if dv.abs() > tol * d2 / dt {
-                    converged = false;
-                    let k = dv / (d.norm2() * (1.0 / w.masses[a] + 1.0 / w.masses[b]));
-                    v[a] -= d * (k / w.masses[a]);
-                    v[b] += d * (k / w.masses[b]);
-                }
-            }
-            if converged {
-                break;
-            }
-        }
-        v
-    });
-    for (m, mol) in solved.iter().enumerate() {
-        vel[m * 3..m * 3 + 3].copy_from_slice(mol);
     }
 }
 

@@ -1,21 +1,35 @@
-//! The water-water interaction kernels, one per StreamMD variant.
+//! The interaction kernels: one skeleton per StreamMD variant, generic
+//! over the sites of a molecule record and the pair-interaction body.
 //!
-//! All four share the same molecule-pair interaction subgraph, which is
-//! constructed to match the paper's operation budget exactly: **234
-//! programmer-visible flops per interaction, including 9 divides and 9
-//! square roots** (Section 3). The budget decomposes as
+//! [`expanded`], [`block`] (`fixed` / `duplicated`) and [`variable`]
+//! are each written once and instantiated over a [`Model`]: three-site
+//! water around the 9-atom-pair body, or a single-site atom around the
+//! LJ ± Coulomb body. The bodies are constructed to match their
+//! operation budgets exactly (tested in this module):
 //!
 //! ```text
+//! water — 234 flops per interaction, 9 divides and 9 square roots (Section 3)
 //!   9 atom pairs × 23  (displacement, r², √, ÷, Coulomb, force, accum)   207
 //!   Lennard-Jones terms on the O-O pair                                  +12
 //!   periodic shift applied to the centre molecule                         +9
 //!   virial (shift-force) accumulation, 3 fused multiply-adds              +6
-//!                                                                       = 234
+//!
+//! LJ atom — 35 flops, 1 divide, no square root
+//!   shift 3, displacement 3, r² 5, 1/r² 1, LJ chain 10, force 3,
+//!   neighbour partial 3, virial 5, energy + virial accumulation 2
+//!
+//! charged atom — 41 flops, 1 divide and 1 square root
+//!   the 1/r² divide becomes √r² · (1/r) · (1/r · 1/r), plus the Coulomb
+//!   energy and force terms
 //! ```
 //!
-//! Kernel launch parameters (same order for every variant): the 9
-//! Coulomb charge products `qq[a][b]` pre-scaled by 1/4πɛ₀, then `C6`
-//! and `C12`.
+//! Kernel launch parameters (same order for every variant): the Coulomb
+//! charge products pre-scaled by 1/4πɛ₀ — water's 9 `qq[a][b]`, the
+//! charged atom's one, none for the LJ atom — then `C6` and `C12`.
+//!
+//! Node order is part of the simulator's fixed point (schedules, cycle
+//! counts and the trend baselines hang on it); `kernel_ir_is_pinned`
+//! holds every generated kernel to it.
 
 use md_sim::atomic::AtomForceField;
 use md_sim::force::ForceField;
@@ -27,8 +41,12 @@ use merrimac_kernel::Kernel;
 use crate::variant::Variant;
 use crate::workload::Workload;
 
-/// Number of launch parameters: 9 qq products + C6 + C12.
+/// Launch parameters of the water kernels: 9 qq products + C6 + C12.
 pub const NUM_PARAMS: usize = 11;
+/// Launch parameters of the plain LJ kernel: C6, C12.
+pub const NUM_ATOM_PARAMS_LJ: usize = 2;
+/// Launch parameters of the charged kernel: qq, C6, C12.
+pub const NUM_ATOM_PARAMS_CHARGED: usize = 3;
 
 /// Pack force-field parameters in kernel launch order.
 pub fn kernel_params(ff: &ForceField) -> Vec<f64> {
@@ -43,9 +61,62 @@ pub fn kernel_params(ff: &ForceField) -> Vec<f64> {
     p
 }
 
+/// Pack atomic force-field parameters in kernel launch order.
+pub fn atom_kernel_params(ff: &AtomForceField, coulomb: bool) -> Vec<f64> {
+    assert_eq!(
+        ff.coulomb(),
+        coulomb,
+        "force field charge does not match the requested kernel"
+    );
+    if coulomb {
+        vec![ff.qq, ff.c6, ff.c12]
+    } else {
+        vec![ff.c6, ff.c12]
+    }
+}
+
+/// One molecule-pair interaction between the (shifted) centre sites
+/// and the neighbour sites: forces on the centre sites, forces on the
+/// neighbour sites, energy/virial contributions.
+type Body = fn(&mut KernelBuilder, &Ctx, &[V3], &[V3]) -> (Vec<V3>, Vec<V3>, Contribution);
+
+/// What a skeleton is instantiated over.
+#[derive(Clone, Copy)]
+struct Model {
+    /// Kernel names are `{stem}_{variant}`.
+    stem: &'static str,
+    /// Interaction sites per molecule record (3 words each).
+    sites: usize,
+    /// Charge-product parameters ahead of C6 and C12. A kernel without
+    /// a Coulomb term has none, so its parameter list stays minimal (2
+    /// words in the microcontroller broadcast).
+    qq: usize,
+    body: Body,
+}
+
+const WATER: Model = Model {
+    stem: "streammd",
+    sites: 3,
+    qq: 9,
+    body: water_pairs,
+};
+
+fn atom(coulomb: bool) -> Model {
+    Model {
+        stem: if coulomb {
+            "streammd_charged"
+        } else {
+            "streammd_lj"
+        },
+        sites: 1,
+        qq: coulomb as usize,
+        body: atom_pair,
+    }
+}
+
 /// Shared per-kernel constants and parameter handles.
 struct Ctx {
-    qq: [[Val; 3]; 3],
+    qq: Vec<Val>,
     c6: Val,
     c12: Val,
     six: Val,
@@ -54,19 +125,11 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn new(b: &mut KernelBuilder) -> Self {
-        let mut qq = [[Val(0); 3]; 3];
-        for row in qq.iter_mut() {
-            for cell in row.iter_mut() {
-                *cell = b.param();
-            }
-        }
-        let c6 = b.param();
-        let c12 = b.param();
+    fn new(b: &mut KernelBuilder, qq: usize) -> Self {
         Self {
-            qq,
-            c6,
-            c12,
+            qq: (0..qq).map(|_| b.param()).collect(),
+            c6: b.param(),
+            c12: b.param(),
             six: b.constant(6.0),
             twelve: b.constant(12.0),
             one: b.constant(1.0),
@@ -89,11 +152,11 @@ struct Accum {
 /// single add deep, which is what lets the modulo scheduler reach a
 /// resource-bound initiation interval.
 struct Contribution {
-    /// Coulomb energy of each of the 9 atom pairs.
+    /// Coulomb energy of each atom pair with a Coulomb term.
     vc: Vec<Val>,
-    /// Lennard-Jones energy of the O-O pair.
+    /// Lennard-Jones energy of the (O-O) pair.
     de_lj: Val,
-    /// Virial (shift-force) term of the O-O pair: a 3-deep madd chain
+    /// Virial (shift-force) term of the (O-O) pair: a 3-deep madd chain
     /// seeded by a multiply (5 flops).
     vir: Val,
 }
@@ -116,46 +179,41 @@ fn tree_sum(b: &mut KernelBuilder, vals: &[Val]) -> Val {
     level[0]
 }
 
-/// Site positions of one molecule as three 3-vectors.
-#[derive(Clone, Copy)]
-struct Mol([V3; 3]);
-
-fn read_molecule(b: &mut KernelBuilder, stream: u32, base_field: u32) -> Mol {
-    Mol([
-        b.read_v3(stream, base_field),
-        b.read_v3(stream, base_field + 3),
-        b.read_v3(stream, base_field + 6),
-    ])
+/// Site positions of one molecule record starting at `base_field`.
+fn read_sites(b: &mut KernelBuilder, stream: u32, base_field: usize, sites: usize) -> Vec<V3> {
+    (0..sites)
+        .map(|s| b.read_v3(stream, (base_field + 3 * s) as u32))
+        .collect()
 }
 
-/// Apply the periodic shift to the centre molecule: 9 adds.
-fn apply_shift(b: &mut KernelBuilder, c: Mol, shift: Mol) -> Mol {
-    Mol([
-        b.v3_add(c.0[0], shift.0[0]),
-        b.v3_add(c.0[1], shift.0[1]),
-        b.v3_add(c.0[2], shift.0[2]),
-    ])
+/// Site-wise sum (the periodic shift applied to the centre molecule,
+/// the centre force accumulated across a block): 3 adds per site.
+fn add_sites(b: &mut KernelBuilder, x: &[V3], y: &[V3]) -> Vec<V3> {
+    x.iter().zip(y).map(|(&x, &y)| b.v3_add(x, y)).collect()
 }
 
-/// One molecule-pair interaction: returns (forces on centre sites,
-/// forces on neighbour sites, energy/virial contributions). Together
+fn flatten(m: &[V3]) -> Vec<Val> {
+    m.iter().flat_map(|v| [v.x, v.y, v.z]).collect()
+}
+
+fn splat(v: Val) -> V3 {
+    V3 { x: v, y: v, z: v }
+}
+
+/// Water's body: the 9 atom pairs of two three-site molecules. Together
 /// with the caller-side reduction and the shift this totals exactly 234
-/// solution flops per interaction (tested in this module).
-fn interaction(
+/// solution flops per interaction.
+fn water_pairs(
     b: &mut KernelBuilder,
     ctx: &Ctx,
-    c_shifted: Mol,
-    n: Mol,
-) -> ([V3; 3], [V3; 3], Contribution) {
+    c_shifted: &[V3],
+    n: &[V3],
+) -> (Vec<V3>, Vec<V3>, Contribution) {
     let zero = b.constant(0.0);
-    let zv = V3 {
-        x: zero,
-        y: zero,
-        z: zero,
-    };
-    let mut fc = [zv; 3];
-    let mut fn_ = [zv; 3];
-    let mut vc_all = Vec::with_capacity(9);
+    let zv = splat(zero);
+    let mut fc = vec![zv; 3];
+    let mut fn_ = vec![zv; 3];
+    let mut vc = Vec::with_capacity(9);
     let mut de_lj = zero;
     let mut d_oo = zv;
     let mut f_oo = zv;
@@ -166,7 +224,7 @@ fn interaction(
     for a in 0..3 {
         for n_site in 0..3 {
             // Displacement and squared distance: 3 + 5 flops.
-            let d = b.v3_sub(c_shifted.0[a], n.0[n_site]);
+            let d = b.v3_sub(c_shifted[a], n[n_site]);
             let r2 = b.v3_norm2(d);
             // r = √r², 1/r = 1 ÷ r: the divide and square root of the
             // paper's accounting (one of each per atom pair).
@@ -174,21 +232,14 @@ fn interaction(
             let rinv = b.div(ctx.one, r);
             let rinv2 = b.mul(rinv, rinv);
             // Coulomb: V = qq/r, f/r = V/r².
-            let vc = b.mul(ctx.qq[a][n_site], rinv);
-            vc_all.push(vc);
-            let mut fs = b.mul(vc, rinv2);
+            let vc_pair = b.mul(ctx.qq[3 * a + n_site], rinv);
+            vc.push(vc_pair);
+            let mut fs = b.mul(vc_pair, rinv2);
             if a == 0 && n_site == 0 {
                 // Lennard-Jones on the oxygen pair: 11 flops here, the
                 // 12th is the caller's accumulation of `de_lj`.
-                let rinv4 = b.mul(rinv2, rinv2);
-                let rinv6 = b.mul(rinv4, rinv2);
-                let v6 = b.mul(ctx.c6, rinv6);
-                let rinv12 = b.mul(rinv6, rinv6);
-                let v12 = b.mul(ctx.c12, rinv12);
-                de_lj = b.sub(v12, v6);
-                let t12 = b.mul(ctx.twelve, v12);
-                let u = b.nmsub(ctx.six, v6, t12); // 12·v12 − 6·v6
-                let fs_lj = b.mul(u, rinv2);
+                let (de, fs_lj) = lennard_jones(b, ctx, rinv2);
+                de_lj = de;
                 fs = b.add(fs, fs_lj);
             }
             let f = b.v3_scale(d, fs);
@@ -200,314 +251,49 @@ fn interaction(
             }
         }
     }
-    // Virial contribution of the O-O pair: mul + 2 madds (5 flops).
-    let vx = b.mul(d_oo.x, f_oo.x);
-    let vxy = b.madd(d_oo.y, f_oo.y, vx);
-    let vir = b.madd(d_oo.z, f_oo.z, vxy);
-
-    (
-        fc,
-        fn_,
-        Contribution {
-            vc: vc_all,
-            de_lj,
-            vir,
-        },
-    )
+    let vir = virial(b, d_oo, f_oo);
+    (fc, fn_, Contribution { vc, de_lj, vir })
 }
 
-/// Reduce a set of per-interaction contributions into the accumulator
-/// registers: a balanced tree per class plus one register add each.
-fn reduce_contributions(b: &mut KernelBuilder, acc: Accum, contribs: &[Contribution]) -> Accum {
-    let vcs: Vec<Val> = contribs.iter().flat_map(|c| c.vc.iter().copied()).collect();
-    let des: Vec<Val> = contribs.iter().map(|c| c.de_lj).collect();
-    let virs: Vec<Val> = contribs.iter().map(|c| c.vir).collect();
-    let vc_sum = tree_sum(b, &vcs);
-    let de_sum = tree_sum(b, &des);
-    let vir_sum = tree_sum(b, &virs);
-    Accum {
-        e_coul: b.add(acc.e_coul, vc_sum),
-        e_lj: b.add(acc.e_lj, de_sum),
-        virial: b.add(acc.virial, vir_sum),
-    }
-}
-
-/// Declare the three energy/virial accumulator registers and their
-/// update chain for a kernel whose body computes `n_interactions`.
-fn accum_regs(b: &mut KernelBuilder) -> (Accum, [u32; 3]) {
-    let r_ec = b.reg(0.0);
-    let r_el = b.reg(0.0);
-    let r_vir = b.reg(0.0);
-    let acc = Accum {
-        e_coul: b.read_reg(r_ec),
-        e_lj: b.read_reg(r_el),
-        virial: b.read_reg(r_vir),
-    };
-    (acc, [r_ec, r_el, r_vir])
-}
-
-fn finish_accum(b: &mut KernelBuilder, regs: [u32; 3], acc: Accum) {
-    b.set_reg(regs[0], acc.e_coul);
-    b.set_reg(regs[1], acc.e_lj);
-    b.set_reg(regs[2], acc.virial);
-}
-
-fn flatten(m: &[V3; 3]) -> Vec<Val> {
-    m.iter().flat_map(|v| [v.x, v.y, v.z]).collect()
-}
-
-/// `expanded`: inputs c_pos(9) + c_shift(9) + n_pos(9); outputs both
-/// partial-force records every iteration.
-pub fn expanded_kernel() -> Kernel {
-    let mut b = KernelBuilder::new("streammd_expanded");
-    let s_cpos = b.input("c_positions", 9, StreamMode::EveryIteration);
-    let s_shift = b.input("c_shifts", 9, StreamMode::EveryIteration);
-    let s_npos = b.input("n_positions", 9, StreamMode::EveryIteration);
-    let o_cf = b.output("c_partial_forces", 9);
-    let o_nf = b.output("n_partial_forces", 9);
-    let ctx = Ctx::new(&mut b);
-    let (acc0, regs) = accum_regs(&mut b);
-
-    let c = read_molecule(&mut b, s_cpos, 0);
-    let shift = read_molecule(&mut b, s_shift, 0);
-    let n = read_molecule(&mut b, s_npos, 0);
-    let cs = apply_shift(&mut b, c, shift);
-    let (fc, fn_, contrib) = interaction(&mut b, &ctx, cs, n);
-    let acc = reduce_contributions(&mut b, acc0, &[contrib]);
-    let fc_flat = flatten(&fc);
-    let fn_flat = flatten(&fn_);
-    b.write(o_cf, &fc_flat);
-    b.write(o_nf, &fn_flat);
-    finish_accum(&mut b, regs, acc);
-    b.build()
-}
-
-/// `fixed` / `duplicated` block kernel: one iteration processes a centre
-/// with `l` (padded) neighbours. `write_neighbor_partials = false` gives
-/// the `duplicated` kernel.
-pub fn block_kernel(l: usize, write_neighbor_partials: bool) -> Kernel {
-    assert!(l >= 1);
-    let name = if write_neighbor_partials {
-        format!("streammd_fixed_l{l}")
-    } else {
-        format!("streammd_duplicated_l{l}")
-    };
-    let mut b = KernelBuilder::new(name);
-    let s_cpos = b.input("c_positions", 9, StreamMode::EveryIteration);
-    let s_shift = b.input("c_shifts", 9, StreamMode::EveryIteration);
-    let s_npos = b.input("n_positions", (9 * l) as u32, StreamMode::EveryIteration);
-    let o_cf = b.output("c_forces", 9);
-    let o_nf = if write_neighbor_partials {
-        Some(b.output("n_partial_forces", 9))
-    } else {
-        None
-    };
-    let ctx = Ctx::new(&mut b);
-    let (acc0, regs) = accum_regs(&mut b);
-
-    let c = read_molecule(&mut b, s_cpos, 0);
-    let shift = read_molecule(&mut b, s_shift, 0);
-    let cs = apply_shift(&mut b, c, shift);
-
-    // Accumulate the centre force across the block in-LRF (the
-    // "reduced within the cluster to save on output bandwidth" of
-    // Section 3.3).
-    let zero = b.constant(0.0);
-    let zv = V3 {
-        x: zero,
-        y: zero,
-        z: zero,
-    };
-    let mut fc_total = [zv; 3];
-    let mut contribs = Vec::with_capacity(l);
-    for nb in 0..l {
-        let n = read_molecule(&mut b, s_npos, (9 * nb) as u32);
-        let (fc, fn_, contrib) = interaction(&mut b, &ctx, cs, n);
-        contribs.push(contrib);
-        for site in 0..3 {
-            fc_total[site] = b.v3_add(fc_total[site], fc[site]);
-        }
-        if let Some(o) = o_nf {
-            let flat = flatten(&fn_);
-            b.write(o, &flat);
-        }
-    }
-    let acc = reduce_contributions(&mut b, acc0, &contribs);
-    let flat = flatten(&fc_total);
-    b.write(o_cf, &flat);
-    finish_accum(&mut b, regs, acc);
-    b.build()
-}
-
-/// `variable`: conditional-stream kernel. Inputs: `n_positions` (9,
-/// every iteration), `new_center_flags` (1, every iteration), and the
-/// conditional `center_records` stream (18 = 9 pos + 9 shift). Whenever
-/// the flag fires, the previous centre's accumulated force is emitted
-/// (conditional write) and a new centre record is popped.
-pub fn variable_kernel() -> Kernel {
-    let mut b = KernelBuilder::new("streammd_variable");
-    let s_npos = b.input("n_positions", 9, StreamMode::EveryIteration);
-    let s_flag = b.input("new_center_flags", 1, StreamMode::EveryIteration);
-    let s_center = b.input("center_records", 18, StreamMode::Conditional);
-    let o_cf = b.output("c_forces", 9);
-    let o_nf = b.output("n_partial_forces", 9);
-    let ctx = Ctx::new(&mut b);
-    let (acc0, acc_regs) = accum_regs(&mut b);
-
-    // Loop-carried centre state: the 18 position/shift words of a centre
-    // record are added once, on refresh, so the registers hold the 9
-    // *shifted* centre coordinates plus 9 accumulated force components.
-    let zero = b.constant(0.0);
-    let flag = b.read(s_flag, 0);
-    let is_new = b.cmp_lt(zero, flag);
-
-    // Previous accumulated centre force (flushed on a new centre).
-    let fc_regs: Vec<u32> = (0..9).map(|_| b.reg(0.0)).collect();
-    let fc_prev: Vec<Val> = fc_regs.iter().map(|&r| b.read_reg(r)).collect();
-    // The conditional write occupies issue slots like any conditional
-    // stream instruction ("issued on every iteration with a condition");
-    // model that with one guard op per written word.
-    let guarded: Vec<Val> = fc_prev.iter().map(|v| b.mov(*v)).collect();
-    b.write_if(o_cf, is_new, &guarded);
-
-    // Shifted-centre registers with conditional refresh.
-    let cs_regs: Vec<u32> = (0..9).map(|_| b.reg(0.0)).collect();
-    let mut cs_vals = Vec::with_capacity(9);
-    for (k, &r) in cs_regs.iter().enumerate() {
-        let prev = b.read_reg(r);
-        let pos = b.cond_read(s_center, k as u32, is_new, zero);
-        let shift = b.cond_read(s_center, (k + 9) as u32, is_new, zero);
-        let fresh = b.add(pos, shift); // shift applied on refresh: 9 adds
-        let v = b.sel(is_new, fresh, prev);
-        b.set_reg(r, v);
-        cs_vals.push(v);
-    }
-    let cs = Mol([
-        V3 {
-            x: cs_vals[0],
-            y: cs_vals[1],
-            z: cs_vals[2],
-        },
-        V3 {
-            x: cs_vals[3],
-            y: cs_vals[4],
-            z: cs_vals[5],
-        },
-        V3 {
-            x: cs_vals[6],
-            y: cs_vals[7],
-            z: cs_vals[8],
-        },
-    ]);
-
-    let n = read_molecule(&mut b, s_npos, 0);
-    let (fc, fn_, contrib) = interaction(&mut b, &ctx, cs, n);
-    let acc = reduce_contributions(&mut b, acc0, &[contrib]);
-    let fn_flat = flatten(&fn_);
-    b.write(o_nf, &fn_flat);
-
-    // Centre force accumulation with conditional reset.
-    let fc_new = flatten(&fc);
-    for (k, &r) in fc_regs.iter().enumerate() {
-        let base = b.sel(is_new, zero, fc_prev[k]);
-        let updated = b.add(fc_new[k], base);
-        b.set_reg(r, updated);
-    }
-    finish_accum(&mut b, acc_regs, acc);
-    b.build()
-}
-
-// ---------------------------------------------------------------------------
-// Single-site atomic kernels (LJ fluid and charged particle)
-// ---------------------------------------------------------------------------
-//
-// Same four variants, 3-word records instead of 9. The LJ kernel costs 35
-// flops per interaction (1 divide, no square root): shift 3, displacement 3,
-// r² 5, 1/r² 1, LJ chain 10, force 3, neighbour partial 3, virial 5, energy
-// + virial accumulation 2. The charged kernel replaces the 1/r² divide with
-// √r² · (1/r) · (1/r·1/r) and adds the Coulomb energy/force terms: 41 flops
-// (1 divide *and* 1 square root per pair).
-
-/// Launch parameters of the plain LJ kernel: C6, C12.
-pub const NUM_ATOM_PARAMS_LJ: usize = 2;
-/// Launch parameters of the charged kernel: qq, C6, C12.
-pub const NUM_ATOM_PARAMS_CHARGED: usize = 3;
-
-/// Pack atomic force-field parameters in kernel launch order.
-pub fn atom_kernel_params(ff: &AtomForceField, coulomb: bool) -> Vec<f64> {
-    assert_eq!(
-        ff.coulomb(),
-        coulomb,
-        "force field charge does not match the requested kernel"
-    );
-    if coulomb {
-        vec![ff.qq, ff.c6, ff.c12]
-    } else {
-        vec![ff.c6, ff.c12]
-    }
-}
-
-/// Parameter handles of an atomic kernel. `qq` exists only when the
-/// kernel carries a Coulomb term, so the LJ kernel's parameter list
-/// stays minimal (2 words in the microcontroller broadcast).
-struct AtomCtx {
-    qq: Option<Val>,
-    c6: Val,
-    c12: Val,
-    six: Val,
-    twelve: Val,
-    one: Val,
-}
-
-impl AtomCtx {
-    fn new(b: &mut KernelBuilder, coulomb: bool) -> Self {
-        let qq = if coulomb { Some(b.param()) } else { None };
-        let c6 = b.param();
-        let c12 = b.param();
-        Self {
-            qq,
-            c6,
-            c12,
-            six: b.constant(6.0),
-            twelve: b.constant(12.0),
-            one: b.constant(1.0),
-        }
-    }
-}
-
-/// Energy/virial contribution of one atom pair.
-struct AtomContribution {
-    /// Coulomb energy (charged kernel only).
-    vc: Option<Val>,
-    de_lj: Val,
-    vir: Val,
-}
-
-/// One atom-pair interaction: returns (force on centre, force on
-/// neighbour, contributions). The operation DAG matches
+/// The atoms' body: one LJ ± Coulomb pair. The operation DAG matches
 /// `md_sim::atomic::pair_force_atomic` op for op, which is what the
 /// bitwise differential tests rely on.
-fn atom_interaction(
+fn atom_pair(
     b: &mut KernelBuilder,
-    ctx: &AtomCtx,
-    cs: V3,
-    n: V3,
-) -> (V3, V3, AtomContribution) {
-    let d = b.v3_sub(cs, n);
+    ctx: &Ctx,
+    cs: &[V3],
+    n: &[V3],
+) -> (Vec<V3>, Vec<V3>, Contribution) {
+    let d = b.v3_sub(cs[0], n[0]);
     let r2 = b.v3_norm2(d);
-    let (fs_c, rinv2, vc) = if let Some(qq) = ctx.qq {
+    let (coulomb, rinv2) = if let Some(&qq) = ctx.qq.first() {
         // Charged: r = √r², 1/r, then r⁻² rebuilt from 1/r so the
         // Coulomb force term V/r² reuses it.
         let r = b.sqrt(r2);
         let rinv = b.div(ctx.one, r);
         let rinv2 = b.mul(rinv, rinv);
         let vc = b.mul(qq, rinv);
-        let fs_c = b.mul(vc, rinv2);
-        (Some(fs_c), rinv2, Some(vc))
+        (Some((vc, b.mul(vc, rinv2))), rinv2)
     } else {
         // Plain LJ needs only even powers: a single divide, no root.
-        (None, b.div(ctx.one, r2), None)
+        (None, b.div(ctx.one, r2))
     };
+    let (de_lj, fs_lj) = lennard_jones(b, ctx, rinv2);
+    let fs = match coulomb {
+        Some((_, fs_c)) => b.add(fs_c, fs_lj),
+        None => fs_lj,
+    };
+    let f = b.v3_scale(d, fs);
+    let zero = b.constant(0.0);
+    let fn_ = b.v3_sub(splat(zero), f);
+    let vir = virial(b, d, f);
+    let vc = coulomb.map(|(vc, _)| vc).into_iter().collect();
+    (vec![f], vec![fn_], Contribution { vc, de_lj, vir })
+}
+
+/// Lennard-Jones from r⁻²: the pair energy and the force scale f/r
+/// (11 flops).
+fn lennard_jones(b: &mut KernelBuilder, ctx: &Ctx, rinv2: Val) -> (Val, Val) {
     let rinv4 = b.mul(rinv2, rinv2);
     let rinv6 = b.mul(rinv4, rinv2);
     let v6 = b.mul(ctx.c6, rinv6);
@@ -516,211 +302,238 @@ fn atom_interaction(
     let de_lj = b.sub(v12, v6);
     let t12 = b.mul(ctx.twelve, v12);
     let u = b.nmsub(ctx.six, v6, t12); // 12·v12 − 6·v6
-    let fs_lj = b.mul(u, rinv2);
-    let fs = match fs_c {
-        Some(c) => b.add(c, fs_lj),
-        None => fs_lj,
-    };
-    let f = b.v3_scale(d, fs);
-    let zero = b.constant(0.0);
-    let zv = V3 {
-        x: zero,
-        y: zero,
-        z: zero,
-    };
-    let fn_ = b.v3_sub(zv, f);
-    let vx = b.mul(d.x, f.x);
-    let vxy = b.madd(d.y, f.y, vx);
-    let vir = b.madd(d.z, f.z, vxy);
-    (f, fn_, AtomContribution { vc, de_lj, vir })
+    (de_lj, b.mul(u, rinv2))
 }
 
-/// Reduce atomic contributions into the accumulator registers. The
-/// Coulomb accumulator is left untouched by the LJ kernel (it stays at
-/// its initial 0.0; no flops are spent on it).
-fn reduce_atom_contributions(
-    b: &mut KernelBuilder,
-    acc: Accum,
-    contribs: &[AtomContribution],
-) -> Accum {
-    let vcs: Vec<Val> = contribs.iter().filter_map(|c| c.vc).collect();
+/// Virial contribution d·f of one atom pair: mul + 2 madds (5 flops).
+fn virial(b: &mut KernelBuilder, d: V3, f: V3) -> Val {
+    let vx = b.mul(d.x, f.x);
+    let vxy = b.madd(d.y, f.y, vx);
+    b.madd(d.z, f.z, vxy)
+}
+
+/// Reduce a set of per-interaction contributions into the accumulator
+/// registers: a balanced tree per class plus one register add each. A
+/// kernel without a Coulomb term leaves that accumulator at its initial
+/// 0.0 and spends no flops on it.
+///
+/// Where the Coulomb add sits is node order, hence fixed: the atomic
+/// kernels issue it right after the Coulomb tree, water after all
+/// three trees.
+fn reduce(b: &mut KernelBuilder, m: Model, acc: Accum, contribs: &[Contribution]) -> Accum {
+    let vcs: Vec<Val> = contribs.iter().flat_map(|c| c.vc.iter().copied()).collect();
     let des: Vec<Val> = contribs.iter().map(|c| c.de_lj).collect();
     let virs: Vec<Val> = contribs.iter().map(|c| c.vir).collect();
-    let e_coul = if vcs.is_empty() {
-        acc.e_coul
-    } else {
-        let s = tree_sum(b, &vcs);
-        b.add(acc.e_coul, s)
-    };
+    let vc_sum = (!vcs.is_empty()).then(|| tree_sum(b, &vcs));
+    let add_coul = |b: &mut KernelBuilder| vc_sum.map_or(acc.e_coul, |s| b.add(acc.e_coul, s));
+    let early = (m.sites == 1).then(|| add_coul(b));
     let de_sum = tree_sum(b, &des);
     let vir_sum = tree_sum(b, &virs);
     Accum {
-        e_coul,
+        e_coul: early.unwrap_or_else(|| add_coul(b)),
         e_lj: b.add(acc.e_lj, de_sum),
         virial: b.add(acc.virial, vir_sum),
     }
 }
 
-fn atom_kernel_name(coulomb: bool, variant: &str) -> String {
-    if coulomb {
-        format!("streammd_charged_{variant}")
-    } else {
-        format!("streammd_lj_{variant}")
-    }
+/// What every skeleton starts with after its stream declarations: the
+/// parameter handles and the three energy/virial accumulator registers.
+fn prologue(b: &mut KernelBuilder, m: Model) -> (Ctx, Accum, [u32; 3]) {
+    let ctx = Ctx::new(b, m.qq);
+    let regs = [b.reg(0.0), b.reg(0.0), b.reg(0.0)];
+    let acc = Accum {
+        e_coul: b.read_reg(regs[0]),
+        e_lj: b.read_reg(regs[1]),
+        virial: b.read_reg(regs[2]),
+    };
+    (ctx, acc, regs)
 }
 
-/// Atomic `expanded`: inputs c_pos(3) + c_shift(3) + n_pos(3); outputs
-/// both 3-word partial-force records every iteration.
-pub fn atom_expanded_kernel(coulomb: bool) -> Kernel {
-    let mut b = KernelBuilder::new(atom_kernel_name(coulomb, "expanded"));
-    let s_cpos = b.input("c_positions", 3, StreamMode::EveryIteration);
-    let s_shift = b.input("c_shifts", 3, StreamMode::EveryIteration);
-    let s_npos = b.input("n_positions", 3, StreamMode::EveryIteration);
-    let o_cf = b.output("c_partial_forces", 3);
-    let o_nf = b.output("n_partial_forces", 3);
-    let ctx = AtomCtx::new(&mut b, coulomb);
-    let (acc0, regs) = accum_regs(&mut b);
-
-    let c = b.read_v3(s_cpos, 0);
-    let shift = b.read_v3(s_shift, 0);
-    let n = b.read_v3(s_npos, 0);
-    let cs = b.v3_add(c, shift);
-    let (fc, fn_, contrib) = atom_interaction(&mut b, &ctx, cs, n);
-    let acc = reduce_atom_contributions(&mut b, acc0, &[contrib]);
-    b.write(o_cf, &[fc.x, fc.y, fc.z]);
-    b.write(o_nf, &[fn_.x, fn_.y, fn_.z]);
-    finish_accum(&mut b, regs, acc);
+fn finish(mut b: KernelBuilder, regs: [u32; 3], acc: Accum) -> Kernel {
+    b.set_reg(regs[0], acc.e_coul);
+    b.set_reg(regs[1], acc.e_lj);
+    b.set_reg(regs[2], acc.virial);
     b.build()
 }
 
-/// Atomic `fixed` / `duplicated` block kernel: one centre with `l`
-/// (padded) neighbours per iteration; centre force reduced in-LRF.
-pub fn atom_block_kernel(coulomb: bool, l: usize, write_neighbor_partials: bool) -> Kernel {
+/// `expanded`: inputs c_pos + c_shift + n_pos, one record each; outputs
+/// both partial-force records every iteration.
+fn expanded(m: Model) -> Kernel {
+    let w = 3 * m.sites as u32;
+    let mut b = KernelBuilder::new(format!("{}_expanded", m.stem));
+    let s_cpos = b.input("c_positions", w, StreamMode::EveryIteration);
+    let s_shift = b.input("c_shifts", w, StreamMode::EveryIteration);
+    let s_npos = b.input("n_positions", w, StreamMode::EveryIteration);
+    let o_cf = b.output("c_partial_forces", w);
+    let o_nf = b.output("n_partial_forces", w);
+    let (ctx, acc0, regs) = prologue(&mut b, m);
+
+    let c = read_sites(&mut b, s_cpos, 0, m.sites);
+    let shift = read_sites(&mut b, s_shift, 0, m.sites);
+    let n = read_sites(&mut b, s_npos, 0, m.sites);
+    let cs = add_sites(&mut b, &c, &shift);
+    let (fc, fn_, contrib) = (m.body)(&mut b, &ctx, &cs, &n);
+    let acc = reduce(&mut b, m, acc0, &[contrib]);
+    b.write(o_cf, &flatten(&fc));
+    b.write(o_nf, &flatten(&fn_));
+    finish(b, regs, acc)
+}
+
+/// `fixed` / `duplicated`: one iteration processes a centre with `l`
+/// (padded) neighbours. `write_neighbor_partials = false` gives the
+/// `duplicated` kernel.
+fn block(m: Model, l: usize, write_neighbor_partials: bool) -> Kernel {
     assert!(l >= 1);
+    let w = 3 * m.sites;
     let variant = if write_neighbor_partials {
-        format!("fixed_l{l}")
+        "fixed"
     } else {
-        format!("duplicated_l{l}")
+        "duplicated"
     };
-    let mut b = KernelBuilder::new(atom_kernel_name(coulomb, &variant));
-    let s_cpos = b.input("c_positions", 3, StreamMode::EveryIteration);
-    let s_shift = b.input("c_shifts", 3, StreamMode::EveryIteration);
-    let s_npos = b.input("n_positions", (3 * l) as u32, StreamMode::EveryIteration);
-    let o_cf = b.output("c_forces", 3);
-    let o_nf = if write_neighbor_partials {
-        Some(b.output("n_partial_forces", 3))
-    } else {
-        None
-    };
-    let ctx = AtomCtx::new(&mut b, coulomb);
-    let (acc0, regs) = accum_regs(&mut b);
+    let mut b = KernelBuilder::new(format!("{}_{variant}_l{l}", m.stem));
+    let s_cpos = b.input("c_positions", w as u32, StreamMode::EveryIteration);
+    let s_shift = b.input("c_shifts", w as u32, StreamMode::EveryIteration);
+    let s_npos = b.input("n_positions", (w * l) as u32, StreamMode::EveryIteration);
+    let o_cf = b.output("c_forces", w as u32);
+    let o_nf = write_neighbor_partials.then(|| b.output("n_partial_forces", w as u32));
+    let (ctx, acc0, regs) = prologue(&mut b, m);
 
-    let c = b.read_v3(s_cpos, 0);
-    let shift = b.read_v3(s_shift, 0);
-    let cs = b.v3_add(c, shift);
+    let c = read_sites(&mut b, s_cpos, 0, m.sites);
+    let shift = read_sites(&mut b, s_shift, 0, m.sites);
+    let cs = add_sites(&mut b, &c, &shift);
 
+    // Accumulate the centre force across the block in-LRF (the
+    // "reduced within the cluster to save on output bandwidth" of
+    // Section 3.3).
     let zero = b.constant(0.0);
-    let zv = V3 {
-        x: zero,
-        y: zero,
-        z: zero,
-    };
-    let mut fc_total = zv;
+    let mut fc_total = vec![splat(zero); m.sites];
     let mut contribs = Vec::with_capacity(l);
     for nb in 0..l {
-        let n = b.read_v3(s_npos, (3 * nb) as u32);
-        let (fc, fn_, contrib) = atom_interaction(&mut b, &ctx, cs, n);
+        let n = read_sites(&mut b, s_npos, w * nb, m.sites);
+        let (fc, fn_, contrib) = (m.body)(&mut b, &ctx, &cs, &n);
         contribs.push(contrib);
-        fc_total = b.v3_add(fc_total, fc);
+        fc_total = add_sites(&mut b, &fc_total, &fc);
         if let Some(o) = o_nf {
-            b.write(o, &[fn_.x, fn_.y, fn_.z]);
+            b.write(o, &flatten(&fn_));
         }
     }
-    let acc = reduce_atom_contributions(&mut b, acc0, &contribs);
-    b.write(o_cf, &[fc_total.x, fc_total.y, fc_total.z]);
-    finish_accum(&mut b, regs, acc);
-    b.build()
+    let acc = reduce(&mut b, m, acc0, &contribs);
+    b.write(o_cf, &flatten(&fc_total));
+    finish(b, regs, acc)
 }
 
-/// Atomic `variable`: conditional-stream kernel with 6-word centre
-/// records (3 position + 3 shift) and 3-word loop-carried force state.
-pub fn atom_variable_kernel(coulomb: bool) -> Kernel {
-    let mut b = KernelBuilder::new(atom_kernel_name(coulomb, "variable"));
-    let s_npos = b.input("n_positions", 3, StreamMode::EveryIteration);
+/// `variable`: conditional-stream kernel. Inputs: `n_positions` (one
+/// record, every iteration), `new_center_flags` (1, every iteration),
+/// and the conditional `center_records` stream (position + shift
+/// records). Whenever the flag fires, the previous centre's accumulated
+/// force is emitted (conditional write) and a new centre record is
+/// popped.
+fn variable(m: Model) -> Kernel {
+    let w = 3 * m.sites;
+    let mut b = KernelBuilder::new(format!("{}_variable", m.stem));
+    let s_npos = b.input("n_positions", w as u32, StreamMode::EveryIteration);
     let s_flag = b.input("new_center_flags", 1, StreamMode::EveryIteration);
-    let s_center = b.input("center_records", 6, StreamMode::Conditional);
-    let o_cf = b.output("c_forces", 3);
-    let o_nf = b.output("n_partial_forces", 3);
-    let ctx = AtomCtx::new(&mut b, coulomb);
-    let (acc0, acc_regs) = accum_regs(&mut b);
+    let s_center = b.input("center_records", 2 * w as u32, StreamMode::Conditional);
+    let o_cf = b.output("c_forces", w as u32);
+    let o_nf = b.output("n_partial_forces", w as u32);
+    let (ctx, acc0, regs) = prologue(&mut b, m);
 
+    // Loop-carried centre state: the position and shift words of a
+    // centre record are added once, on refresh, so the registers hold
+    // the *shifted* centre coordinates plus the accumulated force
+    // components.
     let zero = b.constant(0.0);
     let flag = b.read(s_flag, 0);
     let is_new = b.cmp_lt(zero, flag);
 
     // Previous accumulated centre force (flushed on a new centre).
-    let fc_regs: Vec<u32> = (0..3).map(|_| b.reg(0.0)).collect();
+    let fc_regs: Vec<u32> = (0..w).map(|_| b.reg(0.0)).collect();
     let fc_prev: Vec<Val> = fc_regs.iter().map(|&r| b.read_reg(r)).collect();
+    // The conditional write occupies issue slots like any conditional
+    // stream instruction ("issued on every iteration with a condition");
+    // model that with one guard op per written word.
     let guarded: Vec<Val> = fc_prev.iter().map(|v| b.mov(*v)).collect();
     b.write_if(o_cf, is_new, &guarded);
 
     // Shifted-centre registers with conditional refresh.
-    let cs_regs: Vec<u32> = (0..3).map(|_| b.reg(0.0)).collect();
-    let mut cs_vals = Vec::with_capacity(3);
-    for (k, &r) in cs_regs.iter().enumerate() {
+    let mut cs_vals = Vec::with_capacity(w);
+    for k in 0..w {
+        let r = b.reg(0.0);
         let prev = b.read_reg(r);
         let pos = b.cond_read(s_center, k as u32, is_new, zero);
-        let shift = b.cond_read(s_center, (k + 3) as u32, is_new, zero);
-        let fresh = b.add(pos, shift); // shift applied on refresh: 3 adds
+        let shift = b.cond_read(s_center, (k + w) as u32, is_new, zero);
+        let fresh = b.add(pos, shift); // shift applied on refresh
         let v = b.sel(is_new, fresh, prev);
         b.set_reg(r, v);
         cs_vals.push(v);
     }
-    let cs = V3 {
-        x: cs_vals[0],
-        y: cs_vals[1],
-        z: cs_vals[2],
-    };
+    let cs: Vec<V3> = cs_vals
+        .chunks(3)
+        .map(|v| V3 {
+            x: v[0],
+            y: v[1],
+            z: v[2],
+        })
+        .collect();
 
-    let n = b.read_v3(s_npos, 0);
-    let (fc, fn_, contrib) = atom_interaction(&mut b, &ctx, cs, n);
-    let acc = reduce_atom_contributions(&mut b, acc0, &[contrib]);
-    b.write(o_nf, &[fn_.x, fn_.y, fn_.z]);
+    let n = read_sites(&mut b, s_npos, 0, m.sites);
+    let (fc, fn_, contrib) = (m.body)(&mut b, &ctx, &cs, &n);
+    let acc = reduce(&mut b, m, acc0, &[contrib]);
+    b.write(o_nf, &flatten(&fn_));
 
     // Centre force accumulation with conditional reset.
-    let fc_new = [fc.x, fc.y, fc.z];
-    for (k, &r) in fc_regs.iter().enumerate() {
-        let base = b.sel(is_new, zero, fc_prev[k]);
-        let updated = b.add(fc_new[k], base);
+    for ((&r, &prev), new) in fc_regs.iter().zip(&fc_prev).zip(flatten(&fc)) {
+        let base = b.sel(is_new, zero, prev);
+        let updated = b.add(new, base);
         b.set_reg(r, updated);
     }
-    finish_accum(&mut b, acc_regs, acc);
-    b.build()
+    finish(b, regs, acc)
 }
 
-// ---------------------------------------------------------------------------
-// Workload dispatch
-// ---------------------------------------------------------------------------
+/// Water `expanded`: 9-word records.
+pub fn expanded_kernel() -> Kernel {
+    expanded(WATER)
+}
+
+/// Water `fixed` / `duplicated` block kernel of `l` neighbours.
+pub fn block_kernel(l: usize, write_neighbor_partials: bool) -> Kernel {
+    block(WATER, l, write_neighbor_partials)
+}
+
+/// Water `variable`: 18-word centre records, 9 words of loop-carried
+/// force state.
+pub fn variable_kernel() -> Kernel {
+    variable(WATER)
+}
+
+/// Atomic `expanded`: 3-word records.
+pub fn atom_expanded_kernel(coulomb: bool) -> Kernel {
+    expanded(atom(coulomb))
+}
+
+/// Atomic `fixed` / `duplicated` block kernel of `l` neighbours.
+pub fn atom_block_kernel(coulomb: bool, l: usize, write_neighbor_partials: bool) -> Kernel {
+    block(atom(coulomb), l, write_neighbor_partials)
+}
+
+/// Atomic `variable`: 6-word centre records, 3 words of loop-carried
+/// force state.
+pub fn atom_variable_kernel(coulomb: bool) -> Kernel {
+    variable(atom(coulomb))
+}
 
 /// Generate the kernel for a (workload, variant) pair. `block_l` is the
 /// neighbour-block length used by the `Fixed`/`Duplicated` variants.
 pub fn workload_kernel(workload: Workload, variant: Variant, block_l: usize) -> Kernel {
-    match workload {
-        Workload::Water => match variant {
-            Variant::Expanded => expanded_kernel(),
-            Variant::Fixed => block_kernel(block_l, true),
-            Variant::Duplicated => block_kernel(block_l, false),
-            Variant::Variable => variable_kernel(),
-        },
-        Workload::LjFluid | Workload::Charged => {
-            let coulomb = workload.coulomb();
-            match variant {
-                Variant::Expanded => atom_expanded_kernel(coulomb),
-                Variant::Fixed => atom_block_kernel(coulomb, block_l, true),
-                Variant::Duplicated => atom_block_kernel(coulomb, block_l, false),
-                Variant::Variable => atom_variable_kernel(coulomb),
-            }
-        }
+    let m = match workload {
+        Workload::Water => WATER,
+        Workload::LjFluid | Workload::Charged => atom(workload.coulomb()),
+    };
+    match variant {
+        Variant::Expanded => expanded(m),
+        Variant::Fixed => block(m, block_l, true),
+        Variant::Duplicated => block(m, block_l, false),
+        Variant::Variable => variable(m),
     }
 }
 
@@ -731,15 +544,6 @@ pub fn workload_params(workload: Workload, model: &WaterModel) -> Vec<f64> {
         Workload::LjFluid | Workload::Charged => {
             atom_kernel_params(&AtomForceField::from_model(model), workload.coulomb())
         }
-    }
-}
-
-/// Number of launch parameters per workload.
-pub fn workload_num_params(workload: Workload) -> usize {
-    match workload {
-        Workload::Water => NUM_PARAMS,
-        Workload::LjFluid => NUM_ATOM_PARAMS_LJ,
-        Workload::Charged => NUM_ATOM_PARAMS_CHARGED,
     }
 }
 
@@ -971,7 +775,7 @@ mod tests {
                 k.validate_ssa();
                 assert_eq!(
                     workload_params(w, &w.default_model()).len(),
-                    workload_num_params(w),
+                    k.num_params as usize,
                     "{w}/{v} param count"
                 );
             }

@@ -36,8 +36,9 @@ impl Workload {
     pub const ALL: [Workload; 3] = [Workload::Water, Workload::LjFluid, Workload::Charged];
 
     /// Classify a particle model. Multi-site models are water-class
-    /// (3-site kernels; ≥4-site models are rejected where the force
-    /// field is built); single-site models split on charge.
+    /// (3-site kernels; the `run_*` entry points reject ≥4-site models
+    /// with an error, the force field with an assert); single-site
+    /// models split on charge.
     pub fn of_model(model: &WaterModel) -> Self {
         if model.num_sites() >= 3 {
             Workload::Water
@@ -83,15 +84,6 @@ impl Workload {
             Workload::Water => md_sim::force::FLOPS_PER_INTERACTION,
             Workload::LjFluid => md_sim::atomic::LJ_FLOPS_PER_INTERACTION,
             Workload::Charged => md_sim::atomic::CHARGED_FLOPS_PER_INTERACTION,
-        }
-    }
-
-    /// Divides per interaction.
-    pub fn divs_per_interaction(self) -> u64 {
-        match self {
-            Workload::Water => md_sim::force::DIVS_PER_INTERACTION,
-            Workload::LjFluid => md_sim::atomic::LJ_DIVS_PER_INTERACTION,
-            Workload::Charged => md_sim::atomic::CHARGED_DIVS_PER_INTERACTION,
         }
     }
 
@@ -162,7 +154,6 @@ mod tests {
 
     #[test]
     fn op_mix() {
-        assert_eq!(Workload::Water.divs_per_interaction(), 9);
         assert_eq!(Workload::LjFluid.sqrts_per_interaction(), 0);
         assert_eq!(Workload::Charged.sqrts_per_interaction(), 1);
         assert!(!Workload::LjFluid.coulomb());

@@ -233,13 +233,6 @@ impl KernelBuilder {
         self.madd(a.z, a.z, xy)
     }
 
-    /// Dot product via mul + 2 madds.
-    pub fn v3_dot(&mut self, a: V3, b: V3) -> Val {
-        let xx = self.mul(a.x, b.x);
-        let xy = self.madd(a.y, b.y, xx);
-        self.madd(a.z, b.z, xy)
-    }
-
     // ---- side effects -----------------------------------------------------
 
     /// Update register `r` to `v` at the end of each iteration.
@@ -293,7 +286,9 @@ mod tests {
         let o = b.output("dot", 1);
         let a = b.read_v3(s, 0);
         let c = b.read_v3(s, 3);
-        let d = b.v3_dot(a, c);
+        let xx = b.mul(a.x, c.x);
+        let xy = b.madd(a.y, c.y, xx);
+        let d = b.madd(a.z, c.z, xy);
         b.write(o, &[d]);
         let k = b.build();
         assert_eq!(k.nodes.len(), 9);

@@ -33,16 +33,6 @@ pub fn centers_of_mass(system: &WaterBox) -> Vec<Vec3> {
         .collect()
 }
 
-/// Self-diffusion coefficient from the Einstein relation
-/// `D = MSD / (6 t)`, in units of 1e-5 cm²/s (the Table 5 convention).
-///
-/// `msd_nm2` is in nm², `time_ps` in ps. 1 nm²/ps = 1e-14 m²... the
-/// conversion works out to `D[1e-5 cm²/s] = (msd/6t)[nm²/ps] * 1e3`.
-pub fn self_diffusion_1e5_cm2_s(msd_nm2: f64, time_ps: f64) -> f64 {
-    assert!(time_ps > 0.0);
-    msd_nm2 / (6.0 * time_ps) * 1.0e3
-}
-
 /// A running MSD tracker over a trajectory.
 #[derive(Debug, Clone)]
 pub struct MsdTracker {
@@ -144,14 +134,6 @@ mod tests {
         let a = vec![Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0)];
         let b = vec![Vec3::new(0.3, 0.0, 0.0), Vec3::new(1.3, 0.0, 0.0)];
         assert!((msd(&a, &b) - 0.09).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diffusion_units() {
-        // Water at 300 K has D ≈ 2.3e-5 cm²/s ⇒ MSD of 6*D*t. In nm²/ps:
-        // D = 2.3e-5 cm²/s = 2.3e-3 nm²/ps.
-        let d = self_diffusion_1e5_cm2_s(6.0 * 2.3e-3 * 10.0, 10.0);
-        assert!((d - 2.3).abs() < 1e-9, "D = {d}");
     }
 
     #[test]

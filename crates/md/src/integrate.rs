@@ -1,12 +1,22 @@
-//! Velocity-Verlet integration of rigid 3-site water with SHAKE/RATTLE
-//! constraints.
+//! Velocity-Verlet integration: rigid 3-site water under SHAKE/RATTLE
+//! constraints, 1-site atoms unconstrained.
 //!
 //! The paper's experiment is a single force step, but several of our
-//! harnesses need trajectories: the energy-drift integration test, and the
-//! self-diffusion measurement behind the Table 5 harness. The integrator
-//! follows GROMACS practice: constraint dynamics for the rigid water
-//! geometry, neighbour lists rebuilt every `rebuild_interval` steps with a
-//! skin, and forces evaluated over all listed pairs.
+//! harnesses need trajectories: the energy-drift integration test, the
+//! self-diffusion measurement behind the Table 5 harness, and the
+//! trajectories `streammd`'s driver runs with forces from the simulated
+//! machine. The integrator follows GROMACS practice: constraint dynamics
+//! for the rigid water geometry, neighbour lists rebuilt every
+//! `rebuild_interval` steps with a skin, and forces evaluated over all
+//! listed pairs.
+//!
+//! There is one loop, [`Integrator::run_with`], generic over where the
+//! forces come from; [`Integrator::run`] is that loop over the reference
+//! [`compute_forces`].
+
+use std::convert::Infallible;
+
+use rayon::prelude::*;
 
 use crate::force::{compute_forces, ForceResult};
 use crate::neighbor::{NeighborList, NeighborListParams};
@@ -26,7 +36,9 @@ struct Constraint {
 /// Per-step observables.
 #[derive(Debug, Clone, Copy)]
 pub struct StepReport {
-    /// Potential energy (kJ/mol).
+    /// Potential energy (kJ/mol). Only a force provider knows it:
+    /// [`Integrator::run`] fills it in, [`Integrator::run_with`] leaves
+    /// it at 0.0.
     pub potential: f64,
     /// Kinetic energy (kJ/mol).
     pub kinetic: f64,
@@ -34,6 +46,9 @@ pub struct StepReport {
     pub temperature: f64,
     /// Largest single-site displacement this step (nm).
     pub max_displacement: f64,
+    /// Whether the neighbour list was rebuilt before this step's force
+    /// evaluation.
+    pub rebuilt_list: bool,
 }
 
 impl StepReport {
@@ -67,105 +82,104 @@ impl Default for Integrator {
     }
 }
 
+/// Run `f` with `width` governing every parallel operation inside it.
+/// What runs inside is bitwise-identical at every width, so without a
+/// pool it runs at the caller's.
+fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    match rayon::ThreadPoolBuilder::new()
+        .num_threads(width.max(1))
+        .build()
+    {
+        Ok(pool) => pool.install(f),
+        Err(_) => f(),
+    }
+}
+
+/// Solve every 3-site molecule of `sites` in place, fanned out over
+/// `width` workers (1 = inline, no spawn). Molecules are independent,
+/// so the result is bitwise-identical at every width.
+fn per_molecule(width: usize, sites: &mut [Vec3], solve: impl Fn(usize, &mut [Vec3]) + Sync) {
+    let molecules = sites.chunks_mut(3).enumerate();
+    if width <= 1 {
+        molecules.for_each(|(m, mol)| solve(m, mol));
+    } else {
+        let molecules: Vec<_> = molecules.collect();
+        molecules.into_par_iter().for_each(|(m, mol)| solve(m, mol));
+    }
+}
+
 impl Integrator {
+    /// The three distance constraints of rigid 3-site water; none for a
+    /// 1-site atom. Other site counts are not integrated.
     fn constraints(system: &WaterBox) -> Vec<Constraint> {
-        let model = system.model();
+        let sites = &system.model().sites;
+        if sites.len() == 1 {
+            return Vec::new();
+        }
         assert_eq!(
-            model.num_sites(),
+            sites.len(),
             3,
-            "integrator supports 3-site rigid water"
+            "integrator supports 3-site rigid water and 1-site atoms"
         );
-        let d01 = (model.sites[1].offset - model.sites[0].offset).norm2();
-        let d02 = (model.sites[2].offset - model.sites[0].offset).norm2();
-        let d12 = (model.sites[2].offset - model.sites[1].offset).norm2();
-        vec![
-            Constraint {
-                a: 0,
-                b: 1,
-                d2: d01,
-            },
-            Constraint {
-                a: 0,
-                b: 2,
-                d2: d02,
-            },
-            Constraint {
-                a: 1,
-                b: 2,
-                d2: d12,
-            },
-        ]
+        [(0, 1), (0, 2), (1, 2)]
+            .into_iter()
+            .map(|(a, b)| Constraint {
+                a,
+                b,
+                d2: (sites[b].offset - sites[a].offset).norm2(),
+            })
+            .collect()
     }
 
-    /// SHAKE: move `new_pos` so every constraint is satisfied, using the
-    /// pre-step geometry `old_pos` for the constraint gradients.
+    /// SHAKE one molecule: move `new_pos` so every constraint is
+    /// satisfied, using the pre-step geometry `old_pos` for the
+    /// constraint gradients.
     fn shake(
         &self,
         constraints: &[Constraint],
-        masses: &[f64; 3],
-        old_pos: &mut [Vec3],
+        masses: &[f64],
+        old_pos: &[Vec3],
         new_pos: &mut [Vec3],
-    ) -> usize {
-        let n_mol = new_pos.len() / 3;
-        let mut worst_iters = 0;
-        for m in 0..n_mol {
-            let base = m * 3;
-            for it in 0..self.max_iter {
-                let mut converged = true;
-                for c in constraints {
-                    let (ia, ib) = (base + c.a, base + c.b);
-                    let d = new_pos[ia] - new_pos[ib];
-                    let diff = d.norm2() - c.d2;
-                    if diff.abs() > self.shake_tol * c.d2 {
-                        converged = false;
-                        let ref_d = old_pos[ia] - old_pos[ib];
-                        let (ma, mb) = (masses[c.a], masses[c.b]);
-                        let g = diff / (2.0 * ref_d.dot(d) * (1.0 / ma + 1.0 / mb));
-                        new_pos[ia] -= ref_d * (g / ma);
-                        new_pos[ib] += ref_d * (g / mb);
-                    }
-                }
-                if converged {
-                    worst_iters = worst_iters.max(it);
-                    break;
-                }
-                if it + 1 == self.max_iter {
-                    worst_iters = self.max_iter;
+    ) {
+        for _ in 0..self.max_iter {
+            let mut converged = true;
+            for c in constraints {
+                let d = new_pos[c.a] - new_pos[c.b];
+                let diff = d.norm2() - c.d2;
+                if diff.abs() > self.shake_tol * c.d2 {
+                    converged = false;
+                    let ref_d = old_pos[c.a] - old_pos[c.b];
+                    let (ma, mb) = (masses[c.a], masses[c.b]);
+                    let g = diff / (2.0 * ref_d.dot(d) * (1.0 / ma + 1.0 / mb));
+                    new_pos[c.a] -= ref_d * (g / ma);
+                    new_pos[c.b] += ref_d * (g / mb);
                 }
             }
+            if converged {
+                break;
+            }
         }
-        worst_iters
     }
 
-    /// RATTLE: remove velocity components along constrained bonds.
-    fn rattle(
-        &self,
-        constraints: &[Constraint],
-        masses: &[f64; 3],
-        pos: &[Vec3],
-        vel: &mut [Vec3],
-    ) {
-        let n_mol = vel.len() / 3;
-        for m in 0..n_mol {
-            let base = m * 3;
-            for _ in 0..self.max_iter {
-                let mut converged = true;
-                for c in constraints {
-                    let (ia, ib) = (base + c.a, base + c.b);
-                    let d = pos[ia] - pos[ib];
-                    let vrel = vel[ia] - vel[ib];
-                    let dv = d.dot(vrel);
-                    if dv.abs() > self.shake_tol * c.d2 / self.dt {
-                        converged = false;
-                        let (ma, mb) = (masses[c.a], masses[c.b]);
-                        let k = dv / (d.norm2() * (1.0 / ma + 1.0 / mb));
-                        vel[ia] -= d * (k / ma);
-                        vel[ib] += d * (k / mb);
-                    }
+    /// RATTLE one molecule: remove velocity components along
+    /// constrained bonds.
+    fn rattle(&self, constraints: &[Constraint], masses: &[f64], pos: &[Vec3], vel: &mut [Vec3]) {
+        for _ in 0..self.max_iter {
+            let mut converged = true;
+            for c in constraints {
+                let d = pos[c.a] - pos[c.b];
+                let vrel = vel[c.a] - vel[c.b];
+                let dv = d.dot(vrel);
+                if dv.abs() > self.shake_tol * c.d2 / self.dt {
+                    converged = false;
+                    let (ma, mb) = (masses[c.a], masses[c.b]);
+                    let k = dv / (d.norm2() * (1.0 / ma + 1.0 / mb));
+                    vel[c.a] -= d * (k / ma);
+                    vel[c.b] += d * (k / mb);
                 }
-                if converged {
-                    break;
-                }
+            }
+            if converged {
+                break;
             }
         }
     }
@@ -176,90 +190,135 @@ impl Integrator {
             .velocities()
             .iter()
             .enumerate()
-            .map(|(i, v)| 0.5 * masses[i % 3] * v.norm2())
+            .map(|(i, v)| 0.5 * masses[i % masses.len()] * v.norm2())
             .sum()
     }
 
-    /// Degrees of freedom after constraints and COM removal.
+    /// Degrees of freedom after constraints and COM removal: a rigid
+    /// 3-site molecule keeps 6 (translation + rotation), a point
+    /// particle 3; momentum conservation takes 3 off the total.
     fn dof(system: &WaterBox) -> f64 {
-        (6 * system.num_molecules()) as f64 - 3.0
+        let per_molecule = if system.num_sites() == 1 { 3 } else { 6 };
+        (per_molecule * system.num_molecules()) as f64 - 3.0
     }
 
-    /// Run `steps` steps, returning per-step observables. The system is
-    /// modified in place; positions are left unwrapped so mean-square
-    /// displacements can be computed by the analysis module.
+    /// Run `steps` steps over the reference force engine, returning
+    /// per-step observables. The system is modified in place; positions
+    /// are left unwrapped so mean-square displacements can be computed by
+    /// the analysis module.
     pub fn run(&self, system: &mut WaterBox, steps: usize) -> Vec<StepReport> {
-        let constraints = Self::constraints(system);
-        let site_masses: [f64; 3] = [
-            system.model().sites[0].mass,
-            system.model().sites[1].mass,
-            system.model().sites[2].mass,
-        ];
-        let inv_m: Vec<f64> = site_masses.iter().map(|m| 1.0 / m).collect();
-        let dof = Self::dof(system);
-
-        let mut list = NeighborList::build(system, self.neighbor);
-        let mut result = compute_forces(system, &list);
-        let mut drift_since_rebuild = 0.0f64;
-        let mut reports = Vec::with_capacity(steps);
-
-        for step in 0..steps {
-            let dt = self.dt;
-            // Half kick.
-            for (i, v) in system.velocities_mut().iter_mut().enumerate() {
-                *v += result.forces[i] * (inv_m[i % 3] * dt * 0.5);
-            }
-            // Drift + SHAKE.
-            let mut old_pos = system.positions().to_vec();
-            let mut new_pos = old_pos.clone();
-            let n_sites = new_pos.len();
-            for i in 0..n_sites {
-                new_pos[i] = old_pos[i] + system.velocities()[i] * dt;
-            }
-            self.shake(&constraints, &site_masses, &mut old_pos, &mut new_pos);
-            // Constraint force correction folded into velocities.
-            let mut max_disp = 0.0f64;
-            {
-                let vel = system.velocities_mut();
-                for i in 0..n_sites {
-                    vel[i] = (new_pos[i] - old_pos[i]) / dt;
-                }
-            }
-            for i in 0..n_sites {
-                max_disp = max_disp.max((new_pos[i] - old_pos[i]).norm());
-            }
-            system.positions_mut().copy_from_slice(&new_pos);
-            drift_since_rebuild += max_disp;
-
-            // Rebuild the list on schedule or when the skin is exhausted.
-            let scheduled = (step + 1) % self.neighbor.rebuild_interval == 0;
-            if scheduled || drift_since_rebuild * 2.0 > self.neighbor.skin {
-                list = NeighborList::build(system, self.neighbor);
-                drift_since_rebuild = 0.0;
-            }
-            result = compute_forces(system, &list);
-
-            // Second half kick + RATTLE.
-            for (i, v) in system.velocities_mut().iter_mut().enumerate() {
-                *v += result.forces[i] * (inv_m[i % 3] * dt * 0.5);
-            }
-            let pos_snapshot = system.positions().to_vec();
-            self.rattle(
-                &constraints,
-                &site_masses,
-                &pos_snapshot,
-                system.velocities_mut(),
-            );
-
-            let ke = Self::kinetic(system);
-            reports.push(StepReport {
-                potential: result.potential(),
-                kinetic: ke,
-                temperature: 2.0 * ke / (dof * KB),
-                max_displacement: max_disp,
-            });
+        let reference = |system: &WaterBox, list: &NeighborList| {
+            let result = compute_forces(system, list);
+            let potential = result.potential();
+            Ok::<_, Infallible>((result.forces, potential))
+        };
+        match self.run_with(system, steps, 1, reference) {
+            Ok(reports) => reports
+                .into_iter()
+                .map(|(report, potential)| StepReport {
+                    potential,
+                    ..report
+                })
+                .collect(),
+            Err(never) => match never {},
         }
-        reports
+    }
+
+    /// The integration loop, over any source of forces: `steps` steps of
+    /// velocity Verlet, constrained (SHAKE + RATTLE) for a 3-site model
+    /// and plain for a 1-site one; any other site count panics.
+    ///
+    /// `forces` evaluates the per-site forces of the system over the
+    /// current neighbour list, once for the initial state and once per
+    /// step; what else it returns comes back beside that step's report
+    /// (the initial evaluation's is dropped), and its first error ends
+    /// the run with the system as far as it got. `width` is the host
+    /// width of everything in the loop — list rebuilds, the provider's
+    /// own parallel operations, and the per-molecule constraint solves
+    /// (1 = inline). The trajectory is bitwise-identical at every width.
+    pub fn run_with<O, E>(
+        &self,
+        system: &mut WaterBox,
+        steps: usize,
+        width: usize,
+        mut forces: impl FnMut(&WaterBox, &NeighborList) -> Result<(Vec<Vec3>, O), E>,
+    ) -> Result<Vec<(StepReport, O)>, E> {
+        let constraints = Self::constraints(system);
+        let masses: Vec<f64> = system.model().sites.iter().map(|s| s.mass).collect();
+        let inv_m: Vec<f64> = masses.iter().map(|m| 1.0 / m).collect();
+        let ns = masses.len();
+        let dof = Self::dof(system);
+        let dt = self.dt;
+
+        at_width(width, || {
+            let mut list = NeighborList::build(system, self.neighbor);
+            let (mut f, _) = forces(system, &list)?;
+            let mut drift_since_rebuild = 0.0f64;
+            let mut reports = Vec::with_capacity(steps);
+
+            for step in 0..steps {
+                // Half kick.
+                for (i, v) in system.velocities_mut().iter_mut().enumerate() {
+                    *v += f[i] * (inv_m[i % ns] * dt * 0.5);
+                }
+                // Drift + SHAKE.
+                let old_pos = system.positions().to_vec();
+                let mut new_pos = old_pos.clone();
+                let n_sites = new_pos.len();
+                for i in 0..n_sites {
+                    new_pos[i] = old_pos[i] + system.velocities()[i] * dt;
+                }
+                if !constraints.is_empty() {
+                    per_molecule(width, &mut new_pos, |m, mol| {
+                        self.shake(&constraints, &masses, &old_pos[3 * m..3 * m + 3], mol)
+                    });
+                }
+                // Constraint force correction folded into velocities.
+                let mut max_disp = 0.0f64;
+                {
+                    let vel = system.velocities_mut();
+                    for i in 0..n_sites {
+                        vel[i] = (new_pos[i] - old_pos[i]) / dt;
+                    }
+                }
+                for i in 0..n_sites {
+                    max_disp = max_disp.max((new_pos[i] - old_pos[i]).norm());
+                }
+                system.positions_mut().copy_from_slice(&new_pos);
+                drift_since_rebuild += max_disp;
+
+                // Rebuild the list on schedule or when the skin is exhausted.
+                let scheduled = (step + 1) % self.neighbor.rebuild_interval == 0;
+                let rebuilt_list = scheduled || drift_since_rebuild * 2.0 > self.neighbor.skin;
+                if rebuilt_list {
+                    list = NeighborList::build(system, self.neighbor);
+                    drift_since_rebuild = 0.0;
+                }
+                let (new_f, out) = forces(system, &list)?;
+                f = new_f;
+
+                // Second half kick + RATTLE.
+                for (i, v) in system.velocities_mut().iter_mut().enumerate() {
+                    *v += f[i] * (inv_m[i % ns] * dt * 0.5);
+                }
+                if !constraints.is_empty() {
+                    per_molecule(width, system.velocities_mut(), |m, mol| {
+                        self.rattle(&constraints, &masses, &new_pos[3 * m..3 * m + 3], mol)
+                    });
+                }
+
+                let kinetic = Self::kinetic(system);
+                let report = StepReport {
+                    potential: 0.0,
+                    kinetic,
+                    temperature: 2.0 * kinetic / (dof * KB),
+                    max_displacement: max_disp,
+                    rebuilt_list,
+                };
+                reports.push((report, out));
+            }
+            Ok(reports)
+        })
     }
 
     /// Rescale velocities to the target temperature (crude Berendsen-style

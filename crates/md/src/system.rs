@@ -36,7 +36,6 @@ pub struct WaterBoxBuilder {
     density: f64,
     temperature: f64,
     seed: u64,
-    side_override: Option<f64>,
 }
 
 impl WaterBox {
@@ -49,7 +48,6 @@ impl WaterBox {
             density: WATER_NUMBER_DENSITY,
             temperature: 300.0,
             seed: 0x5eed,
-            side_override: None,
         }
     }
 
@@ -132,26 +130,6 @@ impl WaterBox {
             / total
     }
 
-    /// Instantaneous temperature from the kinetic energy, ignoring
-    /// constraints (upper bound; the integrator reports the constrained
-    /// value).
-    pub fn temperature_unconstrained(&self) -> f64 {
-        let sites = &self.model.sites;
-        let ns = sites.len();
-        let ke: f64 = self
-            .velocities
-            .iter()
-            .enumerate()
-            .map(|(i, v)| 0.5 * sites[i % ns].mass * v.norm2())
-            .sum();
-        let dof = (3 * self.velocities.len()).saturating_sub(3) as f64;
-        if dof == 0.0 {
-            0.0
-        } else {
-            2.0 * ke / (dof * KB)
-        }
-    }
-
     /// Construct directly from parts (used by tests and the integrator).
     pub fn from_parts(
         model: WaterModel,
@@ -220,14 +198,6 @@ impl WaterBoxBuilder {
     pub fn density(mut self, d: f64) -> Self {
         assert!(d > 0.0);
         self.density = d;
-        self.side_override = None;
-        self
-    }
-
-    /// Fix the box side directly instead of deriving it from density.
-    pub fn box_side(mut self, l: f64) -> Self {
-        assert!(l > 0.0);
-        self.side_override = Some(l);
         self
     }
 
@@ -247,9 +217,7 @@ impl WaterBoxBuilder {
     /// Build the box.
     pub fn build(self) -> WaterBox {
         let n = self.molecules;
-        let side = self
-            .side_override
-            .unwrap_or_else(|| (n as f64 / self.density).cbrt());
+        let side = (n as f64 / self.density).cbrt();
         let pbc = Pbc::cubic(side);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
 
@@ -410,21 +378,5 @@ mod tests {
         let a = WaterBox::builder().molecules(27).seed(1).build();
         let b = WaterBox::builder().molecules(27).seed(2).build();
         assert_ne!(a.positions(), b.positions());
-    }
-
-    #[test]
-    fn box_side_override() {
-        let b = WaterBox::builder()
-            .molecules(10)
-            .box_side(5.0)
-            .seed(1)
-            .build();
-        assert_eq!(b.pbc().side(), 5.0);
-    }
-
-    #[test]
-    fn temperature_estimate_positive() {
-        let b = WaterBox::builder().molecules(64).seed(9).build();
-        assert!(b.temperature_unconstrained() > 0.0);
     }
 }

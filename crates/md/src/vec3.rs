@@ -82,20 +82,6 @@ impl Vec3 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
-
-    /// Copy components into a slice of length 3.
-    #[inline]
-    pub fn write_to(self, out: &mut [f64]) {
-        out[0] = self.x;
-        out[1] = self.y;
-        out[2] = self.z;
-    }
-
-    /// Build from the first three elements of a slice.
-    #[inline]
-    pub fn from_slice(s: &[f64]) -> Vec3 {
-        Vec3::new(s[0], s[1], s[2])
-    }
 }
 
 impl Add for Vec3 {
@@ -231,14 +217,6 @@ mod tests {
     #[test]
     fn normalized_zero_is_zero() {
         assert_eq!(Vec3::ZERO.normalized(), Vec3::ZERO);
-    }
-
-    #[test]
-    fn slice_round_trip() {
-        let v = Vec3::new(1.5, -2.5, 3.25);
-        let mut buf = [0.0; 3];
-        v.write_to(&mut buf);
-        assert_eq!(Vec3::from_slice(&buf), v);
     }
 
     #[test]

@@ -248,22 +248,11 @@ impl WaterModel {
         self.sites.iter().map(|s| s.mass).sum()
     }
 
-    /// Net charge, e (should be zero for all models).
-    pub fn net_charge(&self) -> f64 {
-        self.sites.iter().map(|s| s.charge).sum()
-    }
-
     /// Static dipole moment in Debye, computed from the site charges
     /// about the centre of charge.
     pub fn dipole_debye(&self) -> f64 {
         let mu: Vec3 = self.sites.iter().map(|s| s.offset * s.charge).sum();
         mu.norm() / DEBYE
-    }
-
-    /// Centre-of-mass offset from the oxygen in the canonical orientation.
-    pub fn com_offset(&self) -> Vec3 {
-        let m = self.mass();
-        self.sites.iter().map(|s| s.offset * s.mass).sum::<Vec3>() / m
     }
 }
 
@@ -279,7 +268,8 @@ mod tests {
             WaterModel::tip5p(),
             WaterModel::ppc_static(),
         ] {
-            assert!(m.net_charge().abs() < 1e-12, "{} not neutral", m.name);
+            let net_charge: f64 = m.sites.iter().map(|s| s.charge).sum();
+            assert!(net_charge.abs() < 1e-12, "{} not neutral", m.name);
         }
     }
 
@@ -331,11 +321,5 @@ mod tests {
     fn water_mass_is_18() {
         assert!((WaterModel::spc().mass() - 18.0154).abs() < 1e-3);
         assert!((WaterModel::tip5p().mass() - 18.0154).abs() < 1e-3);
-    }
-
-    #[test]
-    fn com_offset_is_along_dipole_axis() {
-        let c = WaterModel::spc().com_offset();
-        assert!(c.x.abs() < 1e-12 && c.y.abs() < 1e-12 && c.z > 0.0);
     }
 }

@@ -150,11 +150,6 @@ impl Topology {
         }
     }
 
-    /// Aggregate board numbers the paper quotes (Figure 3/4 captions).
-    pub fn board_aggregate_gbps(&self) -> f64 {
-        self.cfg.nodes_per_board as f64 * self.cfg.node_injection_gbps()
-    }
-
     /// Bisection bandwidth of the full system in GB/s (each backplane's
     /// optical uplinks carry half the system's traffic in the worst
     /// case).
@@ -238,9 +233,8 @@ mod tests {
     #[test]
     fn bandwidth_matches_paper_figures() {
         let t = topo();
-        // 20 GB/s per node on board, 320 GB/s per board aggregate.
+        // 20 GB/s per node on board.
         assert!((t.node_bandwidth_gbps(NetLevel::Board) - 20.0).abs() < 1e-9);
-        assert!((t.board_aggregate_gbps() - 320.0).abs() < 1e-9);
         // Top level: 2.5 GB/s channels.
         assert!((t.node_bandwidth_gbps(NetLevel::System) - 2.5).abs() < 1e-9);
         // Bandwidth tapers with distance.

@@ -30,14 +30,6 @@ pub struct CacheAccessStats {
 }
 
 impl CacheAccessStats {
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-
     pub fn merge(&mut self, o: &CacheAccessStats) {
         self.accesses += o.accesses;
         self.hits += o.hits;
@@ -325,7 +317,6 @@ mod tests {
         // 64 words over 8-word lines: 8 misses, 56 hits.
         assert_eq!(st.misses, 8);
         assert_eq!(st.hits, 56);
-        assert_eq!(st.hit_rate(), 56.0 / 64.0);
     }
 
     #[test]

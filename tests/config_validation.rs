@@ -12,8 +12,9 @@
 
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
+use md_sim::water::WaterModel;
 use merrimac_arch::MachineConfig;
-use streammd::{SimError, StreamMdApp, Variant};
+use streammd::{run_multinode, MerrimacDriver, SimError, StreamMdApp, Variant};
 
 fn box_216() -> (WaterBox, NeighborList) {
     let system = WaterBox::builder().molecules(216).seed(42).build();
@@ -90,5 +91,64 @@ fn same_strip_is_fine_for_the_compact_variants() {
     for v in [Variant::Expanded, Variant::Variable] {
         let out = app.run_step_with_list(&system, &list, v).unwrap();
         assert!(out.perf.cycles > 0, "{v}");
+    }
+}
+
+#[test]
+fn inputs_no_stream_program_serves_are_typed_errors_at_every_entry_point() {
+    // Both used to panic: a 5-site model deep inside the force field
+    // (`Workload::of_model` files it under water), an over-long list
+    // radius in `NeighborList::build`'s minimum-image assert.
+    let spc = WaterBox::builder().molecules(27).seed(7).build();
+    let side = spc.pbc().side();
+    let fits = NeighborListParams {
+        cutoff: 0.4 * side,
+        skin: 0.0,
+        rebuild_interval: 10,
+    };
+    let tip5p = WaterBox::builder()
+        .molecules(27)
+        .model(WaterModel::tip5p())
+        .seed(7)
+        .build();
+    let too_long = NeighborListParams {
+        cutoff: 0.6 * side,
+        ..fits
+    };
+    let cases = [
+        ("tip5p", tip5p, fits, "5 interaction sites"),
+        ("cutoff 0.6 side", spc, too_long, "half the box side"),
+    ];
+    for (name, system, params, needle) in cases {
+        // The entry points that take a list get one no `build` made.
+        let list = NeighborList {
+            params,
+            lists: Vec::new(),
+        };
+        let app = StreamMdApp::builder().neighbor(params).build().unwrap();
+        let mut results = Vec::new();
+        for v in Variant::ALL {
+            results.push((format!("run_step/{v}"), app.run_step(&system, v).err()));
+            results.push((
+                format!("run_step_with_list/{v}"),
+                app.run_step_with_list(&system, &list, v).err(),
+            ));
+            results.push((
+                format!("run_multinode/{v}"),
+                run_multinode(&app, &system, &list, v, 2).err(),
+            ));
+            let mut driven = system.clone();
+            let run = MerrimacDriver::new(app.clone(), v).run(&mut driven, 2);
+            results.push((format!("MerrimacDriver::run/{v}"), run.err()));
+            assert_eq!(driven.positions(), system.positions(), "{name}/{v}");
+        }
+        for (entry, err) in results {
+            match err {
+                Some(SimError::Config(msg)) => {
+                    assert!(msg.contains(needle), "{name} via {entry}: {msg}")
+                }
+                other => panic!("{name} via {entry}: expected SimError::Config, got {other:?}"),
+            }
+        }
     }
 }
