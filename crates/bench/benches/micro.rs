@@ -19,7 +19,7 @@ use merrimac_kernel::{
 };
 use merrimac_sim::cache::StreamCache;
 use merrimac_sim::{CompiledKernel, KernelOpt, MemSystem, StreamOp, StreamProcessor};
-use streammd::kernels::{block_kernel, expanded_kernel, kernel_params, variable_kernel};
+use streammd::kernels::{block_kernel, expanded_kernel, variable_kernel, workload_params};
 use streammd::{run_multinode_program, StreamMdApp, Variant};
 
 const SAMPLES: usize = 20;
@@ -188,8 +188,8 @@ fn main() {
     });
 
     let kern = expanded_kernel();
-    let ff = md_sim::force::ForceField::from_model(&md_sim::water::WaterModel::spc());
-    let kparams = kernel_params(&ff);
+    let spc = md_sim::water::WaterModel::spc();
+    let kparams = workload_params(streammd::Workload::of_model(&spc), &spc);
     let n = 256usize;
     let mk = |stride: f64| {
         StreamData::new(

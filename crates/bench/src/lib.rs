@@ -219,7 +219,11 @@ impl DatasetId {
     /// identity, so artifact caches and baselines are workload-aware.
     pub fn workload(self) -> Workload {
         match self {
-            DatasetId::Paper | DatasetId::Small(_) => Workload::Water,
+            // Both are SPC boxes: what `Workload::of_model` derives.
+            DatasetId::Paper | DatasetId::Small(_) => Workload::Water {
+                sites: 3,
+                charged: 0b111,
+            },
             DatasetId::Lj(_) => Workload::LjFluid,
             DatasetId::Charged(_) => Workload::Charged,
         }
@@ -428,8 +432,9 @@ mod tests {
 
     #[test]
     fn dataset_ids_are_workload_aware() {
-        assert_eq!(DatasetId::Paper.workload(), Workload::Water);
-        assert_eq!(DatasetId::Small(27).workload(), Workload::Water);
+        let water = Workload::of_model(&WaterModel::spc());
+        assert_eq!(DatasetId::Paper.workload(), water);
+        assert_eq!(DatasetId::Small(27).workload(), water);
         assert_eq!(DatasetId::Lj(100).workload(), Workload::LjFluid);
         assert_eq!(DatasetId::Charged(100).workload(), Workload::Charged);
         assert_eq!(DatasetId::Lj(100).to_string(), "lj-100");

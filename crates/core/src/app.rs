@@ -28,7 +28,8 @@ pub struct PerfSummary {
     pub cycles: u64,
     pub seconds: f64,
     /// Useful flops (workload flops/interaction × real interactions;
-    /// 234 for water, 35 for the LJ fluid, 41 for charged particles).
+    /// 234 for three-site water, 420 for TIP5P, 35 for the LJ fluid, 41
+    /// for charged particles).
     pub solution_flops: u64,
     pub solution_gflops: f64,
     /// All executed hardware flops (including dummies/duplicates).
@@ -51,7 +52,8 @@ pub struct PerfSummary {
 #[derive(Debug, Clone)]
 pub struct StepOutcome {
     /// Per-site forces (kJ·mol⁻¹·nm⁻¹), `sites × molecules` entries
-    /// (3 per molecule for water, 1 for atomic workloads).
+    /// (3 per molecule for SPC water, 5 for TIP5P, 1 for atomic
+    /// workloads).
     pub forces: Vec<Vec3>,
     pub perf: PerfSummary,
     pub report: RunReport,
@@ -217,7 +219,8 @@ impl StreamMdApp {
 
     /// Default strip size: fill roughly a third of the SRF with live
     /// strip state so double buffering fits. `width` is the molecule
-    /// record width in words (9 for water, 3 for atomic workloads).
+    /// record width in words (9 for three-site water, 3 for atomic
+    /// workloads).
     fn default_strip(&self, variant: Variant, width: usize) -> usize {
         let budget = self.cfg.srf_words_per_cluster * self.cfg.clusters / 3;
         let w = width;
@@ -248,10 +251,15 @@ impl StreamMdApp {
         })
     }
 
-    /// Run one force step of `variant` over `system`.
+    /// Run one force step of `variant` over `system`, the neighbour
+    /// list built on `threads` host threads like the step itself.
     pub fn run_step(&self, system: &WaterBox, variant: Variant) -> Result<StepOutcome, SimError> {
         check_inputs(system, self.neighbor)?;
-        let list = NeighborList::build(system, self.neighbor);
+        let list = rayon::ThreadPoolBuilder::new()
+            .num_threads(self.threads.max(1))
+            .build()
+            .map_err(|e| SimError::Program(format!("thread pool: {e}")))?
+            .install(|| NeighborList::build(system, self.neighbor));
         self.run_step_with_list(system, &list, variant)
     }
 
@@ -260,9 +268,9 @@ impl StreamMdApp {
     /// as [`StreamMdApp::run_step_with_list`] would run them. This is
     /// the entry point for static analysis (`merrimac-lint`).
     ///
-    /// The model must have 1 or 3 interaction sites (the kernels are
-    /// generated for those; the force field asserts it) — the `run_*`
-    /// entry points check that and return an error instead.
+    /// The list radius must fit the box and the model the charged-site
+    /// mask ([`Workload::of_model`] asserts it) — the `run_*` entry
+    /// points check both and return an error instead.
     pub fn build_step_program(
         &self,
         system: &WaterBox,
@@ -450,18 +458,19 @@ impl StreamMdApp {
 }
 
 /// What a step needs of its inputs, checked where they enter and before
-/// any list is built: a model the kernels are generated for, and a list
-/// radius the minimum-image convention can serve (the invariant
-/// `NeighborList::build` asserts).
+/// any list is built: a site count [`Workload`]'s charged-site mask can
+/// hold, and a list radius the minimum-image convention can serve (the
+/// invariants `Workload::of_model` and `NeighborList::build` assert).
 pub(crate) fn check_inputs(
     system: &WaterBox,
     neighbor: NeighborListParams,
 ) -> Result<(), SimError> {
     let sites = system.num_sites();
-    if sites != 1 && sites != 3 {
+    if sites > Workload::MAX_SITES {
         return Err(SimError::Config(format!(
-            "model '{}' has {sites} interaction sites; stream programs are generated for 1 or 3",
-            system.model().name
+            "model '{}' has {sites} interaction sites; stream programs are generated for up to {}",
+            system.model().name,
+            Workload::MAX_SITES
         )));
     }
     let (radius, side) = (neighbor.list_radius(), system.pbc().side());
@@ -865,6 +874,40 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &cloned));
         let other = kernel_of(&app.build_step_program(&system, &list, Variant::Duplicated));
         assert!(!Arc::ptr_eq(&first, &other));
+    }
+
+    #[test]
+    fn one_app_serves_two_water_models_from_two_kernels() {
+        // The site structure is in the key: SPC → TIP5P → SPC on an app
+        // and its clone compiles one kernel per model, and neither
+        // model is ever handed the other's.
+        use md_sim::water::WaterModel;
+        let (spc, _, app) = small_system();
+        let tip5p = WaterBox::builder()
+            .molecules(64)
+            .model(WaterModel::tip5p())
+            .seed(99)
+            .build();
+        let clone = app.clone();
+        for (app, system) in [
+            (&app, &spc),
+            (&app, &tip5p),
+            (&clone, &spc),
+            (&clone, &tip5p),
+            (&app, &spc),
+        ] {
+            let got = app.run_step(system, Variant::Variable).unwrap();
+            let fresh = StreamMdApp::builder()
+                .neighbor(app.neighbor)
+                .build()
+                .unwrap()
+                .run_step(system, Variant::Variable)
+                .unwrap();
+            assert_eq!(got.forces.len(), system.num_sites() * 64);
+            assert_eq!(got.forces, fresh.forces, "{}", system.model().name);
+            assert_eq!(got.perf, fresh.perf, "{}", system.model().name);
+        }
+        assert_eq!(app.kernels.0.lock().unwrap().len(), 2);
     }
 
     #[test]

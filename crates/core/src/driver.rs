@@ -90,6 +90,16 @@ impl MerrimacDriver {
     /// force steps and constraint solves alike).
     pub fn run(&self, system: &mut WaterBox, steps: usize) -> Result<DriverReport, SimError> {
         check_inputs(system, self.app.neighbor)?;
+        // A force step serves any site count; the integrator behind a
+        // trajectory does not (it asserts what is checked here).
+        let sites = system.num_sites();
+        if sites != 1 && sites != 3 {
+            return Err(SimError::Config(format!(
+                "model '{}' has {sites} interaction sites; a trajectory is integrated for 1 \
+                 (plain Verlet) or 3 (SHAKE / RATTLE)",
+                system.model().name
+            )));
+        }
         let integ = Integrator {
             dt: self.dt,
             neighbor: self.app.neighbor,

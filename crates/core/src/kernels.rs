@@ -2,8 +2,8 @@
 //! over the sites of a molecule record and the pair-interaction body.
 //!
 //! [`expanded`], [`block`] (`fixed` / `duplicated`) and [`variable`]
-//! are each written once and instantiated over a [`Model`]: three-site
-//! water around the 9-atom-pair body, or a single-site atom around the
+//! are each written once and instantiated over a [`Model`]: N-site
+//! water around the site-pair body, or a single-site atom around the
 //! LJ ± Coulomb body. The bodies are constructed to match their
 //! operation budgets exactly (tested in this module):
 //!
@@ -13,6 +13,12 @@
 //!   Lennard-Jones terms on the O-O pair                                  +12
 //!   periodic shift applied to the centre molecule                         +9
 //!   virial (shift-force) accumulation, 3 fused multiply-adds              +6
+//!
+//! TIP5P (Section 5.4) — 420 flops, 17 divides and 17 square roots
+//!   16 pairs of charged sites × 23                                       368
+//!   the neutral oxygens' pair, Lennard-Jones only                        +31
+//!   periodic shift, 5 sites                                              +15
+//!   virial                                                                +6
 //!
 //! LJ atom — 35 flops, 1 divide, no square root
 //!   shift 3, displacement 3, r² 5, 1/r² 1, LJ chain 10, force 3,
@@ -24,15 +30,15 @@
 //! ```
 //!
 //! Kernel launch parameters (same order for every variant): the Coulomb
-//! charge products pre-scaled by 1/4πɛ₀ — water's 9 `qq[a][b]`, the
-//! charged atom's one, none for the LJ atom — then `C6` and `C12`.
+//! charge products pre-scaled by 1/4πɛ₀ — water's `sites²` `qq[a][b]`
+//! (9 for three sites), the charged atom's one, none for the LJ atom —
+//! then `C6` and `C12`.
 //!
 //! Node order is part of the simulator's fixed point (schedules, cycle
 //! counts and the trend baselines hang on it); `kernel_ir_is_pinned`
 //! holds every generated kernel to it.
 
-use md_sim::atomic::AtomForceField;
-use md_sim::force::ForceField;
+use md_sim::multisite::MultiSiteField;
 use md_sim::water::WaterModel;
 use merrimac_kernel::builder::{KernelBuilder, Val, V3};
 use merrimac_kernel::ir::StreamMode;
@@ -41,65 +47,39 @@ use merrimac_kernel::Kernel;
 use crate::variant::Variant;
 use crate::workload::Workload;
 
-/// Launch parameters of the water kernels: 9 qq products + C6 + C12.
-pub const NUM_PARAMS: usize = 11;
-/// Launch parameters of the plain LJ kernel: C6, C12.
-pub const NUM_ATOM_PARAMS_LJ: usize = 2;
-/// Launch parameters of the charged kernel: qq, C6, C12.
-pub const NUM_ATOM_PARAMS_CHARGED: usize = 3;
-
-/// Pack force-field parameters in kernel launch order.
-pub fn kernel_params(ff: &ForceField) -> Vec<f64> {
-    let mut p = Vec::with_capacity(NUM_PARAMS);
-    for a in 0..3 {
-        for b in 0..3 {
-            p.push(ff.qq[a][b]);
-        }
-    }
-    p.push(ff.c6);
-    p.push(ff.c12);
-    p
-}
-
-/// Pack atomic force-field parameters in kernel launch order.
-pub fn atom_kernel_params(ff: &AtomForceField, coulomb: bool) -> Vec<f64> {
-    assert_eq!(
-        ff.coulomb(),
-        coulomb,
-        "force field charge does not match the requested kernel"
-    );
-    if coulomb {
-        vec![ff.qq, ff.c6, ff.c12]
-    } else {
-        vec![ff.c6, ff.c12]
-    }
-}
-
 /// One molecule-pair interaction between the (shifted) centre sites
 /// and the neighbour sites: forces on the centre sites, forces on the
 /// neighbour sites, energy/virial contributions.
 type Body = fn(&mut KernelBuilder, &Ctx, &[V3], &[V3]) -> (Vec<V3>, Vec<V3>, Contribution);
 
 /// What a skeleton is instantiated over.
-#[derive(Clone, Copy)]
 struct Model {
     /// Kernel names are `{stem}_{variant}`.
-    stem: &'static str,
+    stem: String,
     /// Interaction sites per molecule record (3 words each).
     sites: usize,
-    /// Charge-product parameters ahead of C6 and C12. A kernel without
-    /// a Coulomb term has none, so its parameter list stays minimal (2
-    /// words in the microcontroller broadcast).
-    qq: usize,
+    /// Bit `s` set: site `s` carries a charge. With any set, the `sites²`
+    /// charge products are parameters ahead of C6 and C12; a kernel
+    /// without a Coulomb term has none, so its parameter list stays
+    /// minimal (2 words in the microcontroller broadcast).
+    charged: u32,
     body: Body,
 }
 
-const WATER: Model = Model {
-    stem: "streammd",
-    sites: 3,
-    qq: 9,
-    body: water_pairs,
-};
+/// N-site water; three sites (all charged in the paper's SPC:
+/// `water(3, 0b111)`) keep the paper kernels' bare name.
+fn water(sites: usize, charged: u32) -> Model {
+    Model {
+        stem: if sites == 3 {
+            "streammd".to_string()
+        } else {
+            format!("streammd_{sites}site")
+        },
+        sites,
+        charged,
+        body: water_pairs,
+    }
+}
 
 fn atom(coulomb: bool) -> Model {
     Model {
@@ -107,9 +87,10 @@ fn atom(coulomb: bool) -> Model {
             "streammd_charged"
         } else {
             "streammd_lj"
-        },
+        }
+        .to_string(),
         sites: 1,
-        qq: coulomb as usize,
+        charged: coulomb as u32,
         body: atom_pair,
     }
 }
@@ -117,6 +98,8 @@ fn atom(coulomb: bool) -> Model {
 /// Shared per-kernel constants and parameter handles.
 struct Ctx {
     qq: Vec<Val>,
+    /// [`Model::charged`].
+    charged: u32,
     c6: Val,
     c12: Val,
     six: Val,
@@ -125,9 +108,11 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn new(b: &mut KernelBuilder, qq: usize) -> Self {
+    fn new(b: &mut KernelBuilder, m: &Model) -> Self {
+        let qq = if m.charged == 0 { 0 } else { m.sites * m.sites };
         Self {
             qq: (0..qq).map(|_| b.param()).collect(),
+            charged: m.charged,
             c6: b.param(),
             c12: b.param(),
             six: b.constant(6.0),
@@ -200,20 +185,24 @@ fn splat(v: Val) -> V3 {
     V3 { x: v, y: v, z: v }
 }
 
-/// Water's body: the 9 atom pairs of two three-site molecules. Together
-/// with the caller-side reduction and the shift this totals exactly 234
-/// solution flops per interaction.
+/// Water's body: every pair of charged sites of two N-site molecules
+/// plus the O–O Lennard-Jones term, which rides on the oxygens' Coulomb
+/// pair or, where they are neutral (TIP5P), is a pair of its own; any
+/// other pair with a neutral site has no term and is skipped. Three
+/// charged sites give the paper's 9 atom pairs: with the caller-side
+/// reduction and the shift, exactly 234 solution flops per interaction.
 fn water_pairs(
     b: &mut KernelBuilder,
     ctx: &Ctx,
     c_shifted: &[V3],
     n: &[V3],
 ) -> (Vec<V3>, Vec<V3>, Contribution) {
+    let sites = n.len();
     let zero = b.constant(0.0);
     let zv = splat(zero);
-    let mut fc = vec![zv; 3];
-    let mut fn_ = vec![zv; 3];
-    let mut vc = Vec::with_capacity(9);
+    let mut fc = vec![zv; sites];
+    let mut fn_ = vec![zv; sites];
+    let mut vc = Vec::with_capacity(sites * sites);
     let mut de_lj = zero;
     let mut d_oo = zv;
     let mut f_oo = zv;
@@ -221,8 +210,13 @@ fn water_pairs(
     // `a`/`n_site` are site indices into several parallel per-site
     // arrays (fc, fn_, qq), so plain index loops read best here.
     #[allow(clippy::needless_range_loop)]
-    for a in 0..3 {
-        for n_site in 0..3 {
+    for a in 0..sites {
+        for n_site in 0..sites {
+            let coulomb = ctx.charged >> a & ctx.charged >> n_site & 1 == 1;
+            let oo = a == 0 && n_site == 0;
+            if !coulomb && !oo {
+                continue;
+            }
             // Displacement and squared distance: 3 + 5 flops.
             let d = b.v3_sub(c_shifted[a], n[n_site]);
             let r2 = b.v3_norm2(d);
@@ -231,21 +225,25 @@ fn water_pairs(
             let r = b.sqrt(r2);
             let rinv = b.div(ctx.one, r);
             let rinv2 = b.mul(rinv, rinv);
-            // Coulomb: V = qq/r, f/r = V/r².
-            let vc_pair = b.mul(ctx.qq[3 * a + n_site], rinv);
-            vc.push(vc_pair);
-            let mut fs = b.mul(vc_pair, rinv2);
-            if a == 0 && n_site == 0 {
-                // Lennard-Jones on the oxygen pair: 11 flops here, the
-                // 12th is the caller's accumulation of `de_lj`.
+            let mut fs = zero;
+            if coulomb {
+                // Coulomb: V = qq/r, f/r = V/r².
+                let vc_pair = b.mul(ctx.qq[sites * a + n_site], rinv);
+                vc.push(vc_pair);
+                fs = b.mul(vc_pair, rinv2);
+            }
+            if oo {
+                // Lennard-Jones on the oxygen pair: 11 flops here (10
+                // without a Coulomb term to add to), the last is the
+                // caller's accumulation of `de_lj`.
                 let (de, fs_lj) = lennard_jones(b, ctx, rinv2);
                 de_lj = de;
-                fs = b.add(fs, fs_lj);
+                fs = if coulomb { b.add(fs, fs_lj) } else { fs_lj };
             }
             let f = b.v3_scale(d, fs);
             fc[a] = b.v3_add(fc[a], f);
             fn_[n_site] = b.v3_sub(fn_[n_site], f);
-            if a == 0 && n_site == 0 {
+            if oo {
                 d_oo = d;
                 f_oo = f;
             }
@@ -320,7 +318,7 @@ fn virial(b: &mut KernelBuilder, d: V3, f: V3) -> Val {
 /// Where the Coulomb add sits is node order, hence fixed: the atomic
 /// kernels issue it right after the Coulomb tree, water after all
 /// three trees.
-fn reduce(b: &mut KernelBuilder, m: Model, acc: Accum, contribs: &[Contribution]) -> Accum {
+fn reduce(b: &mut KernelBuilder, m: &Model, acc: Accum, contribs: &[Contribution]) -> Accum {
     let vcs: Vec<Val> = contribs.iter().flat_map(|c| c.vc.iter().copied()).collect();
     let des: Vec<Val> = contribs.iter().map(|c| c.de_lj).collect();
     let virs: Vec<Val> = contribs.iter().map(|c| c.vir).collect();
@@ -338,8 +336,8 @@ fn reduce(b: &mut KernelBuilder, m: Model, acc: Accum, contribs: &[Contribution]
 
 /// What every skeleton starts with after its stream declarations: the
 /// parameter handles and the three energy/virial accumulator registers.
-fn prologue(b: &mut KernelBuilder, m: Model) -> (Ctx, Accum, [u32; 3]) {
-    let ctx = Ctx::new(b, m.qq);
+fn prologue(b: &mut KernelBuilder, m: &Model) -> (Ctx, Accum, [u32; 3]) {
+    let ctx = Ctx::new(b, m);
     let regs = [b.reg(0.0), b.reg(0.0), b.reg(0.0)];
     let acc = Accum {
         e_coul: b.read_reg(regs[0]),
@@ -358,7 +356,7 @@ fn finish(mut b: KernelBuilder, regs: [u32; 3], acc: Accum) -> Kernel {
 
 /// `expanded`: inputs c_pos + c_shift + n_pos, one record each; outputs
 /// both partial-force records every iteration.
-fn expanded(m: Model) -> Kernel {
+fn expanded(m: &Model) -> Kernel {
     let w = 3 * m.sites as u32;
     let mut b = KernelBuilder::new(format!("{}_expanded", m.stem));
     let s_cpos = b.input("c_positions", w, StreamMode::EveryIteration);
@@ -382,7 +380,7 @@ fn expanded(m: Model) -> Kernel {
 /// `fixed` / `duplicated`: one iteration processes a centre with `l`
 /// (padded) neighbours. `write_neighbor_partials = false` gives the
 /// `duplicated` kernel.
-fn block(m: Model, l: usize, write_neighbor_partials: bool) -> Kernel {
+fn block(m: &Model, l: usize, write_neighbor_partials: bool) -> Kernel {
     assert!(l >= 1);
     let w = 3 * m.sites;
     let variant = if write_neighbor_partials {
@@ -428,7 +426,7 @@ fn block(m: Model, l: usize, write_neighbor_partials: bool) -> Kernel {
 /// records). Whenever the flag fires, the previous centre's accumulated
 /// force is emitted (conditional write) and a new centre record is
 /// popped.
-fn variable(m: Model) -> Kernel {
+fn variable(m: &Model) -> Kernel {
     let w = 3 * m.sites;
     let mut b = KernelBuilder::new(format!("{}_variable", m.stem));
     let s_npos = b.input("n_positions", w as u32, StreamMode::EveryIteration);
@@ -492,41 +490,41 @@ fn variable(m: Model) -> Kernel {
 
 /// Water `expanded`: 9-word records.
 pub fn expanded_kernel() -> Kernel {
-    expanded(WATER)
+    expanded(&water(3, 0b111))
 }
 
 /// Water `fixed` / `duplicated` block kernel of `l` neighbours.
 pub fn block_kernel(l: usize, write_neighbor_partials: bool) -> Kernel {
-    block(WATER, l, write_neighbor_partials)
+    block(&water(3, 0b111), l, write_neighbor_partials)
 }
 
 /// Water `variable`: 18-word centre records, 9 words of loop-carried
 /// force state.
 pub fn variable_kernel() -> Kernel {
-    variable(WATER)
+    variable(&water(3, 0b111))
 }
 
 /// Atomic `expanded`: 3-word records.
 pub fn atom_expanded_kernel(coulomb: bool) -> Kernel {
-    expanded(atom(coulomb))
+    expanded(&atom(coulomb))
 }
 
 /// Atomic `fixed` / `duplicated` block kernel of `l` neighbours.
 pub fn atom_block_kernel(coulomb: bool, l: usize, write_neighbor_partials: bool) -> Kernel {
-    block(atom(coulomb), l, write_neighbor_partials)
+    block(&atom(coulomb), l, write_neighbor_partials)
 }
 
 /// Atomic `variable`: 6-word centre records, 3 words of loop-carried
 /// force state.
 pub fn atom_variable_kernel(coulomb: bool) -> Kernel {
-    variable(atom(coulomb))
+    variable(&atom(coulomb))
 }
 
 /// Generate the kernel for a (workload, variant) pair. `block_l` is the
 /// neighbour-block length used by the `Fixed`/`Duplicated` variants.
 pub fn workload_kernel(workload: Workload, variant: Variant, block_l: usize) -> Kernel {
-    let m = match workload {
-        Workload::Water => WATER,
+    let m = &match workload {
+        Workload::Water { sites, charged } => water(sites, charged),
         Workload::LjFluid | Workload::Charged => atom(workload.coulomb()),
     };
     match variant {
@@ -537,14 +535,18 @@ pub fn workload_kernel(workload: Workload, variant: Variant, block_l: usize) -> 
     }
 }
 
-/// Pack launch parameters for any workload's kernels from its model.
+/// Pack launch parameters for any workload's kernels from its model:
+/// the `sites²` charge products `qq[a][b]`, row-major, where the kernel
+/// has a Coulomb term, then C6 and C12.
 pub fn workload_params(workload: Workload, model: &WaterModel) -> Vec<f64> {
-    match workload {
-        Workload::Water => kernel_params(&ForceField::from_model(model)),
-        Workload::LjFluid | Workload::Charged => {
-            atom_kernel_params(&AtomForceField::from_model(model), workload.coulomb())
-        }
-    }
+    let ff = MultiSiteField::from_model(model);
+    let mut p = if workload.coulomb() {
+        ff.qq
+    } else {
+        Vec::new()
+    };
+    p.extend([ff.c6, ff.c12]);
+    p
 }
 
 #[cfg(test)]
@@ -566,6 +568,18 @@ mod tests {
         assert_eq!(st.solution_flops, FLOPS_PER_INTERACTION, "expanded flops");
         assert_eq!(st.divides, DIVS_PER_INTERACTION);
         assert_eq!(st.square_roots, SQRTS_PER_INTERACTION);
+    }
+
+    #[test]
+    fn tip5p_expanded_kernel_hits_the_n_site_budget() {
+        // 16 pairs of charged sites and the neutral oxygens' LJ pair.
+        let tip5p = Workload::of_model(&WaterModel::tip5p());
+        let st = stats(&workload_kernel(tip5p, Variant::Expanded, 8));
+        assert_eq!(st.solution_flops, 420);
+        assert_eq!(st.solution_flops, tip5p.flops_per_interaction());
+        assert_eq!(st.divides, 17);
+        assert_eq!(st.square_roots, 17);
+        assert_eq!(st.square_roots, tip5p.sqrts_per_interaction());
     }
 
     #[test]
@@ -660,13 +674,28 @@ mod tests {
 
     #[test]
     fn params_order_stable() {
-        let ff = ForceField::from_model(&md_sim::water::WaterModel::spc());
-        let p = kernel_params(&ff);
-        assert_eq!(p.len(), NUM_PARAMS);
-        assert_eq!(p[0], ff.qq[0][0]);
-        assert_eq!(p[8], ff.qq[2][2]);
-        assert_eq!(p[9], ff.c6);
-        assert_eq!(p[10], ff.c12);
+        // Row-major charge products, then C6 and C12; the same bits the
+        // reference force fields compute for themselves.
+        let spc = WaterModel::spc();
+        let ff = md_sim::force::ForceField::from_model(&spc);
+        let p = workload_params(Workload::of_model(&spc), &spc);
+        assert_eq!(p[..9], ff.qq.concat());
+        assert_eq!(p[9..], [ff.c6, ff.c12]);
+
+        let tip5p = WaterModel::tip5p();
+        let p = workload_params(Workload::of_model(&tip5p), &tip5p);
+        assert_eq!(p.len(), 25 + 2);
+        assert_eq!(p[0], 0.0, "neutral oxygen");
+        let q = |s: usize| tip5p.sites[s].charge;
+        assert_eq!(p[5 + 3], md_sim::units::COULOMB * q(1) * q(3));
+
+        let lj = WaterModel::lj_atom();
+        assert_eq!(workload_params(Workload::LjFluid, &lj), [lj.c6, lj.c12]);
+        let ch = md_sim::atomic::AtomForceField::from_model(&WaterModel::charged_atom());
+        assert_eq!(
+            workload_params(Workload::Charged, &WaterModel::charged_atom()),
+            [ch.qq, ch.c6, ch.c12]
+        );
     }
 
     #[test]
@@ -755,28 +784,29 @@ mod tests {
     }
 
     #[test]
-    fn atom_params_order_stable() {
-        let lj = AtomForceField::from_model(&WaterModel::lj_atom());
-        let p = atom_kernel_params(&lj, false);
-        assert_eq!(p, vec![lj.c6, lj.c12]);
-        assert_eq!(p.len(), NUM_ATOM_PARAMS_LJ);
-
-        let ch = AtomForceField::from_model(&WaterModel::charged_atom());
-        let p = atom_kernel_params(&ch, true);
-        assert_eq!(p, vec![ch.qq, ch.c6, ch.c12]);
-        assert_eq!(p.len(), NUM_ATOM_PARAMS_CHARGED);
-    }
-
-    #[test]
     fn workload_dispatch_covers_every_pair() {
-        for w in Workload::ALL {
+        // Two neutral sites: N-site water without a Coulomb term, so
+        // without charge-product parameters.
+        let mut neutral_dimer = WaterModel::spc();
+        neutral_dimer.sites.truncate(2);
+        neutral_dimer.sites.iter_mut().for_each(|s| s.charge = 0.0);
+        for model in [
+            WaterModel::spc(),
+            WaterModel::tip5p(),
+            neutral_dimer,
+            WaterModel::lj_atom(),
+            WaterModel::charged_atom(),
+        ] {
+            let w = Workload::of_model(&model);
             for v in Variant::ALL {
                 let k = workload_kernel(w, v, 8);
                 k.validate_ssa();
+                assert!(lower_kernel(&k, &OpCosts::default()).is_lowered());
                 assert_eq!(
-                    workload_params(w, &w.default_model()).len(),
+                    workload_params(w, &model).len(),
                     k.num_params as usize,
-                    "{w}/{v} param count"
+                    "{}/{v} param count",
+                    model.name
                 );
             }
         }

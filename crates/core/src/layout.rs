@@ -284,7 +284,6 @@ fn build_blocks(
     // For `duplicated` every real pair appears twice; the halving is done
     // globally in `Layout::total_real_interactions` so per-strip odd
     // counts do not lose remainders.
-    let _ = neighbor_partials;
 }
 
 fn build_variable(

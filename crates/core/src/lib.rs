@@ -31,7 +31,6 @@ pub mod driver;
 pub mod kernels;
 pub mod layout;
 pub mod metrics;
-pub mod models;
 pub mod multinode;
 pub mod variant;
 pub mod workload;

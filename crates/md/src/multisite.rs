@@ -3,10 +3,12 @@
 //! The paper's Section 5.4 argues that more accurate water models (TIP5P
 //! with five fixed charges, polarizable models) raise arithmetic
 //! intensity and therefore suit Merrimac even better. This module is the
-//! reference engine for that extension experiment: the same Coulomb +
-//! Lennard-Jones physics as [`crate::force`], but over any fixed-charge
-//! site count. Site 0 is the oxygen and carries the only Lennard-Jones
-//! interaction; every charged site pair contributes Coulomb.
+//! reference engine the N-site stream kernels are held to: the same
+//! Coulomb + Lennard-Jones physics as [`crate::force`], but over any
+//! fixed-charge site count. Site 0 is the oxygen and carries the only
+//! Lennard-Jones interaction; every charged site pair contributes
+//! Coulomb. (The flop budget of that interaction is the stream side's:
+//! `streammd::Workload::flops_per_interaction`.)
 
 use crate::neighbor::NeighborList;
 use crate::system::WaterBox;
@@ -39,42 +41,6 @@ impl MultiSiteField {
             c6: model.c6,
             c12: model.c12,
         }
-    }
-
-    /// Site pairs with a non-zero interaction (charged-charged plus the
-    /// oxygen LJ pair). TIP5P's neutral oxygen only appears via LJ.
-    pub fn active_pairs(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for a in 0..self.sites {
-            for b in 0..self.sites {
-                if self.qq[a * self.sites + b] != 0.0 || (a == 0 && b == 0) {
-                    out.push((a, b));
-                }
-            }
-        }
-        out
-    }
-
-    /// Programmer-visible flops per molecule-pair interaction under the
-    /// paper's accounting convention, generalized from the 3-site 234:
-    /// 22 flops per active Coulomb pair + 1 energy accumulation, 12 for
-    /// the LJ terms, 3 per site for the shift, 6 for the virial.
-    pub fn flops_per_interaction(&self) -> u64 {
-        let pairs = self.active_pairs();
-        let coulomb_pairs = pairs
-            .iter()
-            .filter(|(a, b)| self.qq[a * self.sites + b] != 0.0)
-            .count() as u64;
-        let lj_only = pairs.len() as u64 - coulomb_pairs;
-        // 23 per Coulomb pair; a Lennard-Jones-only pair costs 31
-        // (distance 10 + LJ terms 10 + force/accumulation 10 + energy 1);
-        // LJ riding on a charged O-O pair adds 12 as in the 3-site budget.
-        let oo_charged = self.qq[0] != 0.0;
-        23 * coulomb_pairs
-            + 31 * lj_only
-            + if oo_charged { 12 } else { 0 }
-            + 3 * self.sites as u64
-            + 6
     }
 }
 
@@ -207,26 +173,15 @@ mod tests {
     }
 
     #[test]
-    fn tip5p_oxygen_takes_no_coulomb_force_from_far_pairs() {
-        // TIP5P's oxygen is neutral: its force is pure LJ.
+    fn tip5p_oxygen_is_neutral() {
+        // Row and column 0 of the charge products vanish, so the oxygen
+        // pair is Lennard-Jones only; the 4 charged sites on each side
+        // make 16 Coulomb pairs.
         let ff = MultiSiteField::from_model(&WaterModel::tip5p());
-        assert_eq!(ff.qq[0], 0.0);
-        let pairs = ff.active_pairs();
-        assert!(pairs.contains(&(0, 0)), "O-O LJ pair must stay active");
-        // 4 charged sites on each side -> 16 Coulomb pairs + 1 LJ pair.
-        assert_eq!(pairs.len(), 17);
-    }
-
-    #[test]
-    fn flop_budget_grows_with_site_count() {
-        let spc = MultiSiteField::from_model(&WaterModel::spc());
-        let tip5p = MultiSiteField::from_model(&WaterModel::tip5p());
-        assert_eq!(spc.flops_per_interaction(), 234);
-        assert!(
-            tip5p.flops_per_interaction() > spc.flops_per_interaction() * 3 / 2,
-            "TIP5P budget {} vs SPC {}",
-            tip5p.flops_per_interaction(),
-            spc.flops_per_interaction()
-        );
+        for s in 0..5 {
+            assert_eq!(ff.qq[s], 0.0);
+            assert_eq!(ff.qq[5 * s], 0.0);
+        }
+        assert_eq!(ff.qq.iter().filter(|&&q| q != 0.0).count(), 16);
     }
 }

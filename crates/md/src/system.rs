@@ -5,8 +5,8 @@
 //! (Table 2). [`WaterBox::builder`] places molecules on a jittered cubic
 //! lattice with random orientations — collision-free but liquid-like in
 //! density — and draws molecular velocities from the Maxwell–Boltzmann
-//! distribution. `positions_flat9` exposes exactly the "position array
-//! containing nine coordinates for each molecule" described in Section 3.
+//! distribution. `positions` is the "position array containing nine
+//! coordinates for each molecule" of Section 3, one `Vec3` per site.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -99,23 +99,6 @@ impl WaterBox {
     /// neighbour searching, as in GROMACS water loops.
     pub fn oxygen(&self, m: usize) -> Vec3 {
         self.positions[m * self.model.num_sites()]
-    }
-
-    /// The StreamMD position array: nine coordinates per molecule
-    /// (3 sites × xyz), molecule-major. Only valid for 3-site models.
-    pub fn positions_flat9(&self) -> Vec<f64> {
-        assert_eq!(
-            self.model.num_sites(),
-            3,
-            "flat9 layout requires a 3-site model"
-        );
-        let mut out = Vec::with_capacity(self.num_molecules() * 9);
-        for p in &self.positions {
-            out.push(p.x);
-            out.push(p.y);
-            out.push(p.z);
-        }
-        out
     }
 
     /// Centre of mass of molecule `m`.
@@ -299,15 +282,6 @@ mod tests {
         assert_eq!(b.num_molecules(), 900);
         assert!((b.pbc().side() - 3.0).abs() < 0.01);
         assert_eq!(b.positions().len(), 2700);
-    }
-
-    #[test]
-    fn flat9_layout() {
-        let b = WaterBox::builder().molecules(8).seed(2).build();
-        let flat = b.positions_flat9();
-        assert_eq!(flat.len(), 8 * 9);
-        assert_eq!(flat[0], b.positions()[0].x);
-        assert_eq!(flat[9 + 3], b.positions()[4].x); // molecule 1, site 1
     }
 
     #[test]

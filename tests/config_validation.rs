@@ -96,9 +96,12 @@ fn same_strip_is_fine_for_the_compact_variants() {
 
 #[test]
 fn inputs_no_stream_program_serves_are_typed_errors_at_every_entry_point() {
-    // Both used to panic: a 5-site model deep inside the force field
-    // (`Workload::of_model` files it under water), an over-long list
-    // radius in `NeighborList::build`'s minimum-image assert.
+    // All used to panic: a model of neither 1 nor 3 sites deep inside
+    // the force field, an over-long list radius in
+    // `NeighborList::build`'s minimum-image assert. N-site water is
+    // served by every force step since; what is left to reject there is
+    // a site count `Workload`'s charged-site mask cannot hold, and only
+    // the driver (SHAKE / RATTLE are 3-site) still turns TIP5P away.
     let spc = WaterBox::builder().molecules(27).seed(7).build();
     let side = spc.pbc().side();
     let fits = NeighborListParams {
@@ -106,43 +109,74 @@ fn inputs_no_stream_program_serves_are_typed_errors_at_every_entry_point() {
         skin: 0.0,
         rebuild_interval: 10,
     };
-    let tip5p = WaterBox::builder()
-        .molecules(27)
-        .model(WaterModel::tip5p())
-        .seed(7)
-        .build();
+    let of_model = |model| {
+        WaterBox::builder()
+            .molecules(27)
+            .model(model)
+            .seed(7)
+            .build()
+    };
+    let mut many_sites = WaterModel::spc();
+    while many_sites.num_sites() < 33 {
+        many_sites.sites.push(many_sites.sites[1]);
+    }
     let too_long = NeighborListParams {
         cutoff: 0.6 * side,
         ..fits
     };
+    // (name, system, list parameters, error text, served by a force step)
     let cases = [
-        ("tip5p", tip5p, fits, "5 interaction sites"),
-        ("cutoff 0.6 side", spc, too_long, "half the box side"),
+        (
+            "tip5p",
+            of_model(WaterModel::tip5p()),
+            fits,
+            "5 interaction sites",
+            true,
+        ),
+        (
+            "33 sites",
+            of_model(many_sites),
+            fits,
+            "33 interaction sites",
+            false,
+        ),
+        ("cutoff 0.6 side", spc, too_long, "half the box side", false),
     ];
-    for (name, system, params, needle) in cases {
-        // The entry points that take a list get one no `build` made.
-        let list = NeighborList {
-            params,
-            lists: Vec::new(),
+    for (name, system, params, needle, force_step_serves) in cases {
+        // The entry points that take a list get one no `build` made
+        // where they must refuse before building any.
+        let list = if force_step_serves {
+            NeighborList::build(&system, params)
+        } else {
+            NeighborList {
+                params,
+                lists: Vec::new(),
+            }
         };
         let app = StreamMdApp::builder().neighbor(params).build().unwrap();
-        let mut results = Vec::new();
+        let mut force_steps = Vec::new();
+        let mut driven_runs = Vec::new();
         for v in Variant::ALL {
-            results.push((format!("run_step/{v}"), app.run_step(&system, v).err()));
-            results.push((
+            force_steps.push((format!("run_step/{v}"), app.run_step(&system, v).err()));
+            force_steps.push((
                 format!("run_step_with_list/{v}"),
                 app.run_step_with_list(&system, &list, v).err(),
             ));
-            results.push((
+            force_steps.push((
                 format!("run_multinode/{v}"),
                 run_multinode(&app, &system, &list, v, 2).err(),
             ));
             let mut driven = system.clone();
             let run = MerrimacDriver::new(app.clone(), v).run(&mut driven, 2);
-            results.push((format!("MerrimacDriver::run/{v}"), run.err()));
+            driven_runs.push((format!("MerrimacDriver::run/{v}"), run.err()));
             assert_eq!(driven.positions(), system.positions(), "{name}/{v}");
         }
-        for (entry, err) in results {
+        if force_step_serves {
+            for (entry, err) in force_steps.drain(..) {
+                assert!(err.is_none(), "{name} via {entry}: {err:?}");
+            }
+        }
+        for (entry, err) in force_steps.into_iter().chain(driven_runs) {
             match err {
                 Some(SimError::Config(msg)) => {
                     assert!(msg.contains(needle), "{name} via {entry}: {msg}")

@@ -87,4 +87,22 @@ fn parallel_determinism_at_216_molecules() {
     // (Strip 301 keeps the fixed variant's per-strip SRF footprint small
     // enough to double-buffer at this molecule count.)
     run_case(216, 42, 301, 4);
+
+    // `run_step` builds its own list at the app's width: inline at
+    // `threads = 1`, fanned out at 4 on a box past the list's
+    // parallel-build threshold. Every width builds the same list, so
+    // the step is the same.
+    let system = WaterBox::builder().molecules(512).seed(42).build();
+    let mut app = StreamMdApp::new(MachineConfig::default());
+    app.neighbor.cutoff = (0.45 * system.pbc().side()).min(1.0);
+    let step = |threads| {
+        let mut app = app.clone();
+        app.threads = threads;
+        app.run_step(&system, Variant::Variable)
+            .unwrap_or_else(|e| panic!("run_step x{threads}: {e}"))
+    };
+    let (one, four) = (step(1), step(4));
+    assert_eq!(one.forces, four.forces, "run_step: forces diverged");
+    assert_eq!(one.perf, four.perf, "run_step: perf");
+    assert_eq!(one.report.counters, four.report.counters, "run_step");
 }

@@ -5,7 +5,8 @@
 //! order of the generated kernels and on the region / buffer / op order
 //! of the built step programs, so both are pinned to the bit here:
 //! recorded at the commit before the kernel builders and strip emitters
-//! were merged, and unchanged by that merge.
+//! were merged, and unchanged by that merge. The TIP5P rows were added
+//! with N-site water, which left every row above them as it was.
 
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
@@ -62,6 +63,10 @@ fn kernel_ir_is_pinned() {
             }
         }
     }
+    let tip5p = Workload::of_model(&WaterModel::tip5p());
+    for v in Variant::ALL {
+        got.push(kernel_pin(&workload_kernel(tip5p, v, 8)));
+    }
     let want: Vec<(String, usize, u64)> = KERNEL_PINS
         .iter()
         .map(|&(name, nodes, fnv)| (name.to_string(), nodes, fnv))
@@ -70,7 +75,7 @@ fn kernel_ir_is_pinned() {
 }
 
 /// (kernel name, `nodes.len()`, FNV-1a of `format!("{kernel:?}")`).
-const KERNEL_PINS: [(&str, usize, u64); 24] = [
+const KERNEL_PINS: [(&str, usize, u64); 28] = [
     ("streammd_expanded", 258, 0x71b4_4c2c_ca49_e1c0),
     ("streammd_fixed_l8", 1829, 0x53d3_0a88_59ba_291e),
     ("streammd_variable", 315, 0x6ea3_2a93_0438_28a8),
@@ -95,6 +100,10 @@ const KERNEL_PINS: [(&str, usize, u64); 24] = [
     ("streammd_duplicated_l4", 937, 0x29c0_7313_5269_6cad),
     ("streammd_lj_duplicated_l4", 154, 0x4679_042b_21ab_7b76),
     ("streammd_charged_duplicated_l4", 179, 0x1010_0efb_2ed1_9dfd),
+    ("streammd_5site_expanded", 462, 0x2dce_f397_0a7b_a791),
+    ("streammd_5site_fixed_l8", 3271, 0x05b9_6d08_b774_5ce1),
+    ("streammd_5site_variable", 555, 0x6397_681b_053c_ff1a),
+    ("streammd_5site_duplicated_l8", 3271, 0x56f7_cc73_11ef_d120),
 ];
 
 /// Region names and lengths, buffer names and record widths, and every
@@ -191,7 +200,11 @@ fn program_pin(app: &StreamMdApp, system: &WaterBox, variant: Variant) -> (usize
 #[test]
 fn step_program_shape_is_pinned() {
     let mut got = Vec::new();
-    for model in [WaterModel::spc(), WaterModel::lj_atom()] {
+    for model in [
+        WaterModel::spc(),
+        WaterModel::lj_atom(),
+        WaterModel::tip5p(),
+    ] {
         let builder = WaterBox::builder().molecules(64).seed(99);
         let system = if model.num_sites() == 1 {
             builder.model(model).density(21.0).build()
@@ -215,9 +228,9 @@ fn step_program_shape_is_pinned() {
     assert_eq!(got, PROGRAM_PINS, "got {got:?}");
 }
 
-/// (ops, FNV-1a of the shape) for water-64 then lj-64, `Variant::ALL`
-/// order.
-const PROGRAM_PINS: [(usize, u64); 8] = [
+/// (ops, FNV-1a of the shape) for water-64, lj-64, then tip5p-64,
+/// `Variant::ALL` order.
+const PROGRAM_PINS: [(usize, u64); 12] = [
     (180, 0xf7d9_f53e_a7b4_cd07),
     (45, 0x45c6_a79b_065b_7d2b),
     (154, 0xffc0_93ce_fd18_0b6e),
@@ -226,4 +239,8 @@ const PROGRAM_PINS: [(usize, u64); 8] = [
     (45, 0x99f4_7d5f_4df1_2961),
     (154, 0x8e46_c374_6499_4b2f),
     (64, 0x4554_05eb_ce11_1951),
+    (180, 0x6b82_0dbb_fa84_c038),
+    (45, 0x9079_e27f_494a_8dfa),
+    (154, 0x589b_7417_bdc0_f60c),
+    (64, 0x8f0f_3464_2e82_4824),
 ];

@@ -7,19 +7,27 @@
 //! thread count and simulated node count. This mirrors
 //! `tape_equivalence.rs` for the workload generalization: the water
 //! pipeline's exactness guarantees must hold for every workload the
-//! `Workload` abstraction admits.
+//! `Workload` abstraction admits. N-site water (SPC, TIP3P, TIP5P) is
+//! held to `md_sim::multisite` end to end on the same terms: every
+//! variant, the parallel engine, both kernel engines, admission and
+//! eight nodes.
 
 use md_sim::atomic::{pair_force_atomic, AtomForceField};
+use md_sim::force::compute_forces;
+use md_sim::multisite::compute_forces_multisite;
+use md_sim::neighbor::{NeighborList, NeighborListParams};
+use md_sim::system::WaterBox;
 use md_sim::vec3::Vec3;
 use md_sim::water::WaterModel;
-use merrimac_bench::{run, Dataset};
+use merrimac_bench::{run, Dataset, SEED};
 use merrimac_kernel::interp::{InterpOutput, Interpreter, StreamData};
 use merrimac_kernel::CompiledTape;
+use merrimac_sim::{HostExec, KernelEngine};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use streammd::kernels::{atom_expanded_kernel, atom_variable_kernel, workload_params};
-use streammd::{Variant, Workload};
+use streammd::{run_multinode, StreamMdApp, Variant, Workload};
 
 fn workload_setup(coulomb: bool) -> (AtomForceField, Vec<f64>) {
     let (model, wl) = if coulomb {
@@ -263,4 +271,132 @@ fn atomic_step_forces_invariant_across_threads_and_nodes() {
             }
         }
     }
+}
+
+// ---- N-site water through the one pipeline -----------------------------
+
+/// FNV-1a over the force bits of the SPC rows below, `Variant::ALL`
+/// order for 64 then 216 molecules: recorded with the build of the
+/// commit before N-site water, when three sites were all `run_step`
+/// served and `compute_forces` all it was checked against.
+const SPC_FORCE_PINS: [u64; 8] = [
+    0xb8a4_adce_df82_f0b1,
+    0xb3b0_1b83_2220_6aed,
+    0xab59_045f_c80f_6353,
+    0xb3ad_a455_c5ad_4681,
+    0x3cc2_3327_2296_b36d,
+    0x8930_4240_ccca_0ece,
+    0x6dc3_b95f_3ade_83cc,
+    0xcba5_abd2_ba97_9562,
+];
+
+fn fnv(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+fn assert_forces_close(got: &[Vec3], want: &[Vec3], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: sites");
+    let scale = want.iter().map(|f| f.norm()).fold(1.0f64, f64::max);
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let err = (*g - *w).max_abs();
+        assert!(err < 1e-8 * scale, "{ctx}: site {i} off by {err:.2e}");
+    }
+}
+
+/// SPC, TIP3P and TIP5P × every variant on 64 and 216 molecules through
+/// `StreamMdApp::run_step`: forces against the N-site reference, on the
+/// parallel engine, the same bits under every host, admitted by the
+/// static analysis and unchanged by an 8-node decomposition. Five sites
+/// with four charges do 1.8× the arithmetic of three on 1.67× the
+/// words, so TIP5P's measured intensity is above SPC's (Section 5.4).
+#[test]
+fn n_site_water_is_served_by_the_main_pipeline_on_every_variant() {
+    let mut spc_pins = Vec::new();
+    for molecules in [64usize, 216] {
+        let mut intensity = Vec::new();
+        for model in [WaterModel::spc(), WaterModel::tip3p(), WaterModel::tip5p()] {
+            let system = WaterBox::builder()
+                .molecules(molecules)
+                .model(model.clone())
+                .seed(SEED)
+                .build();
+            let params = NeighborListParams {
+                cutoff: (0.45 * system.pbc().side()).min(1.0),
+                skin: 0.0,
+                rebuild_interval: 10,
+            };
+            let list = NeighborList::build(&system, params);
+            let reference = compute_forces_multisite(&system, &list).forces;
+            let app = StreamMdApp::builder().neighbor(params);
+            let default_app = app.clone().build().unwrap();
+            let mut per_variant = Vec::new();
+            for variant in Variant::ALL {
+                let ctx = format!("{} x{molecules} {variant}", model.name);
+                let base = default_app
+                    .run_step(&system, variant)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_forces_close(&base.forces, &reference, &ctx);
+                let partition = base.report.partition;
+                assert!(
+                    partition.parallelized && partition.fallback.is_none(),
+                    "{ctx}: {partition:?}"
+                );
+                let base_bits = force_bits(&base.forces);
+                if model.name == "SPC" {
+                    let three_site = compute_forces(&system, &list).forces;
+                    assert_forces_close(&base.forces, &three_site, &ctx);
+                    spc_pins.push(fnv(&base_bits));
+                }
+                per_variant.push(base.perf.intensity_measured);
+
+                for threads in [1usize, 2, 8] {
+                    for engine in [KernelEngine::Batch, KernelEngine::Interp] {
+                        let host = HostExec {
+                            threads,
+                            engine,
+                            partition_verbose: false,
+                        };
+                        let out = app.clone().host(host).build().unwrap();
+                        let out = out.run_step(&system, variant).unwrap();
+                        let ctx = format!("{ctx} under {host:?}");
+                        assert_eq!(force_bits(&out.forces), base_bits, "{ctx}: forces");
+                        assert_eq!(out.perf.cycles, base.perf.cycles, "{ctx}: cycles");
+                        assert_eq!(out.report.counters, base.report.counters, "{ctx}");
+                    }
+                }
+
+                let admitted = app.clone().analyze().build().unwrap();
+                let admitted = admitted
+                    .run_step_with_list(&system, &list, variant)
+                    .unwrap_or_else(|e| panic!("{ctx}: not admitted: {e}"));
+                assert_eq!(force_bits(&admitted.forces), base_bits, "{ctx}: admitted");
+
+                let multi = run_multinode(&default_app, &system, &list, variant, 8)
+                    .unwrap_or_else(|e| panic!("{ctx} on 8 nodes: {e}"));
+                assert_eq!(
+                    force_bits(&multi.outcome.forces),
+                    base_bits,
+                    "{ctx}: 8 nodes"
+                );
+            }
+            intensity.push(per_variant);
+        }
+        let (spc, tip5p) = (&intensity[0], &intensity[2]);
+        for (i, variant) in Variant::ALL.iter().enumerate() {
+            if matches!(variant, Variant::Expanded | Variant::Variable) {
+                assert!(
+                    tip5p[i] > 1.08 * spc[i],
+                    "x{molecules} {variant}: TIP5P {:.2} vs SPC {:.2} flops/word",
+                    tip5p[i],
+                    spc[i]
+                );
+            }
+        }
+    }
+    assert_eq!(spc_pins, SPC_FORCE_PINS, "got {spc_pins:#018x?}");
 }
