@@ -16,25 +16,27 @@
 //!   upper bound). Iteration counts are unroll-aware: flows are
 //!   computed over the *unrolled* IR, the form the engines execute.
 //!
-//! * **Per-region word-range access summaries** ([`RegionAccess`],
-//!   [`region_accesses`]) — for every stream-level op touching node
-//!   memory, the access kind plus a word-range bounding box: exact for
-//!   sequential loads/stores, an index bounding box for gathers and
-//!   scatter-adds. Store extents use the producer buffer's capacity,
-//!   the same accounting `partition_program` admits on, so the passes
-//!   and the partitioner cannot disagree about footprints.
+//! * **Per-region word-range access summaries**
+//!   (`merrimac_sim::region_accesses`) — for every stream-level op
+//!   touching node memory, the access kind plus a word-range bounding
+//!   box: exact for sequential loads, an index bounding box for gathers
+//!   and scatter-adds, the producer buffer's capacity for stores. They
+//!   are the partitioner's own, so the passes and `partition_program`
+//!   cannot disagree about footprints.
 //!
-//! A forward walk ([`BufferState`], [`buffer_flow`]) propagates these
-//! per-op facts through the SRF buffers in program order, yielding an
-//! interval of words available in each buffer at every kernel launch —
+//! A forward walk ([`buffer_flow`]) propagates these per-op facts
+//! through the SRF buffers in program order, yielding an interval of
+//! words available in each input buffer of every kernel launch —
 //! the fixpoint the STREAM_UNDERRUN pass consumes. (Programs are
 //! straight-line per strip, so one forward pass *is* the fixpoint; the
 //! interval join is still here for re-produced buffers.)
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use merrimac_sim::kernelc::CompiledKernel;
-use merrimac_sim::program::{AccessKind, StreamOp, StreamProgram};
+use merrimac_sim::program::{BufferId, StreamOp, StreamProgram};
 
 /// Closed interval `[lo, hi]` over word/record counts — the lattice
 /// element of every flow fact. `lo` is a guaranteed minimum, `hi` a
@@ -132,109 +134,30 @@ pub fn kernel_flow(kernel: &CompiledKernel) -> KernelFlow {
     }
 }
 
-/// One stream-level op's touch on a memory region: the kind plus a
-/// word-range bounding box `[start, end)`.
+/// What one kernel launch finds, from a forward abstract interpretation
+/// in program order.
 #[derive(Debug, Clone)]
-pub struct RegionAccess {
-    /// Index of the op in `program.ops`.
-    pub op_index: usize,
-    pub kind: AccessKind,
-    /// First word possibly touched.
-    pub start: usize,
-    /// One past the last word possibly touched.
-    pub end: usize,
-}
-
-/// Word-range access summaries per region (keyed by `RegionId.0`), in
-/// op order. Gather/scatter-add footprints are index bounding boxes;
-/// loads are exact; store extents use the producer buffer's capacity —
-/// the identical accounting the strip partitioner ranges stores with.
-pub fn region_accesses(program: &StreamProgram) -> BTreeMap<usize, Vec<RegionAccess>> {
-    // Producer op of each buffer bounds store ranges, as in
-    // `partition_program`.
-    let mut producer: BTreeMap<usize, usize> = BTreeMap::new();
-    for (i, lop) in program.ops.iter().enumerate() {
-        for b in merrimac_sim::machine::produced_buffers(&lop.op) {
-            producer.entry(b.0).or_insert(i);
-        }
-    }
-    let mut map: BTreeMap<usize, Vec<RegionAccess>> = BTreeMap::new();
-    for (i, lop) in program.ops.iter().enumerate() {
-        let Some((region, kind)) = lop.op.region_use() else {
-            continue;
-        };
-        let (start, end) = match &lop.op {
-            StreamOp::Gather {
-                record_len,
-                indices,
-                ..
-            }
-            | StreamOp::ScatterAdd {
-                record_len,
-                indices,
-                ..
-            } => match (indices.iter().min(), indices.iter().max()) {
-                (Some(&lo), Some(&hi)) => {
-                    (lo as usize * record_len, (hi as usize + 1) * record_len)
-                }
-                _ => (0, 0),
-            },
-            StreamOp::Load {
-                record_len,
-                start,
-                records,
-                ..
-            } => (start * record_len, (start + records) * record_len),
-            StreamOp::Store {
-                src,
-                record_len,
-                start,
-                ..
-            } => {
-                let cap = producer
-                    .get(&src.0)
-                    .map(|&p| {
-                        merrimac_sim::machine::buffer_capacity_words(
-                            program,
-                            &program.ops[p].op,
-                            *src,
-                        )
-                    })
-                    .unwrap_or(0);
-                let s = start * record_len;
-                (s, s + cap)
-            }
-            StreamOp::Kernel { .. } => unreachable!("kernels have no region use"),
-        };
-        map.entry(region.0).or_default().push(RegionAccess {
-            op_index: i,
-            kind,
-            start,
-            end,
-        });
-    }
-    map
-}
-
-/// Interval of words available in each SRF buffer immediately before
-/// each op, from a forward abstract interpretation in program order.
-#[derive(Debug, Clone, Default)]
-pub struct BufferState {
-    /// `buffer id -> [lo, hi]` words. Absent means never produced (or
-    /// bounds unknown after a rejected launch).
+pub struct LaunchState {
+    /// `buffer id -> [lo, hi]` words available in each of the launch's
+    /// input buffers. Absent means never produced (or bounds unknown
+    /// after a rejected launch).
     pub words: BTreeMap<usize, Interval>,
+    /// The launched kernel's flow: one per distinct kernel, shared by
+    /// all its launches.
+    pub flow: Rc<KernelFlow>,
 }
 
 /// Forward-propagate buffer availability through the program. Returns,
-/// for each kernel op index, the buffer state *at launch* — what the
-/// STREAM_UNDERRUN pass judges pops against. Transfer functions:
+/// for each kernel op index, the state of its inputs *at launch* — what
+/// the STREAM_UNDERRUN pass judges pops against. Transfer functions:
 /// gathers and loads produce exact word counts (availability is
 /// replaced — the executors overwrite re-produced buffers); kernel
 /// outputs produce `unrolled_iters × out_words_per_iter`; launches
 /// whose iteration count the unroll factor does not divide poison
 /// their outputs (the simulator rejects them before any words move).
-pub fn buffer_flow(program: &StreamProgram) -> BTreeMap<usize, BufferState> {
-    let mut state = BufferState::default();
+pub fn buffer_flow(program: &StreamProgram) -> BTreeMap<usize, LaunchState> {
+    let mut state: BTreeMap<usize, Interval> = BTreeMap::new();
+    let mut flows: BTreeMap<*const CompiledKernel, Rc<KernelFlow>> = BTreeMap::new();
     let mut at_launch = BTreeMap::new();
     for (i, lop) in program.ops.iter().enumerate() {
         match &lop.op {
@@ -244,9 +167,7 @@ pub fn buffer_flow(program: &StreamProgram) -> BTreeMap<usize, BufferState> {
                 dst,
                 ..
             } => {
-                state
-                    .words
-                    .insert(dst.0, Interval::exact(indices.len() * record_len));
+                state.insert(dst.0, Interval::exact(indices.len() * record_len));
             }
             StreamOp::Load {
                 record_len,
@@ -254,33 +175,39 @@ pub fn buffer_flow(program: &StreamProgram) -> BTreeMap<usize, BufferState> {
                 dst,
                 ..
             } => {
-                state
-                    .words
-                    .insert(dst.0, Interval::exact(records * record_len));
+                state.insert(dst.0, Interval::exact(records * record_len));
             }
             StreamOp::Kernel {
                 kernel,
+                inputs,
                 outputs,
                 iterations,
                 ..
             } => {
-                at_launch.insert(i, state.clone());
+                let flow = flows
+                    .entry(Arc::as_ptr(kernel))
+                    .or_insert_with(|| Rc::new(kernel_flow(kernel)));
+                let held = |b: &BufferId| state.get(&b.0).map(|&words| (b.0, words));
+                let launch = LaunchState {
+                    words: inputs.iter().filter_map(held).collect(),
+                    flow: flow.clone(),
+                };
+                at_launch.insert(i, launch);
                 let unroll = kernel.opt.unroll as u64;
                 if unroll == 0 || *iterations % unroll != 0 {
                     for b in outputs {
-                        state.words.remove(&b.0);
+                        state.remove(&b.0);
                     }
                     continue;
                 }
                 let unrolled = (*iterations / unroll) as usize;
-                let flow = kernel_flow(kernel);
                 for (o, b) in outputs.iter().enumerate() {
                     let per_iter = flow
                         .out_words_per_iter
                         .get(o)
                         .copied()
                         .unwrap_or(Interval::exact(0));
-                    state.words.insert(b.0, per_iter.scale(unrolled));
+                    state.insert(b.0, per_iter.scale(unrolled));
                 }
             }
             StreamOp::ScatterAdd { .. } | StreamOp::Store { .. } => {}

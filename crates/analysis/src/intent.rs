@@ -6,7 +6,7 @@
 //! `ReadOnly`/`WriteOwned`/`ReduceAdd` intents; the simulator's
 //! `validate_program` rejects intent-violating ops only at run time.
 //! This pass closes the gap statically, from the
-//! [`region_accesses`](crate::dataflow::region_accesses) summaries:
+//! [`region_accesses`] summaries:
 //!
 //! * **INTENT_MISMATCH** (Error) — a region's declared intent does not
 //!   permit an access the program actually performs (e.g. a store to a
@@ -23,8 +23,8 @@
 use std::collections::BTreeSet;
 
 use merrimac_sim::program::{AccessIntent, AccessKind, RegionId};
+use merrimac_sim::region_accesses;
 
-use crate::dataflow::region_accesses;
 use crate::diag::Diagnostic;
 use crate::lints::Lint;
 use crate::ProgramContext;

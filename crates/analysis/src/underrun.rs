@@ -14,7 +14,7 @@
 
 use merrimac_sim::program::StreamOp;
 
-use crate::dataflow::{buffer_flow, kernel_flow};
+use crate::dataflow::buffer_flow;
 use crate::diag::Diagnostic;
 use crate::lints::Lint;
 use crate::ProgramContext;
@@ -45,7 +45,7 @@ pub fn check(ctx: &ProgramContext) -> Vec<Diagnostic> {
         let Some(state) = states.get(&i) else {
             continue;
         };
-        let flow = kernel_flow(kernel);
+        let flow = &state.flow;
         for (s, b) in inputs.iter().enumerate() {
             if !flow.every_iter.get(s).copied().unwrap_or(false) {
                 continue;

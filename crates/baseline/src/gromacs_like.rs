@@ -80,10 +80,10 @@ pub fn water_water_forces_sse_like(system: &WaterBox, list: &NeighborList) -> Si
         })
         .collect();
 
-    for l in &list.lists {
-        let shift = pbc.shift_vector(l.shift_index as usize);
+    for (center, shift_index, neighbors) in list.groups() {
+        let shift = pbc.shift_vector(shift_index as usize);
         let (sx, sy, sz) = (shift.x as f32, shift.y as f32, shift.z as f32);
-        let c = l.center as usize;
+        let c = center as usize;
         // Shifted central molecule coordinates, kept in registers in the
         // assembly loop.
         let mut cx = [0.0f32; 3];
@@ -98,7 +98,7 @@ pub fn water_water_forces_sse_like(system: &WaterBox, list: &NeighborList) -> Si
         let mut fiy = [0.0f32; 3];
         let mut fiz = [0.0f32; 3];
 
-        for &jn in &l.neighbors {
+        for &jn in neighbors {
             let j = jn as usize;
             interactions += 1;
             for a in 0..3 {

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrate hot paths: the reference force
 //! engine, the GROMACS-like single-precision loop, neighbour-list
-//! construction, the cache model, the VLIW schedulers and the kernel
-//! interpreter.
+//! construction, the stream layout, program build and admission, the
+//! cache model, the VLIW schedulers and the kernel interpreter.
 //!
 //! Criterion is unavailable offline, so this harness times each closure
 //! directly: a warm-up pass, then the median of `SAMPLES` timed runs.
@@ -20,6 +20,7 @@ use merrimac_kernel::{
 use merrimac_sim::cache::StreamCache;
 use merrimac_sim::{CompiledKernel, KernelOpt, MemSystem, StreamOp, StreamProcessor};
 use streammd::kernels::{block_kernel, expanded_kernel, variable_kernel, workload_params};
+use streammd::layout::build_layout;
 use streammd::{run_multinode_program, StreamMdApp, Variant};
 
 const SAMPLES: usize = 20;
@@ -87,6 +88,7 @@ fn main() {
         skin: 0.0,
         rebuild_interval: 10,
     };
+    bench("neighbor_list_216", || NeighborList::build(&system, params));
     bench("neighbor_list_900", || {
         NeighborList::build(&big, big_params)
     });
@@ -104,6 +106,23 @@ fn main() {
     let (paper, paper_list) = merrimac_bench::paper_system();
     let app = StreamMdApp::builder().build().expect("defaults are valid");
     let step = app.build_step_program(&paper, &paper_list, Variant::Expanded);
+    // The scalar half of that step after the list: the layout alone (cut
+    // at the built program's strip size), the whole build around it
+    // (kernel memoised), and the admission analysis.
+    let strip_size = step.layout.strips[0].iterations as usize;
+    bench("build_layout_expanded_900", || {
+        build_layout(
+            &paper,
+            &paper_list,
+            Variant::Expanded,
+            app.block_l,
+            strip_size,
+        )
+    });
+    bench("build_step_program_expanded_900", || {
+        app.build_step_program(&paper, &paper_list, Variant::Expanded)
+    });
+    bench("admit_expanded_900", || app.admit_built(&step));
     let strip = step.program.ops[0].strip;
     let scatters: Vec<_> = step
         .program

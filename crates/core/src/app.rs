@@ -12,8 +12,8 @@ use merrimac_arch::{MachineConfig, NetworkConfig, OpCosts};
 use merrimac_sim::machine::SimError;
 use merrimac_sim::program::Memory;
 use merrimac_sim::{
-    AccessIntent, BatchWidth, CompiledKernel, HostExec, KernelEngine, KernelOpt, ProgramBuilder,
-    RegionId, RunReport, SdrPolicy, StreamProcessor, StreamProgram,
+    AccessIntent, BatchWidth, CompiledKernel, HostExec, IndexStream, KernelEngine, KernelOpt,
+    ProgramBuilder, RegionId, RunReport, SdrPolicy, StreamProcessor, StreamProgram,
 };
 
 use crate::kernels;
@@ -489,23 +489,23 @@ struct StripStreams<'a> {
     /// Index streams `(name, record indices)`: they live in memory and
     /// are loaded through the SRF before the address generators can use
     /// them.
-    index: Vec<(&'static str, &'a [u32])>,
+    index: Vec<(&'static str, &'a IndexStream)>,
     /// Streams the kernel reads as loaded `(region name, buffer name,
     /// words, record width)`.
     loaded: Vec<(&'static str, &'static str, &'a [f64], usize)>,
     /// Streams the kernel reads through a gather `(buffer name, label
     /// name, source region, record indices)`, ahead of the loaded ones.
-    gathered: Vec<(&'static str, &'static str, RegionId, &'a [u32])>,
+    gathered: Vec<(&'static str, &'static str, RegionId, &'a IndexStream)>,
     /// Streams the kernel writes, each scatter-added into the force
     /// array `(buffer name, label name, record indices)`.
-    outputs: Vec<(&'static str, &'static str, &'a [u32])>,
+    outputs: Vec<(&'static str, &'static str, &'a IndexStream)>,
 }
 
 impl<'a> StripStreams<'a> {
     fn of(variant: Variant, s: &'a Strip, w: usize, positions: RegionId, shifts: RegionId) -> Self {
-        let n_pos = ("n_pos", "n_pos", positions, &s.i_neighbor[..]);
-        let c_force = ("c_force", "c", &s.c_scatter[..]);
-        let n_partial = ("n_partial", "n", &s.n_scatter[..]);
+        let n_pos = ("n_pos", "n_pos", positions, &s.i_neighbor);
+        let c_force = ("c_force", "c", &s.c_scatter);
+        let n_partial = ("n_partial", "n", &s.n_scatter);
         if variant == Variant::Variable {
             // Centre records are sequential (prepared in list order by
             // the scalar core): position + shift, 2·width words.
@@ -592,7 +592,7 @@ fn emit_strip(
         .collect();
     for (&(_, label, region, idx), &buf) in streams.gathered.iter().zip(&gathered) {
         let label = format!("gather {label} {sid}");
-        pb.gather(label, region, w, Arc::new(idx.to_vec()), buf);
+        pb.gather(label, region, w, idx.clone(), buf);
     }
     pb.kernel(
         format!("interact {sid}"),
@@ -605,7 +605,7 @@ fn emit_strip(
     );
     for (&(_, label, idx), buf) in streams.outputs.iter().zip(outputs) {
         let label = format!("scatter+ {label} {sid}");
-        pb.scatter_add(label, buf, forces, w, Arc::new(idx.to_vec()));
+        pb.scatter_add(label, buf, forces, w, idx.clone());
     }
 }
 

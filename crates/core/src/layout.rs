@@ -12,6 +12,11 @@
 //! * `variable` — per-centre runs with a new-centre flag stream and a
 //!   conditional centre-record stream.
 //!
+//! Every builder reads the list's `(centre, shift, neighbours)` groups
+//! straight off its CSR, in canonical order, and writes strips by slice
+//! copies into [`IndexStream`]s that the stream program's gathers and
+//! scatter-adds then share: no pair or block array in between.
+//!
 //! Dummy molecules are placed ~10¹² nm away so their force contribution
 //! underflows to a physically negligible value while exercising exactly
 //! the same arithmetic (the paper's dummies likewise "do not contribute
@@ -20,6 +25,7 @@
 use md_sim::neighbor::NeighborList;
 use md_sim::pbc::Pbc;
 use md_sim::system::WaterBox;
+use merrimac_sim::IndexStream;
 
 use crate::variant::{DatasetStats, Variant};
 use crate::workload::Workload;
@@ -27,7 +33,8 @@ use crate::workload::Workload;
 /// Distance scale of dummy molecules (nm).
 const DUMMY_FAR: f64 = 2.0e12;
 
-/// One strip of work (the unit of strip-mining, Section 3.2).
+/// One strip of work (the unit of strip-mining, Section 3.2). A stream
+/// used twice (gathered centres are scattered to) is one allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Strip {
     /// Kernel loop iterations in this strip.
@@ -39,17 +46,17 @@ pub struct Strip {
     pub real_interactions: u64,
     /// Gather indices into the position region for centre molecules
     /// (one per iteration for `expanded`, one per block for fixed-L).
-    pub i_central: Vec<u32>,
+    pub i_central: IndexStream,
     /// Gather indices into the 27-entry shift table, parallel to
     /// `i_central`.
-    pub i_shift: Vec<u32>,
+    pub i_shift: IndexStream,
     /// Gather indices for neighbour positions (padded for blocks).
-    pub i_neighbor: Vec<u32>,
+    pub i_neighbor: IndexStream,
     /// Scatter-add record indices for centre forces.
-    pub c_scatter: Vec<u32>,
+    pub c_scatter: IndexStream,
     /// Scatter-add record indices for neighbour partial forces (empty
     /// for `duplicated`).
-    pub n_scatter: Vec<u32>,
+    pub n_scatter: IndexStream,
     /// `variable` only: one flag word per iteration (1.0 = new centre).
     pub flags: Vec<f64>,
     /// `variable` only: 2·width-word centre records (positions + shift,
@@ -150,6 +157,9 @@ pub fn build_layout(
     let table = shift_table(system.pbc(), system.num_sites());
     let workload = Workload::of_model(system.model());
 
+    // Fixed-layout statistics are reported for every variant (Table 2).
+    let blocks = |(_, _, group): (u32, u8, &[u32])| group.len().div_ceil(block_l);
+    let blocks_half: usize = list.groups().map(blocks).sum();
     let mut layout = Layout {
         variant,
         workload,
@@ -163,123 +173,115 @@ pub fn build_layout(
         stats: DatasetStats {
             molecules: n,
             interactions: list.num_pairs(),
-            repeated_molecules_fixed: 0,
-            total_neighbors_fixed: 0,
+            repeated_molecules_fixed: blocks_half,
+            total_neighbors_fixed: blocks_half * block_l,
         },
         block_l,
     };
 
-    // Fixed-layout statistics are reported for every variant (Table 2).
-    let blocks_half: usize = list
-        .lists
-        .iter()
-        .map(|l| l.neighbors.len().div_ceil(block_l))
-        .sum();
-    layout.stats.repeated_molecules_fixed = blocks_half;
-    layout.stats.total_neighbors_fixed = blocks_half * block_l;
-
     match variant {
-        Variant::Expanded => build_expanded(&mut layout, list, strip_iterations),
-        Variant::Fixed => build_blocks(&mut layout, half_groups(list), strip_iterations, true),
+        Variant::Expanded => build_blocks(&mut layout, list.groups(), strip_iterations, 1, true),
+        Variant::Fixed => build_blocks(&mut layout, list.groups(), strip_iterations, block_l, true),
         Variant::Duplicated => {
-            build_blocks(&mut layout, full_groups(list, n), strip_iterations, false)
+            let (starts, neighbors) = full_list(list, n);
+            let filled = (0..).zip(starts.windows(2)).filter(|(_, w)| w[0] < w[1]);
+            let groups = filled.map(|(key, w): (usize, _)| {
+                let (c, shift) = (key / Pbc::NUM_SHIFTS, key % Pbc::NUM_SHIFTS);
+                let group = &neighbors[w[0] as usize..w[1] as usize];
+                (c as u32, shift as u8, group)
+            });
+            build_blocks(&mut layout, groups, strip_iterations, block_l, false)
         }
         Variant::Variable => build_variable(&mut layout, list, strip_iterations, system),
     }
     layout
 }
 
-/// (centre, shift, neighbours) groups of the half list.
-fn half_groups(list: &NeighborList) -> Vec<(u32, u8, Vec<u32>)> {
-    list.lists
-        .iter()
-        .map(|l| (l.center, l.shift_index, l.neighbors.clone()))
-        .collect()
-}
-
-/// Full-list groups: every pair appears under both molecules, with the
-/// shift inverted for the reversed direction.
-fn full_groups(list: &NeighborList, n: usize) -> Vec<(u32, u8, Vec<u32>)> {
-    let mut per_center: Vec<std::collections::BTreeMap<u8, Vec<u32>>> = vec![Default::default(); n];
-    for l in &list.lists {
-        for &j in &l.neighbors {
-            per_center[l.center as usize]
-                .entry(l.shift_index)
-                .or_default()
-                .push(j);
-            per_center[j as usize]
-                .entry(invert_shift(l.shift_index))
-                .or_default()
-                .push(l.center);
+/// The full list as a CSR over `(centre, shift)` keys (`centre · 27 +
+/// shift`): every pair appears under both molecules, with the shift
+/// inverted for the reversed direction. A stable counting sort of the
+/// half list's canonical order, so each group ascends.
+fn full_list(list: &NeighborList, n: usize) -> (Vec<u32>, Vec<u32>) {
+    let key = |c: u32, shift: u8| c as usize * Pbc::NUM_SHIFTS + shift as usize;
+    let mut starts = vec![0u32; n * Pbc::NUM_SHIFTS + 1];
+    for (c, shift, neighbors) in list.groups() {
+        starts[key(c, shift) + 1] += neighbors.len() as u32;
+        for &j in neighbors {
+            starts[key(j, invert_shift(shift)) + 1] += 1;
         }
     }
-    let mut out = Vec::new();
-    for (c, by_shift) in per_center.into_iter().enumerate() {
-        for (shift, neighbors) in by_shift {
-            out.push((c as u32, shift, neighbors));
+    for k in 1..starts.len() {
+        starts[k] += starts[k - 1];
+    }
+    let mut cursor = starts.clone();
+    let mut out = vec![0u32; 2 * list.num_pairs()];
+    let mut put = |k: usize, m: u32| {
+        out[cursor[k] as usize] = m;
+        cursor[k] += 1;
+    };
+    for (c, shift, neighbors) in list.groups() {
+        for &j in neighbors {
+            put(key(c, shift), j);
+            put(key(j, invert_shift(shift)), c);
         }
     }
-    out
+    (starts, out)
 }
 
-fn build_expanded(layout: &mut Layout, list: &NeighborList, strip_iterations: usize) {
-    let pairs = list.flat_pairs();
-    for chunk in pairs.chunks(strip_iterations.max(1)) {
-        let mut s = Strip {
-            iterations: chunk.len() as u64,
-            real_interactions: chunk.len() as u64,
-            ..Default::default()
-        };
-        for &(c, j, shift) in chunk {
-            s.i_central.push(c);
-            s.i_shift.push(shift as u32);
-            s.i_neighbor.push(j);
-            s.c_scatter.push(c);
-            s.n_scatter.push(j);
-        }
-        s.max_cluster_iterations = s.iterations.div_ceil(16);
-        layout.strips.push(s);
-    }
-}
-
-fn build_blocks(
+/// Strips of `strip_iterations` blocks, a block being one centre under
+/// one shift with `l` of its neighbours, the last block of a group
+/// padded with the dummy. A group goes in by slice copies, as many whole
+/// blocks at a time as the strip has room for. `expanded` is the `l = 1`
+/// case: a block per pair and nothing to pad.
+fn build_blocks<'a>(
     layout: &mut Layout,
-    groups: Vec<(u32, u8, Vec<u32>)>,
+    groups: impl Iterator<Item = (u32, u8, &'a [u32])>,
     strip_iterations: usize,
+    l: usize,
     neighbor_partials: bool,
 ) {
-    let l = layout.block_l;
     let dummy = layout.dummy_neighbor;
-    // Emit blocks; strip = `strip_iterations` blocks.
-    let mut blocks: Vec<(u32, u8, Vec<u32>)> = Vec::new();
-    for (c, shift, neighbors) in groups {
-        for chunk in neighbors.chunks(l) {
-            let mut padded = chunk.to_vec();
-            padded.resize(l, dummy);
-            blocks.push((c, shift, padded));
-        }
-    }
-    for chunk in blocks.chunks(strip_iterations.max(1)) {
-        let mut s = Strip {
-            iterations: chunk.len() as u64,
-            ..Default::default()
+    // The open strip's centres, shifts and neighbours, at full size.
+    let fresh =
+        || [1, 1, l].map(|per_block| Vec::<u32>::with_capacity(strip_iterations * per_block));
+    let mut open = fresh();
+    let mut cut = |[centres, shifts, neighbours]: [Vec<u32>; 3]| {
+        let (i_central, i_neighbor) = (IndexStream::from(centres), IndexStream::from(neighbours));
+        let partials = if neighbor_partials {
+            i_neighbor.clone()
+        } else {
+            IndexStream::default()
         };
-        for (c, shift, padded) in chunk {
-            s.i_central.push(*c);
-            s.i_shift.push(*shift as u32);
-            s.c_scatter.push(*c);
-            for &j in padded {
-                s.i_neighbor.push(j);
-                if neighbor_partials {
-                    s.n_scatter.push(j);
-                }
-                if j != dummy {
-                    s.real_interactions += 1;
-                }
+        layout.strips.push(Strip {
+            iterations: i_central.len() as u64,
+            max_cluster_iterations: (i_central.len() as u64).div_ceil(16),
+            real_interactions: i_neighbor.iter().filter(|&&j| j != dummy).count() as u64,
+            c_scatter: i_central.clone(),
+            n_scatter: partials,
+            i_central,
+            i_shift: shifts.into(),
+            i_neighbor,
+            ..Default::default()
+        });
+    };
+    for (c, shift, mut group) in groups {
+        while !group.is_empty() {
+            let [centres, shifts, neighbours] = &mut open;
+            let room = strip_iterations - centres.len();
+            let blocks = group.len().div_ceil(l).min(room);
+            let (now, rest) = group.split_at(group.len().min(blocks * l));
+            centres.resize(centres.len() + blocks, c);
+            shifts.resize(centres.len(), shift as u32);
+            neighbours.extend_from_slice(now);
+            neighbours.resize(centres.len() * l, dummy);
+            group = rest;
+            if centres.len() == strip_iterations {
+                cut(std::mem::replace(&mut open, fresh()));
             }
         }
-        s.max_cluster_iterations = s.iterations.div_ceil(16);
-        layout.strips.push(s);
+    }
+    if !open[0].is_empty() {
+        cut(open);
     }
     // For `duplicated` every real pair appears twice; the halving is done
     // globally in `Layout::total_real_interactions` so per-strip odd
@@ -299,51 +301,44 @@ fn build_variable(
     let dummy_c = layout.dummy_center;
     // Partition centre lists into strips of roughly `strip_iterations`
     // interactions.
-    let mut groups = half_groups(list);
-    groups.retain(|(_, _, n)| !n.is_empty());
-    let mut start = 0usize;
-    while start < groups.len() {
-        let mut end = start;
-        let mut iters = 0usize;
-        while end < groups.len() && (iters == 0 || iters + groups[end].2.len() <= strip_iterations)
-        {
-            iters += groups[end].2.len();
-            end += 1;
-        }
-        let slice = &groups[start..end];
+    let mut groups = list.groups().peekable();
+    while groups.peek().is_some() {
         let mut s = Strip::default();
         // Leading flush lands in the dummy-centre force slot.
-        s.c_scatter.push(dummy_c);
-        let mut run_lengths: Vec<u64> = Vec::with_capacity(slice.len());
-        for (c, shift, neighbors) in slice.iter() {
+        let mut c_scatter = vec![dummy_c];
+        let mut i_neighbor: Vec<u32> = Vec::new();
+        let mut run_lengths: Vec<u64> = Vec::new();
+        while let Some((c, shift, neighbors)) = groups
+            .next_if(|g| i_neighbor.is_empty() || i_neighbor.len() + g.2.len() <= strip_iterations)
+        {
             // Centre record: canonical positions + replicated shift.
-            let base = *c as usize * w;
+            let base = c as usize * w;
             s.center_records
                 .extend_from_slice(&layout.positions[base..base + w]);
-            let v = pbc.shift_vector(*shift as usize);
+            let v = pbc.shift_vector(shift as usize);
             for _ in 0..sites {
                 s.center_records.extend_from_slice(&[v.x, v.y, v.z]);
             }
-            for (k, &j) in neighbors.iter().enumerate() {
-                s.flags.push(if k == 0 { 1.0 } else { 0.0 });
-                s.i_neighbor.push(j);
-                s.n_scatter.push(j);
-            }
-            s.c_scatter.push(*c);
+            s.flags.push(1.0);
+            i_neighbor.extend_from_slice(neighbors);
+            s.flags.resize(i_neighbor.len(), 0.0);
+            c_scatter.push(c);
             run_lengths.push(neighbors.len() as u64);
-            s.real_interactions += neighbors.len() as u64;
         }
+        s.real_interactions = i_neighbor.len() as u64;
         // Sentinel: flush the last centre, consume the dummy centre
         // record, interact with the dummy neighbour.
         s.flags.push(1.0);
-        s.i_neighbor.push(dummy_n);
-        s.n_scatter.push(dummy_n);
+        i_neighbor.push(dummy_n);
         let base = dummy_c as usize * w;
         s.center_records
             .extend_from_slice(&layout.positions[base..base + w]);
         s.center_records.extend(std::iter::repeat_n(0.0, w));
 
-        s.iterations = s.i_neighbor.len() as u64;
+        s.iterations = i_neighbor.len() as u64;
+        s.i_neighbor = i_neighbor.into();
+        s.n_scatter = s.i_neighbor.clone();
+        s.c_scatter = c_scatter.into();
         // Conditional streams let every cluster pull whole centre runs at
         // its own rate; the scalar code orders the runs longest-first, so
         // the distribution behaves like LPT scheduling onto 16 machines.
@@ -357,7 +352,6 @@ fn build_variable(
         }
         s.max_cluster_iterations = load.iter().copied().max().unwrap_or(0) + 1;
         layout.strips.push(s);
-        start = end;
     }
 }
 
@@ -421,7 +415,7 @@ mod tests {
         let dummies: usize = lay
             .strips
             .iter()
-            .flat_map(|s| &s.i_neighbor)
+            .flat_map(|s| s.i_neighbor.iter())
             .filter(|&&j| j == lay.dummy_neighbor)
             .count();
         assert_eq!(dummies, lay.stats.total_neighbors_fixed - nl.num_pairs(),);
@@ -434,13 +428,50 @@ mod tests {
         let real_neighbor_slots: usize = lay
             .strips
             .iter()
-            .flat_map(|s| &s.i_neighbor)
+            .flat_map(|s| s.i_neighbor.iter())
             .filter(|&&j| j != lay.dummy_neighbor)
             .count();
         assert_eq!(real_neighbor_slots, 2 * nl.num_pairs());
         assert_eq!(lay.total_real_interactions() as usize, nl.num_pairs());
         // No neighbour scatter.
         assert!(lay.strips.iter().all(|s| s.n_scatter.is_empty()));
+    }
+
+    #[test]
+    fn blocks_read_back_as_the_lists_groups() {
+        // Strips that cut groups mid-way, `expanded` as blocks of one:
+        // unpadded, the blocks of a (centre, shift) in order are its
+        // group, and the index streams used twice are held once.
+        let (s, nl) = setup(64);
+        for (variant, l, strip) in [
+            (Variant::Expanded, 1, 37),
+            (Variant::Fixed, 8, 5),
+            (Variant::Fixed, 3, 7),
+        ] {
+            let lay = build_layout(&s, &nl, variant, l, strip);
+            let mut groups: Vec<(u32, u8, Vec<u32>)> = Vec::new();
+            for strip in &lay.strips {
+                assert_eq!(strip.i_neighbor.len(), strip.i_central.len() * l);
+                assert_eq!(strip.i_central.as_ptr(), strip.c_scatter.as_ptr());
+                assert_eq!(strip.i_neighbor.as_ptr(), strip.n_scatter.as_ptr());
+                let blocks = strip.i_central.iter().zip(strip.i_shift.iter());
+                for ((&c, &shift), block) in blocks.zip(strip.i_neighbor.chunks(l)) {
+                    let real = block.iter().take_while(|&&j| j != lay.dummy_neighbor);
+                    assert!(block[real.clone().count()..]
+                        .iter()
+                        .all(|&j| j == lay.dummy_neighbor));
+                    match groups.last_mut() {
+                        Some((gc, gs, members)) if (*gc, *gs as u32) == (c, shift) => {
+                            assert_eq!(members.len() % l, 0, "only a last block is padded");
+                            members.extend(real);
+                        }
+                        _ => groups.push((c, shift as u8, real.copied().collect())),
+                    }
+                }
+            }
+            let want: Vec<_> = nl.groups().map(|(c, s, n)| (c, s, n.to_vec())).collect();
+            assert_eq!(groups, want, "{variant} l={l}");
+        }
     }
 
     #[test]

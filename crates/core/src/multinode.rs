@@ -255,18 +255,18 @@ pub fn run_multinode_program(
         };
         for &sid in &run.strips {
             let s = &step.layout.strips[sid];
-            for &i in s.i_central.iter().chain(&s.i_neighbor) {
+            for &i in s.i_central.iter().chain(s.i_neighbor.iter()) {
                 mark(&mut referenced, i);
             }
             if variant == Variant::Variable {
                 // Centre positions travel inside the strip's centre
                 // records rather than through a gather, but they are
                 // remote data all the same.
-                for &c in &s.c_scatter {
+                for &c in s.c_scatter.iter() {
                     mark(&mut referenced, c);
                 }
             }
-            for &t in s.c_scatter.iter().chain(&s.n_scatter) {
+            for &t in s.c_scatter.iter().chain(s.n_scatter.iter()) {
                 mark(&mut scattered, t);
             }
         }

@@ -151,11 +151,11 @@ pub fn compute_forces_atomic(system: &WaterBox, list: &NeighborList) -> AtomForc
     let mut e_lj = 0.0;
     let mut virial = 0.0;
     let mut interactions = 0u64;
-    for l in &list.lists {
-        let shift = pbc.shift_vector(l.shift_index as usize);
-        let c = l.center as usize;
+    for (center, shift_index, neighbors) in list.groups() {
+        let shift = pbc.shift_vector(shift_index as usize);
+        let c = center as usize;
         let cs = canon[c] + shift;
-        for &jn in &l.neighbors {
+        for &jn in neighbors {
             let j = jn as usize;
             interactions += 1;
             let t = pair_force_atomic(&ff, cs, canon[j]);

@@ -2,7 +2,11 @@
 //!
 //! GROMACS builds its neighbour lists with a grid search; we do the same.
 //! The box is divided into at least `cutoff`-sized cells; candidate pairs
-//! are drawn only from the 27-cell neighbourhood.
+//! are drawn only from the 27-cell neighbourhood. Points are stored
+//! cell-sorted as SoA `x / y / z` beside their indices (ascending within
+//! a cell), so a search streams contiguous coordinates.
+
+use std::ops::Range;
 
 use crate::pbc::Pbc;
 use crate::vec3::Vec3;
@@ -10,106 +14,82 @@ use crate::vec3::Vec3;
 /// A cell grid over a cubic periodic box.
 #[derive(Debug, Clone)]
 pub struct CellGrid {
-    pbc: Pbc,
-    /// Cells per axis.
+    /// Cells per axis: 1, or at least 4.
     n: usize,
-    /// Cell side length.
-    cell_side: f64,
-    /// Molecule indices per cell, CSR-style.
-    cell_start: Vec<usize>,
-    entries: Vec<usize>,
+    /// Slot ranges per cell, CSR-style.
+    cell_start: Vec<u32>,
+    /// Cell of each point.
+    cell_of: Vec<u32>,
+    /// Point indices by cell, ascending within a cell.
+    pub(crate) ids: Vec<u32>,
+    /// Coordinates of `ids`, slot for slot.
+    pub(crate) x: Vec<f64>,
+    pub(crate) y: Vec<f64>,
+    pub(crate) z: Vec<f64>,
 }
 
 impl CellGrid {
-    /// Bin `points` (one representative point per molecule, assumed
-    /// wrapped) into cells no smaller than `min_cell`.
+    /// Bin `points` (wrapped into the box) into cells no smaller than
+    /// `min_cell`. A box of at most 3 such cells per axis is kept as one
+    /// cell: its 27-cell neighbourhood would be the whole box, repeated
+    /// where the grid wraps onto itself.
     pub fn build(pbc: Pbc, points: &[Vec3], min_cell: f64) -> Self {
         assert!(min_cell > 0.0);
-        let n = ((pbc.side() / min_cell).floor() as usize).max(1);
+        let fit = (pbc.side() / min_cell).floor() as usize;
+        let n = if fit <= 3 { 1 } else { fit };
         let cell_side = pbc.side() / n as f64;
-        let num_cells = n * n * n;
+        let axis = |c: f64| ((c / cell_side) as usize).min(n - 1);
+        let cell_of: Vec<u32> = points
+            .iter()
+            .map(|p| ((axis(p.z) * n + axis(p.y)) * n + axis(p.x)) as u32)
+            .collect();
 
-        // Counting sort into CSR layout.
-        let mut counts = vec![0usize; num_cells + 1];
-        let cell_of = |p: Vec3| -> usize {
-            let wrapped = pbc.wrap(p);
-            let cx = ((wrapped.x / cell_side) as usize).min(n - 1);
-            let cy = ((wrapped.y / cell_side) as usize).min(n - 1);
-            let cz = ((wrapped.z / cell_side) as usize).min(n - 1);
-            (cz * n + cy) * n + cx
-        };
-        for &p in points {
-            counts[cell_of(p) + 1] += 1;
+        // Counting sort into CSR layout; stable, so ids ascend per cell.
+        let mut cell_start = vec![0u32; n * n * n + 1];
+        for &c in &cell_of {
+            cell_start[c as usize + 1] += 1;
         }
-        for i in 0..num_cells {
-            counts[i + 1] += counts[i];
+        for c in 1..cell_start.len() {
+            cell_start[c] += cell_start[c - 1];
         }
-        let mut entries = vec![0usize; points.len()];
-        let mut cursor = counts.clone();
-        for (i, &p) in points.iter().enumerate() {
-            let c = cell_of(p);
-            entries[cursor[c]] = i;
-            cursor[c] += 1;
+        let mut cursor = cell_start.clone();
+        let mut ids = vec![0u32; points.len()];
+        for (i, &c) in cell_of.iter().enumerate() {
+            ids[cursor[c as usize] as usize] = i as u32;
+            cursor[c as usize] += 1;
         }
+        let sorted =
+            |axis: fn(&Vec3) -> f64| ids.iter().map(|&i| axis(&points[i as usize])).collect();
         Self {
-            pbc,
             n,
-            cell_side,
-            cell_start: counts,
-            entries,
+            cell_start,
+            x: sorted(|p| p.x),
+            y: sorted(|p| p.y),
+            z: sorted(|p| p.z),
+            cell_of,
+            ids,
         }
     }
 
-    /// Cells per axis.
-    pub fn cells_per_axis(&self) -> usize {
-        self.n
+    /// Slots (indices into `ids` / `x` / `y` / `z`) of cell `c`.
+    pub fn cell(&self, c: usize) -> Range<usize> {
+        self.cell_start[c] as usize..self.cell_start[c + 1] as usize
     }
 
-    /// Side length of one cell.
-    pub fn cell_side(&self) -> f64 {
-        self.cell_side
-    }
-
-    /// Molecule indices in cell `(cx, cy, cz)`.
-    pub fn cell(&self, cx: usize, cy: usize, cz: usize) -> &[usize] {
-        let c = (cz * self.n + cy) * self.n + cx;
-        &self.entries[self.cell_start[c]..self.cell_start[c + 1]]
-    }
-
-    /// Visit every molecule index in the 27-cell neighbourhood of the cell
-    /// containing `p` (including its own cell). Cells repeat when the grid
-    /// has fewer than 3 cells per axis; duplicates are suppressed.
-    pub fn for_neighbourhood(&self, p: Vec3, mut f: impl FnMut(usize)) {
-        let wrapped = self.pbc.wrap(p);
-        let cx = ((wrapped.x / self.cell_side) as usize).min(self.n - 1) as isize;
-        let cy = ((wrapped.y / self.cell_side) as usize).min(self.n - 1) as isize;
-        let cz = ((wrapped.z / self.cell_side) as usize).min(self.n - 1) as isize;
-        let n = self.n as isize;
-        let wrap = |c: isize| -> usize { (((c % n) + n) % n) as usize };
-        let mut visited: Vec<(usize, usize, usize)> = Vec::with_capacity(27);
-        for dz in -1..=1 {
-            for dy in -1..=1 {
-                for dx in -1..=1 {
-                    let c = (wrap(cx + dx), wrap(cy + dy), wrap(cz + dz));
-                    if visited.contains(&c) {
-                        continue;
-                    }
-                    visited.push(c);
-                    for &m in self.cell(c.0, c.1, c.2) {
-                        f(m);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Total entries binned.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// The distinct cells of the 27-cell neighbourhood of the cell
+    /// holding `point` (its own included): every point within one cell
+    /// side of it, under any periodic image, is in one of them.
+    pub fn neighbourhood(&self, point: usize) -> impl Iterator<Item = usize> {
+        let n = self.n;
+        let c = self.cell_of[point] as usize;
+        let at = [c % n, c / n % n, c / (n * n)];
+        // One cell is its own neighbourhood; four or more per axis make
+        // the three wrapped offsets distinct.
+        let reach = if n == 1 { 1 } else { 3 };
+        let step = move |axis: usize, d: usize| (at[axis] + n + d - reach / 2) % n;
+        (0..reach * reach * reach).map(move |k| {
+            (step(2, k / (reach * reach)) * n + step(1, k / reach % reach)) * n + step(0, k % reach)
+        })
     }
 }
 
@@ -118,93 +98,71 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Points visited from `point`'s neighbourhood, counted.
+    fn visits(grid: &CellGrid, point: usize) -> Vec<usize> {
+        let mut count = vec![0usize; grid.ids.len()];
+        for c in grid.neighbourhood(point) {
+            for slot in grid.cell(c) {
+                count[grid.ids[slot] as usize] += 1;
+            }
+        }
+        count
+    }
+
     #[test]
-    fn all_points_binned_once() {
-        let pbc = Pbc::cubic(3.0);
+    fn all_points_binned_once_sorted_with_their_coordinates() {
+        let pbc = Pbc::cubic(4.5);
         let pts: Vec<Vec3> = (0..50)
             .map(|i| Vec3::new(i as f64 * 0.059, i as f64 * 0.113, i as f64 * 0.211))
             .map(|p| pbc.wrap(p))
             .collect();
         let grid = CellGrid::build(pbc, &pts, 1.0);
-        assert_eq!(grid.len(), 50);
-        let mut total = 0;
-        for cz in 0..grid.cells_per_axis() {
-            for cy in 0..grid.cells_per_axis() {
-                for cx in 0..grid.cells_per_axis() {
-                    total += grid.cell(cx, cy, cz).len();
-                }
+        assert_eq!(grid.n, 4);
+        let mut seen = [false; 50];
+        for c in 0..64 {
+            let slots = grid.cell(c);
+            assert!(grid.ids[slots.clone()].windows(2).all(|w| w[0] < w[1]));
+            for slot in slots {
+                let i = grid.ids[slot] as usize;
+                assert!(!std::mem::replace(&mut seen[i], true));
+                assert_eq!(Vec3::new(grid.x[slot], grid.y[slot], grid.z[slot]), pts[i]);
+                assert!(grid.neighbourhood(i).any(|n| n == c));
             }
         }
-        assert_eq!(total, 50);
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
-    fn neighbourhood_covers_cutoff() {
-        // Every point within `min_cell` of p must be visited.
-        let pbc = Pbc::cubic(3.0);
-        let pts: Vec<Vec3> = (0..200)
-            .map(|i| {
-                pbc.wrap(Vec3::new(
-                    (i * 7 % 97) as f64 * 0.031,
-                    (i * 13 % 89) as f64 * 0.034,
-                    (i * 29 % 83) as f64 * 0.036,
-                ))
-            })
-            .collect();
-        let cutoff = 0.9;
-        let grid = CellGrid::build(pbc, &pts, cutoff);
-        for (i, &p) in pts.iter().enumerate() {
-            let mut visited = vec![false; pts.len()];
-            grid.for_neighbourhood(p, |m| visited[m] = true);
-            for (j, &q) in pts.iter().enumerate() {
-                if pbc.min_image(p, q).norm() <= cutoff {
-                    assert!(visited[j], "point {j} within cutoff of {i} but not visited");
-                }
-            }
+    fn up_to_three_cells_per_axis_are_one_cell() {
+        for (side, min_cell) in [(1.0, 2.0), (2.0, 1.0), (3.0, 1.0), (3.9, 1.0)] {
+            let pbc = Pbc::cubic(side);
+            let pts: Vec<Vec3> = (0..20)
+                .map(|i| pbc.wrap(Vec3::splat(i as f64 * 0.1)))
+                .collect();
+            let grid = CellGrid::build(pbc, &pts, min_cell);
+            assert_eq!(grid.n, 1);
+            assert_eq!(grid.ids, (0..20).collect::<Vec<u32>>());
+            assert_eq!(visits(&grid, 0), vec![1; 20], "side {side}");
         }
-    }
-
-    #[test]
-    fn tiny_box_single_cell() {
-        let pbc = Pbc::cubic(1.0);
-        let pts = vec![Vec3::new(0.1, 0.1, 0.1), Vec3::new(0.9, 0.9, 0.9)];
-        let grid = CellGrid::build(pbc, &pts, 2.0);
-        assert_eq!(grid.cells_per_axis(), 1);
-        let mut seen = 0;
-        grid.for_neighbourhood(pts[0], |_| seen += 1);
-        assert_eq!(seen, 2, "single-cell grid must not duplicate entries");
-    }
-
-    #[test]
-    fn two_cells_per_axis_no_duplicates() {
-        let pbc = Pbc::cubic(2.0);
-        let pts: Vec<Vec3> = (0..20)
-            .map(|i| pbc.wrap(Vec3::splat(i as f64 * 0.1)))
-            .collect();
-        let grid = CellGrid::build(pbc, &pts, 1.0);
-        assert_eq!(grid.cells_per_axis(), 2);
-        let mut count = vec![0usize; pts.len()];
-        grid.for_neighbourhood(pts[0], |m| count[m] += 1);
-        assert!(count.iter().all(|&c| c <= 1), "duplicate visits: {count:?}");
     }
 
     proptest! {
         #[test]
-        fn prop_neighbourhood_completeness(seed in 0u64..500) {
+        fn prop_neighbourhood_completeness(seed in 0u64..500, side in 2.5f64..6.0) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let pbc = Pbc::cubic(2.5);
+            let pbc = Pbc::cubic(side);
             let pts: Vec<Vec3> = (0..40)
-                .map(|_| Vec3::new(rng.gen::<f64>() * 2.5, rng.gen::<f64>() * 2.5, rng.gen::<f64>() * 2.5))
+                .map(|_| Vec3::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side, rng.gen::<f64>() * side))
                 .collect();
             let cutoff = 0.8;
             let grid = CellGrid::build(pbc, &pts, cutoff);
-            for &p in pts.iter() {
-                let mut visited = vec![false; pts.len()];
-                grid.for_neighbourhood(p, |m| visited[m] = true);
+            for (i, &p) in pts.iter().enumerate() {
+                let count = visits(&grid, i);
+                prop_assert!(count.iter().all(|&c| c <= 1), "duplicate visits: {:?}", count);
                 for (j, &q) in pts.iter().enumerate() {
                     if pbc.min_image(p, q).norm() <= cutoff {
-                        prop_assert!(visited[j]);
+                        prop_assert_eq!(count[j], 1);
                     }
                 }
             }

@@ -151,9 +151,9 @@ pub fn compute_forces(system: &WaterBox, list: &NeighborList) -> ForceResult {
     let mut virial = 0.0;
     let mut interactions = 0u64;
 
-    for l in &list.lists {
-        let shift = pbc.shift_vector(l.shift_index as usize);
-        let c = l.center as usize;
+    for (center, shift_index, neighbors) in list.groups() {
+        let shift = pbc.shift_vector(shift_index as usize);
+        let c = center as usize;
         let cmol = system.molecule(c);
         // Apply the periodic shift to the central molecule once per list —
         // the "9 words of periodic boundary conditions" of the stream
@@ -165,7 +165,7 @@ pub fn compute_forces(system: &WaterBox, list: &NeighborList) -> ForceResult {
             o + pbc.min_image(cmol[1], cmol[0]) + shift,
             o + pbc.min_image(cmol[2], cmol[0]) + shift,
         ];
-        for &jn in &l.neighbors {
+        for &jn in neighbors {
             let j = jn as usize;
             let nmol = system.molecule(j);
             let oj = pbc.wrap(nmol[0]);

@@ -81,10 +81,10 @@ pub fn compute_forces_multisite(system: &WaterBox, list: &NeighborList) -> Multi
         })
         .collect();
 
-    for l in &list.lists {
-        let shift = pbc.shift_vector(l.shift_index as usize);
-        let c = l.center as usize;
-        for &jn in &l.neighbors {
+    for (center, shift_index, neighbors) in list.groups() {
+        let shift = pbc.shift_vector(shift_index as usize);
+        let c = center as usize;
+        for &jn in neighbors {
             let j = jn as usize;
             interactions += 1;
             for a in 0..ns {

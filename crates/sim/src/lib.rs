@@ -51,11 +51,12 @@ pub use memsys::{MemOpCost, MemSystem};
 pub use merrimac_kernel::BatchWidth;
 pub use parallel::Executed;
 pub use partition::{
-    partition_program, read_write_hazards, FallbackKind, FallbackReason, OrderingHazard,
-    PartitionReport, PartitionSummary,
+    partition_program, read_write_hazards, region_accesses, FallbackKind, FallbackReason,
+    OrderingHazard, PartitionReport, PartitionSummary, RegionAccess,
 };
 pub use program::{
-    AccessIntent, AccessKind, BufferId, Memory, ProgramBuilder, RegionId, StreamOp, StreamProgram,
+    AccessIntent, AccessKind, BufferId, IndexStream, Memory, ProgramBuilder, RegionId, StreamOp,
+    StreamProgram,
 };
 pub use sdr::SdrPolicy;
 pub use timeline::Timeline;

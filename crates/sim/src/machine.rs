@@ -833,7 +833,7 @@ pub fn produced_buffers(op: &StreamOp) -> Vec<BufferId> {
 }
 
 /// Buffers an op consumes.
-fn consumed_buffers(op: &StreamOp) -> Vec<BufferId> {
+pub(crate) fn consumed_buffers(op: &StreamOp) -> Vec<BufferId> {
     match op {
         StreamOp::Kernel { inputs, .. } => inputs.clone(),
         StreamOp::ScatterAdd { src, .. } | StreamOp::Store { src, .. } => vec![*src],

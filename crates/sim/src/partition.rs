@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::machine::{buffer_capacity_words, produced_buffers};
+use crate::machine::{buffer_capacity_words, consumed_buffers, produced_buffers};
 use crate::program::{
     AccessIntent, AccessKind, BufferId, Memory, RegionId, StreamOp, StreamProgram,
 };
@@ -234,10 +234,18 @@ impl PartitionReport {
     }
 }
 
-/// One region access seen by the partitioner.
-struct RegionAccess {
-    strip: usize,
-    kind: AccessKind,
+/// One stream-level op's touch on a memory region: the kind plus a
+/// word-range bounding box `[start, end)`.
+#[derive(Debug, Clone)]
+pub struct RegionAccess {
+    /// Index of the op in `program.ops`.
+    pub op_index: usize,
+    pub strip: usize,
+    pub kind: AccessKind,
+    /// First word possibly touched.
+    pub start: usize,
+    /// One past the last word possibly touched.
+    pub end: usize,
 }
 
 /// A read that follows an overlapping store of the same region in
@@ -264,10 +272,6 @@ pub struct OrderingHazard {
     pub read_range: (usize, usize),
 }
 
-/// Stores per region in program order: `(op index, strip, word range)`,
-/// the range an upper bound via the source buffer's worst-case capacity.
-type StoresByRegion = BTreeMap<usize, Vec<(usize, usize, (usize, usize))>>;
-
 /// Per-strip read/write ordering analysis: every (store, later
 /// overlapping read) pair on the same region, in program order.
 ///
@@ -279,92 +283,96 @@ type StoresByRegion = BTreeMap<usize, Vec<(usize, usize, (usize, usize))>>;
 /// Same-strip pairs count too: phase A buffers stores and reads
 /// pre-state even within one strip.
 pub fn read_write_hazards(program: &StreamProgram) -> Vec<OrderingHazard> {
-    ordering(program).0
+    hazards(&region_accesses(program))
 }
 
-/// One pass for both consumers: the hazards, and every store's range
-/// (which [`partition_program`] also checks for cross-strip overlap).
-fn ordering(program: &StreamProgram) -> (Vec<OrderingHazard>, StoresByRegion) {
-    // Producer op of each buffer, bounding store ranges by capacity.
+/// Every region's accesses (keyed by `RegionId.0`) in op order, each
+/// with the word range it can touch: the one footprint accounting the
+/// partitioner admits on and the analysis passes prove intents against.
+/// Loads are exact; a gather or scatter-add is ranged by the bounding
+/// box its index stream carries (nothing, for no indices); a store by
+/// its source buffer's worst-case capacity.
+pub fn region_accesses(program: &StreamProgram) -> BTreeMap<usize, Vec<RegionAccess>> {
     let mut producer: HashMap<usize, usize> = HashMap::new();
     for (i, lop) in program.ops.iter().enumerate() {
         for b in produced_buffers(&lop.op) {
             producer.entry(b.0).or_insert(i);
         }
     }
-    let mut writes: StoresByRegion = BTreeMap::new();
-    let mut hazards = Vec::new();
-    for (i, lop) in program.ops.iter().enumerate() {
-        match &lop.op {
+    let mut map: BTreeMap<usize, Vec<RegionAccess>> = BTreeMap::new();
+    for (op_index, lop) in program.ops.iter().enumerate() {
+        let Some((region, kind)) = lop.op.region_use() else {
+            continue;
+        };
+        let (start, end) = match &lop.op {
             StreamOp::Load {
-                region,
                 record_len,
                 start,
                 records,
                 ..
-            } => {
-                let r = (start * record_len, (start + records) * record_len);
-                note_read(&writes, &mut hazards, *region, i, lop.strip, r);
-            }
+            } => (start * record_len, (start + records) * record_len),
             StreamOp::Gather {
-                region,
                 record_len,
                 indices,
                 ..
-            } => {
-                let (Some(min), Some(max)) = (indices.iter().min(), indices.iter().max()) else {
-                    continue; // empty gather reads nothing
-                };
-                let r = (*min as usize * record_len, (*max as usize + 1) * record_len);
-                note_read(&writes, &mut hazards, *region, i, lop.strip, r);
             }
+            | StreamOp::ScatterAdd {
+                record_len,
+                indices,
+                ..
+            } => indices.word_range(*record_len).unwrap_or((0, 0)),
             StreamOp::Store {
                 src,
-                region,
                 record_len,
                 start,
+                ..
             } => {
                 let cap = producer
                     .get(&src.0)
                     .map(|&p| buffer_capacity_words(program, &program.ops[p].op, *src))
                     .unwrap_or(0);
-                let s = start * record_len;
-                writes
-                    .entry(region.0)
-                    .or_default()
-                    .push((i, lop.strip, (s, s + cap)));
+                (start * record_len, start * record_len + cap)
             }
-            StreamOp::Kernel { .. } | StreamOp::ScatterAdd { .. } => {}
-        }
+            StreamOp::Kernel { .. } => unreachable!("kernels have no region use"),
+        };
+        map.entry(region.0).or_default().push(RegionAccess {
+            op_index,
+            strip: lop.strip,
+            kind,
+            start,
+            end,
+        });
     }
-    (hazards, writes)
+    map
 }
 
-/// Record hazards for one read against every earlier overlapping store.
-fn note_read(
-    writes: &StoresByRegion,
-    hazards: &mut Vec<OrderingHazard>,
-    region: RegionId,
-    read_op: usize,
-    read_strip: usize,
-    read_range: (usize, usize),
-) {
-    let Some(ws) = writes.get(&region.0) else {
-        return;
-    };
-    for &(write_op, write_strip, write_range) in ws {
-        if write_range.0 < read_range.1 && read_range.0 < write_range.1 {
-            hazards.push(OrderingHazard {
-                region,
-                write_op,
-                write_strip,
-                write_range,
-                read_op,
-                read_strip,
-                read_range,
-            });
+/// Every read against every earlier overlapping store of its region.
+fn hazards(accesses: &BTreeMap<usize, Vec<RegionAccess>>) -> Vec<OrderingHazard> {
+    let mut hazards = Vec::new();
+    for (&region, accs) in accesses {
+        let mut stores: Vec<&RegionAccess> = Vec::new();
+        for a in accs {
+            let overlaps = |w: &&&RegionAccess| w.start < a.end && a.start < w.end;
+            match a.kind {
+                AccessKind::Write => stores.push(a),
+                AccessKind::Read => {
+                    hazards.extend(stores.iter().filter(overlaps).map(|w| OrderingHazard {
+                        region: RegionId(region),
+                        write_op: w.op_index,
+                        write_strip: w.strip,
+                        write_range: (w.start, w.end),
+                        read_op: a.op_index,
+                        read_strip: a.strip,
+                        read_range: (a.start, a.end),
+                    }))
+                }
+                AccessKind::Reduce => {}
+            }
         }
     }
+    // Program order, whatever the region.
+    hazards.sort_by_key(|h| (h.read_op, h.write_op));
+    hazards
 }
 
 /// Classify `program` for parallel strip execution under the declared
@@ -386,18 +394,14 @@ pub fn partition_program(program: &StreamProgram) -> PartitionReport {
     // Every SRF buffer must live within one strip.
     let mut buffer_strip: HashMap<usize, usize> = HashMap::new();
     for lop in &program.ops {
-        let bufs: Vec<usize> = match &lop.op {
-            StreamOp::Gather { dst, .. } | StreamOp::Load { dst, .. } => vec![dst.0],
-            StreamOp::Kernel {
-                inputs, outputs, ..
-            } => inputs.iter().chain(outputs).map(|b| b.0).collect(),
-            StreamOp::ScatterAdd { src, .. } | StreamOp::Store { src, .. } => vec![src.0],
-        };
-        for b in bufs {
-            let home = *buffer_strip.entry(b).or_insert(lop.strip);
+        for buffer in consumed_buffers(&lop.op)
+            .into_iter()
+            .chain(produced_buffers(&lop.op))
+        {
+            let home = *buffer_strip.entry(buffer.0).or_insert(lop.strip);
             if home != lop.strip {
                 return fail(FallbackReason::BufferCrossesStrips {
-                    buffer: BufferId(b),
+                    buffer,
                     strips: (home, lop.strip),
                 });
             }
@@ -407,19 +411,8 @@ pub fn partition_program(program: &StreamProgram) -> PartitionReport {
     // Per-strip ordering analysis, consumed by the `WriteOwned`
     // admission below: only reads that *overlap* an earlier store's
     // range are hazards.
-    let (hazards, stores) = ordering(program);
-
-    // Per-region access lists, in op-index order.
-    let mut accesses: BTreeMap<usize, Vec<RegionAccess>> = BTreeMap::new();
-    for lop in program.ops.iter() {
-        let Some((region, kind)) = lop.op.region_use() else {
-            continue;
-        };
-        accesses.entry(region.0).or_default().push(RegionAccess {
-            strip: lop.strip,
-            kind,
-        });
-    }
+    let accesses = region_accesses(program);
+    let hazards = hazards(&accesses);
 
     let mut read_shared_regions = Vec::new();
     let mut reduce_regions = Vec::new();
@@ -479,13 +472,12 @@ pub fn partition_program(program: &StreamProgram) -> PartitionReport {
         // Stores from different strips must target provably disjoint
         // word ranges (same-strip stores are ordered by the scoreboard's
         // WAW hazard and replayed in op order).
-        let stored = stores.get(&region.0).map_or(&[][..], Vec::as_slice);
-        for (ai, &(_, a_strip, (a0, a1))) in stored.iter().enumerate() {
-            for &(_, b_strip, (b0, b1)) in &stored[ai + 1..] {
-                if a_strip != b_strip && a0 < b1 && b0 < a1 {
+        for (ai, a) in writes.iter().enumerate() {
+            for b in &writes[ai + 1..] {
+                if a.strip != b.strip && a.start < b.end && b.start < a.end {
                     return fail(FallbackReason::WriteWriteOverlap {
                         region,
-                        strips: (a_strip, b_strip),
+                        strips: (a.strip, b.strip),
                     });
                 }
             }

@@ -146,6 +146,48 @@ impl Memory {
     }
 }
 
+/// A stream of record indices, shared (not copied) by everything that
+/// uses the same words — a layout, a gather, the scatter-add back to the
+/// same records — with its bounding box taken once, where it is made:
+/// the partitioner and the analysis passes range an indexed op by it.
+#[derive(Debug, Clone, Default)]
+pub struct IndexStream {
+    words: Arc<Vec<u32>>,
+    /// Smallest and largest index (`None` for an empty stream).
+    bounds: Option<(u32, u32)>,
+}
+
+impl IndexStream {
+    /// Word range `[start, end)` the stream's records of `record_len`
+    /// words can touch (`None`: it touches nothing).
+    pub fn word_range(&self, record_len: usize) -> Option<(usize, usize)> {
+        let (lo, hi) = self.bounds?;
+        Some((lo as usize * record_len, (hi as usize + 1) * record_len))
+    }
+}
+
+impl From<Arc<Vec<u32>>> for IndexStream {
+    fn from(words: Arc<Vec<u32>>) -> Self {
+        let span = |(lo, hi): (u32, u32), &i: &u32| (lo.min(i), hi.max(i));
+        let bounds = words.first().map(|&i| words.iter().fold((i, i), span));
+        Self { words, bounds }
+    }
+}
+
+impl From<Vec<u32>> for IndexStream {
+    fn from(words: Vec<u32>) -> Self {
+        Arc::new(words).into()
+    }
+}
+
+impl std::ops::Deref for IndexStream {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.words
+    }
+}
+
 /// One stream-level operation.
 #[derive(Debug, Clone)]
 pub enum StreamOp {
@@ -154,7 +196,7 @@ pub enum StreamOp {
     Gather {
         region: RegionId,
         record_len: usize,
-        indices: Arc<Vec<u32>>,
+        indices: IndexStream,
         dst: BufferId,
     },
     /// Sequential (unit-stride) load of `records` records starting at
@@ -185,7 +227,7 @@ pub enum StreamOp {
         src: BufferId,
         region: RegionId,
         record_len: usize,
-        indices: Arc<Vec<u32>>,
+        indices: IndexStream,
     },
     /// Sequential store of a buffer into a region at record `start`.
     Store {
@@ -308,7 +350,7 @@ impl ProgramBuilder {
         label: impl Into<String>,
         region: RegionId,
         record_len: usize,
-        indices: Arc<Vec<u32>>,
+        indices: impl Into<IndexStream>,
         dst: BufferId,
     ) -> &mut Self {
         self.push(
@@ -316,7 +358,7 @@ impl ProgramBuilder {
             StreamOp::Gather {
                 region,
                 record_len,
-                indices,
+                indices: indices.into(),
                 dst,
             },
         )
@@ -373,7 +415,7 @@ impl ProgramBuilder {
         src: BufferId,
         region: RegionId,
         record_len: usize,
-        indices: Arc<Vec<u32>>,
+        indices: impl Into<IndexStream>,
     ) -> &mut Self {
         self.push(
             label,
@@ -381,7 +423,7 @@ impl ProgramBuilder {
                 src,
                 region,
                 record_len,
-                indices,
+                indices: indices.into(),
             },
         )
     }
@@ -447,6 +489,42 @@ mod tests {
         assert_eq!(p.ops[0].op.mnemonic(), "gather");
         assert_eq!(p.ops[0].strip, 0);
         assert_eq!(p.ops[0].op.region_use(), Some((pos, AccessKind::Read)));
+    }
+
+    #[test]
+    fn an_index_streams_cached_box_is_its_min_and_max() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        let mut streams = vec![
+            vec![],
+            vec![0],
+            vec![u32::MAX],
+            vec![7, 7, 7],
+            vec![5, 0, 9],
+        ];
+        for len in [2usize, 3, 64, 1000] {
+            let spread = draw() % 5000 + 1;
+            streams.push((0..len).map(|_| draw() % spread).collect());
+        }
+        for words in streams {
+            let stream = IndexStream::from(words.clone());
+            assert_eq!(&*stream, &words[..]);
+            let want = (words.iter().min().copied()).zip(words.iter().max().copied());
+            for record_len in [1usize, 9] {
+                let range =
+                    want.map(|(lo, hi)| (lo as usize * record_len, (hi as usize + 1) * record_len));
+                assert_eq!(stream.word_range(record_len), range, "{words:?}");
+            }
+            // A clone shares the words and carries the box.
+            let clone = stream.clone();
+            assert_eq!(clone.as_ptr(), stream.as_ptr());
+            assert_eq!(clone.word_range(1), stream.word_range(1));
+        }
     }
 
     #[test]

@@ -1,47 +1,101 @@
-//! Where a force step's host time goes: `RunReport::host` per variant on
-//! the paper's 900-molecule box, per-step means in ms over warm steps at
-//! 2 engine threads. The columns from `gather` to `op_cost` are summed
-//! over the worker threads, so they can exceed `phase_a_wall`. The last
-//! column is what a kernel launch costs per kernel iteration: `kernel`
-//! over the step's iteration count, in thread-ns. The kernel engine
-//! comes from the environment, strictly
-//! (`MERRIMAC_KERNEL_ENGINE=interp` profiles the oracle). The last row
-//! is the `variable` step over 8 simulated nodes: one execution, so one
-//! `phase_a_wall` and one `reduce`, and a `scoreboard` summed over its
-//! nine timings (the whole step and each node's share).
+//! Where a force step's host time goes, per variant on the paper's
+//! 900-molecule box: per-step means in ms over warm steps at 2 engine
+//! threads, everything but the kernel compile fresh per step as on the
+//! repo benchmark's cold workloads. The first columns are the stages
+//! around `run` — the neighbour list, the stream layout, the rest of
+//! `build_step_program`, the admission analysis and the clone of the
+//! memory image a run works on — then `run` itself (`RunReport::host`).
+//! Its columns from `gather` to `op_cost` are summed over the worker
+//! threads, so they can exceed `phase_a_wall`. The last column is what a
+//! kernel launch costs per kernel iteration: `kernel` over the step's
+//! iteration count, in thread-ns. The kernel engine comes from the
+//! environment, strictly (`MERRIMAC_KERNEL_ENGINE=interp` profiles the
+//! oracle). The last row is the `variable` step over 8 simulated nodes:
+//! one execution, so one `phase_a_wall` and one `reduce`, and a
+//! `scoreboard` summed over its nine timings (the whole step and each
+//! node's share).
 //!
 //! ```sh
 //! cargo run --release --example profile
 //! ```
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use merrimac_repro::prelude::*;
 use merrimac_repro::sim::{HostExec, HostPhases, RunReport};
-use merrimac_repro::streammd::run_multinode;
+use merrimac_repro::streammd::layout::build_layout;
+use merrimac_repro::streammd::{run_multinode_program, StepProgram};
 
 const STEPS: u32 = 20;
 
-/// One table row: `run` once to warm (kernel compile, allocator), then
-/// the per-step means of `STEPS` more.
-fn profile(name: &str, run: impl Fn() -> RunReport) {
-    run();
-    let (mut host, t) = (HostPhases::default(), Instant::now());
-    let mut iterations = 0;
-    for _ in 0..STEPS {
-        let report = run();
-        host.add(&report.host);
-        iterations += report.counters.kernel_iterations;
-    }
+/// The stages of a step outside `run`, in pipeline order.
+const STAGES: [&str; 5] = ["list", "layout", "build-self", "admit", "clone"];
+
+/// `f`'s result, its wall time added to `total`.
+fn timed<R>(total: &mut Duration, f: impl FnOnce() -> R) -> R {
+    let t = Instant::now();
+    let out = f();
+    *total += t.elapsed();
+    out
+}
+
+/// What a row sums over its steps.
+#[derive(Default)]
+struct Totals {
+    wall: Duration,
+    stages: [Duration; 5],
+    host: HostPhases,
+    iterations: u64,
+}
+
+/// One table row: a step to warm (kernel compile, allocator), then the
+/// per-step means of `STEPS` more, each building its list and program
+/// anew and handing the program to `run`.
+fn profile(
+    name: &str,
+    system: &WaterBox,
+    app: &StreamMdApp,
+    variant: Variant,
+    run: impl Fn(&StepProgram) -> RunReport,
+) {
+    let step = |t: &mut Totals| {
+        let started = Instant::now();
+        let list = timed(&mut t.stages[0], || {
+            NeighborList::build(system, app.neighbor)
+        });
+        let mut build = Duration::ZERO;
+        let program = timed(&mut build, || {
+            app.build_step_program(system, &list, variant)
+        });
+        timed(&mut t.stages[3], || app.admit_built(&program)).expect("admitted");
+        let report = run(&program);
+        t.wall += started.elapsed();
+        // Outside the step: the layout again (it cuts the same strips
+        // when told the largest one's size), to split the build, and
+        // the clone `run` made first.
+        let strip = program.layout.strips.iter().map(|s| s.iterations).max();
+        let strip = strip.expect("a strip") as usize;
+        let mut layout = Duration::ZERO;
+        black_box(timed(&mut layout, || {
+            build_layout(system, &list, variant, app.block_l, strip)
+        }));
+        t.stages[1] += layout;
+        t.stages[2] += build.saturating_sub(layout);
+        black_box(timed(&mut t.stages[4], || program.memory.clone()));
+        t.host.add(&report.host);
+        t.iterations += report.counters.kernel_iterations;
+    };
+    step(&mut Totals::default());
+    let mut t = Totals::default();
+    (0..STEPS).for_each(|_| step(&mut t));
     let ms = |d: Duration| d.as_secs_f64() * 1e3 / STEPS as f64;
-    print!("{name:11} {:7.2}", ms(t.elapsed()));
-    for (name, d) in host.named() {
+    print!("{name:11} {:7.2}", ms(t.wall));
+    for (name, d) in STAGES.into_iter().zip(t.stages).chain(t.host.named()) {
         print!(" {:w$.2}", ms(d), w = name.len().max(6));
     }
-    println!(
-        " {:14.1}",
-        host.kernel.as_secs_f64() * 1e9 / iterations as f64
-    );
+    let per_iteration = t.host.kernel.as_secs_f64() * 1e9 / t.iterations as f64;
+    println!(" {per_iteration:14.1}");
 }
 
 fn main() {
@@ -55,20 +109,22 @@ fn main() {
         .threads(2)
         .build()
         .expect("valid");
-    let list = NeighborList::build(&system, app.neighbor);
     print!("{:11} {:>7}", "variant", "step");
-    for (name, _) in HostPhases::default().named() {
+    for name in STAGES
+        .into_iter()
+        .chain(HostPhases::default().named().map(|(name, _)| name))
+    {
         print!(" {name:>w$}", w = name.len().max(6));
     }
     println!(" kernel ns/iter");
     for variant in Variant::ALL {
-        profile(variant.name(), || {
-            let step = app.run_step_with_list(&system, &list, variant);
+        profile(variant.name(), &system, &app, variant, |program| {
+            let step = app.run_step_program(&system, program);
             step.expect("runs").report
         });
     }
-    profile("variable@n8", || {
-        let step = run_multinode(&app, &system, &list, Variant::Variable, 8);
+    profile("variable@n8", &system, &app, Variant::Variable, |program| {
+        let step = run_multinode_program(&app, &system, program, 8);
         step.expect("runs").outcome.report
     });
 }

@@ -148,10 +148,7 @@ fn inputs_no_stream_program_serves_are_typed_errors_at_every_entry_point() {
         let list = if force_step_serves {
             NeighborList::build(&system, params)
         } else {
-            NeighborList {
-                params,
-                lists: Vec::new(),
-            }
+            NeighborList::empty(params)
         };
         let app = StreamMdApp::builder().neighbor(params).build().unwrap();
         let mut force_steps = Vec::new();
