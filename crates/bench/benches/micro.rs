@@ -100,9 +100,9 @@ fn main() {
     });
 
     // The two loops of the memory-timing half of a run, on the paper's
-    // expanded step: pricing one strip's scatter-adds against a cold
-    // shard (ns per word), and the scoreboard over the whole program
-    // (µs per op, from `RunReport::host`).
+    // expanded step: pricing one strip's scatter-adds against a new
+    // shard, its build included (ns per word), and the scoreboard over
+    // the whole program (µs per op, from `RunReport::host`).
     let (paper, paper_list) = merrimac_bench::paper_system();
     let app = StreamMdApp::builder().build().expect("defaults are valid");
     let step = app.build_step_program(&paper, &paper_list, Variant::Expanded);
@@ -151,6 +151,28 @@ fn main() {
         "",
         strip_s * 1e9 / words as f64
     );
+    // The strip's two scatter-adds apart, as a phase-A worker prices
+    // them: on its one shard, flushed for the strip, each after the ones
+    // before it (the centre stream first, in runs of one index). Unlike
+    // the row above, no shard is built and no new page is touched.
+    let mut shard = MemSystem::strip_shard(&cfg);
+    for (at, name) in ["centre", "neighbour"].into_iter().enumerate() {
+        let s = median(|| {
+            shard.flush_cache();
+            for (region, len, idx) in &scatters[..at] {
+                shard.scatter_add_cost(&step.memory, *region, *len, idx);
+            }
+            let (region, len, idx) = &scatters[at];
+            let t0 = Instant::now();
+            black_box(shard.scatter_add_cost(&step.memory, *region, *len, idx));
+            t0.elapsed().as_secs_f64()
+        });
+        println!(
+            "{:<32} {:>12.3} µs/iter (median of {SAMPLES})",
+            format!("scatter_add_cost_expanded_{name}"),
+            s * 1e6
+        );
+    }
     let ops = step.program.ops.len();
     let scoreboard_s = median(|| {
         let outcome = app.run_step_program(&paper, &step).expect("expanded runs");
@@ -161,10 +183,12 @@ fn main() {
         "scoreboard_expanded_900",
         scoreboard_s * 1e6 / ops as f64
     );
-    // The overlay reduction of the same step — one force-region image
-    // per strip, tree-summed in place (`HostPhases::reduce`) — and the
-    // nine scoreboard passes an 8-node `variable` step makes over its
-    // one execution (the whole step, then each node's share).
+    // What is left of the same step's overlay reduction on the main
+    // thread (`HostPhases::reduce`): the tree nodes that straddle the
+    // workers' chunks, the sum added into the force region — the workers
+    // fold the rest inside phase A — and the nine scoreboard passes an
+    // 8-node `variable` step makes over its one execution (the whole
+    // step, then each node's share).
     let layers = step.layout.strips.len();
     let words = step.memory.data(step.forces).len();
     let reduce_s = median(|| {
@@ -173,7 +197,7 @@ fn main() {
     });
     println!(
         "{:<32} {:>12.3} µs/iter (median of {SAMPLES}, {layers} layers x {words} words)",
-        "tree_sum_73x8100",
+        "reduce_finish_expanded_900",
         reduce_s * 1e6
     );
     let variable = app.build_step_program(&paper, &paper_list, Variant::Variable);

@@ -104,7 +104,7 @@ impl From<InterpError> for SimError {
 /// Host wall-clock of one program run by pipeline phase: plain
 /// `Instant` deltas, so unlike every other field of a [`RunReport`] they
 /// differ from run to run and determinism checks must not compare them.
-/// The per-op phases are accumulated per strip and summed in strip
+/// The per-op phases are accumulated per worker and summed in chunk
 /// order. On the serial fallback they stay zero: `phase_a_wall` is the
 /// whole functional pass and `scoreboard` includes pricing the memory
 /// ops. Everything but `scoreboard` belongs to the execution; a report
@@ -122,15 +122,17 @@ pub struct HostPhases {
     pub load: Duration,
     /// Kernel launches, marshalling included (summed over threads).
     pub kernel: Duration,
-    /// Scatter-adds and stores folded into the strip's overlays (summed
-    /// over threads).
+    /// Scatter-adds and stores folded into the strip's overlays, and the
+    /// overlays folded into their regions' reduction trees as far as the
+    /// worker's chunk of strips allows (summed over threads).
     pub scatter: Duration,
-    /// `MemSystem::op_cost` on the strip's shard (summed over threads).
+    /// `MemSystem::op_cost` on the worker's shard, flushed before each
+    /// strip (summed over threads).
     pub op_cost: Duration,
-    /// Strip outcomes merged into per-op records and per-region overlay
-    /// lists.
+    /// Chunk outcomes merged into per-op records.
     pub merge: Duration,
-    /// Overlay tree-sum and its application, then the buffered stores.
+    /// The main thread's finish: the tree nodes across chunks, each sum
+    /// added into its region, then the buffered stores.
     pub reduce: Duration,
     /// The timing scoreboard.
     pub scoreboard: Duration,

@@ -60,16 +60,19 @@ pub struct MemSystem {
 /// add occupies the unit and enters the window, evicting the oldest
 /// entry of a full one. `window == 0` disables combining. The windows
 /// live for one scatter-add op.
+///
+/// A window is held as a ring of the bank's last `window` pushed runs,
+/// one per performed segment add, each `(first address, position)` —
+/// the words performed before it. Only those runs can still be in the
+/// window, and one is wholly in it iff `position + window ≥ load`
+/// (DESIGN.md, "Memory timing").
 #[derive(Debug, Clone)]
 struct CombiningStore {
     window: usize,
-    /// `banks × window` slots; bank `b` owns `b * window ..`, of which
-    /// the first `len[b]` are valid.
-    entries: Vec<u64>,
-    len: Vec<usize>,
-    /// Slot each bank writes next, wrapping: the first free one, then
-    /// the oldest of a full window.
-    next: Vec<usize>,
+    /// `window` run slots per bank; bank `b` owns `b * window ..`.
+    slots: Vec<(u64, u64)>,
+    /// Runs each bank's unit pushed: the next goes to slot `runs % window`.
+    runs: Vec<usize>,
     /// Adds each bank's unit performed (the ones that did not merge).
     load: Vec<u64>,
 }
@@ -78,47 +81,41 @@ impl CombiningStore {
     fn new(banks: usize, window: usize) -> Self {
         Self {
             window,
-            entries: vec![0; banks * window],
-            len: vec![0; banks],
-            next: vec![0; banks],
+            slots: vec![(0, 0); banks * window],
+            runs: vec![0; banks],
             load: vec![0; banks],
         }
     }
 
     /// Empty every window and zero the loads, for the next op.
     fn reset(&mut self) {
-        self.len.fill(0);
-        self.next.fill(0);
+        self.runs.fill(0);
         self.load.fill(0);
     }
 
-    /// Adds to the consecutive words of one line segment. When no entry
-    /// of its bank's window lies in the segment none of the words can
-    /// merge — they are distinct, and pushing one never brings another
-    /// into the window — so all are performed without looking each one
-    /// up.
-    fn add_segment(&mut self, segment: Segment) {
-        let (bank, start, k) = (segment.bank, segment.first, segment.words);
-        self.load[bank] += k;
-        if self.window == 0 {
-            return;
+    /// Adds to the consecutive words of one line segment: all merge if a
+    /// run of the segment is wholly in its bank's window, else all are
+    /// performed and pushed as a run. Returns whether they merged. Whole
+    /// segments are exact: within one op a segment's words are fixed by
+    /// its record and line, enter the window together in address order
+    /// and leave it oldest — lowest — first. So the window holds all,
+    /// none, or (full, as its oldest entries) a proper suffix of them,
+    /// which the per-word rule evicts ahead of each lookup while it
+    /// pushes the absent prefix.
+    fn add_segment(&mut self, segment: Segment) -> bool {
+        let (bank, first, window) = (segment.bank, segment.first, self.window);
+        let (load, pushed) = (self.load[bank], self.runs[bank]);
+        let ring = &mut self.slots[bank * window..][..window];
+        let whole = |&(f, at): &(u64, u64)| f == first && at + window as u64 >= load;
+        if ring[..pushed.min(window)].iter().any(whole) {
+            return true;
         }
-        let slots = &mut self.entries[bank * self.window..][..self.window];
-        let (len, next) = (&mut self.len[bank], &mut self.next[bank]);
-        let fresh = slots[..*len].iter().all(|&e| e.wrapping_sub(start) >= k);
-        for word in start..start + k {
-            if !fresh && slots[..*len].contains(&word) {
-                self.load[bank] -= 1; // combined
-                continue;
-            }
-            slots[*next] = word;
-            *next = if *next + 1 == slots.len() {
-                0
-            } else {
-                *next + 1
-            };
-            *len = (*len + 1).min(slots.len());
+        if window > 0 {
+            ring[pushed % window] = (first, load);
         }
+        self.runs[bank] += 1;
+        self.load[bank] += segment.words;
+        false
     }
 }
 
@@ -135,12 +132,11 @@ impl MemSystem {
     /// A per-strip shard of the memory system for the parallel timing
     /// pass: a cold cache whose state is private to one strip.
     ///
-    /// Sharding contract: each strip's memory ops are costed against its
-    /// own shard in op-index order, so a strip's costs depend only on
-    /// that strip's address trace — never on which thread ran it, when,
-    /// or beside which other strips. Each cost carries its own
-    /// [`CacheAccessStats`]; a report merges those of the ops it times
-    /// (plain `u64` sums plus a max, both order-insensitive).
+    /// Sharding contract: each strip's memory ops are costed in op-index
+    /// order against a cold shard (a worker's, [`Self::flush_cache`]d
+    /// first), so its costs depend only on its own address trace. Each
+    /// cost carries its own [`CacheAccessStats`]; a report merges those
+    /// of the ops it times (`u64` sums and a max, order-insensitive).
     pub fn strip_shard(cfg: &MachineConfig) -> Self {
         Self::new(cfg)
     }
@@ -150,9 +146,11 @@ impl MemSystem {
         self.stats
     }
 
-    /// Reset cache contents.
+    /// Back to a new memory system's state, a cold cache and zero
+    /// statistics, keeping the storage.
     pub fn flush_cache(&mut self) {
         self.cache.flush();
+        self.stats = CacheAccessStats::default();
     }
 
     /// Price one stream op against this memory system's cache state.
@@ -259,9 +257,11 @@ impl MemSystem {
     ) -> MemOpCost {
         let words = (indices.len() * record_len) as u64;
         if self.cfg.cache_allocates_gathers {
-            let cache = self
-                .cache
-                .access_runs(record_runs(mem, region, record_len, indices), write);
+            let cache = self.cache.access_runs(
+                record_runs(mem, region, record_len, indices),
+                write,
+                |_| true,
+            );
             return self.traced_cost(cache, words, words, true);
         }
         let cache = crate::cache::CacheAccessStats {
@@ -295,13 +295,17 @@ impl MemSystem {
         let first = mem.word_address(region, (start * record_len) as u64);
         let cache = self
             .cache
-            .access_runs(std::iter::once((first, words)), write);
+            .access_runs(std::iter::once((first, words, 1)), write, |_| true);
         // Strided transfers need one address per record, not per word.
         self.traced_cost(cache, words, records as u64, false)
     }
 
-    /// Cost a scatter-add of `indices.len()` records. Bank pressure and
-    /// combining are modelled per line segment of each record.
+    /// Cost a scatter-add of `indices.len()` records. Each line segment
+    /// of each record goes once through the cache (read-modify-write
+    /// marks lines dirty) and then its bank's combining store, where an
+    /// add to an address still in the window merges for free. A run of
+    /// equal consecutive indices is settled — repeated in bulk — once an
+    /// add of its record hits every line and merges every word.
     pub fn scatter_add_cost(
         &mut self,
         mem: &Memory,
@@ -310,22 +314,15 @@ impl MemSystem {
         indices: &[u32],
     ) -> MemOpCost {
         let words = (indices.len() * record_len) as u64;
-        // Cache trace (read-modify-write marks lines dirty).
+        let combining = &mut self.combining;
+        combining.reset();
+        let runs = record_runs(mem, region, record_len, indices);
         let cache = self
             .cache
-            .access_runs(record_runs(mem, region, record_len, indices), true);
+            .access_runs(runs, true, |segment| combining.add_segment(segment));
         let mut cost = self.traced_cost(cache, words, words, true);
 
-        // Per-bank scatter-add pressure with a combining window: an add
-        // matching an address already in the bank's combining store merges
-        // for free.
         let units = self.cfg.scatter_add_units_per_bank.max(1) as u64;
-        self.combining.reset();
-        for (start, len) in record_runs(mem, region, record_len, indices) {
-            for segment in self.cache.segments(start, len) {
-                self.combining.add_segment(segment);
-            }
-        }
         let bank_cycles = self
             .combining
             .load
@@ -338,18 +335,19 @@ impl MemSystem {
     }
 }
 
-/// The word runs `(first address, record_len)` of an indexed op's
-/// records, in index order.
+/// The word runs `(first address, record_len, copies)` of an indexed op's
+/// records, in index order, equal consecutive indices as one run.
 fn record_runs<'a>(
     mem: &'a Memory,
     region: RegionId,
     record_len: usize,
     indices: &'a [u32],
-) -> impl Iterator<Item = (u64, u64)> + 'a {
+) -> impl Iterator<Item = (u64, u64, u64)> + 'a {
     let len = record_len as u64;
-    indices
-        .iter()
-        .map(move |&i| (mem.word_address(region, i as u64 * len), len))
+    indices.chunk_by(|a, b| a == b).map(move |run| {
+        let first = mem.word_address(region, run[0] as u64 * len);
+        (first, len, run.len() as u64)
+    })
 }
 
 /// The per-word pricing the production methods above must reproduce
@@ -602,13 +600,18 @@ mod tests {
 
     const RECORDS: u32 = 96;
 
-    /// Index streams with repeats (a small range) and hot spots (half
-    /// the draws land on three records).
+    /// Index streams with repeats (a small range), hot spots (half the
+    /// draws land on three records) and runs of one index 1–40 long (a
+    /// quarter of the draws), which take the bulk-repeat path.
     fn indices() -> impl Strategy<Value = Vec<u32>> {
-        prop::collection::vec((0u32..RECORDS, 0u32..6), 0..120).prop_map(|draws| {
+        let draw = (0u32..RECORDS, 0u32..6, 0u32..4, 1usize..41);
+        prop::collection::vec(draw, 0..120).prop_map(|draws| {
             draws
                 .into_iter()
-                .map(|(i, hot)| if hot < 3 { 7 + hot } else { i })
+                .flat_map(|(i, hot, runs, len)| {
+                    let i = if hot < 3 { 7 + hot } else { i };
+                    std::iter::repeat_n(i, if runs == 0 { len } else { 1 })
+                })
                 .collect()
         })
     }
@@ -628,19 +631,28 @@ mod tests {
 
         /// Sequences of gather / load / scatter-add / store ops on one
         /// warm `MemSystem` price exactly as the per-word model does, op
-        /// by op: equal later costs is what proves equal cache state.
+        /// by op, and leave the same cache lines, LRU stamps included
+        /// (a bulk repeat shifts stamps without reordering them, which
+        /// no later cost would show).
         #[test]
         fn run_pricing_equals_per_word_model(
             // 3-word lines (and most bank counts) take the dividing
             // arm of the address → line → bank mapping, not the shift.
             line_words in prop::sample::select(vec![1usize, 3, 4, 8]),
             (ways, banks) in (prop::sample::select(vec![1usize, 2, 4]), 1usize..9),
-            window in prop::sample::select(vec![0usize, 1, 8]),
+            window in prop::sample::select(vec![0usize, 1, 8, 16]),
             units in 1usize..3,
-            record_len in 1usize..13,
+            // Up to 20 words: a record spans three or more 3-, 4- or
+            // 8-word lines and can put two segments in one bank.
+            record_len in 1usize..21,
             ops in prop::collection::vec(op(), 1..10),
+            // Unbounded address, cache and DRAM rates leave a scatter-add
+            // costing its busiest bank's load, which the other terms
+            // would otherwise often hide.
+            bank_bound in 0u32..2,
         ) {
             // A 16-set cache: small enough that the traces evict.
+            let fast = |rate| if bank_bound == 1 { 1 << 30 } else { rate };
             let cfg = MachineConfig {
                 cache_line_words: line_words,
                 cache_ways: ways,
@@ -649,6 +661,9 @@ mod tests {
                 combining_store_entries: window,
                 scatter_add_units_per_bank: units,
                 cache_allocates_gathers: true,
+                addresses_per_cycle: fast(8),
+                cache_words_per_cycle: fast(8),
+                dram_random_words_per_cycle: fast(2) as f64,
                 ..MachineConfig::default()
             };
             let mut mem = Memory::new();
@@ -672,7 +687,50 @@ mod tests {
                 };
                 prop_assert_eq!(got, want);
                 prop_assert_eq!(ms.stats(), oracle.stats());
+                prop_assert!(ms.cache.same_state(&oracle.cache));
             }
+        }
+    }
+
+    /// The memory ops of strip `strip` of a program shaped like the paper
+    /// box's `expanded` one, priced in op order on `ms`: three index
+    /// loads of 910 words, three gathers and two scatter-adds of 910
+    /// nine-word records into 902 molecules' forces — the centre stream
+    /// eight runs of one index, the neighbour stream over 284 molecules
+    /// with no index twice in a row.
+    fn price_paper_strip(ms: &mut MemSystem, mem: &Memory, strip: u32) -> Vec<MemOpCost> {
+        let (index, positions, forces) = (RegionId(0), RegionId(1), RegionId(2));
+        let centre: Vec<u32> = (0..910).map(|k| (8 * strip + k / 114) % 900).collect();
+        let neighbour: Vec<u32> = (0..910).map(|k| (k * 37 + strip * 101) % 284 * 3).collect();
+        let mut costs: Vec<MemOpCost> = (0..3)
+            .map(|s| ms.sequential_cost(mem, index, 1, (3 * strip as usize + s) * 910, 910, false))
+            .collect();
+        for idx in [&centre, &centre, &neighbour] {
+            costs.push(ms.gather_cost(mem, positions, 9, idx, false));
+        }
+        costs.push(ms.scatter_add_cost(mem, forces, 9, &centre));
+        costs.push(ms.scatter_add_cost(mem, forces, 9, &neighbour));
+        costs
+    }
+
+    #[test]
+    fn a_reset_shard_prices_a_strip_as_a_fresh_one_does() {
+        let cfg = MachineConfig::default();
+        let mut mem = Memory::new();
+        mem.region("index", vec![0.0; 18 * 910]);
+        mem.region("positions", vec![0.0; 900 * 9]);
+        mem.region("forces", vec![0.0; 902 * 9]);
+        let mut worker = MemSystem::strip_shard(&cfg);
+        for strip in 0..6 {
+            worker.flush_cache();
+            let mut fresh = MemSystem::strip_shard(&cfg);
+            let want = price_paper_strip(&mut fresh, &mem, strip);
+            assert_eq!(price_paper_strip(&mut worker, &mem, strip), want);
+            assert_eq!(worker.stats(), fresh.stats());
+            assert!(
+                want[7].cache.hits > 0,
+                "the neighbour scatter revisits lines"
+            );
         }
     }
 }

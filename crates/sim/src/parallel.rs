@@ -26,27 +26,32 @@
 //! region contents, forces, cycles and counters at **every** thread
 //! count (including 1). Four properties guarantee it:
 //!
-//! 1. the per-strip map is order-preserving and each strip's execution
-//!    is pure given the (read-only) input regions;
-//! 2. scatter-add contributions are accumulated into per-strip overlay
-//!    buffers and merged by a *fixed-shape* pairwise tree over strip
-//!    index — the tree's shape depends only on the strip count, never
-//!    on the worker count or completion order;
+//! 1. each worker runs a contiguous chunk of strips in strip order, and
+//!    each strip's execution is pure given the (read-only) input
+//!    regions;
+//! 2. a strip's scatter-adds into a region accumulate into an overlay —
+//!    one *layer* of the region, ranked among the strips that scatter
+//!    into it — and a region's layers are summed by a *fixed-shape*
+//!    pairwise tree (at stride 1, 2, 4, … layer `i`, a multiple of twice
+//!    the stride, takes layer `i + stride`, `x += y`). Every node of the
+//!    fixed-shape tree is computed once, by whichever side holds both
+//!    children: a worker inside its chunk, the main thread across chunks;
 //! 3. each strip's memory ops are costed in op-index order against a
-//!    private cold [`MemSystem`] shard ([`MemSystem::strip_shard`]), so
-//!    a strip's costs are a pure function of its own address trace — of
-//!    neither the thread that ran it nor the other strips run with it;
-//!    a report's [`crate::CacheAccessStats`] are the merge (`u64` sums
-//!    and a max) of the costs of the ops it schedules;
+//!    cold [`MemSystem`] shard ([`MemSystem::strip_shard`], which a
+//!    worker flushes before each of its strips), so a strip's costs are a
+//!    pure function of its own address trace — of neither the thread
+//!    that ran it nor the other strips run with it; a report's
+//!    [`crate::CacheAccessStats`] are the merge (`u64` sums and a max) of
+//!    the costs of the ops it schedules;
 //! 4. the timing pass is serial and the same scoreboard call as the
 //!    fallback path's; it reads the per-op records and no region data,
 //!    so nothing phase A did on another thread can reach it except
 //!    through those records.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Instant;
 
-use merrimac_arch::MachineConfig;
 use merrimac_kernel::interp::{Interpreter, StreamData, StreamView};
 use merrimac_kernel::BatchWidth;
 use rayon::prelude::*;
@@ -55,21 +60,74 @@ use crate::kernelc::CompiledKernel;
 use crate::machine::{HostPhases, KernelEngine, OpRecord, RunReport, SimError, StreamProcessor};
 use crate::memsys::MemSystem;
 use crate::partition::{partition_program, PartitionReport};
-use crate::program::{BufferId, LabelledOp, Memory, RegionId, StreamOp, StreamProgram};
+use crate::program::{AccessKind, BufferId, LabelledOp, Memory, RegionId, StreamOp, StreamProgram};
 
-/// Everything one strip's functional execution produced.
-struct StripOutcome {
-    /// `(op index, record)` for ops the timing pass needs facts about:
-    /// kernels, and every memory op (which carries its precomputed
-    /// [`crate::memsys::MemOpCost`]).
+/// One phase-A worker: the contiguous chunk of strips it runs in order
+/// on one memory-system shard (made at its first strip), and what they
+/// leave.
+#[derive(Default)]
+struct Worker {
+    memsys: Option<MemSystem>,
+    /// Per scatter-add region, the stack of reduction-tree nodes the
+    /// chunk finished and no node of the chunk takes, in layer order.
+    nodes: BTreeMap<usize, Vec<Node>>,
+    /// Overlays the folds merged away, for later strips.
+    spare: Vec<Vec<f64>>,
+    /// `(op index, record)` of every op: a memory op's carries its cost.
     records: Vec<(usize, OpRecord)>,
-    /// Per-region scatter-add overlays: contributions accumulated into
-    /// a zero-initialized image of the region, in op order.
-    scatter: Vec<(usize, Vec<f64>)>,
-    /// Sequential stores: `(region, start word, data)`, in op order.
-    stores: Vec<(usize, usize, Vec<f64>)>,
-    /// Host time of this strip's ops by kind, and of pricing them.
+    /// Sequential stores: `(op index, source stream)`, in op order.
+    stores: Vec<(usize, StreamData)>,
+    /// Host time of the chunk's ops by kind, and of pricing them.
     host: HostPhases,
+}
+
+/// A node of a region's reduction tree: the sum of its `layers`.
+struct Node {
+    layers: Range<usize>,
+    sum: Vec<f64>,
+}
+
+/// Push `node`, the one after the last on `stack`, into a region's tree
+/// of `layers` layers, and compute each node whose children are now on
+/// top: at stride `s`, `i..i + s` (`i` a multiple of `2s`) takes the
+/// rest up to `i + 2s` or the last layer. Merged-away buffers go to
+/// `spare`.
+fn fold(stack: &mut Vec<Node>, layers: usize, node: Node, spare: &mut Vec<Vec<f64>>) {
+    stack.push(node);
+    while let [.., left, right] = &mut stack[..] {
+        let (i, s) = (left.layers.start, left.layers.len());
+        if i % (2 * s) != 0 || right.layers.end != (i + 2 * s).min(layers) {
+            break;
+        }
+        for (x, y) in left.sum.iter_mut().zip(&right.sum) {
+            *x += *y;
+        }
+        left.layers.end = right.layers.end;
+        spare.extend(stack.pop().map(|right| right.sum));
+    }
+}
+
+/// Per strip, `(region, layer)` for each region it scatter-adds into —
+/// the layer its rank among the strips that do — and per region the
+/// number of layers.
+type Layers = (Vec<Vec<(usize, usize)>>, BTreeMap<usize, usize>);
+
+fn layers(program: &StreamProgram, strips: &[Vec<usize>]) -> Layers {
+    let mut count: BTreeMap<usize, usize> = BTreeMap::new();
+    let of_strip = strips.iter().map(|ops| {
+        let mut mine: Vec<(usize, usize)> = Vec::new();
+        for &i in ops {
+            if let StreamOp::ScatterAdd { region, .. } = &program.ops[i].op {
+                if mine.iter().all(|&(r, _)| r != region.0) {
+                    let next = count.entry(region.0).or_default();
+                    mine.push((region.0, *next));
+                    *next += 1;
+                }
+            }
+        }
+        mine
+    });
+    (of_strip.collect(), count)
 }
 
 /// What [`StreamProcessor::execute`] leaves for the timing pass: one
@@ -143,53 +201,60 @@ impl StreamProcessor {
             });
         }
 
-        // ---- phase A: per-strip functional execution + memory costs ----
+        // ---- phase A: contiguous chunks of strips, one per worker -------
         let t = Instant::now();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads.max(1))
             .build()
             .map_err(|e| SimError::Program(format!("thread pool: {e}")))?;
+        let (of_strip, count) = layers(program, &partition.strips);
         let shared: &Memory = memory;
-        let cfg = &self.cfg;
-        let engine = self.kernel_engine;
-        let batch = self.tape_batch;
-        let outcomes: Result<Vec<StripOutcome>, SimError> = pool.install(|| {
-            (&partition.strips)
+        let workers: Vec<Result<Worker, SimError>> = pool.install(|| {
+            (0..partition.strips.len())
                 .into_par_iter()
-                .map(|ops| exec_strip(cfg, shared, program, ops, engine, batch))
+                .fold(
+                    || Ok(Worker::default()),
+                    |worker, s| {
+                        let (ops, targets) = (&partition.strips[s], &of_strip[s]);
+                        worker?.run_strip(self, shared, program, ops, targets, &count)
+                    },
+                )
                 .collect()
         });
-        let outcomes = outcomes?;
+        let mut workers = workers.into_iter().collect::<Result<Vec<_>, _>>()?;
         host.phase_a_wall = t.elapsed();
 
         // ---- deterministic merge --------------------------------------
         let t = Instant::now();
         let mut records: Vec<OpRecord> = vec![OpRecord::default(); program.ops.len()];
-        // Scatter overlays, grouped by region in strip order, reduced by
-        // a fixed-shape pairwise tree, then added into the base region.
-        let mut by_region: BTreeMap<usize, Vec<Vec<f64>>> = BTreeMap::new();
-        let mut stores: Vec<(usize, usize, Vec<f64>)> = Vec::new();
-        for o in outcomes {
-            for (i, r) in o.records {
+        for w in &mut workers {
+            for (i, r) in w.records.drain(..) {
                 records[i] = r;
             }
-            host.add(&o.host);
-            for (region, overlay) in o.scatter {
-                by_region.entry(region).or_default().push(overlay);
-            }
-            stores.extend(o.stores);
+            host.add(&w.host);
         }
         host.merge = t.elapsed();
+        // Per region the tree nodes across chunks, the sum into the region.
         let t = Instant::now();
-        for (region, mut overlays) in by_region {
-            let total = tree_sum(&mut overlays);
-            for (d, v) in memory.data_mut(RegionId(region)).iter_mut().zip(total) {
-                *d += *v;
+        let mut spare = Vec::new();
+        for (region, layers) in count {
+            let mut stack = Vec::new();
+            for w in &mut workers {
+                for node in w.nodes.remove(&region).unwrap_or_default() {
+                    fold(&mut stack, layers, node, &mut spare);
+                }
+            }
+            debug_assert_eq!(stack.len(), 1, "region {region}'s tree is whole");
+            for root in stack {
+                for (d, v) in memory.data_mut(RegionId(region)).iter_mut().zip(&root.sum) {
+                    *d += *v;
+                }
             }
         }
-        for (region, start, data) in stores {
-            let dst = memory.data_mut(RegionId(region));
-            dst[start..start + data.len()].copy_from_slice(&data);
+        for (i, src) in workers.iter().flat_map(|w| &w.stores) {
+            if let Some((region, _)) = program.ops[*i].op.region_use() {
+                write_into(memory.data_mut(region), &program.ops[*i].op, src);
+            }
         }
         host.reduce = t.elapsed();
         Ok(Executed {
@@ -251,29 +316,8 @@ fn exec_serial(
     for lop in &program.ops {
         let (rec, src) = exec_op(memory, lop, &mut buffers, engine, batch)?;
         records.push(rec);
-        match (&lop.op, src) {
-            (
-                StreamOp::ScatterAdd {
-                    region,
-                    record_len,
-                    indices,
-                    ..
-                },
-                Some(src),
-            ) => scatter_add_into(memory.data_mut(*region), src, *record_len, indices),
-            (
-                StreamOp::Store {
-                    region,
-                    record_len,
-                    start,
-                    ..
-                },
-                Some(src),
-            ) => {
-                let s = start * record_len;
-                memory.data_mut(*region)[s..s + src.data.len()].copy_from_slice(&src.data);
-            }
-            _ => {}
+        if let (Some(src), Some((region, _))) = (src, lop.op.region_use()) {
+            write_into(memory.data_mut(region), &lop.op, src);
         }
     }
     Ok(records)
@@ -382,13 +426,28 @@ fn produced<'b>(
     })
 }
 
-/// `dst[index record] += src record`, record by record in stream order.
-fn scatter_add_into(dst: &mut [f64], src: &StreamData, record_len: usize, indices: &[u32]) {
-    for (r, &idx) in indices.iter().enumerate() {
-        let base = idx as usize * record_len;
-        for (d, x) in dst[base..base + record_len].iter_mut().zip(src.record(r)) {
-            *d += *x;
+/// A scatter-add's or a store's checked source stream `src` written
+/// into `dst`, an image of the op's region — the live region or a
+/// strip's overlay: `dst[index record] += src record` in stream order,
+/// or the records copied in from the store's start.
+fn write_into(dst: &mut [f64], op: &StreamOp, src: &StreamData) {
+    match op {
+        StreamOp::ScatterAdd {
+            record_len,
+            indices,
+            ..
+        } => {
+            for (r, &idx) in indices.iter().enumerate() {
+                let base = idx as usize * record_len;
+                for (d, x) in dst[base..base + record_len].iter_mut().zip(src.record(r)) {
+                    *d += *x;
+                }
+            }
         }
+        StreamOp::Store {
+            record_len, start, ..
+        } => dst[start * record_len..][..src.data.len()].copy_from_slice(&src.data),
+        _ => {}
     }
 }
 
@@ -446,96 +505,73 @@ fn kernel_functional(
     Ok((out.outputs, srf_words))
 }
 
-/// Functionally execute one strip's ops against the (read-only) input
-/// regions, accumulating writes into private overlays and costing every
-/// memory op in op-index order against a private cold [`MemSystem`]
-/// shard.
-fn exec_strip(
-    cfg: &MachineConfig,
-    memory: &Memory,
-    program: &StreamProgram,
-    ops: &[usize],
-    engine: KernelEngine,
-    batch: BatchWidth,
-) -> Result<StripOutcome, SimError> {
-    let mut buffers = vec![None; program.buffers.len()];
-    let mut memsys = MemSystem::strip_shard(cfg);
-    let mut out = StripOutcome {
-        records: Vec::new(),
-        scatter: Vec::new(),
-        stores: Vec::new(),
-        host: HostPhases::default(),
-    };
-    for &i in ops {
-        let lop = &program.ops[i];
+impl Worker {
+    /// Execute one strip's `ops` on the (read-only) input regions, its
+    /// scatter-adds into an overlay per `(region, layer)` of its `targets`,
+    /// pricing each memory op in op-index order on the flushed shard;
+    /// then fold the overlays into their trees, of `count` layers.
+    fn run_strip(
+        mut self,
+        proc: &StreamProcessor,
+        memory: &Memory,
+        program: &StreamProgram,
+        ops: &[usize],
+        targets: &[(usize, usize)],
+        count: &BTreeMap<usize, usize>,
+    ) -> Result<Self, SimError> {
         let t = Instant::now();
-        let (mut rec, src) = exec_op(memory, lop, &mut buffers, engine, batch)?;
-        match (&lop.op, src) {
-            (
-                StreamOp::ScatterAdd {
-                    region,
-                    record_len,
-                    indices,
-                    ..
-                },
-                Some(src),
-            ) => {
-                let pos = match out.scatter.iter().position(|(r, _)| *r == region.0) {
-                    Some(p) => p,
-                    None => {
-                        out.scatter
-                            .push((region.0, vec![0.0; memory.data(*region).len()]));
-                        out.scatter.len() - 1
-                    }
-                };
-                scatter_add_into(&mut out.scatter[pos].1, src, *record_len, indices);
-            }
-            (
-                StreamOp::Store {
-                    region,
-                    record_len,
-                    start,
-                    ..
-                },
-                Some(src),
-            ) => out
-                .stores
-                .push((region.0, start * record_len, src.data.clone())),
-            _ => {}
-        }
-        *match &lop.op {
-            StreamOp::Gather { .. } => &mut out.host.gather,
-            StreamOp::Load { .. } => &mut out.host.load,
-            StreamOp::Kernel { .. } => &mut out.host.kernel,
-            StreamOp::ScatterAdd { .. } | StreamOp::Store { .. } => &mut out.host.scatter,
-        } += t.elapsed();
-        if lop.op.is_memory() {
+        let mut overlays: Vec<Vec<f64>> = targets
+            .iter()
+            .map(|&(region, _)| {
+                let mut overlay = self.spare.pop().unwrap_or_default();
+                overlay.clear();
+                overlay.resize(memory.data(RegionId(region)).len(), 0.0);
+                overlay
+            })
+            .collect();
+        self.host.scatter += t.elapsed();
+        let t = Instant::now();
+        let memsys = self
+            .memsys
+            .get_or_insert_with(|| MemSystem::strip_shard(&proc.cfg));
+        memsys.flush_cache();
+        self.host.op_cost += t.elapsed();
+        let mut buffers = vec![None; program.buffers.len()];
+        let (engine, batch) = (proc.kernel_engine, proc.tape_batch);
+        for &i in ops {
+            let lop = &program.ops[i];
             let t = Instant::now();
-            rec.mem_cost = Some(memsys.op_cost(memory, &lop.op, rec.store_records));
-            out.host.op_cost += t.elapsed();
-        }
-        out.records.push((i, rec));
-    }
-    Ok(out)
-}
-
-/// Pairwise tree reduction of equally-sized accumulators, in place,
-/// into the first one: at stride 1, 2, 4, … layer `i` (a multiple of
-/// twice the stride) takes layer `i + stride`, and a layer without a
-/// partner passes through. The tree's shape — so every bit of the sum —
-/// is a function of `layers.len()` alone.
-fn tree_sum(layers: &mut [Vec<f64>]) -> &[f64] {
-    let mut stride = 1;
-    while stride < layers.len() {
-        for i in (0..layers.len() - stride).step_by(2 * stride) {
-            let (head, tail) = layers.split_at_mut(i + stride);
-            for (x, y) in head[i].iter_mut().zip(&tail[0]) {
-                *x += *y;
+            let (mut rec, src) = exec_op(memory, lop, &mut buffers, engine, batch)?;
+            match (src, lop.op.region_use()) {
+                (Some(src), Some((region, AccessKind::Reduce))) => {
+                    if let Some(at) = targets.iter().position(|&(r, _)| r == region.0) {
+                        write_into(&mut overlays[at], &lop.op, src);
+                    }
+                }
+                (Some(src), _) => self.stores.push((i, src.clone())),
+                _ => {}
             }
+            *match &lop.op {
+                StreamOp::Gather { .. } => &mut self.host.gather,
+                StreamOp::Load { .. } => &mut self.host.load,
+                StreamOp::Kernel { .. } => &mut self.host.kernel,
+                StreamOp::ScatterAdd { .. } | StreamOp::Store { .. } => &mut self.host.scatter,
+            } += t.elapsed();
+            if lop.op.is_memory() {
+                let t = Instant::now();
+                rec.mem_cost = Some(memsys.op_cost(memory, &lop.op, rec.store_records));
+                self.host.op_cost += t.elapsed();
+            }
+            self.records.push((i, rec));
         }
-        stride *= 2;
+        let t = Instant::now();
+        for (&(region, layer), sum) in targets.iter().zip(overlays) {
+            let (stack, layers) = (self.nodes.entry(region).or_default(), layer..layer + 1);
+            fold(stack, count[&region], Node { layers, sum }, &mut self.spare);
+        }
+        self.host.scatter += t.elapsed();
+        Ok(self)
     }
-    layers.first().map_or(&[], Vec::as_slice)
 }
 
 #[cfg(test)]
@@ -1010,7 +1046,7 @@ mod tests {
         assert_eq!(FallbackKind::from_code("nonsense"), None);
     }
 
-    /// The level-by-level reduction `tree_sum` replaced, kept as its
+    /// The level-by-level reduction the folds replaced, kept as their
     /// reference: a fresh list of pairs per level, each pair summed into
     /// its left member.
     fn tree_sum_by_levels(mut layers: Vec<Vec<f64>>) -> Vec<f64> {
@@ -1030,12 +1066,33 @@ mod tests {
         layers.pop().unwrap_or_default()
     }
 
+    /// `layers` summed the way `execute` sums a region's overlays when
+    /// its strips split into `chunks`: each chunk folds its own layers,
+    /// then one more fold takes every chunk's nodes in order.
+    fn chunked_fold(layers: &[Vec<f64>], chunks: &[Vec<usize>]) -> Vec<f64> {
+        let (n, mut spare, mut main) = (layers.len(), Vec::new(), Vec::new());
+        for chunk in chunks {
+            let mut stack = Vec::new();
+            for &i in chunk {
+                let (layers, sum) = (i..i + 1, layers[i].clone());
+                fold(&mut stack, n, Node { layers, sum }, &mut spare);
+            }
+            for node in stack {
+                fold(&mut main, n, node, &mut spare);
+            }
+        }
+        assert!(main.len() <= 1, "{} nodes left", main.len());
+        main.pop().map_or_else(Vec::new, |root| root.sum)
+    }
+
     #[test]
     fn in_place_tree_sum_is_the_level_by_level_sum_bit_for_bit() {
         // Magnitudes spread over 22 decades make the association show in
         // the low bits. Each special keeps a column to itself, so no word
         // ever adds two different NaN bit patterns (which payload that
-        // keeps is the compiler's choice of operand order).
+        // keeps is the compiler's choice of operand order). The fold is
+        // held at every worker count (`execute`'s chunks) and every chunk
+        // size.
         for n in (0..=9).chain([31, 73]) {
             let layers: Vec<Vec<f64>> = (0..n)
                 .map(|s| {
@@ -1055,10 +1112,103 @@ mod tests {
                 })
                 .collect();
             let want = tree_sum_by_levels(layers.clone());
-            let mut layers = layers;
-            let got = tree_sum(&mut layers);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(got), bits(&want), "{n} layers");
+            let n = layers.len();
+            for k in 1..=n.max(1) {
+                // `execute`'s split over `k` workers: `rayon`'s fold.
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(k).build();
+                let by_workers: Vec<Vec<usize>> = pool.expect("a pool").install(|| {
+                    let take = |mut chunk: Vec<usize>, i| (chunk.push(i), chunk).1;
+                    (0..n).into_par_iter().fold(Vec::new, take).collect()
+                });
+                let got = chunked_fold(&layers, &by_workers);
+                assert_eq!(bits(&got), bits(&want), "{n} layers, {k} workers");
+                let by_size: Vec<Vec<usize>> = (0..n)
+                    .step_by(k)
+                    .map(|s| (s..(s + k).min(n)).collect())
+                    .collect();
+                let got = chunked_fold(&layers, &by_size);
+                assert_eq!(bits(&got), bits(&want), "{n} layers, chunks of {k}");
+            }
+        }
+    }
+
+    /// `strips` strips over `n`-record regions `a` and `b`: every strip
+    /// squares its slice of `xs` and scatter-adds it into `a`, the even
+    /// ones into `b` as well, so a strip's layer in `b` is not its index.
+    /// The squares are all of one magnitude, so every sum rounds and its
+    /// association shows in its bits.
+    fn two_region_setup(strips: usize, n: usize) -> (Memory, StreamProgram, Vec<Vec<u32>>) {
+        let k = square_kernel(&MachineConfig::default());
+        let x = |i: usize| (i as f64).sin() + 1.5;
+        let mut mem = Memory::new();
+        let xs = mem.region("xs", (0..strips * n).map(x).collect());
+        let a = mem.region("a", vec![0.0; n]);
+        let b = mem.region("b", vec![0.0; n]);
+        let mut pb = ProgramBuilder::new();
+        pb.intent(xs, AccessIntent::ReadOnly)
+            .intent(a, AccessIntent::ReduceAdd)
+            .intent(b, AccessIntent::ReduceAdd);
+        let targets: Vec<Vec<u32>> = (0..strips)
+            .map(|s| (0..n).map(|i| ((i * 7 + s) % n) as u32).collect())
+            .collect();
+        for (strip, tgt) in targets.iter().enumerate() {
+            pb.strip(strip);
+            let bx = pb.buffer(&format!("x{strip}"), 1);
+            let by = pb.buffer(&format!("y{strip}"), 1);
+            let idx: Vec<u32> = (0..n).map(|i| (strip * n + i) as u32).collect();
+            pb.gather(format!("gather {strip}"), xs, 1, Arc::new(idx), bx);
+            let (k, iterations) = (k.clone(), n as u64);
+            let per_cluster = iterations.div_ceil(16);
+            pb.kernel(
+                format!("kernel {strip}"),
+                k,
+                vec![bx],
+                vec![by],
+                vec![],
+                iterations,
+                per_cluster,
+            );
+            pb.scatter_add(format!("a {strip}"), by, a, 1, Arc::new(tgt.clone()));
+            if strip % 2 == 0 {
+                pb.scatter_add(format!("b {strip}"), by, b, 1, Arc::new(tgt.clone()));
+            }
+        }
+        (mem, pb.build(), targets)
+    }
+
+    #[test]
+    fn a_strip_that_skips_a_region_is_no_layer_of_it() {
+        let (strips, n) = (9, 64);
+        let (_, _, targets) = two_region_setup(strips, n);
+        let x = |i: usize| (i as f64).sin() + 1.5;
+        let overlay = |s: usize| {
+            let mut o = vec![0.0; n];
+            for (i, &t) in targets[s].iter().enumerate() {
+                o[t as usize] += x(s * n + i) * x(s * n + i);
+            }
+            o
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| (0.0 + x).to_bits()).collect::<Vec<_>>();
+        let want_a = bits(&tree_sum_by_levels((0..strips).map(overlay).collect()));
+        let want_b = bits(&tree_sum_by_levels(
+            (0..strips).step_by(2).map(overlay).collect(),
+        ));
+        for threads in [1, 2, 3, 8] {
+            let (mut mem, program, _) = two_region_setup(strips, n);
+            let proc = StreamProcessor::new(MachineConfig::default());
+            let r = proc
+                .run_parallel(&mut mem, &program, threads)
+                .expect("runs");
+            assert!(r.partition.parallelized, "{:?}", r.partition.fallback);
+            let got = |r| {
+                mem.data(RegionId(r))
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(got(1), want_a, "region a at {threads} threads");
+            assert_eq!(got(2), want_b, "region b at {threads} threads");
         }
     }
 }

@@ -13,7 +13,10 @@
 //! oracle). The last row is the `variable` step over 8 simulated nodes:
 //! one execution, so one `phase_a_wall` and one `reduce`, and a
 //! `scoreboard` summed over its nine timings (the whole step and each
-//! node's share).
+//! node's share). `minflt` is the process's minor page faults per step
+//! over the timed steps (field 10 of `/proc/self/stat`; blank where
+//! there is no such file): memory handed back to the system between
+//! strips and faulted in again shows here.
 //!
 //! ```sh
 //! cargo run --release --example profile
@@ -31,6 +34,14 @@ const STEPS: u32 = 20;
 
 /// The stages of a step outside `run`, in pipeline order.
 const STAGES: [&str; 5] = ["list", "layout", "build-self", "admit", "clone"];
+
+/// The process's minor page faults so far: field 10 of `/proc/self/stat`
+/// (the fields after the parenthesised command name start at field 3).
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let (_, fields) = stat.rsplit_once(')')?;
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
 
 /// `f`'s result, its wall time added to `total`.
 fn timed<R>(total: &mut Duration, f: impl FnOnce() -> R) -> R {
@@ -88,14 +99,19 @@ fn profile(
     };
     step(&mut Totals::default());
     let mut t = Totals::default();
+    let faults = minor_faults();
     (0..STEPS).for_each(|_| step(&mut t));
+    let faults = faults
+        .zip(minor_faults())
+        .map(|(a, b)| (b - a) / STEPS as u64);
     let ms = |d: Duration| d.as_secs_f64() * 1e3 / STEPS as f64;
     print!("{name:11} {:7.2}", ms(t.wall));
     for (name, d) in STAGES.into_iter().zip(t.stages).chain(t.host.named()) {
         print!(" {:w$.2}", ms(d), w = name.len().max(6));
     }
     let per_iteration = t.host.kernel.as_secs_f64() * 1e9 / t.iterations as f64;
-    println!(" {per_iteration:14.1}");
+    let faults = faults.map_or(String::new(), |f| f.to_string());
+    println!(" {per_iteration:14.1} {faults:>7}");
 }
 
 fn main() {
@@ -116,7 +132,7 @@ fn main() {
     {
         print!(" {name:>w$}", w = name.len().max(6));
     }
-    println!(" kernel ns/iter");
+    println!(" kernel ns/iter  minflt");
     for variant in Variant::ALL {
         profile(variant.name(), &system, &app, variant, |program| {
             let step = app.run_step_program(&system, program);
