@@ -3,12 +3,13 @@
 //! error to a diagnostic naming *which* buffers and how many words over
 //! capacity each offending kernel launch lands.
 //!
-//! The accounting is identical to the simulator's (per-buffer share =
-//! worst-case capacity spread across clusters; a kernel needs the sum
-//! of its distinct input/output shares at issue time), so this pass
-//! errors exactly when the simulator would refuse to run the program.
+//! The accounting is the simulator's own ([`srf_overflows`]: per-buffer
+//! share = worst-case capacity spread across clusters; a kernel needs
+//! the sum of its distinct input/output shares at issue time), so this
+//! pass errors exactly when the simulator would refuse to run the
+//! program.
 
-use merrimac_sim::machine::{buffer_capacity_words, produced_buffers};
+use merrimac_sim::machine::srf_overflows;
 use merrimac_sim::program::StreamOp;
 
 use crate::diag::Diagnostic;
@@ -19,37 +20,13 @@ use crate::ProgramContext;
 /// exceeds per-cluster capacity.
 pub fn check(ctx: &ProgramContext) -> Vec<Diagnostic> {
     let program = ctx.program;
-    // Per-buffer words and per-cluster shares, from each producer op.
-    let mut words = vec![0usize; program.buffers.len()];
-    let mut share = vec![0usize; program.buffers.len()];
-    for lop in &program.ops {
-        for b in produced_buffers(&lop.op) {
-            words[b.0] = buffer_capacity_words(program, &lop.op, b);
-            share[b.0] = words[b.0].div_ceil(ctx.cfg.clusters);
-        }
-    }
+    let capacity = ctx.cfg.srf_words_per_cluster;
     let mut diags = Vec::new();
-    for lop in &program.ops {
-        let StreamOp::Kernel {
-            inputs,
-            outputs,
-            iterations,
-            ..
-        } = &lop.op
-        else {
+    for over in srf_overflows(ctx.cfg, program) {
+        let (lop, needed) = (over.op, over.needed);
+        let StreamOp::Kernel { iterations, .. } = lop.op else {
             continue;
         };
-        let mut seen: Vec<usize> = Vec::new();
-        for b in inputs.iter().chain(outputs) {
-            if !seen.contains(&b.0) {
-                seen.push(b.0);
-            }
-        }
-        let needed: usize = seen.iter().map(|&b| share[b]).sum();
-        let capacity = ctx.cfg.srf_words_per_cluster;
-        if needed <= capacity {
-            continue;
-        }
         let mut d = Diagnostic::new(
             Lint::SrfCapacity,
             format!("op '{}' (strip {})", lop.label, lop.strip),
@@ -59,10 +36,11 @@ pub fn check(ctx: &ProgramContext) -> Vec<Diagnostic> {
                 needed - capacity
             ),
         );
-        for &b in &seen {
+        for (b, words) in over.buffers {
             d = d.note(format!(
-                "buffer '{}': {} words total, {} words/cluster at issue time",
-                program.buffers[b].name, words[b], share[b]
+                "buffer '{}': {words} words total, {} words/cluster at issue time",
+                program.buffers[b.0].name,
+                words.div_ceil(ctx.cfg.clusters)
             ));
         }
         diags.push(

@@ -108,7 +108,7 @@ impl std::error::Error for VariantError {
 /// environment overrides all unify here, so `JobResult` in
 /// `merrimac_campaign` carries a single typed failure and a
 /// `NodesOutOfRange`-style preflight renders identically from the
-/// binary and the service.
+/// binary and the campaign pool.
 #[derive(Debug)]
 pub enum RunError {
     /// The simulator (or its configuration preflight) failed.
@@ -122,10 +122,13 @@ pub enum RunError {
     },
     /// A `MERRIMAC_*` environment override did not parse.
     Env(EnvOverrideError),
+    /// A campaign job panicked; `message` is the panic's own text.
+    Panicked { job: String, message: String },
 }
 
 impl RunError {
-    fn sim(variant: Variant, source: SimError) -> Self {
+    /// A simulator failure of `variant`.
+    pub fn sim(variant: Variant, source: SimError) -> Self {
         RunError::Variant(VariantError { variant, source })
     }
 
@@ -165,6 +168,7 @@ impl std::fmt::Display for RunError {
                 Ok(())
             }
             RunError::Env(e) => e.fmt(f),
+            RunError::Panicked { job, message } => write!(f, "job {job} panicked: {message}"),
         }
     }
 }
@@ -174,7 +178,7 @@ impl std::error::Error for RunError {
         match self {
             RunError::Variant(e) => Some(e),
             RunError::Env(e) => Some(e),
-            RunError::Admission { .. } => None,
+            RunError::Admission { .. } | RunError::Panicked { .. } => None,
         }
     }
 }

@@ -88,23 +88,22 @@ impl LintRecord {
 /// did not bump [`SCHEMA_VERSION`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignRecord {
-    /// Jobs submitted to the service.
+    /// Jobs in the campaign.
     pub jobs: usize,
     /// Jobs that produced a `StepOutcome`.
     pub completed: usize,
-    /// Jobs that failed (admission rejections and simulator errors).
+    /// Jobs that failed (preflight, admission, simulator errors, panics).
     pub failed: usize,
-    /// Service worker threads the campaign was scheduled across.
+    /// Worker threads the campaign was scheduled across.
     pub workers: usize,
     /// Jobs served compiled artifacts from the cross-job cache.
     pub cache_hits: usize,
     /// Jobs that built (and populated) their artifact slot.
     pub cache_misses: usize,
-    /// Jobs that skipped the cache (multi-node specs).
-    pub cache_bypass: usize,
     /// Distinct `(dataset, variant, machine)` keys seen.
     pub distinct_keys: usize,
-    /// Host wall-clock seconds from first submit to drain.
+    /// Host wall-clock seconds from the first job's dispatch to the last
+    /// job's end.
     pub wall_seconds: f64,
     /// Completed jobs per host wall-clock second.
     pub jobs_per_sec: f64,
@@ -127,7 +126,7 @@ impl CampaignRecord {
     fn to_json(&self) -> String {
         format!(
             "{{\n    \"jobs\": {}, \"completed\": {}, \"failed\": {}, \"workers\": {},\n    \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_bypass\": {}, \
+             \"cache_hits\": {}, \"cache_misses\": {}, \
              \"distinct_keys\": {},\n    \"wall_seconds\": {}, \"jobs_per_sec\": {}, \
              \"interactions_per_sec\": {}\n  }}",
             self.jobs,
@@ -136,7 +135,6 @@ impl CampaignRecord {
             self.workers,
             self.cache_hits,
             self.cache_misses,
-            self.cache_bypass,
             self.distinct_keys,
             json_f64(self.wall_seconds),
             json_f64(self.jobs_per_sec),
@@ -159,7 +157,6 @@ impl CampaignRecord {
             workers: count("workers")?,
             cache_hits: count("cache_hits")?,
             cache_misses: count("cache_misses")?,
-            cache_bypass: count("cache_bypass")?,
             distinct_keys: count("distinct_keys")?,
             wall_seconds: num("wall_seconds")?,
             jobs_per_sec: num("jobs_per_sec")?,
@@ -705,7 +702,6 @@ mod tests {
             workers: 2,
             cache_hits: 4,
             cache_misses: 4,
-            cache_bypass: 0,
             distinct_keys: 4,
             wall_seconds: 1.5,
             jobs_per_sec: 5.25,

@@ -1,10 +1,11 @@
-//! Campaign smoke harness: queue a small mixed campaign (2 variants ×
-//! 2 datasets × 2 duplicates = 8 jobs) over a 2-worker service, print
-//! the streaming results and campaign rates, and write the additive
-//! `campaign` block into `BENCH_campaign.json`. CI runs this as the
-//! `campaign-smoke` job and asserts on the exit status: nonzero cache
-//! hits, zero failed jobs on shipped variants, and bitwise identity to
-//! the sequential one-shot runs.
+//! Campaign smoke harness: run a small mixed campaign (2 variants ×
+//! 2 datasets × 2 duplicates = 8 jobs) over a pool of workers, print
+//! the results and campaign rates, and write the additive `campaign`
+//! block into `BENCH_campaign.json`. CI runs this as the
+//! `campaign-smoke` job at 1 and at 4 workers and asserts on the exit
+//! status: results in dispatch order, nonzero cache hits, zero failed
+//! jobs on shipped variants, and bitwise identity to the sequential
+//! one-shot runs.
 //!
 //! Knobs: `CAMPAIGN_WORKERS` (default 2), `CAMPAIGN_THREADS` (engine
 //! threads per job, default 2), `BENCH_REPORT_DIR` (report location).
@@ -12,7 +13,7 @@
 use std::sync::Arc;
 
 use merrimac_bench::{banner, run, Dataset, PerfReport};
-use merrimac_campaign::{run_campaign, Job, JobSpec};
+use merrimac_campaign::{run_campaign, Job};
 use streammd::Variant;
 
 fn env_count(var: &str, default: usize) -> usize {
@@ -36,17 +37,20 @@ fn main() {
 
     // 2 duplicates of every (dataset, variant) pair; the second copy of
     // each key must come out of the cache. Priorities favour the larger
-    // box so the queue order differs from submission order.
+    // box so the dispatch order differs from submission order.
     let mut jobs = Vec::new();
     for ds in &datasets {
         for &v in &variants {
             for copy in 0..2 {
                 let prio = ds.system.num_molecules() as i32 + copy;
-                jobs.push(Job::new(JobSpec::new(ds.clone(), v).threads(threads)).priority(prio));
+                jobs.push(Job::new(ds.clone(), v).threads(threads).priority(prio));
             }
         }
     }
     let total = jobs.len();
+    // Dispatch order: descending priority, submission order on ties.
+    let mut dispatch: Vec<(u64, i32)> = (0..).zip(jobs.iter().map(|j| j.priority)).collect();
+    dispatch.sort_by_key(|&(_, prio)| std::cmp::Reverse(prio));
     println!(
         "{total} jobs ({} datasets x {} variants x 2 copies), {workers} worker(s), \
          {threads} engine thread(s)\n",
@@ -55,6 +59,8 @@ fn main() {
     );
 
     let out = run_campaign(jobs, workers);
+    let arrived: Vec<(u64, i32)> = out.results.iter().map(|r| (r.id.0, r.priority)).collect();
+    assert_eq!(arrived, dispatch, "results arrive in dispatch order");
     let mut failures = 0;
     for r in &out.results {
         match &r.result {
@@ -81,7 +87,7 @@ fn main() {
             for r in out
                 .results
                 .iter()
-                .filter(|r| r.label == JobSpec::new(ds.clone(), v).label())
+                .filter(|r| r.label == Job::new(ds.clone(), v).label())
             {
                 let step = r.result.as_ref().expect("campaign job completes");
                 assert_eq!(
@@ -97,7 +103,8 @@ fn main() {
             }
         }
     }
-    println!("\n[ok] every campaign result is bitwise-identical to its one-shot run");
+    println!("\n[ok] results arrive in dispatch order");
+    println!("[ok] every campaign result is bitwise-identical to its one-shot run");
 
     let m = &out.metrics;
     println!(
@@ -105,20 +112,19 @@ fn main() {
         m.completed,
         m.jobs,
         m.wall_seconds,
-        m.jobs_per_sec(),
-        m.interactions_per_sec() / 1e6
+        m.jobs_per_sec,
+        m.interactions_per_sec / 1e6
     );
     println!(
-        "cache: {} hits / {} misses / {} bypass over {} distinct keys (hit rate {:.0}%)",
-        m.cache.hits,
-        m.cache.misses,
-        m.cache.bypass,
-        m.cache.distinct_keys,
+        "cache: {} hits / {} misses over {} distinct keys (hit rate {:.0}%)",
+        m.cache_hits,
+        m.cache_misses,
+        m.distinct_keys,
         m.cache_hit_rate() * 100.0
     );
 
     let mut report = PerfReport::new("campaign", datasets[0].system.num_molecules(), threads);
-    report.campaign = Some(m.to_record());
+    report.campaign = Some(m.clone());
     match report.write_default() {
         Ok(path) => println!("[ok] wrote {}", path.display()),
         Err(e) => {
@@ -129,11 +135,8 @@ fn main() {
 
     assert_eq!(failures, 0, "no job may fail on shipped variants");
     assert_eq!(m.completed, total, "every job completes");
-    assert_eq!(
-        m.cache.distinct_keys, 4,
-        "2 datasets x 2 variants distinct keys"
-    );
-    assert_eq!(m.cache.misses, 4, "one build per key");
-    assert!(m.cache.hits >= 4, "every duplicate key must hit the cache");
+    assert_eq!(m.distinct_keys, 4, "2 datasets x 2 variants distinct keys");
+    assert_eq!(m.cache_misses, 4, "one build per key");
+    assert!(m.cache_hits >= 4, "every duplicate key must hit the cache");
     println!("\n[ok] campaign smoke passed: cache hits > 0, zero admission errors");
 }

@@ -92,11 +92,6 @@ pub enum CacheStatus {
     Hit,
     /// This job built (and populated) the slot.
     Miss,
-    /// The job deliberately skipped the cache. No current job class
-    /// does (multi-node specs now decompose the cached canonical
-    /// build); the status and its metrics field remain for report
-    /// schema stability.
-    Bypass,
 }
 
 /// Counters the campaign metrics report.
@@ -104,7 +99,6 @@ pub enum CacheStatus {
 pub struct CacheStats {
     pub hits: usize,
     pub misses: usize,
-    pub bypass: usize,
     pub distinct_keys: usize,
 }
 
@@ -143,19 +137,14 @@ impl ArtifactCache {
             })
             .clone();
         let mut c = self.counters.lock().unwrap();
-        if built {
+        let status = if built {
             c.misses += 1;
+            CacheStatus::Miss
         } else {
             c.hits += 1;
-        }
-        (
-            artifact,
-            if built {
-                CacheStatus::Miss
-            } else {
-                CacheStatus::Hit
-            },
-        )
+            CacheStatus::Hit
+        };
+        (artifact, status)
     }
 
     pub fn stats(&self) -> CacheStats {

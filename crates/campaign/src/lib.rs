@@ -1,4 +1,4 @@
-//! Batch campaign service over the StreamMD harness.
+//! Batch campaigns over the StreamMD harness.
 //!
 //! The one-shot entry point (`merrimac_bench::run`) rebuilds and
 //! re-analyzes the step program on every call. A parameter sweep — the
@@ -7,17 +7,18 @@
 //! while only the execution knobs (threads, kernel engine, node count)
 //! vary, so the expensive build work is pure duplication.
 //!
-//! This crate turns those sweeps into **campaigns**: a bounded pool of
-//! host worker threads drains a priority queue of [`Job`]s, each job is
-//! admitted through the static-analysis pipeline (rejections surface as
-//! the same structured `Diagnostics` that `merrimac-lint` prints),
-//! compiled artifacts — the built `StepProgram` plus its analysis
-//! verdict — are shared across jobs through a keyed [`ArtifactCache`],
-//! and structured [`JobResult`]s stream back as they complete.
-//! [`CampaignMetrics`] summarizes the run (jobs/s, aggregate kernel
-//! iterations/s, cache hit rate) and converts into the additive
-//! `campaign` block of `BENCH_*.json` via
-//! [`CampaignMetrics::to_record`].
+//! This crate turns those sweeps into **campaigns**: [`run_campaign`]
+//! runs a batch of [`Job`]s, highest priority first, on a bounded pool
+//! of scoped host threads. Each job is admitted through the
+//! static-analysis pipeline (rejections surface as the same structured
+//! `Diagnostics` that `merrimac-lint` prints), compiled artifacts — the
+//! built `StepProgram` plus its analysis verdict — are shared across
+//! jobs through a keyed [`ArtifactCache`], and one [`JobResult`] per job
+//! comes back in dispatch order. A job that panics comes back as
+//! `RunError::Panicked` with the panic's message; the other jobs still
+//! run. The campaign's rates (jobs/s, aggregate kernel iterations/s,
+//! cache hit rate) are the additive `campaign` block of `BENCH_*.json`,
+//! [`merrimac_bench::CampaignRecord`].
 //!
 //! Determinism is inherited, not re-proven: execution works on a clone
 //! of the cached memory image (`StreamMdApp::run_step_program`), so a
@@ -25,27 +26,26 @@
 //! one-shot `bench::run` of the same spec, at any worker/thread count.
 //! `tests/campaign_cache.rs` holds the property test.
 //!
-//! ```no_run
+//! ```
 //! use std::sync::Arc;
 //! use merrimac_bench::Dataset;
-//! use merrimac_campaign::{CampaignService, Job, JobSpec};
+//! use merrimac_campaign::{run_campaign, Job};
 //! use streammd::Variant;
 //!
 //! let ds = Arc::new(Dataset::small(27));
-//! let mut svc = CampaignService::new(2);
+//! let mut jobs = Vec::new();
 //! for variant in [Variant::Variable, Variant::Fixed] {
 //!     for _ in 0..2 {
-//!         svc.submit(Job::new(JobSpec::new(ds.clone(), variant)));
+//!         jobs.push(Job::new(ds.clone(), variant));
 //!     }
 //! }
-//! let outcome = svc.finish();
-//! assert_eq!(outcome.metrics.cache.hits, 2);
+//! let outcome = run_campaign(jobs, 2);
+//! assert_eq!(outcome.metrics.completed, 4);
+//! assert_eq!(outcome.metrics.cache_hits, 2);
 //! ```
 
 pub mod cache;
 pub mod service;
 
 pub use cache::{ArtifactCache, CacheKey, CacheStats, CacheStatus, StepArtifact};
-pub use service::{
-    run_campaign, CampaignMetrics, CampaignOutcome, CampaignService, Job, JobId, JobResult, JobSpec,
-};
+pub use service::{run_campaign, CampaignOutcome, Job, JobId, JobResult};

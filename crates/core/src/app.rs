@@ -461,10 +461,7 @@ impl StreamMdApp {
 /// any list is built: a site count [`Workload`]'s charged-site mask can
 /// hold, and a list radius the minimum-image convention can serve (the
 /// invariants `Workload::of_model` and `NeighborList::build` assert).
-pub(crate) fn check_inputs(
-    system: &WaterBox,
-    neighbor: NeighborListParams,
-) -> Result<(), SimError> {
+pub fn check_inputs(system: &WaterBox, neighbor: NeighborListParams) -> Result<(), SimError> {
     let sites = system.num_sites();
     if sites > Workload::MAX_SITES {
         return Err(SimError::Config(format!(

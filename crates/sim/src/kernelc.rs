@@ -76,16 +76,22 @@ impl CompiledKernel {
         kernel.validate_ssa();
         let source_lowered = lower_kernel(&kernel, costs);
         let source_stats = KernelStats::analyze(&kernel, &source_lowered);
-        let ir = unroll(&kernel, opt.unroll);
+        // `unroll(k, 1)` is `k.clone()`, so its lowering and stats are known.
+        let (ir, lowered, stats) = if opt.unroll == 1 {
+            (kernel.clone(), source_lowered, source_stats.clone())
+        } else {
+            let ir = unroll(&kernel, opt.unroll);
+            let lowered = lower_kernel(&ir, costs);
+            let stats = KernelStats::analyze(&ir, &lowered);
+            (ir, lowered, stats)
+        };
         let tape = CompiledTape::compile(&ir);
-        let lowered = lower_kernel(&ir, costs);
         // One dependence table and one serial schedule serve both forms.
         let table = DepTable::new(&lowered, costs);
         let schedule = table.list_schedule(cfg.fpus_per_cluster);
         let pipelined = opt
             .software_pipeline
             .then(|| table.modulo_schedule(&schedule));
-        let stats = KernelStats::analyze(&ir, &lowered);
         Self {
             source: kernel,
             ir,

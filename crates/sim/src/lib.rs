@@ -43,10 +43,7 @@ pub use cache::CacheAccessStats;
 pub use counters::{Counters, PhaseCycles};
 pub use host::{env_usize, EnvOverrideError, HostExec};
 pub use kernelc::{CompiledKernel, KernelOpt};
-pub use machine::{
-    buffer_capacity_words, produced_buffers, HostPhases, KernelEngine, RunReport, SimError,
-    StreamProcessor,
-};
+pub use machine::{HostPhases, KernelEngine, RunReport, SimError, StreamProcessor};
 pub use memsys::{MemOpCost, MemSystem};
 pub use merrimac_kernel::BatchWidth;
 pub use parallel::Executed;

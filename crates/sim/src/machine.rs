@@ -36,11 +36,8 @@ pub enum SimError {
     Interp(InterpError),
     /// A single buffer exceeds SRF capacity — no schedule can run it.
     SrfImpossible(String),
-    /// A strip's kernel working set (its live input streams plus the
-    /// output streams that must be allocated to issue the kernel) cannot
-    /// fit in the SRF, so the scoreboard would wedge at kernel issue.
-    /// Detected up front so callers get a diagnostic naming the strip
-    /// size instead of a deadlock.
+    /// A kernel launch over its SRF floor ([`srf_overflows`]): reported
+    /// up front, naming the strip size, instead of a deadlock.
     StripSrfOverflow {
         /// Label of the kernel op that can never issue.
         label: String,
@@ -340,17 +337,9 @@ impl StreamProcessor {
         self.run_with_threads(memory, program, 1)
     }
 
-    /// Preflight: reject programs the scoreboard can never complete.
-    ///
-    /// A kernel op can only issue once every input stream is live in the
-    /// SRF and every output stream has been allocated, so the sum of the
-    /// per-cluster shares of its inputs and outputs is a hard floor on
-    /// SRF occupancy at issue time. If that floor exceeds the per-cluster
-    /// capacity the kernel can never issue and the scoreboard would
-    /// deadlock — the classic symptom of a strip sized past what the SRF
-    /// can double-buffer. Detecting it here turns an opaque
-    /// [`SimError::Deadlock`] into a [`SimError::StripSrfOverflow`]
-    /// naming the offending strip size.
+    /// Preflight: reject programs the scoreboard can never complete,
+    /// among them a kernel over its SRF floor
+    /// ([`SimError::StripSrfOverflow`]).
     pub fn validate_program(&self, program: &StreamProgram) -> Result<(), SimError> {
         // Declared access intents must cover every op touching the
         // region: an op of a kind the intent forbids is a contract
@@ -394,41 +383,16 @@ impl StreamProcessor {
                 return Err(SimError::Program(format!("op '{}' {wrong}", lop.label)));
             }
         }
-        // Per-buffer allocation shares, from each buffer's producer op
-        // (allocation happens when the producer issues and uses the
-        // worst-case capacity, spread across clusters).
-        let mut share = vec![0usize; program.buffers.len()];
-        for lop in &program.ops {
-            for b in produced_buffers(&lop.op) {
-                let words = buffer_capacity_words(program, &lop.op, b);
-                share[b.0] = words.div_ceil(self.cfg.clusters);
-            }
-        }
-        for lop in &program.ops {
-            if let StreamOp::Kernel {
-                inputs,
-                outputs,
-                iterations,
-                ..
-            } = &lop.op
-            {
-                let mut seen: Vec<usize> = Vec::new();
-                let mut needed = 0usize;
-                for b in inputs.iter().chain(outputs) {
-                    if !seen.contains(&b.0) {
-                        seen.push(b.0);
-                        needed += share[b.0];
-                    }
-                }
-                if needed > self.cfg.srf_words_per_cluster {
-                    return Err(SimError::StripSrfOverflow {
-                        label: lop.label.clone(),
-                        strip_iterations: *iterations,
-                        needed_words_per_cluster: needed,
-                        capacity_words_per_cluster: self.cfg.srf_words_per_cluster,
-                    });
-                }
-            }
+        if let Some(over) = srf_overflows(&self.cfg, program).into_iter().next() {
+            let StreamOp::Kernel { iterations, .. } = over.op.op else {
+                unreachable!("only kernel launches have an SRF floor")
+            };
+            return Err(SimError::StripSrfOverflow {
+                label: over.op.label.clone(),
+                strip_iterations: iterations,
+                needed_words_per_cluster: over.needed,
+                capacity_words_per_cluster: self.cfg.srf_words_per_cluster,
+            });
         }
         Ok(())
     }
@@ -841,6 +805,54 @@ pub(crate) fn consumed_buffers(op: &StreamOp) -> Vec<BufferId> {
         StreamOp::ScatterAdd { src, .. } | StreamOp::Store { src, .. } => vec![*src],
         _ => vec![],
     }
+}
+
+/// A kernel launch over its SRF floor: the words per cluster it needs,
+/// and its distinct buffers, first use first, with their worst-case words.
+pub struct KernelOverSrf<'p> {
+    pub op: &'p LabelledOp,
+    pub needed: usize,
+    pub buffers: Vec<(BufferId, usize)>,
+}
+
+/// The SRF floor, shared by [`StreamProcessor::validate_program`] and the
+/// analysis preflight: a kernel issues only once its inputs are live and
+/// its outputs allocated, so it needs the sum of its distinct buffers'
+/// shares (each producer's worst-case words spread across clusters).
+pub fn srf_overflows<'p>(
+    cfg: &MachineConfig,
+    program: &'p StreamProgram,
+) -> Vec<KernelOverSrf<'p>> {
+    let mut words = vec![0usize; program.buffers.len()];
+    for lop in &program.ops {
+        for b in produced_buffers(&lop.op) {
+            words[b.0] = buffer_capacity_words(program, &lop.op, b);
+        }
+    }
+    let mut overflows = Vec::new();
+    for lop in &program.ops {
+        let StreamOp::Kernel {
+            inputs, outputs, ..
+        } = &lop.op
+        else {
+            continue;
+        };
+        let mut buffers: Vec<(BufferId, usize)> = Vec::new();
+        for &b in inputs.iter().chain(outputs) {
+            if buffers.iter().all(|&(seen, _)| seen != b) {
+                buffers.push((b, words[b.0]));
+            }
+        }
+        let needed = buffers.iter().map(|(_, w)| w.div_ceil(cfg.clusters)).sum();
+        if needed > cfg.srf_words_per_cluster {
+            overflows.push(KernelOverSrf {
+                op: lop,
+                needed,
+                buffers,
+            });
+        }
+    }
+    overflows
 }
 
 /// Worst-case SRF words a produced buffer can hold.

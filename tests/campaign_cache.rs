@@ -1,4 +1,4 @@
-//! Campaign service acceptance: a campaign over shuffled duplicate
+//! Campaign acceptance: a campaign over shuffled duplicate
 //! specs is indistinguishable — bitwise — from running each spec
 //! through the one-shot `bench::run` path, and the cross-job artifact
 //! cache builds each distinct `(dataset, variant)` key exactly once.
@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use merrimac_bench::{run, Dataset};
-use merrimac_campaign::{run_campaign, Job, JobSpec};
+use merrimac_campaign::{run_campaign, Job};
 use proptest::prelude::*;
 use streammd::Variant;
 
@@ -23,7 +23,7 @@ fn run_case(picks: Vec<(usize, usize, i32)>, workers: usize) {
         .iter()
         .map(|pick| {
             let (d, v) = key_of(pick);
-            Job::new(JobSpec::new(datasets[d].clone(), variants[v])).priority(pick.2)
+            Job::new(datasets[d].clone(), variants[v]).priority(pick.2)
         })
         .collect();
     let out = run_campaign(jobs, workers);
@@ -42,19 +42,18 @@ fn run_case(picks: Vec<(usize, usize, i32)>, workers: usize) {
     assert_eq!(m.jobs, picks.len());
     assert_eq!(m.completed, picks.len(), "every job completes");
     assert_eq!(m.failed, 0);
-    assert_eq!(m.cache.bypass, 0, "single-node jobs never bypass");
     assert_eq!(
-        m.cache.distinct_keys,
+        m.distinct_keys,
         expected.len(),
         "one cache slot per distinct (dataset, variant)"
     );
     assert_eq!(
-        m.cache.misses,
+        m.cache_misses,
         expected.len(),
         "each key builds exactly once"
     );
     assert_eq!(
-        m.cache.hits,
+        m.cache_hits,
         picks.len() - expected.len(),
         "every duplicate is served from the cache"
     );
