@@ -8,7 +8,6 @@
 
 use std::time::Instant;
 
-use merrimac_analysis::severity_counts;
 use merrimac_bench::{
     analyze, banner, run, small_system, HostExec, LintRecord, PerfReport, RunSpec, VariantRecord,
 };
@@ -82,20 +81,12 @@ fn main() {
     for variant in Variant::ALL {
         match analyze(RunSpec::new(&system, &list, variant)) {
             Ok(diags) => {
-                let (errors, warnings, infos) = severity_counts(&diags);
+                let counts = LintRecord::new(variant.name(), &diags);
                 println!(
                     "{:<12} {:>7} {:>9} {:>6}",
-                    variant.name(),
-                    errors,
-                    warnings,
-                    infos
+                    counts.variant, counts.errors, counts.warnings, counts.infos
                 );
-                report.lints.push(LintRecord {
-                    variant: variant.name().to_string(),
-                    errors,
-                    warnings,
-                    infos,
-                });
+                report.lints.push(counts);
             }
             Err(e) => eprintln!("lint pass skipped for {variant}: {e}"),
         }

@@ -238,7 +238,7 @@ fn main() {
         return;
     }
 
-    let baseline = match trend::load_baseline(ds.label) {
+    let baseline = match trend::load_baseline(&baseline_dir, ds.label) {
         Ok(Some(b)) => b,
         Ok(None) => {
             println!(

@@ -1,25 +1,18 @@
 //! Machine-readable run reports: each harness can emit a
-//! `BENCH_<label>.json` file alongside its human-readable tables so
-//! downstream tooling (plots, regression tracking) never scrapes
-//! stdout.
-//!
-//! The JSON is rendered by hand — the workspace builds offline and the
-//! vendored `serde` is a no-op stand-in — so the schema lives entirely
-//! in this file: a report object tagged with [`SCHEMA_VERSION`] holding
-//! per-variant records of GFLOPS, arithmetic intensity, the locality
-//! split with its raw per-level reference counts, the per-phase cycle
-//! breakdown, simulated seconds, host wall-clock and the engine thread
-//! count. [`PerfReport::from_json`] reads the same format back (via the
-//! hand-rolled [`crate::json`] parser) for the trend harness and
-//! rejects reports written by a different schema version.
+//! `BENCH_<label>.json` file beside its tables, so downstream tooling
+//! (plots, the trend gate) never scrapes stdout. The schema lives in this
+//! file: each record's `to_json` / `from_json` pair over [`crate::json`],
+//! tagged with [`SCHEMA_VERSION`]. Every field is required, and
+//! [`PerfReport::from_json`] rejects any other schema version.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
+use merrimac_analysis::{severity_counts, Diagnostic};
 use merrimac_sim::FallbackKind;
 use streammd::{MultiNodeBreakdown, PhaseBreakdown, StepOutcome};
 
-use crate::json::{self, Json};
+use crate::json::{self, json_record, obj, FromJson, Json, ToJson};
 
 /// Version tag of the `BENCH_*.json` format. Bump whenever a field is
 /// added, removed or changes meaning; the trend harness refuses to diff
@@ -30,14 +23,10 @@ use crate::json::{self, Json};
 /// per-phase cycle breakdown; 3 — adds the per-variant `partition`
 /// object (`parallelized`, `strips`, `fallback` reason code) recording
 /// whether the strip partitioner admitted the program to the sharded
-/// parallel engine.
-///
-/// The top-level `lints` array (per-variant static analysis severity
-/// counts from `merrimac_analysis`) is an *additive, leniently parsed*
-/// field: readers treat a missing array as empty and the trend harness
-/// never diffs it, so adding it did not bump the version — committed
-/// schema-3 baselines stay valid.
-pub const SCHEMA_VERSION: u64 = 3;
+/// parallel engine; 4 — the top-level `lints` array, the top-level
+/// `campaign` object and each variant's `multinode` object are required
+/// (`campaign` and `multinode` are `null` when the run had none).
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Static-analysis summary for one variant's step program: how many
 /// diagnostics `merrimac_analysis::analyze_program` produced at each
@@ -51,41 +40,29 @@ pub struct LintRecord {
 }
 
 impl LintRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "    {{\"variant\": {}, \"errors\": {}, \"warnings\": {}, \"infos\": {}}}",
-            json_str(&self.variant),
-            self.errors,
-            self.warnings,
-            self.infos
-        )
-    }
-
-    fn from_json_value(v: &Json) -> Result<Self, String> {
-        let count = |k: &str| -> Result<usize, String> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("lint record missing count `{k}`"))
-        };
-        Ok(Self {
-            variant: v
-                .get("variant")
-                .and_then(Json::as_str)
-                .ok_or("lint record missing `variant`")?
-                .to_string(),
-            errors: count("errors")?,
-            warnings: count("warnings")?,
-            infos: count("infos")?,
-        })
+    /// The severity counts of one variant's diagnostics.
+    pub fn new(variant: &str, diags: &[Diagnostic]) -> Self {
+        let (errors, warnings, infos) = severity_counts(diags);
+        Self {
+            variant: variant.to_string(),
+            errors,
+            warnings,
+            infos,
+        }
     }
 }
 
+json_record!(LintRecord {
+    variant,
+    errors,
+    warnings,
+    infos
+});
+
 /// Campaign-level rate metrics from `merrimac_campaign`: how many jobs
 /// ran, how the cross-job artifact cache behaved, and the aggregate
-/// throughput. Additive, leniently parsed top-level block like `lints`:
-/// absent in one-shot reports, never diffed by the trend harness, so it
-/// did not bump [`SCHEMA_VERSION`].
+/// throughput. `null` in one-shot reports; never diffed by the trend
+/// harness.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignRecord {
     /// Jobs in the campaign.
@@ -122,51 +99,23 @@ impl CampaignRecord {
             self.cache_hits as f64 / cacheable as f64
         }
     }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n    \"jobs\": {}, \"completed\": {}, \"failed\": {}, \"workers\": {},\n    \
-             \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"distinct_keys\": {},\n    \"wall_seconds\": {}, \"jobs_per_sec\": {}, \
-             \"interactions_per_sec\": {}\n  }}",
-            self.jobs,
-            self.completed,
-            self.failed,
-            self.workers,
-            self.cache_hits,
-            self.cache_misses,
-            self.distinct_keys,
-            json_f64(self.wall_seconds),
-            json_f64(self.jobs_per_sec),
-            json_f64(self.interactions_per_sec)
-        )
-    }
-
-    fn from_json_value(v: &Json) -> Option<Self> {
-        let count = |k: &str| v.get(k).and_then(Json::as_u64).map(|n| n as usize);
-        // `json_f64` writes non-finite values as null; read them as 0.
-        let num = |k: &str| match v.get(k) {
-            Some(Json::Null) => Some(0.0),
-            Some(j) => j.as_f64(),
-            None => None,
-        };
-        Some(Self {
-            jobs: count("jobs")?,
-            completed: count("completed")?,
-            failed: count("failed")?,
-            workers: count("workers")?,
-            cache_hits: count("cache_hits")?,
-            cache_misses: count("cache_misses")?,
-            distinct_keys: count("distinct_keys")?,
-            wall_seconds: num("wall_seconds")?,
-            jobs_per_sec: num("jobs_per_sec")?,
-            interactions_per_sec: num("interactions_per_sec")?,
-        })
-    }
 }
 
+json_record!(CampaignRecord {
+    jobs,
+    completed,
+    failed,
+    workers,
+    cache_hits,
+    cache_misses,
+    distinct_keys,
+    wall_seconds,
+    jobs_per_sec,
+    interactions_per_sec,
+});
+
 /// One variant's measurements (or its failure).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VariantRecord {
     pub variant: String,
     pub cycles: u64,
@@ -182,8 +131,9 @@ pub struct VariantRecord {
     pub srf_refs: u64,
     pub mem_refs: u64,
     pub iterations: u64,
-    /// Per-phase busy cycles (gather/load/kernel/scatter-add/store) and
-    /// scoreboard stalls.
+    /// Per-phase busy cycles (gather/load/kernel/scatter-add/store),
+    /// scoreboard stalls, the strip partition and the multi-node
+    /// breakdown.
     pub phases: PhaseBreakdown,
     /// Host wall-clock seconds spent simulating this variant.
     pub wall_seconds: f64,
@@ -214,245 +164,125 @@ impl VariantRecord {
     pub fn from_error(variant: &str, error: &str) -> Self {
         Self {
             variant: variant.to_string(),
-            cycles: 0,
-            seconds: 0.0,
-            solution_gflops: 0.0,
-            all_gflops: 0.0,
-            intensity_measured: 0.0,
-            locality: (0.0, 0.0, 0.0),
-            lrf_refs: 0,
-            srf_refs: 0,
-            mem_refs: 0,
-            iterations: 0,
-            phases: PhaseBreakdown::default(),
-            wall_seconds: 0.0,
             error: Some(error.to_string()),
+            ..Self::default()
         }
     }
+}
 
-    fn to_json(&self) -> String {
+json_record!(MultiNodeBreakdown {
+    nodes,
+    compute_cycles_max,
+    compute_cycles_mean,
+    comm_cycles_max,
+    step_cycles,
+    halo_in_words,
+    force_out_words,
+});
+
+impl FromJson for FallbackKind {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let code = String::from_json(v)?;
+        FallbackKind::from_code(&code).ok_or_else(|| format!("unknown fallback code `{code}`"))
+    }
+}
+
+impl ToJson for VariantRecord {
+    fn to_json(&self) -> Json {
         let p = &self.phases;
-        let mut fields = vec![
-            format!("\"variant\": {}", json_str(&self.variant)),
-            format!("\"cycles\": {}", self.cycles),
-            format!("\"seconds\": {}", json_f64(self.seconds)),
-            format!("\"solution_gflops\": {}", json_f64(self.solution_gflops)),
-            format!("\"all_gflops\": {}", json_f64(self.all_gflops)),
-            format!(
-                "\"intensity_measured\": {}",
-                json_f64(self.intensity_measured)
-            ),
-            format!(
-                "\"locality\": {{\"lrf\": {}, \"srf\": {}, \"mem\": {}}}",
-                json_f64(self.locality.0),
-                json_f64(self.locality.1),
-                json_f64(self.locality.2)
-            ),
-            format!("\"lrf_refs\": {}", self.lrf_refs),
-            format!("\"srf_refs\": {}", self.srf_refs),
-            format!("\"mem_refs\": {}", self.mem_refs),
-            format!("\"iterations\": {}", self.iterations),
-            format!(
-                "\"phases\": {{\"gather\": {}, \"load\": {}, \"kernel\": {}, \"scatter_add\": {}, \"store\": {}, \"sdr_stall\": {}}}",
-                p.gather_cycles,
-                p.load_cycles,
-                p.kernel_cycles,
-                p.scatter_add_cycles,
-                p.store_cycles,
-                p.sdr_stall_cycles
-            ),
-            format!(
-                "\"partition\": {{\"parallelized\": {}, \"strips\": {}, \"fallback\": {}}}",
-                p.partition_parallelized,
-                p.partition_strips,
-                match p.partition_fallback {
-                    Some(kind) => json_str(kind.code()),
-                    None => "null".to_string(),
-                }
-            ),
-            format!("\"wall_seconds\": {}", json_f64(self.wall_seconds)),
-        ];
-        // Additive, schema-lenient like the `lints` array: only written
-        // for multi-node steps, ignored-if-missing by the reader, never
-        // diffed by the trend harness (the gated metrics carry it via
-        // `cycles`), so adding it did not bump the schema version.
-        if let Some(mn) = p.multinode {
-            fields.push(format!(
-                "\"multinode\": {{\"nodes\": {}, \"compute_cycles_max\": {}, \
-                 \"compute_cycles_mean\": {}, \"comm_cycles_max\": {}, \"step_cycles\": {}, \
-                 \"halo_in_words\": {}, \"force_out_words\": {}}}",
-                mn.nodes,
-                mn.compute_cycles_max,
-                mn.compute_cycles_mean,
-                mn.comm_cycles_max,
-                mn.step_cycles,
-                mn.halo_in_words,
-                mn.force_out_words
-            ));
-        }
-        match &self.error {
-            Some(e) => fields.push(format!("\"error\": {}", json_str(e))),
-            None => fields.push("\"error\": null".to_string()),
-        }
-        format!("    {{\n      {}\n    }}", fields.join(",\n      "))
-    }
-
-    fn from_json_value(v: &Json) -> Result<Self, String> {
-        let str_field = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("variant record missing string `{k}`"))
-        };
-        let u64_field = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("variant record missing count `{k}`"))
-        };
-        // `json_f64` writes non-finite values as null; read them back as 0.
-        let f64_field = |k: &str| -> Result<f64, String> {
-            match v.get(k) {
-                Some(Json::Null) => Ok(0.0),
-                Some(j) => j
-                    .as_f64()
-                    .ok_or_else(|| format!("variant record field `{k}` is not a number")),
-                None => Err(format!("variant record missing number `{k}`")),
-            }
-        };
-        let locality = v
-            .get("locality")
-            .ok_or("variant record missing `locality`")?;
-        let loc_field = |k: &str| -> Result<f64, String> {
-            locality
-                .get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("locality missing `{k}`"))
-        };
-        let phases = v.get("phases").ok_or("variant record missing `phases`")?;
-        let phase_field = |k: &str| -> Result<u64, String> {
-            phases
-                .get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("phases missing `{k}`"))
-        };
-        let partition = v
-            .get("partition")
-            .ok_or("variant record missing `partition`")?;
-        let partition_parallelized = partition
-            .get("parallelized")
-            .and_then(Json::as_bool)
-            .ok_or("partition missing `parallelized`")?;
-        let partition_strips = partition
-            .get("strips")
-            .and_then(Json::as_u64)
-            .ok_or("partition missing `strips`")? as u32;
-        let partition_fallback = match partition.get("fallback") {
-            Some(Json::Str(s)) => Some(
-                FallbackKind::from_code(s)
-                    .ok_or_else(|| format!("unknown partition fallback code `{s}`"))?,
-            ),
-            _ => None,
-        };
-        let error = match v.get("error") {
-            Some(Json::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
-        // Additive multi-node block: absent (or malformed, in foreign
-        // files) reads as None, mirroring the lenient `lints` handling.
-        let multinode = v.get("multinode").and_then(|mn| {
-            let field = |k: &str| mn.get(k).and_then(Json::as_u64);
-            Some(MultiNodeBreakdown {
-                nodes: field("nodes")? as u32,
-                compute_cycles_max: field("compute_cycles_max")?,
-                compute_cycles_mean: field("compute_cycles_mean")?,
-                comm_cycles_max: field("comm_cycles_max")?,
-                step_cycles: field("step_cycles")?,
-                halo_in_words: field("halo_in_words")?,
-                force_out_words: field("force_out_words")?,
-            })
-        });
-        Ok(Self {
-            variant: str_field("variant")?,
-            cycles: u64_field("cycles")?,
-            seconds: f64_field("seconds")?,
-            solution_gflops: f64_field("solution_gflops")?,
-            all_gflops: f64_field("all_gflops")?,
-            intensity_measured: f64_field("intensity_measured")?,
-            locality: (loc_field("lrf")?, loc_field("srf")?, loc_field("mem")?),
-            lrf_refs: u64_field("lrf_refs")?,
-            srf_refs: u64_field("srf_refs")?,
-            mem_refs: u64_field("mem_refs")?,
-            iterations: u64_field("iterations")?,
-            phases: PhaseBreakdown {
-                gather_cycles: phase_field("gather")?,
-                load_cycles: phase_field("load")?,
-                kernel_cycles: phase_field("kernel")?,
-                scatter_add_cycles: phase_field("scatter_add")?,
-                store_cycles: phase_field("store")?,
-                sdr_stall_cycles: phase_field("sdr_stall")?,
-                partition_parallelized,
-                partition_strips,
-                partition_fallback,
-                multinode,
+        let (lrf, srf, mem) = self.locality;
+        obj! {
+            "variant": self.variant, "cycles": self.cycles, "seconds": self.seconds,
+            "solution_gflops": self.solution_gflops, "all_gflops": self.all_gflops,
+            "intensity_measured": self.intensity_measured,
+            "locality": obj! { "lrf": lrf, "srf": srf, "mem": mem },
+            "lrf_refs": self.lrf_refs, "srf_refs": self.srf_refs, "mem_refs": self.mem_refs,
+            "iterations": self.iterations,
+            "phases": obj! {
+                "gather": p.gather_cycles, "load": p.load_cycles, "kernel": p.kernel_cycles,
+                "scatter_add": p.scatter_add_cycles, "store": p.store_cycles,
+                "sdr_stall": p.sdr_stall_cycles,
             },
-            wall_seconds: f64_field("wall_seconds")?,
-            error,
+            "partition": obj! {
+                "parallelized": p.partition_parallelized, "strips": p.partition_strips,
+                "fallback": p.partition_fallback.map(|k| k.code().to_string()),
+            },
+            "wall_seconds": self.wall_seconds, "multinode": p.multinode, "error": self.error,
+        }
+    }
+}
+
+impl FromJson for VariantRecord {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let (loc, p, part) = (
+            v.member("locality")?,
+            v.member("phases")?,
+            v.member("partition")?,
+        );
+        Ok(Self {
+            variant: v.field("variant")?,
+            cycles: v.field("cycles")?,
+            seconds: v.field("seconds")?,
+            solution_gflops: v.field("solution_gflops")?,
+            all_gflops: v.field("all_gflops")?,
+            intensity_measured: v.field("intensity_measured")?,
+            locality: (loc.field("lrf")?, loc.field("srf")?, loc.field("mem")?),
+            lrf_refs: v.field("lrf_refs")?,
+            srf_refs: v.field("srf_refs")?,
+            mem_refs: v.field("mem_refs")?,
+            iterations: v.field("iterations")?,
+            phases: PhaseBreakdown {
+                gather_cycles: p.field("gather")?,
+                load_cycles: p.field("load")?,
+                kernel_cycles: p.field("kernel")?,
+                scatter_add_cycles: p.field("scatter_add")?,
+                store_cycles: p.field("store")?,
+                sdr_stall_cycles: p.field("sdr_stall")?,
+                partition_parallelized: part.field("parallelized")?,
+                partition_strips: part.field("strips")?,
+                partition_fallback: part.field("fallback")?,
+                multinode: v.field("multinode")?,
+            },
+            wall_seconds: v.field("wall_seconds")?,
+            error: v.field("error")?,
         })
     }
 }
 
 /// A full run report, serialized as `BENCH_<label>.json`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfReport {
     /// Short slug naming the experiment (also names the output file).
     pub label: String,
-    /// Format version; always [`SCHEMA_VERSION`] for freshly built
-    /// reports, whatever the file said for loaded ones.
-    pub schema_version: u64,
     pub molecules: usize,
     /// Engine worker threads used for the functional phase.
     pub threads: usize,
     pub variants: Vec<VariantRecord>,
-    /// Per-variant static analysis severity counts. Additive field:
-    /// absent in older schema-3 files (parsed as empty) and ignored by
-    /// the trend comparator.
+    /// Per-variant static analysis severity counts; the trend comparator
+    /// ignores them.
     pub lints: Vec<LintRecord>,
-    /// Campaign-service rate metrics. Additive field: absent in
-    /// one-shot reports (parsed as `None`) and ignored by the trend
-    /// comparator.
+    /// Campaign rate metrics, `None` in one-shot reports; the trend
+    /// comparator ignores them.
     pub campaign: Option<CampaignRecord>,
 }
 
 impl PerfReport {
     pub fn new(label: impl Into<String>, molecules: usize, threads: usize) -> Self {
+        let label = label.into();
         Self {
-            label: label.into(),
-            schema_version: SCHEMA_VERSION,
+            label,
             molecules,
             threads,
-            variants: Vec::new(),
-            lints: Vec::new(),
-            campaign: None,
+            ..Self::default()
         }
     }
 
     pub fn to_json(&self) -> String {
-        let variants: Vec<String> = self.variants.iter().map(|v| v.to_json()).collect();
-        let lints: Vec<String> = self.lints.iter().map(|l| l.to_json()).collect();
-        let campaign = match &self.campaign {
-            Some(c) => format!(",\n  \"campaign\": {}", c.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\n  \"label\": {},\n  \"schema_version\": {},\n  \"molecules\": {},\n  \"threads\": {},\n  \"variants\": [\n{}\n  ],\n  \"lints\": [\n{}\n  ]{}\n}}\n",
-            json_str(&self.label),
-            self.schema_version,
-            self.molecules,
-            self.threads,
-            variants.join(",\n"),
-            lints.join(",\n"),
-            campaign
-        )
+        json::render(&obj! {
+            "label": self.label, "schema_version": SCHEMA_VERSION, "molecules": self.molecules,
+            "threads": self.threads, "variants": self.variants, "lints": self.lints,
+            "campaign": self.campaign,
+        })
     }
 
     /// Parse a report previously rendered by [`PerfReport::to_json`].
@@ -470,46 +300,13 @@ impl PerfReport {
                  refresh the baseline (TREND_REFRESH=1) instead of diffing across formats"
             ));
         }
-        let label = v
-            .get("label")
-            .and_then(Json::as_str)
-            .ok_or("report missing `label`")?
-            .to_string();
-        let molecules = v
-            .get("molecules")
-            .and_then(Json::as_u64)
-            .ok_or("report missing `molecules`")? as usize;
-        let threads = v
-            .get("threads")
-            .and_then(Json::as_u64)
-            .ok_or("report missing `threads`")? as usize;
-        let variants = v
-            .get("variants")
-            .and_then(Json::as_arr)
-            .ok_or("report missing `variants`")?
-            .iter()
-            .map(VariantRecord::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        // Leniently parsed additive field: schema-3 files written before
-        // the lint summary existed simply have no `lints` array.
-        let lints = match v.get("lints").and_then(Json::as_arr) {
-            Some(items) => items
-                .iter()
-                .map(LintRecord::from_json_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        // Additive campaign block: absent (or malformed, in foreign
-        // files) reads as None, mirroring the lenient `multinode` block.
-        let campaign = v.get("campaign").and_then(CampaignRecord::from_json_value);
         Ok(Self {
-            label,
-            schema_version: version,
-            molecules,
-            threads,
-            variants,
-            lints,
-            campaign,
+            label: v.field("label")?,
+            molecules: v.field("molecules")?,
+            threads: v.field("threads")?,
+            variants: v.field("variants")?,
+            lints: v.field("lints")?,
+            campaign: v.field("campaign")?,
         })
     }
 
@@ -536,32 +333,6 @@ impl PerfReport {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,6 +348,8 @@ mod tests {
         assert!(json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
         assert!(json.contains("\"threads\": 4"));
         assert!(json.contains("\\\"quoted\\\""));
+        assert!(json.contains("\"multinode\": null"));
+        assert!(json.contains("\"campaign\": null"));
         let dir = std::env::temp_dir();
         let path = report.write(&dir).expect("writes");
         assert!(path.ends_with("BENCH_unit_test.json"));
@@ -596,13 +369,6 @@ mod tests {
             .expect("creates the directory");
         assert!(path.starts_with(&dir) && path.is_file());
         std::fs::remove_dir_all(root).ok();
-    }
-
-    #[test]
-    fn non_finite_values_become_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
     }
 
     fn sample_record() -> VariantRecord {
@@ -656,45 +422,6 @@ mod tests {
             warnings: 2,
             infos: 1,
         });
-        let parsed = PerfReport::from_json(&report.to_json()).expect("parses");
-        assert_eq!(parsed.label, "rt");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION);
-        assert_eq!(parsed.molecules, 216);
-        assert_eq!(parsed.threads, 2);
-        assert_eq!(parsed.variants.len(), 2);
-        let a = &parsed.variants[0];
-        let b = &report.variants[0];
-        assert_eq!(a.variant, b.variant);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.solution_gflops, b.solution_gflops);
-        assert_eq!(a.locality, b.locality);
-        assert_eq!(a.lrf_refs, b.lrf_refs);
-        assert_eq!(a.phases, b.phases);
-        assert!(a.phases.partition_parallelized);
-        assert_eq!(a.phases.partition_strips, 4);
-        assert_eq!(a.error, None);
-        let f = &parsed.variants[1].phases;
-        assert_eq!(
-            f.partition_fallback,
-            Some(FallbackKind::RegionConflict),
-            "fallback reason codes survive the round trip"
-        );
-        assert_eq!(
-            parsed.variants[1].error.as_deref(),
-            Some("deadlock"),
-            "errors survive the round trip"
-        );
-        assert_eq!(parsed.lints, report.lints, "lint summary round-trips");
-    }
-
-    #[test]
-    fn campaign_block_round_trips_and_is_optional() {
-        // Absent block (every pre-campaign schema-3 file) parses as None.
-        let mut report = PerfReport::new("camp", 64, 2);
-        let parsed = PerfReport::from_json(&report.to_json()).expect("parses");
-        assert!(parsed.campaign.is_none());
-        assert!(!report.to_json().contains("campaign"));
-
         report.campaign = Some(CampaignRecord {
             jobs: 8,
             completed: 8,
@@ -707,29 +434,38 @@ mod tests {
             jobs_per_sec: 5.25,
             interactions_per_sec: 1.0e6,
         });
-        let parsed = PerfReport::from_json(&report.to_json()).expect("parses");
-        assert_eq!(parsed.campaign, report.campaign, "campaign round-trips");
-        let c = parsed.campaign.unwrap();
+        assert_eq!(PerfReport::from_json(&report.to_json()), Ok(report.clone()));
+        let c = report.campaign.unwrap();
         assert!((c.cache_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn missing_lints_array_parses_as_empty() {
-        // Schema-3 baselines committed before the lint summary existed
-        // have no `lints` key; they must keep parsing unchanged.
-        let json = format!(
-            "{{\"label\": \"pre-lints\", \"schema_version\": {SCHEMA_VERSION}, \
-             \"molecules\": 216, \"threads\": 1, \"variants\": []}}"
-        );
-        let parsed = PerfReport::from_json(&json).expect("parses without `lints`");
-        assert!(parsed.lints.is_empty());
+    fn every_field_is_required_and_errors_name_the_key() {
+        let mut report = PerfReport::new("strict", 64, 1);
+        report.variants.push(sample_record());
+        let text = report.to_json();
+        for (key, renamed) in [
+            ("\"lints\"", "`lints`"),
+            ("\"campaign\"", "`campaign`"),
+            ("\"multinode\"", "`variants`: [0]: missing key `multinode`"),
+            ("\"gather\"", "`variants`: [0]: missing key `gather`"),
+        ] {
+            let err = PerfReport::from_json(&text.replacen(key, "\"renamed\"", 1))
+                .expect_err("a missing field is an error");
+            assert!(err.contains(renamed), "{key}: {err}");
+        }
+        let err = PerfReport::from_json(&text.replacen("123456", "-1", 1)).unwrap_err();
+        assert!(err.contains("`cycles`: expected an integer"), "{err}");
     }
 
     #[test]
     fn mismatched_schema_version_is_rejected() {
-        let mut report = PerfReport::new("old", 64, 1);
-        report.schema_version = SCHEMA_VERSION + 1;
-        let err = PerfReport::from_json(&report.to_json()).expect_err("must reject");
+        let current = format!("\"schema_version\": {SCHEMA_VERSION}");
+        let newer = format!("\"schema_version\": {}", SCHEMA_VERSION + 1);
+        let text = PerfReport::new("old", 64, 1)
+            .to_json()
+            .replace(&current, &newer);
+        let err = PerfReport::from_json(&text).expect_err("must reject");
         assert!(err.contains("schema version"), "{err}");
         // Pre-versioning reports (no tag) are implicitly version 1.
         let legacy = r#"{"label": "x", "molecules": 1, "threads": 1, "variants": []}"#;

@@ -212,17 +212,12 @@ pub fn baseline_dir() -> PathBuf {
 /// (first run, or a deliberately retired baseline); an unreadable or
 /// schema-mismatched file is an error — a corrupt gate must fail loudly,
 /// not silently pass.
-pub fn load_baseline_from(dir: &Path, label: &str) -> Result<Option<PerfReport>, String> {
+pub fn load_baseline(dir: &Path, label: &str) -> Result<Option<PerfReport>, String> {
     let path = dir.join(format!("BENCH_{label}.json"));
     if !path.exists() {
         return Ok(None);
     }
     PerfReport::load(&path).map(Some)
-}
-
-/// [`load_baseline_from`] rooted at [`baseline_dir`].
-pub fn load_baseline(label: &str) -> Result<Option<PerfReport>, String> {
-    load_baseline_from(&baseline_dir(), label)
 }
 
 #[cfg(test)]
@@ -354,16 +349,20 @@ mod tests {
     fn missing_baseline_is_tolerated_but_corrupt_one_is_not() {
         let dir = std::env::temp_dir().join(format!("trend_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(load_baseline_from(&dir, "no_such_label").unwrap().is_none());
+        assert!(load_baseline(&dir, "no_such_label").unwrap().is_none());
         // Stale schema version → hard error, not a silent pass.
-        let mut old = report(vec![record("fixed", 40.0, 100_000)]);
-        old.schema_version = SCHEMA_VERSION - 1;
-        std::fs::write(dir.join("BENCH_stale.json"), old.to_json()).unwrap();
-        let err = load_baseline_from(&dir, "stale").expect_err("stale schema must error");
+        let stale = report(vec![record("fixed", 40.0, 100_000)])
+            .to_json()
+            .replace(
+                &format!("\"schema_version\": {SCHEMA_VERSION}"),
+                &format!("\"schema_version\": {}", SCHEMA_VERSION - 1),
+            );
+        std::fs::write(dir.join("BENCH_stale.json"), stale).unwrap();
+        let err = load_baseline(&dir, "stale").expect_err("stale schema must error");
         assert!(err.contains("schema version"), "{err}");
         // Garbage → hard error too.
         std::fs::write(dir.join("BENCH_garbage.json"), "{not json").unwrap();
-        assert!(load_baseline_from(&dir, "garbage").is_err());
+        assert!(load_baseline(&dir, "garbage").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -42,8 +42,7 @@ pub struct PhaseBreakdown {
     pub partition_fallback: Option<FallbackKind>,
     /// Multi-node step breakdown, when the step ran through the
     /// multi-node runner (`streammd::multinode`). `None` for plain
-    /// single-processor steps; serialized additively (schema-lenient,
-    /// like the lints block) so old baselines stay readable.
+    /// single-processor steps, which reports write as `null`.
     pub multinode: Option<MultiNodeBreakdown>,
 }
 

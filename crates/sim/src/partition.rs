@@ -139,7 +139,7 @@ pub enum FallbackKind {
 }
 
 impl FallbackKind {
-    /// Stable string code used in `BENCH_*.json` (schema 3).
+    /// Stable string code used in `BENCH_*.json` (since schema 3).
     pub fn code(&self) -> &'static str {
         match self {
             FallbackKind::BufferCrossesStrips => "buffer_crosses_strips",

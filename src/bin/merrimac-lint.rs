@@ -18,8 +18,9 @@
 
 use std::process::ExitCode;
 
-use merrimac_analysis::{render_all, severity_counts, Diagnostic, Lint, Severity, ALL_LINTS};
-use merrimac_bench::{analyze, atomic_system, paper_system, small_system, RunSpec};
+use merrimac_analysis::{render_all, Diagnostic, Lint, Severity, ALL_LINTS};
+use merrimac_bench::json::{self, Json, ToJson};
+use merrimac_bench::{analyze, atomic_system, paper_system, small_system, LintRecord, RunSpec};
 use streammd::Variant;
 
 fn usage() -> ! {
@@ -69,45 +70,15 @@ fn explain(code: &str) -> ExitCode {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn diagnostic_json(d: &Diagnostic) -> String {
-    let notes = d
-        .notes
-        .iter()
-        .map(|n| json_str(n))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let help = match &d.help {
-        Some(h) => json_str(h),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"code\": {}, \"severity\": {}, \"location\": {}, \"message\": {}, \
-         \"notes\": [{}], \"help\": {}}}",
-        json_str(d.lint.code()),
-        json_str(&d.severity.to_string()),
-        json_str(&d.location),
-        json_str(&d.message),
-        notes,
-        help
-    )
+fn diagnostic_json(d: &Diagnostic) -> Json {
+    Json::obj([
+        ("code", Json::Str(d.lint.code().to_string())),
+        ("severity", d.severity.to_string().to_json()),
+        ("location", d.location.to_json()),
+        ("message", d.message.to_json()),
+        ("notes", d.notes.to_json()),
+        ("help", d.help.to_json()),
+    ])
 }
 
 fn main() -> ExitCode {
@@ -196,38 +167,38 @@ fn main() -> ExitCode {
                         }
                     }
                 }
-                let (errors, warnings, infos) = severity_counts(&diags);
-                total_errors += errors;
+                let counts = LintRecord::new(variant.name(), &diags);
+                total_errors += counts.errors;
                 if json {
-                    let body = diags
-                        .iter()
-                        .map(diagnostic_json)
-                        .collect::<Vec<_>>()
-                        .join(",\n      ");
-                    variant_docs.push(format!(
-                        "    {{\"variant\": {}, \"errors\": {errors}, \"warnings\": {warnings}, \
-                         \"infos\": {infos}, \"diagnostics\": [\n      {body}\n    ]}}",
-                        json_str(variant.name())
-                    ));
+                    let diags = Json::Arr(diags.iter().map(diagnostic_json).collect());
+                    variant_docs.push(counts.to_json().with("diagnostics", diags));
                 } else {
                     if diags.is_empty() {
                         println!("clean: no diagnostics");
                     } else {
                         println!("{}", render_all(&diags));
                     }
-                    println!("summary: {errors} error(s), {warnings} warning(s), {infos} info(s)");
+                    println!(
+                        "summary: {} error(s), {} warning(s), {} info(s)",
+                        counts.errors, counts.warnings, counts.infos
+                    );
                 }
             }
             Err(e) => {
                 // A config-level rejection is as fatal as a lint error.
                 total_errors += 1;
                 if json {
-                    variant_docs.push(format!(
-                        "    {{\"variant\": {}, \"errors\": 1, \"warnings\": 0, \"infos\": 0, \
-                         \"build_error\": {}, \"diagnostics\": []}}",
-                        json_str(variant.name()),
-                        json_str(&e.to_string())
-                    ));
+                    let counts = LintRecord {
+                        variant: variant.name().to_string(),
+                        errors: 1,
+                        ..LintRecord::default()
+                    };
+                    variant_docs.push(
+                        counts
+                            .to_json()
+                            .with("build_error", Json::Str(e.to_string()))
+                            .with("diagnostics", Json::Arr(Vec::new())),
+                    );
                 } else {
                     eprintln!("cannot build step program: {e}");
                 }
@@ -236,14 +207,15 @@ fn main() -> ExitCode {
     }
 
     if json {
-        println!(
-            "{{\n  \"workload\": {},\n  \"molecules\": {},\n  \"deny_warnings\": {},\n  \
-             \"variants\": [\n{}\n  ],\n  \"total_errors\": {}\n}}",
-            json_str(&workload),
-            system.num_molecules(),
-            deny_warnings,
-            variant_docs.join(",\n"),
-            total_errors
+        print!(
+            "{}",
+            json::render(&Json::obj([
+                ("workload", workload.to_json()),
+                ("molecules", system.num_molecules().to_json()),
+                ("deny_warnings", deny_warnings.to_json()),
+                ("variants", Json::Arr(variant_docs)),
+                ("total_errors", total_errors.to_json()),
+            ]))
         );
     }
     if total_errors > 0 {
