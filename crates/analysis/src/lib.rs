@@ -22,15 +22,15 @@
 //! * [`intent`] — proves declared region access intents against the
 //!   actual footprint the strip partitioner admits on
 //!   (INTENT_MISMATCH / INTENT_UNDECLARED);
-//! * [`underrun`] — statically proves underrun-freedom for every
-//!   kernel launch, or pinpoints the first offending iteration
+//! * [`underrun`] — flags kernel launches certain to underrun an
+//!   input stream, and pinpoints the first offending iteration
 //!   (STREAM_UNDERRUN);
 //! * [`batch_split`] — audits each kernel's cached staged batch
 //!   plan against the SoA engine's invariants (BATCH_PLAN_SPLIT).
 //!
-//! The last three share the [`dataflow`] abstract-interpretation
-//! framework: per-stream consumption intervals and per-region
-//! word-range summaries.
+//! No pass keeps its own count of what the simulator accounts:
+//! [`srf_preflight`] reads its SRF floor, [`ordering`] and [`intent`]
+//! its region footprints, [`underrun`] its buffer capacities.
 //!
 //! Entry points: [`analyze_program`] for a built [`StreamProgram`] (all
 //! four passes), [`analyze_kernel`] for one [`Kernel`] in isolation.
@@ -39,7 +39,6 @@
 //! correctly.
 
 pub mod batch_split;
-pub mod dataflow;
 pub mod diag;
 pub mod intent;
 pub mod kernel_lints;

@@ -260,23 +260,25 @@ impl Lint {
                  deliberately instead of conservatively."
             }
             Lint::StreamUnderrun => {
-                "The whole-program dataflow prover tracks how many records each SRF\n\
-                 buffer can ever hold (gathers produce exactly `indices.len()`\n\
-                 records, loads exactly `records`, kernels at least their guaranteed\n\
-                 unconditional writes per iteration) and how many records each kernel\n\
-                 launch is guaranteed to consume: one per iteration for\n\
-                 every-iteration streams, and a `[0, pop-slots]` interval per\n\
-                 iteration for conditional streams. When the guaranteed consumption\n\
-                 of an every-iteration stream exceeds what its buffer can hold, the\n\
-                 launch will underrun no matter what data flows at run time — the\n\
-                 engines would stop at the reported iteration with a\n\
-                 `StreamUnderrun` error.\n\
+                "One pass in program order books each SRF buffer at the most words\n\
+                 its producer can write — the simulator's own buffer capacity, the\n\
+                 figure its SRF floor and scoreboard use: `indices.len()` records for\n\
+                 a gather, `records` for a load, and for a kernel output its writes\n\
+                 per unrolled iteration (conditional ones included) times the\n\
+                 iterations. A launch pops one record per iteration from every\n\
+                 every-iteration stream; when even that capacity holds fewer records\n\
+                 than the launch's unrolled iterations, the launch will underrun no\n\
+                 matter what data flows at run time — the engines would stop at the\n\
+                 reported iteration with a `StreamUnderrun` error.\n\
                  \n\
                  The lint is silent on conditional streams by design: their\n\
                  consumption is data-dependent, so neither an underrun nor its\n\
-                 absence can be proven from record counts. The engines keep their\n\
-                 per-pop depth checks on every launch, so a conditional stream that\n\
-                 does run dry is still a typed `StreamUnderrun`, never a panic.\n\
+                 absence can be proven from record counts. It is also silent on the\n\
+                 consumer of an output its kernel never writes, which capacity books\n\
+                 at one record per iteration (that kernel draws UNUSED_OUTPUT). The\n\
+                 engines keep their per-pop depth checks on every launch, so a\n\
+                 stream that does run dry is still a typed `StreamUnderrun`, never a\n\
+                 panic.\n\
                  \n\
                  Fix a flagged launch by sizing the producer (gather index list or\n\
                  load record count) to at least the iteration count, or by reducing\n\

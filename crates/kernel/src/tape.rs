@@ -351,26 +351,6 @@ impl CompiledTape {
         }
     }
 
-    /// Guaranteed words appended to each output stream per iteration —
-    /// unconditional writes only (conditional writes may append zero
-    /// words). The upper bound is `out_words_per_iter`.
-    pub fn min_out_words_per_iter(&self) -> Vec<usize> {
-        let mut min = vec![0usize; self.out_record_len.len()];
-        for w in &self.writes {
-            if w.cond == NO_COND {
-                min[w.stream as usize] += w.len as usize;
-            }
-        }
-        min
-    }
-
-    /// Worst-case words appended to each output stream per iteration —
-    /// every write counted, conditional or not. The lower bound is
-    /// [`CompiledTape::min_out_words_per_iter`].
-    pub fn max_out_words_per_iter(&self) -> Vec<usize> {
-        self.out_words_per_iter.clone()
-    }
-
     /// Check the launch signature: stream count, per-stream record
     /// length and param count. Shared by every engine that executes
     /// this tape so mismatch messages are identical.

@@ -289,7 +289,7 @@ impl Integrator {
 
                 // Rebuild the list on schedule or when the skin is exhausted.
                 let scheduled = (step + 1) % self.neighbor.rebuild_interval == 0;
-                let rebuilt_list = scheduled || drift_since_rebuild * 2.0 > self.neighbor.skin;
+                let rebuilt_list = scheduled || list.is_stale(drift_since_rebuild);
                 if rebuilt_list {
                     list = NeighborList::build(system, self.neighbor);
                     drift_since_rebuild = 0.0;

@@ -30,8 +30,8 @@ fn usage() -> ! {
          \n\
          Runs the merrimac_analysis passes (SDR pressure, per-strip\n\
          ordering, SRF capacity preflight, kernel dataflow lints, and\n\
-         the whole-program verifier: intent proofs, static underrun\n\
-         freedom, batch-plan audit) over the step program of every\n\
+         the whole-program verifier: intent proofs, certain stream\n\
+         underruns, batch-plan audit) over the step program of every\n\
          StreamMD variant and prints the diagnostics. Exits 1 if any\n\
          diagnostic is an error.\n\
          \n\
@@ -95,6 +95,7 @@ fn main() -> ExitCode {
                 molecules = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage())
             }
             "--paper" => paper = true,

@@ -11,6 +11,12 @@
 //! * Property: on any program the simulator actually runs, the
 //!   analysis never reports an Error — errors are reserved for
 //!   programs the machine would reject.
+//! * STREAM_UNDERRUN against the engines: on generated chains it names
+//!   the launch and iteration where the run fails, and it never fires
+//!   behind a conditional write that could fill the consumer.
+//! * An admission mutation table over the 216-molecule `expanded` and
+//!   `variable` programs: corrupt the built program, then check the
+//!   analysis, the admission gate and the run.
 
 use std::sync::Arc;
 
@@ -20,14 +26,16 @@ use merrimac_analysis::{
     analyze_kernel, analyze_program, Lint, ProgramContext, Severity, ALL_LINTS,
 };
 use merrimac_arch::{MachineConfig, OpCosts};
+use merrimac_kernel::interp::InterpError;
 use merrimac_kernel::ir::StreamMode;
 use merrimac_kernel::{Kernel, KernelBuilder};
+use merrimac_sim::program::{BufferDecl, LabelledOp};
 use merrimac_sim::{
-    AccessIntent, CompiledKernel, KernelOpt, Memory, ProgramBuilder, SdrPolicy, StreamProcessor,
-    StreamProgram,
+    AccessIntent, BufferId, CompiledKernel, KernelOpt, Memory, ProgramBuilder, SdrPolicy, SimError,
+    StreamOp, StreamProcessor, StreamProgram,
 };
 use proptest::prelude::*;
-use streammd::{StreamMdApp, Variant};
+use streammd::{StepProgram, StreamMdApp, Variant};
 
 fn compile(kernel: Kernel, cfg: &MachineConfig) -> Arc<CompiledKernel> {
     Arc::new(CompiledKernel::compile(
@@ -450,6 +458,230 @@ fn stream_underrun_fixture_fires_once_as_error() {
     );
 }
 
+/// `x * x` over one every-iteration input, unrolled `unroll` times; with
+/// a `threshold` the write is conditional on `x < threshold`.
+fn square_unrolled(
+    cfg: &MachineConfig,
+    unroll: u32,
+    threshold: Option<f64>,
+) -> Arc<CompiledKernel> {
+    let mut b = KernelBuilder::new("square");
+    let s = b.input("x", 1, StreamMode::EveryIteration);
+    let o = b.output("y", 1);
+    let x = b.read(s, 0);
+    let y = b.mul(x, x);
+    match threshold {
+        Some(t) => {
+            let t = b.constant(t);
+            let keep = b.cmp_lt(x, t);
+            b.write_if(o, keep, &[y]);
+        }
+        None => b.write(o, &[y]),
+    }
+    let opt = KernelOpt {
+        unroll,
+        ..KernelOpt::default()
+    };
+    Arc::new(CompiledKernel::compile(
+        b.build(),
+        cfg,
+        &OpCosts::default(),
+        opt,
+    ))
+}
+
+/// One strip: load the first `n` of the records 1, 2, …, 40, square
+/// them in a `first` launch and, given a `second`, square that launch's
+/// output again as an every-iteration stream; a launch is
+/// `(iterations, unroll)`, and `threshold` makes the first one's write
+/// conditional. The last output is stored.
+fn underrun_chain(
+    cfg: &MachineConfig,
+    n: usize,
+    first: (u64, u32),
+    second: Option<(u64, u32)>,
+    threshold: Option<f64>,
+) -> (Memory, StreamProgram) {
+    let mut mem = Memory::new();
+    let xs = mem.region("xs", (1..=40).map(f64::from).collect());
+    let out = mem.region("out", vec![0.0; 40]);
+    let mut pb = ProgramBuilder::new();
+    pb.intent(xs, AccessIntent::ReadOnly)
+        .intent(out, AccessIntent::WriteOwned);
+    pb.strip(0);
+    let mut src = pb.buffer("x", 1);
+    pb.load("load", xs, 1, 0, n, src);
+    let launches = [Some((first, threshold)), second.map(|s| (s, None))];
+    for (i, ((iterations, unroll), threshold)) in launches.into_iter().flatten().enumerate() {
+        let dst = pb.buffer(&format!("y{i}"), 1);
+        pb.kernel(
+            format!("kernel {i}"),
+            square_unrolled(cfg, unroll, threshold),
+            vec![src],
+            vec![dst],
+            vec![],
+            iterations,
+            iterations.div_ceil(16),
+        );
+        src = dst;
+    }
+    pb.store("store", src, out, 1, 0);
+    (mem, pb.build())
+}
+
+/// Run the first `ops` ops of `program` on a copy of `mem`.
+fn run_prefix(
+    cfg: &MachineConfig,
+    mem: &Memory,
+    program: &StreamProgram,
+    ops: usize,
+) -> Result<(), SimError> {
+    let mut prefix = program.clone();
+    prefix.ops.truncate(ops);
+    StreamProcessor::new(cfg.clone())
+        .run(&mut mem.clone(), &prefix)
+        .map(|_| ())
+}
+
+/// The engines' `StreamUnderrun` as the pass words it in its first note.
+fn blamed(run: &Result<(), SimError>) -> Option<String> {
+    match run {
+        Err(SimError::Interp(InterpError::StreamUnderrun { stream, iteration })) => Some(format!(
+            "StreamUnderrun {{ stream: {stream}, iteration: {iteration} }}"
+        )),
+        _ => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pass against the engines on a one- or two-launch chain: the
+    /// first STREAM_UNDERRUN in op order names the launch, and the
+    /// iteration, where `StreamProcessor::run` fails with
+    /// `StreamUnderrun`; no diagnostic means the run succeeds. Counts
+    /// are drawn so every reshape an unroll needs is whole (a word
+    /// count the unroll does not divide is a different rejection).
+    #[test]
+    fn prop_stream_underrun_is_where_the_engines_fail(
+        n in 0usize..41,
+        first in (1u64..21, 1u32..3),
+        second in (0u64..21, 1u32..3),
+    ) {
+        let cfg = MachineConfig::default();
+        let ((m1, u1), (m2, u2)) = (first, second);
+        let n = n - n % u1 as usize;
+        let first = (m1 * u64::from(u1.max(u2)), u1);
+        let second = (m2 > 0).then_some((m2 * u64::from(u2), u2));
+        let (mem, program) = underrun_chain(&cfg, n, first, second, None);
+        let case = format!("n={n} first={first:?} second={second:?}");
+        let diags = analyze_fixture(&cfg, &mem, &program);
+        let run = run_prefix(&cfg, &mem, &program, program.ops.len());
+        let Some(d) = diags.iter().find(|d| d.lint == Lint::StreamUnderrun) else {
+            prop_assert!(run.is_ok(), "{case}: no diagnostic, but the run failed: {run:?}");
+            return Ok(());
+        };
+        let launch = program
+            .ops
+            .iter()
+            .position(|lop| d.location == format!("op '{}' (strip 0)", lop.label))
+            .expect("the diagnostic names a launch");
+        let before = run_prefix(&cfg, &mem, &program, launch);
+        prop_assert!(before.is_ok(), "{case}: the ops before {} fail: {before:?}", d.location);
+        let blamed = blamed(&run);
+        prop_assert!(
+            blamed.as_ref().is_some_and(|b| d.notes[0].contains(b)),
+            "{case}: the pass predicts {:?}, the run gives {run:?}",
+            d.notes[0]
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// No false positives: behind a conditional write, how many records
+    /// the consumer finds is data-dependent. When the write could fill
+    /// the consumer, the pass stays silent, whether or not the data
+    /// leaves it short (that is the engines' typed `StreamUnderrun`).
+    #[test]
+    fn prop_a_conditional_write_never_draws_stream_underrun(
+        m1 in 1u64..21,
+        m2 in 1u64..21,
+        unrolls in (1u32..3, 1u32..3),
+        threshold in 0.0f64..45.0,
+    ) {
+        let cfg = MachineConfig::default();
+        let (u1, u2) = unrolls;
+        let k1 = m1 * u64::from(u1.max(u2));
+        let k2 = (m2 * u64::from(u2)).min(k1);
+        let (mem, program) = underrun_chain(&cfg, 40, (k1, u1), Some((k2, u2)), Some(threshold));
+        let diags = analyze_fixture(&cfg, &mem, &program);
+        prop_assert!(
+            diags.iter().all(|d| d.lint != Lint::StreamUnderrun),
+            "k1={k1} x{u1} k2={k2} x{u2} threshold={threshold}: {diags:#?}"
+        );
+    }
+}
+
+#[test]
+fn malformed_programs_analyze_without_panicking() {
+    let cfg = MachineConfig::default();
+    let intents = |pb: &mut ProgramBuilder, xs, out| {
+        pb.intent(xs, AccessIntent::ReadOnly)
+            .intent(out, AccessIntent::WriteOwned);
+    };
+    let underrun_fixture = || verifier_program(&cfg, 32, 64, square_kernel(&cfg), intents);
+
+    // A launch listing one more input buffer than its kernel declares:
+    // the declared input is still judged, the extra one is not.
+    let (mem, mut program) = underrun_fixture();
+    let StreamOp::Kernel { inputs, .. } = &mut program.ops[1].op else {
+        unreachable!("op 1 is the launch")
+    };
+    inputs.push(inputs[0]);
+    let diags = analyze_fixture(&cfg, &mem, &program);
+    assert_eq!(count(&diags, Lint::StreamUnderrun), 1, "{diags:#?}");
+
+    // A store from a buffer id past `program.buffers`.
+    let (mem, mut program) = underrun_fixture();
+    let ghost = BufferId(program.buffers.len());
+    let StreamOp::Store { src, .. } = &mut program.ops[2].op else {
+        unreachable!("op 2 is the store")
+    };
+    *src = ghost;
+    assert_eq!(
+        count(&analyze_fixture(&cfg, &mem, &program), Lint::StreamUnderrun),
+        1
+    );
+
+    // The underrun pass on its own, with that id loaded, popped and
+    // written: a buffer the program never declared is skipped, not
+    // indexed. (The SRF floor indexes it, so `analyze_program` cannot
+    // run this one.)
+    let (mem, mut program) = underrun_fixture();
+    for lop in &mut program.ops {
+        match &mut lop.op {
+            StreamOp::Load { dst, .. } => *dst = ghost,
+            StreamOp::Kernel {
+                inputs, outputs, ..
+            } => {
+                inputs[0] = ghost;
+                outputs[0] = ghost;
+            }
+            _ => {}
+        }
+    }
+    let ctx = ProgramContext {
+        cfg: &cfg,
+        policy: SdrPolicy::Eager,
+        strip_lookahead: 1,
+        program: &program,
+        memory: &mem,
+    };
+    assert!(merrimac_analysis::underrun::check(&ctx).is_empty());
+}
+
 #[test]
 fn batch_plan_split_fixture_fires_once_as_error() {
     let cfg = MachineConfig::default();
@@ -483,12 +715,61 @@ fn batch_plan_split_fixture_fires_once_as_error() {
     );
 }
 
+/// Mislabel the force reduction region `ReadOnly`.
+fn forces_read_only(step: &mut StepProgram) {
+    step.program
+        .intents
+        .insert(step.forces.0, AccessIntent::ReadOnly);
+}
+
+/// Add a gather from the force reduction region to strip 0.
+fn gather_forces_in_strip_0(step: &mut StepProgram) {
+    let width = step.layout.width;
+    let dst = BufferId(step.program.buffers.len());
+    step.program.buffers.push(BufferDecl {
+        name: "probe.0".into(),
+        record_len: width,
+    });
+    let gather = StreamOp::Gather {
+        region: step.forces,
+        record_len: width,
+        indices: vec![0u32].into(),
+        dst,
+    };
+    step.program.ops.insert(
+        0,
+        LabelledOp {
+            op: gather,
+            label: "gather probe 0".into(),
+            strip: 0,
+        },
+    );
+}
+
+fn clear_intents(step: &mut StepProgram) {
+    step.program.intents.clear();
+}
+
+/// Drop the last index of strip 0's neighbour-position gather.
+fn shorten_n_pos_gather(step: &mut StepProgram) {
+    let lop = step
+        .program
+        .ops
+        .iter_mut()
+        .find(|lop| lop.label == "gather n_pos 0")
+        .expect("strip 0 gathers n_pos");
+    let StreamOp::Gather { indices, .. } = &mut lop.op else {
+        unreachable!("a gather")
+    };
+    *indices = indices[..indices.len() - 1].to_vec().into();
+}
+
 #[test]
-fn seeded_intent_mislabel_is_rejected_by_the_admission_gate() {
-    // Build a real shipped step program, then mislabel the force
-    // reduction region as ReadOnly: `admit_built` (the analyze() gate)
-    // must reject it with INTENT_MISMATCH before anything runs.
-    let system = WaterBox::builder().molecules(27).seed(7).build();
+fn admission_mutation_table_on_the_216_molecule_programs() {
+    // Corrupt a real shipped step program after building it, then check
+    // the Error codes `analyze_built` reports, whether `admit_built` (the
+    // analyze() gate) admits it, and how the ungated run ends.
+    let system = WaterBox::builder().molecules(216).seed(7).build();
     let params = NeighborListParams {
         cutoff: (0.45 * system.pbc().side()).min(1.0),
         skin: 0.0,
@@ -500,18 +781,78 @@ fn seeded_intent_mislabel_is_rejected_by_the_admission_gate() {
         .analyze()
         .build()
         .expect("valid configuration");
-    let mut step = app.build_step_program(&system, &list, Variant::Expanded);
-    app.admit_built(&step).expect("unmodified program is clean");
-    step.program
-        .intents
-        .insert(step.forces.0, AccessIntent::ReadOnly);
-    let err = app
-        .admit_built(&step)
-        .expect_err("mislabeled intent must be rejected");
-    assert!(
-        err.to_string().contains("INTENT_MISMATCH"),
-        "gate must blame the intent proof: {err}"
+    type Row = (
+        &'static str,
+        fn(&mut StepProgram),
+        &'static [&'static str],
+        bool,
+        &'static str,
     );
+    let rows: [Row; 5] = [
+        ("no mutation", |_| {}, &[], true, "parallel"),
+        (
+            "forces ReadOnly",
+            forces_read_only,
+            &["INTENT_MISMATCH"],
+            false,
+            "malformed program",
+        ),
+        (
+            "gather from forces",
+            gather_forces_in_strip_0,
+            &["INTENT_MISMATCH"],
+            false,
+            "malformed program",
+        ),
+        // Undeclared regions are only warned about; the partitioner
+        // infers read-shared positions and a scatter-add-only force
+        // region from the footprint, which is safe to run in parallel.
+        ("intents cleared", clear_intents, &[], true, "parallel"),
+        (
+            "n_pos one short",
+            shorten_n_pos_gather,
+            &["STREAM_UNDERRUN"],
+            false,
+            "kernel execution failed",
+        ),
+    ];
+    for variant in [Variant::Expanded, Variant::Variable] {
+        for (name, mutate, errors, admitted, run) in rows {
+            let mut step = app.build_step_program(&system, &list, variant);
+            mutate(&mut step);
+            let diags = app.analyze_built(&step);
+            let got: Vec<_> = diags
+                .iter()
+                .filter(|d| d.severity == Severity::Error)
+                .map(|d| d.lint.code())
+                .collect();
+            assert_eq!(got, errors, "{variant} / {name}: {diags:#?}");
+            assert_eq!(
+                app.admit_built(&step).is_ok(),
+                admitted,
+                "{variant} / {name}"
+            );
+            let outcome = app.run_step_program(&system, &step);
+            let described = match &outcome {
+                Ok(o) if o.report.partition.parallelized => "parallel".to_string(),
+                Ok(o) => format!("serial: {:?}", o.report.partition.fallback),
+                Err(e) => e.to_string(),
+            };
+            assert!(
+                described.starts_with(run),
+                "{variant} / {name}: {described}"
+            );
+            // A certain underrun fails in the engines where the pass said.
+            if let Some(d) = diags.iter().find(|d| d.lint == Lint::StreamUnderrun) {
+                let outcome = outcome.map(|_| ());
+                let blamed = blamed(&outcome).expect("a StreamUnderrun");
+                assert!(
+                    d.notes[0].contains(&blamed),
+                    "{variant}: {blamed} vs {d:#?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
