@@ -14,8 +14,9 @@ use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
 use merrimac_arch::{MachineConfig, OpCosts};
 use merrimac_kernel::lower::lower_kernel;
+use merrimac_kernel::schedule::DepTable;
 use merrimac_kernel::{
-    list_schedule, modulo_schedule, BatchWidth, CompiledTape, Interpreter, StreamData,
+    list_schedule, modulo_schedule, BatchWidth, CompiledTape, Interpreter, KernelStats, StreamData,
 };
 use merrimac_sim::cache::StreamCache;
 use merrimac_sim::{CompiledKernel, KernelOpt, MemSystem, StreamOp, StreamProcessor};
@@ -219,9 +220,15 @@ fn main() {
         modulo_schedule(&k, &costs, 4)
     });
     // The L=8 block kernel is 7.5× the expanded one (3,485 lowered nodes
-    // against 465): the rows a superlinear scheduler shows up on.
+    // against 465): the rows a superlinear scheduler shows up on. With
+    // `compile_fixed_l8` below they name every part of a cold compile.
+    bench("block_kernel_l8", || block_kernel(8, true));
     let fixed = block_kernel(8, true);
+    bench("lower_fixed_l8", || lower_kernel(&fixed, &costs));
     let k8 = lower_kernel(&fixed, &costs);
+    bench("stats_fixed_l8", || KernelStats::analyze(&fixed, &k8));
+    bench("tape_fixed_l8", || CompiledTape::compile(&fixed));
+    bench("dep_table_fixed_l8", || DepTable::new(&k8, &costs));
     bench("list_schedule_fixed_l8", || list_schedule(&k8, &costs, 4));
     bench("modulo_schedule_fixed_l8", || {
         modulo_schedule(&k8, &costs, 4)

@@ -108,8 +108,56 @@ impl OpKind {
     }
 }
 
+/// The operands of a node: up to three ids held inline, so a node owns
+/// no heap memory. Reads as a `[NodeId]` slice and prints as one; built
+/// by `.collect()` (a fourth id panics) or from an array.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Args {
+    ids: [NodeId; 3], // `ids[len..]` stay 0: the derived `==` is the slices'
+    len: u8,
+}
+
+impl std::ops::Deref for Args {
+    type Target = [NodeId];
+    fn deref(&self) -> &[NodeId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl FromIterator<NodeId> for Args {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
+        let mut args = Args::default();
+        for id in iter {
+            assert!(args.len < 3, "a node takes at most 3 operands");
+            args.ids[args.len as usize] = id;
+            args.len += 1;
+        }
+        args
+    }
+}
+
+impl<const N: usize> From<[NodeId; N]> for Args {
+    fn from(ids: [NodeId; N]) -> Self {
+        ids.into_iter().collect()
+    }
+}
+
+impl IntoIterator for Args {
+    type Item = NodeId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<NodeId, 3>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(self.len as usize)
+    }
+}
+
+impl std::fmt::Debug for Args {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A node of the dataflow graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Node {
     /// A compile-time constant.
     Const(f64),
@@ -132,27 +180,17 @@ pub enum Node {
         fallback: NodeId,
     },
     /// An arithmetic/logical operation.
-    Op { op: OpKind, args: Vec<NodeId> },
+    Op { op: OpKind, args: Args },
 }
 
 impl Node {
-    /// Data dependencies of this node.
-    pub fn deps(&self) -> Vec<NodeId> {
-        let mut deps = Vec::new();
-        self.for_each_dep(|d| deps.push(d));
-        deps
-    }
-
-    /// Visit the data dependencies in [`Node::deps`] order without
-    /// allocating — the form the passes that walk every node use.
-    pub fn for_each_dep(&self, mut f: impl FnMut(NodeId)) {
+    /// Data dependencies of this node: an op's arguments, a conditional
+    /// read's `[pred, fallback]`. Inline: walking edges allocates nothing.
+    pub fn deps(&self) -> Args {
         match self {
-            Node::Const(_) | Node::Param(_) | Node::ReadReg(_) | Node::Read { .. } => {}
-            Node::CondRead { pred, fallback, .. } => {
-                f(*pred);
-                f(*fallback);
-            }
-            Node::Op { args, .. } => args.iter().copied().for_each(f),
+            Node::CondRead { pred, fallback, .. } => [*pred, *fallback].into(),
+            Node::Op { args, .. } => *args,
+            _ => Args::default(),
         }
     }
 
@@ -230,8 +268,8 @@ pub struct Kernel {
 
 impl Kernel {
     /// Check SSA ordering, arities and index bounds; panics with a
-    /// description on malformed kernels. Returns `&self` for chaining.
-    pub fn validate_ssa(&self) -> &Self {
+    /// description on malformed kernels.
+    pub fn validate_ssa(&self) {
         for (i, n) in self.nodes.iter().enumerate() {
             for d in n.deps() {
                 assert!(
@@ -280,7 +318,6 @@ impl Kernel {
                 assert!((c as usize) < self.nodes.len());
             }
         }
-        self
     }
 
     /// True if no iterative (div/sqrt/rsqrt) nodes remain.
@@ -354,7 +391,7 @@ mod tests {
                 Node::ReadReg(0),
                 Node::Op {
                     op: OpKind::Madd,
-                    args: vec![0, 1, 2],
+                    args: [0, 1, 2].into(),
                 },
             ],
             reg_updates: vec![(0, 3)],
@@ -376,7 +413,7 @@ mod tests {
         let mut k = tiny_kernel();
         k.nodes[0] = Node::Op {
             op: OpKind::Mov,
-            args: vec![3],
+            args: [3].into(),
         };
         assert!(std::panic::catch_unwind(move || {
             k.validate_ssa();
@@ -389,7 +426,7 @@ mod tests {
         let mut k = tiny_kernel();
         k.nodes[3] = Node::Op {
             op: OpKind::Madd,
-            args: vec![0, 1],
+            args: [0, 1].into(),
         };
         assert!(std::panic::catch_unwind(move || {
             k.validate_ssa();
@@ -431,8 +468,21 @@ mod tests {
         assert!(k.is_lowered());
         k.nodes.push(Node::Op {
             op: OpKind::Rsqrt,
-            args: vec![3],
+            args: [3].into(),
         });
         assert!(!k.is_lowered());
+    }
+
+    #[test]
+    fn args_read_and_print_as_a_vec_does() {
+        let args: Args = [4, 2, 4].into();
+        assert_eq!(&*args, &[4, 2, 4]);
+        assert_eq!(args.into_iter().collect::<Vec<_>>(), vec![4, 2, 4]);
+        assert_eq!(format!("{args:?}"), format!("{:?}", vec![4u32, 2, 4]));
+        assert_eq!(
+            format!("{:#?}", Args::default()),
+            format!("{:#?}", Vec::<u32>::new())
+        );
+        assert_eq!(Args::from([1, 2]), [1, 2].into_iter().collect());
     }
 }

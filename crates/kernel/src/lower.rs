@@ -59,7 +59,7 @@ pub fn lower_kernel(kernel: &Kernel, costs: &OpCosts) -> Kernel {
                     &mut out.nodes,
                     Node::Op {
                         op: OpKind::Mul,
-                        args: vec![x, r],
+                        args: [x, r].into(),
                     },
                 )
             }
@@ -89,7 +89,7 @@ pub fn lower_kernel(kernel: &Kernel, costs: &OpCosts) -> Kernel {
                     fallback: remap[*fallback as usize],
                 },
             ),
-            other => push(&mut out.nodes, other.clone()),
+            other => push(&mut out.nodes, *other),
         };
         remap.push(new_id);
     }
@@ -122,25 +122,25 @@ fn emit_rsqrt(nodes: &mut Vec<Node>, x: NodeId, iters: u32) -> NodeId {
     let three_half = push(Node::Const(1.5));
     let mut y = push(Node::Op {
         op: OpKind::SeedRsqrt,
-        args: vec![x],
+        args: [x].into(),
     });
     let hx = push(Node::Op {
         op: OpKind::Mul,
-        args: vec![x, half],
+        args: [x, half].into(),
     });
     for _ in 0..iters {
         let t = push(Node::Op {
             op: OpKind::Mul,
-            args: vec![y, y],
+            args: [y, y].into(),
         });
         // w = 1.5 - hx*t
         let w = push(Node::Op {
             op: OpKind::Nmsub,
-            args: vec![hx, t, three_half],
+            args: [hx, t, three_half].into(),
         });
         y = push(Node::Op {
             op: OpKind::Mul,
-            args: vec![y, w],
+            args: [y, w].into(),
         });
     }
     y
@@ -154,31 +154,31 @@ fn emit_div(nodes: &mut Vec<Node>, a: NodeId, b: NodeId, iters: u32) -> NodeId {
     let two = push(Node::Const(2.0));
     let mut y = push(Node::Op {
         op: OpKind::SeedRecip,
-        args: vec![b],
+        args: [b].into(),
     });
     for _ in 0..iters {
         // e = 2 - b*y ; y = y*e
         let e = push(Node::Op {
             op: OpKind::Nmsub,
-            args: vec![b, y, two],
+            args: [b, y, two].into(),
         });
         y = push(Node::Op {
             op: OpKind::Mul,
-            args: vec![y, e],
+            args: [y, e].into(),
         });
     }
     let q = push(Node::Op {
         op: OpKind::Mul,
-        args: vec![a, y],
+        args: [a, y].into(),
     });
     // Correction: q' = q + y*(a - b*q)
     let r = push(Node::Op {
         op: OpKind::Nmsub,
-        args: vec![b, q, a],
+        args: [b, q, a].into(),
     });
     push(Node::Op {
         op: OpKind::Madd,
-        args: vec![r, y, q],
+        args: [r, y, q].into(),
     })
 }
 

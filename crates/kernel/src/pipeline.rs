@@ -13,7 +13,7 @@
 
 use merrimac_arch::OpCosts;
 
-use crate::ir::{Kernel, Node, NodeId};
+use crate::ir::{Kernel, NodeId};
 use crate::schedule::{live_ops, live_set, DepTable, Schedule};
 
 /// A modulo-scheduled loop.
@@ -93,28 +93,41 @@ pub fn modulo_schedule(kernel: &Kernel, costs: &OpCosts, num_slots: usize) -> Pi
 }
 
 impl DepTable<'_> {
-    /// See [`rec_mii`].
+    /// See [`rec_mii`]. Only the nodes a register's reads reach through
+    /// `users` lie on its recurrence: each register visits those in SSA
+    /// order, `dist[i]` the longest path from a read to node `i`'s value.
     fn rec_mii(&self) -> u64 {
-        // Longest path from each ReadReg(r) node to the update node of r.
-        // Computed by DP over SSA order: dist[n] = max latency path from any
-        // ReadReg of interest to n's *value availability*.
-        let nodes = &self.kernel.nodes;
-        let mut dist: Vec<Option<u64>> = vec![None; nodes.len()];
+        let mut dist = vec![0u64; self.kernel.nodes.len()];
+        // `reached[i] == k`: node `i` is reached from the k-th update's reads.
+        let mut reached = vec![usize::MAX; self.kernel.nodes.len()];
         let mut best = 1u64;
-        for (reg, update) in &self.kernel.reg_updates {
-            for (i, node) in nodes.iter().enumerate() {
-                dist[i] = if matches!(node, Node::ReadReg(r) if r == reg) {
-                    Some(0)
-                } else {
-                    self.deps(i)
-                        .iter()
-                        .filter_map(|&dep| dist[dep as usize])
-                        .max()
-                        .map(|base| base + self.latency[i])
-                };
+        for (k, (reg, update)) in self.kernel.reg_updates.iter().enumerate() {
+            let mut order = self.reg_reads(*reg).to_vec();
+            let mut next = 0;
+            while let Some(&i) = order.get(next) {
+                next += 1;
+                reached[i as usize] = k; // a read is no node's user
+                for &u in self.users(i as usize) {
+                    if reached[u as usize] != k {
+                        reached[u as usize] = k;
+                        order.push(u);
+                    }
+                }
             }
-            if let Some(Some(d)) = dist.get(*update as usize) {
-                best = best.max(*d);
+            order.sort_unstable();
+            for &i in &order {
+                let i = i as usize;
+                // A register read has no dependencies: its path starts at 0.
+                dist[i] = self
+                    .deps(i)
+                    .iter()
+                    .filter(|&&d| reached[d as usize] == k)
+                    .map(|&d| dist[d as usize])
+                    .max()
+                    .map_or(0, |base| base + self.latency[i]);
+            }
+            if reached.get(*update as usize) == Some(&k) {
+                best = best.max(dist[*update as usize]);
             }
         }
         best
@@ -144,6 +157,9 @@ impl DepTable<'_> {
         ii: u64,
         depth_target: u64,
     ) -> Option<PipelinedSchedule> {
+        if self.ops > ii as usize * num_slots {
+            return None; // some node would find every row full
+        }
         let nodes = &self.kernel.nodes;
         let n = nodes.len();
 
@@ -160,6 +176,9 @@ impl DepTable<'_> {
         let mut value_ready: Vec<Option<u64>> = vec![None; n];
         let mut rows: Vec<Vec<Option<NodeId>>> = vec![vec![None; num_slots]; ii as usize];
         let mut used: Vec<usize> = vec![0; ii as usize];
+        // The rows as a union-find (Rau's iterative modulo scheduling): a row
+        // with a free slot is a root; a full row points at a later one.
+        let mut next_free: Vec<u32> = (0..ii as u32).collect();
 
         for i in 0..n {
             if !self.live[i] {
@@ -178,14 +197,16 @@ impl DepTable<'_> {
             }
             let alap_start = depth_target.saturating_sub(self.height[i]);
             let earliest = earliest.max(alap_start);
-            // Find the first cycle >= earliest with a free modulo slot,
-            // searching at most II consecutive cycles (after that the pattern
-            // repeats and the row set is full). Slots of a row fill left
-            // to right.
-            let t = (earliest..earliest + ii).find(|t| used[(t % ii) as usize] < num_slots)?;
-            let row = (t % ii) as usize;
+            // The first cycle >= earliest with a free modulo slot. Slots
+            // of a row fill left to right.
+            let start = earliest % ii;
+            let row = first_free_row(&mut next_free, start as usize);
+            let t = earliest + (row as u64 + ii - start) % ii;
             rows[row][used[row]] = Some(i as NodeId);
             used[row] += 1;
+            if used[row] == num_slots {
+                next_free[row] = ((row as u64 + 1) % ii) as u32;
+            }
             issue_time[i] = Some(t);
             value_ready[i] = Some(t + self.latency[i]);
         }
@@ -199,11 +220,12 @@ impl DepTable<'_> {
             let Some(ready) = value_ready[*update as usize] else {
                 continue;
             };
-            for (i, node) in nodes.iter().enumerate() {
-                if !self.live[i] || !matches!(node, Node::ReadReg(r) if r == reg) {
-                    continue;
-                }
-                for &j in self.users(i) {
+            for &i in self
+                .reg_reads(*reg)
+                .iter()
+                .filter(|&&i| self.live[i as usize])
+            {
+                for &j in self.users(i as usize) {
                     let j = j as usize;
                     if !self.live[j] {
                         continue;
@@ -233,6 +255,18 @@ impl DepTable<'_> {
             depth,
         })
     }
+}
+
+/// The first row at or after `row` with a free slot, wrapping from the
+/// last row to row 0: `next_free` (see `try_schedule`) with path splitting,
+/// near-constant time where a scan walks up to II rows.
+fn first_free_row(next_free: &mut [u32], mut row: usize) -> usize {
+    while next_free[row] as usize != row {
+        let up = next_free[row] as usize;
+        next_free[row] = next_free[up];
+        row = up;
+    }
+    row
 }
 
 /// Express a serial list schedule as a (degenerate) modulo schedule with
@@ -374,6 +408,61 @@ mod tests {
         assert_eq!(p.issued_ops(), 100);
         assert!(p.depth >= 100 * 20, "the chain is serial");
         crate::validate::validate_pipelined(&k, &p, &costs).expect("valid");
+    }
+
+    /// Row `row` has lost its last free slot: point it at the next row.
+    fn fill(next_free: &mut [u32], row: usize) {
+        next_free[row] = ((row + 1) % next_free.len()) as u32;
+    }
+
+    #[test]
+    fn a_search_from_the_last_row_wraps_to_row_0_as_the_scan_did() {
+        let (ii, earliest) = (4u64, 7u64);
+        let start = earliest % ii;
+        assert_eq!(start, 3, "the search starts at the last row");
+        let mut next_free = vec![0, 1, 2, 3];
+        fill(&mut next_free, 3);
+        let row = first_free_row(&mut next_free, start as usize);
+        let t = earliest + (row as u64 + ii - start) % ii;
+        let want = (earliest..earliest + ii).find(|t| t % ii != 3);
+        assert_eq!((row, Some(t)), (0, want));
+    }
+
+    #[test]
+    fn first_free_row_is_the_row_the_scan_finds() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(30);
+        for ii in 1..12 {
+            let mut next_free: Vec<u32> = (0..ii as u32).collect();
+            let mut full = vec![false; ii];
+            for _ in 0..ii {
+                for start in 0..ii {
+                    let scan = (start..start + ii).map(|r| r % ii).find(|&r| !full[r]);
+                    assert_eq!(Some(first_free_row(&mut next_free, start)), scan);
+                }
+                let row = first_free_row(&mut next_free, rng.gen_range(0..ii));
+                full[row] = true;
+                fill(&mut next_free, row);
+            }
+        }
+    }
+
+    #[test]
+    fn with_every_row_full_placement_fails_and_ii_grows() {
+        let costs = OpCosts::default();
+        let k = lower_kernel(&body(13), &costs);
+        let table = DepTable::new(&k, &costs);
+        let serial = table.list_schedule(4);
+        // 13 ops on 4 slots fill all 12 slot-cycles of II 3.
+        assert!(table.try_schedule(4, 3, serial.length).is_none());
+        assert!(table.try_schedule(4, 4, serial.length).is_some());
+        assert_eq!(table.modulo_schedule(&serial).ii, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 operands")]
+    fn a_fourth_operand_panics_naming_the_arity() {
+        let _: crate::ir::Args = [0, 1, 2, 3].into_iter().collect();
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 
 use merrimac_arch::OpCosts;
 
-use crate::ir::{Kernel, NodeId};
+use crate::ir::{Kernel, Node, NodeId, RegId};
 
 /// A scheduled loop body (non-pipelined: one iteration completes before
 /// the next begins, as in the left half of Figure 10).
@@ -74,7 +74,7 @@ pub fn live_set(kernel: &Kernel) -> Vec<bool> {
             continue;
         }
         live[n as usize] = true;
-        kernel.nodes[n as usize].for_each_dep(|d| stack.push(d));
+        stack.extend(kernel.nodes[n as usize].deps());
     }
     live
 }
@@ -99,6 +99,8 @@ pub struct DepTable<'k> {
     /// The reverse edges, laid out the same way.
     user_start: Vec<usize>,
     user_edges: Vec<NodeId>,
+    /// The `ReadReg` nodes of each register, in ascending id order.
+    reg_reads: Vec<Vec<NodeId>>,
     pub(crate) live: Vec<bool>,
     /// Issue-to-use latency per node (0 for non-issuing nodes).
     pub(crate) latency: Vec<u64>,
@@ -122,12 +124,17 @@ impl<'k> DepTable<'k> {
         let mut dep_start = Vec::with_capacity(n + 1);
         let mut dep_edges = Vec::new();
         let mut user_start = vec![0usize; n + 1];
-        for node in &kernel.nodes {
+        let mut reg_reads: Vec<Vec<NodeId>> = Vec::new();
+        for (i, node) in kernel.nodes.iter().enumerate() {
             dep_start.push(dep_edges.len());
-            node.for_each_dep(|d| {
+            for d in node.deps() {
                 dep_edges.push(d);
                 user_start[d as usize + 1] += 1;
-            });
+            }
+            if let Node::ReadReg(r) = *node {
+                reg_reads.resize_with(reg_reads.len().max(r as usize + 1), Vec::new);
+                reg_reads[r as usize].push(i as NodeId);
+            }
         }
         dep_start.push(dep_edges.len());
         for i in 0..n {
@@ -156,6 +163,7 @@ impl<'k> DepTable<'k> {
             dep_edges,
             user_start,
             user_edges,
+            reg_reads,
             ops: live_ops(kernel, &live),
             live,
             latency,
@@ -176,6 +184,10 @@ impl<'k> DepTable<'k> {
 
     pub(crate) fn users(&self, i: usize) -> &[NodeId] {
         &self.user_edges[self.user_start[i]..self.user_start[i + 1]]
+    }
+
+    pub(crate) fn reg_reads(&self, reg: RegId) -> &[NodeId] {
+        self.reg_reads.get(reg as usize).map_or(&[], Vec::as_slice)
     }
 
     /// List-schedule the kernel onto `num_slots` FPU slots.

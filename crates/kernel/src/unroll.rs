@@ -92,7 +92,7 @@ pub fn unroll(kernel: &Kernel, factor: u32) -> Kernel {
                     (out.nodes.len() - 1) as NodeId
                 }
                 other => {
-                    out.nodes.push(other.clone());
+                    out.nodes.push(*other);
                     (out.nodes.len() - 1) as NodeId
                 }
             };

@@ -823,10 +823,13 @@ pub fn srf_overflows<'p>(
     cfg: &MachineConfig,
     program: &'p StreamProgram,
 ) -> Vec<KernelOverSrf<'p>> {
+    // Undeclared ids are skipped: `validate_program` rejects them first.
     let mut words = vec![0usize; program.buffers.len()];
     for lop in &program.ops {
         for b in produced_buffers(&lop.op) {
-            words[b.0] = buffer_capacity_words(program, &lop.op, b);
+            if let Some(w) = words.get_mut(b.0) {
+                *w = buffer_capacity_words(program, &lop.op, b);
+            }
         }
     }
     let mut overflows = Vec::new();
@@ -839,8 +842,9 @@ pub fn srf_overflows<'p>(
         };
         let mut buffers: Vec<(BufferId, usize)> = Vec::new();
         for &b in inputs.iter().chain(outputs) {
+            let Some(&w) = words.get(b.0) else { continue };
             if buffers.iter().all(|&(seen, _)| seen != b) {
-                buffers.push((b, words[b.0]));
+                buffers.push((b, w));
             }
         }
         let needed = buffers.iter().map(|(_, w)| w.div_ceil(cfg.clusters)).sum();

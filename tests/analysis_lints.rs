@@ -655,11 +655,10 @@ fn malformed_programs_analyze_without_panicking() {
         1
     );
 
-    // The underrun pass on its own, with that id loaded, popped and
-    // written: a buffer the program never declared is skipped, not
-    // indexed. (The SRF floor indexes it, so `analyze_program` cannot
-    // run this one.)
-    let (mem, mut program) = underrun_fixture();
+    // That id loaded, popped and written: a buffer the program never
+    // declared is skipped, not indexed, by the underrun pass and the SRF
+    // floor, and the run rejects the program as malformed.
+    let (mut mem, mut program) = underrun_fixture();
     for lop in &mut program.ops {
         match &mut lop.op {
             StreamOp::Load { dst, .. } => *dst = ghost,
@@ -680,6 +679,14 @@ fn malformed_programs_analyze_without_panicking() {
         memory: &mem,
     };
     assert!(merrimac_analysis::underrun::check(&ctx).is_empty());
+    let diags = analyze_fixture(&cfg, &mem, &program);
+    assert_eq!(count(&diags, Lint::StreamUnderrun), 0, "{diags:#?}");
+    assert_eq!(count(&diags, Lint::SrfCapacity), 0, "{diags:#?}");
+    let run = StreamProcessor::new(cfg).run(&mut mem, &program);
+    assert!(
+        matches!(&run, Err(SimError::Program(why)) if why.contains("names buffer")),
+        "{run:?}"
+    );
 }
 
 #[test]

@@ -9,6 +9,7 @@
 use merrimac_arch::OpCosts;
 use merrimac_kernel::ir::{Kernel, Node, NodeId, OpKind, StreamMode, StreamSig, WriteSpec};
 use merrimac_kernel::lower::lower_kernel;
+use merrimac_kernel::pipeline::{rec_mii, res_mii};
 use merrimac_kernel::unroll::unroll;
 use merrimac_kernel::{list_schedule, modulo_schedule, KernelBuilder};
 use proptest::prelude::*;
@@ -600,6 +601,8 @@ proptest! {
             ..OpCosts::default()
         };
         let kernel = random_lowered_kernel(seed, size);
+        prop_assert_eq!(rec_mii(&kernel, &costs), reference::rec_mii(&kernel, &costs));
+        prop_assert_eq!(res_mii(&kernel, slots), reference::res_mii(&kernel, slots));
         let serial = list_schedule(&kernel, &costs, slots);
         prop_assert!(serial == reference::list_schedule(&kernel, &costs, slots));
         let pipelined = modulo_schedule(&kernel, &costs, slots);
