@@ -303,8 +303,9 @@ fn main() {
     // What a launch costs around its tape: one strip of the paper's
     // 900-molecule program through the real `exec_op` path
     // (`HostPhases::kernel` of a run of that strip alone), beside the
-    // bare tape on the same streams.
-    for variant in [Variant::Expanded, Variant::Variable] {
+    // bare tape on the same streams, re-viewed at the kernel's record
+    // length and launched `iterations / unroll` times, as a launch does.
+    for variant in Variant::ALL {
         let step = app.build_step_program(&paper, &paper_list, variant);
         let mut program = step.program.clone();
         let strip = program.ops[0].strip;
@@ -322,7 +323,8 @@ fn main() {
         let (kernel, inputs, params, iterations) = launch.expect("a strip launches its kernel");
         let streams: Vec<StreamData> = inputs
             .iter()
-            .map(|b| {
+            .zip(&kernel.ir.inputs)
+            .map(|(b, sig)| {
                 let staged = program.ops.iter().find_map(|lop| match &lop.op {
                     StreamOp::Gather {
                         region,
@@ -351,14 +353,16 @@ fn main() {
                     }
                     _ => None,
                 });
-                staged.expect("a gather or a load stages every kernel input")
+                let staged = staged.expect("a gather or a load stages every kernel input");
+                StreamData::new(sig.record_len as usize, staged.data)
             })
             .collect();
+        let launches = iterations / kernel.opt.unroll as usize;
         let name = variant.name();
         let tape_s = bench(&format!("tape_{name}_strip"), || {
             kernel
                 .tape
-                .run_batched(&streams, params, iterations, BatchWidth::W8)
+                .run_batched(&streams, params, launches, BatchWidth::W8)
                 .expect("batch")
         });
         let proc = StreamProcessor::new(cfg.clone());

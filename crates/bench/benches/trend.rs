@@ -1,8 +1,9 @@
 //! Perf-trend regression gate: run every StreamMD variant on the trend
 //! dataset, diff the simulated metrics (GFLOPS, intensity, locality,
-//! cycles — all bit-deterministic, gated at `Tolerances::default()`)
-//! against the committed baseline (`bench/baselines/BENCH_<label>.json`),
-//! print the delta table, and exit non-zero on regression. Host
+//! cycles, and a multi-node row's imbalance — all bit-deterministic,
+//! gated at `Tolerances::default()`) against the committed baseline
+//! (`bench/baselines/BENCH_<label>.json`), print the delta table, and
+//! exit non-zero on regression. Host
 //! wall-clock is recorded, not gated: the repo benchmark owns it. CI
 //! runs the 216-molecule gate on every push and the 900-molecule
 //! paper-scale gate on `main`; run either locally with `cargo trend`

@@ -2,22 +2,30 @@
 //! committed baseline and flag regressions.
 //!
 //! The gated metrics (cycles, GFLOPS, arithmetic intensity, the
-//! locality split) are simulated and bit-deterministic — same code,
-//! same numbers on any host — so their tolerances are tight and exist
-//! only to absorb deliberate, reviewed model changes below the noise
-//! floor of interest. Host wall-clock is recorded in the report but not
+//! locality split and, on a multi-node row, the compute imbalance) are
+//! simulated and bit-deterministic — same code, same numbers on any
+//! host — so their tolerances are tight and exist only to absorb
+//! deliberate, reviewed model changes below the noise floor of
+//! interest. Host wall-clock is recorded in the report but not
 //! gated here: the repo benchmark (`BENCHMARK.json`) owns host time.
 //! The baseline location is overridden through `TREND_BASELINE_DIR`.
 //!
 //! Direction matters: a metric only regresses in its *bad* direction
-//! (GFLOPS/intensity down, MEM-fraction/cycles up).
+//! (GFLOPS/intensity down, MEM-fraction/cycles/imbalance up).
 //! Improvements of any size pass — the gate exists to stop silent decay,
 //! not to freeze progress; after an intentional improvement or model
-//! change, refresh the baseline (`TREND_REFRESH=1`).
+//! change, refresh the baseline (`TREND_REFRESH=1`). The imbalance is
+//! the busiest node over the mean, so a change that speeds up the
+//! other nodes alone also raises it and trips the gate, even though
+//! the step does less work: such a change needs a deliberate refresh.
 
 use std::path::{Path, PathBuf};
 
 use crate::report::{PerfReport, VariantRecord};
+
+/// Max absolute rise in a multi-node row's compute imbalance (absolute,
+/// because the imbalance sits near 0 at two nodes).
+const IMBALANCE_ABS: f64 = 0.02;
 
 /// Allowed movement per metric before the gate trips.
 #[derive(Debug, Clone, Copy)]
@@ -51,8 +59,8 @@ pub struct Delta {
     pub baseline: f64,
     pub current: f64,
     /// Signed movement in the metric's bad direction (fractional for
-    /// ratio metrics, absolute for the locality fraction): positive
-    /// means "got worse".
+    /// ratio metrics, absolute for the locality fraction and the
+    /// imbalance): positive means "got worse".
     pub worsening: f64,
     pub tolerance: f64,
     pub regressed: bool,
@@ -141,7 +149,7 @@ fn variant_deltas(base: &VariantRecord, cur: &VariantRecord, tol: &Tolerances) -
         tolerance,
         regressed: worsening > tolerance,
     };
-    vec![
+    let mut deltas = vec![
         mk(
             "solution_gflops",
             base.solution_gflops,
@@ -170,7 +178,13 @@ fn variant_deltas(base: &VariantRecord, cur: &VariantRecord, tol: &Tolerances) -
             rise_frac(base.cycles as f64, cur.cycles as f64),
             tol.cycles_frac,
         ),
-    ]
+    ];
+    // A multi-node row also gates how evenly its nodes are loaded.
+    if let (Some(b), Some(c)) = (base.phases.multinode, cur.phases.multinode) {
+        let (b, c) = (b.imbalance(), c.imbalance());
+        deltas.push(mk("imbalance", b, c, c - b, IMBALANCE_ABS));
+    }
+    deltas
 }
 
 /// Render the human-readable delta table (every metric, regressions
@@ -296,6 +310,35 @@ mod tests {
             "{:?}",
             diff.problems
         );
+    }
+
+    #[test]
+    fn an_imbalance_rise_on_a_multinode_row_is_a_regression() {
+        let nodes = |max: u64, mean: u64| {
+            let mut r = record("variable@n8", 40.0, 100_000);
+            r.phases.multinode = Some(streammd::MultiNodeBreakdown {
+                nodes: 8,
+                compute_cycles_max: max,
+                compute_cycles_mean: mean,
+                comm_cycles_max: 1_000,
+                step_cycles: 100_000,
+                halo_in_words: 4_000,
+                force_out_words: 3_600,
+            });
+            r
+        };
+        // Same step, GFLOPS and cycles: only the spread of the nodes moved.
+        let base = report(vec![nodes(99_000, 96_000)]);
+        let cur = report(vec![nodes(99_000, 90_000)]);
+        let diff = compare(&base, &cur, &Tolerances::default());
+        let regs = diff.regressions();
+        assert_eq!(regs.len(), 1, "{}", render_table(&diff));
+        assert_eq!(regs[0].metric, "imbalance");
+        assert!(!compare(&cur, &base, &Tolerances::default()).is_regression());
+        // A single-node row has no imbalance to gate.
+        let single = report(vec![record("fixed", 40.0, 100_000)]);
+        let diff = compare(&single, &single, &Tolerances::default());
+        assert!(diff.deltas.iter().all(|d| d.metric != "imbalance"));
     }
 
     #[test]

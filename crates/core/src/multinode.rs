@@ -1,10 +1,13 @@
 //! End-to-end simulated multi-node execution (paper Section 2.2).
 //!
 //! The water box is spatially decomposed over N simulated Merrimac
-//! nodes ([`merrimac_net::NodeGrid`]); every strip of the canonical
-//! step program belongs to the node that owns its first centre
-//! molecule, and the step is timed as three dependent phases over the
-//! folded-Clos [`Topology`]:
+//! nodes ([`merrimac_net::NodeGrid`]). Every strip of the canonical
+//! step program has a home, the node that owns its first centre
+//! molecule, and is placed by its busiest cluster's iterations: heaviest
+//! first, it stays home while the home's load stays within ⌈total ÷ N⌉,
+//! and otherwise goes to the least-loaded node (`place_strips`). The
+//! step is timed as three dependent phases over the folded-Clos
+//! [`Topology`]:
 //!
 //! 1. **halo import** — each node pulls the position records (10 words:
 //!    9 coordinates + index) of every remote molecule its strips
@@ -123,7 +126,7 @@ fn net_err(e: NetError) -> SimError {
     }
 }
 
-/// The node that executes a strip: the owner of its first real centre
+/// A strip's home node: the owner of its first real centre
 /// molecule (`i_central` for the gather variants, the first real
 /// `c_scatter` target for `variable`, whose centres travel embedded in
 /// the strip's centre records).
@@ -136,6 +139,36 @@ fn strip_owner(s: &Strip, owner: &[usize], n_real: usize) -> usize {
         .find(|&&c| (c as usize) < n_real)
         .map(|&c| owner[c as usize])
         .unwrap_or(0)
+}
+
+/// The node that times each strip. Strips are taken heaviest first
+/// (ties by strip id) by `weight`, the iterations of the strip's
+/// busiest cluster, which the node's kernel time follows. A strip stays
+/// on its `home` node while that node's load stays within ⌈total ÷
+/// nodes⌉; each strip that does not fit then goes to the least-loaded
+/// node, its home winning a tie, then the lowest node id.
+fn place_strips(weight: &[u64], home: &[usize], nodes: usize) -> Vec<usize> {
+    let cap = weight.iter().sum::<u64>().div_ceil(nodes as u64);
+    let mut order: Vec<usize> = (0..weight.len()).collect();
+    order.sort_by_key(|&s| (std::cmp::Reverse(weight[s]), s));
+    let mut load = vec![0u64; nodes];
+    let mut placed = home.to_vec();
+    let mut rest = Vec::new();
+    for s in order {
+        if load[home[s]] + weight[s] <= cap {
+            load[home[s]] += weight[s];
+        } else {
+            rest.push(s);
+        }
+    }
+    for s in rest {
+        let to = (0..nodes)
+            .min_by_key(|&n| (load[n], n != home[s], n))
+            .expect("at least one node");
+        load[to] += weight[s];
+        placed[s] = to;
+    }
+    placed
 }
 
 impl StreamMdApp {
@@ -210,22 +243,22 @@ pub fn run_multinode_program(
             ])
         })
         .collect();
-    let strip_node: Vec<usize> = step
-        .layout
-        .strips
+    let strips = &step.layout.strips;
+    let weight: Vec<u64> = strips.iter().map(|s| s.max_cluster_iterations).collect();
+    let home: Vec<usize> = strips
         .iter()
         .map(|s| strip_owner(s, &owner, n_real))
         .collect();
+    let strip_node = place_strips(&weight, &home, nodes);
 
     let mut per_node = Vec::with_capacity(nodes);
     let mut loads = Vec::with_capacity(nodes);
     for node in 0..nodes {
-        let strips: Vec<usize> = (0..step.layout.strips.len())
-            .filter(|&sid| strip_node[sid] == node)
-            .collect();
         let mut run = NodeRun {
             node,
-            strips,
+            strips: (0..strips.len())
+                .filter(|&sid| strip_node[sid] == node)
+                .collect(),
             owned_molecules: owner.iter().filter(|&&o| o == node).count(),
             ..NodeRun::default()
         };
@@ -254,7 +287,7 @@ pub fn run_multinode_program(
             }
         };
         for &sid in &run.strips {
-            let s = &step.layout.strips[sid];
+            let s = &strips[sid];
             for &i in s.i_central.iter().chain(s.i_neighbor.iter()) {
                 mark(&mut referenced, i);
             }
@@ -339,4 +372,60 @@ pub fn run_multinode_program(
         per_node,
         breakdown,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::place_strips;
+    use proptest::prelude::*;
+
+    #[test]
+    fn strips_that_overfill_their_home_go_to_the_least_loaded_node() {
+        // Cap ⌈16 ÷ 3⌉ = 6: node 0 keeps 5 + 1, the 4, 3, 2 and second 1
+        // go where the load is least.
+        let placed = place_strips(&[5, 4, 3, 2, 1, 1], &[0; 6], 3);
+        assert_eq!(placed, [0, 1, 2, 2, 0, 1]);
+    }
+
+    #[test]
+    fn a_tie_goes_home_first_then_to_the_lowest_node() {
+        // The 5 fits nowhere; nodes 0 and 1 both carry 1, and 1 is home.
+        assert_eq!(place_strips(&[5, 1, 1], &[1, 1, 0], 2), [1, 1, 0]);
+        // Home (node 2) carries 2, so the tie at 1 goes to node 0.
+        assert_eq!(
+            place_strips(&[6, 1, 1, 1, 1], &[2, 0, 1, 2, 2], 3),
+            [0, 0, 1, 2, 2]
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn prop_placement_is_home_first_and_bounded(
+            nodes in 1usize..17,
+            strips in prop::collection::vec((0u64..500, 0usize..16), 0..64),
+        ) {
+            let weight: Vec<u64> = strips.iter().map(|s| s.0).collect();
+            let home: Vec<usize> = strips.iter().map(|s| s.1 % nodes).collect();
+            let placed = place_strips(&weight, &home, nodes);
+            prop_assert_eq!(placed.len(), weight.len());
+            prop_assert!(placed.iter().all(|&n| n < nodes));
+            if nodes == 1 {
+                prop_assert_eq!(&placed, &home);
+            }
+            let total: u64 = weight.iter().sum();
+            let cap = total.div_ceil(nodes as u64);
+            let (mut load, mut home_load) = (vec![0; nodes], vec![0; nodes]);
+            for (s, &w) in weight.iter().enumerate() {
+                load[placed[s]] += w;
+                home_load[home[s]] += w;
+            }
+            let max_weight = weight.iter().copied().max().unwrap_or(0);
+            prop_assert!(load.iter().all(|&l| l <= cap + max_weight), "{:?}", load);
+            for (s, &h) in home.iter().enumerate() {
+                if home_load[h] <= cap {
+                    prop_assert!(placed[s] == h, "strip {s} left a home under the cap");
+                }
+            }
+        }
+    }
 }
