@@ -2,14 +2,15 @@
 //! against the invariants the SoA engine's correctness rests on.
 //!
 //! `BatchPlan::analyze` splits a tape into vector stages around a pop
-//! scan and a latch fill (`vec_pre`, `pops`, `vec_pop`, the fill,
-//! `vec_latch`), then `seq` (the per-lane scalar core: the register
-//! chains and conditional pops that are left) and `vec_post`. The batch
-//! engine is bitwise-identical to the interpreter *only if* every op
-//! lands in exactly one stage, a stream's conditional reads are all in
-//! `pops` — their predicates and fallbacks lane-independent — or all in
-//! `seq`, a latch's update is `Sel(p, x, ReadReg(r))` with `p` and `x`
-//! written before the fill, no op reads a slot a later stage writes,
+//! scan, a latch fill and a sum scan (`vec_pre`, `pops`, `vec_pop`, the
+//! fill, `vec_latch`, the sums), then `seq` (the per-lane scalar core:
+//! what is left) and `vec_post`. The batch engine is bitwise-identical
+//! to the interpreter *only if* every op lands in exactly one stage, a
+//! stream's conditional reads are all in `pops` — their predicates and
+//! fallbacks lane-independent — or all in `seq`, a latch's update is
+//! `Sel(p, x, ReadReg(r))` and a sum's `Add(x, ReadReg(r))` or
+//! `Add(x, Sel(p, k, ReadReg(r)))` (either order) with their operands
+//! written before their scan, no op reads a slot a later stage writes,
 //! and each stage preserves tape (SSA) order.
 //!
 //! `CompiledTape::audit_batch_plan` re-derives those invariants from

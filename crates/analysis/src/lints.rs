@@ -289,15 +289,16 @@ impl Lint {
                  dataflow-ordered stages: `vec_pre` (lane-independent ops), `pops`\n\
                  (one lane-order scan resolving every conditional stream whose\n\
                  predicates and fallbacks are `vec_pre` values), `vec_pop`, the latch\n\
-                 fill (registers whose one update is `Sel(p, x, own read)`: moves\n\
-                 only), `vec_latch`, `seq` (the remaining conditional reads and\n\
-                 register chains, scalar in iteration order) and `vec_post`. Bitwise\n\
-                 identity with the interpreter holds only while the split satisfies\n\
-                 its invariants: every tape op lands in exactly one stage; a stream's\n\
-                 conditional reads are all in `pops`, their predicates and fallbacks\n\
-                 lane-independent, or all in `seq`; a latch's update is that select,\n\
-                 its operands written before the fill; no op reads a slot a later\n\
-                 stage writes; and each stage preserves tape (SSA) order.\n\
+                 fill (registers whose one update is `Sel(p, x, own read)`), `vec_latch`,\n\
+                 the sum scan (updates `Add(x, own read or Sel(p, k, own read))`),\n\
+                 `seq` (the remaining conditional reads and register chains, scalar\n\
+                 in iteration order) and `vec_post`. Bitwise identity with the\n\
+                 interpreter holds only while the split satisfies its invariants:\n\
+                 every tape op lands in exactly one stage; a stream's conditional\n\
+                 reads are all in `pops`, their predicates and fallbacks\n\
+                 lane-independent, or all in `seq`; a latch's or a sum's update has\n\
+                 its shape, its operands written before its scan; no op reads a slot\n\
+                 a later stage writes; and each stage preserves tape (SSA) order.\n\
                  \n\
                  This pass audits the plan cached on every compiled kernel against\n\
                  those invariants and reports each violation with the offending op\n\

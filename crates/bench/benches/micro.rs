@@ -13,6 +13,7 @@ use md_sim::force::compute_forces;
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
 use merrimac_arch::{MachineConfig, OpCosts};
+use merrimac_kernel::ir::Node;
 use merrimac_kernel::lower::lower_kernel;
 use merrimac_kernel::schedule::DepTable;
 use merrimac_kernel::{
@@ -365,6 +366,21 @@ fn main() {
                 .run_batched(&streams, params, launches, BatchWidth::W8)
                 .expect("batch")
         });
+        // The MD-Bench units beside the plan shape the speed comes from.
+        let tape_ops = kernel.ir.nodes.iter();
+        let tape_ops = tape_ops.filter(|n| matches!(n, Node::Op { .. } | Node::CondRead { .. }));
+        let op_lanes = tape_ops.count() * launches;
+        let interactions = step.layout.strips[strip].real_interactions;
+        let stages = kernel.tape.batch_stage_sizes();
+        let stages: Vec<String> = stages.iter().map(|(at, n)| format!("{at} {n}")).collect();
+        println!(
+            "{:<32} {:.2} ns per interaction of {interactions}, {:.3} ns per op-lane of \
+             {op_lanes}; plan: {}",
+            "",
+            tape_s * 1e9 / interactions as f64,
+            tape_s * 1e9 / op_lanes as f64,
+            stages.join(", ")
+        );
         let proc = StreamProcessor::new(cfg.clone());
         let launch_s = median(|| {
             let mut memory = step.memory.clone();

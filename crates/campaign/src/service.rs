@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use merrimac_bench::{CampaignRecord, Dataset, RunError, RunSpec};
 use merrimac_sim::HostExec;
-use streammd::{check_inputs, run_multinode_program, StepOutcome, Variant};
+use streammd::{check_list, run_multinode_program, StepOutcome, Variant};
 
 use crate::cache::{ArtifactCache, CacheKey, CacheStatus, StepArtifact};
 
@@ -171,8 +171,7 @@ pub fn run_campaign(jobs: Vec<Job>, workers: usize) -> CampaignOutcome {
 fn execute(cache: &ArtifactCache, id: JobId, job: &Job) -> JobResult {
     let started = Instant::now();
     let label = job.label();
-    let (cache, result) = catch_unwind(AssertUnwindSafe(|| run(cache, job)))
-        .unwrap_or_else(|payload| (None, Err(panicked(label.clone(), payload.as_ref()))));
+    let (cache, result) = unwound(&label, || run(cache, job));
     JobResult {
         id,
         priority: job.priority,
@@ -181,6 +180,15 @@ fn execute(cache: &ArtifactCache, id: JobId, job: &Job) -> JobResult {
         wall_seconds: started.elapsed().as_secs_f64(),
         result,
     }
+}
+
+/// What a job's `run` returns: its cache status and outcome.
+type Attempt = (Option<CacheStatus>, Result<StepOutcome, RunError>);
+
+/// `run`'s attempt or — if it panics — the [`RunError::Panicked`] of `job`.
+fn unwound(job: &str, run: impl FnOnce() -> Attempt) -> Attempt {
+    catch_unwind(AssertUnwindSafe(run))
+        .unwrap_or_else(|payload| (None, Err(panicked(job.to_string(), payload.as_ref()))))
 }
 
 fn panicked(job: String, payload: &(dyn Any + Send)) -> RunError {
@@ -194,14 +202,14 @@ fn panicked(job: String, payload: &(dyn Any + Send)) -> RunError {
     RunError::Panicked { job, message }
 }
 
-fn run(cache: &ArtifactCache, job: &Job) -> (Option<CacheStatus>, Result<StepOutcome, RunError>) {
+fn run(cache: &ArtifactCache, job: &Job) -> Attempt {
     let sim_err = |e| RunError::sim(job.variant, e);
     let app = match job.run_spec().build_app() {
         Ok(app) => app,
         Err(e) => return (None, Err(e)),
     };
     let (system, list) = (&job.dataset.system, &job.dataset.list);
-    if let Err(e) = check_inputs(system, list.params) {
+    if let Err(e) = check_list(system, list) {
         return (None, Err(sim_err(e)));
     }
     // Single- and multi-node jobs share one cached artifact per
@@ -233,6 +241,7 @@ mod tests {
     use md_sim::water::Site;
     use md_sim::{NeighborList, NeighborListParams, WaterBox, WaterModel};
     use merrimac_bench::DatasetId;
+    use merrimac_sim::machine::SimError;
 
     fn small_jobs(ds: &Arc<Dataset>, variants: &[Variant], copies: usize) -> Vec<Job> {
         let mut jobs = Vec::new();
@@ -410,11 +419,8 @@ mod tests {
     }
 
     /// A list built on a 64-molecule box paired with a 27-molecule
-    /// system: its molecule indices run past the system, so building
-    /// the step program panics. `check_inputs` does not look at list
-    /// indices yet; once it rejects them with `SimError::Config`, this
-    /// fixture turns into a typed error and the panic test needs
-    /// another way to panic.
+    /// system: its molecule indices run past the system, so it must be
+    /// refused before any step program is built.
     fn mismatched_list() -> Dataset {
         let system = Dataset::small(27).system;
         let (big, _) = merrimac_bench::small_system(64);
@@ -431,27 +437,48 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_job_is_a_typed_result_and_the_rest_still_run() {
+    fn a_panicking_run_is_a_typed_result_naming_the_job() {
+        let caught = |run: fn() -> Attempt| match unwound("water-27/variable", run) {
+            (None, Err(RunError::Panicked { job, message })) => {
+                assert_eq!(job, "water-27/variable");
+                message
+            }
+            other => panic!("expected a typed panic, got {:?}", other.1.err()),
+        };
+        assert_eq!(
+            caught(|| panic!("index out of range")),
+            "index out of range"
+        );
+        assert_eq!(caught(|| panic!("{} of {}", 3, 4)), "3 of 4");
+        let opaque = || std::panic::panic_any(7u32);
+        assert_eq!(caught(opaque), "non-string panic payload");
+    }
+
+    #[test]
+    fn a_list_for_another_box_is_a_config_error_and_the_rest_still_run() {
         let bad = Arc::new(mismatched_list());
         let good = Arc::new(Dataset::small(27));
         let one_shot = merrimac_bench::run(good.spec(Variant::Fixed)).expect("one-shot runs");
+        let refused = merrimac_bench::run(bad.spec(Variant::Variable)).expect_err("refused");
         for workers in [1, 2] {
-            let jobs = vec![
+            let mut jobs = vec![
                 Job::new(bad.clone(), Variant::Variable),
                 Job::new(good.clone(), Variant::Fixed),
                 Job::new(bad.clone(), Variant::Variable),
             ];
+            jobs[2] = jobs[2].clone().nodes(2);
             let out = run_campaign(jobs, workers);
             assert_eq!(out.metrics.failed, 2, "{workers} workers");
             assert_eq!(out.metrics.completed, 1);
             for r in [&out.results[0], &out.results[2]] {
                 assert!(r.cache.is_none());
                 match &r.result {
-                    Err(RunError::Panicked { job, message }) => {
-                        assert_eq!(job, &r.label);
-                        assert!(message.contains("out of range"), "{message}");
+                    Err(e @ RunError::Variant(v)) => {
+                        assert!(matches!(v.source, SimError::Config(_)), "{e}");
+                        assert!(e.to_string().contains("built over 64 molecules"), "{e}");
+                        assert_eq!(e.to_string(), refused.to_string());
                     }
-                    Err(e) => panic!("expected a panic, got {e}"),
+                    Err(e) => panic!("expected a config error, got {e}"),
                     Ok(_) => panic!("a mismatched list must not run"),
                 }
             }

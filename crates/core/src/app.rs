@@ -349,7 +349,7 @@ impl StreamMdApp {
         list: &NeighborList,
         variant: Variant,
     ) -> Result<StepOutcome, SimError> {
-        check_inputs(system, list.params)?;
+        check_list(system, list)?;
         let step = self.build_step_program(system, list, variant);
         if self.analyze {
             self.admit_built(&step)?;
@@ -478,6 +478,17 @@ pub fn check_inputs(system: &WaterBox, neighbor: NeighborListParams) -> Result<(
         )));
     }
     Ok(())
+}
+
+/// [`check_inputs`], and that `list` was built over this system: one
+/// built over another box would index past its molecules or skip some.
+pub fn check_list(system: &WaterBox, list: &NeighborList) -> Result<(), SimError> {
+    check_inputs(system, list.params)?;
+    let (built, n) = (list.molecules(), system.num_molecules());
+    let msg = || format!("the neighbour list was built over {built} molecules, the system has {n}");
+    (built == n)
+        .then_some(())
+        .ok_or_else(|| SimError::Config(msg()))
 }
 
 /// One variant's streams for one strip, each list in declaration order.

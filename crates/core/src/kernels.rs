@@ -636,20 +636,21 @@ mod tests {
     /// The batch engine's stage split of every shipped kernel, pinned
     /// so a silent reclassification fails here: the every-iteration
     /// variants run all but their three accumulate adds in one vector
-    /// stage, and the `variable` kernels leave `seq` only the force and
-    /// energy accumulators — the pops resolve from the flag stream and
-    /// the shifted centre is latched, so the interaction is vectorized.
+    /// stage and those as sum scans, and the `variable` kernels leave
+    /// `seq` nothing — the pops resolve from the flag stream, the
+    /// shifted centre is latched, and the force and energy accumulators
+    /// are sums, so the interaction is vectorized.
     #[test]
     fn batch_plan_stage_sizes_are_pinned() {
         use merrimac_kernel::CompiledTape;
-        // (vec_pre, pops, vec_pop, latches, vec_latch, seq, vec_post)
+        // (vec_pre, pops, vec_pop, latches, vec_latch, sums, seq, vec_post)
         for (k, sizes) in [
-            (expanded_kernel(), [210, 0, 0, 0, 0, 3, 0]),
-            (block_kernel(8, true), [1710, 0, 0, 0, 0, 3, 0]),
-            (block_kernel(8, false), [1710, 0, 0, 0, 0, 3, 0]),
-            (variable_kernel(), [1, 18, 9, 9, 210, 21, 9]),
-            (atom_variable_kernel(false), [1, 6, 3, 3, 28, 8, 3]),
-            (atom_variable_kernel(true), [1, 6, 3, 3, 33, 9, 3]),
+            (expanded_kernel(), [210, 0, 0, 0, 0, 3, 0, 0]),
+            (block_kernel(8, true), [1710, 0, 0, 0, 0, 3, 0, 0]),
+            (block_kernel(8, false), [1710, 0, 0, 0, 0, 3, 0, 0]),
+            (variable_kernel(), [1, 18, 9, 9, 210, 12, 0, 9]),
+            (atom_variable_kernel(false), [1, 6, 3, 3, 28, 5, 0, 3]),
+            (atom_variable_kernel(true), [1, 6, 3, 3, 33, 6, 0, 3]),
         ] {
             let tape = CompiledTape::compile(&k);
             let got: Vec<usize> = tape.batch_stage_sizes().iter().map(|s| s.1).collect();

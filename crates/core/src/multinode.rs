@@ -65,7 +65,7 @@ use merrimac_sim::machine::SimError;
 use merrimac_sim::program::LabelledOp;
 use merrimac_sim::PhaseCycles;
 
-use crate::app::{check_inputs, StepOutcome, StepProgram, StreamMdApp};
+use crate::app::{check_list, StepOutcome, StepProgram, StreamMdApp};
 use crate::layout::Strip;
 use crate::metrics::MultiNodeBreakdown;
 use crate::variant::Variant;
@@ -195,7 +195,7 @@ pub fn run_multinode(
     variant: Variant,
     nodes: usize,
 ) -> Result<MultiNodeOutcome, SimError> {
-    check_inputs(system, list.params)?;
+    check_list(system, list)?;
     let step = app.build_step_program(system, list, variant);
     if app.analyze {
         app.admit_built(&step)?;

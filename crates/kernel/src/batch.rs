@@ -21,12 +21,14 @@
 //! 2. **`pops`** — the conditional reads of every *resolvable* stream,
 //!    one whose pop predicates and fallbacks are all `vec_pre` values.
 //!    Which lanes pop is then known for the whole batch: one lane-order
-//!    scan over the predicate lanes pops the records — iteration-major,
+//!    scan walks only each pop slot's *leading* read — iteration-major,
 //!    tape order within an iteration, so each pop sees the cursor the
 //!    interpreter's would and an underrun blames the same lane — and
-//!    gathers each read's field, or its fallback, into its lane. This is
-//!    the compress side of the paper's conditional streams; it advances
-//!    integers and copies words, so it is exact.
+//!    records the offset of the record each live lane pops. Each read
+//!    then gathers its field, or its fallback, op-major across the
+//!    lanes; a batch in which no lane pops copies the fallbacks whole.
+//!    This is the compress side of the paper's conditional streams; it
+//!    advances integers and copies words, so it is exact.
 //! 3. **`vec_pop`** — vectorized ops on the popped values.
 //! 4. **`latches`** — a register whose one update is
 //!    `Sel(p, x, ReadReg(r))`, `p` and `x` known by now, never computes:
@@ -36,12 +38,17 @@
 //!    ordinary vector op on the filled read.
 //! 5. **`vec_latch`** — vectorized ops on the latched values: for
 //!    `variable`, the whole interaction.
-//! 6. **`seq`** — what is really serial: the other registers, the
+//! 6. **`sums`** — a register whose one update is `Add(x, base)` (either
+//!    operand order), `base` its own read or `Sel(p, k, ReadReg(r))`,
+//!    `x`, `p` and `k` known by now: one loop over the lanes, with no
+//!    dispatch, writes its reads, the `Sel` and the `Add` — the same
+//!    `f64` expressions as the interpreter, in its operand order.
+//! 7. **`seq`** — what is left: registers of any other shape, the
 //!    conditional reads of streams with a lane-coupled predicate or
 //!    fallback, and the coupled backward slice feeding those register
 //!    updates and pops. Scalar, lane by lane in iteration order, so
 //!    register chains thread through the batch as in the interpreter.
-//! 7. **`vec_post`** — lane-coupled consumers that feed neither
+//! 8. **`vec_post`** — lane-coupled consumers that feed neither
 //!    register updates nor pops, vectorized once `seq` has run.
 //!
 //! Every op still computes the same `f64` expression on the same
@@ -100,6 +107,20 @@ pub(crate) struct Latch {
     pub(crate) fresh: u32,
 }
 
+/// A register that only ever accumulates: its one update, slot `add`,
+/// is `Add(x, base)` (`x_first`) or `Add(base, x)`, `base` one of its
+/// `reads` or `Sel(p, k, ReadReg(reg))` with `reset` = `(p, k)`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Sum {
+    pub(crate) reg: u32,
+    pub(crate) reads: Vec<u32>,
+    pub(crate) x: u32,
+    pub(crate) base: u32,
+    pub(crate) reset: Option<(u32, u32)>,
+    pub(crate) add: u32,
+    pub(crate) x_first: bool,
+}
+
 /// Compile-time stage partition of a tape's ops, in execution order
 /// (see the module docs). Built once in [`CompiledTape::compile`] and
 /// cached on the tape, so every launch reuses the analysis.
@@ -111,18 +132,20 @@ pub struct BatchPlan {
     pub(crate) vec_pop: Vec<TapeOp>,
     pub(crate) latches: Vec<Latch>,
     pub(crate) vec_latch: Vec<TapeOp>,
+    pub(crate) sums: Vec<Sum>,
     /// The scalar per-lane core, in original tape order.
     pub(crate) seq: Vec<TapeOp>,
     pub(crate) vec_post: Vec<TapeOp>,
 }
 
 /// The stage from which a slot holds its value for every lane of a
-/// batch: at once, after the pop scan, after the latch fill, or only
-/// lane by lane.
+/// batch: at once, after the pop scan, after the latch fill, after the
+/// sum scan, or only lane by lane.
 const PRE: u8 = 0;
 const POP: u8 = 1;
 const LATCH: u8 = 2;
-const COUPLED: u8 = 3;
+const SUM: u8 = 3;
+const COUPLED: u8 = 4;
 
 impl BatchPlan {
     pub(crate) fn analyze(tape: &CompiledTape) -> Self {
@@ -185,12 +208,29 @@ impl BatchPlan {
             }
         }
         propagate(&mut stage, &resolved);
+        // A running sum adds a value known after the latch fill to its
+        // own read, or to a select between it and a reset known as early.
+        let early = |slot: u32| stage[slot as usize] <= LATCH;
+        let sums = tape
+            .reg_updates
+            .iter()
+            .filter_map(|u| tape.sum_of(u.0, early));
+        plan.sums = sums.collect();
+        let mut summed = vec![false; n];
+        for sum in &plan.sums {
+            summed[sum.add as usize] = true;
+            summed[sum.base as usize] |= sum.reset.is_some();
+            for &slot in &sum.reads {
+                stage[slot as usize] = SUM;
+            }
+        }
+        propagate(&mut stage, &resolved);
         // `needed` marks the backward slice that must resolve before
         // the next lane may start: the pops left to `seq`, with their
         // predicates and fallbacks, and the sources of the register
         // updates it performs.
         let mut needed = vec![false; n];
-        for &(_, v) in tape.reg_updates.iter().filter(|u| !plan.latched(u.0)) {
+        for &(_, v) in tape.reg_updates.iter().filter(|u| plan.in_seq(u.0)) {
             needed[v as usize] = true;
         }
         for op in tape.ops.iter().rev() {
@@ -205,7 +245,7 @@ impl BatchPlan {
         // Uncoupled ops never observe lane state, so running them ahead
         // of `seq` is dataflow-safe even when `needed`. Coupled ops stay
         // sequential only while something per-lane depends on them.
-        for op in &tape.ops {
+        for op in tape.ops.iter().filter(|op| !summed[op.dst as usize]) {
             let cond = op.code == Code::CondRead;
             match stage[op.dst as usize] {
                 PRE => &mut plan.vec_pre,
@@ -220,10 +260,9 @@ impl BatchPlan {
         plan
     }
 
-    /// Whether a latch fills register `reg`; seq reads and updates the
-    /// registers none does.
-    fn latched(&self, reg: u32) -> bool {
-        self.latches.iter().any(|la| la.reg == reg)
+    /// Whether seq reads and updates `reg`: no latch or sum carries it.
+    fn in_seq(&self, reg: u32) -> bool {
+        !(self.latches.iter().any(|la| la.reg == reg) || self.sums.iter().any(|s| s.reg == reg))
     }
 }
 
@@ -258,6 +297,11 @@ pub enum BatchPlanViolation {
     /// `Sel(pred, fresh, ReadReg(reg))` with `pred` and `fresh` written
     /// before the fill — a forward fill would not compute it.
     NotALatch { reg: u32 },
+    /// A sum whose register's one update is not `Add(x, base)` over one
+    /// of its reads, or over `Sel(p, k, ReadReg(reg))`, with `x`, `p`
+    /// and `k` written before the sum scan — or whose reads are not all
+    /// listed, or whose `Sel` or `Add` is also left in a stage list.
+    NotASum { reg: u32 },
     /// A register-update source resolves only in `vec_post` — the next
     /// lane would observe a stale value.
     NeededInPost { dst: u32 },
@@ -285,6 +329,11 @@ impl fmt::Display for BatchPlanViolation {
                 f,
                 "register {reg} is filled as a latch, but its update is not one select \
                  between a resolved value and its own read"
+            ),
+            Self::NotASum { reg } => write!(
+                f,
+                "register {reg} is scanned as a running sum, but its update is not one add \
+                 of a resolved value to its own read or reset"
             ),
             Self::NeededInPost { dst } => {
                 write!(
@@ -319,8 +368,41 @@ impl CompiledTape {
         }
     }
 
+    /// Register `reg` as a running sum, if its one update has the shape
+    /// with `x`, `p` and `k` slots `early` says are written in time.
+    fn sum_of(&self, reg: u32, early: impl Fn(u32) -> bool) -> Option<Sum> {
+        let at = |dst: u32| self.ops.binary_search_by_key(&dst, |op| op.dst).ok();
+        let op_at = |dst: u32| at(dst).map(|i| self.ops[i]);
+        let own = |slot: u32| self.reg_reads.contains(&(slot, reg));
+        let mut updates = self.reg_updates.iter().filter(|u| u.0 == reg);
+        let (Some(&(_, v)), None) = (updates.next(), updates.next()) else {
+            return None;
+        };
+        let add = op_at(v).filter(|op| op.code == Code::Add)?;
+        let orders = [(add.a, add.b, true), (add.b, add.a, false)];
+        orders.into_iter().find_map(|(x, base, x_first)| {
+            let reset = match op_at(base) {
+                _ if own(base) => None,
+                Some(sel) if sel.code == Code::Sel && own(sel.c) => Some((sel.a, sel.b)),
+                _ => return None,
+            };
+            let resolved = reset.is_none_or(|(p, k)| early(p) && early(k));
+            let reads = self.reg_reads.iter().filter(|rr| rr.1 == reg);
+            (early(x) && resolved).then(|| Sum {
+                reg,
+                reads: reads.map(|rr| rr.0).collect(),
+                x,
+                base,
+                reset,
+                add: v,
+                x_first,
+            })
+        })
+    }
+
     /// The plan's op lists in execution order, each with its name and
-    /// its position among the stages (the latch fill is position 3).
+    /// its position among the stages (the latch fill is position 3,
+    /// the sum scan 5).
     fn stages(&self) -> [(&'static str, u8, &[TapeOp]); 6] {
         let p = &self.batch;
         [
@@ -328,19 +410,20 @@ impl CompiledTape {
             ("pops", 1, &p.pops),
             ("vec_pop", 2, &p.vec_pop),
             ("vec_latch", 4, &p.vec_latch),
-            ("seq", 5, &p.seq),
-            ("vec_post", 6, &p.vec_post),
+            ("seq", 6, &p.seq),
+            ("vec_post", 7, &p.vec_post),
         ]
     }
 
     /// Ops per stage of the cached plan, in execution order; `latches`
-    /// counts registers.
+    /// and `sums` count registers.
     pub fn batch_stage_sizes(&self) -> Vec<(&'static str, usize)> {
         let mut sizes = self
             .stages()
             .map(|(name, _, ops)| (name, ops.len()))
             .to_vec();
         sizes.insert(3, ("latches", self.batch.latches.len()));
+        sizes.insert(5, ("sums", self.batch.sums.len()));
         sizes
     }
 
@@ -359,7 +442,8 @@ impl CompiledTape {
         // When each slot is written, by stage position (constants,
         // params and stream reads at 0), plus the multi-set count for
         // exactly-once coverage. A register read is written by the
-        // latch fill if a latch lists it, else lane by lane in seq.
+        // latch fill if a latch lists it, by the sum scan (with the
+        // sum's `Sel` and `Add`) if a sum does, else lane by lane in seq.
         let mut ready = vec![0u8; n];
         let mut count = vec![0usize; n];
         for (_, at, ops) in self.stages() {
@@ -369,10 +453,17 @@ impl CompiledTape {
             }
         }
         for &(dst, _) in &self.reg_reads {
-            ready[dst as usize] = 5;
+            ready[dst as usize] = 6;
         }
         for &slot in plan.latches.iter().flat_map(|la| &la.reads) {
             ready[slot as usize] = 3;
+        }
+        for sum in &plan.sums {
+            for &slot in sum.reads.iter().chain([&sum.base, &sum.add]) {
+                ready[slot as usize] = 5;
+            }
+            count[sum.add as usize] += 1;
+            count[sum.base as usize] += usize::from(sum.reset.is_some());
         }
         for op in &self.ops {
             match count[op.dst as usize] {
@@ -438,11 +529,23 @@ impl CompiledTape {
                 out.push(V::NotALatch { reg: la.reg });
             }
         }
+        // A sum is scanned once, is the shape `sum_of` re-derives from the
+        // slots written before the scan, and leaves its ops to no list.
+        for sum in &plan.sums {
+            let once = plan.sums.iter().filter(|o| o.reg == sum.reg).count() == 1
+                && !plan.latches.iter().any(|la| la.reg == sum.reg);
+            let unlisted = count[sum.add as usize] == 1
+                && count[sum.base as usize] == usize::from(sum.reset.is_some());
+            let shape = self.sum_of(sum.reg, |slot| ready[slot as usize] <= 4);
+            if !(once && unlisted && shape.as_ref() == Some(sum)) {
+                out.push(V::NotASum { reg: sum.reg });
+            }
+        }
         // Everything the next lane depends on must resolve by the end
         // of seq: pop predicates and fallbacks (checked above) and the
         // sources of the register updates seq performs.
-        for &(_, v) in self.reg_updates.iter().filter(|u| !plan.latched(u.0)) {
-            if ready[v as usize] > 5 {
+        for &(_, v) in self.reg_updates.iter().filter(|u| plan.in_seq(u.0)) {
+            if ready[v as usize] > 6 {
                 out.push(V::NeededInPost { dst: v });
             }
         }
@@ -555,7 +658,7 @@ impl CompiledTape {
             }
         }
 
-        let mut st = StreamState::new(self, inputs.len());
+        let mut st = StreamState::new(self, inputs.len(), B);
         let full = runnable - runnable % B;
         let mut lanes = self.init_lanes::<B>(params);
         for base in (0..full).step_by(B) {
@@ -601,42 +704,13 @@ impl CompiledTape {
         })
     }
 
-    /// One conditional read at lane `l`: its popped record's field when
-    /// the predicate is live, else its fallback. The first read of a
-    /// pop slot in tape order pops the record; the slot's other reads
-    /// share its predicate, so they are live with it. `None` when the
-    /// pop finds the stream dry.
-    #[inline(always)]
-    fn cond_read<const B: usize>(
-        &self,
-        op: &TapeOp,
-        inputs: &[StreamView],
-        num_records: &[usize],
-        lanes: &[[f64; B]],
-        st: &mut StreamState,
-        l: usize,
-    ) -> Option<f64> {
-        let cr = &self.cond_reads[op.a as usize];
-        if lanes[cr.pred as usize][l] == 0.0 {
-            return Some(lanes[cr.fallback as usize][l]);
-        }
-        let (s, slot) = (cr.stream as usize, cr.slot as usize);
-        if cr.leads {
-            if st.cursors[s] >= num_records[s] {
-                return None;
-            }
-            st.pop_base[slot] = st.row_base[s];
-            st.cursors[s] += 1;
-            st.row_base[s] += self.input_record_len[s];
-        }
-        Some(inputs[s].data[st.pop_base[slot] + cr.field as usize])
-    }
-
     /// One full batch of `B` iterations: SoA gather, the stages of the
     /// plan, lane-major write drain, cursor advance. `base` is the
     /// absolute iteration index of lane 0 (for underrun blame). Every
-    /// every-iteration stream must hold `B` more records.
-    #[allow(clippy::too_many_arguments)]
+    /// every-iteration stream must hold `B` more records. (A lane loop's
+    /// `l` picks one lane out of every lane array it touches, so it is a
+    /// genuine index.)
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
     fn exec_batch<const B: usize>(
         &self,
         inputs: &[StreamView],
@@ -665,20 +739,44 @@ impl CompiledTape {
         for op in &plan.vec_pre {
             exec_vec::<B>(op, lanes);
         }
-        // The pop scan. A dry stream stops it, but is blamed only once
-        // seq has run up to the same read: a pop seq owns may run dry
-        // in an earlier lane, or earlier in this one.
+        // The pop scan: each slot's leading read pops the records of its
+        // live lanes, in lane order. A dry stream stops it, but is blamed
+        // only once seq has run up to the same read: a pop seq owns may
+        // run dry in an earlier lane, or earlier in this one.
         let mut dry = None;
-        'scan: for l in 0..B {
-            for op in &plan.pops {
-                match self.cond_read(op, inputs, num_records, lanes, st, l) {
-                    Some(v) => lanes[op.dst as usize][l] = v,
-                    None => {
-                        dry = Some((l, op));
-                        break 'scan;
+        let mut popped = false;
+        for l in 0..B {
+            for op in &st.scan {
+                let cr = &self.cond_reads[op.a as usize];
+                let (s, row) = (cr.stream as usize, cr.slot as usize * B + l);
+                st.pop_rows[row] = NO_ROW;
+                if dry.is_some() || lanes[cr.pred as usize][l] == 0.0 {
+                    continue;
+                }
+                if st.cursors[s] >= num_records[s] {
+                    dry = Some((l, *op));
+                    continue;
+                }
+                st.pop_rows[row] = st.row_base[s];
+                st.cursors[s] += 1;
+                st.row_base[s] += self.input_record_len[s];
+                popped = true;
+            }
+        }
+        // Then every read gathers its field where its slot popped.
+        for op in &plan.pops {
+            let cr = &self.cond_reads[op.a as usize];
+            let mut v = lanes[cr.fallback as usize];
+            if popped {
+                let rows = &st.pop_rows[cr.slot as usize * B..][..B];
+                let (data, field) = (inputs[cr.stream as usize].data, cr.field as usize);
+                for (v, &row) in v.iter_mut().zip(rows) {
+                    if row != NO_ROW {
+                        *v = data[row + field];
                     }
                 }
             }
+            lanes[op.dst as usize] = v;
         }
         for op in &plan.vec_pop {
             exec_vec::<B>(op, lanes);
@@ -701,6 +799,35 @@ impl CompiledTape {
         for op in &plan.vec_latch {
             exec_vec::<B>(op, lanes);
         }
+        // The sum scan: each lane reads what the lane before summed.
+        for sum in &plan.sums {
+            let x = lanes[sum.x as usize];
+            let (pred, reset) = match sum.reset {
+                Some((p, k)) => (lanes[p as usize], lanes[k as usize]),
+                None => ([0.0; B], [0.0; B]),
+            };
+            let (mut read, mut base, mut out) = ([0.0f64; B], [0.0f64; B], [0.0f64; B]);
+            let held = &mut regs[sum.reg as usize];
+            for l in 0..B {
+                read[l] = *held;
+                base[l] = if pred[l] != 0.0 { reset[l] } else { *held };
+                // The kernel's operand order, though Rust leaves which of
+                // two NaN payloads a sum keeps unspecified.
+                #[allow(clippy::if_same_then_else)]
+                let next = if sum.x_first {
+                    x[l] + base[l]
+                } else {
+                    base[l] + x[l]
+                };
+                *held = next;
+                out[l] = *held;
+            }
+            for &slot in &sum.reads {
+                lanes[slot as usize] = read;
+            }
+            lanes[sum.base as usize] = base;
+            lanes[sum.add as usize] = out;
+        }
         // Seq: scalar per lane, in iteration order — the register chains
         // and pops left to it resolve exactly as in the interpreter.
         for l in 0..B {
@@ -712,15 +839,44 @@ impl CompiledTape {
                 if stop.is_some_and(|pop| pop.dst < op.dst) {
                     break;
                 }
-                lanes[op.dst as usize][l] = match op.code {
-                    Code::CondRead => self
-                        .cond_read(op, inputs, num_records, lanes, st, l)
-                        .ok_or_else(|| self.underrun(op, base + l))?,
-                    _ => eval_arith_lane::<B>(op, lanes, l),
+                if op.code != Code::CondRead {
+                    // The vector op at one lane: its operands moved to
+                    // the first three slots of a one-lane file.
+                    let at = |slot: u32| [lanes[slot as usize][l]];
+                    let mut one = [at(op.a), at(op.b), at(op.c), [0.0]];
+                    exec_vec::<1>(
+                        &TapeOp {
+                            dst: 3,
+                            a: 0,
+                            b: 1,
+                            c: 2,
+                            ..*op
+                        },
+                        &mut one,
+                    );
+                    lanes[op.dst as usize][l] = one[3][0];
+                    continue;
+                }
+                // A pop slot's first read in tape order pops; its other
+                // reads share the predicate, so they are live with it.
+                let cr = &self.cond_reads[op.a as usize];
+                let (s, row) = (cr.stream as usize, cr.slot as usize * B + l);
+                lanes[op.dst as usize][l] = if lanes[cr.pred as usize][l] == 0.0 {
+                    lanes[cr.fallback as usize][l]
+                } else {
+                    if cr.leads {
+                        if st.cursors[s] >= num_records[s] {
+                            return Err(self.underrun(op, base + l));
+                        }
+                        st.pop_rows[row] = st.row_base[s];
+                        st.cursors[s] += 1;
+                        st.row_base[s] += self.input_record_len[s];
+                    }
+                    inputs[s].data[st.pop_rows[row] + cr.field as usize]
                 };
             }
             if let Some(pop) = stop {
-                return Err(self.underrun(pop, base + l));
+                return Err(self.underrun(&pop, base + l));
             }
             for &(r, v) in &st.reg_updates {
                 regs[r as usize] = lanes[v as usize][l];
@@ -731,9 +887,7 @@ impl CompiledTape {
         }
         // Drain writes lane-major so appends interleave exactly as the
         // interpreter's per-iteration writes — the expand side: conditional
-        // writes scatter only their active lanes. (`l` picks one lane
-        // out of every referenced lane array, so it is a genuine index.)
-        #[allow(clippy::needless_range_loop)]
+        // writes scatter only their active lanes.
         for l in 0..B {
             for w in &self.writes {
                 if w.cond != NO_COND && lanes[w.cond as usize][l] == 0.0 {
@@ -780,23 +934,34 @@ pub(crate) struct StreamState {
     cursors: Vec<usize>,
     /// Word offset of each stream's next record.
     row_base: Vec<usize>,
-    /// Word offset of each pop slot's current record.
-    pop_base: Vec<usize>,
-    /// The tape's `reg_reads` and `reg_updates` less the latches'.
+    /// The pop scan's leading reads, in tape order.
+    scan: Vec<TapeOp>,
+    /// At `s * B + l`, the word offset of the record pop slot `s` took
+    /// in lane `l` of this batch, or (in the scan) [`NO_ROW`].
+    pop_rows: Vec<usize>,
+    /// The tape's `reg_reads` and `reg_updates` of seq's registers.
     reg_reads: Vec<(u32, u32)>,
     reg_updates: Vec<(u32, u32)>,
 }
 
+/// A lane whose pop slot did not pop: its reads take their fallback.
+const NO_ROW: usize = usize::MAX;
+
 impl StreamState {
-    fn new(tape: &CompiledTape, num_inputs: usize) -> Self {
-        let seq = |reg: u32| !tape.batch.latched(reg);
+    fn new(tape: &CompiledTape, num_inputs: usize, lanes: usize) -> Self {
+        let plan = &tape.batch;
+        let leads = plan
+            .pops
+            .iter()
+            .filter(|op| tape.cond_reads[op.a as usize].leads);
         let (reads, updates) = (tape.reg_reads.iter(), tape.reg_updates.iter());
         Self {
             cursors: vec![0; num_inputs],
             row_base: vec![0; num_inputs],
-            pop_base: vec![0; tape.pop_slots],
-            reg_reads: reads.copied().filter(|rr| seq(rr.1)).collect(),
-            reg_updates: updates.copied().filter(|u| seq(u.0)).collect(),
+            scan: leads.copied().collect(),
+            pop_rows: vec![NO_ROW; tape.pop_slots * lanes],
+            reg_reads: reads.copied().filter(|rr| plan.in_seq(rr.1)).collect(),
+            reg_updates: updates.copied().filter(|u| plan.in_seq(u.0)).collect(),
         }
     }
 }
@@ -808,43 +973,39 @@ impl StreamState {
 /// interpreter's `Node::Op` arm, lane by lane.
 #[inline(always)]
 fn exec_vec<const B: usize>(op: &TapeOp, lanes: &mut [[f64; B]]) {
-    let a = lanes[op.a as usize];
+    let (a, b, c) = (
+        lanes[op.a as usize],
+        lanes[op.b as usize],
+        lanes[op.c as usize],
+    );
     let mut d = [0.0f64; B];
     match op.code {
         Code::Add => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = a[l] + b[l];
             }
         }
         Code::Sub => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = a[l] - b[l];
             }
         }
         Code::Mul => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = a[l] * b[l];
             }
         }
         Code::Madd => {
-            let b = lanes[op.b as usize];
-            let c = lanes[op.c as usize];
             for l in 0..B {
                 d[l] = a[l] * b[l] + c[l];
             }
         }
         Code::Nmsub => {
-            let b = lanes[op.b as usize];
-            let c = lanes[op.c as usize];
             for l in 0..B {
                 d[l] = c[l] - a[l] * b[l];
             }
         }
         Code::Div => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = a[l] / b[l];
             }
@@ -870,38 +1031,31 @@ fn exec_vec<const B: usize>(op: &TapeOp, lanes: &mut [[f64; B]]) {
             }
         }
         Code::CmpEq => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = mask(a[l] == b[l]);
             }
         }
         Code::CmpLt => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = mask(a[l] < b[l]);
             }
         }
         Code::CmpLe => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = mask(a[l] <= b[l]);
             }
         }
         Code::Sel => {
-            let b = lanes[op.b as usize];
-            let c = lanes[op.c as usize];
             for l in 0..B {
                 d[l] = if a[l] != 0.0 { b[l] } else { c[l] };
             }
         }
         Code::And => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = mask(a[l] != 0.0 && b[l] != 0.0);
             }
         }
         Code::Or => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = mask(a[l] != 0.0 || b[l] != 0.0);
             }
@@ -912,13 +1066,11 @@ fn exec_vec<const B: usize>(op: &TapeOp, lanes: &mut [[f64; B]]) {
             }
         }
         Code::Min => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = a[l].min(b[l]);
             }
         }
         Code::Max => {
-            let b = lanes[op.b as usize];
             for l in 0..B {
                 d[l] = a[l].max(b[l]);
             }
@@ -927,42 +1079,6 @@ fn exec_vec<const B: usize>(op: &TapeOp, lanes: &mut [[f64; B]]) {
         Code::CondRead => unreachable!("conditional read in a vector phase"),
     }
     lanes[op.dst as usize] = d;
-}
-
-/// Scalar evaluation of one op at lane `l` — the phase-2 twin of
-/// [`exec_vec`], bit-for-bit the same `f64` expressions.
-#[inline(always)]
-fn eval_arith_lane<const B: usize>(op: &TapeOp, lanes: &[[f64; B]], l: usize) -> f64 {
-    let a = lanes[op.a as usize][l];
-    match op.code {
-        Code::Add => a + lanes[op.b as usize][l],
-        Code::Sub => a - lanes[op.b as usize][l],
-        Code::Mul => a * lanes[op.b as usize][l],
-        Code::Madd => a * lanes[op.b as usize][l] + lanes[op.c as usize][l],
-        Code::Nmsub => lanes[op.c as usize][l] - a * lanes[op.b as usize][l],
-        Code::Div => a / lanes[op.b as usize][l],
-        Code::Sqrt => a.sqrt(),
-        Code::Rsqrt => 1.0 / a.sqrt(),
-        Code::SeedRecip => (1.0 / a) as f32 as f64,
-        Code::SeedRsqrt => (1.0 / a.sqrt()) as f32 as f64,
-        Code::CmpEq => mask(a == lanes[op.b as usize][l]),
-        Code::CmpLt => mask(a < lanes[op.b as usize][l]),
-        Code::CmpLe => mask(a <= lanes[op.b as usize][l]),
-        Code::Sel => {
-            if a != 0.0 {
-                lanes[op.b as usize][l]
-            } else {
-                lanes[op.c as usize][l]
-            }
-        }
-        Code::And => mask(a != 0.0 && lanes[op.b as usize][l] != 0.0),
-        Code::Or => mask(a != 0.0 || lanes[op.b as usize][l] != 0.0),
-        Code::Not => mask(a == 0.0),
-        Code::Min => a.min(lanes[op.b as usize][l]),
-        Code::Max => a.max(lanes[op.b as usize][l]),
-        Code::Mov => a,
-        Code::CondRead => unreachable!("conditional read reached eval_arith_lane"),
-    }
 }
 
 #[cfg(test)]
@@ -1020,12 +1136,32 @@ mod tests {
         b.build()
     }
 
+    /// A decaying accumulator, `acc · decay + contrib`: a register
+    /// update that is no sum, so its one op stays in `seq`.
+    fn decay_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("decay");
+        let s = b.input("x", 2, StreamMode::EveryIteration);
+        let o = b.output("y", 1);
+        let r = b.reg(0.0);
+        let decay = b.constant(0.5);
+        let x0 = b.read(s, 0);
+        let x1 = b.read(s, 1);
+        let contrib = b.sub(x0, x1);
+        let acc = b.read_reg(r);
+        let next = b.madd(acc, decay, contrib);
+        b.set_reg(r, next);
+        b.write(o, &[contrib]);
+        b.build()
+    }
+
     #[test]
     fn plan_keeps_the_arithmetic_slice_vectorized() {
         let tape = CompiledTape::compile(&accum_kernel());
         // Only the accumulate add (coupled via the register read AND
-        // feeding the register update) must run sequentially.
-        assert_eq!(tape.batch.seq.len(), 1, "plan: {:?}", tape.batch);
+        // feeding the register update) is left out of the vector
+        // stages, and it runs as a sum scan: nothing is sequential.
+        assert_eq!(tape.batch.seq.len(), 0, "plan: {:?}", tape.batch);
+        assert_eq!(tape.batch.sums.len(), 1, "plan: {:?}", tape.batch);
         assert_eq!(
             tape.batch.vec_pre.len() + tape.batch.vec_post.len() + 1,
             tape.ops.len()
@@ -1230,7 +1366,8 @@ mod tests {
 
     #[test]
     fn audit_flags_duplicates_misphased_condreads_and_order() {
-        let tape = CompiledTape::compile(&accum_kernel());
+        let tape = CompiledTape::compile(&decay_kernel());
+        assert_eq!(tape.batch.seq.len(), 1, "plan: {:?}", tape.batch);
         // Duplicate: replay the first vec_pre op at the end of vec_pre.
         // That both duplicates the op and breaks tape order.
         let mut dup = tape.clone();
@@ -1361,7 +1498,8 @@ mod tests {
                 ("vec_pop", 1),
                 ("latches", 1),
                 ("vec_latch", 3),
-                ("seq", 2),
+                ("sums", 1),
+                ("seq", 0),
                 ("vec_post", 0)
             ]
         );
@@ -1377,6 +1515,11 @@ mod tests {
             (100, 3),
         ] {
             assert_matches_scalar(&k, &latch_inputs(n, every, n.div_ceil(every)), &[], n);
+        }
+        let k = decay_kernel();
+        for n in [0usize, 1, 8, 9, 31] {
+            let data: Vec<f64> = (0..2 * n).map(|i| 0.75 * i as f64 - 3.0).collect();
+            assert_matches_scalar(&k, &[StreamData::new(2, data)], &[], n);
         }
         // No new centre at all: the register's initial value is latched.
         let mut inputs = latch_inputs(20, 1, 0);
@@ -1421,7 +1564,7 @@ mod tests {
         fn(&mut CompiledTape) -> bool,
         fn(&BatchPlanViolation) -> bool,
     );
-    const CORRUPTIONS: [Corruption; 5] = [
+    const CORRUPTIONS: [Corruption; 10] = [
         (
             "drop an op",
             |t| {
@@ -1433,7 +1576,9 @@ mod tests {
         (
             "duplicate an op",
             |t| {
-                let first = t.batch.seq[0];
+                let Some(&first) = t.batch.seq.first() else {
+                    return false;
+                };
                 t.batch.seq.push(first);
                 true
             },
@@ -1456,9 +1601,9 @@ mod tests {
         (
             "mark an arithmetic register a latch",
             |t| {
-                let adds = t.batch.seq.iter().filter(|op| op.code == Code::Add);
+                let arith = t.batch.seq.iter().filter(|op| op.code != Code::CondRead);
                 let updated = |op: &TapeOp| t.reg_updates.iter().find(|u| u.1 == op.dst);
-                let Some((&(reg, _), op)) = adds.filter_map(|op| Some((updated(op)?, op))).next()
+                let Some((&(reg, _), op)) = arith.filter_map(|op| Some((updated(op)?, op))).next()
                 else {
                     return false;
                 };
@@ -1491,7 +1636,70 @@ mod tests {
                 )
             },
         ),
+        (
+            "resolve a sum's addend only in seq",
+            |t| sum_x_to(t, |p| &mut p.seq),
+            |v| matches!(v, BatchPlanViolation::NotASum { .. }),
+        ),
+        (
+            "resolve a sum's addend only in vec_post",
+            |t| sum_x_to(t, |p| &mut p.vec_post),
+            |v| matches!(v, BatchPlanViolation::NotASum { .. }),
+        ),
+        (
+            "record a sum's operands in the other order",
+            |t| {
+                let Some(sum) = t.batch.sums.first_mut() else {
+                    return false;
+                };
+                sum.x_first = !sum.x_first;
+                true
+            },
+            |v| matches!(v, BatchPlanViolation::NotASum { .. }),
+        ),
+        (
+            "leave one of a sum's read slots out",
+            |t| {
+                let Some(sum) = t.batch.sums.iter_mut().find(|s| !s.reads.is_empty()) else {
+                    return false;
+                };
+                sum.reads.pop();
+                true
+            },
+            |v| matches!(v, BatchPlanViolation::NotASum { .. }),
+        ),
+        (
+            "leave a sum's add in vec_latch too",
+            |t| {
+                let Some(add) = t.batch.sums.first().map(|s| s.add) else {
+                    return false;
+                };
+                let op = *t.ops.iter().find(|op| op.dst == add).expect("the add");
+                let p = &mut t.batch;
+                hand(&mut vec![op], &mut p.vec_latch, |_| true)
+            },
+            |v| matches!(v, BatchPlanViolation::DuplicateOp { .. }),
+        ),
     ];
+
+    /// Move the op computing the first sum's addend out of its stage
+    /// into the one `to` picks; `false` when no sum's addend is an op.
+    fn sum_x_to(t: &mut CompiledTape, to: fn(&mut BatchPlan) -> &mut Vec<TapeOp>) -> bool {
+        let x = t.batch.sums.first().map(|s| s.x);
+        let Some(&op) = t.ops.iter().find(|op| Some(op.dst) == x) else {
+            return false;
+        };
+        let p = &mut t.batch;
+        for ops in [
+            &mut p.vec_pre,
+            &mut p.pops,
+            &mut p.vec_pop,
+            &mut p.vec_latch,
+        ] {
+            ops.retain(|o| o.dst != op.dst);
+        }
+        hand(&mut vec![op], to(p), |_| true)
+    }
 
     #[test]
     fn audit_flags_every_corruption_in_the_table() {
@@ -1521,6 +1729,7 @@ mod tests {
             let mut applied = 0;
             for k in [
                 accum_kernel(),
+                decay_kernel(),
                 latch_kernel(),
                 parity_kernel(),
                 mixed.clone(),

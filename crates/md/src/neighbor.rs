@@ -67,6 +67,8 @@ impl NeighborListParams {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NeighborList {
     pub params: NeighborListParams,
+    /// Molecules of the system the list was built over.
+    molecules: usize,
     centers: Vec<u32>,
     /// GROMACS shift indices (see [`Pbc::shift_index`]); the shift is
     /// applied to the *central* molecule's coordinates.
@@ -101,10 +103,11 @@ fn nearest_image(d: f64, l: f64) -> (f64, f64) {
 }
 
 impl NeighborList {
-    /// A list of no groups.
+    /// A list of no groups, over no molecules.
     pub fn empty(params: NeighborListParams) -> Self {
         Self {
             params,
+            molecules: 0,
             centers: Vec::new(),
             shifts: Vec::new(),
             starts: vec![0],
@@ -129,8 +132,12 @@ impl NeighborList {
         let radius = checked_radius(pbc, params);
         let oxygens: Vec<Vec3> = (0..n).map(|m| pbc.wrap(system.oxygen(m))).collect();
         let grid = CellGrid::build(pbc, &oxygens, radius);
+        let over = || Self {
+            molecules: n,
+            ..Self::empty(params)
+        };
         let search = |centres: Range<usize>| {
-            let mut piece = Self::empty(params);
+            let mut piece = over();
             let mut s = Scratch {
                 dist2: vec![0.0; n],
                 shift: vec![0.0; n],
@@ -157,7 +164,7 @@ impl NeighborList {
             .map(|r| (r, search(r * n / ranges..(r + 1) * n / ranges)))
             .collect();
         pieces.sort_unstable_by_key(|&(r, _)| r);
-        let mut list = Self::empty(params);
+        let mut list = over();
         for (_, piece) in pieces {
             let base = list.neighbors.len() as u32;
             list.centers.extend(piece.centers);
@@ -204,6 +211,11 @@ impl NeighborList {
             .map(|((&c, &s), w)| (c, s, &self.neighbors[w[0] as usize..w[1] as usize]))
     }
 
+    /// Molecules of the system the list was built over.
+    pub fn molecules(&self) -> usize {
+        self.molecules
+    }
+
     /// Total molecule-pair interactions (Table 2's "interactions").
     pub fn num_pairs(&self) -> usize {
         self.neighbors.len()
@@ -231,6 +243,7 @@ impl NeighborList {
         let radius = checked_radius(pbc, params);
         let o: Vec<Vec3> = (0..n).map(|m| pbc.wrap(system.oxygen(m))).collect();
         let mut list = Self::empty(params);
+        list.molecules = n;
         for i in 0..n {
             let near = |&j: &usize| pbc.min_image(o[i], o[j]).norm2() <= radius * radius;
             let shift = |j: usize| Pbc::shift_index(pbc.image_shift(o[i], o[j])) as u8;
@@ -349,7 +362,10 @@ mod tests {
         }
         let wrap = |c: usize, d: isize| (c as isize + d).rem_euclid(nc as isize) as usize;
 
-        let mut list = NeighborList::empty(params);
+        let mut list = NeighborList {
+            molecules: n,
+            ..NeighborList::empty(params)
+        };
         for i in 0..n {
             let pi = oxygens[i];
             let (cx, cy, cz) = cell_of(pi);

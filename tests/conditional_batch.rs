@@ -244,8 +244,125 @@ fn generated_case(seed: u64, arm: Arm, factor: u32) {
     }
 }
 
+/// A random kernel of running sums in all four shapes — `Add(x, r)`,
+/// `Add(r, x)`, `Add(x, Sel(p, k, r))`, `Add(Sel(p, k, r), x)` — with
+/// `k` a non-zero constant or a stream value and `x` drawn from stream
+/// values, popped values and arithmetic on them. Each register's read
+/// is written out, the first one's as `variable` flushes its centre
+/// force; now and then a register adds another's read or sum instead,
+/// which is no sum and stays in `seq`. Returns the kernel and how many
+/// of its registers must be scanned as sums.
+fn sum_kernel(rng: &mut ChaCha8Rng) -> (Kernel, usize) {
+    let mut b = KernelBuilder::new("sums");
+    let data_len = rng.gen_range(1u32..4);
+    let s_data = b.input("data", data_len, StreamMode::EveryIteration);
+    let s_flag = b.input("flags", 1, StreamMode::EveryIteration);
+    let s_cond = b.input("c", 2, StreamMode::Conditional);
+    let regs = rng.gen_range(1usize..5);
+    let o_reads = b.output("reads", regs as u32);
+    let o_sums = b.output("sums", 1);
+    let o_flushed = b.output("flushed", 1);
+    let zero = b.constant(0.0);
+    let flag = b.read(s_flag, 0);
+    let live = b.cmp_lt(zero, flag);
+    let preds = [live, b.not(live), flag];
+    let pick = |rng: &mut ChaCha8Rng, from: &[Val]| from[rng.gen_range(0..from.len())];
+    let mut free: Vec<Val> = (0..data_len).map(|f| b.read(s_data, f)).collect();
+    let popped = b.cond_read(s_cond, 0, live, free[0]);
+    free.extend([popped, b.cond_read(s_cond, 1, live, zero)]);
+    for _ in 0..rng.gen_range(0usize..4) {
+        let (x, y) = (pick(rng, &free), pick(rng, &free));
+        let v = match rng.gen_range(0u32..3) {
+            0 => b.add(x, y),
+            1 => b.mul(x, y),
+            _ => b.sub(x, y),
+        };
+        free.push(v);
+    }
+    let (mut reads, mut sums, mut scanned) = (Vec::new(), Vec::new(), 0);
+    for _ in 0..regs {
+        let r = b.reg(rng.gen_range(-2.0..2.0));
+        let read = b.read_reg(r);
+        let coupled = !reads.is_empty() && rng.gen_range(0u32..4) == 0;
+        let x = if coupled {
+            pick(rng, &[reads.as_slice(), sums.as_slice()].concat())
+        } else {
+            scanned += 1;
+            pick(rng, &free)
+        };
+        let base = if rng.gen_range(0u32..2) == 0 {
+            read
+        } else {
+            let p = pick(rng, &preds);
+            let k = match rng.gen_range(0u32..2) {
+                0 => b.constant(rng.gen_range(0.5..3.0)),
+                _ => pick(rng, &free),
+            };
+            b.sel(p, k, read)
+        };
+        let sum = match rng.gen_range(0u32..2) {
+            0 => b.add(x, base),
+            _ => b.add(base, x),
+        };
+        b.set_reg(r, sum);
+        reads.push(read);
+        sums.push(sum);
+    }
+    b.write(o_reads, &reads);
+    let flush = pick(rng, &preds);
+    b.write_if(o_flushed, flush, &reads[..1]);
+    let last = pick(rng, &sums);
+    b.write(o_sums, &[last]);
+    (b.build(), scanned)
+}
+
+/// [`payload`], and also ±∞, whose sum is the machine's NaN again. A
+/// second NaN pattern would make the engines' agreement the compiler's
+/// choice (see [`payload`]): IEEE addition is commutative but for which
+/// of two NaN payloads it keeps.
+fn sum_payload(rng: &mut ChaCha8Rng) -> f64 {
+    match rng.gen_range(0u32..14) {
+        0 => f64::INFINITY,
+        1 => f64::NEG_INFINITY,
+        _ => payload(rng),
+    }
+}
+
+fn sum_case(seed: u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let (k, scanned) = sum_kernel(&mut rng);
+    assert_eq!(
+        stage_size(&k, "sums"),
+        scanned,
+        "every sum-shaped register is scanned"
+    );
+    for iterations in [rng.gen_range(1usize..8), rng.gen_range(8usize..40)] {
+        let tape = CompiledTape::compile(&k);
+        let inputs: Vec<StreamData> = k
+            .inputs
+            .iter()
+            .enumerate()
+            .map(|(s, sig)| {
+                let records = iterations * tape.max_pops_per_iter(s);
+                let len = sig.record_len as usize;
+                let words = (0..records * len).map(|_| sum_payload(&mut rng));
+                StreamData::new(len, words.collect())
+            })
+            .collect();
+        assert_engines_agree(&k, &inputs, &[], iterations);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Running sums of every shape, reset or not, against the
+    /// interpreter: NaN, ±∞ and −0.0 in the addends, so a dropped or
+    /// misplaced reset changes bits.
+    #[test]
+    fn running_sums_match_the_interpreter(seed in 0u64..1_000_000) {
+        sum_case(seed);
+    }
 
     /// Stream-sourced predicates feeding pops, latches and accumulators.
     #[test]
@@ -317,10 +434,11 @@ fn centre_inputs(n: usize, every: usize, centres: usize) -> Vec<StreamData> {
 #[test]
 fn the_variable_shape_leaves_seq_the_accumulator_alone() {
     let k = centre_kernel();
-    // The pops resolve and the centre is latched, so only the
-    // accumulator's reset and add are left to run lane by lane.
+    // The pops resolve, the centre is latched and the accumulator's
+    // reset and add are one sum scan, so nothing runs lane by lane.
     assert_eq!(stage_size(&k, "latches"), 1);
-    assert_eq!(stage_size(&k, "seq"), 2);
+    assert_eq!(stage_size(&k, "sums"), 1);
+    assert_eq!(stage_size(&k, "seq"), 0);
     for (n, every) in [(1, 1), (8, 1), (9, 2), (40, 5), (100, 7)] {
         assert_engines_agree(&k, &centre_inputs(n, every, n.div_ceil(every)), &[], n);
     }
@@ -336,6 +454,82 @@ fn the_variable_shape_leaves_seq_the_accumulator_alone() {
         // One centre record short: the last copy to pop runs dry.
         inputs[2].data.truncate(2 * (8 * factor - 1));
         assert_engines_agree(&u, &inputs, &[], 24);
+    }
+}
+
+/// [`centre_kernel`] unrolled `factor` times over `n` iterations, with
+/// a new centre exactly where `pops` says — `(iteration, copy)` pairs —
+/// and `records` centre records.
+fn scan_inputs(
+    factor: usize,
+    n: usize,
+    pops: &[(usize, usize)],
+    records: usize,
+) -> Vec<StreamData> {
+    let mut inputs = centre_inputs(n * factor, 1, records);
+    inputs[1].data.fill(0.0);
+    for &(i, copy) in pops {
+        inputs[1].data[i * factor + copy] = 1.0;
+    }
+    for wide in &mut inputs[..2] {
+        wide.record_len = factor;
+    }
+    inputs
+}
+
+#[test]
+fn the_pop_scan_gathers_the_lanes_that_pop_and_only_those() {
+    for factor in [1usize, 2, 3] {
+        let k = unroll(&centre_kernel(), factor as u32);
+        let last = factor - 1;
+        // No lane pops in a batch; only lane 0 at either width; only the
+        // last lane at 8 lanes, then at 16; one lane in the remainder.
+        for pops in [
+            vec![],
+            vec![(0, 0), (8, last), (16, 0), (32, last)],
+            vec![(7, 0), (23, last), (39, 0)],
+            vec![(15, last), (31, 0)],
+            vec![(40, last)],
+        ] {
+            let inputs = scan_inputs(factor, 41, &pops, pops.len());
+            assert_engines_agree(&k, &inputs, &[], 41);
+            let out = CompiledTape::compile(&k).run_batched(&inputs, &[], 41, BatchWidth::W8);
+            assert_eq!(out.expect("runs").records_consumed[2], pops.len());
+        }
+    }
+}
+
+#[test]
+fn the_leading_scan_blames_a_dry_pop_at_the_first_and_last_lane() {
+    for factor in [2usize, 3] {
+        let k = unroll(&centre_kernel(), factor as u32);
+        let last = factor - 1;
+        // Live pops follow each dry one, in the same batch, so a scan
+        // that ran on past the dry read would blame a later lane.
+        for (pops, records, iteration) in [
+            // Lane 0 of a batch at 8 lanes, its first slot dry.
+            (vec![(0, 0), (8, 0), (8, last), (11, 0), (15, last)], 1, 8),
+            // Lane 0 again, its first slot popped and its last dry.
+            (vec![(8, 0), (8, last), (9, 0), (14, last)], 1, 8),
+            // Lane 0 of the second batch at 16 lanes.
+            (vec![(0, last), (16, 0), (17, 0), (31, last)], 1, 16),
+            // The last lane at 8 lanes, then at 16.
+            (vec![(7, 0), (7, last), (9, 0)], 1, 7),
+            (vec![(3, 0), (15, 0), (15, last), (20, 0)], 2, 15),
+        ] {
+            let inputs = scan_inputs(factor, 32, &pops, records);
+            assert_engines_agree(&k, &inputs, &[], 32);
+            for width in [BatchWidth::W8, BatchWidth::W16] {
+                assert_eq!(
+                    CompiledTape::compile(&k).run_batched(&inputs, &[], 32, width),
+                    Err(InterpError::StreamUnderrun {
+                        stream: 2,
+                        iteration
+                    }),
+                    "x{factor} at {width} lanes, pops {pops:?}"
+                );
+            }
+        }
     }
 }
 

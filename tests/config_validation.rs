@@ -183,3 +183,40 @@ fn inputs_no_stream_program_serves_are_typed_errors_at_every_entry_point() {
         }
     }
 }
+
+#[test]
+fn a_list_built_over_another_box_is_a_config_error_on_every_list_path() {
+    let system = WaterBox::builder().molecules(27).seed(42).build();
+    let params = NeighborListParams {
+        cutoff: 0.3,
+        skin: 0.0,
+        rebuild_interval: 10,
+    };
+    let app = StreamMdApp::builder().neighbor(params).build().unwrap();
+    // Larger, its indices run past the system; smaller, it leaves
+    // molecules out. Both are refused before a step program is built.
+    for other in [64, 8] {
+        let elsewhere = WaterBox::builder().molecules(other).seed(42).build();
+        let list = NeighborList::build(&elsewhere, params);
+        for v in Variant::ALL {
+            let refused = [
+                app.run_step_with_list(&system, &list, v).err(),
+                run_multinode(&app, &system, &list, v, 2).err(),
+            ];
+            for err in refused {
+                match err {
+                    Some(SimError::Config(msg)) => assert!(
+                        msg.contains(&format!("built over {other} molecules, the system has 27")),
+                        "{other}/{v}: {msg}"
+                    ),
+                    other => panic!("{v}: expected a config error, got {other:?}"),
+                }
+            }
+        }
+    }
+    let own = NeighborList::build(&system, params);
+    assert_eq!(own.molecules(), 27);
+    assert!(app
+        .run_step_with_list(&system, &own, Variant::Variable)
+        .is_ok());
+}
