@@ -1,10 +1,12 @@
 //! Machine-readable performance report: runs every StreamMD variant on
-//! a 216-molecule box at engine thread counts {1, 4}, verifies the
+//! a 216-molecule box at host thread counts {1, 4}, verifies the
 //! parallel engine's bitwise-determinism contract, and writes
 //! `BENCH_streammd_216.json` (override the directory with
-//! `BENCH_REPORT_DIR`). The kernel engine and the partition report come
-//! from the environment (`HostExec::from_vars`, strict); the thread
-//! counts are the harness's own.
+//! `BENCH_REPORT_DIR`). The partition report comes from the environment
+//! (`HostExec::from_vars`, strict: a malformed `MERRIMAC_*` value exits
+//! 1). The thread counts are pinned at 1 and 4 by design, because the
+//! 1-vs-4 comparison is the report's point, so a valid
+//! `MERRIMAC_HOST_THREADS` does not move them.
 
 use std::time::Instant;
 

@@ -7,13 +7,14 @@
 //! the paper's 900-molecule dataset — the end-to-end multi-node runner
 //! (`streammd::multinode`) against the closed-form estimator, with the
 //! estimator's two-phase latency and `worst_level` fixes applied. Set
-//! `SCALING_MAX_SIM_NODES` to cap the simulated node counts (CI uses
+//! `SCALING_MAX_SIM_NODES` (a positive integer, read strictly: a
+//! malformed value exits 1) to cap the simulated node counts (CI uses
 //! the default 8).
 
 use std::time::Instant;
 
 use merrimac_arch::{MachineConfig, NetworkConfig};
-use merrimac_bench::{banner, paper_system, run, RunSpec};
+use merrimac_bench::{banner, env_usize, paper_system, run, RunSpec};
 use merrimac_net::scaling::{estimate, scaling_sweep, ScalingWorkload};
 use merrimac_net::topology::Topology;
 use streammd::{MultiNodeBreakdown, Variant};
@@ -100,9 +101,11 @@ fn simulated_vs_analytic(
     net: &NetworkConfig,
     cycles_per_molecule: f64,
 ) {
-    let max_nodes: usize = std::env::var("SCALING_MAX_SIM_NODES")
-        .ok()
-        .and_then(|s| s.parse().ok())
+    let max_nodes = env_usize(|var| std::env::var(var).ok(), "SCALING_MAX_SIM_NODES")
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1)
+        })
         .unwrap_or(8);
     let n_mol = system.num_molecules() as f64;
     let side = system.pbc().side();

@@ -24,13 +24,11 @@
 //!   single-site workload path end to end.
 //! * `TREND_DATASET=charged` — the same box with the charged-particle
 //!   (LJ + Coulomb) model (label `trend_charged`).
-//! * `TREND_THREADS` — engine worker threads for the functional phase
-//!   (default: host parallelism capped at 8). Simulated metrics are
-//!   bitwise-identical at any count; only wall-clock moves.
-//! * `MERRIMAC_KERNEL_ENGINE`, `MERRIMAC_PARTITION_VERBOSE` — the rest of
-//!   the run's `HostExec`, resolved strictly here at the edge (a
-//!   malformed value stops the gate; `MERRIMAC_HOST_THREADS` is checked
-//!   too, but `TREND_THREADS` decides the count).
+//! * `MERRIMAC_HOST_THREADS`, `MERRIMAC_PARTITION_VERBOSE` — the run's
+//!   `HostExec`, resolved strictly here at the edge: a malformed value
+//!   (`MERRIMAC_HOST_THREADS=two`) stops the gate with exit 1. Unset,
+//!   the thread count is the host's parallelism capped at 8. Simulated
+//!   metrics are bitwise-identical at any count; only wall-clock moves.
 //! * `TREND_REFRESH=1` — rewrite the committed baseline from this run
 //!   (after an intentional perf or model change) and exit.
 //! * `TREND_BASELINE_DIR` — read/write baselines here instead of the
@@ -47,8 +45,8 @@ use std::time::Instant;
 use md_sim::neighbor::NeighborList;
 use md_sim::system::WaterBox;
 use merrimac_bench::{
-    atomic_system, banner, paper_system, render_table, run, small_system, trend, HostExec,
-    PerfReport, RunSpec, Tolerances, VariantRecord,
+    atomic_system, banner, env_usize, paper_system, render_table, run, small_system, trend,
+    EnvOverrideError, HostExec, PerfReport, RunSpec, Tolerances, VariantRecord,
 };
 use streammd::Variant;
 
@@ -132,24 +130,22 @@ fn dataset_from_env() -> Dataset {
     }
 }
 
-fn threads_from_env() -> usize {
-    std::env::var("TREND_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1)
-        })
+/// A strictly resolved environment value: a malformed one exits 1.
+fn strict<T>(resolved: Result<T, EnvOverrideError>) -> T {
+    resolved.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    })
 }
 
 fn main() {
     let ds = dataset_from_env();
-    let threads = threads_from_env();
-    let host = HostExec::from_vars(|var| std::env::var(var).ok()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1)
+    let env = |var: &str| std::env::var(var).ok();
+    let host = strict(HostExec::from_vars(env));
+    let threads = strict(env_usize(env, "MERRIMAC_HOST_THREADS")).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get().min(8))
+            .unwrap_or(1)
     });
     let host = HostExec { threads, ..host };
     banner(

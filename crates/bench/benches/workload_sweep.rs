@@ -12,13 +12,13 @@
 //! * `SWEEP_VARIANTS` — comma-separated variant names
 //!   (default `variable`; pass e.g. `variable,fixed` for list coverage
 //!   on both the half-list and block layouts).
-//! * `SWEEP_THREADS` — engine worker threads (default: host
-//!   parallelism capped at 8).
+//! * `MERRIMAC_HOST_THREADS` — host worker threads, strictly: a
+//!   malformed value exits 1 (default: host parallelism capped at 8).
 
 use std::time::Instant;
 
 use md_sim::water::WaterModel;
-use merrimac_bench::{atomic_system, banner, run, RunSpec};
+use merrimac_bench::{atomic_system, banner, env_usize, run, RunSpec};
 use streammd::Variant;
 
 fn sizes_from_env() -> Vec<usize> {
@@ -49,10 +49,11 @@ fn variants_from_env() -> Vec<Variant> {
 }
 
 fn threads_from_env() -> usize {
-    std::env::var("SWEEP_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&t| t >= 1)
+    env_usize(|var| std::env::var(var).ok(), "MERRIMAC_HOST_THREADS")
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1)
+        })
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get().min(8))

@@ -20,9 +20,8 @@ use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
 use md_sim::water::WaterModel;
 use merrimac_analysis::{Diagnostic, Severity};
-use merrimac_sim::env_usize;
 use merrimac_sim::machine::SimError;
-pub use merrimac_sim::{EnvOverrideError, HostExec};
+pub use merrimac_sim::{env_usize, EnvOverrideError, HostExec};
 use streammd::{StepOutcome, StreamMdApp, Variant, Workload};
 
 pub mod json;
@@ -312,7 +311,7 @@ pub struct RunSpec<'a> {
     /// counts the end-to-end multi-node runner (validated against the
     /// modeled network at build time).
     pub nodes: usize,
-    /// Host threads, kernel engine, partition report (simulated results
+    /// Host threads and partition report (simulated results
     /// are identical under every value).
     pub host: HostExec,
 }

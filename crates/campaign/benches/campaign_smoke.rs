@@ -7,26 +7,30 @@
 //! jobs on shipped variants, and bitwise identity to the sequential
 //! one-shot runs.
 //!
-//! Knobs: `CAMPAIGN_WORKERS` (default 2), `CAMPAIGN_THREADS` (engine
-//! threads per job, default 2), `BENCH_REPORT_DIR` (report location).
+//! Knobs: `CAMPAIGN_WORKERS` (default 2), `MERRIMAC_HOST_THREADS` (host
+//! threads per job, default 2), both positive integers read strictly (a
+//! malformed value exits 1), and `BENCH_REPORT_DIR` (report location).
 
 use std::sync::Arc;
 
 use merrimac_bench::{banner, run, Dataset, PerfReport};
 use merrimac_campaign::{run_campaign, Job};
+use merrimac_sim::env_usize;
 use streammd::Variant;
 
-fn env_count(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+/// `var` as a positive integer, `default` when unset; malformed exits 1.
+fn env_count(var: &'static str, default: usize) -> usize {
+    env_usize(|var| std::env::var(var).ok(), var)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1)
+        })
         .unwrap_or(default)
 }
 
 fn main() {
     let workers = env_count("CAMPAIGN_WORKERS", 2);
-    let threads = env_count("CAMPAIGN_THREADS", 2);
+    let threads = env_count("MERRIMAC_HOST_THREADS", 2);
     banner(
         "campaign smoke",
         "8-job mixed campaign over the cross-job artifact cache",

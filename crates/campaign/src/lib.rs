@@ -4,7 +4,7 @@
 //! re-analyzes the step program on every call. A parameter sweep — the
 //! kind behind the paper's Tables 3–5 and the scaling study — runs the
 //! *same* `(dataset, variant, machine)` combination many times over
-//! while only the execution knobs (threads, kernel engine, node count)
+//! while only the execution knobs (host threads, node count)
 //! vary, so the expensive build work is pure duplication.
 //!
 //! This crate turns those sweeps into **campaigns**: [`run_campaign`]

@@ -274,7 +274,6 @@ mod tests {
         let plain = Job::new(ds.clone(), Variant::Variable);
         let other = plain.clone().host(HostExec {
             threads: 3,
-            engine: merrimac_sim::KernelEngine::Interp,
             partition_verbose: false,
         });
         let key = |spec: &Job| {

@@ -12,8 +12,8 @@ use merrimac_arch::{MachineConfig, NetworkConfig, OpCosts};
 use merrimac_sim::machine::SimError;
 use merrimac_sim::program::Memory;
 use merrimac_sim::{
-    AccessIntent, BatchWidth, CompiledKernel, HostExec, IndexStream, KernelEngine, KernelOpt,
-    ProgramBuilder, RegionId, RunReport, SdrPolicy, StreamProcessor, StreamProgram,
+    AccessIntent, BatchWidth, CompiledKernel, HostExec, IndexStream, KernelOpt, ProgramBuilder,
+    RegionId, RunReport, SdrPolicy, StreamProcessor, StreamProgram,
 };
 
 use crate::kernels;
@@ -74,10 +74,12 @@ pub struct StreamMdApp {
     pub block_l: usize,
     /// Strip size override (kernel iterations per strip).
     pub strip_iterations: Option<usize>,
-    /// Host worker threads for the functional phase of the execution
-    /// engine. Forces, cycles and counters are bitwise-identical at any
-    /// thread count (see `merrimac_sim::parallel`).
-    pub threads: usize,
+    /// How the host executes every step: worker threads (lists, strips,
+    /// memory timing, integrator) and the partitioner's stderr report.
+    /// Forces, cycles and counters are bitwise-identical under every
+    /// value (see `merrimac_sim::parallel`). Set through
+    /// [`crate::SimConfigBuilder::host`] or `threads`.
+    pub host: HostExec,
     /// Run the Error-severity static analysis passes
     /// (`merrimac_analysis`) over every built step program before
     /// executing it, refusing programs with Error diagnostics. Enabled
@@ -89,15 +91,7 @@ pub struct StreamMdApp {
     /// Simulated node count for [`crate::multinode::run_multinode`]
     /// (validated against `network` at build time; 1 = single node).
     pub nodes: usize,
-    /// Functional kernel-execution engine (batched SoA tape or the
-    /// reference interpreter). Simulated results are bitwise-identical
-    /// under both; only host wall-clock differs. With `threads` and
-    /// `partition_verbose`, one [`HostExec`] set through
-    /// [`crate::SimConfigBuilder::host`].
-    pub engine: KernelEngine,
-    /// Print the strip partitioner's report to stderr before each run.
-    pub partition_verbose: bool,
-    /// Lane width of the batched engine (8 or 16 iterations per SoA
+    /// Lane width of the batched tape (8 or 16 iterations per SoA
     /// batch); irrelevant to results, which are bitwise-identical at
     /// either width.
     pub tape_batch: BatchWidth,
@@ -190,11 +184,8 @@ impl StreamMdApp {
     /// The defaults every construction path starts from, unchecked:
     /// [`crate::SimConfigBuilder`] validates what is set on top of them.
     pub fn new(cfg: MachineConfig) -> Self {
-        let host = HostExec::default();
         Self {
-            threads: host.threads,
-            engine: host.engine,
-            partition_verbose: host.partition_verbose,
+            host: HostExec::default(),
             cfg,
             costs: OpCosts::default(),
             policy: SdrPolicy::Eager,
@@ -252,11 +243,11 @@ impl StreamMdApp {
     }
 
     /// Run one force step of `variant` over `system`, the neighbour
-    /// list built on `threads` host threads like the step itself.
+    /// list built on `host.threads` host threads like the step itself.
     pub fn run_step(&self, system: &WaterBox, variant: Variant) -> Result<StepOutcome, SimError> {
         check_inputs(system, self.neighbor)?;
         let list = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads.max(1))
+            .num_threads(self.host.threads.max(1))
             .build()
             .map_err(|e| SimError::Program(format!("thread pool: {e}")))?
             .install(|| NeighborList::build(system, self.neighbor));
@@ -378,20 +369,18 @@ impl StreamMdApp {
     /// The stream processor every execution path of this app runs on
     /// (single-node steps and each node of a multi-node step).
     pub(crate) fn processor(&self) -> StreamProcessor {
-        let mut proc = StreamProcessor::new(self.cfg.clone())
+        StreamProcessor::new(self.cfg.clone())
             .with_costs(self.costs.clone())
             .with_policy(self.policy)
-            .with_engine(self.engine)
-            .with_batch_width(self.tape_batch);
-        proc.partition_verbose = self.partition_verbose;
-        proc
+            .with_host(self.host)
+            .with_batch_width(self.tape_batch)
     }
 
     /// Execute an already-built step program — the per-run half of the
     /// compile-once / run-many split. The cached [`StepProgram`] stays
     /// pristine: execution works on a clone of its memory image, so the
-    /// same build can be run any number of times (across jobs, threads
-    /// or engines) with bitwise-identical results to a fresh
+    /// same build can be run any number of times (across jobs or
+    /// threads) with bitwise-identical results to a fresh
     /// [`StreamMdApp::run_step_with_list`] build.
     pub fn run_step_program(
         &self,
@@ -399,9 +388,7 @@ impl StreamMdApp {
         step: &StepProgram,
     ) -> Result<StepOutcome, SimError> {
         let mut mem = step.memory.clone();
-        let report = self
-            .processor()
-            .run_parallel(&mut mem, &step.program, self.threads)?;
+        let report = self.processor().run(&mut mem, &step.program)?;
         Ok(self.summarise_step(system, step, &mem, report))
     }
 

@@ -116,18 +116,16 @@ impl SimConfigBuilder {
     }
 
     /// How the host executes the run (default [`HostExec::default`]:
-    /// 1 thread, the batch engine, quiet). Simulated results are
-    /// bitwise-identical under every value.
+    /// 1 thread, quiet). Simulated results are bitwise-identical under
+    /// every value.
     pub fn host(mut self, host: HostExec) -> Self {
-        self.app.threads = host.threads;
-        self.app.engine = host.engine;
-        self.app.partition_verbose = host.partition_verbose;
+        self.app.host = host;
         self
     }
 
     /// Shorthand for the host's worker-thread count alone.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.app.threads = threads;
+        self.app.host.threads = threads;
         self
     }
 
@@ -184,7 +182,7 @@ impl SimConfigBuilder {
         if app.kernel_opt.unroll == 0 {
             return Err(SimError::Config("kernel unroll must be at least 1".into()));
         }
-        if app.threads == 0 {
+        if app.host.threads == 0 {
             return Err(SimError::Config("threads must be at least 1".into()));
         }
         if app.strip_iterations == Some(0) {
@@ -308,31 +306,24 @@ pub(crate) fn strip_working_set_per_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use merrimac_sim::KernelEngine;
 
     #[test]
     fn host_lands_on_the_app_last_call_winning() {
-        let host_of = |app: &StreamMdApp| HostExec {
-            threads: app.threads,
-            engine: app.engine,
-            partition_verbose: app.partition_verbose,
-        };
         let app = SimConfigBuilder::new().build().expect("defaults are valid");
-        assert_eq!(host_of(&app), HostExec::default());
+        assert_eq!(app.host, HostExec::default());
         assert_eq!(app.block_l, 8);
         assert!(app.strip_iterations.is_none());
 
         let h = HostExec {
             threads: 3,
-            engine: KernelEngine::Interp,
             partition_verbose: true,
         };
         let app = SimConfigBuilder::new().host(h).build().unwrap();
-        assert_eq!(host_of(&app), h);
+        assert_eq!(app.host, h);
         let app = SimConfigBuilder::new().host(h).threads(5).build().unwrap();
-        assert_eq!(host_of(&app), HostExec { threads: 5, ..h });
+        assert_eq!(app.host, HostExec { threads: 5, ..h });
         let app = SimConfigBuilder::new().threads(5).host(h).build().unwrap();
-        assert_eq!(host_of(&app), h);
+        assert_eq!(app.host, h);
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl MerrimacDriver {
     }
 
     /// Run `steps` MD steps, returning the trajectory report. The system
-    /// is advanced in place, on `app.threads` host threads (lists,
+    /// is advanced in place, on `app.host.threads` host threads (lists,
     /// force steps and constraint solves alike).
     pub fn run(&self, system: &mut WaterBox, steps: usize) -> Result<DriverReport, SimError> {
         check_inputs(system, self.app.neighbor)?;
@@ -114,7 +114,7 @@ impl MerrimacDriver {
             rebuilds: 1,
             total_counters: Counters::default(),
         };
-        let stepped = integ.run_with(system, steps, self.app.threads, |system, list| {
+        let stepped = integ.run_with(system, steps, self.app.host.threads, |system, list| {
             let out = self.app.run_step_with_list(system, list, self.variant)?;
             report.total_force_cycles += out.perf.cycles;
             report.total_counters.add(&out.report.counters);
@@ -198,7 +198,7 @@ mod tests {
         let mut b = a.clone();
         let serial = driver(&a, Variant::Expanded);
         let mut parallel = driver(&b, Variant::Expanded);
-        parallel.app.threads = 4;
+        parallel.app.host.threads = 4;
         let ra = serial.run(&mut a, 4).expect("serial run");
         let rb = parallel.run(&mut b, 4).expect("parallel run");
         assert_eq!(a.positions(), b.positions());
@@ -268,7 +268,7 @@ mod tests {
         let mut b = a.clone();
         let serial = driver(&a, Variant::Fixed);
         let mut parallel = driver(&b, Variant::Fixed);
-        parallel.app.threads = 4;
+        parallel.app.host.threads = 4;
         serial.run(&mut a, 3).expect("serial run");
         parallel.run(&mut b, 3).expect("parallel run");
         assert_eq!(a.positions(), b.positions());

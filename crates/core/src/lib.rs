@@ -39,7 +39,7 @@ pub use app::{check_inputs, check_list, PerfSummary, StepOutcome, StepProgram, S
 pub use config::SimConfigBuilder;
 pub use driver::{DriverReport, MerrimacDriver};
 pub use merrimac_sim::machine::SimError;
-pub use merrimac_sim::{AccessIntent, BatchWidth, FallbackKind, KernelEngine, PartitionSummary};
+pub use merrimac_sim::{AccessIntent, BatchWidth, FallbackKind, PartitionSummary};
 pub use metrics::{AnalyticModel, MultiNodeBreakdown, PhaseBreakdown};
 pub use multinode::{run_multinode, run_multinode_program, MultiNodeOutcome, NodeRun};
 pub use variant::{DatasetStats, Variant};

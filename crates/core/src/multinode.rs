@@ -226,7 +226,7 @@ pub fn run_multinode_program(
     // single-node step.
     let proc = app.processor();
     let mut mem = step.memory.clone();
-    let executed = proc.execute(&mut mem, &step.program, app.threads)?;
+    let executed = proc.execute(&mut mem, &step.program)?;
     let whole = proc.time(&mem, &step.program, &executed, |_| true)?;
     let mut outcome = app.summarise_step(system, step, &mem, whole);
     let n_real = system.num_molecules();

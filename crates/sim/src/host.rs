@@ -4,15 +4,11 @@
 //! the value; only a binary's or test's edge resolves it, strictly,
 //! through [`HostExec::from_vars`].
 
-use crate::machine::KernelEngine;
-
 /// Host execution settings of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostExec {
     /// Worker threads of the functional and memory-timing phases.
     pub threads: usize,
-    /// Functional kernel-execution engine.
-    pub engine: KernelEngine,
     /// Print the strip partitioner's report to stderr before each run.
     pub partition_verbose: bool,
 }
@@ -21,7 +17,6 @@ impl Default for HostExec {
     fn default() -> Self {
         Self {
             threads: 1,
-            engine: KernelEngine::Batch,
             partition_verbose: false,
         }
     }
@@ -49,8 +44,7 @@ impl std::fmt::Display for EnvOverrideError {
 impl std::error::Error for EnvOverrideError {}
 
 impl HostExec {
-    /// Resolve `MERRIMAC_HOST_THREADS` (a positive integer),
-    /// `MERRIMAC_KERNEL_ENGINE` (`batch` or `interp`) and
+    /// Resolve `MERRIMAC_HOST_THREADS` (a positive integer) and
     /// `MERRIMAC_PARTITION_VERBOSE` (`0` or `1`) as `lookup` reports
     /// them: unset means the default, set-but-malformed is an error. A
     /// binary passes a closure over its process environment, a test a
@@ -60,20 +54,17 @@ impl HostExec {
         if let Some(threads) = env_usize(&lookup, "MERRIMAC_HOST_THREADS")? {
             host.threads = threads;
         }
-        let malformed = |var, value, expected| EnvOverrideError {
-            var,
-            value,
-            expected,
-        };
-        if let Some(value) = lookup("MERRIMAC_KERNEL_ENGINE") {
-            host.engine = KernelEngine::parse(&value)
-                .ok_or_else(|| malformed("MERRIMAC_KERNEL_ENGINE", value, "`batch` or `interp`"))?;
-        }
         if let Some(value) = lookup("MERRIMAC_PARTITION_VERBOSE") {
             host.partition_verbose = match value.as_str() {
                 "0" => false,
                 "1" => true,
-                _ => return Err(malformed("MERRIMAC_PARTITION_VERBOSE", value, "`0` or `1`")),
+                _ => {
+                    return Err(EnvOverrideError {
+                        var: "MERRIMAC_PARTITION_VERBOSE",
+                        value,
+                        expected: "`0` or `1`",
+                    })
+                }
             };
         }
         Ok(host)
@@ -114,23 +105,11 @@ mod tests {
     #[test]
     fn unset_is_the_default_and_every_valid_value_lands() {
         let d = HostExec::default();
-        assert_eq!(
-            (d.threads, d.engine, d.partition_verbose),
-            (1, KernelEngine::Batch, false)
-        );
+        assert_eq!((d.threads, d.partition_verbose), (1, false));
         assert_eq!(resolve(&[]), Ok(d));
         for (var, value, want) in [
             ("MERRIMAC_HOST_THREADS", "1", d),
             ("MERRIMAC_HOST_THREADS", "8", HostExec { threads: 8, ..d }),
-            ("MERRIMAC_KERNEL_ENGINE", "batch", d),
-            (
-                "MERRIMAC_KERNEL_ENGINE",
-                "interp",
-                HostExec {
-                    engine: KernelEngine::Interp,
-                    ..d
-                },
-            ),
             ("MERRIMAC_PARTITION_VERBOSE", "0", d),
             (
                 "MERRIMAC_PARTITION_VERBOSE",
@@ -145,7 +124,6 @@ mod tests {
         }
         let all = resolve(&[
             ("MERRIMAC_HOST_THREADS", "2"),
-            ("MERRIMAC_KERNEL_ENGINE", "interp"),
             ("MERRIMAC_PARTITION_VERBOSE", "1"),
             ("MERRIMAC_NODES", "two"), // not a host setting: not read here
         ]);
@@ -153,7 +131,6 @@ mod tests {
             all,
             Ok(HostExec {
                 threads: 2,
-                engine: KernelEngine::Interp,
                 partition_verbose: true
             })
         );
@@ -166,11 +143,6 @@ mod tests {
             ("MERRIMAC_HOST_THREADS", "-1", "a positive integer"),
             ("MERRIMAC_HOST_THREADS", "two", "a positive integer"),
             ("MERRIMAC_HOST_THREADS", "", "a positive integer"),
-            ("MERRIMAC_KERNEL_ENGINE", "interpp", "`batch` or `interp`"),
-            ("MERRIMAC_KERNEL_ENGINE", "Interp", "`batch` or `interp`"),
-            ("MERRIMAC_KERNEL_ENGINE", "", "`batch` or `interp`"),
-            // The scalar-tape engine was removed in PR 12.
-            ("MERRIMAC_KERNEL_ENGINE", "tape", "`batch` or `interp`"),
             ("MERRIMAC_PARTITION_VERBOSE", "yes", "`0` or `1`"),
             ("MERRIMAC_PARTITION_VERBOSE", "", "`0` or `1`"),
         ] {

@@ -48,11 +48,11 @@ impl KernelOpt {
 pub struct CompiledKernel {
     /// Original (pre-unroll, pre-lowering) kernel.
     pub source: Kernel,
-    /// Unrolled (if requested) high-level kernel — the form the
-    /// interpreter executes.
+    /// Unrolled (if requested) high-level kernel — the form the tape is
+    /// compiled from, and the reference interpreter's input in tests.
     pub ir: Kernel,
     /// Bytecode tape compiled from [`CompiledKernel::ir`] — the form
-    /// the default functional engine executes. Compiled once here and
+    /// every kernel launch executes. Compiled once here and
     /// shared across strips/threads through the `Arc<CompiledKernel>`
     /// every stream program holds.
     pub tape: CompiledTape,

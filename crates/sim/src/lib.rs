@@ -3,8 +3,8 @@
 //! The simulator is *timing-first, functionally exact*: every stream
 //! memory operation really moves `f64` data between the node memory and
 //! SRF buffers, every kernel launch really executes its dataflow graph
-//! through the kernel interpreter, and scatter-add really performs the
-//! atomic summations — so the forces StreamMD computes here are compared
+//! (as its compiled tape, in lanes), and scatter-add really performs
+//! the atomic summations — so the forces StreamMD computes here are compared
 //! against the reference MD engine to tight tolerances. On top of the
 //! functional execution sits a cycle model with the paper's architectural
 //! parameters:
@@ -43,7 +43,7 @@ pub use cache::CacheAccessStats;
 pub use counters::{Counters, PhaseCycles};
 pub use host::{env_usize, EnvOverrideError, HostExec};
 pub use kernelc::{CompiledKernel, KernelOpt};
-pub use machine::{HostPhases, KernelEngine, RunReport, SimError, StreamProcessor};
+pub use machine::{HostPhases, RunReport, SimError, StreamProcessor};
 pub use memsys::{MemOpCost, MemSystem};
 pub use merrimac_kernel::BatchWidth;
 pub use parallel::Executed;

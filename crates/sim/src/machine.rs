@@ -23,6 +23,7 @@ use merrimac_kernel::BatchWidth;
 
 use crate::cache::CacheAccessStats;
 use crate::counters::{Counters, PhaseCycles};
+use crate::host::HostExec;
 use crate::memsys::{MemOpCost, MemSystem};
 use crate::partition::PartitionSummary;
 use crate::program::{AccessKind, BufferId, LabelledOp, Memory, StreamOp, StreamProgram};
@@ -215,50 +216,6 @@ pub(crate) struct OpRecord {
     pub mem_cost: Option<MemOpCost>,
 }
 
-/// Which functional engine executes kernel dataflow graphs.
-///
-/// The batched SoA engine ([`merrimac_kernel::batch`], executing the
-/// compiled tape in vectorizable lanes of 8/16 iterations) is the
-/// default. The graph-walking
-/// [`Interpreter`](merrimac_kernel::interp::Interpreter) remains as the
-/// independent bisection oracle ([`crate::HostExec::engine`]).
-/// Both produce bitwise-identical outputs, consumed counts and final
-/// registers — proven differentially by `tests/tape_equivalence.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelEngine {
-    /// Batched SoA execution of the compiled tape, 8/16 lanes per
-    /// batch ([`BatchWidth`]).
-    #[default]
-    Batch,
-    /// Reference graph-walking interpreter.
-    Interp,
-}
-
-impl KernelEngine {
-    /// The engine `value` names, if any — the one place the grammar
-    /// lives ([`crate::HostExec::from_vars`] rejects anything else).
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "batch" => Some(KernelEngine::Batch),
-            "interp" => Some(KernelEngine::Interp),
-            _ => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelEngine::Batch => "batch",
-            KernelEngine::Interp => "interp",
-        }
-    }
-}
-
-impl std::fmt::Display for KernelEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// A Merrimac node ready to execute stream programs.
 #[derive(Debug, Clone)]
 pub struct StreamProcessor {
@@ -272,15 +229,12 @@ pub struct StreamProcessor {
     /// lookahead can deadlock the SRF allocator, exactly the hazard
     /// static stream scheduling exists to prevent.
     pub strip_lookahead: usize,
-    /// Print the strip partitioner's report (read-shared/owned/reduce
-    /// regions, or the typed fallback reason) to stderr before each run.
-    pub partition_verbose: bool,
-    /// Which functional engine executes kernel dataflow graphs.
-    /// Simulated results are bitwise-identical under both; only host
-    /// wall-clock differs.
-    pub kernel_engine: KernelEngine,
-    /// Lane width of the batched engine ([`KernelEngine::Batch`]).
-    /// Results are bitwise-identical at either width.
+    /// How the host executes a run: worker threads, and whether the
+    /// strip partitioner's report goes to stderr before each run.
+    /// Simulated results are bitwise-identical under every value.
+    pub(crate) host: HostExec,
+    /// Lane width of the batched tape. Results are bitwise-identical at
+    /// either width.
     pub tape_batch: BatchWidth,
 }
 
@@ -298,8 +252,7 @@ impl StreamProcessor {
             costs: OpCosts::default(),
             policy: SdrPolicy::Eager,
             strip_lookahead: 1,
-            partition_verbose: false,
-            kernel_engine: KernelEngine::default(),
+            host: HostExec::default(),
             tape_batch: BatchWidth::default(),
         }
     }
@@ -309,13 +262,13 @@ impl StreamProcessor {
         self
     }
 
-    /// Select the functional kernel-execution engine (default: batch).
-    pub fn with_engine(mut self, engine: KernelEngine) -> Self {
-        self.kernel_engine = engine;
+    /// Set how the host executes runs (default: [`HostExec::default`]).
+    pub fn with_host(mut self, host: HostExec) -> Self {
+        self.host = host;
         self
     }
 
-    /// Select the lane width of the batched engine (default: 8).
+    /// Select the lane width of the batched tape (default: 8).
     pub fn with_batch_width(mut self, width: BatchWidth) -> Self {
         self.tape_batch = width;
         self
@@ -326,15 +279,16 @@ impl StreamProcessor {
         self
     }
 
-    /// Execute `program` against `memory`, mutating regions written by
-    /// scatter-add/store ops.
-    ///
-    /// Routes through the same partition-aware engine as
-    /// [`StreamProcessor::run_parallel`] with one host thread, so a
-    /// program's cycles and counters depend only on whether it is
-    /// partitionable — never on which entry point ran it.
+    /// Execute `program` against `memory` on `self.host.threads` worker
+    /// threads, mutating regions written by scatter-add/store ops, then
+    /// time every op. See [`crate::parallel`] for the determinism
+    /// contract: cycle numbers depend only on whether the program
+    /// partitions, never on the thread count. Ineligible programs fall
+    /// back to the serial scoreboard with a typed
+    /// [`crate::FallbackReason`].
     pub fn run(&self, memory: &mut Memory, program: &StreamProgram) -> Result<RunReport, SimError> {
-        self.run_with_threads(memory, program, 1)
+        let executed = self.execute(memory, program)?;
+        self.time(memory, program, &executed, |_| true)
     }
 
     /// Preflight: reject programs the scoreboard can never complete,

@@ -52,12 +52,12 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::Instant;
 
-use merrimac_kernel::interp::{Interpreter, StreamData, StreamView};
+use merrimac_kernel::interp::{StreamData, StreamView};
 use merrimac_kernel::BatchWidth;
 use rayon::prelude::*;
 
 use crate::kernelc::CompiledKernel;
-use crate::machine::{HostPhases, KernelEngine, OpRecord, RunReport, SimError, StreamProcessor};
+use crate::machine::{HostPhases, OpRecord, RunReport, SimError, StreamProcessor};
 use crate::memsys::MemSystem;
 use crate::partition::{partition_program, PartitionReport};
 use crate::program::{AccessKind, BufferId, LabelledOp, Memory, RegionId, StreamOp, StreamProgram};
@@ -142,41 +142,13 @@ pub struct Executed {
 }
 
 impl StreamProcessor {
-    /// Execute `program` with the functional *and* memory-timing phases
-    /// fanned across `threads` worker threads. See the module docs for
-    /// the determinism contract; ineligible programs fall back to the
-    /// serial scoreboard with a typed [`crate::FallbackReason`].
-    pub fn run_parallel(
-        &self,
-        memory: &mut Memory,
-        program: &StreamProgram,
-        threads: usize,
-    ) -> Result<RunReport, SimError> {
-        self.run_with_threads(memory, program, threads)
-    }
-
-    /// The single engine behind [`StreamProcessor::run`] and
-    /// [`StreamProcessor::run_parallel`]: execute, then time every op.
-    /// Cycle numbers depend only on whether the program partitions —
-    /// never on the entry point or thread count.
-    pub(crate) fn run_with_threads(
-        &self,
-        memory: &mut Memory,
-        program: &StreamProgram,
-        threads: usize,
-    ) -> Result<RunReport, SimError> {
-        let executed = self.execute(memory, program, threads)?;
-        self.time(memory, program, &executed, |_| true)
-    }
-
     /// Everything up to the scoreboard: validate, partition, fan the
-    /// strips out (phase A), merge their records and fold their writes
-    /// into `memory`.
+    /// strips out across `self.host.threads` workers (phase A), merge
+    /// their records and fold their writes into `memory`.
     pub fn execute(
         &self,
         memory: &mut Memory,
         program: &StreamProgram,
-        threads: usize,
     ) -> Result<Executed, SimError> {
         // Reject un-runnable programs before burning functional work on
         // them; the scoreboard relies on this having passed.
@@ -187,12 +159,12 @@ impl StreamProcessor {
             validate_partition: t.elapsed(),
             ..HostPhases::default()
         };
-        if self.partition_verbose {
+        if self.host.partition_verbose {
             eprintln!("{}", partition.describe(program, memory));
         }
         if !partition.is_parallel() {
             let t = Instant::now();
-            let records = exec_serial(memory, program, self.kernel_engine, self.tape_batch)?;
+            let records = exec_serial(memory, program, self.tape_batch)?;
             host.phase_a_wall = t.elapsed();
             return Ok(Executed {
                 records,
@@ -204,7 +176,7 @@ impl StreamProcessor {
         // ---- phase A: contiguous chunks of strips, one per worker -------
         let t = Instant::now();
         let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads.max(1))
+            .num_threads(self.host.threads.max(1))
             .build()
             .map_err(|e| SimError::Program(format!("thread pool: {e}")))?;
         let (of_strip, count) = layers(program, &partition.strips);
@@ -267,7 +239,7 @@ impl StreamProcessor {
     /// Phase B, the serial timing pass: the scoreboard over the ops
     /// `keep` selects and their records. For a partitioned execution the
     /// report equals, in every field but `host` and `partition`, what
-    /// [`StreamProcessor::run_parallel`] returns for the kept ops as a
+    /// [`StreamProcessor::run`] returns for the kept ops as a
     /// program of their own on a fresh memory image — a record depends
     /// on its own strip only — so one execution can be timed whole and
     /// once per node; `execute` already validated and partitioned it.
@@ -308,13 +280,12 @@ impl StreamProcessor {
 fn exec_serial(
     memory: &mut Memory,
     program: &StreamProgram,
-    engine: KernelEngine,
     batch: BatchWidth,
 ) -> Result<Vec<OpRecord>, SimError> {
     let mut buffers = vec![None; program.buffers.len()];
     let mut records = Vec::with_capacity(program.ops.len());
     for lop in &program.ops {
-        let (rec, src) = exec_op(memory, lop, &mut buffers, engine, batch)?;
+        let (rec, src) = exec_op(memory, lop, &mut buffers, batch)?;
         records.push(rec);
         if let (Some(src), Some((region, _))) = (src, lop.op.region_use()) {
             write_into(memory.data_mut(region), &lop.op, src);
@@ -333,7 +304,6 @@ fn exec_op<'b>(
     memory: &Memory,
     lop: &LabelledOp,
     buffers: &'b mut [Option<StreamData>],
-    engine: KernelEngine,
     batch: BatchWidth,
 ) -> Result<(OpRecord, Option<&'b StreamData>), SimError> {
     let mut rec = OpRecord::default();
@@ -375,15 +345,8 @@ fn exec_op<'b>(
                 .iter()
                 .map(|b| produced(buffers, lop, *b, "input").map(StreamData::view))
                 .collect::<Result<_, _>>()?;
-            let (outs, srf_words) = kernel_functional(
-                &lop.label,
-                kernel,
-                views,
-                params,
-                *iterations,
-                engine,
-                batch,
-            )?;
+            let (outs, srf_words) =
+                kernel_functional(&lop.label, kernel, views, params, *iterations, batch)?;
             for (o, b) in outs.into_iter().zip(outputs) {
                 buffers[b.0] = Some(o);
             }
@@ -451,16 +414,15 @@ fn write_into(dst: &mut [f64], op: &StreamOp, src: &StreamData) {
     }
 }
 
-/// Run a kernel op's dataflow graph: unroll check, input reshape,
-/// execution on the selected engine. Returns the output streams and the
-/// SRF words moved (inputs consumed + outputs written).
+/// Run a kernel op: unroll check, input reshape, its compiled tape at
+/// lane width `batch`. Returns the output streams and the SRF words
+/// moved (inputs consumed + outputs written).
 fn kernel_functional(
     label: &str,
     kernel: &CompiledKernel,
     mut inputs: Vec<StreamView>,
     params: &[f64],
     iterations: u64,
-    engine: KernelEngine,
     batch: BatchWidth,
 ) -> Result<(Vec<StreamData>, u64), SimError> {
     let unroll = kernel.opt.unroll as u64;
@@ -483,18 +445,9 @@ fn kernel_functional(
         }
     }
     let unrolled_iters = (iterations / unroll) as usize;
-    let out = match engine {
-        KernelEngine::Batch => kernel
-            .tape
-            .run_views(&inputs, params, unrolled_iters, batch)?,
-        // The oracle keeps its owned-stream signature, and pays a copy.
-        KernelEngine::Interp => {
-            let owned = inputs
-                .iter()
-                .map(|d| StreamData::new(d.record_len, d.data.to_vec()));
-            Interpreter::new(&kernel.ir).run(&owned.collect::<Vec<_>>(), params, unrolled_iters)?
-        }
-    };
+    let out = kernel
+        .tape
+        .run_views(&inputs, params, unrolled_iters, batch)?;
     let mut srf_words = 0u64;
     for (s, d) in out.records_consumed.iter().zip(&inputs) {
         srf_words += (*s * d.record_len) as u64;
@@ -537,11 +490,11 @@ impl Worker {
         memsys.flush_cache();
         self.host.op_cost += t.elapsed();
         let mut buffers = vec![None; program.buffers.len()];
-        let (engine, batch) = (proc.kernel_engine, proc.tape_batch);
+        let batch = proc.tape_batch;
         for &i in ops {
             let lop = &program.ops[i];
             let t = Instant::now();
-            let (mut rec, src) = exec_op(memory, lop, &mut buffers, engine, batch)?;
+            let (mut rec, src) = exec_op(memory, lop, &mut buffers, batch)?;
             match (src, lop.op.region_use()) {
                 (Some(src), Some((region, AccessKind::Reduce))) => {
                     if let Some(at) = targets.iter().position(|&(r, _)| r == region.0) {
@@ -586,6 +539,16 @@ mod tests {
     use crate::kernelc::{CompiledKernel, KernelOpt};
     use crate::partition::{read_write_hazards, FallbackKind, FallbackReason};
     use crate::program::{AccessIntent, AccessKind, ProgramBuilder};
+    use crate::HostExec;
+
+    /// `proc` on `threads` host threads.
+    fn on(proc: &StreamProcessor, threads: usize) -> StreamProcessor {
+        let host = HostExec {
+            threads,
+            ..HostExec::default()
+        };
+        proc.clone().with_host(host)
+    }
 
     fn square_kernel(cfg: &MachineConfig) -> Arc<CompiledKernel> {
         let mut b = KernelBuilder::new("square");
@@ -640,7 +603,7 @@ mod tests {
     fn parallel_matches_expected_sums() {
         let (mut mem, program) = scatter_setup(4, 257);
         let proc = StreamProcessor::new(MachineConfig::default());
-        let r = proc.run_parallel(&mut mem, &program, 4).expect("runs");
+        let r = on(&proc, 4).run(&mut mem, &program).expect("runs");
         assert!(r.partition.parallelized);
         assert_eq!(r.partition.strips, 4);
         let acc = mem.data(RegionId(1));
@@ -675,9 +638,7 @@ mod tests {
         let run = |threads: usize| {
             let (mut mem, program) = scatter_setup(5, 129);
             let proc = StreamProcessor::new(MachineConfig::default());
-            let r = proc
-                .run_parallel(&mut mem, &program, threads)
-                .expect("runs");
+            let r = on(&proc, threads).run(&mut mem, &program).expect("runs");
             (mem.data(RegionId(1)).to_vec(), r)
         };
         let (base_data, base) = run(1);
@@ -700,7 +661,7 @@ mod tests {
         let (mut m2, p2) = scatter_setup(3, 200);
         let proc = StreamProcessor::new(MachineConfig::default());
         let serial = proc.run(&mut m1, &p1).expect("serial");
-        let parallel = proc.run_parallel(&mut m2, &p2, 4).expect("parallel");
+        let parallel = on(&proc, 4).run(&mut m2, &p2).expect("parallel");
         assert_eq!(serial.cycles, parallel.cycles);
         assert_eq!(serial.counters, parallel.counters);
         assert_eq!(serial.sdr_peak, parallel.sdr_peak);
@@ -753,7 +714,7 @@ mod tests {
         assert_eq!(part.owned_write_regions, vec![RegionId(1)]);
         let serial = proc.run(&mut m1, &p1).expect("serial");
         let (mut m2, p2) = build();
-        let parallel = proc.run_parallel(&mut m2, &p2, 4).expect("parallel");
+        let parallel = on(&proc, 4).run(&mut m2, &p2).expect("parallel");
         assert_eq!(
             m1.data(RegionId(1)),
             m2.data(RegionId(1)),
@@ -805,7 +766,7 @@ mod tests {
         );
         // Fallback still executes correctly (serial scoreboard).
         let proc = StreamProcessor::new(cfg);
-        let r = proc.run_parallel(&mut mem, &program, 4).expect("fallback");
+        let r = on(&proc, 4).run(&mut mem, &program).expect("fallback");
         assert!(!r.partition.parallelized);
     }
 
@@ -867,13 +828,11 @@ mod tests {
         assert!(part.is_parallel(), "{:?}", part.fallback);
         assert_eq!(part.owned_write_regions, vec![RegionId(0)]);
         let proc = StreamProcessor::new(cfg);
-        let r1 = proc.run_parallel(&mut m1, &p1, 4).expect("parallel");
+        let r1 = on(&proc, 4).run(&mut m1, &p1).expect("parallel");
         assert!(r1.partition.parallelized);
         let (mut m2, _) = build(true);
         let (_, undeclared2) = build(false);
-        let r2 = proc
-            .run_with_threads(&mut m2, &undeclared2, 1)
-            .expect("serial");
+        let r2 = proc.run(&mut m2, &undeclared2).expect("serial");
         assert!(!r2.partition.parallelized);
         assert_eq!(m1.data(RegionId(0)), m2.data(RegionId(0)));
         for (i, v) in m1.data(RegionId(0)).iter().enumerate() {
@@ -922,7 +881,7 @@ mod tests {
         assert!(part.is_parallel(), "{:?}", part.fallback);
         assert_eq!(part.owned_write_regions, vec![RegionId(0)]);
         let proc = StreamProcessor::new(MachineConfig::default());
-        let r = proc.run_parallel(&mut mem, &program, 4).expect("parallel");
+        let r = on(&proc, 4).run(&mut mem, &program).expect("parallel");
         assert!(r.partition.parallelized);
         for (i, v) in mem.data(RegionId(0)).iter().enumerate() {
             let x = (i + 1) as f64;
@@ -978,7 +937,7 @@ mod tests {
         // The fallback path still computes the update exactly: strip 1
         // squares strip 0's already-squared slice.
         let proc = StreamProcessor::new(cfg);
-        let r = proc.run_parallel(&mut mem, &program, 4).expect("fallback");
+        let r = on(&proc, 4).run(&mut mem, &program).expect("fallback");
         assert!(!r.partition.parallelized);
         assert_eq!(r.partition.fallback, Some(FallbackKind::ReadAfterWrite));
         assert_eq!(mem.data(RegionId(0))[5], 25.0);
@@ -1022,9 +981,7 @@ mod tests {
         assert!(text.contains("serial fallback"), "{text}");
         assert!(text.contains("'x'"), "{text}");
         let proc = StreamProcessor::new(cfg);
-        let r = proc
-            .run_parallel(&mut mem, &program, 4)
-            .expect("fallback runs");
+        let r = on(&proc, 4).run(&mut mem, &program).expect("fallback runs");
         assert!(!r.partition.parallelized);
         assert_eq!(
             r.partition.fallback,
@@ -1197,9 +1154,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let (mut mem, program, _) = two_region_setup(strips, n);
             let proc = StreamProcessor::new(MachineConfig::default());
-            let r = proc
-                .run_parallel(&mut mem, &program, threads)
-                .expect("runs");
+            let r = on(&proc, threads).run(&mut mem, &program).expect("runs");
             assert!(r.partition.parallelized, "{:?}", r.partition.fallback);
             let got = |r| {
                 mem.data(RegionId(r))

@@ -1,5 +1,5 @@
 //! Where a force step's host time goes, per variant on the paper's
-//! 900-molecule box: per-step means in ms over warm steps at 2 engine
+//! 900-molecule box: per-step means in ms over warm steps at 2 host
 //! threads, everything but the kernel compile fresh per step as on the
 //! repo benchmark's cold workloads. The first columns are the stages
 //! around `run` — the neighbour list, the stream layout, the rest of
@@ -8,10 +8,11 @@
 //! Its columns from `gather` to `op_cost` are summed over the worker
 //! threads, so they can exceed `phase_a_wall`. The last column is what a
 //! kernel launch costs per kernel iteration: `kernel` over the step's
-//! iteration count, in thread-ns. The kernel engine comes from the
-//! environment, strictly (`MERRIMAC_KERNEL_ENGINE=interp` profiles the
-//! oracle). The last row is the `variable` step over 8 simulated nodes:
-//! one execution, so one `phase_a_wall` and one `reduce`, and a
+//! iteration count, in thread-ns. The host settings come from the
+//! environment, strictly: `MERRIMAC_HOST_THREADS` (default 2) and
+//! `MERRIMAC_PARTITION_VERBOSE`; a malformed value exits 1. The last
+//! row is the `variable` step over 8 simulated nodes: one execution,
+//! so one `phase_a_wall` and one `reduce`, and a
 //! `scoreboard` summed over its nine timings (the whole step and each
 //! node's share). `minflt` is the process's minor page faults per step
 //! over the timed steps (field 10 of `/proc/self/stat`; blank where
@@ -26,7 +27,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use merrimac_repro::prelude::*;
-use merrimac_repro::sim::{HostExec, HostPhases, RunReport};
+use merrimac_repro::sim::{env_usize, EnvOverrideError, HostExec, HostPhases, RunReport};
 use merrimac_repro::streammd::layout::build_layout;
 use merrimac_repro::streammd::{run_multinode_program, StepProgram};
 
@@ -114,17 +115,22 @@ fn profile(
     println!(" {per_iteration:14.1} {faults:>7}");
 }
 
-fn main() {
-    let system = WaterBox::paper_dataset(42);
-    let host = HostExec::from_vars(|var| std::env::var(var).ok()).unwrap_or_else(|e| {
+/// A strictly resolved environment value: a malformed one exits 1.
+fn strict<T>(resolved: Result<T, EnvOverrideError>) -> T {
+    resolved.unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1)
-    });
-    let app = StreamMdApp::builder()
-        .host(host)
-        .threads(2)
-        .build()
-        .expect("valid");
+    })
+}
+
+fn main() {
+    let system = WaterBox::paper_dataset(42);
+    let env = |var: &str| std::env::var(var).ok();
+    let host = HostExec {
+        threads: strict(env_usize(env, "MERRIMAC_HOST_THREADS")).unwrap_or(2),
+        ..strict(HostExec::from_vars(env))
+    };
+    let app = StreamMdApp::builder().host(host).build().expect("valid");
     print!("{:11} {:>7}", "variant", "step");
     for name in STAGES
         .into_iter()

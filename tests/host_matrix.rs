@@ -4,20 +4,21 @@
 //! variant, a driven trajectory, and a multi-node step. The environment
 //! is resolved strictly, so a malformed matrix entry fails every test
 //! here with the `EnvOverrideError` text instead of silently running the
-//! default. One fixed non-default host (3 threads, the interpreter) is
-//! always compared too, so the suite exercises the equality with nothing
-//! exported. Every dataset here spans several strips, so the thread
-//! count reaches the strip fan-out.
+//! default. One fixed host with both fields off their defaults (3
+//! threads, the partition report on) is always compared too, so the
+//! suite exercises the equality with nothing exported. Every dataset
+//! here spans several strips, so the thread count reaches the strip
+//! fan-out. The kernel engine is not a host setting: the interpreter is
+//! held to the shipped kernels' launches in `tape_equivalence`.
 
 use md_sim::vec3::Vec3;
 use merrimac_bench::{run, Dataset, RunSpec};
-use merrimac_sim::{env_usize, HostExec, KernelEngine};
+use merrimac_sim::{env_usize, HostExec};
 use streammd::{MerrimacDriver, StepOutcome, Variant};
 
 const FIXED: HostExec = HostExec {
     threads: 3,
-    engine: KernelEngine::Interp,
-    partition_verbose: false,
+    partition_verbose: true,
 };
 
 /// The hosts held against `HostExec::default()` — the environment's and

@@ -83,7 +83,7 @@ fn processor(app: &StreamMdApp) -> StreamProcessor {
     StreamProcessor::new(app.cfg.clone())
         .with_costs(app.costs.clone())
         .with_policy(app.policy)
-        .with_engine(app.engine)
+        .with_host(app.host)
         .with_batch_width(app.tape_batch)
 }
 
@@ -130,9 +130,7 @@ fn timing_a_nodes_ops_equals_running_its_sub_program() {
                 let step = app.build_step_program(&system, &list, variant);
                 let proc = processor(&app);
                 let mut mem = step.memory.clone();
-                let executed = proc
-                    .execute(&mut mem, &step.program, threads)
-                    .expect("executes");
+                let executed = proc.execute(&mut mem, &step.program).expect("executes");
                 for nodes in [2usize, 4, 8] {
                     let ctx =
                         format!("water-{molecules} {variant} nodes={nodes} threads={threads}");
@@ -155,7 +153,7 @@ fn timing_a_nodes_ops_equals_running_its_sub_program() {
                         };
                         let mut node_mem = step.memory.clone();
                         let want = proc
-                            .run_parallel(&mut node_mem, &sub, threads)
+                            .run(&mut node_mem, &sub)
                             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                         for (acc, w) in summed.iter_mut().zip(node_mem.data(step.forces)) {
                             *acc += w;
@@ -229,6 +227,7 @@ fn a_subset_of_an_unpartitioned_execution_is_a_typed_error() {
     let app = SimConfigBuilder::new()
         .neighbor(list.params)
         .strip_iterations(96)
+        .threads(2)
         .build()
         .expect("valid");
     let mut step = app.build_step_program(&system, &list, Variant::Variable);
@@ -250,7 +249,7 @@ fn a_subset_of_an_unpartitioned_execution_is_a_typed_error() {
     });
     let proc = processor(&app);
     let mut mem = step.memory.clone();
-    let executed = proc.execute(&mut mem, &step.program, 2).expect("executes");
+    let executed = proc.execute(&mut mem, &step.program).expect("executes");
     assert!(!executed.partition.is_parallel());
 
     let err = proc

@@ -12,13 +12,21 @@
 //! the still-correct fallback for genuinely overlapping reads.
 
 use std::sync::Arc;
+/// `proc` on `threads` host threads.
+fn on(proc: &StreamProcessor, threads: usize) -> StreamProcessor {
+    let host = HostExec {
+        threads,
+        ..HostExec::default()
+    };
+    proc.clone().with_host(host)
+}
 
 use merrimac_arch::{MachineConfig, OpCosts};
 use merrimac_kernel::ir::StreamMode;
 use merrimac_kernel::KernelBuilder;
 use merrimac_sim::{
-    partition_program, read_write_hazards, AccessIntent, CompiledKernel, FallbackKind, KernelOpt,
-    Memory, ProgramBuilder, RegionId, StreamProcessor, StreamProgram,
+    partition_program, read_write_hazards, AccessIntent, CompiledKernel, FallbackKind, HostExec,
+    KernelOpt, Memory, ProgramBuilder, RegionId, StreamProcessor, StreamProgram,
 };
 
 fn square_kernel(cfg: &MachineConfig) -> Arc<CompiledKernel> {
@@ -91,8 +99,8 @@ fn in_place_results_bitwise_identical_across_thread_counts() {
     let mut runs = Vec::new();
     for threads in [1usize, 2, 8] {
         let (mut mem, program) = in_place_program(strips, n);
-        let report = proc
-            .run_parallel(&mut mem, &program, threads)
+        let report = on(&proc, threads)
+            .run(&mut mem, &program)
             .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
         assert!(
             report.partition.parallelized,
@@ -173,7 +181,7 @@ fn overlapping_read_still_falls_back_and_stays_correct() {
     );
 
     let proc = StreamProcessor::new(cfg);
-    let report = proc.run_parallel(&mut mem, &program, 8).expect("runs");
+    let report = on(&proc, 8).run(&mut mem, &program).expect("runs");
     assert!(!report.partition.parallelized);
     // Strip 0 squares the first slice once; strip 1 reads the squared
     // values and stores their squares into the second slice.

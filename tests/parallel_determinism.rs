@@ -29,12 +29,12 @@ fn run_case(molecules: usize, seed: u64, strip: usize, threads: usize) {
     app.strip_iterations = Some(strip);
     for v in Variant::ALL {
         let mut serial_app = app.clone();
-        serial_app.threads = 1;
+        serial_app.host.threads = 1;
         let serial = serial_app
             .run_step_with_list(&system, &list, v)
             .unwrap_or_else(|e| panic!("{v} serial: {e}"));
         let mut parallel_app = app.clone();
-        parallel_app.threads = threads;
+        parallel_app.host.threads = threads;
         let parallel = parallel_app
             .run_step_with_list(&system, &list, v)
             .unwrap_or_else(|e| panic!("{v} x{threads}: {e}"));
@@ -97,7 +97,7 @@ fn parallel_determinism_at_216_molecules() {
     app.neighbor.cutoff = (0.45 * system.pbc().side()).min(1.0);
     let step = |threads| {
         let mut app = app.clone();
-        app.threads = threads;
+        app.host.threads = threads;
         app.run_step(&system, Variant::Variable)
             .unwrap_or_else(|e| panic!("run_step x{threads}: {e}"))
     };

@@ -6,14 +6,22 @@
 //! that violate a declared intent must be rejected up front.
 
 use std::sync::Arc;
+/// `proc` on `threads` host threads.
+fn on(proc: &StreamProcessor, threads: usize) -> StreamProcessor {
+    let host = HostExec {
+        threads,
+        ..HostExec::default()
+    };
+    proc.clone().with_host(host)
+}
 
 use merrimac_arch::{MachineConfig, OpCosts};
 use merrimac_kernel::ir::StreamMode;
 use merrimac_kernel::KernelBuilder;
 use merrimac_sim::machine::SimError;
 use merrimac_sim::{
-    partition_program, AccessIntent, CompiledKernel, FallbackKind, FallbackReason, KernelOpt,
-    Memory, ProgramBuilder, RegionId, StreamProcessor, StreamProgram,
+    partition_program, AccessIntent, CompiledKernel, FallbackKind, FallbackReason, HostExec,
+    KernelOpt, Memory, ProgramBuilder, RegionId, StreamProcessor, StreamProgram,
 };
 use proptest::prelude::*;
 
@@ -80,8 +88,8 @@ fn run_case(strips: usize, n: usize, salt: u64) {
     for threads in [1usize, 2, 8] {
         let (mut mem, program) = read_shared_program(strips, n, salt);
         let proc = StreamProcessor::new(MachineConfig::default());
-        let report = proc
-            .run_parallel(&mut mem, &program, threads)
+        let report = on(&proc, threads)
+            .run(&mut mem, &program)
             .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
         assert!(
             report.partition.parallelized,
@@ -178,7 +186,7 @@ fn write_write_conflict_falls_back_with_typed_reason() {
     // The serial fallback still executes the program exactly: the later
     // store (op order) wins in the overlap window.
     let proc = StreamProcessor::new(MachineConfig::default());
-    let report = proc.run_parallel(&mut mem, &program, 8).expect("runs");
+    let report = on(&proc, 8).run(&mut mem, &program).expect("runs");
     assert!(!report.partition.parallelized);
     assert_eq!(
         report.partition.fallback,
@@ -212,8 +220,8 @@ fn intent_violation_is_a_program_error() {
     pb.store("store back", by, xs, 1, 0);
     let program = pb.build();
     let proc = StreamProcessor::new(MachineConfig::default());
-    let err = proc
-        .run_parallel(&mut mem, &program, 2)
+    let err = on(&proc, 2)
+        .run(&mut mem, &program)
         .expect_err("a write to a read-only region must be rejected");
     match &err {
         SimError::Program(msg) => {

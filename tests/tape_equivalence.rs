@@ -1,19 +1,25 @@
-//! Differential proof that the host engines are the same function: the
-//! reference graph-walking interpreter, the batched SoA tape (at both
-//! widths, 8 and 16) and `CompiledTape::run`, the same loop at the one
-//! lane the batch remainder runs at. Over random kernels (with and without
-//! conditional streams, unrolled and not), each must produce
-//! bitwise-identical outputs, records-consumed counts, final registers —
-//! and identical errors when a stream underruns. Strip-level tests then
-//! show `run_with_threads` produces identical `RunReport`s and region
-//! contents under either engine at every thread count, and that a
-//! conditional stream run dry in a real StreamMD step is the same typed
-//! error everywhere.
+//! Differential proof that the interpreter and the tape are the same
+//! function: the reference graph-walking interpreter, the batched SoA
+//! tape (at both widths, 8 and 16) and `CompiledTape::run`, the same
+//! loop at the one lane the batch remainder runs at. Over random kernels
+//! (with and without conditional streams, unrolled and not), each must
+//! produce bitwise-identical outputs, records-consumed counts, final
+//! registers — and identical errors when a stream underruns. The
+//! interpreter stays the oracle of the shipped kernels on real data:
+//! every launch of a force step on every workload and variant, replayed
+//! from its strip's gathers and loads, must match it bit for bit.
+//! Strip-level tests then show the processor stores the interpreter's
+//! words with one `RunReport` at every lane width and thread count, and
+//! that a conditional stream run dry in a real StreamMD step is the same
+//! typed error everywhere, the interpreter included.
 
 use std::sync::Arc;
 
+use md_sim::neighbor::{NeighborList, NeighborListParams};
+use md_sim::system::WaterBox;
+use md_sim::water::WaterModel;
 use merrimac_arch::{MachineConfig, OpCosts};
-use merrimac_bench::small_system;
+use merrimac_bench::{small_system, Dataset, SEED};
 use merrimac_kernel::builder::Val;
 use merrimac_kernel::interp::{InterpError, InterpOutput, Interpreter, StreamData};
 use merrimac_kernel::ir::{Kernel, Node, StreamMode};
@@ -21,8 +27,8 @@ use merrimac_kernel::unroll::unroll;
 use merrimac_kernel::{BatchWidth, CompiledTape, KernelBuilder};
 use merrimac_sim::program::StreamOp;
 use merrimac_sim::{
-    AccessIntent, CompiledKernel, KernelEngine, KernelOpt, Memory, ProgramBuilder, RegionId,
-    SimError, StreamProcessor,
+    AccessIntent, CompiledKernel, HostExec, KernelOpt, Memory, ProgramBuilder, RegionId, SimError,
+    StreamProcessor, StreamProgram,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -324,7 +330,7 @@ fn cond_kernel(cfg: &MachineConfig, opt: KernelOpt) -> Arc<CompiledKernel> {
 }
 
 /// Multi-strip load→kernel→store program over the conditional kernel.
-fn strip_program(strips: usize, n: usize) -> (Memory, merrimac_sim::StreamProgram) {
+fn strip_program(strips: usize, n: usize) -> (Memory, StreamProgram) {
     let cfg = MachineConfig::default();
     let k = cond_kernel(&cfg, KernelOpt::default());
     let mut mem = Memory::new();
@@ -361,125 +367,212 @@ fn strip_program(strips: usize, n: usize) -> (Memory, merrimac_sim::StreamProgra
     (mem, pb.build())
 }
 
-/// `run_with_threads` must produce identical `RunReport`s and region
-/// contents whichever engine executes the kernels, at every thread
-/// count — the engines change host wall-clock only, never simulated
-/// results.
+/// One kernel launch of a stream program, with the inputs its strip's
+/// gathers and loads stage for it.
+struct Launch<'p> {
+    strip: usize,
+    label: &'p str,
+    kernel: &'p CompiledKernel,
+    inputs: Vec<StreamData>,
+    params: &'p [f64],
+    /// Iterations of the (unrolled) kernel.
+    iterations: usize,
+}
+
+/// Every kernel launch of `program` the processor accepts (its unroll
+/// divides its iterations), the inputs replayed from the gathers and
+/// loads ahead of it over `memory` and reshaped to the kernel's record
+/// lengths, as the processor hands them over.
+fn launches<'p>(program: &'p StreamProgram, memory: &Memory) -> Vec<Launch<'p>> {
+    let mut staged: Vec<Option<StreamData>> = vec![None; program.buffers.len()];
+    let mut out = Vec::new();
+    for lop in &program.ops {
+        match &lop.op {
+            StreamOp::Gather {
+                region,
+                record_len,
+                indices,
+                dst,
+            } => {
+                let src = memory.data(*region);
+                let records = indices.iter().map(|&i| i as usize * record_len);
+                let data = records.flat_map(|s| &src[s..s + record_len]).copied();
+                staged[dst.0] = Some(StreamData::new(*record_len, data.collect()));
+            }
+            StreamOp::Load {
+                region,
+                record_len,
+                start,
+                records,
+                dst,
+            } => {
+                let data = &memory.data(*region)[start * record_len..][..records * record_len];
+                staged[dst.0] = Some(StreamData::new(*record_len, data.to_vec()));
+            }
+            StreamOp::Kernel {
+                kernel,
+                inputs,
+                params,
+                iterations,
+                ..
+            } => {
+                let unroll = u64::from(kernel.opt.unroll);
+                if !iterations.is_multiple_of(unroll) {
+                    continue; // the processor refuses the launch
+                }
+                let inputs = inputs.iter().zip(&kernel.ir.inputs).map(|(b, sig)| {
+                    let words = staged[b.0].as_ref().expect("staged before its launch");
+                    StreamData::new(sig.record_len as usize, words.data.clone())
+                });
+                out.push(Launch {
+                    strip: lop.strip,
+                    label: &lop.label,
+                    kernel,
+                    inputs: inputs.collect(),
+                    params,
+                    iterations: (iterations / unroll) as usize,
+                });
+            }
+            StreamOp::ScatterAdd { .. } | StreamOp::Store { .. } => {}
+        }
+    }
+    out
+}
+
+impl Launch<'_> {
+    fn interpret(&self) -> Result<InterpOutput, InterpError> {
+        Interpreter::new(&self.kernel.ir).run(&self.inputs, self.params, self.iterations)
+    }
+}
+
+/// The words the strip programs below store: each launch's one output,
+/// as the interpreter computes it, in launch order.
+fn interpreted_stores(program: &StreamProgram, memory: &Memory) -> Vec<f64> {
+    let outputs = launches(program, memory).into_iter().map(|launch| {
+        let out = launch.interpret().expect("the interpreter runs the launch");
+        out.outputs.into_iter().next().expect("one output").data
+    });
+    outputs.flatten().collect()
+}
+
+/// The processor at lane width `width` on `threads` host threads.
+fn processor(width: BatchWidth, threads: usize) -> StreamProcessor {
+    let host = HostExec {
+        threads,
+        ..HostExec::default()
+    };
+    StreamProcessor::new(MachineConfig::default())
+        .with_host(host)
+        .with_batch_width(width)
+}
+
+/// A partitioned strip program stores, at both lane widths and every
+/// thread count, exactly the words the interpreter computes for its
+/// launches, with one `RunReport` — the lanes and the threads change
+/// host wall-clock only, never simulated results.
 #[test]
 fn strip_run_reports_identical_under_all_engines() {
     let strips = 4;
     let n = 200;
-    let mut baseline: Option<(Vec<f64>, merrimac_sim::RunReport)> = None;
-    for engine in [KernelEngine::Interp, KernelEngine::Batch] {
+    let (mem, program) = strip_program(strips, n);
+    let want = interpreted_stores(&program, &mem);
+    assert_eq!(want.len(), strips * n);
+    let mut baseline: Option<merrimac_sim::RunReport> = None;
+    for width in [BatchWidth::W8, BatchWidth::W16] {
         for threads in [1usize, 4] {
-            let (mut mem, program) = strip_program(strips, n);
-            let proc = StreamProcessor::new(MachineConfig::default()).with_engine(engine);
-            let report = proc
-                .run_parallel(&mut mem, &program, threads)
-                .unwrap_or_else(|e| panic!("{engine:?}/{threads}: {e}"));
-            assert!(report.partition.parallelized, "{engine:?}: must partition");
-            let data = mem.data(RegionId(2)).to_vec();
-            match &baseline {
-                None => baseline = Some((data, report)),
-                Some((base_data, base)) => {
-                    assert_eq!(base_data, &data, "{engine:?}/{threads}: region data");
-                    assert_eq!(base.cycles, report.cycles, "{engine:?}/{threads}: cycles");
-                    assert_eq!(
-                        base.counters, report.counters,
-                        "{engine:?}/{threads}: counters"
-                    );
-                    assert_eq!(
-                        base.phases, report.phases,
-                        "{engine:?}/{threads}: phase cycles"
-                    );
-                    assert_eq!(
-                        base.cache_stats, report.cache_stats,
-                        "{engine:?}/{threads}: cache stats"
-                    );
-                    assert_eq!(
-                        base.sdr_peak, report.sdr_peak,
-                        "{engine:?}/{threads}: SDR peak"
-                    );
-                    assert_eq!(
-                        base.srf_peak_words_per_cluster, report.srf_peak_words_per_cluster,
-                        "{engine:?}/{threads}: SRF peak"
-                    );
-                    assert_eq!(
-                        base.sdr_stall_cycles, report.sdr_stall_cycles,
-                        "{engine:?}/{threads}: SDR stalls"
-                    );
-                    assert_eq!(
-                        base.partition, report.partition,
-                        "{engine:?}/{threads}: partition"
-                    );
-                }
-            }
+            let ctx = format!("batch {width}/{threads} threads");
+            let mut mem = mem.clone();
+            let report = processor(width, threads)
+                .run(&mut mem, &program)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert!(report.partition.parallelized, "{ctx}: must partition");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(
+                bits(mem.data(RegionId(2))),
+                bits(&want),
+                "{ctx}: region data"
+            );
+            let Some(base) = &baseline else {
+                baseline = Some(report);
+                continue;
+            };
+            assert_eq!(base.cycles, report.cycles, "{ctx}: cycles");
+            assert_eq!(base.counters, report.counters, "{ctx}: counters");
+            assert_eq!(base.phases, report.phases, "{ctx}: phase cycles");
+            assert_eq!(base.cache_stats, report.cache_stats, "{ctx}: cache stats");
+            assert_eq!(base.sdr_peak, report.sdr_peak, "{ctx}: SDR peak");
+            assert_eq!(
+                base.srf_peak_words_per_cluster, report.srf_peak_words_per_cluster,
+                "{ctx}: SRF peak"
+            );
+            assert_eq!(
+                base.sdr_stall_cycles, report.sdr_stall_cycles,
+                "{ctx}: SDR stalls"
+            );
+            assert_eq!(base.partition, report.partition, "{ctx}: partition");
         }
     }
 }
 
-/// The serial scoreboard path (cross-strip buffer → fallback) must also
-/// agree between engines.
+/// The serial scoreboard path (cross-strip buffer → fallback) stores the
+/// interpreter's words too, with one report at both widths and thread
+/// counts.
 #[test]
 fn serial_fallback_identical_under_all_engines() {
     let cfg = MachineConfig::default();
     let k = cond_kernel(&cfg, KernelOpt::default());
     let n = 128usize;
-    let build = || {
-        let mut mem = Memory::new();
-        let xs = mem.region("xs", (0..n).map(|i| (i as f64).cos()).collect());
-        let cs = mem.region("centres", (0..n).map(|i| i as f64).collect());
-        let out = mem.region("out", vec![0.0; n]);
-        let mut pb = ProgramBuilder::new();
-        let bx = pb.buffer("x", 1);
-        let bc = pb.buffer("c", 1);
-        let by = pb.buffer("y", 1);
-        // Producer and consumer in different strips: serial fallback.
-        pb.strip(0).load("load x", xs, 1, 0, n, bx);
-        pb.strip(0).load("load c", cs, 1, 0, n.div_ceil(2), bc);
-        pb.strip(1).kernel(
-            "kernel",
-            k.clone(),
-            vec![bx, bc],
-            vec![by],
-            vec![],
-            n as u64,
-            (n as u64).div_ceil(16),
-        );
-        pb.strip(1).store("store", by, out, 1, 0);
-        (mem, pb.build())
-    };
-    let (mut m1, p1) = build();
-    let r1 = StreamProcessor::new(cfg.clone())
-        .with_engine(KernelEngine::Interp)
-        .run(&mut m1, &p1)
-        .expect("interp");
-    assert!(!r1.partition.parallelized);
+    let mut mem = Memory::new();
+    let xs = mem.region("xs", (0..n).map(|i| (i as f64).cos()).collect());
+    let cs = mem.region("centres", (0..n).map(|i| i as f64).collect());
+    let out = mem.region("out", vec![0.0; n]);
+    let mut pb = ProgramBuilder::new();
+    let bx = pb.buffer("x", 1);
+    let bc = pb.buffer("c", 1);
+    let by = pb.buffer("y", 1);
+    // Producer and consumer in different strips: serial fallback.
+    pb.strip(0).load("load x", xs, 1, 0, n, bx);
+    pb.strip(0).load("load c", cs, 1, 0, n.div_ceil(2), bc);
+    pb.strip(1).kernel(
+        "kernel",
+        k,
+        vec![bx, bc],
+        vec![by],
+        vec![],
+        n as u64,
+        (n as u64).div_ceil(16),
+    );
+    pb.strip(1).store("store", by, out, 1, 0);
+    let program = pb.build();
+    let want = interpreted_stores(&program, &mem);
+    let mut baseline: Option<merrimac_sim::RunReport> = None;
     for width in [BatchWidth::W8, BatchWidth::W16] {
-        let (mut m3, p3) = build();
-        let r3 = StreamProcessor::new(cfg.clone())
-            .with_engine(KernelEngine::Batch)
-            .with_batch_width(width)
-            .run(&mut m3, &p3)
-            .unwrap_or_else(|e| panic!("batch {width}: {e}"));
-        assert!(!r3.partition.parallelized);
-        assert_eq!(m1.data(RegionId(2)), m3.data(RegionId(2)), "batch {width}");
-        assert_eq!(r1.cycles, r3.cycles, "batch {width}");
-        assert_eq!(r1.counters, r3.counters, "batch {width}");
-        assert_eq!(r1.cache_stats, r3.cache_stats, "batch {width}");
+        for threads in [1usize, 2] {
+            let ctx = format!("batch {width}/{threads} threads");
+            let mut m = mem.clone();
+            let r = processor(width, threads)
+                .run(&mut m, &program)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert!(!r.partition.parallelized, "{ctx}");
+            assert_eq!(m.data(out), &want[..], "{ctx}");
+            let base = baseline.get_or_insert_with(|| r.clone());
+            assert_eq!(base.cycles, r.cycles, "{ctx}");
+            assert_eq!(base.counters, r.counters, "{ctx}");
+            assert_eq!(base.cache_stats, r.cache_stats, "{ctx}");
+        }
     }
 }
 
 /// A conditional stream run dry inside a real StreamMD step is a typed
 /// error, identically everywhere. The STREAM_UNDERRUN lint is silent on
 /// conditional streams by design (their consumption is data-dependent),
-/// so the engines' per-pop depth check is the only guard: load too few
+/// so the tape's per-pop depth check is the only guard: load too few
 /// centre records into a strip of the `variable` program and every
-/// engine × width × thread count must blame the same
-/// `(stream, iteration)` — never index past the stream, never return
-/// forces. One record short runs dry on the strip's last iteration, in
-/// the batch engine's scalar remainder; half the records short runs dry
-/// mid-strip, in the sequential phase of a full batch.
+/// width × thread count, and the interpreter on the same launch, must
+/// blame the same `(stream, iteration)` — never index past the stream,
+/// never return forces. One record short runs dry on the strip's last
+/// iteration, in the batched tape's one-lane remainder; half the records
+/// short runs dry mid-strip, in a full batch.
 #[test]
 fn truncated_centre_stream_is_the_same_typed_error_everywhere() {
     let (system, list) = small_system(216);
@@ -505,17 +598,21 @@ fn truncated_centre_stream_is_the_same_typed_error_everywhere() {
         app.admit_built(&step)
             .expect("the lint cannot see a conditional-stream shortfall");
 
-        let mut blamed = None;
-        for (engine, width) in [
-            (KernelEngine::Batch, BatchWidth::W8),
-            (KernelEngine::Batch, BatchWidth::W16),
-            (KernelEngine::Interp, BatchWidth::W8),
-        ] {
+        let launch = launches(&step.program, &step.memory)
+            .into_iter()
+            .find(|launch| launch.strip == sid)
+            .expect("the strip launches its kernel");
+        let Err(InterpError::StreamUnderrun { stream, iteration }) = launch.interpret() else {
+            panic!("the interpreter must run the truncated stream dry");
+        };
+        // Kernel inputs are [n_pos, flags, centres].
+        assert_eq!(stream, 2, "interpreter");
+        let blamed = iteration;
+        for width in [BatchWidth::W8, BatchWidth::W16] {
             for threads in [1usize, 4] {
-                app.engine = engine;
                 app.tape_batch = width;
-                app.threads = threads;
-                let ctx = format!("{engine}/{width}/{threads} threads");
+                app.host.threads = threads;
+                let ctx = format!("{width}/{threads} threads");
                 let err = app
                     .run_step_program(&system, &step)
                     .err()
@@ -524,13 +621,10 @@ fn truncated_centre_stream_is_the_same_typed_error_everywhere() {
                 else {
                     panic!("{ctx}: expected a stream underrun, got {err}");
                 };
-                // Kernel inputs are [n_pos, flags, centres].
-                assert_eq!(stream, 2, "{ctx}");
-                assert_eq!(*blamed.get_or_insert(iteration), iteration, "{ctx}");
+                assert_eq!((stream, iteration), (2, blamed), "{ctx}");
             }
         }
         // Both check sites are exercised at both widths.
-        let blamed = blamed.expect("ran");
         if in_remainder {
             assert!(
                 blamed >= iterations - iterations % 8,
@@ -541,6 +635,73 @@ fn truncated_centre_stream_is_the_same_typed_error_everywhere() {
                 blamed < iterations - iterations % 16,
                 "{blamed}/{iterations}"
             );
+        }
+    }
+}
+
+/// The interpreter is the oracle of every shipped kernel on the data it
+/// really runs on: every launch of a force step — water, LJ, charged and
+/// TIP5P boxes, every variant, and `variable` unrolled ×2 on its even
+/// strips — replayed from
+/// its strip's gathers and loads, gives the tape at one lane and the
+/// batched tape at 8 and 16 lanes the interpreter's outputs, consumed
+/// counts, iteration count and final registers, bit for bit.
+#[test]
+fn every_shipped_launch_matches_the_interpreter() {
+    let tip5p = {
+        let system = WaterBox::builder()
+            .molecules(64)
+            .model(WaterModel::tip5p())
+            .seed(SEED)
+            .build();
+        let params = NeighborListParams {
+            cutoff: (0.45 * system.pbc().side()).min(1.0),
+            skin: 0.0,
+            rebuild_interval: 10,
+        };
+        let list = NeighborList::build(&system, params);
+        ("tip5p-64".to_string(), system, list)
+    };
+    let datasets = [Dataset::small(125), Dataset::lj(216), Dataset::charged(216)]
+        .map(|ds| (ds.id.to_string(), ds.system, ds.list));
+    let unrolled = KernelOpt {
+        unroll: 2,
+        software_pipeline: true,
+    };
+    for (name, system, list) in datasets.into_iter().chain([tip5p]) {
+        let app = StreamMdApp::builder().neighbor(list.params);
+        let runs = Variant::ALL.map(|v| (v, app.clone())).into_iter().chain([(
+            Variant::Variable,
+            app.kernel_opt(unrolled).strip_iterations(256),
+        )]);
+        for (variant, app) in runs {
+            let app = app.variants(&[variant]).build().expect("valid");
+            let step = app.build_step_program(&system, &list, variant);
+            let unroll = app.kernel_opt.unroll;
+            let all = launches(&step.program, &step.memory);
+            // A strip's iteration count is the layout's, not a multiple
+            // of the unroll: unrolled, strips are cut at most 256 long so
+            // that several launch, and the even ones replay.
+            let strips = step.layout.strips.len();
+            assert!(
+                all.len() == strips || (unroll > 1 && !all.is_empty()),
+                "{name} {variant} x{unroll}: {} of {strips} launches",
+                all.len()
+            );
+            for launch in all {
+                let ctx = format!("{name} {variant} x{unroll} '{}'", launch.label);
+                let (inputs, params, iters) = (&launch.inputs, launch.params, launch.iterations);
+                let want = launch.interpret().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let tape = &launch.kernel.tape;
+                let one_lane = tape.run(inputs, params, iters);
+                let one_lane = one_lane.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_bitwise_equal(&one_lane, &want, &format!("{ctx} (1 lane)"));
+                for width in [BatchWidth::W8, BatchWidth::W16] {
+                    let got = tape.run_batched(inputs, params, iters, width);
+                    let got = got.unwrap_or_else(|e| panic!("{ctx} (batch {width}): {e}"));
+                    assert_bitwise_equal(&got, &want, &format!("{ctx} (batch {width})"));
+                }
+            }
         }
     }
 }

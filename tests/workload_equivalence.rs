@@ -9,8 +9,9 @@
 //! pipeline's exactness guarantees must hold for every workload the
 //! `Workload` abstraction admits. N-site water (SPC, TIP3P, TIP5P) is
 //! held to `md_sim::multisite` end to end on the same terms: every
-//! variant, the parallel engine, both kernel engines, admission and
-//! eight nodes.
+//! variant, the parallel engine at 1, 2 and 8 host threads, admission
+//! and eight nodes. The interpreter's check of the shipped N-site
+//! kernels on real strip data is `tape_equivalence`'s launch oracle.
 
 use md_sim::atomic::{pair_force_atomic, AtomForceField};
 use md_sim::force::compute_forces;
@@ -22,7 +23,6 @@ use md_sim::water::WaterModel;
 use merrimac_bench::{run, Dataset, SEED};
 use merrimac_kernel::interp::{InterpOutput, Interpreter, StreamData};
 use merrimac_kernel::CompiledTape;
-use merrimac_sim::{HostExec, KernelEngine};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -310,7 +310,7 @@ fn assert_forces_close(got: &[Vec3], want: &[Vec3], ctx: &str) {
 
 /// SPC, TIP3P and TIP5P × every variant on 64 and 216 molecules through
 /// `StreamMdApp::run_step`: forces against the N-site reference, on the
-/// parallel engine, the same bits under every host, admitted by the
+/// parallel engine, the same bits at every thread count, admitted by the
 /// static analysis and unchanged by an 8-node decomposition. Five sites
 /// with four charges do 1.8× the arithmetic of three on 1.67× the
 /// words, so TIP5P's measured intensity is above SPC's (Section 5.4).
@@ -355,19 +355,12 @@ fn n_site_water_is_served_by_the_main_pipeline_on_every_variant() {
                 per_variant.push(base.perf.intensity_measured);
 
                 for threads in [1usize, 2, 8] {
-                    for engine in [KernelEngine::Batch, KernelEngine::Interp] {
-                        let host = HostExec {
-                            threads,
-                            engine,
-                            partition_verbose: false,
-                        };
-                        let out = app.clone().host(host).build().unwrap();
-                        let out = out.run_step(&system, variant).unwrap();
-                        let ctx = format!("{ctx} under {host:?}");
-                        assert_eq!(force_bits(&out.forces), base_bits, "{ctx}: forces");
-                        assert_eq!(out.perf.cycles, base.perf.cycles, "{ctx}: cycles");
-                        assert_eq!(out.report.counters, base.report.counters, "{ctx}");
-                    }
+                    let out = app.clone().threads(threads).build().unwrap();
+                    let out = out.run_step(&system, variant).unwrap();
+                    let ctx = format!("{ctx} on {threads} threads");
+                    assert_eq!(force_bits(&out.forces), base_bits, "{ctx}: forces");
+                    assert_eq!(out.perf.cycles, base.perf.cycles, "{ctx}: cycles");
+                    assert_eq!(out.report.counters, base.report.counters, "{ctx}");
                 }
 
                 let admitted = app.clone().analyze().build().unwrap();
