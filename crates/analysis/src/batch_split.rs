@@ -1,15 +1,16 @@
-//! BATCH_PLAN_SPLIT: audit every launched kernel's staged batch plan
-//! against the invariants the SoA engine's correctness rests on.
+//! BATCH_PLAN_SPLIT: audit every launched kernel's batch plan against
+//! the invariants the SoA engine's correctness rests on.
 //!
-//! `BatchPlan::analyze` splits a tape into vector stages around a pop
-//! scan, a latch fill and a sum scan (`vec_pre`, `pops`, `vec_pop`, the
-//! fill, `vec_latch`, the sums), then `seq` (the per-lane scalar core:
-//! what is left) and `vec_post`. The batch engine is bitwise-identical
-//! to the interpreter *only if* every op lands in exactly one stage, a
-//! stream's conditional reads are all in `pops` — their predicates and
-//! fallbacks lane-independent — or all in `seq`, a latch's update is
-//! `Sel(p, x, ReadReg(r))` and a sum's `Add(x, ReadReg(r))` or
-//! `Add(x, Sel(p, k, ReadReg(r)))` (either order) with their operands
+//! `BatchPlan::analyze` gives a tape one of two plans. A *staged* plan
+//! splits it into vector stages around a pop scan, a latch fill and a
+//! sum scan (`vec_pre`, `pops`, `vec_pop`, the fill, `vec_latch`, the
+//! sums, `vec_post`); a *serial* plan lists nothing and runs the whole
+//! tape in order at one lane. A staged plan is bitwise-identical to the
+//! interpreter *only if* every op lands in exactly one stage, every
+//! conditional read is in `pops` with its predicate and fallback
+//! lane-independent, every register is a latch — its update
+//! `Sel(p, x, ReadReg(r))` — or a sum — `Add(x, ReadReg(r))` or
+//! `Add(x, Sel(p, k, ReadReg(r)))`, either order — with their operands
 //! written before their scan, no op reads a slot a later stage writes,
 //! and each stage preserves tape (SSA) order.
 //!
@@ -58,8 +59,8 @@ pub fn check(ctx: &ProgramContext) -> Vec<Diagnostic> {
             d = d.note(v.to_string());
         }
         diags.push(d.help(
-            "the cached BatchPlan is unsound — recompile the kernel (BatchPlan::analyze) \
-             or run it on the interp engine until the plan is fixed",
+            "the cached BatchPlan is unsound — recompile the kernel (CompiledTape::compile \
+             rebuilds it with BatchPlan::analyze) before launching it",
         ));
     }
     diags

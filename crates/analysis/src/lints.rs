@@ -285,26 +285,27 @@ impl Lint {
                  the launch's iterations to what the buffer holds."
             }
             Lint::BatchPlanSplit => {
-                "The batched SoA engine executes each compiled tape in\n\
-                 dataflow-ordered stages: `vec_pre` (lane-independent ops), `pops`\n\
-                 (one lane-order scan resolving every conditional stream whose\n\
-                 predicates and fallbacks are `vec_pre` values), `vec_pop`, the latch\n\
-                 fill (registers whose one update is `Sel(p, x, own read)`), `vec_latch`,\n\
-                 the sum scan (updates `Add(x, own read or Sel(p, k, own read))`),\n\
-                 `seq` (the remaining conditional reads and register chains, scalar\n\
-                 in iteration order) and `vec_post`. Bitwise identity with the\n\
-                 interpreter holds only while the split satisfies its invariants:\n\
-                 every tape op lands in exactly one stage; a stream's conditional\n\
-                 reads are all in `pops`, their predicates and fallbacks\n\
-                 lane-independent, or all in `seq`; a latch's or a sum's update has\n\
-                 its shape, its operands written before its scan; no op reads a slot\n\
-                 a later stage writes; and each stage preserves tape (SSA) order.\n\
+                "The batched SoA engine executes each compiled tape by one of two\n\
+                 plans. A staged plan runs it in dataflow-ordered stages: `vec_pre`\n\
+                 (lane-independent ops), `pops` (one lane-order scan resolving every\n\
+                 conditional read, whose predicates and fallbacks are `vec_pre`\n\
+                 values), `vec_pop`, the latch fill (registers whose one update is\n\
+                 `Sel(p, x, own read)`), `vec_latch`, the sum scan (updates\n\
+                 `Add(x, own read or Sel(p, k, own read))`) and `vec_post`. A tape\n\
+                 with any other register or a lane-coupled pop gets a serial plan:\n\
+                 the whole tape in order at one lane, listing no stage. Bitwise\n\
+                 identity with the interpreter holds only while a staged split\n\
+                 satisfies its invariants: every tape op lands in exactly one stage;\n\
+                 every conditional read is in `pops`, its predicate and fallback\n\
+                 lane-independent; every register is a latch or a sum, its update of\n\
+                 that shape with its operands written before its scan; no op reads a\n\
+                 slot a later stage writes; and each stage preserves tape (SSA) order.\n\
                  \n\
                  This pass audits the plan cached on every compiled kernel against\n\
-                 those invariants and reports each violation with the offending op\n\
-                 and phase. A violation means the batch engine would compute wrong\n\
-                 values or pop streams out of order — the program must not run under\n\
-                 the batched engine until the plan is rebuilt."
+                 those invariants and reports each violation with the offending op,\n\
+                 phase or register. A violation means the batch engine would compute\n\
+                 wrong values or pop streams out of order — the program must not run\n\
+                 until the kernel is recompiled and its plan rebuilt."
             }
         }
     }

@@ -633,28 +633,73 @@ mod tests {
         assert_eq!(sv.solution_flops, se.solution_flops + 9);
     }
 
-    /// The batch engine's stage split of every shipped kernel, pinned
-    /// so a silent reclassification fails here: the every-iteration
-    /// variants run all but their three accumulate adds in one vector
-    /// stage and those as sum scans, and the `variable` kernels leave
-    /// `seq` nothing — the pops resolve from the flag stream, the
-    /// shifted centre is latched, and the force and energy accumulators
-    /// are sums, so the interaction is vectorized.
+    /// The batch plan of every shipped kernel, pinned so a silent
+    /// reclassification fails here. At unroll 1 every plan is staged:
+    /// the every-iteration variants run all but their accumulate adds in
+    /// one vector stage and those as sum scans, and in the `variable`
+    /// kernels the pops resolve from the flag stream, the shifted centre
+    /// is latched and the force and energy accumulators are sums, so the
+    /// interaction is vectorized. The LJ kernels' Coulomb register is
+    /// never changed, so it is a constant, not a register.
     #[test]
     fn batch_plan_stage_sizes_are_pinned() {
-        use merrimac_kernel::CompiledTape;
-        // (vec_pre, pops, vec_pop, latches, vec_latch, sums, seq, vec_post)
-        for (k, sizes) in [
-            (expanded_kernel(), [210, 0, 0, 0, 0, 3, 0, 0]),
-            (block_kernel(8, true), [1710, 0, 0, 0, 0, 3, 0, 0]),
-            (block_kernel(8, false), [1710, 0, 0, 0, 0, 3, 0, 0]),
-            (variable_kernel(), [1, 18, 9, 9, 210, 12, 0, 9]),
-            (atom_variable_kernel(false), [1, 6, 3, 3, 28, 5, 0, 3]),
-            (atom_variable_kernel(true), [1, 6, 3, 3, 33, 6, 0, 3]),
+        use merrimac_kernel::{unroll::unroll, CompiledTape};
+        use Variant::{Duplicated, Expanded, Fixed, Variable};
+        // A staged plan's (vec_pre, pops, vec_pop, latches, vec_latch,
+        // sums, vec_post); a serial plan's whole tape. Unrolled twice,
+        // every register is a chain of two updates, neither latch nor
+        // sum, so every unroll-2 plan is serial.
+        let stages = [
+            "vec_pre",
+            "pops",
+            "vec_pop",
+            "latches",
+            "vec_latch",
+            "sums",
+            "vec_post",
+        ];
+        let staged = |sizes: [usize; 7]| stages.into_iter().zip(sizes).collect::<Vec<_>>();
+        let serial = |ops: usize| vec![("serial", ops)];
+        let spc = Workload::of_model(&WaterModel::spc());
+        let tip5p = Workload::of_model(&WaterModel::tip5p());
+        let (lj, charged) = (Workload::LjFluid, Workload::Charged);
+        for (workload, variant, by, want) in [
+            (spc, Expanded, 1, staged([210, 0, 0, 0, 0, 3, 0])),
+            (spc, Fixed, 1, staged([1710, 0, 0, 0, 0, 3, 0])),
+            (spc, Variable, 1, staged([1, 18, 9, 9, 210, 12, 9])),
+            (spc, Duplicated, 1, staged([1710, 0, 0, 0, 0, 3, 0])),
+            (tip5p, Expanded, 1, staged([380, 0, 0, 0, 0, 3, 0])),
+            (tip5p, Fixed, 1, staged([3076, 0, 0, 0, 0, 3, 0])),
+            (tip5p, Variable, 1, staged([1, 30, 15, 15, 380, 18, 15])),
+            (tip5p, Duplicated, 1, staged([3076, 0, 0, 0, 0, 3, 0])),
+            (lj, Expanded, 1, staged([28, 0, 0, 0, 0, 2, 0])),
+            (lj, Fixed, 1, staged([241, 0, 0, 0, 0, 2, 0])),
+            (lj, Variable, 1, staged([1, 6, 3, 3, 28, 5, 3])),
+            (lj, Duplicated, 1, staged([241, 0, 0, 0, 0, 2, 0])),
+            (charged, Expanded, 1, staged([33, 0, 0, 0, 0, 3, 0])),
+            (charged, Fixed, 1, staged([288, 0, 0, 0, 0, 3, 0])),
+            (charged, Variable, 1, staged([1, 6, 3, 3, 33, 6, 3])),
+            (charged, Duplicated, 1, staged([288, 0, 0, 0, 0, 3, 0])),
+            (spc, Expanded, 2, serial(426)),
+            (spc, Fixed, 2, serial(3426)),
+            (spc, Variable, 2, serial(536)),
+            (spc, Duplicated, 2, serial(3426)),
+            (tip5p, Expanded, 2, serial(766)),
+            (tip5p, Fixed, 2, serial(6158)),
+            (tip5p, Variable, 2, serial(948)),
+            (tip5p, Duplicated, 2, serial(6158)),
+            (lj, Expanded, 2, serial(60)),
+            (lj, Fixed, 2, serial(486)),
+            (lj, Variable, 2, serial(98)),
+            (lj, Duplicated, 2, serial(486)),
+            (charged, Expanded, 2, serial(72)),
+            (charged, Fixed, 2, serial(582)),
+            (charged, Variable, 2, serial(110)),
+            (charged, Duplicated, 2, serial(582)),
         ] {
+            let k = unroll(&workload_kernel(workload, variant, 8), by);
             let tape = CompiledTape::compile(&k);
-            let got: Vec<usize> = tape.batch_stage_sizes().iter().map(|s| s.1).collect();
-            assert_eq!(got, sizes, "{}: {:?}", k.name, tape.batch_stage_sizes());
+            assert_eq!(tape.batch_stage_sizes(), want, "{}", k.name);
             assert_eq!(tape.audit_batch_plan(), vec![], "{}", k.name);
         }
     }

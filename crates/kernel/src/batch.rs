@@ -11,24 +11,25 @@
 //! of Merrimac running one kernel across parallel cluster lanes.
 //!
 //! Bitwise identity with the interpreter is the hard constraint. It is
-//! preserved by partitioning the tape at compile time ([`BatchPlan`])
-//! into stages, each reading only what an earlier stage (or, in tape
-//! order, its own) has written for every lane. A batch runs:
+//! preserved by a plan built at compile time ([`BatchPlan`]) in one of
+//! two shapes. A **staged** plan partitions the tape into stages, each
+//! reading only what an earlier stage (or, in tape order, its own) has
+//! written for every lane. A batch runs:
 //!
 //! 1. **`vec_pre`** — ops on this iteration's own stream records,
 //!    constants and params: lane-independent, so vectorized. For the
 //!    every-iteration StreamMD variants this is nearly the entire tape.
-//! 2. **`pops`** — the conditional reads of every *resolvable* stream,
-//!    one whose pop predicates and fallbacks are all `vec_pre` values.
-//!    Which lanes pop is then known for the whole batch: one lane-order
-//!    scan walks only each pop slot's *leading* read — iteration-major,
-//!    tape order within an iteration, so each pop sees the cursor the
-//!    interpreter's would and an underrun blames the same lane — and
-//!    records the offset of the record each live lane pops. Each read
-//!    then gathers its field, or its fallback, op-major across the
-//!    lanes; a batch in which no lane pops copies the fallbacks whole.
-//!    This is the compress side of the paper's conditional streams; it
-//!    advances integers and copies words, so it is exact.
+//! 2. **`pops`** — the conditional reads, every one of whose pop
+//!    predicates and fallbacks is a `vec_pre` value. Which lanes pop is
+//!    then known for the whole batch: one lane-order scan walks only
+//!    each pop slot's *leading* read — iteration-major, tape order within
+//!    an iteration, so each pop sees the cursor the interpreter's would
+//!    and the first dry one is the one it blames — and records the
+//!    offset of the record each live lane pops. Each read then gathers
+//!    its field, or its fallback, op-major across the lanes; a batch in
+//!    which no lane pops copies the fallbacks whole. This is the
+//!    compress side of the paper's conditional streams; it advances
+//!    integers and copies words, so it is exact.
 //! 3. **`vec_pop`** — vectorized ops on the popped values.
 //! 4. **`latches`** — a register whose one update is
 //!    `Sel(p, x, ReadReg(r))`, `p` and `x` known by now, never computes:
@@ -43,13 +44,18 @@
 //!    `x`, `p` and `k` known by now: one loop over the lanes, with no
 //!    dispatch, writes its reads, the `Sel` and the `Add` — the same
 //!    `f64` expressions as the interpreter, in its operand order.
-//! 7. **`seq`** — what is left: registers of any other shape, the
-//!    conditional reads of streams with a lane-coupled predicate or
-//!    fallback, and the coupled backward slice feeding those register
-//!    updates and pops. Scalar, lane by lane in iteration order, so
-//!    register chains thread through the batch as in the interpreter.
-//! 8. **`vec_post`** — lane-coupled consumers that feed neither
-//!    register updates nor pops, vectorized once `seq` has run.
+//! 7. **`vec_post`** — vectorized ops on the summed values.
+//!
+//! A plan is staged only when a latch or a sum carries every register
+//! and every conditional read resolves; then nothing is left to run lane
+//! by lane. (A register no update changes is no register by then:
+//! [`CompiledTape::compile`] folds its reads into constants.) Any other
+//! tape — a register of another shape, a pop whose predicate or fallback
+//! is lane-coupled, an unrolled register chain — has a **serial** plan:
+//! the whole tape in order at one lane, register reads first, pops
+//! inline, register updates last, as the interpreter walks an
+//! iteration. [`CompiledTape::run_views`] runs a serial plan at one lane
+//! whatever the width asked for.
 //!
 //! Every op still computes the same `f64` expression on the same
 //! operand values, so reordering between stages cannot change a single
@@ -121,26 +127,27 @@ pub(crate) struct Sum {
     pub(crate) x_first: bool,
 }
 
-/// Compile-time stage partition of a tape's ops, in execution order
-/// (see the module docs). Built once in [`CompiledTape::compile`] and
-/// cached on the tape, so every launch reuses the analysis.
+/// Compile-time plan of a tape's execution (see the module docs):
+/// staged, its ops partitioned in execution order, or serial, listing
+/// nothing. Built once in [`CompiledTape::compile`] and cached on the
+/// tape, so every launch reuses the analysis.
 #[derive(Debug, Clone, Default)]
 pub struct BatchPlan {
+    /// The whole tape runs in order at one lane.
+    pub(crate) serial: bool,
     pub(crate) vec_pre: Vec<TapeOp>,
-    /// Conditional reads of the resolvable streams, in tape order.
+    /// The conditional reads, in tape order.
     pub(crate) pops: Vec<TapeOp>,
     pub(crate) vec_pop: Vec<TapeOp>,
     pub(crate) latches: Vec<Latch>,
     pub(crate) vec_latch: Vec<TapeOp>,
     pub(crate) sums: Vec<Sum>,
-    /// The scalar per-lane core, in original tape order.
-    pub(crate) seq: Vec<TapeOp>,
     pub(crate) vec_post: Vec<TapeOp>,
 }
 
 /// The stage from which a slot holds its value for every lane of a
 /// batch: at once, after the pop scan, after the latch fill, after the
-/// sum scan, or only lane by lane.
+/// sum scan, or only lane by lane — in a serial plan.
 const PRE: u8 = 0;
 const POP: u8 = 1;
 const LATCH: u8 = 2;
@@ -175,7 +182,7 @@ impl BatchPlan {
         };
         propagate(&mut stage, &resolved);
         // A stream resolves when every pop on it is decided by `vec_pre`
-        // values alone; one coupled slot keeps all its reads in `seq`.
+        // values alone.
         resolved.fill(true);
         for cr in &tape.cond_reads {
             if stage[cr.pred as usize] != PRE || stage[cr.fallback as usize] != PRE {
@@ -216,6 +223,15 @@ impl BatchPlan {
             .iter()
             .filter_map(|u| tape.sum_of(u.0, early));
         plan.sums = sums.collect();
+        // Compile folded every register the tape reads but never changes,
+        // so a register to carry is one the tape updates.
+        let carried = tape.reg_updates.iter().all(|u| plan.carries(u.0));
+        if !(carried && resolved.iter().all(|&r| r)) {
+            return BatchPlan {
+                serial: true,
+                ..BatchPlan::default()
+            };
+        }
         let mut summed = vec![false; n];
         for sum in &plan.sums {
             summed[sum.add as usize] = true;
@@ -225,34 +241,12 @@ impl BatchPlan {
             }
         }
         propagate(&mut stage, &resolved);
-        // `needed` marks the backward slice that must resolve before
-        // the next lane may start: the pops left to `seq`, with their
-        // predicates and fallbacks, and the sources of the register
-        // updates it performs.
-        let mut needed = vec![false; n];
-        for &(_, v) in tape.reg_updates.iter().filter(|u| plan.in_seq(u.0)) {
-            needed[v as usize] = true;
-        }
-        for op in tape.ops.iter().rev() {
-            if needed[op.dst as usize]
-                || stage[op.dst as usize] == COUPLED && op.code == Code::CondRead
-            {
-                for a in tape.operands(op).into_iter().flatten() {
-                    needed[a as usize] = true;
-                }
-            }
-        }
-        // Uncoupled ops never observe lane state, so running them ahead
-        // of `seq` is dataflow-safe even when `needed`. Coupled ops stay
-        // sequential only while something per-lane depends on them.
         for op in tape.ops.iter().filter(|op| !summed[op.dst as usize]) {
-            let cond = op.code == Code::CondRead;
             match stage[op.dst as usize] {
                 PRE => &mut plan.vec_pre,
-                POP if cond => &mut plan.pops,
+                POP if op.code == Code::CondRead => &mut plan.pops,
                 POP => &mut plan.vec_pop,
                 LATCH => &mut plan.vec_latch,
-                _ if cond || needed[op.dst as usize] => &mut plan.seq,
                 _ => &mut plan.vec_post,
             }
             .push(*op);
@@ -260,13 +254,13 @@ impl BatchPlan {
         plan
     }
 
-    /// Whether seq reads and updates `reg`: no latch or sum carries it.
-    fn in_seq(&self, reg: u32) -> bool {
-        !(self.latches.iter().any(|la| la.reg == reg) || self.sums.iter().any(|s| s.reg == reg))
+    /// Whether a latch or a sum carries `reg`.
+    fn carries(&self, reg: u32) -> bool {
+        self.latches.iter().any(|la| la.reg == reg) || self.sums.iter().any(|s| s.reg == reg)
     }
 }
 
-/// One violated invariant of the batch plan's stage split, as found by
+/// One violated invariant of the batch plan, as found by
 /// [`CompiledTape::audit_batch_plan`]. A correct [`BatchPlan`] never
 /// produces any of these; each variant names the op slot or register
 /// that breaks the contract the batch engine's correctness proof rests
@@ -280,14 +274,14 @@ pub enum BatchPlanViolation {
     /// one): the op would execute multiple times per iteration.
     DuplicateOp { dst: u32 },
     /// A conditional read in a vector stage, where no pop cursor
-    /// resolves in lane order, or in `seq` on a stream the pop scan
-    /// also reads, whose pops would leave tape order — or an
-    /// arithmetic op in the pop scan.
+    /// resolves in lane order, or an arithmetic op in the pop scan — or
+    /// any op listed beside a serial plan, which runs the tape whole.
     MisplacedOp { dst: u32, phase: &'static str },
     /// An op reads a slot no earlier stage (nor, in tape order, its
-    /// own) has written for its lane: a `vec_pre` op or a resolved pop's
+    /// own) has written for its lane: a `vec_pre` op or a pop's
     /// predicate or fallback reading lane-coupled state, an op ahead of
-    /// the latch fill reading a latched value, `seq` reading `vec_post`.
+    /// the latch fill reading a latched value, any op reading a register
+    /// no latch or sum carries.
     ReadsUnready {
         phase: &'static str,
         dst: u32,
@@ -295,16 +289,18 @@ pub enum BatchPlanViolation {
     },
     /// A latch whose register's one update is not
     /// `Sel(pred, fresh, ReadReg(reg))` with `pred` and `fresh` written
-    /// before the fill — a forward fill would not compute it.
+    /// before the fill — a forward fill would not compute it — or a
+    /// latch beside a serial plan.
     NotALatch { reg: u32 },
     /// A sum whose register's one update is not `Add(x, base)` over one
     /// of its reads, or over `Sel(p, k, ReadReg(reg))`, with `x`, `p`
     /// and `k` written before the sum scan — or whose reads are not all
-    /// listed, or whose `Sel` or `Add` is also left in a stage list.
+    /// listed, or whose `Sel` or `Add` is also left in a stage list, or
+    /// which sits beside a serial plan.
     NotASum { reg: u32 },
-    /// A register-update source resolves only in `vec_post` — the next
-    /// lane would observe a stale value.
-    NeededInPost { dst: u32 },
+    /// A staged plan's updated register that no latch or sum carries:
+    /// its reads and updates would run nowhere.
+    Uncarried { reg: u32 },
     /// Ops inside one phase are out of tape (SSA) order, so an op could
     /// read an operand slot before the phase has written it.
     PhaseOrder { phase: &'static str, dst: u32 },
@@ -318,7 +314,7 @@ impl fmt::Display for BatchPlanViolation {
             Self::MisplacedOp { dst, phase } => write!(
                 f,
                 "slot {dst} cannot run in {phase}: conditional reads, and only they, belong \
-                 to pops or seq, a stream's all to one of them"
+                 to pops, and a serial plan lists no op"
             ),
             Self::ReadsUnready { phase, dst, arg } => write!(
                 f,
@@ -328,19 +324,17 @@ impl fmt::Display for BatchPlanViolation {
             Self::NotALatch { reg } => write!(
                 f,
                 "register {reg} is filled as a latch, but its update is not one select \
-                 between a resolved value and its own read"
+                 between a resolved value and its own read, or the plan is serial"
             ),
             Self::NotASum { reg } => write!(
                 f,
                 "register {reg} is scanned as a running sum, but its update is not one add \
-                 of a resolved value to its own read or reset"
+                 of a resolved value to its own read or reset, or the plan is serial"
             ),
-            Self::NeededInPost { dst } => {
-                write!(
-                    f,
-                    "slot {dst} feeds a register update but resolves in vec_post"
-                )
-            }
+            Self::Uncarried { reg } => write!(
+                f,
+                "register {reg} is neither latched nor summed, but the plan is staged"
+            ),
             Self::PhaseOrder { phase, dst } => write!(f, "{phase} breaks tape order at slot {dst}"),
         }
     }
@@ -403,21 +397,24 @@ impl CompiledTape {
     /// The plan's op lists in execution order, each with its name and
     /// its position among the stages (the latch fill is position 3,
     /// the sum scan 5).
-    fn stages(&self) -> [(&'static str, u8, &[TapeOp]); 6] {
+    fn stages(&self) -> [(&'static str, u8, &[TapeOp]); 5] {
         let p = &self.batch;
         [
             ("vec_pre", 0, &p.vec_pre),
             ("pops", 1, &p.pops),
             ("vec_pop", 2, &p.vec_pop),
             ("vec_latch", 4, &p.vec_latch),
-            ("seq", 6, &p.seq),
-            ("vec_post", 7, &p.vec_post),
+            ("vec_post", 6, &p.vec_post),
         ]
     }
 
     /// Ops per stage of the cached plan, in execution order; `latches`
-    /// and `sums` count registers.
+    /// and `sums` count registers. A serial plan is one entry, `serial`,
+    /// counting the whole tape.
     pub fn batch_stage_sizes(&self) -> Vec<(&'static str, usize)> {
+        if self.batch.serial {
+            return vec![("serial", self.ops.len())];
+        }
         let mut sizes = self
             .stages()
             .map(|(name, _, ops)| (name, ops.len()))
@@ -437,13 +434,22 @@ impl CompiledTape {
         use BatchPlanViolation as V;
         let plan = &self.batch;
         let mut out = Vec::new();
+        if plan.serial {
+            // A serial plan runs the tape whole, so it lists nothing.
+            for (phase, _, ops) in self.stages() {
+                out.extend(ops.iter().map(|op| V::MisplacedOp { dst: op.dst, phase }));
+            }
+            out.extend(plan.latches.iter().map(|la| V::NotALatch { reg: la.reg }));
+            out.extend(plan.sums.iter().map(|sum| V::NotASum { reg: sum.reg }));
+            return out;
+        }
         let n = self.num_nodes;
 
         // When each slot is written, by stage position (constants,
         // params and stream reads at 0), plus the multi-set count for
         // exactly-once coverage. A register read is written by the
         // latch fill if a latch lists it, by the sum scan (with the
-        // sum's `Sel` and `Add`) if a sum does, else lane by lane in seq.
+        // sum's `Sel` and `Add`) if a sum does, else never.
         let mut ready = vec![0u8; n];
         let mut count = vec![0usize; n];
         for (_, at, ops) in self.stages() {
@@ -453,7 +459,7 @@ impl CompiledTape {
             }
         }
         for &(dst, _) in &self.reg_reads {
-            ready[dst as usize] = 6;
+            ready[dst as usize] = 7;
         }
         for &slot in plan.latches.iter().flat_map(|la| &la.reads) {
             ready[slot as usize] = 3;
@@ -473,21 +479,14 @@ impl CompiledTape {
             }
         }
 
-        // Pops take the shared cursor in lane order — only the scan and
-        // seq provide that — and a stream's pops stay in tape order only
-        // under one of the two. Every op reads only what is already
-        // written for its lane; the pop scan runs for the whole batch at
-        // once, so its reads must be lane-independent from the start.
-        let mut scanned = vec![false; self.input_every_iter.len()];
+        // Pops take the shared cursor in lane order, which only the scan
+        // provides. Every op reads only what is already written for its
+        // lane; the pop scan runs for the whole batch at once, so its
+        // reads must be lane-independent from the start.
         for (phase, at, ops) in self.stages() {
             for op in ops {
-                let (dst, cond) = (op.dst, op.code == Code::CondRead);
-                let split = cond && {
-                    let stream = self.cond_reads[op.a as usize].stream as usize;
-                    scanned[stream] |= phase == "pops";
-                    scanned[stream] && phase == "seq"
-                };
-                if split || cond != (phase == "pops") && !(cond && phase == "seq") {
+                let dst = op.dst;
+                if (op.code == Code::CondRead) != (phase == "pops") {
                     out.push(V::MisplacedOp { dst, phase });
                     continue;
                 }
@@ -541,12 +540,10 @@ impl CompiledTape {
                 out.push(V::NotASum { reg: sum.reg });
             }
         }
-        // Everything the next lane depends on must resolve by the end
-        // of seq: pop predicates and fallbacks (checked above) and the
-        // sources of the register updates seq performs.
-        for &(_, v) in self.reg_updates.iter().filter(|u| plan.in_seq(u.0)) {
-            if ready[v as usize] > 6 {
-                out.push(V::NeededInPost { dst: v });
+        // Nothing updates a register lane by lane in a staged plan.
+        for reg in 0..self.reg_init.len() as u32 {
+            if self.reg_updates.iter().any(|u| u.0 == reg) && !plan.carries(reg) {
+                out.push(V::Uncarried { reg });
             }
         }
 
@@ -566,7 +563,6 @@ impl CompiledTape {
             &mut p.pops,
             &mut p.vec_pop,
             &mut p.vec_latch,
-            &mut p.seq,
             &mut p.vec_post,
         ];
         if let Some(ops) = phases.into_iter().find(|ops| !ops.is_empty()) {
@@ -592,6 +588,7 @@ impl CompiledTape {
 
     /// [`CompiledTape::run_batched`] on borrowed words: what a caller
     /// that keeps its streams elsewhere launches without copying them.
+    /// A serial plan runs at one lane at any width.
     pub fn run_views(
         &self,
         inputs: &[StreamView],
@@ -600,6 +597,7 @@ impl CompiledTape {
         width: BatchWidth,
     ) -> Result<InterpOutput, InterpError> {
         match width {
+            _ if self.batch.serial => self.run_lanes::<1>(inputs, params, iterations),
             BatchWidth::W8 => self.run_lanes::<8>(inputs, params, iterations),
             BatchWidth::W16 => self.run_lanes::<16>(inputs, params, iterations),
         }
@@ -704,12 +702,11 @@ impl CompiledTape {
         })
     }
 
-    /// One full batch of `B` iterations: SoA gather, the stages of the
-    /// plan, lane-major write drain, cursor advance. `base` is the
-    /// absolute iteration index of lane 0 (for underrun blame). Every
-    /// every-iteration stream must hold `B` more records. (A lane loop's
-    /// `l` picks one lane out of every lane array it touches, so it is a
-    /// genuine index.)
+    /// One full batch of `B` iterations: SoA gather, the plan, lane-major
+    /// write drain, cursor advance. `base` is the absolute iteration
+    /// index of lane 0 (for underrun blame). Every every-iteration stream
+    /// must hold `B` more records. (A lane loop's `l` picks one lane out
+    /// of every lane array it touches, so it is a genuine index.)
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
     fn exec_batch<const B: usize>(
         &self,
@@ -736,154 +733,133 @@ impl CompiledTape {
                 lanes[dst as usize] = lane;
             }
         }
-        for op in &plan.vec_pre {
-            exec_vec::<B>(op, lanes);
-        }
-        // The pop scan: each slot's leading read pops the records of its
-        // live lanes, in lane order. A dry stream stops it, but is blamed
-        // only once seq has run up to the same read: a pop seq owns may
-        // run dry in an earlier lane, or earlier in this one.
-        let mut dry = None;
-        let mut popped = false;
-        for l in 0..B {
-            for op in &st.scan {
-                let cr = &self.cond_reads[op.a as usize];
-                let (s, row) = (cr.stream as usize, cr.slot as usize * B + l);
-                st.pop_rows[row] = NO_ROW;
-                if dry.is_some() || lanes[cr.pred as usize][l] == 0.0 {
-                    continue;
-                }
-                if st.cursors[s] >= num_records[s] {
-                    dry = Some((l, *op));
-                    continue;
-                }
-                st.pop_rows[row] = st.row_base[s];
-                st.cursors[s] += 1;
-                st.row_base[s] += self.input_record_len[s];
-                popped = true;
+        if plan.serial {
+            // The whole tape in order at one lane, as the interpreter
+            // walks an iteration: register reads, every op with its
+            // pops inline, then the register updates.
+            debug_assert_eq!(B, 1, "a serial plan runs at one lane");
+            for &(dst, r) in &self.reg_reads {
+                lanes[dst as usize] = [regs[r as usize]; B];
             }
-        }
-        // Then every read gathers its field where its slot popped.
-        for op in &plan.pops {
-            let cr = &self.cond_reads[op.a as usize];
-            let mut v = lanes[cr.fallback as usize];
-            if popped {
-                let rows = &st.pop_rows[cr.slot as usize * B..][..B];
-                let (data, field) = (inputs[cr.stream as usize].data, cr.field as usize);
-                for (v, &row) in v.iter_mut().zip(rows) {
-                    if row != NO_ROW {
-                        *v = data[row + field];
-                    }
-                }
-            }
-            lanes[op.dst as usize] = v;
-        }
-        for op in &plan.vec_pop {
-            exec_vec::<B>(op, lanes);
-        }
-        // The latch fill: each lane reads what the lane before latched.
-        for la in &plan.latches {
-            let (pred, fresh) = (lanes[la.pred as usize], lanes[la.fresh as usize]);
-            let mut read = [0.0f64; B];
-            let held = &mut regs[la.reg as usize];
-            for l in 0..B {
-                read[l] = *held;
-                if pred[l] != 0.0 {
-                    *held = fresh[l];
-                }
-            }
-            for &slot in &la.reads {
-                lanes[slot as usize] = read;
-            }
-        }
-        for op in &plan.vec_latch {
-            exec_vec::<B>(op, lanes);
-        }
-        // The sum scan: each lane reads what the lane before summed.
-        for sum in &plan.sums {
-            let x = lanes[sum.x as usize];
-            let (pred, reset) = match sum.reset {
-                Some((p, k)) => (lanes[p as usize], lanes[k as usize]),
-                None => ([0.0; B], [0.0; B]),
-            };
-            let (mut read, mut base, mut out) = ([0.0f64; B], [0.0f64; B], [0.0f64; B]);
-            let held = &mut regs[sum.reg as usize];
-            for l in 0..B {
-                read[l] = *held;
-                base[l] = if pred[l] != 0.0 { reset[l] } else { *held };
-                // The kernel's operand order, though Rust leaves which of
-                // two NaN payloads a sum keeps unspecified.
-                #[allow(clippy::if_same_then_else)]
-                let next = if sum.x_first {
-                    x[l] + base[l]
-                } else {
-                    base[l] + x[l]
-                };
-                *held = next;
-                out[l] = *held;
-            }
-            for &slot in &sum.reads {
-                lanes[slot as usize] = read;
-            }
-            lanes[sum.base as usize] = base;
-            lanes[sum.add as usize] = out;
-        }
-        // Seq: scalar per lane, in iteration order — the register chains
-        // and pops left to it resolve exactly as in the interpreter.
-        for l in 0..B {
-            let stop = dry.filter(|d| d.0 == l).map(|d| d.1);
-            for &(dst, r) in &st.reg_reads {
-                lanes[dst as usize][l] = regs[r as usize];
-            }
-            for op in &plan.seq {
-                if stop.is_some_and(|pop| pop.dst < op.dst) {
-                    break;
-                }
+            for op in &self.ops {
                 if op.code != Code::CondRead {
-                    // The vector op at one lane: its operands moved to
-                    // the first three slots of a one-lane file.
-                    let at = |slot: u32| [lanes[slot as usize][l]];
-                    let mut one = [at(op.a), at(op.b), at(op.c), [0.0]];
-                    exec_vec::<1>(
-                        &TapeOp {
-                            dst: 3,
-                            a: 0,
-                            b: 1,
-                            c: 2,
-                            ..*op
-                        },
-                        &mut one,
-                    );
-                    lanes[op.dst as usize][l] = one[3][0];
+                    exec_vec::<B>(op, lanes);
                     continue;
                 }
                 // A pop slot's first read in tape order pops; its other
                 // reads share the predicate, so they are live with it.
                 let cr = &self.cond_reads[op.a as usize];
-                let (s, row) = (cr.stream as usize, cr.slot as usize * B + l);
-                lanes[op.dst as usize][l] = if lanes[cr.pred as usize][l] == 0.0 {
-                    lanes[cr.fallback as usize][l]
+                let (s, slot) = (cr.stream as usize, cr.slot as usize);
+                lanes[op.dst as usize][0] = if lanes[cr.pred as usize][0] == 0.0 {
+                    lanes[cr.fallback as usize][0]
                 } else {
                     if cr.leads {
                         if st.cursors[s] >= num_records[s] {
-                            return Err(self.underrun(op, base + l));
+                            return Err(self.underrun(op, base));
                         }
-                        st.pop_rows[row] = st.row_base[s];
+                        st.pop_rows[slot] = st.row_base[s];
                         st.cursors[s] += 1;
                         st.row_base[s] += self.input_record_len[s];
                     }
-                    inputs[s].data[st.pop_rows[row] + cr.field as usize]
+                    inputs[s].data[st.pop_rows[slot] + cr.field as usize]
                 };
             }
-            if let Some(pop) = stop {
-                return Err(self.underrun(&pop, base + l));
+            for &(r, v) in &self.reg_updates {
+                regs[r as usize] = lanes[v as usize][0];
             }
-            for &(r, v) in &st.reg_updates {
-                regs[r as usize] = lanes[v as usize][l];
+        } else {
+            for op in &plan.vec_pre {
+                exec_vec::<B>(op, lanes);
             }
-        }
-        for op in &plan.vec_post {
-            exec_vec::<B>(op, lanes);
+            // The pop scan: each slot's leading read pops the records of its
+            // live lanes, in the interpreter's order, so the first dry pop
+            // it meets is the interpreter's blame.
+            let mut popped = false;
+            for l in 0..B {
+                for op in &st.scan {
+                    let cr = &self.cond_reads[op.a as usize];
+                    let (s, row) = (cr.stream as usize, cr.slot as usize * B + l);
+                    st.pop_rows[row] = NO_ROW;
+                    if lanes[cr.pred as usize][l] == 0.0 {
+                        continue;
+                    }
+                    if st.cursors[s] >= num_records[s] {
+                        return Err(self.underrun(op, base + l));
+                    }
+                    st.pop_rows[row] = st.row_base[s];
+                    st.cursors[s] += 1;
+                    st.row_base[s] += self.input_record_len[s];
+                    popped = true;
+                }
+            }
+            // Then every read gathers its field where its slot popped.
+            for op in &plan.pops {
+                let cr = &self.cond_reads[op.a as usize];
+                let mut v = lanes[cr.fallback as usize];
+                if popped {
+                    let rows = &st.pop_rows[cr.slot as usize * B..][..B];
+                    let (data, field) = (inputs[cr.stream as usize].data, cr.field as usize);
+                    for (v, &row) in v.iter_mut().zip(rows) {
+                        if row != NO_ROW {
+                            *v = data[row + field];
+                        }
+                    }
+                }
+                lanes[op.dst as usize] = v;
+            }
+            for op in &plan.vec_pop {
+                exec_vec::<B>(op, lanes);
+            }
+            // The latch fill: each lane reads what the lane before latched.
+            for la in &plan.latches {
+                let (pred, fresh) = (lanes[la.pred as usize], lanes[la.fresh as usize]);
+                let mut read = [0.0f64; B];
+                let held = &mut regs[la.reg as usize];
+                for l in 0..B {
+                    read[l] = *held;
+                    if pred[l] != 0.0 {
+                        *held = fresh[l];
+                    }
+                }
+                for &slot in &la.reads {
+                    lanes[slot as usize] = read;
+                }
+            }
+            for op in &plan.vec_latch {
+                exec_vec::<B>(op, lanes);
+            }
+            // The sum scan: each lane reads what the lane before summed.
+            for sum in &plan.sums {
+                let x = lanes[sum.x as usize];
+                let (pred, reset) = match sum.reset {
+                    Some((p, k)) => (lanes[p as usize], lanes[k as usize]),
+                    None => ([0.0; B], [0.0; B]),
+                };
+                let (mut read, mut base, mut out) = ([0.0f64; B], [0.0f64; B], [0.0f64; B]);
+                let held = &mut regs[sum.reg as usize];
+                for l in 0..B {
+                    read[l] = *held;
+                    base[l] = if pred[l] != 0.0 { reset[l] } else { *held };
+                    // The kernel's operand order, though Rust leaves which of
+                    // two NaN payloads a sum keeps unspecified.
+                    #[allow(clippy::if_same_then_else)]
+                    let next = if sum.x_first {
+                        x[l] + base[l]
+                    } else {
+                        base[l] + x[l]
+                    };
+                    *held = next;
+                    out[l] = *held;
+                }
+                for &slot in &sum.reads {
+                    lanes[slot as usize] = read;
+                }
+                lanes[sum.base as usize] = base;
+                lanes[sum.add as usize] = out;
+            }
+            for op in &plan.vec_post {
+                exec_vec::<B>(op, lanes);
+            }
         }
         // Drain writes lane-major so appends interleave exactly as the
         // interpreter's per-iteration writes — the expand side: conditional
@@ -927,7 +903,7 @@ impl CompiledTape {
 }
 
 /// State of one launch, carried across its batches: cursors and
-/// conditional-pop bookkeeping, and the register traffic left to seq.
+/// conditional-pop bookkeeping.
 #[derive(Debug)]
 pub(crate) struct StreamState {
     /// Records consumed so far per input stream.
@@ -939,9 +915,6 @@ pub(crate) struct StreamState {
     /// At `s * B + l`, the word offset of the record pop slot `s` took
     /// in lane `l` of this batch, or (in the scan) [`NO_ROW`].
     pop_rows: Vec<usize>,
-    /// The tape's `reg_reads` and `reg_updates` of seq's registers.
-    reg_reads: Vec<(u32, u32)>,
-    reg_updates: Vec<(u32, u32)>,
 }
 
 /// A lane whose pop slot did not pop: its reads take their fallback.
@@ -949,19 +922,16 @@ const NO_ROW: usize = usize::MAX;
 
 impl StreamState {
     fn new(tape: &CompiledTape, num_inputs: usize, lanes: usize) -> Self {
-        let plan = &tape.batch;
-        let leads = plan
+        let leads = tape
+            .batch
             .pops
             .iter()
             .filter(|op| tape.cond_reads[op.a as usize].leads);
-        let (reads, updates) = (tape.reg_reads.iter(), tape.reg_updates.iter());
         Self {
             cursors: vec![0; num_inputs],
             row_base: vec![0; num_inputs],
             scan: leads.copied().collect(),
             pop_rows: vec![NO_ROW; tape.pop_slots * lanes],
-            reg_reads: reads.copied().filter(|rr| plan.in_seq(rr.1)).collect(),
-            reg_updates: updates.copied().filter(|u| plan.in_seq(u.0)).collect(),
         }
     }
 }
@@ -1137,7 +1107,7 @@ mod tests {
     }
 
     /// A decaying accumulator, `acc · decay + contrib`: a register
-    /// update that is no sum, so its one op stays in `seq`.
+    /// update that is no sum, so its plan is serial.
     fn decay_kernel() -> Kernel {
         let mut b = KernelBuilder::new("decay");
         let s = b.input("x", 2, StreamMode::EveryIteration);
@@ -1159,8 +1129,8 @@ mod tests {
         let tape = CompiledTape::compile(&accum_kernel());
         // Only the accumulate add (coupled via the register read AND
         // feeding the register update) is left out of the vector
-        // stages, and it runs as a sum scan: nothing is sequential.
-        assert_eq!(tape.batch.seq.len(), 0, "plan: {:?}", tape.batch);
+        // stages, and it runs as a sum scan: the plan is staged.
+        assert!(!tape.batch.serial, "plan: {:?}", tape.batch);
         assert_eq!(tape.batch.sums.len(), 1, "plan: {:?}", tape.batch);
         assert_eq!(
             tape.batch.vec_pre.len() + tape.batch.vec_post.len() + 1,
@@ -1338,8 +1308,9 @@ mod tests {
         let k = accum_kernel();
         let tape = CompiledTape::compile(&k);
         assert_eq!(tape.audit_batch_plan(), vec![], "kernel '{}'", k.name);
-        // Conditional kernel: CondReads pin ops into seq; the audit
-        // must still find nothing to complain about.
+        // Conditional kernel: the constant predicate resolves its pops
+        // in the scan; the audit must still find nothing to complain
+        // about.
         let mut b = KernelBuilder::new("cond_audit");
         let s = b.input("v", 1, StreamMode::Conditional);
         let o = b.output("out", 1);
@@ -1366,8 +1337,8 @@ mod tests {
 
     #[test]
     fn audit_flags_duplicates_misphased_condreads_and_order() {
-        let tape = CompiledTape::compile(&decay_kernel());
-        assert_eq!(tape.batch.seq.len(), 1, "plan: {:?}", tape.batch);
+        let tape = CompiledTape::compile(&latch_kernel());
+        assert!(!tape.batch.serial, "plan: {:?}", tape.batch);
         // Duplicate: replay the first vec_pre op at the end of vec_pre.
         // That both duplicates the op and breaks tape order.
         let mut dup = tape.clone();
@@ -1390,11 +1361,12 @@ mod tests {
             "violations: {v:?}"
         );
 
-        // Hoisting the coupled seq op into vec_pre: its register-read
-        // operand makes it lane-coupled, so the audit must reject it.
+        // Hoisting the latch's select into vec_pre: it reads the latched
+        // register, so the audit must reject it.
         let mut hoist = tape.clone();
-        let seq_op = hoist.batch.seq.remove(0);
-        hoist.batch.vec_pre.push(seq_op);
+        let sel = hoist.batch.vec_latch.remove(0);
+        hoist.batch.vec_pre.push(sel);
+        hoist.batch.vec_pre.sort_by_key(|op| op.dst);
         let v = hoist.audit_batch_plan();
         assert!(
             v.iter().any(|x| matches!(
@@ -1407,18 +1379,7 @@ mod tests {
             "violations: {v:?}"
         );
 
-        // Demoting it to vec_post instead starves the register update.
-        let mut demote = tape.clone();
-        let seq_op = demote.batch.seq.remove(0);
-        demote.batch.vec_post.push(seq_op);
-        let v = demote.audit_batch_plan();
-        assert!(
-            v.iter()
-                .any(|x| matches!(x, BatchPlanViolation::NeededInPost { .. })),
-            "violations: {v:?}"
-        );
-
-        // A CondRead outside seq is always wrong.
+        // A CondRead outside the pop scan is always wrong.
         let mut b = KernelBuilder::new("cond_misphase");
         let s = b.input("v", 1, StreamMode::Conditional);
         let o = b.output("out", 1);
@@ -1499,7 +1460,6 @@ mod tests {
                 ("latches", 1),
                 ("vec_latch", 3),
                 ("sums", 1),
-                ("seq", 0),
                 ("vec_post", 0)
             ]
         );
@@ -1528,7 +1488,7 @@ mod tests {
     }
 
     /// A conditional pop driven by a register parity chain: genuinely
-    /// lane-coupled, so it stays in `seq`.
+    /// lane-coupled, so its plan is serial.
     fn parity_kernel() -> Kernel {
         let mut b = KernelBuilder::new("cond_batch");
         let s = b.input("vals", 1, StreamMode::Conditional);
@@ -1564,47 +1524,41 @@ mod tests {
         fn(&mut CompiledTape) -> bool,
         fn(&BatchPlanViolation) -> bool,
     );
-    const CORRUPTIONS: [Corruption; 10] = [
+    const CORRUPTIONS: [Corruption; 12] = [
         (
             "drop an op",
             |t| {
                 t.corrupt_batch_plan_for_tests();
-                true
+                !t.batch.serial
             },
             |v| matches!(v, BatchPlanViolation::MissingOp { .. }),
         ),
         (
             "duplicate an op",
             |t| {
-                let Some(&first) = t.batch.seq.first() else {
+                let Some(&first) = t.batch.vec_pre.first() else {
                     return false;
                 };
-                t.batch.seq.push(first);
+                t.batch.vec_pre.push(first);
                 true
             },
             |v| matches!(v, BatchPlanViolation::DuplicateOp { .. }),
         ),
         (
             "mark a data-dependent pop resolved",
-            |t| {
-                let p = &mut t.batch;
-                hand(&mut p.seq, &mut p.pops, |op| op.code == Code::CondRead)
-            },
-            |v| {
-                matches!(
-                    v,
-                    BatchPlanViolation::ReadsUnready { phase: "pops", .. }
-                        | BatchPlanViolation::MisplacedOp { phase: "seq", .. }
-                )
-            },
+            |t| t.ops.iter().any(|op| op.code == Code::CondRead) && stage_whole(t),
+            |v| matches!(v, BatchPlanViolation::ReadsUnready { phase: "pops", .. }),
         ),
         (
             "mark an arithmetic register a latch",
             |t| {
-                let arith = t.batch.seq.iter().filter(|op| op.code != Code::CondRead);
-                let updated = |op: &TapeOp| t.reg_updates.iter().find(|u| u.1 == op.dst);
-                let Some((&(reg, _), op)) = arith.filter_map(|op| Some((updated(op)?, op))).next()
-                else {
+                let op_at = |v: u32| t.ops.iter().find(|op| op.dst == v);
+                let mut updates = t.reg_updates.iter();
+                let arith = updates.find_map(|&(reg, v)| {
+                    let op = op_at(v).filter(|op| op.code != Code::Sel)?;
+                    Some((reg, *op))
+                });
+                let Some((reg, op)) = arith else {
                     return false;
                 };
                 let reads = t.reg_reads.iter().filter(|rr| rr.1 == reg);
@@ -1637,13 +1591,32 @@ mod tests {
             },
         ),
         (
-            "resolve a sum's addend only in seq",
-            |t| sum_x_to(t, |p| &mut p.seq),
+            "mark a summing plan serial",
+            |t| {
+                let summing = !t.batch.sums.is_empty();
+                t.batch.serial |= summing;
+                summing
+            },
             |v| matches!(v, BatchPlanViolation::NotASum { .. }),
         ),
         (
             "resolve a sum's addend only in vec_post",
-            |t| sum_x_to(t, |p| &mut p.vec_post),
+            |t| {
+                let x = t.batch.sums.first().map(|s| s.x);
+                let Some(&op) = t.ops.iter().find(|op| Some(op.dst) == x) else {
+                    return false;
+                };
+                let p = &mut t.batch;
+                for ops in [
+                    &mut p.vec_pre,
+                    &mut p.pops,
+                    &mut p.vec_pop,
+                    &mut p.vec_latch,
+                ] {
+                    ops.retain(|o| o.dst != op.dst);
+                }
+                hand(&mut vec![op], &mut p.vec_post, |_| true)
+            },
             |v| matches!(v, BatchPlanViolation::NotASum { .. }),
         ),
         (
@@ -1680,32 +1653,51 @@ mod tests {
             },
             |v| matches!(v, BatchPlanViolation::DuplicateOp { .. }),
         ),
+        (
+            "list an op beside a serial plan",
+            |t| {
+                if t.batch.serial {
+                    t.batch.vec_pre.push(t.ops[0]);
+                }
+                t.batch.serial
+            },
+            |v| {
+                matches!(
+                    v,
+                    BatchPlanViolation::MisplacedOp {
+                        phase: "vec_pre",
+                        ..
+                    }
+                )
+            },
+        ),
+        (
+            "stage a tape with an uncarried register",
+            |t| !t.reg_updates.is_empty() && stage_whole(t),
+            |v| matches!(v, BatchPlanViolation::Uncarried { .. }),
+        ),
     ];
 
-    /// Move the op computing the first sum's addend out of its stage
-    /// into the one `to` picks; `false` when no sum's addend is an op.
-    fn sum_x_to(t: &mut CompiledTape, to: fn(&mut BatchPlan) -> &mut Vec<TapeOp>) -> bool {
-        let x = t.batch.sums.first().map(|s| s.x);
-        let Some(&op) = t.ops.iter().find(|op| Some(op.dst) == x) else {
+    /// Turn a serial plan staged as it stands: its pops into the scan,
+    /// every other op into `vec_post`; `false` on a staged plan.
+    fn stage_whole(t: &mut CompiledTape) -> bool {
+        if !t.batch.serial {
             return false;
-        };
-        let p = &mut t.batch;
-        for ops in [
-            &mut p.vec_pre,
-            &mut p.pops,
-            &mut p.vec_pop,
-            &mut p.vec_latch,
-        ] {
-            ops.retain(|o| o.dst != op.dst);
         }
-        hand(&mut vec![op], to(p), |_| true)
+        t.batch.serial = false;
+        for op in &t.ops {
+            let p = &mut t.batch;
+            let cond = op.code == Code::CondRead;
+            if cond { &mut p.pops } else { &mut p.vec_post }.push(*op);
+        }
+        true
     }
 
     #[test]
     fn audit_flags_every_corruption_in_the_table() {
         // A stream with one resolvable read and one whose fallback is a
-        // register read: all of it stays in seq, and handing the scan
-        // either read is flagged.
+        // register read: the plan is serial, and handing the scan its
+        // reads is flagged.
         let mut b = KernelBuilder::new("mixed_slots");
         let sf = b.input("flag", 1, StreamMode::EveryIteration);
         let sc = b.input("c", 1, StreamMode::Conditional);
@@ -1722,7 +1714,7 @@ mod tests {
         b.write(o, &[plain, coupled]);
         let mixed = b.build();
         let tape = CompiledTape::compile(&mixed);
-        assert!(tape.batch.pops.is_empty(), "plan: {:?}", tape.batch);
+        assert!(tape.batch.serial, "plan: {:?}", tape.batch);
         assert_eq!(tape.audit_batch_plan(), vec![]);
 
         for (name, corrupt, answers) in CORRUPTIONS {

@@ -17,7 +17,8 @@
 //!   per-iteration prologue so the tape itself is pure arithmetic (plus
 //!   conditional reads);
 //! * loop-invariant constants and parameters hoisted into an init plan
-//!   executed once per launch, not once per iteration;
+//!   executed once per launch, not once per iteration — with the reads
+//!   of every register no update changes, folded to its initial value;
 //! * a flat conditional-pop table with one slot per distinct
 //!   `(stream, predicate)` pair, popped by the slot's first read in
 //!   tape order, instead of a fresh `HashMap` per iteration;
@@ -136,7 +137,8 @@ pub(crate) struct WritePlan {
 pub struct CompiledTape {
     pub(crate) name: String,
     pub(crate) num_nodes: usize,
-    /// `(value slot, constant)` — loop-invariant, applied once per run.
+    /// `(value slot, constant)` — loop-invariant, applied once per run:
+    /// the kernel's constants, then the reads of its held registers.
     pub(crate) const_inits: Vec<(u32, f64)>,
     /// `(value slot, param index)` — loop-invariant.
     pub(crate) param_inits: Vec<(u32, u32)>,
@@ -156,6 +158,8 @@ pub struct CompiledTape {
     pub(crate) input_every_iter: Vec<bool>,
     pub(crate) num_params: usize,
     pub(crate) reg_init: Vec<f64>,
+    /// `(register, value slot)` — iteration epilogue; a held register's
+    /// updates are dropped with its reads.
     pub(crate) reg_updates: Vec<(u32, u32)>,
     pub(crate) writes: Vec<WritePlan>,
     pub(crate) write_values: Vec<u32>,
@@ -263,6 +267,21 @@ impl CompiledTape {
             }
         }
 
+        // A register no update changes — it has none, or each stores one
+        // of its own reads back — holds its initial value: its reads are
+        // constants and its updates are moves of what it already holds.
+        let held = |r: u32| {
+            let mut updates = kernel.reg_updates.iter();
+            updates.all(|&(u, v)| u != r || kernel.nodes[v as usize] == Node::ReadReg(r))
+        };
+        reg_reads.retain(|&(dst, r)| {
+            if held(r) {
+                const_inits.push((dst, kernel.reg_init[r as usize]));
+            }
+            !held(r)
+        });
+        let reg_updates = kernel.reg_updates.iter().filter(|u| !held(u.0)).copied();
+
         let mut write_values = Vec::new();
         let mut writes = Vec::new();
         let mut out_words_per_iter = vec![0usize; kernel.outputs.len()];
@@ -309,7 +328,7 @@ impl CompiledTape {
                 .collect(),
             num_params: kernel.num_params as usize,
             reg_init: kernel.reg_init.clone(),
-            reg_updates: kernel.reg_updates.iter().map(|(r, v)| (*r, *v)).collect(),
+            reg_updates: reg_updates.collect(),
             writes,
             write_values,
             out_record_len: kernel

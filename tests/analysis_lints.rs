@@ -720,6 +720,10 @@ fn batch_plan_split_fixture_fires_once_as_error() {
         "must name the violated invariant: {:#?}",
         d.notes
     );
+    // The batched tape is the only kernel engine on the run path, so the
+    // help must not send users to another.
+    let help = d.help.as_deref().expect("a help line");
+    assert!(!help.contains("engine"), "help names an engine: {help}");
 }
 
 /// Mislabel the force reduction region `ReadOnly`.

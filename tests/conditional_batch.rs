@@ -7,7 +7,7 @@
 
 use merrimac_kernel::builder::Val;
 use merrimac_kernel::interp::{InterpError, InterpOutput, Interpreter, StreamData};
-use merrimac_kernel::ir::{Kernel, Node, StreamMode};
+use merrimac_kernel::ir::{Kernel, StreamMode};
 use merrimac_kernel::unroll::unroll;
 use merrimac_kernel::{BatchWidth, CompiledTape, KernelBuilder};
 use proptest::prelude::*;
@@ -62,6 +62,27 @@ fn stage_size(k: &Kernel, stage: &str) -> usize {
     sizes.iter().find(|s| s.0 == stage).expect("a stage").1
 }
 
+/// Whether `k`'s batch plan is staged rather than serial.
+fn staged(k: &Kernel) -> bool {
+    CompiledTape::compile(k).batch_stage_sizes()[0].0 != "serial"
+}
+
+/// `case` on the `cases` seeds `proptest!` draws for `test`, each
+/// returning the plan kind it drew (`true` for staged): a run must draw
+/// both kinds.
+fn draws_both_kinds(test: &str, cases: u32, case: fn(u64) -> bool) {
+    let mut rng = proptest::TestRng::for_test(&format!("{}::{test}", module_path!()));
+    let mut kinds = [0u32; 2];
+    for _ in 0..cases {
+        kinds[usize::from(case((0u64..1_000_000).sample(&mut rng)))] += 1;
+    }
+    let [serial, staged] = kinds;
+    assert!(
+        serial > 0 && staged > 0,
+        "{test}: {serial} serial and {staged} staged plans"
+    );
+}
+
 // ---- generated kernels ---------------------------------------------------
 
 /// What the generator may make lane-coupled on purpose.
@@ -71,7 +92,7 @@ enum Arm {
     /// constants and params: every conditional stream resolves.
     Resolvable,
     /// One read of the first conditional stream takes a register read
-    /// as its predicate or fallback: that stream must stay in `seq`.
+    /// as its predicate or fallback: the plan must be serial.
     OneCoupledSlot,
 }
 
@@ -79,8 +100,10 @@ enum Arm {
 /// stream-sourced predicates pop conditional streams, the popped (or
 /// plainly read) values are latched in `Sel(p, x, ReadReg(r))` registers
 /// and summed in accumulators that a predicate resets, and an arithmetic
-/// soup over all of it is written out, conditionally and not.
-fn latch_kernel(rng: &mut ChaCha8Rng, arm: Arm) -> Kernel {
+/// soup over all of it is written out, conditionally and not. Returns
+/// the kernel and whether its plan must be staged: every register a
+/// latch or a sum, every stream resolved.
+fn latch_kernel(rng: &mut ChaCha8Rng, arm: Arm) -> (Kernel, bool) {
     let mut b = KernelBuilder::new("latches");
     let data_len = rng.gen_range(1u32..4);
     let flag_len = rng.gen_range(1u32..3);
@@ -128,19 +151,28 @@ fn latch_kernel(rng: &mut ChaCha8Rng, arm: Arm) -> Kernel {
             popped.push(b.cond_read(stream, rng.gen_range(0..len), pred, fallback));
         }
     }
-    let flip = b.not(coupled);
-    b.set_reg(coupled_reg, flip);
+    // A register that flips is neither latch nor sum; without the flip
+    // it is held, and its read is a constant.
+    let flips = arm == Arm::OneCoupledSlot || rng.gen_range(0u32..2) == 0;
+    if flips {
+        let flip = b.not(coupled);
+        b.set_reg(coupled_reg, flip);
+    }
+    let mut staged = !flips;
 
     // Latches: a popped value or (no pop behind it) a plain stream value.
+    // A fresh value that reads an earlier latch is no latch.
     let mut soup: Vec<Val> = free.iter().chain(&popped).copied().collect();
+    let resolved = soup.len();
     for _ in 0..rng.gen_range(1usize..4) {
         let r = b.reg(rng.gen_range(-3.0..3.0));
         let prev = b.read_reg(r);
         let fresh = if rng.gen_range(0u32..3) == 0 {
             pick(rng, &free)
         } else {
-            let (x, y) = (pick(rng, &popped), pick(rng, &soup));
-            b.add(x, y)
+            let (x, y) = (pick(rng, &popped), rng.gen_range(0..soup.len()));
+            staged &= y < resolved;
+            b.add(x, soup[y])
         };
         let pred = pick(rng, &preds);
         let held = b.sel(pred, fresh, prev);
@@ -159,7 +191,9 @@ fn latch_kernel(rng: &mut ChaCha8Rng, arm: Arm) -> Kernel {
         };
         soup.push(v);
     }
-    // Accumulators a predicate flushes and resets.
+    // Accumulators a predicate flushes and resets; one that adds an
+    // earlier one's sum is no sum.
+    let summable = soup.len();
     for _ in 0..rng.gen_range(1usize..3) {
         let r = b.reg(0.0);
         let acc = b.read_reg(r);
@@ -167,14 +201,15 @@ fn latch_kernel(rng: &mut ChaCha8Rng, arm: Arm) -> Kernel {
         b.write_if(o_some, reset, &[acc]);
         let zero = free[0];
         let kept = b.sel(reset, zero, acc);
-        let term = pick(rng, &soup);
-        let sum = b.add(term, kept);
+        let term = rng.gen_range(0..soup.len());
+        staged &= term < summable;
+        let sum = b.add(soup[term], kept);
         b.set_reg(r, sum);
         soup.push(sum);
     }
     let (x, y) = (pick(rng, &soup), pick(rng, &soup));
     b.write(o_all, &[x, y]);
-    b.build()
+    (b.build(), staged)
 }
 
 /// A value that is sometimes one of the awkward ones: a predicate of
@@ -223,25 +258,22 @@ fn inputs_for(
     (inputs, params)
 }
 
-fn generated_case(seed: u64, arm: Arm, factor: u32) {
+/// One generated kernel unrolled `factor` times, against the
+/// interpreter; returns whether its plan is staged. An unrolled latch or
+/// sum is a chain of updates, neither shape, so only `factor` 1 stages.
+fn generated_case(seed: u64, arm: Arm, factor: u32) -> bool {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let base = latch_kernel(&mut rng, arm);
+    let (base, intended) = latch_kernel(&mut rng, arm);
     let k = unroll(&base, factor);
-    let resolved = stage_size(&k, "pops");
-    let reads = k.nodes.iter();
-    let reads = reads.filter(|n| matches!(n, Node::CondRead { .. })).count();
-    match arm {
-        // Unrolled copies are further pop slots on the same streams;
-        // every one of them resolves.
-        Arm::Resolvable => assert_eq!(resolved, reads, "every conditional read resolves"),
-        Arm::OneCoupledSlot => assert!(resolved < reads, "a coupled slot's stream stays in seq"),
-    }
+    let intended = intended && factor == 1;
+    assert_eq!(staged(&k), intended, "seed {seed}: the plan kind");
     for share in [1.0, 0.6, 0.2] {
         for iterations in [rng.gen_range(1usize..8), rng.gen_range(8usize..40)] {
             let (inputs, params) = inputs_for(&k, &mut rng, iterations, share);
             assert_engines_agree(&k, &inputs, &params, iterations);
         }
     }
+    intended
 }
 
 /// A random kernel of running sums in all four shapes — `Add(x, r)`,
@@ -250,9 +282,9 @@ fn generated_case(seed: u64, arm: Arm, factor: u32) {
 /// values, popped values and arithmetic on them. Each register's read
 /// is written out, the first one's as `variable` flushes its centre
 /// force; now and then a register adds another's read or sum instead,
-/// which is no sum and stays in `seq`. Returns the kernel and how many
-/// of its registers must be scanned as sums.
-fn sum_kernel(rng: &mut ChaCha8Rng) -> (Kernel, usize) {
+/// which is no sum and makes the plan serial. Returns the kernel and
+/// whether its plan must be staged.
+fn sum_kernel(rng: &mut ChaCha8Rng) -> (Kernel, bool) {
     let mut b = KernelBuilder::new("sums");
     let data_len = rng.gen_range(1u32..4);
     let s_data = b.input("data", data_len, StreamMode::EveryIteration);
@@ -313,7 +345,7 @@ fn sum_kernel(rng: &mut ChaCha8Rng) -> (Kernel, usize) {
     b.write_if(o_flushed, flush, &reads[..1]);
     let last = pick(rng, &sums);
     b.write(o_sums, &[last]);
-    (b.build(), scanned)
+    (b.build(), scanned == regs)
 }
 
 /// [`payload`], and also ±∞, whose sum is the machine's NaN again. A
@@ -328,14 +360,10 @@ fn sum_payload(rng: &mut ChaCha8Rng) -> f64 {
     }
 }
 
-fn sum_case(seed: u64) {
+fn sum_case(seed: u64) -> bool {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let (k, scanned) = sum_kernel(&mut rng);
-    assert_eq!(
-        stage_size(&k, "sums"),
-        scanned,
-        "every sum-shaped register is scanned"
-    );
+    let (k, intended) = sum_kernel(&mut rng);
+    assert_eq!(staged(&k), intended, "seed {seed}: the plan kind");
     for iterations in [rng.gen_range(1usize..8), rng.gen_range(8usize..40)] {
         let tape = CompiledTape::compile(&k);
         let inputs: Vec<StreamData> = k
@@ -351,30 +379,34 @@ fn sum_case(seed: u64) {
             .collect();
         assert_engines_agree(&k, &inputs, &[], iterations);
     }
+    intended
+}
+
+/// Running sums of every shape, reset or not, against the interpreter:
+/// NaN, ±∞ and −0.0 in the addends, so a dropped or misplaced reset
+/// changes bits.
+#[test]
+fn running_sums_match_the_interpreter() {
+    draws_both_kinds("running_sums_match_the_interpreter", 48, sum_case);
+}
+
+/// Stream-sourced predicates feeding pops, latches and accumulators.
+#[test]
+fn resolvable_pops_and_latches_match_the_interpreter() {
+    draws_both_kinds(
+        "resolvable_pops_and_latches_match_the_interpreter",
+        48,
+        |seed| generated_case(seed, Arm::Resolvable, 1),
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Running sums of every shape, reset or not, against the
-    /// interpreter: NaN, ±∞ and −0.0 in the addends, so a dropped or
-    /// misplaced reset changes bits.
-    #[test]
-    fn running_sums_match_the_interpreter(seed in 0u64..1_000_000) {
-        sum_case(seed);
-    }
-
-    /// Stream-sourced predicates feeding pops, latches and accumulators.
-    #[test]
-    fn resolvable_pops_and_latches_match_the_interpreter(seed in 0u64..1_000_000) {
-        generated_case(seed, Arm::Resolvable, 1);
-    }
-
-    /// One data-dependent slot keeps its whole stream sequential, beside
-    /// streams that still resolve.
+    /// One data-dependent slot makes the whole plan serial.
     #[test]
     fn a_coupled_slot_keeps_its_stream_sequential(seed in 0u64..1_000_000) {
-        generated_case(seed, Arm::OneCoupledSlot, 1);
+        assert!(!generated_case(seed, Arm::OneCoupledSlot, 1));
     }
 
     /// Unrolled ×2 / ×3: several slots pop one stream in slot order.
@@ -435,17 +467,17 @@ fn centre_inputs(n: usize, every: usize, centres: usize) -> Vec<StreamData> {
 fn the_variable_shape_leaves_seq_the_accumulator_alone() {
     let k = centre_kernel();
     // The pops resolve, the centre is latched and the accumulator's
-    // reset and add are one sum scan, so nothing runs lane by lane.
+    // reset and add are one sum scan: the plan is staged.
     assert_eq!(stage_size(&k, "latches"), 1);
     assert_eq!(stage_size(&k, "sums"), 1);
-    assert_eq!(stage_size(&k, "seq"), 0);
     for (n, every) in [(1, 1), (8, 1), (9, 2), (40, 5), (100, 7)] {
         assert_engines_agree(&k, &centre_inputs(n, every, n.div_ceil(every)), &[], n);
     }
-    // Unrolled, each copy's flag is its own pop slot on the one stream.
+    // Unrolled, each copy's flag is its own pop slot on the one stream,
+    // and the registers are chains of updates: the plan is serial.
     for factor in [2usize, 3] {
         let u = unroll(&k, factor as u32);
-        assert_eq!(stage_size(&u, "pops"), 2 * factor);
+        assert!(!staged(&u));
         let mut inputs = centre_inputs(24 * factor, 3, 8 * factor);
         for wide in &mut inputs[..2] {
             wide.record_len = factor;
@@ -559,10 +591,9 @@ fn a_resolvable_stream_runs_dry_where_the_interpreter_says() {
     assert_eq!(blamed(&inputs, 24), (2, 10));
 }
 
-/// A stream the pop scan resolves beside one left to `seq`: the scan
-/// runs a whole batch ahead, so the stream it finds dry is blamed only
-/// if the sequential one has not run dry in an earlier lane, or earlier
-/// in the same iteration.
+/// A resolvable stream beside one whose fallback is a register read:
+/// the plan is serial, and the stream blamed is the one the interpreter
+/// finds dry first, whichever it is and in whichever lane.
 #[test]
 fn blame_keeps_interpreter_order_across_the_scan_and_seq() {
     for scanned_first in [true, false] {
@@ -588,7 +619,7 @@ fn blame_keeps_interpreter_order_across_the_scan_and_seq() {
         b.set_reg(r, sum);
         b.write(o, &[sum]);
         let k = b.build();
-        assert_eq!(stage_size(&k, "pops"), 1);
+        assert!(!staged(&k));
         let stream = |n: usize| StreamData::new(1, (0..n).map(|i| 1.0 + i as f64).collect());
         let (scan, seq) = (1usize, 2usize);
         let first = if scanned_first { scan } else { seq };
@@ -614,7 +645,7 @@ fn blame_keeps_interpreter_order_across_the_scan_and_seq() {
 #[test]
 fn a_latch_needs_no_pop_behind_it() {
     // Sample-and-hold on an every-iteration stream: no conditional
-    // stream at all, and seq is left with nothing.
+    // stream at all, and the plan is staged.
     let mut b = KernelBuilder::new("hold");
     let s = b.input("xt", 2, StreamMode::EveryIteration);
     let o = b.output("held", 2);
@@ -628,11 +659,52 @@ fn a_latch_needs_no_pop_behind_it() {
     b.write(o, &[held, twice]);
     let k = b.build();
     assert_eq!(stage_size(&k, "latches"), 1);
-    assert_eq!(stage_size(&k, "seq"), 0);
+    assert!(staged(&k));
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     for n in [0usize, 1, 8, 9, 16, 17, 50] {
         let data = (0..2 * n).map(|_| payload(&mut rng)).collect();
         assert_engines_agree(&k, &[StreamData::new(2, data)], &[], n);
+    }
+}
+
+#[test]
+fn a_register_no_update_changes_is_a_constant() {
+    // One register is never updated and one stores its own read back,
+    // holding a NaN payload and −0.0: the plan stages, and both reach
+    // the outputs, a latch, a sum and the final registers bit for bit.
+    let quiet = f64::from_bits(0x7ff8_0000_0000_0001);
+    let mut b = KernelBuilder::new("held");
+    let s = b.input("xt", 2, StreamMode::EveryIteration);
+    let o = b.output("out", 4);
+    let x = b.read(s, 0);
+    let take = b.read(s, 1);
+    let never = b.reg(quiet);
+    let nan = b.read_reg(never);
+    let same = b.reg(-0.0);
+    let zero = b.read_reg(same);
+    b.set_reg(same, zero);
+    let latch = b.reg(1.5);
+    let prev = b.read_reg(latch);
+    let held = b.sel(take, nan, prev);
+    b.set_reg(latch, held);
+    let acc = b.reg(-0.0);
+    let total = b.read_reg(acc);
+    let signed = b.mul(zero, x);
+    let sum = b.add(signed, total);
+    b.set_reg(acc, sum);
+    b.write(o, &[nan, zero, held, sum]);
+    let k = b.build();
+    assert!(staged(&k));
+    assert_eq!((stage_size(&k, "latches"), stage_size(&k, "sums")), (1, 1));
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    for n in [0usize, 1, 8, 9, 16, 17, 50] {
+        let data: Vec<f64> = (0..2 * n).map(|_| payload(&mut rng)).collect();
+        let inputs = [StreamData::new(2, data)];
+        assert_engines_agree(&k, &inputs, &[], n);
+        let out = CompiledTape::compile(&k).run_batched(&inputs, &[], n, BatchWidth::W16);
+        let regs = out.expect("runs").final_regs;
+        assert_eq!(regs[0].to_bits(), quiet.to_bits(), "{n} iterations");
+        assert_eq!(regs[1].to_bits(), (-0.0f64).to_bits(), "{n} iterations");
     }
 }
 
