@@ -1,7 +1,8 @@
-//! Shared helpers for the table/figure regeneration harnesses.
+//! Shared helpers for the bench harnesses.
 //!
-//! Every `cargo bench --bench <table|fig>` target prints the rows/series
-//! the corresponding paper artifact reports; this library centralizes
+//! `cargo bench --bench paper` regenerates every paper table and figure
+//! (and checks EXPERIMENTS.md against them); `scaling`, `trend`,
+//! `perf_report` and `micro` measure the rest. This library centralizes
 //! dataset construction and variant execution so harnesses stay small
 //! and consistent.
 //!
@@ -397,11 +398,6 @@ pub fn analyze(spec: RunSpec) -> Result<Vec<Diagnostic>, RunError> {
     Ok(app.analyze_step(spec.system, spec.list, spec.variant))
 }
 
-/// Render a percentage.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
 /// Print a header banner naming the paper artifact.
 pub fn banner(artifact: &str, description: &str) {
     println!("================================================================");
@@ -452,11 +448,6 @@ mod tests {
         let (system, list) = paper_system();
         assert_eq!(system.num_molecules(), 900);
         assert!(list.num_pairs() > 50_000);
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.1234), "12.3%");
     }
 
     #[test]

@@ -280,8 +280,9 @@ pub enum BatchPlanViolation {
     /// An op reads a slot no earlier stage (nor, in tape order, its
     /// own) has written for its lane: a `vec_pre` op or a pop's
     /// predicate or fallback reading lane-coupled state, an op ahead of
-    /// the latch fill reading a latched value, any op reading a register
-    /// no latch or sum carries.
+    /// the latch fill reading a latched value, any op or write reading a
+    /// register no latch or sum carries. In the `writes` phase `dst` is
+    /// the write's index.
     ReadsUnready {
         phase: &'static str,
         dst: u32,
@@ -505,6 +506,16 @@ impl CompiledTape {
                     let dst = w[1].dst;
                     out.push(V::PhaseOrder { phase, dst });
                 }
+            }
+        }
+        // The writes run after every stage, so each value and condition
+        // they read must be written by one of them.
+        for (i, w) in self.writes.iter().enumerate() {
+            let values = &self.write_values[w.start as usize..(w.start + w.len) as usize];
+            let reads = values.iter().chain((w.cond != NO_COND).then_some(&w.cond));
+            for &arg in reads.filter(|&&a| ready[a as usize] > 6) {
+                let (phase, dst) = ("writes", i as u32);
+                out.push(V::ReadsUnready { phase, dst, arg });
             }
         }
 
@@ -1524,7 +1535,7 @@ mod tests {
         fn(&mut CompiledTape) -> bool,
         fn(&BatchPlanViolation) -> bool,
     );
-    const CORRUPTIONS: [Corruption; 12] = [
+    const CORRUPTIONS: [Corruption; 13] = [
         (
             "drop an op",
             |t| {
@@ -1675,6 +1686,31 @@ mod tests {
             "stage a tape with an uncarried register",
             |t| !t.reg_updates.is_empty() && stage_whole(t),
             |v| matches!(v, BatchPlanViolation::Uncarried { .. }),
+        ),
+        (
+            "write a register read no latch or sum lists",
+            |t| {
+                // A read of a register nothing updates, which compile
+                // folds to a constant, left as a read for a write alone.
+                let Some(w) = t.writes.first().filter(|_| !t.batch.serial) else {
+                    return false;
+                };
+                let slot = t.num_nodes as u32;
+                t.num_nodes += 1;
+                t.reg_reads.push((slot, t.reg_init.len() as u32));
+                t.reg_init.push(0.0);
+                t.write_values[w.start as usize] = slot;
+                true
+            },
+            |v| {
+                matches!(
+                    v,
+                    BatchPlanViolation::ReadsUnready {
+                        phase: "writes",
+                        ..
+                    }
+                )
+            },
         ),
     ];
 

@@ -32,7 +32,8 @@ out="BENCH_$label.json"
 build=.bench_build
 rm -rf "$build/parent"
 mkdir -p "$build/parent"
-git archive "$parent" | tar -x -C "$build/parent"
+# -m: commit-time mtimes would let cargo reuse a newer build in the target.
+git archive "$parent" | tar -xm -C "$build/parent"
 for side in parent change; do
     case $side in parent) dir=$build/parent ;; change) dir=. ;; esac
     echo "building $side ($dir/benchmark)" >&2

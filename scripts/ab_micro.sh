@@ -19,7 +19,8 @@ pattern=${2:-.}
 work=.ab_micro
 rm -rf "$work/tree"
 mkdir -p "$work/tree"
-git archive "$rev" | tar -x -C "$work/tree"
+# -m: commit-time mtimes would let cargo reuse a newer build in the target.
+git archive "$rev" | tar -xm -C "$work/tree"
 micro() { # manifest target-dir [cargo-bench-arg...]
     manifest=$1 target=$2
     shift 2

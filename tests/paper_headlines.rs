@@ -127,7 +127,8 @@ fn arithmetic_intensity_ordering_matches_table4() {
 #[test]
 fn measured_intensity_close_to_calculated() {
     // Table 4's message: measured ≈ calculated, certifying the compiler
-    // uses the register hierarchy as designed.
+    // uses the register hierarchy as designed. The paper box holds all
+    // four variants within 7%; on this box `variable` is 10.4% off.
     let (system, list, app) = setup();
     let nbar = list.num_pairs() as f64 / system.num_molecules() as f64;
     for v in Variant::ALL {
@@ -135,7 +136,7 @@ fn measured_intensity_close_to_calculated() {
         let calc = AnalyticModel::ideal(v, 8, nbar).intensity;
         let measured = out.perf.intensity_measured;
         let rel = (measured - calc).abs() / calc;
-        assert!(rel < 0.25, "{v}: calc {calc:.2} vs measured {measured:.2}");
+        assert!(rel < 0.12, "{v}: calc {calc:.2} vs measured {measured:.2}");
     }
 }
 
