@@ -4,18 +4,12 @@
 //! the same dataset. We combine the published characteristics of the
 //! GROMACS 3.x SSE water loop (~130 cycles per molecule-pair
 //! interaction on a Northwood P4, including list traversal and memory
-//! stalls) with an optional calibration against the host running our own
-//! port, and report the same solution-GFLOPS metric as the Merrimac
-//! rows.
-
-use std::time::Instant;
+//! stalls) over the list's interactions, and report the same
+//! solution-GFLOPS metric as the Merrimac rows.
 
 use md_sim::force::FLOPS_PER_INTERACTION;
 use md_sim::neighbor::NeighborList;
-use md_sim::system::WaterBox;
 use merrimac_arch::P4Config;
-
-use crate::gromacs_like::water_water_forces_sse_like;
 
 /// Baseline estimate for one force step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,33 +20,26 @@ pub struct P4Estimate {
     pub seconds: f64,
     /// Solution GFLOPS under the paper's 234-flop accounting.
     pub solution_gflops: f64,
-    /// Host wall-clock seconds for our own port (for sanity
-    /// cross-checks; not the reported number).
-    pub host_seconds: f64,
 }
 
-/// Estimate the baseline on `system`/`list`.
-///
-/// Also runs the actual single-precision loop once, both to keep the
-/// estimate honest (the interaction count is taken from real execution)
-/// and to measure host wall-clock for cross-checking.
-pub fn estimate(cfg: &P4Config, system: &WaterBox, list: &NeighborList) -> P4Estimate {
-    let t0 = Instant::now();
-    let result = water_water_forces_sse_like(system, list);
-    let host_seconds = t0.elapsed().as_secs_f64();
-    let seconds = cfg.force_time_seconds(result.interactions);
+/// Estimate the baseline on `list`: the GROMACS-like loop evaluates
+/// every listed molecule pair, so the list's pair count is its
+/// interaction count.
+pub fn estimate(cfg: &P4Config, list: &NeighborList) -> P4Estimate {
+    let interactions = list.num_pairs() as u64;
     P4Estimate {
-        interactions: result.interactions,
-        seconds,
-        solution_gflops: cfg.solution_gflops(result.interactions, FLOPS_PER_INTERACTION),
-        host_seconds,
+        interactions,
+        seconds: cfg.force_time_seconds(interactions),
+        solution_gflops: cfg.solution_gflops(interactions, FLOPS_PER_INTERACTION),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gromacs_like::water_water_forces_sse_like;
     use md_sim::neighbor::NeighborListParams;
+    use md_sim::system::WaterBox;
 
     #[test]
     fn estimate_scales_with_interactions() {
@@ -64,8 +51,10 @@ mod tests {
             rebuild_interval: 1,
         };
         let list = NeighborList::build(&sys, params);
-        let est = estimate(&cfg, &sys, &list);
+        let est = estimate(&cfg, &list);
         assert_eq!(est.interactions as usize, list.num_pairs());
+        let loop_ran = water_water_forces_sse_like(&sys, &list);
+        assert_eq!(est.interactions, loop_ran.interactions);
         assert!(est.seconds > 0.0);
         assert!(est.solution_gflops > 0.5 && est.solution_gflops < 10.0);
     }

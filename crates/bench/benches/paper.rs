@@ -252,7 +252,7 @@ fn fig8(p: &Paper) -> Block {
 }
 
 fn fig9(p: &Paper) -> [Block; 2] {
-    let p4 = p4_baseline::model::estimate(&P4Config::default(), &p.system, &p.list);
+    let p4 = p4_baseline::model::estimate(&P4Config::default(), &p.list);
     let mut rows = Vec::new();
     for v in Variant::ALL {
         let f = p.perf(v);
@@ -409,7 +409,6 @@ fn diffusion(model: WaterModel, steps: usize) -> f64 {
     let integ = Integrator {
         dt: 0.002,
         neighbor,
-        ..Default::default()
     };
     // The jittered lattice melts and would heat an NVE run far above
     // 300 K without the rescaling.

@@ -6,9 +6,9 @@
 //! concentrating on the force interaction of water molecules and
 //! interface with the rest of GROMACS directly through Merrimac's shared
 //! memory system." Here the "scalar processor" work — integration,
-//! constraints, neighbour-list construction — is `md-sim`'s integrator
-//! ([`Integrator::run_with`]), stepped with every force evaluation going
-//! through the stream program on the simulated machine.
+//! SETTLE constraints, neighbour-list construction — is `md-sim`'s
+//! integrator ([`Integrator::run_with`]), stepped with every force
+//! evaluation going through the stream program on the simulated machine.
 //!
 //! The driver also accumulates the machine-level cost of the whole
 //! trajectory, which is what a capability-machine user would care about:
@@ -17,7 +17,7 @@
 //! neighbor list is kept to a minimum by only generating it once every
 //! several time-steps").
 
-use md_sim::integrate::Integrator;
+use md_sim::integrate::{integrable, Integrator};
 use md_sim::system::WaterBox;
 use merrimac_sim::machine::SimError;
 use merrimac_sim::Counters;
@@ -63,7 +63,7 @@ impl DriverReport {
     }
 }
 
-/// MD driver: velocity Verlet + SHAKE on the scalar side, forces from
+/// MD driver: velocity Verlet + SETTLE on the scalar side, forces from
 /// the stream unit.
 #[derive(Debug, Clone)]
 pub struct MerrimacDriver {
@@ -71,8 +71,6 @@ pub struct MerrimacDriver {
     pub variant: Variant,
     /// Time step (ps).
     pub dt: f64,
-    /// SHAKE tolerance.
-    pub shake_tol: f64,
 }
 
 impl MerrimacDriver {
@@ -81,30 +79,24 @@ impl MerrimacDriver {
             app,
             variant,
             dt: 0.002,
-            shake_tol: 1e-10,
         }
     }
 
     /// Run `steps` MD steps, returning the trajectory report. The system
-    /// is advanced in place, on `app.host.threads` host threads (lists,
-    /// force steps and constraint solves alike).
+    /// is advanced in place, its lists and force steps on
+    /// `app.host.threads` host threads (the constraint solves are
+    /// serial).
     pub fn run(&self, system: &mut WaterBox, steps: usize) -> Result<DriverReport, SimError> {
         check_inputs(system, self.app.neighbor)?;
-        // A force step serves any site count; the integrator behind a
-        // trajectory does not (it asserts what is checked here).
-        let sites = system.num_sites();
-        if sites != 1 && sites != 3 {
-            return Err(SimError::Config(format!(
-                "model '{}' has {sites} interaction sites; a trajectory is integrated for 1 \
-                 (plain Verlet) or 3 (SHAKE / RATTLE)",
-                system.model().name
-            )));
-        }
+        // A force step serves any model; the integrator behind a
+        // trajectory serves 1-site atoms and symmetric 3-site water (it
+        // asserts what is checked here).
+        let model = system.model();
+        integrable(model)
+            .map_err(|why| SimError::Config(format!("model '{}' {why}", model.name)))?;
         let integ = Integrator {
             dt: self.dt,
             neighbor: self.app.neighbor,
-            shake_tol: self.shake_tol,
-            max_iter: 100,
         };
         // The first list counts; every force evaluation, the initial
         // state's included, is on the machine's bill.
@@ -158,8 +150,6 @@ mod tests {
         let integ = Integrator {
             dt: drv.dt,
             neighbor: drv.app.neighbor,
-            shake_tol: drv.shake_tol,
-            max_iter: 100,
         };
         drv.run(&mut a, 5).expect("driven run");
         integ.run(&mut b, 5);

@@ -1,14 +1,15 @@
-//! Velocity-Verlet integration: rigid 3-site water under SHAKE/RATTLE
-//! constraints, 1-site atoms unconstrained.
+//! Velocity-Verlet integration: rigid 3-site water under SETTLE,
+//! 1-site atoms unconstrained.
 //!
 //! The paper's experiment is a single force step, but several of our
 //! harnesses need trajectories: the energy-drift integration test, the
 //! self-diffusion measurement behind the Table 5 harness, and the
 //! trajectories `streammd`'s driver runs with forces from the simulated
-//! machine. The integrator follows GROMACS practice: constraint dynamics
-//! for the rigid water geometry, neighbour lists rebuilt every
-//! `rebuild_interval` steps with a skin, and forces evaluated over all
-//! listed pairs.
+//! machine. The integrator follows GROMACS practice: rigid water
+//! constrained analytically (SETTLE for positions, a direct solve of
+//! the three bond-velocity constraints after the second kick),
+//! neighbour lists rebuilt every `rebuild_interval` steps with a skin,
+//! and forces evaluated over all listed pairs.
 //!
 //! There is one loop, [`Integrator::run_with`], generic over where the
 //! forces come from; [`Integrator::run`] is that loop over the reference
@@ -16,21 +17,170 @@
 
 use std::convert::Infallible;
 
-use rayon::prelude::*;
-
 use crate::force::{compute_forces, ForceResult};
 use crate::neighbor::{NeighborList, NeighborListParams};
 use crate::system::WaterBox;
 use crate::units::KB;
 use crate::vec3::Vec3;
+use crate::water::WaterModel;
 
-/// A distance constraint between two sites of the same molecule.
+/// SETTLE's canonical triangle (Miyamoto & Kollman 1992, in GROMACS's
+/// formulation) of a rigid 3-site molecule whose hydrogens match in
+/// mass and O–H length: the oxygen at `(0, ra, 0)` and the hydrogens at
+/// `(∓rc, −rb, 0)` about the centre of mass.
 #[derive(Debug, Clone, Copy)]
-struct Constraint {
-    a: usize,
-    b: usize,
-    /// Target squared distance.
-    d2: f64,
+struct Settle {
+    /// Mass fractions of the oxygen and of one hydrogen.
+    wo: f64,
+    wh: f64,
+    ra: f64,
+    rb: f64,
+    rc: f64,
+    /// Inverse masses of the oxygen and of one hydrogen.
+    inv_mo: f64,
+    inv_mh: f64,
+}
+
+/// How `model`'s molecules are constrained: `None` for a 1-site atom
+/// (plain Verlet), SETTLE's triangle for 3-site water with equal
+/// hydrogen masses and O–H lengths (to 1e-12 relative), and why not
+/// for anything else.
+fn settle_for(model: &WaterModel) -> Result<Option<Settle>, String> {
+    let (o, h1, h2) = match &model.sites[..] {
+        [_] => return Ok(None),
+        [o, h1, h2] => (o, h1, h2),
+        sites => {
+            return Err(format!(
+                "has {} interaction sites; a trajectory is integrated for 1 (plain Verlet) \
+                 or 3 (SETTLE)",
+                sites.len()
+            ))
+        }
+    };
+    let d_oh2 = (h1.offset - o.offset).norm2();
+    let d_oh2_other = (h2.offset - o.offset).norm2();
+    let same = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+    if !same(h1.mass, h2.mass) || !same(d_oh2, d_oh2_other) {
+        return Err(format!(
+            "is not a symmetric triangle (hydrogen masses {} and {} u, O-H lengths {} and {} \
+             nm); SETTLE needs both equal",
+            h1.mass,
+            h2.mass,
+            d_oh2.sqrt(),
+            d_oh2_other.sqrt()
+        ));
+    }
+    let (mo, mh) = (o.mass, h1.mass);
+    let total = mo + 2.0 * mh;
+    let rc = (h2.offset - h1.offset).norm() / 2.0;
+    let height = (d_oh2 - rc * rc).sqrt();
+    let ra = 2.0 * mh * height / total;
+    Ok(Some(Settle {
+        wo: mo / total,
+        wh: mh / total,
+        ra,
+        rb: height - ra,
+        rc,
+        inv_mo: 1.0 / mo,
+        inv_mh: 1.0 / mh,
+    }))
+}
+
+/// Whether [`Integrator::run_with`] integrates `model`: a 1-site atom,
+/// or 3-site water whose two hydrogens match in mass and O–H length.
+/// The error completes "model '<name>' ...".
+pub fn integrable(model: &WaterModel) -> Result<(), String> {
+    settle_for(model).map(drop)
+}
+
+impl Settle {
+    /// Place one molecule rigidly: `new` (oxygen, hydrogens) after an
+    /// unconstrained drift from the constrained `old` moves to where the
+    /// constraint forces along `old`'s bonds put it, in closed form.
+    fn positions(&self, old: &[Vec3], new: &mut [Vec3]) {
+        let Settle {
+            wo, wh, ra, rb, rc, ..
+        } = *self;
+        // The pre-step bonds from the oxygen, and the drifted sites
+        // about their centre of mass.
+        let (b0, c0) = (old[1] - old[0], old[2] - old[0]);
+        let com = new[0] * wo + (new[1] + new[2]) * wh;
+        let (a1, b1, c1) = (new[0] - com, new[1] - com, new[2] - com);
+        // A frame with z normal to the pre-step plane and the drifted
+        // oxygen in its yz-plane.
+        let n0 = b0.cross(c0);
+        let ex = a1.cross(n0);
+        let ey = n0.cross(ex);
+        let (ex, ey, ez) = (ex.normalized(), ey.normalized(), n0.normalized());
+        let to_frame = |v: Vec3| Vec3::new(ex.dot(v), ey.dot(v), ez.dot(v));
+        let (b0, c0) = (to_frame(b0), to_frame(c0));
+        let (za1, b1, c1) = (ez.dot(a1), to_frame(b1), to_frame(c1));
+        // The canonical triangle tilted to the drifted heights.
+        let sin_phi = za1 / ra;
+        let cos_phi = (1.0 - sin_phi * sin_phi).sqrt();
+        let sin_psi = (b1.z - c1.z) / (2.0 * rc * cos_phi);
+        let cos_psi = (1.0 - sin_psi * sin_psi).sqrt();
+        let ya2 = ra * cos_phi;
+        let xb2 = -rc * cos_psi;
+        let (t1, t2) = (-rb * cos_phi, rc * sin_psi * sin_phi);
+        let (yb2, yc2) = (t1 - t2, t1 + t2);
+        // The turn about z that conserves angular momentum.
+        let alpha = xb2 * (b0.x - c0.x) + b0.y * yb2 + c0.y * yc2;
+        let beta = xb2 * (c0.y - b0.y) + b0.x * yb2 + c0.x * yc2;
+        let gamma = b0.x * b1.y - b1.x * b0.y + c0.x * c1.y - c1.x * c0.y;
+        let al2be2 = alpha * alpha + beta * beta;
+        let sin_theta = (alpha * gamma - beta * (al2be2 - gamma * gamma).sqrt()) / al2be2;
+        let cos_theta = (1.0 - sin_theta * sin_theta).sqrt();
+        let placed = [
+            Vec3::new(-ya2 * sin_theta, ya2 * cos_theta, za1),
+            Vec3::new(
+                xb2 * cos_theta - yb2 * sin_theta,
+                xb2 * sin_theta + yb2 * cos_theta,
+                b1.z,
+            ),
+            Vec3::new(
+                -xb2 * cos_theta - yc2 * sin_theta,
+                -xb2 * sin_theta + yc2 * cos_theta,
+                c1.z,
+            ),
+        ];
+        for (site, p) in new.iter_mut().zip(placed) {
+            *site = com + ex * p.x + ey * p.y + ez * p.z;
+        }
+    }
+
+    /// Remove the velocity components along one molecule's three bonds
+    /// (O–H1, O–H2, H1–H2) at once: the 3×3 system of their Lagrange
+    /// multipliers, solved by the adjugate.
+    fn velocities(&self, pos: &[Vec3], vel: &mut [Vec3]) {
+        let (io, ih) = (self.inv_mo, self.inv_mh);
+        let d = [pos[0] - pos[1], pos[0] - pos[2], pos[1] - pos[2]];
+        let rhs = [
+            d[0].dot(vel[0] - vel[1]),
+            d[1].dot(vel[0] - vel[2]),
+            d[2].dot(vel[1] - vel[2]),
+        ];
+        // M[k][j] = Σ_i ∇_i σ_k · ∇_i σ_j / m_i over the shared sites.
+        let m00 = d[0].norm2() * (io + ih);
+        let m11 = d[1].norm2() * (io + ih);
+        let m22 = d[2].norm2() * (2.0 * ih);
+        let m01 = d[0].dot(d[1]) * io;
+        let m02 = -d[0].dot(d[2]) * ih;
+        let m12 = d[1].dot(d[2]) * ih;
+        let c00 = m11 * m22 - m12 * m12;
+        let c01 = m02 * m12 - m01 * m22;
+        let c02 = m01 * m12 - m02 * m11;
+        let c11 = m00 * m22 - m02 * m02;
+        let c12 = m01 * m02 - m00 * m12;
+        let c22 = m00 * m11 - m01 * m01;
+        let det = m00 * c00 + m01 * c01 + m02 * c02;
+        let l0 = (c00 * rhs[0] + c01 * rhs[1] + c02 * rhs[2]) / det;
+        let l1 = (c01 * rhs[0] + c11 * rhs[1] + c12 * rhs[2]) / det;
+        let l2 = (c02 * rhs[0] + c12 * rhs[1] + c22 * rhs[2]) / det;
+        vel[0] -= (d[0] * l0 + d[1] * l1) * io;
+        vel[1] += (d[0] * l0 - d[2] * l2) * ih;
+        vel[2] += (d[1] * l1 + d[2] * l2) * ih;
+    }
 }
 
 /// Per-step observables.
@@ -57,18 +207,13 @@ impl StepReport {
     }
 }
 
-/// Velocity-Verlet integrator with SHAKE position constraints and RATTLE
-/// velocity constraints.
+/// Velocity-Verlet integrator, rigid water held by SETTLE.
 #[derive(Debug, Clone)]
 pub struct Integrator {
     /// Time step in ps (GROMACS default for rigid water: 0.002).
     pub dt: f64,
     /// Neighbour-list policy.
     pub neighbor: NeighborListParams,
-    /// SHAKE convergence tolerance on relative squared-distance error.
-    pub shake_tol: f64,
-    /// Maximum SHAKE/RATTLE sweeps.
-    pub max_iter: usize,
 }
 
 impl Default for Integrator {
@@ -76,8 +221,6 @@ impl Default for Integrator {
         Self {
             dt: 0.002,
             neighbor: NeighborListParams::default(),
-            shake_tol: 1e-10,
-            max_iter: 100,
         }
     }
 }
@@ -95,95 +238,7 @@ fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Solve every 3-site molecule of `sites` in place, fanned out over
-/// `width` workers (1 = inline, no spawn). Molecules are independent,
-/// so the result is bitwise-identical at every width.
-fn per_molecule(width: usize, sites: &mut [Vec3], solve: impl Fn(usize, &mut [Vec3]) + Sync) {
-    let molecules = sites.chunks_mut(3).enumerate();
-    if width <= 1 {
-        molecules.for_each(|(m, mol)| solve(m, mol));
-    } else {
-        let molecules: Vec<_> = molecules.collect();
-        molecules.into_par_iter().for_each(|(m, mol)| solve(m, mol));
-    }
-}
-
 impl Integrator {
-    /// The three distance constraints of rigid 3-site water; none for a
-    /// 1-site atom. Other site counts are not integrated.
-    fn constraints(system: &WaterBox) -> Vec<Constraint> {
-        let sites = &system.model().sites;
-        if sites.len() == 1 {
-            return Vec::new();
-        }
-        assert_eq!(
-            sites.len(),
-            3,
-            "integrator supports 3-site rigid water and 1-site atoms"
-        );
-        [(0, 1), (0, 2), (1, 2)]
-            .into_iter()
-            .map(|(a, b)| Constraint {
-                a,
-                b,
-                d2: (sites[b].offset - sites[a].offset).norm2(),
-            })
-            .collect()
-    }
-
-    /// SHAKE one molecule: move `new_pos` so every constraint is
-    /// satisfied, using the pre-step geometry `old_pos` for the
-    /// constraint gradients.
-    fn shake(
-        &self,
-        constraints: &[Constraint],
-        masses: &[f64],
-        old_pos: &[Vec3],
-        new_pos: &mut [Vec3],
-    ) {
-        for _ in 0..self.max_iter {
-            let mut converged = true;
-            for c in constraints {
-                let d = new_pos[c.a] - new_pos[c.b];
-                let diff = d.norm2() - c.d2;
-                if diff.abs() > self.shake_tol * c.d2 {
-                    converged = false;
-                    let ref_d = old_pos[c.a] - old_pos[c.b];
-                    let (ma, mb) = (masses[c.a], masses[c.b]);
-                    let g = diff / (2.0 * ref_d.dot(d) * (1.0 / ma + 1.0 / mb));
-                    new_pos[c.a] -= ref_d * (g / ma);
-                    new_pos[c.b] += ref_d * (g / mb);
-                }
-            }
-            if converged {
-                break;
-            }
-        }
-    }
-
-    /// RATTLE one molecule: remove velocity components along
-    /// constrained bonds.
-    fn rattle(&self, constraints: &[Constraint], masses: &[f64], pos: &[Vec3], vel: &mut [Vec3]) {
-        for _ in 0..self.max_iter {
-            let mut converged = true;
-            for c in constraints {
-                let d = pos[c.a] - pos[c.b];
-                let vrel = vel[c.a] - vel[c.b];
-                let dv = d.dot(vrel);
-                if dv.abs() > self.shake_tol * c.d2 / self.dt {
-                    converged = false;
-                    let (ma, mb) = (masses[c.a], masses[c.b]);
-                    let k = dv / (d.norm2() * (1.0 / ma + 1.0 / mb));
-                    vel[c.a] -= d * (k / ma);
-                    vel[c.b] += d * (k / mb);
-                }
-            }
-            if converged {
-                break;
-            }
-        }
-    }
-
     fn kinetic(system: &WaterBox) -> f64 {
         let masses: Vec<f64> = system.model().sites.iter().map(|s| s.mass).collect();
         system
@@ -225,17 +280,18 @@ impl Integrator {
     }
 
     /// The integration loop, over any source of forces: `steps` steps of
-    /// velocity Verlet, constrained (SHAKE + RATTLE) for a 3-site model
-    /// and plain for a 1-site one; any other site count panics.
+    /// velocity Verlet, rigid (SETTLE) for a 3-site model and plain for
+    /// a 1-site one. It panics on a model [`integrable`] refuses.
     ///
     /// `forces` evaluates the per-site forces of the system over the
     /// current neighbour list, once for the initial state and once per
     /// step; what else it returns comes back beside that step's report
     /// (the initial evaluation's is dropped), and its first error ends
     /// the run with the system as far as it got. `width` is the host
-    /// width of everything in the loop — list rebuilds, the provider's
-    /// own parallel operations, and the per-molecule constraint solves
-    /// (1 = inline). The trajectory is bitwise-identical at every width.
+    /// width of the list rebuilds and of the provider's own parallel
+    /// operations; the constraint solves run serially, molecule by
+    /// molecule, since a whole box of them is too little work to fan
+    /// out. The trajectory is bitwise-identical at every width.
     pub fn run_with<O, E>(
         &self,
         system: &mut WaterBox,
@@ -243,10 +299,10 @@ impl Integrator {
         width: usize,
         mut forces: impl FnMut(&WaterBox, &NeighborList) -> Result<(Vec<Vec3>, O), E>,
     ) -> Result<Vec<(StepReport, O)>, E> {
-        let constraints = Self::constraints(system);
-        let masses: Vec<f64> = system.model().sites.iter().map(|s| s.mass).collect();
-        let inv_m: Vec<f64> = masses.iter().map(|m| 1.0 / m).collect();
-        let ns = masses.len();
+        let model = system.model();
+        let settle = settle_for(model).unwrap_or_else(|why| panic!("model '{}' {why}", model.name));
+        let inv_m: Vec<f64> = model.sites.iter().map(|s| 1.0 / s.mass).collect();
+        let ns = inv_m.len();
         let dof = Self::dof(system);
         let dt = self.dt;
 
@@ -261,17 +317,17 @@ impl Integrator {
                 for (i, v) in system.velocities_mut().iter_mut().enumerate() {
                     *v += f[i] * (inv_m[i % ns] * dt * 0.5);
                 }
-                // Drift + SHAKE.
+                // Drift + SETTLE.
                 let old_pos = system.positions().to_vec();
                 let mut new_pos = old_pos.clone();
                 let n_sites = new_pos.len();
                 for i in 0..n_sites {
                     new_pos[i] = old_pos[i] + system.velocities()[i] * dt;
                 }
-                if !constraints.is_empty() {
-                    per_molecule(width, &mut new_pos, |m, mol| {
-                        self.shake(&constraints, &masses, &old_pos[3 * m..3 * m + 3], mol)
-                    });
+                if let Some(settle) = settle {
+                    for (old, new) in old_pos.chunks(3).zip(new_pos.chunks_mut(3)) {
+                        settle.positions(old, new);
+                    }
                 }
                 // Constraint force correction folded into velocities.
                 let mut max_disp = 0.0f64;
@@ -297,14 +353,15 @@ impl Integrator {
                 let (new_f, out) = forces(system, &list)?;
                 f = new_f;
 
-                // Second half kick + RATTLE.
+                // Second half kick, then the bond velocities.
                 for (i, v) in system.velocities_mut().iter_mut().enumerate() {
                     *v += f[i] * (inv_m[i % ns] * dt * 0.5);
                 }
-                if !constraints.is_empty() {
-                    per_molecule(width, system.velocities_mut(), |m, mol| {
-                        self.rattle(&constraints, &masses, &new_pos[3 * m..3 * m + 3], mol)
-                    });
+                if let Some(settle) = settle {
+                    let vel = system.velocities_mut().chunks_mut(3);
+                    for (pos, vel) in new_pos.chunks(3).zip(vel) {
+                        settle.velocities(pos, vel);
+                    }
                 }
 
                 let kinetic = Self::kinetic(system);
@@ -346,6 +403,107 @@ impl Integrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::f64::consts::{PI, TAU};
+
+    /// The iterative solvers SETTLE replaced, run to convergence: SHAKE
+    /// (`old`'s bonds as the constraint gradients) and RATTLE over the
+    /// three bonds of one water molecule.
+    fn shake_oracle(model: &WaterModel, old: &[Vec3], new: &mut [Vec3]) {
+        let m: Vec<f64> = model.sites.iter().map(|s| s.mass).collect();
+        for _ in 0..10_000 {
+            for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+                let d2 = (model.sites[b].offset - model.sites[a].offset).norm2();
+                let d = new[a] - new[b];
+                let r = old[a] - old[b];
+                let g = (d.norm2() - d2) / (2.0 * r.dot(d) * (1.0 / m[a] + 1.0 / m[b]));
+                new[a] -= r * (g / m[a]);
+                new[b] += r * (g / m[b]);
+            }
+        }
+    }
+
+    fn rattle_oracle(model: &WaterModel, pos: &[Vec3], vel: &mut [Vec3]) {
+        let m: Vec<f64> = model.sites.iter().map(|s| s.mass).collect();
+        for _ in 0..10_000 {
+            for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+                let d = pos[a] - pos[b];
+                let k = d.dot(vel[a] - vel[b]) / (d.norm2() * (1.0 / m[a] + 1.0 / m[b]));
+                vel[a] -= d * (k / m[a]);
+                vel[b] += d * (k / m[b]);
+            }
+        }
+    }
+
+    /// `v` turned by `angle` about the unit `axis` (Rodrigues).
+    fn rotate(v: Vec3, axis: Vec3, angle: f64) -> Vec3 {
+        let (s, c) = angle.sin_cos();
+        v * c + axis.cross(v) * s + axis * (axis.dot(v) * (1.0 - c))
+    }
+
+    fn arb_vec(scale: f64) -> impl Strategy<Value = Vec3> {
+        (-1.0..1.0f64, -1.0..1.0f64, -1.0..1.0f64)
+            .prop_map(move |(x, y, z)| Vec3::new(x, y, z) * scale)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// SETTLE lands where SHAKE converges to, and the direct bond-
+        /// velocity solve where RATTLE does, on every 3-site model, any
+        /// orientation and thermal-scale steps.
+        #[test]
+        fn settle_is_shake_and_rattle_run_to_convergence(
+            model in prop::sample::select(vec![WaterModel::spc(), WaterModel::tip3p(), WaterModel::ppc_static()]),
+            (polar, azimuth, angle) in (0.0..PI, 0.0..TAU, 0.0..TAU),
+            origin in arb_vec(2.0),
+            drift in (arb_vec(0.004), arb_vec(0.004), arb_vec(0.004)),
+            vel in (arb_vec(2.0), arb_vec(2.0), arb_vec(2.0)),
+        ) {
+            let axis = Vec3::new(polar.sin() * azimuth.cos(), polar.sin() * azimuth.sin(), polar.cos());
+            let (drift, vel) = ([drift.0, drift.1, drift.2], vec![vel.0, vel.1, vel.2]);
+            let settle = settle_for(&model).unwrap().unwrap();
+            let old: Vec<Vec3> = model.sites.iter().map(|s| origin + rotate(s.offset, axis, angle)).collect();
+            let drifted: Vec<Vec3> = old.iter().zip(&drift).map(|(r, d)| *r + *d).collect();
+            let (mut got, mut want) = (drifted.clone(), drifted);
+            settle.positions(&old, &mut got);
+            shake_oracle(&model, &old, &mut want);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!((*g - *w).max_abs() < 1e-13, "SETTLE {g:?} vs SHAKE {w:?}");
+            }
+            let (mut got, mut want) = (vel.clone(), vel);
+            settle.velocities(&old, &mut got);
+            rattle_oracle(&model, &old, &mut want);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!((*g - *w).max_abs() < 1e-12, "solve {g:?} vs RATTLE {w:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn integrable_models_are_atoms_and_symmetric_3_site_water() {
+        for model in [
+            WaterModel::spc(),
+            WaterModel::tip3p(),
+            WaterModel::ppc_static(),
+            WaterModel::lj_atom(),
+            WaterModel::charged_atom(),
+        ] {
+            assert_eq!(integrable(&model), Ok(()), "{}", model.name);
+        }
+        let mut heavy = WaterModel::spc();
+        heavy.sites[2].mass *= 2.0;
+        let mut long = WaterModel::spc();
+        long.sites[2].offset = long.sites[2].offset * 1.01;
+        for (model, says) in [
+            (WaterModel::tip5p(), "has 5 interaction sites"),
+            (heavy, "is not a symmetric triangle"),
+            (long, "is not a symmetric triangle"),
+        ] {
+            let why = integrable(&model).unwrap_err();
+            assert!(why.starts_with(says), "{why}");
+        }
+    }
 
     fn small() -> WaterBox {
         WaterBox::builder()
@@ -386,7 +544,6 @@ mod tests {
                 skin: 0.12,
                 rebuild_interval: 3,
             },
-            ..Default::default()
         };
         let reports = integ.run(&mut s, 100);
         let e0 = reports[2].total_energy();
@@ -411,7 +568,6 @@ mod tests {
                 skin: 0.12,
                 rebuild_interval: 3,
             },
-            ..Default::default()
         };
         let reports = integ.run(&mut s, 50);
         for r in &reports {

@@ -34,7 +34,6 @@ fn main() {
             skin: 0.08,
             rebuild_interval: 5,
         },
-        ..Default::default()
     };
 
     // Equilibrate.

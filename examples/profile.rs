@@ -19,6 +19,13 @@
 //! there is no such file): memory handed back to the system between
 //! strips and faulted in again shows here.
 //!
+//! Below the table, `traj-216` is the repo benchmark's `traj-fixed-216`
+//! op: a 20-step trajectory of the fixed variant on one long-lived app
+//! over 216 molecules, its list rebuilt before every step. It is split
+//! into the force steps (timed inside the integrator's forces closure)
+//! and the rest (the integrator's kicks, drift and constraint solves,
+//! and the list builds), in ms per op.
+//!
 //! ```sh
 //! cargo run --release --example profile
 //! ```
@@ -26,8 +33,10 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use merrimac_repro::md::integrate::Integrator;
+use merrimac_repro::md::neighbor::NeighborListParams;
 use merrimac_repro::prelude::*;
-use merrimac_repro::sim::{env_usize, EnvOverrideError, HostExec, HostPhases, RunReport};
+use merrimac_repro::sim::{env_usize, EnvOverrideError, HostExec, HostPhases, RunReport, SimError};
 use merrimac_repro::streammd::layout::build_layout;
 use merrimac_repro::streammd::{run_multinode_program, StepProgram};
 
@@ -115,6 +124,54 @@ fn profile(
     println!(" {per_iteration:14.1} {faults:>7}");
 }
 
+/// The `traj-216` row: one op to warm, then the per-op means of
+/// `TRAJ_OPS` more, each from the same start.
+fn profile_trajectory(host: HostExec) {
+    const TRAJ_OPS: u32 = 5;
+    let system = WaterBox::builder().molecules(216).seed(42).build();
+    let params = NeighborListParams {
+        cutoff: (0.45 * system.pbc().side()).min(1.0),
+        skin: 0.0,
+        rebuild_interval: 10,
+    };
+    let app = StreamMdApp::builder().neighbor(params).host(host);
+    let app = app.build().expect("valid");
+    let integ = Integrator {
+        dt: 0.002,
+        neighbor: params,
+    };
+    let op = |wall: &mut Duration, forces: &mut Duration| {
+        let mut system = system.clone();
+        timed(wall, || {
+            integ.run_with(&mut system, STEPS as usize, host.threads, |system, list| {
+                let out = timed(forces, || {
+                    app.run_step_with_list(system, list, Variant::Fixed)
+                })?;
+                Ok::<_, SimError>((out.forces, ()))
+            })
+        })
+        .expect("runs");
+    };
+    let (mut wall, mut forces) = (Duration::ZERO, Duration::ZERO);
+    op(&mut wall, &mut forces);
+    (wall, forces) = (Duration::ZERO, Duration::ZERO);
+    (0..TRAJ_OPS).for_each(|_| op(&mut wall, &mut forces));
+    let ms = |d: Duration| d.as_secs_f64() * 1e3 / TRAJ_OPS as f64;
+    let rest = wall.saturating_sub(forces);
+    println!(
+        "\n{:11} {:>7} {:>7} {:>7} {:>6}",
+        "trajectory", "op", "forces", "rest", "rest%"
+    );
+    println!(
+        "{:11} {:7.2} {:7.2} {:7.2} {:6.1}",
+        "traj-216",
+        ms(wall),
+        ms(forces),
+        ms(rest),
+        100.0 * rest.as_secs_f64() / wall.as_secs_f64()
+    );
+}
+
 /// A strictly resolved environment value: a malformed one exits 1.
 fn strict<T>(resolved: Result<T, EnvOverrideError>) -> T {
     resolved.unwrap_or_else(|e| {
@@ -149,4 +206,5 @@ fn main() {
         let step = run_multinode_program(&app, &system, program, 8);
         step.expect("runs").outcome.report
     });
+    profile_trajectory(host);
 }

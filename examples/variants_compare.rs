@@ -51,7 +51,7 @@ fn main() {
     }
 
     // Pentium 4 baseline (Figure 9's right-most group).
-    let p4 = p4_baseline::model::estimate(&P4Config::default(), &system, &list);
+    let p4 = p4_baseline::model::estimate(&P4Config::default(), &list);
     println!(
         "{:<12} {:>10} {:>12.2} {:>12} {:>12} {:>10.3}",
         "Pentium 4",

@@ -101,7 +101,7 @@ fn inputs_no_stream_program_serves_are_typed_errors_at_every_entry_point() {
     // `NeighborList::build`'s minimum-image assert. N-site water is
     // served by every force step since; what is left to reject there is
     // a site count `Workload`'s charged-site mask cannot hold, and only
-    // the driver (SHAKE / RATTLE are 3-site) still turns TIP5P away.
+    // the driver (SETTLE places a 3-site triangle) still turns TIP5P away.
     let spc = WaterBox::builder().molecules(27).seed(7).build();
     let side = spc.pbc().side();
     let fits = NeighborListParams {
@@ -180,6 +180,50 @@ fn inputs_no_stream_program_serves_are_typed_errors_at_every_entry_point() {
                 }
                 other => panic!("{name} via {entry}: expected SimError::Config, got {other:?}"),
             }
+        }
+    }
+}
+
+#[test]
+fn a_driven_trajectory_needs_a_symmetric_3_site_triangle() {
+    // SETTLE places the triangle of two equal hydrogens on equal O-H
+    // bonds: a 3-site model unequal in either is a force step's model
+    // but no trajectory's, refused before the first step. The shipped
+    // 3-site models drive.
+    let mut heavy = WaterModel::spc();
+    heavy.sites[2].mass *= 2.0;
+    let mut stretched = WaterModel::spc();
+    stretched.sites[2].offset = stretched.sites[2].offset * 1.05;
+    let cases = [
+        (heavy, false),
+        (stretched, false),
+        (WaterModel::spc(), true),
+        (WaterModel::tip3p(), true),
+        (WaterModel::ppc_static(), true),
+    ];
+    for (model, drives) in cases {
+        let name = model.name.clone();
+        let system = WaterBox::builder()
+            .molecules(27)
+            .model(model)
+            .seed(7)
+            .build();
+        let params = NeighborListParams {
+            cutoff: 0.4 * system.pbc().side(),
+            skin: 0.0,
+            rebuild_interval: 10,
+        };
+        let app = StreamMdApp::builder().neighbor(params).build().unwrap();
+        assert!(app.run_step(&system, Variant::Variable).is_ok(), "{name}");
+        let mut driven = system.clone();
+        let run = MerrimacDriver::new(app, Variant::Variable).run(&mut driven, 2);
+        match (drives, run) {
+            (true, Ok(report)) => assert_eq!(report.steps.len(), 2, "{name}"),
+            (false, Err(SimError::Config(msg))) => {
+                assert!(msg.contains("is not a symmetric triangle"), "{name}: {msg}");
+                assert_eq!(driven.positions(), system.positions(), "{name}");
+            }
+            (_, other) => panic!("{name}: drives = {drives}, got {:?}", other.err()),
         }
     }
 }

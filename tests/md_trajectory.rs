@@ -16,7 +16,6 @@ fn integrator(side: f64) -> Integrator {
             skin: 0.1,
             rebuild_interval: 4,
         },
-        ..Default::default()
     }
 }
 
@@ -32,8 +31,39 @@ fn constraints_hold_through_equilibration() {
         let mol = sys.molecule(m);
         let oh1 = (mol[1] - mol[0]).norm();
         let oh2 = (mol[2] - mol[0]).norm();
-        assert!((oh1 - 0.1).abs() < 1e-6, "OH1 {oh1}");
-        assert!((oh2 - 0.1).abs() < 1e-6);
+        assert!((oh1 - 0.1).abs() < 1e-12, "OH1 {oh1}");
+        assert!((oh2 - 0.1).abs() < 1e-12, "OH2 {oh2}");
+    }
+}
+
+#[test]
+fn settle_holds_bonds_and_bond_velocities_to_rounding_on_every_step() {
+    // One reference step at a time, so every step's end state is seen:
+    // each bond's relative squared-length error |d² − d₀²| / d₀² and the
+    // cosine between the bond and its sites' relative velocity.
+    let mut sys = WaterBox::builder().molecules(64).seed(31).build();
+    let integ = integrator(sys.pbc().side());
+    let model = sys.model().clone();
+    let bonds = [(0, 1), (0, 2), (1, 2)];
+    for step in 0..300 {
+        integ.run(&mut sys, 1);
+        let (mut bond, mut velocity) = (0.0f64, 0.0f64);
+        for m in 0..sys.num_molecules() {
+            let pos = sys.molecule(m);
+            let vel = &sys.velocities()[3 * m..3 * m + 3];
+            for (a, b) in bonds {
+                let d0 = (model.sites[b].offset - model.sites[a].offset).norm2();
+                let d = pos[a] - pos[b];
+                let v = vel[a] - vel[b];
+                bond = bond.max((d.norm2() - d0).abs() / d0);
+                velocity = velocity.max(d.dot(v).abs() / (d.norm() * v.norm()));
+            }
+        }
+        assert!(bond <= 1e-12, "step {step}: bond residual {bond:e}");
+        assert!(
+            velocity <= 1e-12,
+            "step {step}: velocity residual {velocity:e}"
+        );
     }
 }
 

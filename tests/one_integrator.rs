@@ -2,9 +2,9 @@
 //!
 //! `Integrator::run` is that loop over the reference engine at width 1
 //! and `MerrimacDriver::run` is it over the simulated machine, so what is
-//! pinned here is the loop itself: the trajectory it produced before the
-//! two copies were merged, its independence of the host width, and the
-//! unconstrained 1-site path only the driver used to have.
+//! pinned here is the loop itself: its recorded trajectory, its
+//! independence of the host width, and the unconstrained 1-site path
+//! only the driver used to have.
 
 use std::convert::Infallible;
 
@@ -71,8 +71,9 @@ fn water_900() -> (WaterBox, Integrator, usize) {
 
 #[test]
 fn integrator_run_keeps_its_trajectory() {
-    // Recorded at the commit before `run` became `run_with` over the
-    // reference engine.
+    // Recorded when SETTLE replaced SHAKE / RATTLE (the energies moved
+    // in the 12th digit); `run` has been `run_with` over the reference
+    // engine since the recording before that.
     let (mut system, integ, steps) = water_64();
     let reports = integ.run(&mut system, steps);
     assert_eq!(
@@ -92,9 +93,9 @@ fn integrator_run_keeps_its_trajectory() {
     );
 }
 
-const GOLDEN_POSITIONS: u64 = 0xf5c1_4c90_0103_5bda;
-const GOLDEN_VELOCITIES: u64 = 0x768e_e459_b72a_cbda;
-const GOLDEN_LAST_ENERGIES: [u64; 2] = [0xc096_a905_11d4_41db, 0x409a_18d0_62fb_045f];
+const GOLDEN_POSITIONS: u64 = 0x9ee9_7fb7_d80e_bf67;
+const GOLDEN_VELOCITIES: u64 = 0xb137_4f39_af9b_fd63;
+const GOLDEN_LAST_ENERGIES: [u64; 2] = [0xc096_a905_11c0_a37e, 0x409a_18d0_62fd_b953];
 
 #[test]
 fn generic_loop_over_the_reference_engine_is_integrator_run_at_every_width() {
@@ -145,7 +146,6 @@ fn one_site_box_integrates_unconstrained_with_bounded_drift() {
             skin: 0.05,
             rebuild_interval: 5,
         },
-        ..Default::default()
     };
     let atomic = |system: &WaterBox, list: &NeighborList| {
         let result = compute_forces_atomic(system, list);
