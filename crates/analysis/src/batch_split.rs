@@ -12,7 +12,8 @@
 //! `Sel(p, x, ReadReg(r))` — or a sum — `Add(x, ReadReg(r))` or
 //! `Add(x, Sel(p, k, ReadReg(r)))`, either order — with their operands
 //! written before their scan, no op reads a slot a later stage writes,
-//! and each stage preserves tape (SSA) order.
+//! each stage preserves tape (SSA) order, and no lane slot is reused
+//! before its value's last read.
 //!
 //! `CompiledTape::audit_batch_plan` re-derives those invariants from
 //! the tape — independently of the analysis that built the plan — and

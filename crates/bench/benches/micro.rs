@@ -18,6 +18,7 @@ use merrimac_kernel::lower::lower_kernel;
 use merrimac_kernel::schedule::DepTable;
 use merrimac_kernel::{
     list_schedule, modulo_schedule, BatchWidth, CompiledTape, Interpreter, KernelStats, StreamData,
+    StreamView,
 };
 use merrimac_sim::cache::StreamCache;
 use merrimac_sim::{CompiledKernel, KernelOpt, MemSystem, StreamOp, StreamProcessor};
@@ -26,6 +27,8 @@ use streammd::layout::build_layout;
 use streammd::{run_multinode_program, StreamMdApp, Variant};
 
 const SAMPLES: usize = 20;
+/// Alternating draws of a paired row.
+const PAIRS: usize = 41;
 
 /// Median of `SAMPLES` draws of `sample`.
 fn median(sample: impl FnMut() -> f64) -> f64 {
@@ -48,6 +51,40 @@ fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
         median * 1e6
     );
     median
+}
+
+/// Seconds one call of `f` takes.
+fn seconds<R>(f: &mut impl FnMut() -> R) -> f64 {
+    let t0 = Instant::now();
+    black_box(f());
+    t0.elapsed().as_secs_f64()
+}
+
+/// `subject` against `yardstick`, each timed per its own unit count:
+/// both warmed, then `PAIRS` alternating draws, yardstick first, one
+/// ratio per pair. Prints the median ratio and its interquartile range:
+/// the two share the container's state, so their ratio drifts far less
+/// than either row.
+fn paired<R, S>(
+    name: &str,
+    (yardstick, yard_units): (&mut impl FnMut() -> R, usize),
+    (subject, units): (&mut impl FnMut() -> S, usize),
+) {
+    black_box((yardstick(), subject()));
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|_| {
+            let per_yard = seconds(yardstick) / yard_units as f64;
+            seconds(subject) / units as f64 / per_yard
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let quartile = |q: usize| ratios[q * (PAIRS - 1) / 4];
+    println!(
+        "{name:<32} {:>12.3} ratio (median of {PAIRS} pairs; IQR {:.3}–{:.3})",
+        quartile(2),
+        quartile(1),
+        quartile(3)
+    );
 }
 
 /// Report the interpreter, the batch engine at one lane
@@ -79,7 +116,8 @@ fn main() {
         rebuild_interval: 10,
     };
     let list = NeighborList::build(&system, params);
-    bench("reference_forces_216", || compute_forces(&system, &list));
+    let mut native = || compute_forces(&system, &list);
+    bench("reference_forces_216", &mut native);
     bench("gromacs_like_f32_forces_216", || {
         p4_baseline::water_water_forces_sse_like(&system, &list)
     });
@@ -360,12 +398,14 @@ fn main() {
             .collect();
         let launches = iterations / kernel.opt.unroll as usize;
         let name = variant.name();
-        let tape_s = bench(&format!("tape_{name}_strip"), || {
+        let width = BatchWidth::default();
+        let mut tape = || {
             kernel
                 .tape
-                .run_batched(&streams, params, launches, BatchWidth::W8)
+                .run_batched(&streams, params, launches, width)
                 .expect("batch")
-        });
+        };
+        let tape_s = bench(&format!("tape_{name}_strip"), &mut tape);
         // The MD-Bench units beside the plan shape the speed comes from.
         let tape_ops = kernel.ir.nodes.iter();
         let tape_ops = tape_ops.filter(|n| matches!(n, Node::Op { .. } | Node::CondRead { .. }));
@@ -373,13 +413,36 @@ fn main() {
         let interactions = step.layout.strips[strip].real_interactions;
         let stages = kernel.tape.batch_stage_sizes();
         let stages: Vec<String> = stages.iter().map(|(at, n)| format!("{at} {n}")).collect();
+        let (slots, bytes) = kernel.tape.lane_file(width);
         println!(
             "{:<32} {:.2} ns per interaction of {interactions}, {:.3} ns per op-lane of \
-             {op_lanes}; plan: {}",
+             {op_lanes}; plan: {}; lane file: {slots} value slots, {:.0} KB at {width} lanes",
             "",
             tape_s * 1e9 / interactions as f64,
             tape_s * 1e9 / op_lanes as f64,
-            stages.join(", ")
+            stages.join(", "),
+            bytes as f64 / 1e3
+        );
+        // The tape against the native f64 loop (ns per interaction over
+        // ns per pair), and the host's instantiation against the
+        // portable one on the same launch.
+        if variant != Variant::Duplicated {
+            let native = (&mut native, list.num_pairs());
+            paired(
+                &format!("tape_{name}_vs_native"),
+                native,
+                (&mut tape, interactions as usize),
+            );
+        }
+        let views: Vec<StreamView> = streams.iter().map(StreamData::view).collect();
+        let mut portable = || {
+            let run = kernel.tape.run_portable(&views, params, launches, width);
+            run.expect("portable batch")
+        };
+        paired(
+            &format!("tape_{name}_vs_portable"),
+            (&mut portable, 1),
+            (&mut tape, 1),
         );
         let proc = StreamProcessor::new(cfg.clone());
         let launch_s = median(|| {

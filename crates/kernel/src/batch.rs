@@ -3,12 +3,12 @@
 //!
 //! The tape ([`crate::tape`]) retired the interpreter's per-iteration
 //! graph walk; executed one iteration at a time it still dispatches one
-//! opcode per iteration. This module executes it over batches of
-//! `B ∈ {8, 16}` iterations held in `[f64; B]` lane arrays, so each op
-//! becomes one tight loop the compiler can autovectorize and the per-op
-//! dispatch cost is amortized over the whole batch — the same shape
-//! MD-Bench gives its SIMD force kernels, and a faithful host-side echo
-//! of Merrimac running one kernel across parallel cluster lanes.
+//! opcode per iteration. This module executes it over batches of `B`
+//! iterations (16 by default, or 8) held in `[f64; B]` lane arrays, so
+//! each op becomes one tight loop the compiler can autovectorize and the
+//! per-op dispatch cost is amortized over the whole batch — the same
+//! shape MD-Bench gives its SIMD force kernels, and a faithful host-side
+//! echo of Merrimac running one kernel across parallel cluster lanes.
 //!
 //! Bitwise identity with the interpreter is the hard constraint. It is
 //! preserved by a plan built at compile time ([`BatchPlan`]) in one of
@@ -57,15 +57,26 @@
 //! iteration. [`CompiledTape::run_views`] runs a serial plan at one lane
 //! whatever the width asked for.
 //!
+//! A staged plan's **lane file is register-allocated**, as a Merrimac
+//! cluster's working set is in its LRFs: interval colouring over the
+//! plan's execution order (stream reads, stages, writes) gives a value a
+//! lane array, or slot, from its write to its last read only, never one
+//! of its op's operands'; constants and params keep theirs (`fixed` at
+//! L = 8: 1,829 values, 219 slots). A serial plan's slots are node ids.
+//!
 //! Every op still computes the same `f64` expression on the same
 //! operand values, so reordering between stages cannot change a single
-//! bit. Writes drain lane-major (iteration order) at batch end, which
-//! expands conditionally-written records in exactly the interpreter's
-//! append order. The remainder — `iterations % B` — runs through the
-//! *same* `exec_batch` at one lane, carrying the same stream state, and
-//! [`CompiledTape::run`] is that loop from iteration zero: there is no
-//! second iteration body. An every-iteration stream that cannot cover
-//! the launch bounds the loop and is blamed once, after it.
+//! bit. Writes to fixed offsets drain slot by slot; an output with a
+//! conditional write drains lane-major (iteration order), which expands
+//! conditionally-written records in exactly the interpreter's append
+//! order. A launch's last `iterations % B` iterations are one masked
+//! batch: the vector stages compute every lane, while the stream reads,
+//! the pop scan, the latch and sum fills, the writes and the cursors
+//! see only the live ones. [`CompiledTape::run`] is that loop at one
+//! lane: there is no second iteration body. An every-iteration stream
+//! that cannot cover the launch bounds the loop and is blamed once,
+//! after it. The loop is built portably and, picked per launch where the
+//! host has it, for AVX2 (not FMA: a fused multiply-add rounds once).
 //! `tests/tape_equivalence.rs` and `tests/conditional_batch.rs` pin all
 //! of this differentially against the interpreter.
 
@@ -77,12 +88,11 @@ use crate::tape::{mask, Code, CompiledTape, TapeOp, APPEND, NO_COND};
 /// Lane count of the batched SoA engine: 8 or 16 iterations per batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchWidth {
-    /// 8 lanes — the default: one AVX-512 register (or two AVX2
-    /// registers) per operand, and a short scalar remainder.
-    #[default]
+    /// 8 lanes: a lane array is four SSE2 registers, two AVX2 ones.
     W8,
-    /// 16 lanes — more dispatch amortization on long arithmetic tapes
-    /// at twice the lane-array footprint.
+    /// 16 lanes — the default: half the dispatch per iteration, and the
+    /// packed lane file stays in L1 (28 KB for the largest kernel).
+    #[default]
     W16,
 }
 
@@ -143,6 +153,11 @@ pub struct BatchPlan {
     pub(crate) vec_latch: Vec<TapeOp>,
     pub(crate) sums: Vec<Sum>,
     pub(crate) vec_post: Vec<TapeOp>,
+    /// Node id → lane slot (the identity when serial), of `slots`.
+    pub(crate) slot: Vec<u32>,
+    pub(crate) slots: usize,
+    /// The vector stages through `slot`: the ops a batch runs.
+    pub(crate) lane_ops: [Vec<TapeOp>; 4],
 }
 
 /// The stage from which a slot holds its value for every lane of a
@@ -258,6 +273,59 @@ impl BatchPlan {
     fn carries(&self, reg: u32) -> bool {
         self.latches.iter().any(|la| la.reg == reg) || self.sums.iter().any(|s| s.reg == reg)
     }
+
+    /// `tape`'s lane slots by liveness, and its vector ops through them.
+    pub(crate) fn pack(tape: &CompiledTape) -> (Vec<u32>, usize, [Vec<TapeOp>; 4]) {
+        let n = tape.num_nodes;
+        if tape.batch.serial {
+            return ((0..n as u32).collect(), n, Default::default());
+        }
+        // Step (from 1) of each value's last read, 0 if it has none,
+        // `u32::MAX` once freed.
+        let (mut last, mut step) = (vec![0u32; n], 0);
+        tape.walk(|reads, _| {
+            step += 1;
+            reads.iter().for_each(|&r| last[r as usize] = step);
+        });
+        let (mut slot, mut slots) = (vec![u32::MAX; n], 0u32);
+        let pinned = tape.const_inits.iter().map(|c| c.0);
+        for x in pinned.chain(tape.param_inits.iter().map(|p| p.0)) {
+            (slot[x as usize], last[x as usize], slots) = (slots, u32::MAX, slots + 1);
+        }
+        let (mut free, mut step) = (Vec::new(), 0);
+        tape.walk(|reads, writes| {
+            step += 1;
+            // Only an unsound plan reads a value before writing it.
+            for &w in writes.iter().chain(reads) {
+                if slot[w as usize] == u32::MAX {
+                    slot[w as usize] = free.pop().unwrap_or_else(|| {
+                        slots += 1;
+                        slots - 1
+                    });
+                }
+            }
+            // What this step reads for the last time, or writes for no
+            // one, is free from the next step on.
+            for &x in reads.iter().chain(writes) {
+                if last[x as usize] <= step {
+                    last[x as usize] = u32::MAX;
+                    free.push(slot[x as usize]);
+                }
+            }
+        });
+        let packed = |&op: &TapeOp| {
+            let mut op = op;
+            for x in [&mut op.dst, &mut op.a, &mut op.b, &mut op.c] {
+                *x = slot[*x as usize];
+            }
+            op
+        };
+        let lists = tape
+            .stages()
+            .map(|(_, _, ops)| ops.iter().map(packed).collect());
+        let [pre, _, pop, latch, post] = lists;
+        (slot, slots as usize, [pre, pop, latch, post])
+    }
 }
 
 /// One violated invariant of the batch plan, as found by
@@ -305,6 +373,9 @@ pub enum BatchPlanViolation {
     /// Ops inside one phase are out of tape (SSA) order, so an op could
     /// read an operand slot before the phase has written it.
     PhaseOrder { phase: &'static str, dst: u32 },
+    /// Value `by` takes the lane slot of value `arg` while a later step
+    /// reads `arg`, or is the result of an op reading `arg` there.
+    SlotReused { arg: u32, by: u32 },
 }
 
 impl fmt::Display for BatchPlanViolation {
@@ -337,6 +408,10 @@ impl fmt::Display for BatchPlanViolation {
                 "register {reg} is neither latched nor summed, but the plan is staged"
             ),
             Self::PhaseOrder { phase, dst } => write!(f, "{phase} breaks tape order at slot {dst}"),
+            Self::SlotReused { arg, by } => write!(
+                f,
+                "value {by} takes the lane slot of value {arg} before its last read"
+            ),
         }
     }
 }
@@ -393,6 +468,37 @@ impl CompiledTape {
                 x_first,
             })
         })
+    }
+
+    /// A staged batch step by step, as the values each reads and then
+    /// writes: stream reads, stage ops (a pop reads its predicate and
+    /// fallback), latch fill and sum scan in their places, then writes.
+    fn walk(&self, mut step: impl FnMut(&[u32], &[u32])) {
+        for &(dst, _) in self.stream_reads.iter().flat_map(|g| &g.reads) {
+            step(&[], &[dst]);
+        }
+        for (_, at, ops) in self.stages() {
+            for op in ops {
+                let (mut args, mut len) = ([0; 3], 0);
+                for a in self.operands(op).into_iter().flatten() {
+                    (args[len], len) = (a, len + 1);
+                }
+                step(&args[..len], &[op.dst]);
+            }
+            for la in self.batch.latches.iter().filter(|_| at == 2) {
+                step(&[la.pred, la.fresh], &la.reads);
+            }
+            for sum in self.batch.sums.iter().filter(|_| at == 4) {
+                let (p, k) = sum.reset.unzip();
+                let x: Vec<u32> = [Some(sum.x), p, k].into_iter().flatten().collect();
+                step(&x, &[&sum.reads[..], &[sum.base, sum.add]].concat());
+            }
+        }
+        for w in &self.writes {
+            let values = &self.write_values[w.start as usize..(w.start + w.len) as usize];
+            let cond = (w.cond != NO_COND).then_some(w.cond);
+            step(&[values, &Vec::from_iter(cond)].concat(), &[]);
+        }
     }
 
     /// The plan's op lists in execution order, each with its name and
@@ -557,7 +663,28 @@ impl CompiledTape {
                 out.push(V::Uncarried { reg });
             }
         }
-
+        // A value written before it is read (the checks above cover the
+        // rest) is in its lane slot when read; no step writes what it reads.
+        let slot = |x: u32| plan.slot.get(x as usize).map_or(0, |&s| s as usize);
+        let mut held = vec![u32::MAX; plan.slot.iter().max().map_or(1, |&s| s as usize + 1)];
+        let mut written = vec![false; n];
+        let pinned = self.const_inits.iter().map(|c| c.0);
+        for x in pinned.chain(self.param_inits.iter().map(|p| p.0)) {
+            (held[slot(x)], written[x as usize]) = (x, true);
+        }
+        self.walk(|reads, writes| {
+            for &arg in reads {
+                let by = held[slot(arg)];
+                if by != arg && written.get(arg as usize) == Some(&true) {
+                    out.push(V::SlotReused { arg, by });
+                }
+            }
+            for &by in writes {
+                let arg = reads.iter().find(|&&arg| slot(arg) == slot(by));
+                out.extend(arg.map(|&arg| V::SlotReused { arg, by }));
+                (held[slot(by)], written[by as usize]) = (by, true);
+            }
+        });
         out
     }
 
@@ -599,8 +726,41 @@ impl CompiledTape {
 
     /// [`CompiledTape::run_batched`] on borrowed words: what a caller
     /// that keeps its streams elsewhere launches without copying them.
-    /// A serial plan runs at one lane at any width.
+    /// A serial plan runs at one lane; an x86-64 host with AVX2 runs
+    /// the loop as built for it.
     pub fn run_views(
+        &self,
+        inputs: &[StreamView],
+        params: &[f64],
+        iterations: usize,
+        width: BatchWidth,
+    ) -> Result<InterpOutput, InterpError> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host has just been found to support AVX2.
+            return unsafe { self.run_avx2(inputs, params, iterations, width) };
+        }
+        self.run_portable(inputs, params, iterations, width)
+    }
+
+    /// [`CompiledTape::run_views`] as built for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn run_avx2(
+        &self,
+        inputs: &[StreamView],
+        params: &[f64],
+        iterations: usize,
+        width: BatchWidth,
+    ) -> Result<InterpOutput, InterpError> {
+        self.run_portable(inputs, params, iterations, width)
+    }
+
+    /// [`CompiledTape::run_views`] as built for any host of the target,
+    /// whatever it supports: what the tests hold beside the AVX2 build.
+    #[doc(hidden)]
+    #[inline(always)]
+    pub fn run_portable(
         &self,
         inputs: &[StreamView],
         params: &[f64],
@@ -615,10 +775,9 @@ impl CompiledTape {
     }
 
     /// Execute `iterations` loop iterations over `inputs` with launch
-    /// `params`, one iteration per batch — the loop
-    /// [`CompiledTape::run_batched`] runs its remainder through.
-    /// Semantically identical to [`crate::interp::Interpreter::run`] on
-    /// the same kernel, including error values.
+    /// `params`, one iteration per batch. Semantically identical to
+    /// [`crate::interp::Interpreter::run`] on the same kernel, including
+    /// error values.
     pub fn run(
         &self,
         inputs: &[StreamData],
@@ -629,21 +788,15 @@ impl CompiledTape {
         self.run_lanes::<1>(&views, params, iterations)
     }
 
-    /// One [f64; B] lane array per value slot. Constants and params
-    /// broadcast once per launch; SSA guarantees phase results overwrite
-    /// their slots before any lane reads them.
-    fn init_lanes<const B: usize>(&self, params: &[f64]) -> Vec<[f64; B]> {
-        let mut lanes = vec![[0.0; B]; self.num_nodes];
-        for &(slot, c) in &self.const_inits {
-            lanes[slot as usize] = [c; B];
-        }
-        for &(slot, p) in &self.param_inits {
-            lanes[slot as usize] = [params[p as usize]; B];
-        }
-        lanes
+    /// The lane file's value slots, and its bytes at `width` (one lane if serial).
+    pub fn lane_file(&self, width: BatchWidth) -> (usize, usize) {
+        let lanes = if self.batch.serial { 1 } else { width.lanes() };
+        (self.batch.slots, self.batch.slots * lanes * 8)
     }
 
-    /// The launch loop: full batches at `B` lanes, the remainder at one.
+    /// The launch loop: batches of `B` lanes, the last one masked, and
+    /// constants and params broadcast once into slots of their own.
+    #[inline(always)]
     fn run_lanes<const B: usize>(
         &self,
         inputs: &[StreamView],
@@ -668,32 +821,26 @@ impl CompiledTape {
         }
 
         let mut st = StreamState::new(self, inputs.len(), B);
-        let full = runnable - runnable % B;
-        let mut lanes = self.init_lanes::<B>(params);
-        for base in (0..full).step_by(B) {
-            self.exec_batch::<B>(
+        let slot = |x: u32| self.batch.slot[x as usize] as usize;
+        let mut lanes = vec![[0.0; B]; self.batch.slots];
+        for &(x, c) in &self.const_inits {
+            lanes[slot(x)] = [c; B];
+        }
+        for &(x, p) in &self.param_inits {
+            lanes[slot(x)] = [params[p as usize]; B];
+        }
+        for base in (0..runnable).step_by(B) {
+            let live = B.min(runnable - base);
+            let batch = (base, live);
+            self.exec_batch(
                 inputs,
                 &num_records,
                 &mut lanes,
                 &mut regs,
                 &mut outputs,
                 &mut st,
-                base,
+                batch,
             )?;
-        }
-        if full < runnable {
-            let mut lane = self.init_lanes::<1>(params);
-            for base in full..runnable {
-                self.exec_batch::<1>(
-                    inputs,
-                    &num_records,
-                    &mut lane,
-                    &mut regs,
-                    &mut outputs,
-                    &mut st,
-                    base,
-                )?;
-            }
         }
         // The interpreter checks every-iteration streams at the top of
         // an iteration, before any conditional pop of that iteration; a
@@ -713,12 +860,13 @@ impl CompiledTape {
         })
     }
 
-    /// One full batch of `B` iterations: SoA gather, the plan, lane-major
-    /// write drain, cursor advance. `base` is the absolute iteration
-    /// index of lane 0 (for underrun blame). Every every-iteration stream
-    /// must hold `B` more records. (A lane loop's `l` picks one lane out
-    /// of every lane array it touches, so it is a genuine index.)
+    /// One batch of `live ≤ B` iterations, lane 0 at absolute iteration
+    /// `base` (for underrun blame): SoA gather, the plan, the write
+    /// drain, cursor advance. Every every-iteration stream must hold
+    /// `live` more records. (A lane loop's `l` picks one lane out of
+    /// every lane array it touches, so it is a genuine index.)
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[inline(always)]
     fn exec_batch<const B: usize>(
         &self,
         inputs: &[StreamView],
@@ -727,27 +875,28 @@ impl CompiledTape {
         regs: &mut [f64],
         outputs: &mut [StreamData],
         st: &mut StreamState,
-        base: usize,
+        (base, live): (usize, usize),
     ) -> Result<(), InterpError> {
         let plan = &self.batch;
-        // SoA gather: transpose B consecutive records of each
+        let slot = |x: u32| plan.slot[x as usize] as usize;
+        // SoA gather: transpose the live lanes' records of each
         // every-iteration stream into the read slots' lane arrays.
         for g in &self.stream_reads {
             let s = g.stream as usize;
             let rl = self.input_record_len[s];
-            let rows = &inputs[s].data[st.row_base[s]..st.row_base[s] + B * rl];
+            let rows = &inputs[s].data[st.row_base[s]..][..live * rl];
             for &(dst, f) in &g.reads {
-                let mut lane = [0.0f64; B];
-                for (l, v) in lane.iter_mut().enumerate() {
-                    *v = rows[l * rl + f as usize];
+                let lane = lanes[slot(dst)].iter_mut();
+                for (v, row) in lane.zip(rows.chunks_exact(rl)) {
+                    *v = row[f as usize];
                 }
-                lanes[dst as usize] = lane;
             }
         }
         if plan.serial {
             // The whole tape in order at one lane, as the interpreter
             // walks an iteration: register reads, every op with its
-            // pops inline, then the register updates.
+            // pops inline, then the register updates. Its slots are its
+            // node ids.
             debug_assert_eq!(B, 1, "a serial plan runs at one lane");
             for &(dst, r) in &self.reg_reads {
                 lanes[dst as usize] = [regs[r as usize]; B];
@@ -779,19 +928,20 @@ impl CompiledTape {
                 regs[r as usize] = lanes[v as usize][0];
             }
         } else {
-            for op in &plan.vec_pre {
+            let [pre, pop, latch, post] = &plan.lane_ops;
+            for op in pre {
                 exec_vec::<B>(op, lanes);
             }
             // The pop scan: each slot's leading read pops the records of its
             // live lanes, in the interpreter's order, so the first dry pop
             // it meets is the interpreter's blame.
             let mut popped = false;
-            for l in 0..B {
+            for l in 0..live {
                 for op in &st.scan {
                     let cr = &self.cond_reads[op.a as usize];
                     let (s, row) = (cr.stream as usize, cr.slot as usize * B + l);
                     st.pop_rows[row] = NO_ROW;
-                    if lanes[cr.pred as usize][l] == 0.0 {
+                    if lanes[slot(cr.pred)][l] == 0.0 {
                         continue;
                     }
                     if st.cursors[s] >= num_records[s] {
@@ -806,9 +956,9 @@ impl CompiledTape {
             // Then every read gathers its field where its slot popped.
             for op in &plan.pops {
                 let cr = &self.cond_reads[op.a as usize];
-                let mut v = lanes[cr.fallback as usize];
+                let mut v = lanes[slot(cr.fallback)];
                 if popped {
-                    let rows = &st.pop_rows[cr.slot as usize * B..][..B];
+                    let rows = &st.pop_rows[cr.slot as usize * B..][..live];
                     let (data, field) = (inputs[cr.stream as usize].data, cr.field as usize);
                     for (v, &row) in v.iter_mut().zip(rows) {
                         if row != NO_ROW {
@@ -816,39 +966,39 @@ impl CompiledTape {
                         }
                     }
                 }
-                lanes[op.dst as usize] = v;
+                lanes[slot(op.dst)] = v;
             }
-            for op in &plan.vec_pop {
+            for op in pop {
                 exec_vec::<B>(op, lanes);
             }
             // The latch fill: each lane reads what the lane before latched.
             for la in &plan.latches {
-                let (pred, fresh) = (lanes[la.pred as usize], lanes[la.fresh as usize]);
+                let (pred, fresh) = (lanes[slot(la.pred)], lanes[slot(la.fresh)]);
                 let mut read = [0.0f64; B];
                 let held = &mut regs[la.reg as usize];
-                for l in 0..B {
+                for l in 0..live {
                     read[l] = *held;
                     if pred[l] != 0.0 {
                         *held = fresh[l];
                     }
                 }
-                for &slot in &la.reads {
-                    lanes[slot as usize] = read;
+                for &x in &la.reads {
+                    lanes[slot(x)] = read;
                 }
             }
-            for op in &plan.vec_latch {
+            for op in latch {
                 exec_vec::<B>(op, lanes);
             }
             // The sum scan: each lane reads what the lane before summed.
             for sum in &plan.sums {
-                let x = lanes[sum.x as usize];
+                let x = lanes[slot(sum.x)];
                 let (pred, reset) = match sum.reset {
-                    Some((p, k)) => (lanes[p as usize], lanes[k as usize]),
+                    Some((p, k)) => (lanes[slot(p)], lanes[slot(k)]),
                     None => ([0.0; B], [0.0; B]),
                 };
                 let (mut read, mut base, mut out) = ([0.0f64; B], [0.0f64; B], [0.0f64; B]);
                 let held = &mut regs[sum.reg as usize];
-                for l in 0..B {
+                for l in 0..live {
                     read[l] = *held;
                     base[l] = if pred[l] != 0.0 { reset[l] } else { *held };
                     // The kernel's operand order, though Rust leaves which of
@@ -862,45 +1012,47 @@ impl CompiledTape {
                     *held = next;
                     out[l] = *held;
                 }
-                for &slot in &sum.reads {
-                    lanes[slot as usize] = read;
+                for &x in &sum.reads {
+                    lanes[slot(x)] = read;
                 }
-                lanes[sum.base as usize] = base;
-                lanes[sum.add as usize] = out;
+                lanes[slot(sum.base)] = base;
+                lanes[slot(sum.add)] = out;
             }
-            for op in &plan.vec_post {
+            for op in post {
                 exec_vec::<B>(op, lanes);
             }
         }
-        // Drain writes lane-major so appends interleave exactly as the
-        // interpreter's per-iteration writes — the expand side: conditional
-        // writes scatter only their active lanes.
-        for l in 0..B {
-            for w in &self.writes {
-                if w.cond != NO_COND && lanes[w.cond as usize][l] == 0.0 {
-                    continue;
-                }
-                let range = w.start as usize..(w.start + w.len) as usize;
-                let values = self.write_values[range]
-                    .iter()
-                    .map(|&v| lanes[v as usize][l]);
-                let out = &mut outputs[w.stream as usize].data;
-                if w.at == APPEND {
-                    out.extend(values);
-                } else {
-                    let at = (base + l) * self.out_words_per_iter[w.stream as usize];
-                    let at = at + w.at as usize;
-                    for (d, v) in out[at..at + w.len as usize].iter_mut().zip(values) {
-                        *d = v;
-                    }
+        // Writes at fixed offsets drain slot by slot, each value's live
+        // lanes to their iterations' blocks.
+        for w in self.writes.iter().filter(|w| w.at != APPEND) {
+            let words = self.out_words_per_iter[w.stream as usize];
+            let out = &mut outputs[w.stream as usize].data[base * words..][..live * words];
+            let values = &self.write_values[w.start as usize..(w.start + w.len) as usize];
+            for (at, &v) in (w.at as usize..).zip(values) {
+                let lane = &lanes[slot(v)][..live];
+                for (d, x) in out[at..].iter_mut().step_by(words).zip(lane) {
+                    *d = *x;
                 }
             }
         }
-        // Every-iteration streams advance once per lane, as a block.
+        // Appended writes drain lane-major so records interleave exactly
+        // as the interpreter's per-iteration writes — the expand side:
+        // conditional writes scatter only their active lanes.
+        for l in 0..live {
+            for w in self.writes.iter().filter(|w| w.at == APPEND) {
+                if w.cond != NO_COND && lanes[slot(w.cond)][l] == 0.0 {
+                    continue;
+                }
+                let values = &self.write_values[w.start as usize..(w.start + w.len) as usize];
+                let values = values.iter().map(|&v| lanes[slot(v)][l]);
+                outputs[w.stream as usize].data.extend(values);
+            }
+        }
+        // Every-iteration streams advance once per live lane, as a block.
         for (s, every) in self.input_every_iter.iter().enumerate() {
             if *every {
-                st.cursors[s] += B;
-                st.row_base[s] += B * self.input_record_len[s];
+                st.cursors[s] += live;
+                st.row_base[s] += live * self.input_record_len[s];
             }
         }
         Ok(())
@@ -947,119 +1099,77 @@ impl StreamState {
     }
 }
 
-/// Execute one lane-independent op over all `B` lanes. Operand arrays
-/// are copied out by value (`[f64; B]` is `Copy`) so the destination
-/// store borrows cleanly and each match arm is one flat loop the
-/// compiler can autovectorize. Same `f64` expressions as the
+/// Execute one lane-independent op, its operands and result in lane
+/// slots, over all `B` lanes: the result array is written in place while
+/// the operand arrays are borrowed beside it (a result in the slot of
+/// its own operand panics on the split), so each arm is one flat loop
+/// the compiler can autovectorize. Same `f64` expressions as the
 /// interpreter's `Node::Op` arm, lane by lane.
 #[inline(always)]
 fn exec_vec<const B: usize>(op: &TapeOp, lanes: &mut [[f64; B]]) {
-    let (a, b, c) = (
-        lanes[op.a as usize],
-        lanes[op.b as usize],
-        lanes[op.c as usize],
-    );
-    let mut d = [0.0f64; B];
+    let (below, rest) = lanes.split_at_mut(op.dst as usize);
+    let (d, above) = rest.split_first_mut().expect("a result slot");
+    let arg = |s: u32| match (s as usize).checked_sub(below.len() + 1) {
+        Some(i) => &above[i],
+        None => &below[s as usize],
+    };
+    let sel = |p: f64, b, c| if p != 0.0 { b } else { c };
     match op.code {
-        Code::Add => {
-            for l in 0..B {
-                d[l] = a[l] + b[l];
-            }
-        }
-        Code::Sub => {
-            for l in 0..B {
-                d[l] = a[l] - b[l];
-            }
-        }
-        Code::Mul => {
-            for l in 0..B {
-                d[l] = a[l] * b[l];
-            }
-        }
-        Code::Madd => {
-            for l in 0..B {
-                d[l] = a[l] * b[l] + c[l];
-            }
-        }
-        Code::Nmsub => {
-            for l in 0..B {
-                d[l] = c[l] - a[l] * b[l];
-            }
-        }
-        Code::Div => {
-            for l in 0..B {
-                d[l] = a[l] / b[l];
-            }
-        }
-        Code::Sqrt => {
-            for l in 0..B {
-                d[l] = a[l].sqrt();
-            }
-        }
-        Code::Rsqrt => {
-            for l in 0..B {
-                d[l] = 1.0 / a[l].sqrt();
-            }
-        }
-        Code::SeedRecip => {
-            for l in 0..B {
-                d[l] = (1.0 / a[l]) as f32 as f64;
-            }
-        }
-        Code::SeedRsqrt => {
-            for l in 0..B {
-                d[l] = (1.0 / a[l].sqrt()) as f32 as f64;
-            }
-        }
-        Code::CmpEq => {
-            for l in 0..B {
-                d[l] = mask(a[l] == b[l]);
-            }
-        }
-        Code::CmpLt => {
-            for l in 0..B {
-                d[l] = mask(a[l] < b[l]);
-            }
-        }
-        Code::CmpLe => {
-            for l in 0..B {
-                d[l] = mask(a[l] <= b[l]);
-            }
-        }
-        Code::Sel => {
-            for l in 0..B {
-                d[l] = if a[l] != 0.0 { b[l] } else { c[l] };
-            }
-        }
-        Code::And => {
-            for l in 0..B {
-                d[l] = mask(a[l] != 0.0 && b[l] != 0.0);
-            }
-        }
-        Code::Or => {
-            for l in 0..B {
-                d[l] = mask(a[l] != 0.0 || b[l] != 0.0);
-            }
-        }
-        Code::Not => {
-            for l in 0..B {
-                d[l] = mask(a[l] == 0.0);
-            }
-        }
-        Code::Min => {
-            for l in 0..B {
-                d[l] = a[l].min(b[l]);
-            }
-        }
-        Code::Max => {
-            for l in 0..B {
-                d[l] = a[l].max(b[l]);
-            }
-        }
-        Code::Mov => d = a,
+        Code::Add => lanes2(d, arg(op.a), arg(op.b), |a, b| a + b),
+        Code::Sub => lanes2(d, arg(op.a), arg(op.b), |a, b| a - b),
+        Code::Mul => lanes2(d, arg(op.a), arg(op.b), |a, b| a * b),
+        Code::Madd => lanes3(d, arg(op.a), arg(op.b), arg(op.c), |a, b, c| a * b + c),
+        Code::Nmsub => lanes3(d, arg(op.a), arg(op.b), arg(op.c), |a, b, c| c - a * b),
+        Code::Div => lanes2(d, arg(op.a), arg(op.b), |a, b| a / b),
+        Code::Sqrt => lanes1(d, arg(op.a), |a| a.sqrt()),
+        Code::Rsqrt => lanes1(d, arg(op.a), |a| 1.0 / a.sqrt()),
+        Code::SeedRecip => lanes1(d, arg(op.a), |a| (1.0 / a) as f32 as f64),
+        Code::SeedRsqrt => lanes1(d, arg(op.a), |a| (1.0 / a.sqrt()) as f32 as f64),
+        Code::CmpEq => lanes2(d, arg(op.a), arg(op.b), |a, b| mask(a == b)),
+        Code::CmpLt => lanes2(d, arg(op.a), arg(op.b), |a, b| mask(a < b)),
+        Code::CmpLe => lanes2(d, arg(op.a), arg(op.b), |a, b| mask(a <= b)),
+        Code::Sel => lanes3(d, arg(op.a), arg(op.b), arg(op.c), sel),
+        Code::And => lanes2(d, arg(op.a), arg(op.b), |a, b| mask(a != 0.0 && b != 0.0)),
+        Code::Or => lanes2(d, arg(op.a), arg(op.b), |a, b| mask(a != 0.0 || b != 0.0)),
+        Code::Not => lanes1(d, arg(op.a), |a| mask(a == 0.0)),
+        Code::Min => lanes2(d, arg(op.a), arg(op.b), f64::min),
+        Code::Max => lanes2(d, arg(op.a), arg(op.b), f64::max),
+        Code::Mov => *d = *arg(op.a),
         Code::CondRead => unreachable!("conditional read in a vector phase"),
     }
-    lanes[op.dst as usize] = d;
+}
+
+/// `d[l] = f(a[l], …)` for every lane, at one, two and three operands.
+#[inline(always)]
+fn lanes1<const B: usize>(d: &mut [f64; B], a: &[f64; B], f: impl Fn(f64) -> f64) {
+    for l in 0..B {
+        d[l] = f(a[l]);
+    }
+}
+
+#[inline(always)]
+fn lanes2<const B: usize>(
+    d: &mut [f64; B],
+    a: &[f64; B],
+    b: &[f64; B],
+    f: impl Fn(f64, f64) -> f64,
+) {
+    for l in 0..B {
+        d[l] = f(a[l], b[l]);
+    }
+}
+
+#[inline(always)]
+fn lanes3<const B: usize>(
+    d: &mut [f64; B],
+    a: &[f64; B],
+    b: &[f64; B],
+    c: &[f64; B],
+    f: impl Fn(f64, f64, f64) -> f64,
+) {
+    for l in 0..B {
+        d[l] = f(a[l], b[l], c[l]);
+    }
 }
 
 #[cfg(test)]
@@ -1092,7 +1202,8 @@ mod tests {
 
     #[test]
     fn width_reports_lanes() {
-        assert_eq!(BatchWidth::default().lanes(), 8);
+        assert_eq!(BatchWidth::default().lanes(), 16);
+        assert_eq!(BatchWidth::W8.lanes(), 8);
         assert_eq!(BatchWidth::W16.lanes(), 16);
         assert_eq!(BatchWidth::W16.to_string(), "16");
     }
@@ -1727,6 +1838,24 @@ mod tests {
             if cond { &mut p.pops } else { &mut p.vec_post }.push(*op);
         }
         true
+    }
+
+    #[test]
+    fn audit_flags_a_slot_reused_one_step_early_exactly_once() {
+        // `madd(inv, d2, d)` reads `d` for the last time; packing `inv`,
+        // the op one step before it, into `d`'s slot overwrites `d` early.
+        let mut tape = CompiledTape::compile(&accum_kernel());
+        assert_eq!(tape.audit_batch_plan(), vec![]);
+        let pre = &tape.batch.vec_pre;
+        let at = pre
+            .iter()
+            .position(|op| op.code == Code::Madd)
+            .expect("a madd");
+        let (inv, d) = (pre[at - 1].dst, pre[at].c);
+        assert_eq!(pre[at].a, inv);
+        tape.batch.slot[inv as usize] = tape.batch.slot[d as usize];
+        let v = tape.audit_batch_plan();
+        assert_eq!(v, [BatchPlanViolation::SlotReused { arg: d, by: inv }]);
     }
 
     #[test]

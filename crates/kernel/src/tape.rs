@@ -25,10 +25,11 @@
 //! * a write plan: an output whose writes are all unconditional is
 //!   sized once per launch and written by offset; one with a conditional
 //!   write is reserved at its worst case and appended to;
-//! * the [`BatchPlan`] stage split the execution loop runs.
+//! * the [`BatchPlan`] the execution loop runs: the stage split, and
+//!   lane slots packed by liveness.
 //!
 //! This module only compiles. The one loop that executes a tape is
-//! [`crate::batch`]'s, over lanes of 8 or 16 iterations
+//! [`crate::batch`]'s, over lanes of 16 (or 8) iterations
 //! ([`CompiledTape::run_batched`], or [`CompiledTape::run_views`] on
 //! borrowed words) or one ([`CompiledTape::run`]).
 //!
@@ -340,6 +341,7 @@ impl CompiledTape {
             batch: BatchPlan::default(),
         };
         tape.batch = BatchPlan::analyze(&tape);
+        (tape.batch.slot, tape.batch.slots, tape.batch.lane_ops) = BatchPlan::pack(&tape);
         tape
     }
 

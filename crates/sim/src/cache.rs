@@ -39,11 +39,11 @@ impl CacheAccessStats {
     }
 }
 
-/// Line state.
+/// Line state. A line is valid while its generation is the cache's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
-    valid: bool,
+    generation: u32,
     dirty: bool,
     /// LRU stamp.
     used: u64,
@@ -103,6 +103,8 @@ pub struct StreamCache {
     ways: usize,
     sets: usize,
     lines: Vec<Line>,
+    /// The valid lines' generation (0 is none's); a flush starts a new one.
+    generation: u32,
     clock: u64,
     /// Accesses per bank of the trace in progress; every trace zeroes it
     /// first, so it carries nothing from one trace to the next.
@@ -121,12 +123,13 @@ impl StreamCache {
             lines: vec![
                 Line {
                     tag: 0,
-                    valid: false,
+                    generation: 0,
                     dirty: false,
                     used: 0
                 };
                 sets * cfg.cache_ways
             ],
+            generation: 1,
             clock: 0,
             bank_load: vec![0; cfg.cache_banks],
         }
@@ -210,8 +213,9 @@ impl StreamCache {
                     for segment in self.segments(start, len) {
                         self.bank_load[segment.bank] += left * segment.words;
                         let base = self.set_base(segment.line);
+                        let (generation, line) = (self.generation, segment.line);
                         let ways = self.lines[base..base + self.ways].iter_mut();
-                        ways.filter(|l| l.valid && l.tag == segment.line)
+                        ways.filter(|l| l.generation == generation && l.tag == line)
                             .for_each(|l| l.used += shift);
                     }
                     break;
@@ -238,9 +242,10 @@ impl StreamCache {
         self.clock += k;
         st.accesses += k;
         self.bank_load[segment.bank] += k;
-        let base = self.set_base(line_addr);
+        let (base, generation) = (self.set_base(line_addr), self.generation);
         let ways = &mut self.lines[base..base + self.ways];
-        if let Some(l) = ways.iter_mut().find(|l| l.valid && l.tag == line_addr) {
+        let valid = |l: &Line| l.generation == generation;
+        if let Some(l) = ways.iter_mut().find(|l| valid(l) && l.tag == line_addr) {
             st.hits += k;
             l.used = self.clock;
             l.dirty |= write;
@@ -251,14 +256,14 @@ impl StreamCache {
         // LRU victim.
         let victim = ways
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.used } else { 0 })
+            .min_by_key(|l| if valid(l) { l.used } else { 0 })
             .expect("at least one way");
-        if victim.valid && victim.dirty {
+        if valid(victim) && victim.dirty {
             st.writebacks += 1;
         }
         *victim = Line {
             tag: line_addr,
-            valid: true,
+            generation,
             dirty: write,
             used: self.clock,
         };
@@ -266,12 +271,13 @@ impl StreamCache {
     }
 
     /// Forget all contents (e.g. between independent experiments): from
-    /// here on the cache behaves as a new one.
+    /// here on the cache behaves as a new one. A new generation does it,
+    /// unless the generations wrap.
     pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            l.valid = false;
-            l.dirty = false;
-        }
+        self.generation = self.generation.checked_add(1).unwrap_or_else(|| {
+            self.lines.iter_mut().for_each(|l| l.generation = 0);
+            1
+        });
         self.clock = 0;
     }
 }
@@ -299,8 +305,10 @@ pub(crate) mod reference {
             let set = line_addr as usize % cache.sets;
             let tag = line_addr;
             let base = set * cache.ways;
+            let generation = cache.generation;
             let ways = &mut cache.lines[base..base + cache.ways];
-            if let Some(l) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
+            let valid = |l: &Line| l.generation == generation;
+            if let Some(l) = ways.iter_mut().find(|l| valid(l) && l.tag == tag) {
                 st.hits += 1;
                 l.used = cache.clock;
                 l.dirty |= write;
@@ -310,14 +318,14 @@ pub(crate) mod reference {
             // LRU victim.
             let victim = ways
                 .iter_mut()
-                .min_by_key(|l| if l.valid { l.used } else { 0 })
+                .min_by_key(|l| if valid(l) { l.used } else { 0 })
                 .expect("at least one way");
-            if victim.valid && victim.dirty {
+            if valid(victim) && victim.dirty {
                 st.writebacks += 1;
             }
             *victim = Line {
                 tag,
-                valid: true,
+                generation,
                 dirty: write,
                 used: cache.clock,
             };
@@ -329,11 +337,18 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 impl StreamCache {
-    /// Whether two caches hold the same lines — tags, dirty bits and LRU
-    /// stamps — at the same clock: what equal later costs cannot show
-    /// when stamps differ by a shift that keeps their order.
+    /// Whether two caches hold the same valid lines — tags, dirty bits
+    /// and LRU stamps, way by way — at the same clock: what equal later
+    /// costs cannot show when stamps differ by a shift that keeps their
+    /// order.
     pub(crate) fn same_state(&self, other: &Self) -> bool {
-        self.lines == other.lines && self.clock == other.clock
+        let valid = |c: &Self| {
+            let lines = c.lines.iter();
+            let line =
+                |l: &Line| (l.generation == c.generation).then_some((l.tag, l.dirty, l.used));
+            lines.map(line).collect::<Vec<_>>()
+        };
+        valid(self) == valid(other) && self.clock == other.clock
     }
 }
 
@@ -398,6 +413,21 @@ mod tests {
         let st = c.access_trace(0..256, false);
         assert_eq!(st.hits, 256 - 32);
         assert_eq!(st.misses, 32);
+    }
+
+    #[test]
+    fn a_flush_that_wraps_the_generation_still_empties_the_cache() {
+        // Lines of generation 1, left 2³² − 2 flushes ago, would be
+        // valid again after the wrap unless the flush clears them.
+        let mut c = cache();
+        c.access_trace(0..256, true);
+        c.generation = u32::MAX;
+        c.flush();
+        assert_eq!(c.generation, 1);
+        let mut fresh = cache();
+        let want = fresh.access_trace(0..256, false);
+        assert_eq!(c.access_trace(0..256, false), want);
+        assert!(c.same_state(&fresh));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! node's share). `minflt` is the process's minor page faults per step
 //! over the timed steps (field 10 of `/proc/self/stat`; blank where
 //! there is no such file): memory handed back to the system between
-//! strips and faulted in again shows here.
+//! strips and faulted in again shows here. `slots` and `lane KB` are
+//! the kernel's lane file: its value slots, and its size at the launch
+//! width.
 //!
 //! Below the table, `traj-216` is the repo benchmark's `traj-fixed-216`
 //! op: a 20-step trajectory of the fixed variant on one long-lived app
@@ -36,6 +38,7 @@ use std::time::{Duration, Instant};
 use merrimac_repro::md::integrate::Integrator;
 use merrimac_repro::md::neighbor::NeighborListParams;
 use merrimac_repro::prelude::*;
+use merrimac_repro::sim::program::StreamOp;
 use merrimac_repro::sim::{env_usize, EnvOverrideError, HostExec, HostPhases, RunReport, SimError};
 use merrimac_repro::streammd::layout::build_layout;
 use merrimac_repro::streammd::{run_multinode_program, StepProgram};
@@ -80,7 +83,8 @@ fn profile(
     variant: Variant,
     run: impl Fn(&StepProgram) -> RunReport,
 ) {
-    let step = |t: &mut Totals| {
+    let mut lane_file = (0, 0);
+    let mut step = |t: &mut Totals| {
         let started = Instant::now();
         let list = timed(&mut t.stages[0], || {
             NeighborList::build(system, app.neighbor)
@@ -92,6 +96,11 @@ fn profile(
         timed(&mut t.stages[3], || app.admit_built(&program)).expect("admitted");
         let report = run(&program);
         t.wall += started.elapsed();
+        let kernel = program.program.ops.iter().find_map(|lop| match &lop.op {
+            StreamOp::Kernel { kernel, .. } => Some(kernel),
+            _ => None,
+        });
+        lane_file = kernel.expect("a kernel").tape.lane_file(app.tape_batch);
         // Outside the step: the layout again (it cuts the same strips
         // when told the largest one's size), to split the build, and
         // the clone `run` made first.
@@ -121,7 +130,9 @@ fn profile(
     }
     let per_iteration = t.host.kernel.as_secs_f64() * 1e9 / t.iterations as f64;
     let faults = faults.map_or(String::new(), |f| f.to_string());
-    println!(" {per_iteration:14.1} {faults:>7}");
+    let (slots, bytes) = lane_file;
+    let kb = bytes as f64 / 1e3;
+    println!(" {per_iteration:14.1} {faults:>7} {slots:>6} {kb:>7.0}");
 }
 
 /// The `traj-216` row: one op to warm, then the per-op means of
@@ -195,7 +206,7 @@ fn main() {
     {
         print!(" {name:>w$}", w = name.len().max(6));
     }
-    println!(" kernel ns/iter  minflt");
+    println!(" kernel ns/iter  minflt  slots lane KB");
     for variant in Variant::ALL {
         profile(variant.name(), &system, &app, variant, |program| {
             let step = app.run_step_program(&system, program);

@@ -7,8 +7,9 @@
 # (its own CARGO_TARGET_DIR) and the working tree's, then runs the two
 # alternately, three times each, <rev> first. Prints every row whose name
 # matches row-regex (an awk regex, default: every row) with its three
-# readings per side in µs and the ratio of the medians (working tree over
-# <rev>). A row one side does not have reads "-".
+# readings per side — µs, or a paired row's median ratio — and the ratio
+# of the medians (working tree over <rev>). A row one side does not have
+# reads "-".
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -43,7 +44,7 @@ for i in 1 2 3; do
             micro "$work/tree/Cargo.toml" "$old_target"
         else
             micro Cargo.toml "$new_target"
-        fi | awk -v side=$side '$3 == "µs/iter" { print side, $1, $2 }' >>"$runs"
+        fi | awk -v side=$side '$3 == "µs/iter" || $3 == "ratio" { print side, $1, $2 }' >>"$runs"
     done
 done
 
@@ -59,7 +60,7 @@ $2 ~ pattern {
     got[$1, $2] = got[$1, $2] " " $3
 }
 END {
-    printf "%-32s %-34s %-34s %s\n", "row (µs)", rev, "working tree", "ratio"
+    printf "%-32s %-34s %-34s %s\n", "row (µs or ratio)", rev, "working tree", "ratio"
     for (r = 1; r <= rows; r++) {
         row = order[r]; a = median("old", row); b = median("new", row)
         ratio = (a != "" && b != "" && a + 0 > 0) ? sprintf("%.2f", b / a) : "-"

@@ -1,12 +1,14 @@
 //! Differential cases for the batch plan's pre-resolved conditional pops
 //! and latch registers, beside `tape_equivalence.rs`: kernels whose pop
 //! predicates come from an every-iteration stream (the shape of the
-//! `variable` StreamMD kernels), held at 1, 8 and 16 lanes to the
-//! interpreter on outputs, records consumed, final registers and error
-//! values — bit for bit, NaN and −0.0 included.
+//! `variable` StreamMD kernels), held at 1, 8 and 16 lanes — the batched
+//! widths both as the host runs them (built for AVX2 where the host has
+//! it) and as built portably — to the interpreter on outputs, records
+//! consumed, final registers and error values — bit for bit, NaN and
+//! −0.0 included.
 
 use merrimac_kernel::builder::Val;
-use merrimac_kernel::interp::{InterpError, InterpOutput, Interpreter, StreamData};
+use merrimac_kernel::interp::{InterpError, InterpOutput, Interpreter, StreamData, StreamView};
 use merrimac_kernel::ir::{Kernel, StreamMode};
 use merrimac_kernel::unroll::unroll;
 use merrimac_kernel::{BatchWidth, CompiledTape, KernelBuilder};
@@ -37,6 +39,16 @@ fn assert_same(got: &Launch, want: &Launch, ctx: &str) {
     }
 }
 
+/// The batch engine at `width` as the host runs it and as built
+/// portably.
+fn batched(tape: &CompiledTape, inputs: &[StreamData], n: usize, width: BatchWidth) -> [Launch; 2] {
+    let views: Vec<StreamView> = inputs.iter().map(StreamData::view).collect();
+    [
+        tape.run_views(&views, &[], n, width),
+        tape.run_portable(&views, &[], n, width),
+    ]
+}
+
 /// The interpreter against the batch engine at 1, 8 and 16 lanes.
 fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], iterations: usize) {
     let tape = CompiledTape::compile(k);
@@ -48,11 +60,17 @@ fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], itera
         &want,
         &format!("{name} at 1 lane, {iterations} iterations"),
     );
+    let views: Vec<StreamView> = inputs.iter().map(StreamData::view).collect();
     for width in [BatchWidth::W8, BatchWidth::W16] {
         assert_same(
-            &tape.run_batched(inputs, params, iterations, width),
+            &tape.run_views(&views, params, iterations, width),
             &want,
             &format!("{name} at {width} lanes, {iterations} iterations"),
+        );
+        assert_same(
+            &tape.run_portable(&views, params, iterations, width),
+            &want,
+            &format!("{name} at {width} lanes built portably, {iterations} iterations"),
         );
     }
 }
@@ -560,6 +578,29 @@ fn the_leading_scan_blames_a_dry_pop_at_the_first_and_last_lane() {
                     }),
                     "x{factor} at {width} lanes, pops {pops:?}"
                 );
+            }
+        }
+    }
+}
+
+/// A launch's last batch is masked: at every remainder of 16 its stream
+/// reads, pop scan, latch and sum fills, writes and cursors stop at the
+/// last live lane, which a dry pop there is blamed on.
+#[test]
+fn a_masked_last_batch_matches_the_interpreter_at_every_remainder() {
+    let k = centre_kernel();
+    let tape = CompiledTape::compile(&k);
+    for n in 32..48 {
+        assert_engines_agree(&k, &centre_inputs(n, 3, n.div_ceil(3)), &[], n);
+        let inputs = scan_inputs(1, n, &[(0, 0), (n - 2, 0), (n - 1, 0)], 2);
+        assert_engines_agree(&k, &inputs, &[], n);
+        for width in [BatchWidth::W8, BatchWidth::W16] {
+            for got in batched(&tape, &inputs, n, width) {
+                let want = Err(InterpError::StreamUnderrun {
+                    stream: 2,
+                    iteration: n - 1,
+                });
+                assert_eq!(got, want, "{n} iterations at {width} lanes");
             }
         }
     }

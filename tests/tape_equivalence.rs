@@ -1,7 +1,8 @@
 //! Differential proof that the interpreter and the tape are the same
 //! function: the reference graph-walking interpreter, the batched SoA
-//! tape (at both widths, 8 and 16) and `CompiledTape::run`, the same
-//! loop at the one lane the batch remainder runs at. Over random kernels
+//! tape (at both widths, 8 and 16, as the host runs it — built for AVX2
+//! where the host has it — and as built portably) and
+//! `CompiledTape::run`, the same loop at one lane. Over random kernels
 //! (with and without conditional streams, unrolled and not), each must
 //! produce bitwise-identical outputs, records-consumed counts, final
 //! registers — and identical errors when a stream underruns. The
@@ -21,7 +22,7 @@ use md_sim::water::WaterModel;
 use merrimac_arch::{MachineConfig, OpCosts};
 use merrimac_bench::{small_system, Dataset, SEED};
 use merrimac_kernel::builder::Val;
-use merrimac_kernel::interp::{InterpError, InterpOutput, Interpreter, StreamData};
+use merrimac_kernel::interp::{InterpError, InterpOutput, Interpreter, StreamData, StreamView};
 use merrimac_kernel::ir::{Kernel, Node, StreamMode};
 use merrimac_kernel::unroll::unroll;
 use merrimac_kernel::{BatchWidth, CompiledTape, KernelBuilder};
@@ -226,9 +227,33 @@ fn assert_bitwise_equal(tape: &InterpOutput, interp: &InterpOutput, ctx: &str) {
     );
 }
 
+/// The batched tape at both widths, each as the host runs it and as
+/// built portably, labelled.
+fn batched(
+    tape: &CompiledTape,
+    inputs: &[StreamData],
+    params: &[f64],
+    iterations: usize,
+) -> Vec<(String, Result<InterpOutput, InterpError>)> {
+    let views: Vec<StreamView> = inputs.iter().map(StreamData::view).collect();
+    let runs = [BatchWidth::W8, BatchWidth::W16].map(|w| {
+        [
+            (
+                format!("batch {w}"),
+                tape.run_views(&views, params, iterations, w),
+            ),
+            (
+                format!("portable batch {w}"),
+                tape.run_portable(&views, params, iterations, w),
+            ),
+        ]
+    });
+    runs.into_iter().flatten().collect()
+}
+
 /// Run the interpreter, the scalar tape loop and the batched tape (at
-/// both widths) on `k` and require identical results (or identical
-/// errors).
+/// both widths, in both builds) on `k` and require identical results
+/// (or identical errors).
 fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], iterations: usize) {
     let compiled = CompiledTape::compile(k);
     let tape = compiled.run(inputs, params, iterations);
@@ -241,13 +266,12 @@ fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], itera
             k.name
         ),
     }
-    for width in [BatchWidth::W8, BatchWidth::W16] {
-        let batch = compiled.run_batched(inputs, params, iterations, width);
+    for (run, batch) in batched(&compiled, inputs, params, iterations) {
         match (&batch, &tape) {
-            (Ok(b), Ok(t)) => assert_bitwise_equal(b, t, &format!("{} (batch {width})", k.name)),
+            (Ok(b), Ok(t)) => assert_bitwise_equal(b, t, &format!("{} ({run})", k.name)),
             _ => assert_eq!(
                 batch, tape,
-                "kernel '{}': batch {width} disagrees with scalar tape on error",
+                "kernel '{}': {run} disagrees with scalar tape on error",
                 k.name
             ),
         }
@@ -571,7 +595,7 @@ fn serial_fallback_identical_under_all_engines() {
 /// width × thread count, and the interpreter on the same launch, must
 /// blame the same `(stream, iteration)` — never index past the stream,
 /// never return forces. One record short runs dry on the strip's last
-/// iteration, in the batched tape's one-lane remainder; half the records
+/// iteration, in the batched tape's masked last batch; half the records
 /// short runs dry mid-strip, in a full batch.
 #[test]
 fn truncated_centre_stream_is_the_same_typed_error_everywhere() {
@@ -644,8 +668,9 @@ fn truncated_centre_stream_is_the_same_typed_error_everywhere() {
 /// TIP5P boxes, every variant, and `variable` unrolled ×2 on its even
 /// strips — replayed from
 /// its strip's gathers and loads, gives the tape at one lane and the
-/// batched tape at 8 and 16 lanes the interpreter's outputs, consumed
-/// counts, iteration count and final registers, bit for bit.
+/// batched tape at 8 and 16 lanes, in both builds, the interpreter's
+/// outputs, consumed counts, iteration count and final registers, bit
+/// for bit.
 #[test]
 fn every_shipped_launch_matches_the_interpreter() {
     let tip5p = {
@@ -696,10 +721,9 @@ fn every_shipped_launch_matches_the_interpreter() {
                 let one_lane = tape.run(inputs, params, iters);
                 let one_lane = one_lane.unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 assert_bitwise_equal(&one_lane, &want, &format!("{ctx} (1 lane)"));
-                for width in [BatchWidth::W8, BatchWidth::W16] {
-                    let got = tape.run_batched(inputs, params, iters, width);
-                    let got = got.unwrap_or_else(|e| panic!("{ctx} (batch {width}): {e}"));
-                    assert_bitwise_equal(&got, &want, &format!("{ctx} (batch {width})"));
+                for (run, got) in batched(tape, inputs, params, iters) {
+                    let got = got.unwrap_or_else(|e| panic!("{ctx} ({run}): {e}"));
+                    assert_bitwise_equal(&got, &want, &format!("{ctx} ({run})"));
                 }
             }
         }
