@@ -28,7 +28,7 @@ use streammd::{StepOutcome, StreamMdApp, Variant, Workload};
 pub mod json;
 pub mod report;
 pub mod trend;
-pub use report::{CampaignRecord, LintRecord, PerfReport, VariantRecord, SCHEMA_VERSION};
+pub use report::{LintRecord, PerfReport, VariantRecord, SCHEMA_VERSION};
 pub use trend::{compare, render_table, Tolerances, TrendDiff};
 
 /// Default seed for the paper dataset across harnesses (deterministic
@@ -102,13 +102,10 @@ impl std::error::Error for VariantError {
     }
 }
 
-/// The one failure type a run — one-shot [`run`] call or campaign job —
-/// can produce. `bench::VariantError` (simulator/configuration
-/// failures), static-analysis admission rejections and malformed
-/// environment overrides all unify here, so `JobResult` in
-/// `merrimac_campaign` carries a single typed failure and a
-/// `NodesOutOfRange`-style preflight renders identically from the
-/// binary and the campaign pool.
+/// The one failure type a [`run`] can produce. `bench::VariantError`
+/// (simulator/configuration failures), static-analysis admission
+/// rejections and malformed environment overrides all unify here, so
+/// every harness reports a failed run through one typed error.
 #[derive(Debug)]
 pub enum RunError {
     /// The simulator (or its configuration preflight) failed.
@@ -122,8 +119,6 @@ pub enum RunError {
     },
     /// A `MERRIMAC_*` environment override did not parse.
     Env(EnvOverrideError),
-    /// A campaign job panicked; `message` is the panic's own text.
-    Panicked { job: String, message: String },
 }
 
 impl RunError {
@@ -168,7 +163,6 @@ impl std::fmt::Display for RunError {
                 Ok(())
             }
             RunError::Env(e) => e.fmt(f),
-            RunError::Panicked { job, message } => write!(f, "job {job} panicked: {message}"),
         }
     }
 }
@@ -178,7 +172,7 @@ impl std::error::Error for RunError {
         match self {
             RunError::Variant(e) => Some(e),
             RunError::Env(e) => Some(e),
-            RunError::Admission { .. } | RunError::Panicked { .. } => None,
+            RunError::Admission { .. } => None,
         }
     }
 }
@@ -195,9 +189,9 @@ impl From<EnvOverrideError> for RunError {
     }
 }
 
-/// A named dataset a [`RunSpec`] can run over — the cacheable identity
-/// the campaign service keys its artifact cache on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A named dataset a [`RunSpec`] can run over: the recipe that
+/// reproduces its box and list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetId {
     /// The paper's 900-molecule box ([`paper_system`], seed [`SEED`]).
     Paper,
@@ -212,15 +206,7 @@ pub enum DatasetId {
 }
 
 impl DatasetId {
-    pub fn molecules(self) -> usize {
-        match self {
-            DatasetId::Paper => 900,
-            DatasetId::Small(n) | DatasetId::Lj(n) | DatasetId::Charged(n) => n,
-        }
-    }
-
-    /// The workload this dataset exercises — part of the cacheable
-    /// identity, so artifact caches and baselines are workload-aware.
+    /// The workload this dataset exercises.
     pub fn workload(self) -> Workload {
         match self {
             // Both are SPC boxes: what `Workload::of_model` derives.
@@ -246,9 +232,8 @@ impl std::fmt::Display for DatasetId {
 }
 
 /// A materialized dataset: the water box and its neighbour list, tagged
-/// with the [`DatasetId`] that reproduces them. One-shot harnesses
-/// borrow from it via [`Dataset::spec`]; the campaign service shares it
-/// across jobs behind an `Arc` and keys compiled artifacts on `id`.
+/// with the [`DatasetId`] that reproduces them. Harnesses and tests
+/// borrow from it via [`Dataset::spec`].
 #[derive(Debug, Clone)]
 pub struct Dataset {
     pub id: DatasetId,
@@ -299,10 +284,8 @@ impl Dataset {
 }
 
 /// One execution, fully described: the dataset, its neighbour list, the
-/// variant, the simulated node count and how the host executes it. Both
-/// the one-shot path ([`run`]) and the campaign service go through this
-/// one description. Extend with the builder methods; execute with
-/// [`run`].
+/// variant, the simulated node count and how the host executes it.
+/// Extend with the builder methods; execute with [`run`].
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec<'a> {
     pub system: &'a WaterBox,
@@ -372,11 +355,10 @@ impl<'a> RunSpec<'a> {
 }
 
 /// Run one fully-specified step — the single execution entry point
-/// behind every harness and the campaign service. `spec.nodes == 1`
-/// runs the single-node step; larger counts run the end-to-end
-/// multi-node runner and return its canonical [`StepOutcome`] (forces
-/// bitwise node-count-independent, `perf` rewritten to the
-/// barrier-to-barrier step, the breakdown in
+/// behind every harness. `spec.nodes == 1` runs the single-node step;
+/// larger counts run the end-to-end multi-node runner and return its
+/// canonical [`StepOutcome`] (forces bitwise node-count-independent,
+/// `perf` rewritten to the barrier-to-barrier step, the breakdown in
 /// `perf.phases.multinode`).
 pub fn run(spec: RunSpec) -> Result<StepOutcome, RunError> {
     let app = spec.build_app()?;
@@ -438,8 +420,7 @@ mod tests {
         assert_eq!(DatasetId::Charged(100).workload(), Workload::Charged);
         assert_eq!(DatasetId::Lj(100).to_string(), "lj-100");
         assert_eq!(DatasetId::Charged(100).to_string(), "charged-100");
-        assert_eq!(DatasetId::Charged(100).molecules(), 100);
-        // Distinct workloads at the same size are distinct cache keys.
+        // Distinct workloads at the same size are distinct datasets.
         assert_ne!(DatasetId::Lj(100), DatasetId::Charged(100));
     }
 

@@ -23,10 +23,11 @@ use crate::json::{self, json_record, obj, FromJson, Json, ToJson};
 /// per-phase cycle breakdown; 3 — adds the per-variant `partition`
 /// object (`parallelized`, `strips`, `fallback` reason code) recording
 /// whether the strip partitioner admitted the program to the sharded
-/// parallel engine; 4 — the top-level `lints` array, the top-level
-/// `campaign` object and each variant's `multinode` object are required
-/// (`campaign` and `multinode` are `null` when the run had none).
-pub const SCHEMA_VERSION: u64 = 4;
+/// parallel engine; 4 — the top-level `lints` array, a top-level
+/// batch-job summary object and each variant's `multinode` object are
+/// required (the last two `null` when the run had none); 5 — removes
+/// the batch-job summary object.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Static-analysis summary for one variant's step program: how many
 /// diagnostics `merrimac_analysis::analyze_program` produced at each
@@ -57,61 +58,6 @@ json_record!(LintRecord {
     errors,
     warnings,
     infos
-});
-
-/// Campaign-level rate metrics from `merrimac_campaign`: how many jobs
-/// ran, how the cross-job artifact cache behaved, and the aggregate
-/// throughput. `null` in one-shot reports; never diffed by the trend
-/// harness.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CampaignRecord {
-    /// Jobs in the campaign.
-    pub jobs: usize,
-    /// Jobs that produced a `StepOutcome`.
-    pub completed: usize,
-    /// Jobs that failed (preflight, admission, simulator errors, panics).
-    pub failed: usize,
-    /// Worker threads the campaign was scheduled across.
-    pub workers: usize,
-    /// Jobs served compiled artifacts from the cross-job cache.
-    pub cache_hits: usize,
-    /// Jobs that built (and populated) their artifact slot.
-    pub cache_misses: usize,
-    /// Distinct `(dataset, variant, machine)` keys seen.
-    pub distinct_keys: usize,
-    /// Host wall-clock seconds from the first job's dispatch to the last
-    /// job's end.
-    pub wall_seconds: f64,
-    /// Completed jobs per host wall-clock second.
-    pub jobs_per_sec: f64,
-    /// Aggregate simulated pair interactions per host wall-clock second
-    /// across all completed jobs.
-    pub interactions_per_sec: f64,
-}
-
-impl CampaignRecord {
-    /// Fraction of cacheable jobs served from the cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let cacheable = self.cache_hits + self.cache_misses;
-        if cacheable == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / cacheable as f64
-        }
-    }
-}
-
-json_record!(CampaignRecord {
-    jobs,
-    completed,
-    failed,
-    workers,
-    cache_hits,
-    cache_misses,
-    distinct_keys,
-    wall_seconds,
-    jobs_per_sec,
-    interactions_per_sec,
 });
 
 /// One variant's measurements (or its failure).
@@ -261,9 +207,6 @@ pub struct PerfReport {
     /// Per-variant static analysis severity counts; the trend comparator
     /// ignores them.
     pub lints: Vec<LintRecord>,
-    /// Campaign rate metrics, `None` in one-shot reports; the trend
-    /// comparator ignores them.
-    pub campaign: Option<CampaignRecord>,
 }
 
 impl PerfReport {
@@ -281,7 +224,6 @@ impl PerfReport {
         json::render(&obj! {
             "label": self.label, "schema_version": SCHEMA_VERSION, "molecules": self.molecules,
             "threads": self.threads, "variants": self.variants, "lints": self.lints,
-            "campaign": self.campaign,
         })
     }
 
@@ -306,7 +248,6 @@ impl PerfReport {
             threads: v.field("threads")?,
             variants: v.field("variants")?,
             lints: v.field("lints")?,
-            campaign: v.field("campaign")?,
         })
     }
 
@@ -349,7 +290,6 @@ mod tests {
         assert!(json.contains("\"threads\": 4"));
         assert!(json.contains("\\\"quoted\\\""));
         assert!(json.contains("\"multinode\": null"));
-        assert!(json.contains("\"campaign\": null"));
         let dir = std::env::temp_dir();
         let path = report.write(&dir).expect("writes");
         assert!(path.ends_with("BENCH_unit_test.json"));
@@ -422,21 +362,7 @@ mod tests {
             warnings: 2,
             infos: 1,
         });
-        report.campaign = Some(CampaignRecord {
-            jobs: 8,
-            completed: 8,
-            failed: 0,
-            workers: 2,
-            cache_hits: 4,
-            cache_misses: 4,
-            distinct_keys: 4,
-            wall_seconds: 1.5,
-            jobs_per_sec: 5.25,
-            interactions_per_sec: 1.0e6,
-        });
-        assert_eq!(PerfReport::from_json(&report.to_json()), Ok(report.clone()));
-        let c = report.campaign.unwrap();
-        assert!((c.cache_hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(PerfReport::from_json(&report.to_json()), Ok(report));
     }
 
     #[test]
@@ -446,7 +372,6 @@ mod tests {
         let text = report.to_json();
         for (key, renamed) in [
             ("\"lints\"", "`lints`"),
-            ("\"campaign\"", "`campaign`"),
             ("\"multinode\"", "`variants`: [0]: missing key `multinode`"),
             ("\"gather\"", "`variants`: [0]: missing key `gather`"),
         ] {

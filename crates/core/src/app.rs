@@ -320,9 +320,8 @@ impl StreamMdApp {
     }
 
     /// Run the full analysis pipeline over an already-built step
-    /// program. Compile-once callers (the campaign service's artifact
-    /// cache) use this so one `build_step_program` serves both the
-    /// admission verdict and every execution of the same key.
+    /// program, so one `build_step_program` serves both the admission
+    /// verdict ([`StreamMdApp::admit_built`]) and the run.
     pub fn analyze_built(&self, step: &StepProgram) -> Vec<Diagnostic> {
         merrimac_analysis::analyze_program(&ProgramContext {
             cfg: &self.cfg,
@@ -377,11 +376,10 @@ impl StreamMdApp {
     }
 
     /// Execute an already-built step program — the per-run half of the
-    /// compile-once / run-many split. The cached [`StepProgram`] stays
-    /// pristine: execution works on a clone of its memory image, so the
-    /// same build can be run any number of times (across jobs or
-    /// threads) with bitwise-identical results to a fresh
-    /// [`StreamMdApp::run_step_with_list`] build.
+    /// build / run split. The [`StepProgram`] stays pristine: execution
+    /// works on a clone of its memory image, so the same build can be
+    /// run any number of times (under any host) with bitwise-identical
+    /// results to a fresh [`StreamMdApp::run_step_with_list`] build.
     pub fn run_step_program(
         &self,
         system: &WaterBox,
@@ -469,7 +467,7 @@ pub fn check_inputs(system: &WaterBox, neighbor: NeighborListParams) -> Result<(
 
 /// [`check_inputs`], and that `list` was built over this system: one
 /// built over another box would index past its molecules or skip some.
-pub fn check_list(system: &WaterBox, list: &NeighborList) -> Result<(), SimError> {
+pub(crate) fn check_list(system: &WaterBox, list: &NeighborList) -> Result<(), SimError> {
     check_inputs(system, list.params)?;
     let (built, n) = (list.molecules(), system.num_molecules());
     let msg = || format!("the neighbour list was built over {built} molecules, the system has {n}");

@@ -35,7 +35,7 @@ pub mod multinode;
 pub mod variant;
 pub mod workload;
 
-pub use app::{check_inputs, check_list, PerfSummary, StepOutcome, StepProgram, StreamMdApp};
+pub use app::{check_inputs, PerfSummary, StepOutcome, StepProgram, StreamMdApp};
 pub use config::SimConfigBuilder;
 pub use driver::{DriverReport, MerrimacDriver};
 pub use merrimac_sim::machine::SimError;

@@ -205,7 +205,7 @@ pub fn run_multinode(
 
 /// Run one force step decomposed over `nodes` simulated nodes from an
 /// already-built canonical step program — the multi-node half of the
-/// compile-once / run-many split. The cached [`StepProgram`] is shared
+/// compile-once / run-many split. The built [`StepProgram`] is shared
 /// untouched: the one canonical execution works on a clone of its
 /// memory image, so the same build serves any node count (the strip
 /// structure is canonical and N-independent).

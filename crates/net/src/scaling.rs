@@ -26,12 +26,8 @@
 use merrimac_arch::{MachineConfig, NetworkConfig};
 use serde::{Deserialize, Serialize};
 
+use crate::multinode::{HALO_FORCE_WORDS, HALO_POSITION_WORDS};
 use crate::topology::{NetError, Topology};
-
-/// Words per imported halo position record (9 coordinates + index).
-pub const HALO_POSITION_WORDS: f64 = 10.0;
-/// Words per returned partial-force record (3 sites × 3 components).
-pub const HALO_FORCE_WORDS: f64 = 9.0;
 
 /// One point of the strong-scaling sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -126,8 +122,8 @@ pub fn estimate(
         }
     };
     let latency = topo.latency_cycles(level) as f64;
-    let comm_cycles = phase_cycles(halo * HALO_POSITION_WORDS)
-        + phase_cycles(halo * HALO_FORCE_WORDS)
+    let comm_cycles = phase_cycles(halo * HALO_POSITION_WORDS as f64)
+        + phase_cycles(halo * HALO_FORCE_WORDS as f64)
         + 2.0 * latency;
 
     // Overlap: the SRF decoupling hides communication under compute the
@@ -253,7 +249,7 @@ mod tests {
             let p = estimate(&m, &topo, &w, nodes).unwrap();
             let level = topo.worst_level(nodes).unwrap();
             let gbps = topo.node_bandwidth_gbps(level);
-            let bytes = p.halo_per_node * (HALO_POSITION_WORDS + HALO_FORCE_WORDS) * 8.0;
+            let bytes = p.halo_per_node * (HALO_POSITION_WORDS + HALO_FORCE_WORDS) as f64 * 8.0;
             let bw_cycles = bytes / (gbps * 1e9) * m.clock_hz;
             let latency = topo.latency_cycles(level) as f64;
             let one_phase = bw_cycles + latency;

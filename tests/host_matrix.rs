@@ -6,9 +6,11 @@
 //! here with the `EnvOverrideError` text instead of silently running the
 //! default. One fixed host with both fields off their defaults (3
 //! threads, the partition report on) is always compared too, so the
-//! suite exercises the equality with nothing exported. Every dataset
-//! here spans several strips, so the thread count reaches the strip
-//! fan-out. The kernel engine is not a host setting: the interpreter is
+//! suite exercises the equality with nothing exported. Each workload ×
+//! variant is also built once and that one `StepProgram` run under each
+//! host in turn: every run must equal the fresh one-shot step, so a
+//! build is reusable. Every dataset here spans several strips, so the
+//! thread count reaches the strip fan-out. The kernel engine is not a host setting: the interpreter is
 //! held to the shipped kernels' launches in `tape_equivalence`.
 
 use md_sim::vec3::Vec3;
@@ -70,6 +72,17 @@ fn one_step_of_every_workload_and_variant_is_host_invariant() {
             for host in hosts {
                 let ctx = format!("{ctx} under {host:?}");
                 assert_same_step(&base, &step(ds.spec(variant).host(host), &ctx), &ctx);
+            }
+            let built = ds
+                .spec(variant)
+                .build_app()
+                .expect("valid")
+                .build_step_program(&ds.system, &ds.list, variant);
+            for host in hosts {
+                let ctx = format!("{ctx}, one build run again under {host:?}");
+                let app = ds.spec(variant).host(host).build_app().expect("valid");
+                let out = app.run_step_program(&ds.system, &built);
+                assert_same_step(&base, &out.unwrap_or_else(|e| panic!("{ctx}: {e}")), &ctx);
             }
         }
     }

@@ -9,8 +9,8 @@ use std::process::Command;
 use md_sim::water::WaterModel;
 use merrimac_bench::json::{self, Json};
 use merrimac_bench::{
-    analyze, atomic_system, small_system, CampaignRecord, LintRecord, PerfReport, RunSpec,
-    VariantRecord, SCHEMA_VERSION,
+    analyze, atomic_system, small_system, LintRecord, PerfReport, RunSpec, VariantRecord,
+    SCHEMA_VERSION,
 };
 use merrimac_sim::FallbackKind;
 use proptest::prelude::*;
@@ -184,8 +184,8 @@ fn variant_record(rng: &mut TestRng) -> VariantRecord {
     }
 }
 
-/// Generated reports: every field drawn, `campaign` and `multinode`
-/// present and absent.
+/// Generated reports: every field drawn, `multinode` present and
+/// absent.
 struct Reports;
 
 impl Strategy for Reports {
@@ -204,18 +204,6 @@ impl Strategy for Reports {
                 infos: count(rng) as usize,
             })
             .collect();
-        report.campaign = rng.gen_bool(0.5).then(|| CampaignRecord {
-            jobs: count(rng) as usize,
-            completed: count(rng) as usize,
-            failed: count(rng) as usize,
-            workers: count(rng) as usize,
-            cache_hits: count(rng) as usize,
-            cache_misses: count(rng) as usize,
-            distinct_keys: count(rng) as usize,
-            wall_seconds: finite(rng),
-            jobs_per_sec: finite(rng),
-            interactions_per_sec: finite(rng),
-        });
         report
     }
 }
