@@ -18,14 +18,19 @@ use md_sim::force::FLOPS_PER_INTERACTION;
 use md_sim::integrate::Integrator;
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
+use md_sim::vec3::Vec3;
 use md_sim::water::WaterModel;
-use merrimac_arch::{MachineConfig, OpCosts, P4Config};
+use merrimac_arch::{MachineConfig, NetworkConfig, OpCosts, P4Config};
 use merrimac_bench::{atomic_system, paper_system, run, small_system, Dataset, RunSpec, SEED};
 use merrimac_kernel::render::{render_pipelined, render_schedule};
+use merrimac_net::scaling::{estimate, scaling_sweep, ScalingPoint, ScalingWorkload};
+use merrimac_net::topology::Topology;
 use merrimac_sim::timeline::Unit;
 use merrimac_sim::{CompiledKernel, KernelOpt, SdrPolicy};
 use streammd::kernels::variable_kernel;
-use streammd::{AnalyticModel, PerfSummary, SimConfigBuilder, StepOutcome, StreamMdApp};
+use streammd::{
+    run_multinode_program, AnalyticModel, PerfSummary, SimConfigBuilder, StepOutcome, StreamMdApp,
+};
 use streammd::{Variant, Workload};
 
 const EXPERIMENTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
@@ -84,17 +89,27 @@ impl Paper {
         paper
     }
 
+    /// The app `tune` configures for `v` on the paper box.
+    fn app(
+        &self,
+        v: Variant,
+        tune: impl FnOnce(SimConfigBuilder) -> SimConfigBuilder,
+    ) -> StreamMdApp {
+        let app = StreamMdApp::builder()
+            .neighbor(self.list.params)
+            .variants(&[v]);
+        tune(app).build().expect("valid config")
+    }
+
     /// One step of `v` on the paper box, on the app `tune` configures.
     fn step(
         &self,
         v: Variant,
         tune: impl FnOnce(SimConfigBuilder) -> SimConfigBuilder,
     ) -> StepOutcome {
-        let app = StreamMdApp::builder()
-            .neighbor(self.list.params)
-            .variants(&[v]);
-        let app = tune(app).build().expect("valid config");
-        let out = app.run_step_with_list(&self.system, &self.list, v);
+        let out = self
+            .app(v, tune)
+            .run_step_with_list(&self.system, &self.list, v);
         out.unwrap_or_else(|e| panic!("{v}: {e}"))
     }
 
@@ -442,6 +457,122 @@ fn table5() -> Block {
     Block("table5", head, rows)
 }
 
+/// Extension X1: the closed-form strong-scaling sweep over the paper box
+/// tiled 40³ (57.6M molecules), calibrated by the simulated `variable`
+/// step's cycles per molecule.
+fn x1(p: &Paper) -> Block {
+    let molecules = p.system.num_molecules() as f64;
+    let calibration = p.perf(Variant::Variable).cycles as f64 / molecules;
+    let w = ScalingWorkload::paper_scaled(40, calibration);
+    let (machine, net) = (MachineConfig::default(), NetworkConfig::default());
+    let topo = Topology::new(net.clone());
+    let pts = scaling_sweep(&machine, &net, &w, 8192).expect("modeled node counts");
+    for pair in pts.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        assert!(b.step_seconds < a.step_seconds, "{} nodes", b.nodes);
+        assert!(b.comm_cycles < b.compute_cycles, "{} nodes", b.nodes);
+        assert!(
+            b.efficiency < 1.0,
+            "{} nodes: efficiency {}",
+            b.nodes,
+            b.efficiency
+        );
+    }
+    let (first, last) = (pts[0], pts[pts.len() - 1]);
+    let speedup = |pt: &ScalingPoint| first.step_seconds / pt.step_seconds;
+    println!(
+        "[ok] {} nodes: {:.0}× faster steps at {:.0}% efficiency",
+        last.nodes,
+        speedup(&last),
+        last.efficiency * 100.0
+    );
+    let rows = pts.iter().map(|pt| {
+        let level = topo.worst_level(pt.nodes).expect("modeled node count");
+        let gbps = topo.node_bandwidth_gbps(level);
+        let level = format!("{level:?}").to_lowercase();
+        let level = if gbps.is_finite() {
+            format!("{level}, {gbps} GB/s")
+        } else {
+            level
+        };
+        let (n, h) = (pt.molecules_per_node, pt.halo_per_node);
+        let [n, h, c, m] = [n, h, pt.compute_cycles, pt.comm_cycles].map(|x| commas(x.round()));
+        let share = pct(pt.halo_per_node / (pt.molecules_per_node + pt.halo_per_node));
+        let x = commas(speedup(pt).round());
+        let (eff, tflops) = (pt.efficiency * 100.0, pt.solution_gflops / 1e3);
+        let nodes = commas(pt.nodes);
+        format!(
+            "{nodes} | {level} | {n} | {h} | {share} | {c} | {m} | {x}× | {eff:.0}% | {tflops:.2}"
+        )
+    });
+    let head = "nodes | network level | molecules/node | halo/node | halo share | compute (c) \
+                | comm (c) | speedup | efficiency | solution TFLOPS";
+    Block("x1", head, rows.collect())
+}
+
+/// Extension X1b: the executed multi-node runner beside the closed form
+/// on the paper box. One build of the `variable` step is timed at every
+/// node count.
+fn x1_sim(p: &Paper) -> Block {
+    let v = Variant::Variable;
+    let app = p.app(v, |b| b);
+    let step = app.build_step_program(&p.system, &p.list, v);
+    let molecules = p.system.num_molecules() as f64;
+    let one = &p.steps[v as usize];
+    let workload = ScalingWorkload {
+        molecules,
+        cutoff_nm: p.list.params.cutoff,
+        density: molecules / p.system.pbc().side().powi(3),
+        cycles_per_molecule: one.perf.cycles as f64 / molecules,
+        interactions_per_molecule: p.list.num_pairs() as f64 / molecules,
+    };
+    let topo = Topology::new(app.network.clone());
+    let bits = |f: &[Vec3]| -> Vec<[u64; 3]> {
+        f.iter()
+            .map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+            .collect()
+    };
+    let (mut rows, mut steps, mut eff8) = (Vec::new(), Vec::new(), 0.0);
+    for n in [1, 2, 4, 8] {
+        let m = run_multinode_program(&app, &p.system, &step, n);
+        let m = m.unwrap_or_else(|e| panic!("{n} nodes: {e}"));
+        assert!(
+            bits(&m.outcome.forces) == bits(&one.forces),
+            "forces at {n} nodes differ from one node's"
+        );
+        let (b, t1) = (m.breakdown, m.outcome.report.cycles);
+        let eff = m.efficiency();
+        assert!(
+            eff > 0.0 && eff <= 1.0 + 1e-9,
+            "{n} nodes: efficiency {eff}"
+        );
+        let ana = estimate(&app.cfg, &topo, &workload, n).expect("modeled node count");
+        let work = (n as u64 * b.compute_cycles_mean) as f64 / t1 as f64;
+        let [step_c, comm, halo] = [b.step_cycles, b.comm_cycles_max, b.halo_in_words].map(commas);
+        let (eff_pct, imbalance, ana_pct) = (eff * 100.0, b.imbalance(), ana.efficiency * 100.0);
+        rows.push(format!(
+            "{n} | {step_c} | {comm} | {eff_pct:.0}% | {imbalance:.2} | {work:.2} | {halo} | {ana_pct:.0}%"
+        ));
+        steps.push((n, b.step_cycles));
+        eff8 = eff;
+    }
+    println!("[ok] simulated forces at 2, 4 and 8 nodes are bitwise one node's");
+    // The balance gate: placing strips by their cost keeps paying from
+    // 2 to 4 to 8 nodes, and 8 nodes keep 0.70 efficiency.
+    for pair in steps[1..].windows(2) {
+        let ((a, step_a), (b, step_b)) = (pair[0], pair[1]);
+        assert!(
+            step_b < step_a,
+            "simulated step did not shrink from {a} to {b} nodes: {step_a} -> {step_b} cycles"
+        );
+    }
+    assert!(eff8 >= 0.70, "8-node efficiency {eff8:.3} is below 0.70");
+    println!("[ok] the simulated step shrinks from 2 to 4 to 8 nodes; 8 nodes at ≥ 70% efficiency");
+    let head = "nodes | sim step (c) | sim comm (c) | sim eff | imbalance | Σ compute ÷ t₁ \
+                | halo words | analytic eff";
+    Block("x1-sim", head, rows)
+}
+
 /// One force step per variant on the 216-molecule box of `model`, with
 /// the list policy of `small_system`'s box.
 fn model_steps(model: &WaterModel, params: NeighborListParams) -> [PerfSummary; 4] {
@@ -642,7 +773,7 @@ fn main() {
     emit(fig9(&paper).into());
     emit(vec![fig10()]);
     emit(fig11_12(&paper).into());
-    emit(vec![table5()]);
+    emit(vec![table5(), x1(&paper), x1_sim(&paper)]);
     let (x2, spc) = x2();
     emit(x2.into());
     emit(x3(&spc).into());

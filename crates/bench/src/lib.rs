@@ -1,10 +1,10 @@
 //! Shared helpers for the bench harnesses.
 //!
 //! `cargo bench --bench paper` regenerates every paper table and figure
-//! (and checks EXPERIMENTS.md against them); `scaling`, `trend`,
-//! `perf_report` and `micro` measure the rest. This library centralizes
-//! dataset construction and variant execution so harnesses stay small
-//! and consistent.
+//! (and checks EXPERIMENTS.md against them); `trend` gates the simulated
+//! and host metrics against committed baselines, and `micro` times the
+//! host's hot paths. This library centralizes dataset construction and
+//! variant execution so harnesses stay small and consistent.
 //!
 //! Variant execution goes through one entry point: describe the run
 //! with a [`RunSpec`] — dataset, variant, simulated node count and the
@@ -13,17 +13,17 @@
 //! un-runnable setups (e.g. a strip too large to double-buffer in the
 //! SRF, or a node count outside the modeled network) surface as a
 //! typed [`RunError`] naming the offending knob instead of wedging the
-//! simulated scoreboard. A spec never reads the environment unless its
-//! caller asks with [`RunSpec::from_env_overrides`], where a malformed
-//! `MERRIMAC_*` value is a typed [`RunError::Env`].
+//! simulated scoreboard. A spec never reads the environment: a binary or
+//! test that takes host settings from it resolves them at its edge
+//! (`HostExec::from_vars`, [`env_usize`]).
 
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
 use md_sim::water::WaterModel;
-use merrimac_analysis::{Diagnostic, Severity};
+use merrimac_analysis::Diagnostic;
 use merrimac_sim::machine::SimError;
 pub use merrimac_sim::{env_usize, EnvOverrideError, HostExec};
-use streammd::{StepOutcome, StreamMdApp, Variant, Workload};
+use streammd::{run_multinode, StepOutcome, StreamMdApp, Variant};
 
 pub mod json;
 pub mod report;
@@ -83,109 +83,24 @@ pub fn atomic_system(model: WaterModel, particles: usize) -> (WaterBox, Neighbor
     (system, list)
 }
 
-/// A variant that failed to simulate, with the simulator's context.
+/// The one failure type a [`run`] can produce: a variant that failed to
+/// simulate, or whose configuration the preflight refused, with the
+/// simulator's context.
 #[derive(Debug)]
-pub struct VariantError {
+pub struct RunError {
     pub variant: Variant,
     pub source: SimError,
 }
 
-impl std::fmt::Display for VariantError {
+impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "variant {} failed: {}", self.variant, self.source)
     }
 }
 
-impl std::error::Error for VariantError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
-
-/// The one failure type a [`run`] can produce. `bench::VariantError`
-/// (simulator/configuration failures), static-analysis admission
-/// rejections and malformed environment overrides all unify here, so
-/// every harness reports a failed run through one typed error.
-#[derive(Debug)]
-pub enum RunError {
-    /// The simulator (or its configuration preflight) failed.
-    Variant(VariantError),
-    /// The static-analysis admission gate refused the program. The
-    /// structured diagnostics are the same `merrimac_analysis` output
-    /// `merrimac-lint` renders.
-    Admission {
-        variant: Variant,
-        diagnostics: Vec<Diagnostic>,
-    },
-    /// A `MERRIMAC_*` environment override did not parse.
-    Env(EnvOverrideError),
-}
-
-impl RunError {
-    /// A simulator failure of `variant`.
-    pub fn sim(variant: Variant, source: SimError) -> Self {
-        RunError::Variant(VariantError { variant, source })
-    }
-
-    /// Error-severity diagnostics of an [`RunError::Admission`]; empty
-    /// for the other variants.
-    pub fn admission_errors(&self) -> Vec<&Diagnostic> {
-        match self {
-            RunError::Admission { diagnostics, .. } => diagnostics
-                .iter()
-                .filter(|d| d.severity == Severity::Error)
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Variant(e) => e.fmt(f),
-            RunError::Admission {
-                variant,
-                diagnostics,
-            } => {
-                let errors: Vec<&Diagnostic> = diagnostics
-                    .iter()
-                    .filter(|d| d.severity == Severity::Error)
-                    .collect();
-                write!(
-                    f,
-                    "variant {variant} rejected by static-analysis admission ({} error(s))",
-                    errors.len()
-                )?;
-                if let Some(first) = errors.first() {
-                    write!(f, ":\n{}", first.render())?;
-                }
-                Ok(())
-            }
-            RunError::Env(e) => e.fmt(f),
-        }
-    }
-}
-
 impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::Variant(e) => Some(e),
-            RunError::Env(e) => Some(e),
-            RunError::Admission { .. } => None,
-        }
-    }
-}
-
-impl From<VariantError> for RunError {
-    fn from(e: VariantError) -> Self {
-        RunError::Variant(e)
-    }
-}
-
-impl From<EnvOverrideError> for RunError {
-    fn from(e: EnvOverrideError) -> Self {
-        RunError::Env(e)
+        Some(&self.source)
     }
 }
 
@@ -203,21 +118,6 @@ pub enum DatasetId {
     /// A charged-particle LJ+Coulomb box of `n` particles
     /// ([`atomic_system`] with [`WaterModel::charged_atom`]).
     Charged(usize),
-}
-
-impl DatasetId {
-    /// The workload this dataset exercises.
-    pub fn workload(self) -> Workload {
-        match self {
-            // Both are SPC boxes: what `Workload::of_model` derives.
-            DatasetId::Paper | DatasetId::Small(_) => Workload::Water {
-                sites: 3,
-                charged: 0b111,
-            },
-            DatasetId::Lj(_) => Workload::LjFluid,
-            DatasetId::Charged(_) => Workload::Charged,
-        }
-    }
 }
 
 impl std::fmt::Display for DatasetId {
@@ -272,11 +172,6 @@ impl Dataset {
         Self::materialize(DatasetId::Charged(particles))
     }
 
-    /// The workload this dataset exercises.
-    pub fn workload(&self) -> Workload {
-        self.id.workload()
-    }
-
     /// A default run over this dataset.
     pub fn spec(&self, variant: Variant) -> RunSpec<'_> {
         RunSpec::new(&self.system, &self.list, variant)
@@ -328,20 +223,6 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Take `host` from the process environment
-    /// ([`HostExec::from_vars`]) and, if set, `nodes` from
-    /// `MERRIMAC_NODES`. Unset variables mean the defaults; a
-    /// set-but-malformed value is a typed [`RunError::Env`] naming the
-    /// variable, the value and the grammar.
-    pub fn from_env_overrides(mut self) -> Result<Self, RunError> {
-        let env = |var: &str| std::env::var(var).ok();
-        self.host = HostExec::from_vars(env)?;
-        if let Some(nodes) = env_usize(env, "MERRIMAC_NODES")? {
-            self.nodes = nodes;
-        }
-        Ok(self)
-    }
-
     /// The validated application this spec describes.
     pub fn build_app(&self) -> Result<StreamMdApp, RunError> {
         StreamMdApp::builder()
@@ -350,7 +231,10 @@ impl<'a> RunSpec<'a> {
             .variants(&[self.variant])
             .nodes(self.nodes)
             .build()
-            .map_err(|e| RunError::sim(self.variant, e))
+            .map_err(|source| RunError {
+                variant: self.variant,
+                source,
+            })
     }
 }
 
@@ -362,14 +246,13 @@ impl<'a> RunSpec<'a> {
 /// `perf.phases.multinode`).
 pub fn run(spec: RunSpec) -> Result<StepOutcome, RunError> {
     let app = spec.build_app()?;
-    if spec.nodes > 1 {
-        app.run_step_multinode(spec.system, spec.list, spec.variant)
-            .map(|m| m.outcome)
-            .map_err(|e| RunError::sim(spec.variant, e))
+    let (system, list, variant) = (spec.system, spec.list, spec.variant);
+    let out = if spec.nodes > 1 {
+        run_multinode(&app, system, list, variant, spec.nodes).map(|m| m.outcome)
     } else {
-        app.run_step_with_list(spec.system, spec.list, spec.variant)
-            .map_err(|e| RunError::sim(spec.variant, e))
-    }
+        app.run_step_with_list(system, list, variant)
+    };
+    out.map_err(|source| RunError { variant, source })
 }
 
 /// Run the static analysis pipeline over one variant's step program
@@ -377,7 +260,8 @@ pub fn run(spec: RunSpec) -> Result<StepOutcome, RunError> {
 /// diagnostics describe exactly the program the harnesses simulate.
 pub fn analyze(spec: RunSpec) -> Result<Vec<Diagnostic>, RunError> {
     let app = spec.build_app()?;
-    Ok(app.analyze_step(spec.system, spec.list, spec.variant))
+    let step = app.build_step_program(spec.system, spec.list, spec.variant);
+    Ok(app.analyze_built(&step))
 }
 
 /// Print a header banner naming the paper artifact.
@@ -412,12 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn dataset_ids_are_workload_aware() {
-        let water = Workload::of_model(&WaterModel::spc());
-        assert_eq!(DatasetId::Paper.workload(), water);
-        assert_eq!(DatasetId::Small(27).workload(), water);
-        assert_eq!(DatasetId::Lj(100).workload(), Workload::LjFluid);
-        assert_eq!(DatasetId::Charged(100).workload(), Workload::Charged);
+    fn dataset_ids_name_their_datasets() {
         assert_eq!(DatasetId::Lj(100).to_string(), "lj-100");
         assert_eq!(DatasetId::Charged(100).to_string(), "charged-100");
         // Distinct workloads at the same size are distinct datasets.
@@ -432,9 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn variant_error_chains_to_sim_error() {
+    fn run_error_chains_to_sim_error() {
         use std::error::Error;
-        let e = VariantError {
+        let e = RunError {
             variant: Variant::Fixed,
             source: SimError::Config("bad knob".into()),
         };

@@ -306,22 +306,11 @@ impl StreamMdApp {
         }
     }
 
-    /// Run the full analysis pipeline over one variant's step program
-    /// (see `merrimac_analysis`): SRF capacity preflight, SDR pressure,
-    /// per-strip ordering, and the kernel dataflow lints.
-    pub fn analyze_step(
-        &self,
-        system: &WaterBox,
-        list: &NeighborList,
-        variant: Variant,
-    ) -> Vec<Diagnostic> {
-        let step = self.build_step_program(system, list, variant);
-        self.analyze_built(&step)
-    }
-
-    /// Run the full analysis pipeline over an already-built step
-    /// program, so one `build_step_program` serves both the admission
-    /// verdict ([`StreamMdApp::admit_built`]) and the run.
+    /// Run the full analysis pipeline (see `merrimac_analysis`: SRF
+    /// capacity preflight, SDR pressure, per-strip ordering and the
+    /// kernel dataflow lints) over a built step program, so one
+    /// `build_step_program` serves both the admission verdict
+    /// ([`StreamMdApp::admit_built`]) and the run.
     pub fn analyze_built(&self, step: &StepProgram) -> Vec<Diagnostic> {
         merrimac_analysis::analyze_program(&ProgramContext {
             cfg: &self.cfg,

@@ -171,20 +171,6 @@ fn place_strips(weight: &[u64], home: &[usize], nodes: usize) -> Vec<usize> {
     placed
 }
 
-impl StreamMdApp {
-    /// Run one force step of `variant` spatially decomposed over
-    /// `self.nodes` simulated nodes (set via
-    /// [`crate::SimConfigBuilder::nodes`], validated at build time).
-    pub fn run_step_multinode(
-        &self,
-        system: &WaterBox,
-        list: &NeighborList,
-        variant: Variant,
-    ) -> Result<MultiNodeOutcome, SimError> {
-        run_multinode(self, system, list, variant, self.nodes)
-    }
-}
-
 /// Run one force step decomposed over `nodes` simulated nodes. See the
 /// module docs for the execution and timing model. Builds the canonical
 /// step program once and delegates to [`run_multinode_program`].

@@ -949,7 +949,7 @@ proptest! {
         for v in Variant::ALL {
             app.run_step_with_list(&system, &list, v)
                 .unwrap_or_else(|e| panic!("{v} must run serially: {e}"));
-            let diags = app.analyze_step(&system, &list, v);
+            let diags = app.analyze_built(&app.build_step_program(&system, &list, v));
             let errors: Vec<_> = diags
                 .iter()
                 .filter(|d| d.severity == Severity::Error)

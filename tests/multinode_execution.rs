@@ -13,11 +13,14 @@
 
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
-use merrimac_bench::{paper_system, RunSpec};
+use merrimac_bench::paper_system;
+use merrimac_sim::env_usize;
 use merrimac_sim::program::{BufferDecl, LabelledOp};
 use merrimac_sim::{BufferId, RunReport, StreamOp, StreamProcessor, StreamProgram};
 use streammd::multinode::MultiNodeOutcome;
-use streammd::{run_multinode_program, SimConfigBuilder, SimError, StreamMdApp, Variant};
+use streammd::{
+    run_multinode, run_multinode_program, SimConfigBuilder, SimError, StreamMdApp, Variant,
+};
 
 fn setup(molecules: usize) -> (WaterBox, NeighborList) {
     let system = WaterBox::builder().molecules(molecules).seed(7).build();
@@ -37,14 +40,14 @@ fn run_nodes(
     nodes: usize,
     threads: usize,
 ) -> MultiNodeOutcome {
-    SimConfigBuilder::new()
+    let app = SimConfigBuilder::new()
         .neighbor(list.params)
         .variants(&[variant])
         .threads(threads)
         .nodes(nodes)
         .build()
-        .unwrap_or_else(|e| panic!("{variant} nodes={nodes}: {e}"))
-        .run_step_multinode(system, list, variant)
+        .unwrap_or_else(|e| panic!("{variant} nodes={nodes}: {e}"));
+    run_multinode(&app, system, list, variant, nodes)
         .unwrap_or_else(|e| panic!("{variant} nodes={nodes} threads={threads}: {e}"))
 }
 
@@ -55,14 +58,12 @@ fn run_nodes(
 fn forces_bitwise_identical_across_nodes_and_threads() {
     let (system, list) = setup(64);
     let mut node_counts = vec![1usize, 2, 8];
-    // `MERRIMAC_NODES` is parsed through the one checked front door
-    // (`RunSpec::from_env_overrides`), so a malformed matrix entry fails
-    // loudly here instead of being silently ignored.
-    let overridden = RunSpec::new(&system, &list, Variant::Variable)
-        .from_env_overrides()
-        .expect("MERRIMAC_* overrides must parse");
-    if !node_counts.contains(&overridden.nodes) {
-        node_counts.push(overridden.nodes);
+    // `MERRIMAC_NODES` is parsed strictly, so a malformed matrix entry
+    // fails loudly here instead of being silently ignored.
+    let env = |var: &str| std::env::var(var).ok();
+    let nodes = env_usize(env, "MERRIMAC_NODES").unwrap_or_else(|e| panic!("{e}"));
+    if let Some(n) = nodes.filter(|n| !node_counts.contains(n)) {
+        node_counts.push(n);
     }
     for variant in [Variant::Variable, Variant::Fixed] {
         let reference = run_nodes(&system, &list, variant, 1, 2);
