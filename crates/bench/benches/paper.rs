@@ -459,11 +459,16 @@ fn table5() -> Block {
 
 /// Extension X1: the closed-form strong-scaling sweep over the paper box
 /// tiled 40³ (57.6M molecules), calibrated by the simulated `variable`
-/// step's cycles per molecule.
+/// step's cycles and solution flops per molecule.
 fn x1(p: &Paper) -> Block {
     let molecules = p.system.num_molecules() as f64;
-    let calibration = p.perf(Variant::Variable).cycles as f64 / molecules;
-    let w = ScalingWorkload::paper_scaled(40, calibration);
+    let one = p.perf(Variant::Variable);
+    let per_molecule = |x: u64| x as f64 / molecules;
+    let w = ScalingWorkload::paper_scaled(
+        40,
+        per_molecule(one.cycles),
+        per_molecule(one.solution_flops),
+    );
     let (machine, net) = (MachineConfig::default(), NetworkConfig::default());
     let topo = Topology::new(net.clone());
     let pts = scaling_sweep(&machine, &net, &w, 8192).expect("modeled node counts");
@@ -479,6 +484,14 @@ fn x1(p: &Paper) -> Block {
         );
     }
     let (first, last) = (pts[0], pts[pts.len() - 1]);
+    let rel = (first.solution_gflops - one.solution_gflops).abs() / one.solution_gflops;
+    assert!(
+        rel <= 1e-9,
+        "1 node: {} GFLOPS, the calibrating step {}",
+        first.solution_gflops,
+        one.solution_gflops
+    );
+    println!("[ok] the sweep's 1-node solution GFLOPS is the calibrating variable step's");
     let speedup = |pt: &ScalingPoint| first.step_seconds / pt.step_seconds;
     println!(
         "[ok] {} nodes: {:.0}× faster steps at {:.0}% efficiency",
@@ -524,7 +537,7 @@ fn x1_sim(p: &Paper) -> Block {
         cutoff_nm: p.list.params.cutoff,
         density: molecules / p.system.pbc().side().powi(3),
         cycles_per_molecule: one.perf.cycles as f64 / molecules,
-        interactions_per_molecule: p.list.num_pairs() as f64 / molecules,
+        solution_flops_per_molecule: one.perf.solution_flops as f64 / molecules,
     };
     let topo = Topology::new(app.network.clone());
     let bits = |f: &[Vec3]| -> Vec<[u64; 3]> {

@@ -1,52 +1,48 @@
-//! Perf-trend regression gate: run every StreamMD variant on the trend
-//! dataset, diff the simulated metrics (GFLOPS, intensity, locality,
-//! cycles, and a multi-node row's imbalance — all bit-deterministic,
-//! gated at `Tolerances::default()`) against the committed baseline
-//! (`bench/baselines/BENCH_<label>.json`), print the delta table, and
-//! exit non-zero on regression. Host
-//! wall-clock is recorded, not gated: the repo benchmark owns it. CI
-//! runs the 216-molecule gate on every push and the 900-molecule
-//! paper-scale gate on `main`; run either locally with `cargo trend`
+//! Perf-trend gate: run every StreamMD variant on the trend dataset and
+//! hold the report to the committed baseline
+//! (`bench/baselines/BENCH_<label>.json`) exactly. Every member of both
+//! reports must match except the host's own, `threads` and
+//! `wall_seconds`; each difference prints as one `path: baseline →
+//! current` line (`variants[2].phases.kernel: 81234 → 81240`), and any
+//! line, a missing baseline included, exits 1. An intended change of a
+//! simulated number, better or worse, is a baseline refresh. Host
+//! wall-clock is recorded, not compared: the repo benchmark owns it. CI
+//! runs the 216-molecule, multi-node and LJ gates on every push and the
+//! 900-molecule gate on `main`; run one locally with `cargo trend`
 //! (alias) or `cargo bench -p merrimac-bench --bench trend`.
 //!
-//! Environment knobs:
+//! Environment:
 //!
-//! * `TREND_DATASET=900` — run the paper's 900-molecule dataset (label
-//!   `trend_900`) instead of the default 216-molecule box (label
-//!   `trend_216`).
-//! * `TREND_DATASET=multinode` — run the 216-molecule box through the
-//!   end-to-end multi-node runner at several node counts (label
-//!   `trend_multinode`, records like `variable@n8`); `cycles` is the
-//!   simulated barrier-to-barrier multi-node step, so the gate guards
-//!   the halo-exchange comm model as well as the compute path.
-//! * `TREND_DATASET=lj` — run every variant on a 512-particle
-//!   Lennard-Jones atomic fluid (label `trend_lj`), guarding the
-//!   single-site workload path end to end.
-//! * `TREND_DATASET=charged` — the same box with the charged-particle
-//!   (LJ + Coulomb) model (label `trend_charged`).
-//! * `MERRIMAC_HOST_THREADS`, `MERRIMAC_PARTITION_VERBOSE` — the run's
-//!   `HostExec`, resolved strictly here at the edge: a malformed value
-//!   (`MERRIMAC_HOST_THREADS=two`) stops the gate with exit 1. Unset,
-//!   the thread count is the host's parallelism capped at 8. Simulated
-//!   metrics are bitwise-identical at any count; only wall-clock moves.
+//! * `TREND_DATASET` — the dataset, strictly; any other value exits 1:
+//!   - unset or `216` — the 216-molecule water box (label `trend_216`);
+//!   - `900` — the paper's 900-molecule dataset (label `trend_900`);
+//!   - `lj` — a 512-particle Lennard-Jones atomic fluid (label
+//!     `trend_lj`), the single-site workload path end to end;
+//!   - `multinode` — the 216-molecule box through the end-to-end
+//!     multi-node runner at several node counts (label
+//!     `trend_multinode`, records like `variable@n8`); `cycles` is the
+//!     simulated barrier-to-barrier multi-node step, so the gate holds
+//!     the halo-exchange comm model as well as the compute path.
+//! * `MERRIMAC_HOST_THREADS` — engine threads, resolved strictly: a
+//!   malformed value (`two`) exits 1. Unset, the host's parallelism
+//!   capped at 8. Simulated numbers are bitwise-identical at any count.
 //! * `TREND_REFRESH=1` — rewrite the committed baseline from this run
-//!   (after an intentional perf or model change) and exit.
+//!   (after an intentional model change) and exit.
 //! * `TREND_BASELINE_DIR` — read/write baselines here instead of the
 //!   committed directory.
 //! * `BENCH_REPORT_DIR` — where the current report and the
-//!   `TREND_DELTA.txt` table land (default: current directory).
-//! * `TREND_INJECT_GFLOPS_FACTOR` / `TREND_INJECT_VARIANT` — scale the
-//!   measured GFLOPS of one variant (default: all) before diffing; a
-//!   self-test hook proving the gate trips (e.g. factor `0.95`).
+//!   `TREND_DELTA.txt` difference lines land (default: current
+//!   directory).
 
 use std::path::Path;
 use std::time::Instant;
 
 use md_sim::neighbor::NeighborList;
 use md_sim::system::WaterBox;
+use md_sim::water::WaterModel;
 use merrimac_bench::{
-    atomic_system, banner, env_usize, paper_system, render_table, run, small_system, trend,
-    EnvOverrideError, HostExec, PerfReport, RunSpec, Tolerances, VariantRecord,
+    atomic_system, banner, env_usize, paper_system, run, small_system, trend, EnvOverrideError,
+    HostExec, PerfReport, RunSpec, VariantRecord,
 };
 use streammd::Variant;
 
@@ -69,64 +65,39 @@ const MULTINODE_POINTS: &[(Variant, usize)] = &[
 /// The dataset the gate runs, selected by `TREND_DATASET`.
 struct Dataset {
     label: &'static str,
-    molecules: usize,
     system: WaterBox,
     list: NeighborList,
     mode: Mode,
 }
 
 fn dataset_from_env() -> Dataset {
-    match std::env::var("TREND_DATASET").as_deref() {
-        Ok("900") => {
-            let (system, list) = paper_system();
-            Dataset {
-                label: "trend_900",
-                molecules: 900,
-                system,
-                list,
-                mode: Mode::Variants,
-            }
-        }
-        Ok("lj") => {
-            let (system, list) = atomic_system(md_sim::water::WaterModel::lj_atom(), 512);
-            Dataset {
-                label: "trend_lj",
-                molecules: 512,
-                system,
-                list,
-                mode: Mode::Variants,
-            }
-        }
-        Ok("charged") => {
-            let (system, list) = atomic_system(md_sim::water::WaterModel::charged_atom(), 512);
-            Dataset {
-                label: "trend_charged",
-                molecules: 512,
-                system,
-                list,
-                mode: Mode::Variants,
-            }
-        }
-        Ok("multinode") => {
-            let (system, list) = small_system(216);
-            Dataset {
-                label: "trend_multinode",
-                molecules: 216,
-                system,
-                list,
-                mode: Mode::MultiNode(MULTINODE_POINTS),
-            }
-        }
+    let name = std::env::var_os("TREND_DATASET")
+        .map_or("216".into(), |v| v.to_string_lossy().into_owned());
+    let ((system, list), label, mode) = match name.as_str() {
+        "216" => (small_system(216), "trend_216", Mode::Variants),
+        "900" => (paper_system(), "trend_900", Mode::Variants),
+        "lj" => (
+            atomic_system(WaterModel::lj_atom(), 512),
+            "trend_lj",
+            Mode::Variants,
+        ),
+        "multinode" => (
+            small_system(216),
+            "trend_multinode",
+            Mode::MultiNode(MULTINODE_POINTS),
+        ),
         _ => {
-            let (system, list) = small_system(216);
-            Dataset {
-                label: "trend_216",
-                molecules: 216,
-                system,
-                list,
-                mode: Mode::Variants,
-            }
+            eprintln!(
+                "TREND_DATASET={name:?} is none of `216` (the default), `900`, `lj`, `multinode`"
+            );
+            std::process::exit(1)
         }
+    };
+    Dataset {
+        label,
+        system,
+        list,
+        mode,
     }
 }
 
@@ -141,22 +112,22 @@ fn strict<T>(resolved: Result<T, EnvOverrideError>) -> T {
 fn main() {
     let ds = dataset_from_env();
     let env = |var: &str| std::env::var(var).ok();
-    let host = strict(HostExec::from_vars(env));
     let threads = strict(env_usize(env, "MERRIMAC_HOST_THREADS")).unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get().min(8))
             .unwrap_or(1)
     });
-    let host = HostExec { threads, ..host };
+    let host = HostExec { threads };
     banner(
         "trend gate",
-        "per-variant perf vs. committed baseline, fail on regression",
+        "every simulated number vs. the committed baseline, exactly",
     );
+    let molecules = ds.system.num_molecules();
     println!(
-        "dataset: {} molecules (label {}), {threads} engine thread(s)",
-        ds.molecules, ds.label
+        "dataset: {molecules} molecules (label {}), {threads} engine thread(s)",
+        ds.label
     );
-    let mut current = PerfReport::new(ds.label, ds.molecules, threads);
+    let mut current = PerfReport::new(ds.label, molecules, threads);
     match ds.mode {
         Mode::Variants => {
             for variant in Variant::ALL {
@@ -218,7 +189,6 @@ fn main() {
             }
         }
     }
-    apply_injection(&mut current);
 
     match current.write_default() {
         Ok(path) => println!("[ok] wrote {}", path.display()),
@@ -235,69 +205,40 @@ fn main() {
         return;
     }
 
-    let baseline = match trend::load_baseline(&baseline_dir, ds.label) {
-        Ok(Some(b)) => b,
-        Ok(None) => {
-            println!(
-                "no baseline {}/BENCH_{}.json — nothing to diff (seed one with TREND_REFRESH=1)",
-                baseline_dir.display(),
-                ds.label
-            );
-            return;
-        }
-        Err(e) => {
-            eprintln!("baseline unusable: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    let diff = merrimac_bench::compare(&baseline, &current, &Tolerances::default());
-    let table = render_table(&diff);
-    println!("{table}");
-    write_delta_table(&table);
-    if diff.is_regression() {
+    let refresh = "TREND_REFRESH=1 cargo bench -p merrimac-bench --bench trend";
+    let path = baseline_dir.join(format!("BENCH_{}.json", ds.label));
+    let lines = std::fs::read_to_string(&path)
+        .map_err(|e| {
+            format!(
+                "cannot read {}: {e}; seed it with {refresh}",
+                path.display()
+            )
+        })
+        .and_then(|baseline| trend::diff(&baseline, &current))
+        .unwrap_or_else(|e| {
+            eprintln!("trend gate FAILED: {e}");
+            std::process::exit(1)
+        });
+    let delta: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    print!("{delta}");
+    write_delta(&delta);
+    if !lines.is_empty() {
         eprintln!(
-            "trend gate FAILED: {} metric regression(s), {} structural problem(s) vs {}",
-            diff.regressions().len(),
-            diff.problems.len(),
-            baseline_dir
-                .join(format!("BENCH_{}.json", ds.label))
-                .display()
+            "trend gate FAILED: {} difference(s) from {}",
+            lines.len(),
+            path.display()
         );
-        eprintln!(
-            "if this change is intentional, refresh the baseline: \
-             TREND_REFRESH=1 cargo bench -p merrimac-bench --bench trend"
-        );
+        eprintln!("if the change is intended, refresh the baseline: {refresh}");
         std::process::exit(1);
     }
-    println!("trend gate passed: no regression beyond tolerance");
+    println!("trend gate passed: every simulated number equals the baseline's");
 }
 
-/// Self-test hook: scale measured GFLOPS so CI can prove the gate trips.
-fn apply_injection(report: &mut PerfReport) {
-    let Some(factor) = std::env::var("TREND_INJECT_GFLOPS_FACTOR")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-    else {
-        return;
-    };
-    let only = std::env::var("TREND_INJECT_VARIANT").ok();
-    for rec in &mut report.variants {
-        if only.as_deref().is_none_or(|v| v == rec.variant) {
-            rec.solution_gflops *= factor;
-            println!(
-                "[inject] {} solution_gflops scaled by {factor}",
-                rec.variant
-            );
-        }
-    }
-}
-
-fn write_delta_table(table: &str) {
+fn write_delta(delta: &str) {
     let dir = std::env::var("BENCH_REPORT_DIR").unwrap_or_else(|_| ".".to_string());
     let path = Path::new(&dir).join("TREND_DELTA.txt");
-    match std::fs::write(&path, table) {
+    match std::fs::write(&path, delta) {
         Ok(()) => println!("[ok] wrote {}", path.display()),
-        Err(e) => eprintln!("could not write delta table: {e}"),
+        Err(e) => eprintln!("could not write the difference lines: {e}"),
     }
 }

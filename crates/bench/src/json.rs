@@ -1,11 +1,11 @@
 //! The workspace's one JSON layer. `BENCH_*.json` reports and
 //! `merrimac-lint --json` build a [`Json`] value ([`ToJson`]) and write it
-//! with [`render`]; readers [`parse`] it and take it apart with
-//! [`Json::field`] ([`FromJson`]), every field required. A non-finite
-//! float is written as `null` and read back as `0.0`; a count is an
-//! integer literal, and [`Json::as_u64`] takes only those up to 2^53, the
-//! range an `f64` holds exactly. [`parse`] never panics: bad input,
-//! duplicate keys and nesting deeper than 128 are errors at a byte offset.
+//! with [`render`]; readers [`parse`] it and walk the tree (the trend
+//! gate compares two of them member by member). A non-finite float is
+//! written as `null`; a count is an integer literal, and [`Json::as_u64`]
+//! takes only those up to 2^53, the range an `f64` holds exactly.
+//! [`parse`] never panics: bad input, duplicate keys and nesting deeper
+//! than 128 are errors at a byte offset.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,16 +48,6 @@ impl Json {
         }
     }
 
-    /// The member `key`, or an error naming it.
-    pub fn member(&self, key: &str) -> Result<&Json, String> {
-        self.get(key).ok_or_else(|| format!("missing key `{key}`"))
-    }
-
-    /// The member `key` read as a `T`; the error names the key.
-    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, String> {
-        T::from_json(self.member(key)?).map_err(|e| format!("`{key}`: {e}"))
-    }
-
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(n) => Some(*n as f64),
@@ -95,37 +85,24 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// A type read back from the [`Json`] its writer built. Every field is
-/// required; an error names the missing or mistyped key.
-pub trait FromJson: Sized {
-    fn from_json(v: &Json) -> Result<Self, String>;
-}
-
 macro_rules! scalars {
-    ($($t:ty: |$x:ident| $to:expr, $what:literal => $from:expr;)*) => {$(
+    ($($t:ty: |$x:ident| $to:expr;)*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json {
                 let $x = self;
                 $to
             }
         }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, String> {
-                let from: fn(&Json) -> Option<$t> = $from;
-                from(v).ok_or_else(|| format!("expected {}", $what))
-            }
-        }
     )*};
 }
 
 scalars! {
-    u64: |n| Json::Int(*n), "an integer in 0..=2^53" => Json::as_u64;
-    u32: |n| Json::Int(u64::from(*n)), "a 32-bit count" => |v| v.as_u64()?.try_into().ok();
-    usize: |n| Json::Int(*n as u64), "a count" => |v| v.as_u64()?.try_into().ok();
-    // `null` is how `render` writes a non-finite value.
-    f64: |x| Json::Num(*x), "a number" => |v| if *v == Json::Null { Some(0.0) } else { v.as_f64() };
-    bool: |b| Json::Bool(*b), "a boolean" => |v| match v { Json::Bool(b) => Some(*b), _ => None };
-    String: |s| Json::Str(s.clone()), "a string" => |v| v.as_str().map(str::to_string);
+    u64: |n| Json::Int(*n);
+    u32: |n| Json::Int(u64::from(*n));
+    usize: |n| Json::Int(*n as u64);
+    f64: |x| Json::Num(*x);
+    bool: |b| Json::Bool(*b);
+    String: |s| Json::Str(s.clone());
 }
 
 impl ToJson for Json {
@@ -140,27 +117,9 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Null => Ok(None),
-            v => T::from_json(v).map(Some),
-        }
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(T::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let items = v.as_arr().ok_or("expected an array")?.iter().enumerate();
-        items
-            .map(|(i, item)| T::from_json(item).map_err(|e| format!("[{i}]: {e}")))
-            .collect()
     }
 }
 
@@ -172,19 +131,14 @@ macro_rules! obj {
     };
 }
 
-/// [`ToJson`] and [`FromJson`] for a struct written as an object with
-/// one member per listed field, named after the field.
+/// [`ToJson`] for a struct written as an object with one member per
+/// listed field, named after the field.
 macro_rules! json_record {
     ($ty:ty { $($field:ident),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 let members = [$((stringify!($field), $crate::json::ToJson::to_json(&self.$field))),*];
                 $crate::json::Json::obj(members)
-            }
-        }
-        impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
-                Ok(Self { $($field: v.field(stringify!($field))?),* })
             }
         }
     };
@@ -489,6 +443,6 @@ mod tests {
         let back = parse(&text).unwrap();
         assert_eq!(back.get("name"), v.get("name"));
         assert_eq!(back.get("nan"), Some(&Json::Null));
-        assert_eq!(back.field::<f64>("inf"), Ok(0.0));
+        assert_eq!(back.get("inf"), Some(&Json::Null));
     }
 }

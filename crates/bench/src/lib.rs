@@ -1,9 +1,9 @@
 //! Shared helpers for the bench harnesses.
 //!
 //! `cargo bench --bench paper` regenerates every paper table and figure
-//! (and checks EXPERIMENTS.md against them); `trend` gates the simulated
-//! and host metrics against committed baselines, and `micro` times the
-//! host's hot paths. This library centralizes dataset construction and
+//! (and checks EXPERIMENTS.md against them); `trend` holds every
+//! simulated number of a report exactly to a committed baseline, and
+//! `micro` times the host's hot paths. This library centralizes dataset construction and
 //! variant execution so harnesses stay small and consistent.
 //!
 //! Variant execution goes through one entry point: describe the run
@@ -29,7 +29,6 @@ pub mod json;
 pub mod report;
 pub mod trend;
 pub use report::{LintRecord, PerfReport, VariantRecord, SCHEMA_VERSION};
-pub use trend::{compare, render_table, Tolerances, TrendDiff};
 
 /// Default seed for the paper dataset across harnesses (deterministic
 /// output).

@@ -1,22 +1,23 @@
 //! Machine-readable run reports: each harness can emit a
 //! `BENCH_<label>.json` file beside its tables, so downstream tooling
 //! (plots, the trend gate) never scrapes stdout. The schema lives in this
-//! file: each record's `to_json` / `from_json` pair over [`crate::json`],
-//! tagged with [`SCHEMA_VERSION`]. Every field is required, and
-//! [`PerfReport::from_json`] rejects any other schema version.
+//! file: each record's `to_json` over [`crate::json`], tagged with
+//! [`SCHEMA_VERSION`]. Readers walk the parsed tree; the trend gate
+//! compares it member by member with a baseline's, `schema_version`
+//! included.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use merrimac_analysis::{severity_counts, Diagnostic};
-use merrimac_sim::FallbackKind;
 use streammd::{MultiNodeBreakdown, PhaseBreakdown, StepOutcome};
 
-use crate::json::{self, json_record, obj, FromJson, Json, ToJson};
+use crate::json::{self, json_record, obj, Json, ToJson};
 
 /// Version tag of the `BENCH_*.json` format. Bump whenever a field is
-/// added, removed or changes meaning; the trend harness refuses to diff
-/// across versions (a stale baseline must be refreshed, not guessed at).
+/// added, removed or changes meaning; a baseline of another version
+/// fails the trend gate on its `schema_version` line (a stale baseline
+/// must be refreshed, not guessed at).
 ///
 /// Version history: 1 — original per-variant records; 2 — adds
 /// `schema_version`, raw `lrf_refs`/`srf_refs` counts and the
@@ -126,13 +127,6 @@ json_record!(MultiNodeBreakdown {
     force_out_words,
 });
 
-impl FromJson for FallbackKind {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let code = String::from_json(v)?;
-        FallbackKind::from_code(&code).ok_or_else(|| format!("unknown fallback code `{code}`"))
-    }
-}
-
 impl ToJson for VariantRecord {
     fn to_json(&self) -> Json {
         let p = &self.phases;
@@ -158,43 +152,6 @@ impl ToJson for VariantRecord {
     }
 }
 
-impl FromJson for VariantRecord {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let (loc, p, part) = (
-            v.member("locality")?,
-            v.member("phases")?,
-            v.member("partition")?,
-        );
-        Ok(Self {
-            variant: v.field("variant")?,
-            cycles: v.field("cycles")?,
-            seconds: v.field("seconds")?,
-            solution_gflops: v.field("solution_gflops")?,
-            all_gflops: v.field("all_gflops")?,
-            intensity_measured: v.field("intensity_measured")?,
-            locality: (loc.field("lrf")?, loc.field("srf")?, loc.field("mem")?),
-            lrf_refs: v.field("lrf_refs")?,
-            srf_refs: v.field("srf_refs")?,
-            mem_refs: v.field("mem_refs")?,
-            iterations: v.field("iterations")?,
-            phases: PhaseBreakdown {
-                gather_cycles: p.field("gather")?,
-                load_cycles: p.field("load")?,
-                kernel_cycles: p.field("kernel")?,
-                scatter_add_cycles: p.field("scatter_add")?,
-                store_cycles: p.field("store")?,
-                sdr_stall_cycles: p.field("sdr_stall")?,
-                partition_parallelized: part.field("parallelized")?,
-                partition_strips: part.field("strips")?,
-                partition_fallback: part.field("fallback")?,
-                multinode: v.field("multinode")?,
-            },
-            wall_seconds: v.field("wall_seconds")?,
-            error: v.field("error")?,
-        })
-    }
-}
-
 /// A full run report, serialized as `BENCH_<label>.json`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfReport {
@@ -204,8 +161,7 @@ pub struct PerfReport {
     /// Engine worker threads used for the functional phase.
     pub threads: usize,
     pub variants: Vec<VariantRecord>,
-    /// Per-variant static analysis severity counts; the trend comparator
-    /// ignores them.
+    /// Per-variant static analysis severity counts.
     pub lints: Vec<LintRecord>,
 }
 
@@ -225,37 +181,6 @@ impl PerfReport {
             "label": self.label, "schema_version": SCHEMA_VERSION, "molecules": self.molecules,
             "threads": self.threads, "variants": self.variants, "lints": self.lints,
         })
-    }
-
-    /// Parse a report previously rendered by [`PerfReport::to_json`].
-    ///
-    /// A report whose `schema_version` differs from [`SCHEMA_VERSION`]
-    /// (including pre-versioning files with no tag at all) is rejected:
-    /// cross-version diffs silently compare renamed or re-scaled fields,
-    /// so the only safe answer is "refresh the baseline".
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text)?;
-        let version = v.get("schema_version").and_then(Json::as_u64).unwrap_or(1);
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "report schema version {version} does not match this binary's {SCHEMA_VERSION}; \
-                 refresh the baseline (TREND_REFRESH=1) instead of diffing across formats"
-            ));
-        }
-        Ok(Self {
-            label: v.field("label")?,
-            molecules: v.field("molecules")?,
-            threads: v.field("threads")?,
-            variants: v.field("variants")?,
-            lints: v.field("lints")?,
-        })
-    }
-
-    /// Read and parse a report file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Write `BENCH_<label>.json` under `dir` (created if missing),
@@ -309,92 +234,5 @@ mod tests {
             .expect("creates the directory");
         assert!(path.starts_with(&dir) && path.is_file());
         std::fs::remove_dir_all(root).ok();
-    }
-
-    fn sample_record() -> VariantRecord {
-        VariantRecord {
-            variant: "fixed".into(),
-            cycles: 123_456,
-            seconds: 1.25e-4,
-            solution_gflops: 31.5,
-            all_gflops: 40.25,
-            intensity_measured: 10.5,
-            locality: (0.95, 0.026, 0.024),
-            lrf_refs: 9_000_000,
-            srf_refs: 250_000,
-            mem_refs: 230_000,
-            iterations: 7_800,
-            phases: PhaseBreakdown {
-                gather_cycles: 100,
-                load_cycles: 50,
-                kernel_cycles: 9_000,
-                scatter_add_cycles: 70,
-                store_cycles: 30,
-                sdr_stall_cycles: 5,
-                partition_parallelized: true,
-                partition_strips: 4,
-                partition_fallback: None,
-                multinode: Some(MultiNodeBreakdown {
-                    nodes: 8,
-                    compute_cycles_max: 1_200,
-                    compute_cycles_mean: 1_000,
-                    comm_cycles_max: 150,
-                    step_cycles: 1_350,
-                    halo_in_words: 4_000,
-                    force_out_words: 3_600,
-                }),
-            },
-            wall_seconds: 0.75,
-            error: None,
-        }
-    }
-
-    #[test]
-    fn json_round_trips_exactly() {
-        let mut report = PerfReport::new("rt", 216, 2);
-        report.variants.push(sample_record());
-        let mut failed = VariantRecord::from_error("variable", "deadlock");
-        failed.phases.partition_fallback = Some(FallbackKind::RegionConflict);
-        report.variants.push(failed);
-        report.lints.push(LintRecord {
-            variant: "expanded".into(),
-            errors: 0,
-            warnings: 2,
-            infos: 1,
-        });
-        assert_eq!(PerfReport::from_json(&report.to_json()), Ok(report));
-    }
-
-    #[test]
-    fn every_field_is_required_and_errors_name_the_key() {
-        let mut report = PerfReport::new("strict", 64, 1);
-        report.variants.push(sample_record());
-        let text = report.to_json();
-        for (key, renamed) in [
-            ("\"lints\"", "`lints`"),
-            ("\"multinode\"", "`variants`: [0]: missing key `multinode`"),
-            ("\"gather\"", "`variants`: [0]: missing key `gather`"),
-        ] {
-            let err = PerfReport::from_json(&text.replacen(key, "\"renamed\"", 1))
-                .expect_err("a missing field is an error");
-            assert!(err.contains(renamed), "{key}: {err}");
-        }
-        let err = PerfReport::from_json(&text.replacen("123456", "-1", 1)).unwrap_err();
-        assert!(err.contains("`cycles`: expected an integer"), "{err}");
-    }
-
-    #[test]
-    fn mismatched_schema_version_is_rejected() {
-        let current = format!("\"schema_version\": {SCHEMA_VERSION}");
-        let newer = format!("\"schema_version\": {}", SCHEMA_VERSION + 1);
-        let text = PerfReport::new("old", 64, 1)
-            .to_json()
-            .replace(&current, &newer);
-        let err = PerfReport::from_json(&text).expect_err("must reject");
-        assert!(err.contains("schema version"), "{err}");
-        // Pre-versioning reports (no tag) are implicitly version 1.
-        let legacy = r#"{"label": "x", "molecules": 1, "threads": 1, "variants": []}"#;
-        let err = PerfReport::from_json(legacy).expect_err("must reject untagged");
-        assert!(err.contains("schema version 1"), "{err}");
     }
 }

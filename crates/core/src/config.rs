@@ -314,14 +314,11 @@ mod tests {
         assert_eq!(app.block_l, 8);
         assert!(app.strip_iterations.is_none());
 
-        let h = HostExec {
-            threads: 3,
-            partition_verbose: true,
-        };
+        let h = HostExec { threads: 3 };
         let app = SimConfigBuilder::new().host(h).build().unwrap();
         assert_eq!(app.host, h);
         let app = SimConfigBuilder::new().host(h).threads(5).build().unwrap();
-        assert_eq!(app.host, HostExec { threads: 5, ..h });
+        assert_eq!(app.host, HostExec { threads: 5 });
         let app = SimConfigBuilder::new().threads(5).host(h).build().unwrap();
         assert_eq!(app.host, h);
     }

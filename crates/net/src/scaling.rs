@@ -62,21 +62,27 @@ pub struct ScalingWorkload {
     /// Single-node cycles per molecule per step, calibrated from the
     /// simulated `variable` run (cycles / molecules).
     pub cycles_per_molecule: f64,
-    /// Interactions per molecule (half list).
-    pub interactions_per_molecule: f64,
+    /// Solution flops per molecule per step, from the same run (its
+    /// solution flops / molecules).
+    pub solution_flops_per_molecule: f64,
 }
 
 impl ScalingWorkload {
     /// The paper's 900-molecule dataset replicated `factor³` times so it
-    /// can spread over many nodes (weak-ish scaling base).
-    pub fn paper_scaled(factor: usize, cycles_per_molecule: f64) -> Self {
+    /// can spread over many nodes (weak-ish scaling base), at the cost
+    /// and flops per molecule of a calibrating step on one copy.
+    pub fn paper_scaled(
+        factor: usize,
+        cycles_per_molecule: f64,
+        solution_flops_per_molecule: f64,
+    ) -> Self {
         let molecules = 900.0 * (factor * factor * factor) as f64;
         Self {
             molecules,
             cutoff_nm: 1.0,
             density: 33.327,
             cycles_per_molecule,
-            interactions_per_molecule: 70.0,
+            solution_flops_per_molecule,
         }
     }
 }
@@ -134,7 +140,7 @@ pub fn estimate(
 
     let single_node_seconds = w.molecules * w.cycles_per_molecule / machine.clock_hz;
     let efficiency = single_node_seconds / (nodes as f64 * step_seconds);
-    let flops = w.molecules * w.interactions_per_molecule * 234.0;
+    let flops = w.molecules * w.solution_flops_per_molecule;
     Ok(ScalingPoint {
         nodes,
         molecules_per_node: n_node,
@@ -172,8 +178,9 @@ mod tests {
         (
             MachineConfig::default(),
             NetworkConfig::default(),
-            // 57.6M molecules (factor 40), ~7 cycles/interaction/molecule.
-            ScalingWorkload::paper_scaled(40, 500.0),
+            // 57.6M molecules (factor 40), ~7 cycles per interaction and
+            // the paper box's ~73 pairs × 234 flops per molecule.
+            ScalingWorkload::paper_scaled(40, 500.0, 17_000.0),
         )
     }
 

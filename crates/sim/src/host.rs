@@ -9,16 +9,11 @@
 pub struct HostExec {
     /// Worker threads of the functional and memory-timing phases.
     pub threads: usize,
-    /// Print the strip partitioner's report to stderr before each run.
-    pub partition_verbose: bool,
 }
 
 impl Default for HostExec {
     fn default() -> Self {
-        Self {
-            threads: 1,
-            partition_verbose: false,
-        }
+        Self { threads: 1 }
     }
 }
 
@@ -44,30 +39,13 @@ impl std::fmt::Display for EnvOverrideError {
 impl std::error::Error for EnvOverrideError {}
 
 impl HostExec {
-    /// Resolve `MERRIMAC_HOST_THREADS` (a positive integer) and
-    /// `MERRIMAC_PARTITION_VERBOSE` (`0` or `1`) as `lookup` reports
-    /// them: unset means the default, set-but-malformed is an error. A
-    /// binary passes a closure over its process environment, a test a
-    /// table.
+    /// Resolve `MERRIMAC_HOST_THREADS` (a positive integer) as `lookup`
+    /// reports it: unset means the default, set-but-malformed is an
+    /// error. A binary passes a closure over its process environment, a
+    /// test a table.
     pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvOverrideError> {
-        let mut host = Self::default();
-        if let Some(threads) = env_usize(&lookup, "MERRIMAC_HOST_THREADS")? {
-            host.threads = threads;
-        }
-        if let Some(value) = lookup("MERRIMAC_PARTITION_VERBOSE") {
-            host.partition_verbose = match value.as_str() {
-                "0" => false,
-                "1" => true,
-                _ => {
-                    return Err(EnvOverrideError {
-                        var: "MERRIMAC_PARTITION_VERBOSE",
-                        value,
-                        expected: "`0` or `1`",
-                    })
-                }
-            };
-        }
-        Ok(host)
+        let threads = env_usize(lookup, "MERRIMAC_HOST_THREADS")?;
+        Ok(threads.map_or_else(Self::default, |threads| Self { threads }))
     }
 }
 
@@ -105,35 +83,19 @@ mod tests {
     #[test]
     fn unset_is_the_default_and_every_valid_value_lands() {
         let d = HostExec::default();
-        assert_eq!((d.threads, d.partition_verbose), (1, false));
+        assert_eq!(d.threads, 1);
         assert_eq!(resolve(&[]), Ok(d));
         for (var, value, want) in [
             ("MERRIMAC_HOST_THREADS", "1", d),
-            ("MERRIMAC_HOST_THREADS", "8", HostExec { threads: 8, ..d }),
-            ("MERRIMAC_PARTITION_VERBOSE", "0", d),
-            (
-                "MERRIMAC_PARTITION_VERBOSE",
-                "1",
-                HostExec {
-                    partition_verbose: true,
-                    ..d
-                },
-            ),
+            ("MERRIMAC_HOST_THREADS", "8", HostExec { threads: 8 }),
         ] {
             assert_eq!(resolve(&[(var, value)]), Ok(want), "{var}={value}");
         }
         let all = resolve(&[
             ("MERRIMAC_HOST_THREADS", "2"),
-            ("MERRIMAC_PARTITION_VERBOSE", "1"),
             ("MERRIMAC_NODES", "two"), // not a host setting: not read here
         ]);
-        assert_eq!(
-            all,
-            Ok(HostExec {
-                threads: 2,
-                partition_verbose: true
-            })
-        );
+        assert_eq!(all, Ok(HostExec { threads: 2 }));
     }
 
     #[test]
@@ -143,8 +105,6 @@ mod tests {
             ("MERRIMAC_HOST_THREADS", "-1", "a positive integer"),
             ("MERRIMAC_HOST_THREADS", "two", "a positive integer"),
             ("MERRIMAC_HOST_THREADS", "", "a positive integer"),
-            ("MERRIMAC_PARTITION_VERBOSE", "yes", "`0` or `1`"),
-            ("MERRIMAC_PARTITION_VERBOSE", "", "`0` or `1`"),
         ] {
             let err = resolve(&[(var, value)]).expect_err(value);
             assert_eq!(

@@ -159,9 +159,6 @@ impl StreamProcessor {
             validate_partition: t.elapsed(),
             ..HostPhases::default()
         };
-        if self.host.partition_verbose {
-            eprintln!("{}", partition.describe(program, memory));
-        }
         if !partition.is_parallel() {
             let t = Instant::now();
             let records = exec_serial(memory, program, self.tape_batch)?;
@@ -543,10 +540,7 @@ mod tests {
 
     /// `proc` on `threads` host threads.
     fn on(proc: &StreamProcessor, threads: usize) -> StreamProcessor {
-        let host = HostExec {
-            threads,
-            ..HostExec::default()
-        };
+        let host = HostExec { threads };
         proc.clone().with_host(host)
     }
 
@@ -620,17 +614,13 @@ mod tests {
 
     #[test]
     fn partitioner_classifies_shared_and_reduce_regions() {
-        let (mem, program) = scatter_setup(3, 64);
+        let (_, program) = scatter_setup(3, 64);
         let part = partition_program(&program);
         assert!(part.is_parallel());
         assert_eq!(part.strips.len(), 3);
         assert_eq!(part.read_shared_regions, vec![RegionId(0)]);
         assert_eq!(part.reduce_regions, vec![RegionId(1)]);
         assert!(part.owned_write_regions.is_empty());
-        let text = part.describe(&program, &mem);
-        assert!(text.contains("parallel across 3 strips"), "{text}");
-        assert!(text.contains("xs"), "{text}");
-        assert!(text.contains("acc"), "{text}");
     }
 
     #[test]
@@ -977,8 +967,7 @@ mod tests {
                 strips: (0, 1),
             })
         ));
-        let text = part.describe(&program, &mem);
-        assert!(text.contains("serial fallback"), "{text}");
+        let text = part.fallback.as_ref().unwrap().describe(&program, &mem);
         assert!(text.contains("'x'"), "{text}");
         let proc = StreamProcessor::new(cfg);
         let r = on(&proc, 4).run(&mut mem, &program).expect("fallback runs");
@@ -988,19 +977,6 @@ mod tests {
             Some(FallbackKind::BufferCrossesStrips)
         );
         assert_eq!(mem.data(RegionId(1))[5], 25.0);
-    }
-
-    #[test]
-    fn fallback_kind_codes_round_trip() {
-        for kind in [
-            FallbackKind::BufferCrossesStrips,
-            FallbackKind::RegionConflict,
-            FallbackKind::WriteWriteOverlap,
-            FallbackKind::ReadAfterWrite,
-        ] {
-            assert_eq!(FallbackKind::from_code(kind.code()), Some(kind));
-        }
-        assert_eq!(FallbackKind::from_code("nonsense"), None);
     }
 
     /// The level-by-level reduction the folds replaced, kept as their

@@ -148,17 +148,6 @@ impl FallbackKind {
             FallbackKind::ReadAfterWrite => "read_after_write",
         }
     }
-
-    /// Inverse of [`FallbackKind::code`].
-    pub fn from_code(code: &str) -> Option<Self> {
-        match code {
-            "buffer_crosses_strips" => Some(FallbackKind::BufferCrossesStrips),
-            "region_conflict" => Some(FallbackKind::RegionConflict),
-            "write_write_overlap" => Some(FallbackKind::WriteWriteOverlap),
-            "read_after_write" => Some(FallbackKind::ReadAfterWrite),
-            _ => None,
-        }
-    }
 }
 
 /// Copyable digest of a [`PartitionReport`], carried on every
@@ -203,33 +192,6 @@ impl PartitionReport {
             parallelized: self.fallback.is_none(),
             strips: self.strips.len() as u32,
             fallback: self.fallback.as_ref().map(FallbackReason::kind),
-        }
-    }
-
-    /// Human-readable description, printed under
-    /// [`crate::HostExec::partition_verbose`].
-    pub fn describe(&self, program: &StreamProgram, memory: &Memory) -> String {
-        match &self.fallback {
-            Some(reason) => format!(
-                "partition: serial fallback ({}) — {}",
-                reason.kind().code(),
-                reason.describe(program, memory)
-            ),
-            None => {
-                let names = |rs: &[RegionId]| {
-                    rs.iter()
-                        .map(|r| memory.name(*r).to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                };
-                format!(
-                    "partition: parallel across {} strips; read-shared: [{}]; reduce: [{}]; owned-write: [{}]",
-                    self.strips.len(),
-                    names(&self.read_shared_regions),
-                    names(&self.reduce_regions),
-                    names(&self.owned_write_regions)
-                )
-            }
         }
     }
 }

@@ -9,8 +9,8 @@
 //! threads, so they can exceed `phase_a_wall`. The last column is what a
 //! kernel launch costs per kernel iteration: `kernel` over the step's
 //! iteration count, in thread-ns. The host settings come from the
-//! environment, strictly: `MERRIMAC_HOST_THREADS` (default 2) and
-//! `MERRIMAC_PARTITION_VERBOSE`; a malformed value exits 1. The last
+//! environment, strictly: `MERRIMAC_HOST_THREADS` (default 2); a
+//! malformed value exits 1. The last
 //! row is the `variable` step over 8 simulated nodes: one execution,
 //! so one `phase_a_wall` and one `reduce`, and a
 //! `scoreboard` summed over its nine timings (the whole step and each
@@ -196,7 +196,6 @@ fn main() {
     let env = |var: &str| std::env::var(var).ok();
     let host = HostExec {
         threads: strict(env_usize(env, "MERRIMAC_HOST_THREADS")).unwrap_or(2),
-        ..strict(HostExec::from_vars(env))
     };
     let app = StreamMdApp::builder().host(host).build().expect("valid");
     print!("{:11} {:>7}", "variant", "step");

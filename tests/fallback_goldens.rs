@@ -181,10 +181,7 @@ fn forced_fallback_matches_recorded_goldens_on_water_216() {
             let report = StreamProcessor::new(app.cfg.clone())
                 .with_costs(app.costs.clone())
                 .with_policy(app.policy)
-                .with_host(HostExec {
-                    threads,
-                    ..HostExec::default()
-                })
+                .with_host(HostExec { threads })
                 .with_batch_width(BatchWidth::W8)
                 .run(&mut mem, &step.program)
                 .unwrap_or_else(|e| panic!("{what}: {e}"));

@@ -4,9 +4,9 @@
 //! variant, a driven trajectory, and a multi-node step. The environment
 //! is resolved strictly, so a malformed matrix entry fails every test
 //! here with the `EnvOverrideError` text instead of silently running the
-//! default. One fixed host with both fields off their defaults (3
-//! threads, the partition report on) is always compared too, so the
-//! suite exercises the equality with nothing exported. Each workload ×
+//! default. One fixed host off the default (3 threads) is always
+//! compared too, so the suite exercises the equality with nothing
+//! exported. Each workload ×
 //! variant is also built once and that one `StepProgram` run under each
 //! host in turn: every run must equal the fresh one-shot step, so a
 //! build is reusable. Every dataset here spans several strips, so the
@@ -18,10 +18,7 @@ use merrimac_bench::{run, Dataset, RunSpec};
 use merrimac_sim::{env_usize, HostExec};
 use streammd::{MerrimacDriver, StepOutcome, Variant};
 
-const FIXED: HostExec = HostExec {
-    threads: 3,
-    partition_verbose: true,
-};
+const FIXED: HostExec = HostExec { threads: 3 };
 
 /// The hosts held against `HostExec::default()` — the environment's and
 /// [`FIXED`] — and the node count (`MERRIMAC_NODES`, else 2).

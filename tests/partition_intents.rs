@@ -8,10 +8,7 @@
 use std::sync::Arc;
 /// `proc` on `threads` host threads.
 fn on(proc: &StreamProcessor, threads: usize) -> StreamProcessor {
-    let host = HostExec {
-        threads,
-        ..HostExec::default()
-    };
+    let host = HostExec { threads };
     proc.clone().with_host(host)
 }
 

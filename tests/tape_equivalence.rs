@@ -481,10 +481,7 @@ fn interpreted_stores(program: &StreamProgram, memory: &Memory) -> Vec<f64> {
 
 /// The processor at lane width `width` on `threads` host threads.
 fn processor(width: BatchWidth, threads: usize) -> StreamProcessor {
-    let host = HostExec {
-        threads,
-        ..HostExec::default()
-    };
+    let host = HostExec { threads };
     StreamProcessor::new(MachineConfig::default())
         .with_host(host)
         .with_batch_width(width)
