@@ -238,7 +238,8 @@ impl StreamMdApp {
         };
         self.kernels.get_or_compile(key, || {
             let k = kernels::workload_kernel(workload, variant, self.block_l);
-            CompiledKernel::compile(k, &self.cfg, &self.costs, self.kernel_opt)
+            let compile = || CompiledKernel::compile(k, &self.cfg, &self.costs, self.kernel_opt);
+            self.host.install(compile)
         })
     }
 
@@ -246,12 +247,10 @@ impl StreamMdApp {
     /// list built on `host.threads` host threads like the step itself.
     pub fn run_step(&self, system: &WaterBox, variant: Variant) -> Result<StepOutcome, SimError> {
         check_inputs(system, self.neighbor)?;
-        let list = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.host.threads.max(1))
-            .build()
-            .map_err(|e| SimError::Program(format!("thread pool: {e}")))?
-            .install(|| NeighborList::build(system, self.neighbor));
-        self.run_step_with_list(system, &list, variant)
+        self.host.install(|| {
+            let list = NeighborList::build(system, self.neighbor);
+            self.run_step_with_list(system, &list, variant)
+        })
     }
 
     /// Build one force step's stream program without executing it —

@@ -106,11 +106,13 @@ impl MerrimacDriver {
             rebuilds: 1,
             total_counters: Counters::default(),
         };
-        let stepped = integ.run_with(system, steps, self.app.host.threads, |system, list| {
-            let out = self.app.run_step_with_list(system, list, self.variant)?;
-            report.total_force_cycles += out.perf.cycles;
-            report.total_counters.add(&out.report.counters);
-            Ok::<_, SimError>((out.forces, out.perf.cycles))
+        let stepped = self.app.host.install(|| {
+            integ.run_with(system, steps, |system, list| {
+                let out = self.app.run_step_with_list(system, list, self.variant)?;
+                report.total_force_cycles += out.perf.cycles;
+                report.total_counters.add(&out.report.counters);
+                Ok::<_, SimError>((out.forces, out.perf.cycles))
+            })
         })?;
         for (step, force_cycles) in stepped {
             report.rebuilds += step.rebuilt_list as usize;

@@ -225,19 +225,6 @@ impl Default for Integrator {
     }
 }
 
-/// Run `f` with `width` governing every parallel operation inside it.
-/// What runs inside is bitwise-identical at every width, so without a
-/// pool it runs at the caller's.
-fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
-    match rayon::ThreadPoolBuilder::new()
-        .num_threads(width.max(1))
-        .build()
-    {
-        Ok(pool) => pool.install(f),
-        Err(_) => f(),
-    }
-}
-
 impl Integrator {
     fn kinetic(system: &WaterBox) -> f64 {
         let masses: Vec<f64> = system.model().sites.iter().map(|s| s.mass).collect();
@@ -267,7 +254,7 @@ impl Integrator {
             let potential = result.potential();
             Ok::<_, Infallible>((result.forces, potential))
         };
-        match self.run_with(system, steps, 1, reference) {
+        match self.run_with(system, steps, reference) {
             Ok(reports) => reports
                 .into_iter()
                 .map(|(report, potential)| StepReport {
@@ -287,16 +274,15 @@ impl Integrator {
     /// current neighbour list, once for the initial state and once per
     /// step; what else it returns comes back beside that step's report
     /// (the initial evaluation's is dropped), and its first error ends
-    /// the run with the system as far as it got. `width` is the host
-    /// width of the list rebuilds and of the provider's own parallel
-    /// operations; the constraint solves run serially, molecule by
-    /// molecule, since a whole box of them is too little work to fan
-    /// out. The trajectory is bitwise-identical at every width.
+    /// the run with the system as far as it got. The list rebuilds run
+    /// at the caller's installed host width (`rayon::ThreadPool::install`);
+    /// the constraint solves run serially, molecule by molecule, since a
+    /// whole box of them is too little work to fan out. The trajectory is
+    /// bitwise-identical at every width.
     pub fn run_with<O, E>(
         &self,
         system: &mut WaterBox,
         steps: usize,
-        width: usize,
         mut forces: impl FnMut(&WaterBox, &NeighborList) -> Result<(Vec<Vec3>, O), E>,
     ) -> Result<Vec<(StepReport, O)>, E> {
         let model = system.model();
@@ -306,76 +292,74 @@ impl Integrator {
         let dof = Self::dof(system);
         let dt = self.dt;
 
-        at_width(width, || {
-            let mut list = NeighborList::build(system, self.neighbor);
-            let (mut f, _) = forces(system, &list)?;
-            let mut drift_since_rebuild = 0.0f64;
-            let mut reports = Vec::with_capacity(steps);
+        let mut list = NeighborList::build(system, self.neighbor);
+        let (mut f, _) = forces(system, &list)?;
+        let mut drift_since_rebuild = 0.0f64;
+        let mut reports = Vec::with_capacity(steps);
 
-            for step in 0..steps {
-                // Half kick.
-                for (i, v) in system.velocities_mut().iter_mut().enumerate() {
-                    *v += f[i] * (inv_m[i % ns] * dt * 0.5);
-                }
-                // Drift + SETTLE.
-                let old_pos = system.positions().to_vec();
-                let mut new_pos = old_pos.clone();
-                let n_sites = new_pos.len();
-                for i in 0..n_sites {
-                    new_pos[i] = old_pos[i] + system.velocities()[i] * dt;
-                }
-                if let Some(settle) = settle {
-                    for (old, new) in old_pos.chunks(3).zip(new_pos.chunks_mut(3)) {
-                        settle.positions(old, new);
-                    }
-                }
-                // Constraint force correction folded into velocities.
-                let mut max_disp = 0.0f64;
-                {
-                    let vel = system.velocities_mut();
-                    for i in 0..n_sites {
-                        vel[i] = (new_pos[i] - old_pos[i]) / dt;
-                    }
-                }
-                for i in 0..n_sites {
-                    max_disp = max_disp.max((new_pos[i] - old_pos[i]).norm());
-                }
-                system.positions_mut().copy_from_slice(&new_pos);
-                drift_since_rebuild += max_disp;
-
-                // Rebuild the list on schedule or when the skin is exhausted.
-                let scheduled = (step + 1) % self.neighbor.rebuild_interval == 0;
-                let rebuilt_list = scheduled || list.is_stale(drift_since_rebuild);
-                if rebuilt_list {
-                    list = NeighborList::build(system, self.neighbor);
-                    drift_since_rebuild = 0.0;
-                }
-                let (new_f, out) = forces(system, &list)?;
-                f = new_f;
-
-                // Second half kick, then the bond velocities.
-                for (i, v) in system.velocities_mut().iter_mut().enumerate() {
-                    *v += f[i] * (inv_m[i % ns] * dt * 0.5);
-                }
-                if let Some(settle) = settle {
-                    let vel = system.velocities_mut().chunks_mut(3);
-                    for (pos, vel) in new_pos.chunks(3).zip(vel) {
-                        settle.velocities(pos, vel);
-                    }
-                }
-
-                let kinetic = Self::kinetic(system);
-                let report = StepReport {
-                    potential: 0.0,
-                    kinetic,
-                    temperature: 2.0 * kinetic / (dof * KB),
-                    max_displacement: max_disp,
-                    rebuilt_list,
-                };
-                reports.push((report, out));
+        for step in 0..steps {
+            // Half kick.
+            for (i, v) in system.velocities_mut().iter_mut().enumerate() {
+                *v += f[i] * (inv_m[i % ns] * dt * 0.5);
             }
-            Ok(reports)
-        })
+            // Drift + SETTLE.
+            let old_pos = system.positions().to_vec();
+            let mut new_pos = old_pos.clone();
+            let n_sites = new_pos.len();
+            for i in 0..n_sites {
+                new_pos[i] = old_pos[i] + system.velocities()[i] * dt;
+            }
+            if let Some(settle) = settle {
+                for (old, new) in old_pos.chunks(3).zip(new_pos.chunks_mut(3)) {
+                    settle.positions(old, new);
+                }
+            }
+            // Constraint force correction folded into velocities.
+            let mut max_disp = 0.0f64;
+            {
+                let vel = system.velocities_mut();
+                for i in 0..n_sites {
+                    vel[i] = (new_pos[i] - old_pos[i]) / dt;
+                }
+            }
+            for i in 0..n_sites {
+                max_disp = max_disp.max((new_pos[i] - old_pos[i]).norm());
+            }
+            system.positions_mut().copy_from_slice(&new_pos);
+            drift_since_rebuild += max_disp;
+
+            // Rebuild the list on schedule or when the skin is exhausted.
+            let scheduled = (step + 1) % self.neighbor.rebuild_interval == 0;
+            let rebuilt_list = scheduled || list.is_stale(drift_since_rebuild);
+            if rebuilt_list {
+                list = NeighborList::build(system, self.neighbor);
+                drift_since_rebuild = 0.0;
+            }
+            let (new_f, out) = forces(system, &list)?;
+            f = new_f;
+
+            // Second half kick, then the bond velocities.
+            for (i, v) in system.velocities_mut().iter_mut().enumerate() {
+                *v += f[i] * (inv_m[i % ns] * dt * 0.5);
+            }
+            if let Some(settle) = settle {
+                let vel = system.velocities_mut().chunks_mut(3);
+                for (pos, vel) in new_pos.chunks(3).zip(vel) {
+                    settle.velocities(pos, vel);
+                }
+            }
+
+            let kinetic = Self::kinetic(system);
+            let report = StepReport {
+                potential: 0.0,
+                kinetic,
+                temperature: 2.0 * kinetic / (dof * KB),
+                max_displacement: max_disp,
+                rebuilt_list,
+            };
+            reports.push((report, out));
+        }
+        Ok(reports)
     }
 
     /// Rescale velocities to the target temperature (crude Berendsen-style

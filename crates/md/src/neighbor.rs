@@ -28,11 +28,13 @@ use crate::system::WaterBox;
 use crate::vec3::Vec3;
 
 /// Centre count from which [`NeighborList::build`] fans the search out
-/// over the rayon worker pool. Two threads with a core each read 0.56
-/// against 0.71 ms here and 1.2 against 1.9 ms at 900 molecules, tie at
-/// 343 and lose at 216 (0.27 against 0.14 ms: spawn and join); sharing
-/// one core they cost 3–15% at any size.
-const PAR_BUILD_MIN_CENTERS: usize = 512;
+/// over the rayon worker pool. At two threads (medians of 400 builds
+/// alternating with serial ones, so the worker has parked), fanning out
+/// reads 0.26 against 0.33 ms here, 0.45 against 0.66 ms at 512 and 1.2
+/// against 1.85 ms at 900 molecules; below, waking the worker costs more
+/// than it saves: 0.15–0.18 against 0.14 ms at 216, 0.10 against 0.05 ms
+/// at 125.
+const PAR_BUILD_MIN_CENTERS: usize = 343;
 
 /// Parameters of the neighbour search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -118,8 +120,9 @@ impl NeighborList {
     /// Build from a water box using a cell grid over oxygen positions.
     ///
     /// Large boxes fan the search out over the rayon worker pool in
-    /// contiguous centre ranges whose pieces concatenate in centre order,
-    /// so the emitted list is byte-identical to the serial build at any
+    /// contiguous centre ranges, four per participant, claimed as the
+    /// participants free up, whose pieces concatenate in centre order, so
+    /// the emitted list is byte-identical to the serial build at any
     /// thread count (pinned by
     /// `parallel_build_is_byte_identical_to_serial`).
     pub fn build(system: &WaterBox, params: NeighborListParams) -> Self {
@@ -154,18 +157,18 @@ impl NeighborList {
         if !fan_out || workers == 1 {
             return search(0..n);
         }
-        // Two ranges per worker, an early one with a late one: a centre
-        // is tested against the molecules after it, so the cost of a
-        // range falls with its position.
-        let ranges = 2 * workers;
-        let order: Vec<usize> = (0..workers).flat_map(|w| [w, ranges - 1 - w]).collect();
-        let mut pieces: Vec<(usize, Self)> = order
+        // Four ranges per participant, claimed as they free up: a centre
+        // is tested against the molecules after it, so the early ranges
+        // cost the most.
+        let ranges = 4 * workers;
+        let pieces: Vec<Self> = (0..ranges)
             .into_par_iter()
-            .map(|r| (r, search(r * n / ranges..(r + 1) * n / ranges)))
+            .map(|r| search(r * n / ranges..(r + 1) * n / ranges))
             .collect();
-        pieces.sort_unstable_by_key(|&(r, _)| r);
         let mut list = over();
-        for (_, piece) in pieces {
+        list.neighbors
+            .reserve_exact(pieces.iter().map(|p| p.neighbors.len()).sum());
+        for piece in pieces {
             let base = list.neighbors.len() as u32;
             list.centers.extend(piece.centers);
             list.shifts.extend(piece.shifts);

@@ -39,6 +39,15 @@ impl std::fmt::Display for EnvOverrideError {
 impl std::error::Error for EnvOverrideError {}
 
 impl HostExec {
+    /// Run `f` with `threads` participants (the caller and pool workers)
+    /// in each parallel operation inside it.
+    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(self.threads.max(1))
+            .build();
+        pool.expect("a width on the process-wide pool").install(f)
+    }
+
     /// Resolve `MERRIMAC_HOST_THREADS` (a positive integer) as `lookup`
     /// reports it: unset means the default, set-but-malformed is an
     /// error. A binary passes a closure over its process environment, a

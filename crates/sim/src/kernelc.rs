@@ -85,10 +85,14 @@ impl CompiledKernel {
             let stats = KernelStats::analyze(&ir, &lowered);
             (ir, lowered, stats)
         };
-        let tape = CompiledTape::compile(&ir);
-        // One dependence table and one serial schedule serve both forms.
-        let table = DepTable::new(&lowered, costs);
-        let schedule = table.list_schedule(cfg.fpus_per_cluster);
+        // One dependence table and one serial schedule serve both forms; a
+        // pool worker compiles the tape meanwhile (the caller, the longer).
+        let schedule = || {
+            let table = DepTable::new(&lowered, costs);
+            let schedule = table.list_schedule(cfg.fpus_per_cluster);
+            (table, schedule)
+        };
+        let ((table, schedule), tape) = rayon::join(schedule, || CompiledTape::compile(&ir));
         let pipelined = opt
             .software_pipeline
             .then(|| table.modulo_schedule(&schedule));

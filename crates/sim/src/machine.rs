@@ -102,18 +102,23 @@ impl From<InterpError> for SimError {
 /// Host wall-clock of one program run by pipeline phase: plain
 /// `Instant` deltas, so unlike every other field of a [`RunReport`] they
 /// differ from run to run and determinism checks must not compare them.
-/// The per-op phases are accumulated per worker and summed in chunk
-/// order. On the serial fallback they stay zero: `phase_a_wall` is the
-/// whole functional pass and `scoreboard` includes pricing the memory
-/// ops. Everything but `scoreboard` belongs to the execution; a report
-/// timed from a shared [`crate::Executed`] repeats it.
+/// The per-op phases and `busy` are accumulated per chunk of strips and
+/// summed in chunk order. On the serial fallback they stay zero:
+/// `phase_a_wall` is the whole functional pass and `scoreboard` includes
+/// pricing the memory ops. Everything but `scoreboard` belongs to the
+/// execution; a report timed from a shared [`crate::Executed`] repeats
+/// it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostPhases {
     /// `validate_program` + `partition_program`.
     pub validate_partition: Duration,
     /// Phase A as the caller saw it: every strip's functional execution
-    /// and memory pricing, across the worker threads.
+    /// and memory pricing, across the participating threads.
     pub phase_a_wall: Duration,
+    /// Phase A's participants running strips (summed over them).
+    pub busy: Duration,
+    /// The busiest participant's share of `busy`.
+    pub busy_max: Duration,
     /// Gathers materialised into strip buffers (summed over threads).
     pub gather: Duration,
     /// Sequential loads (summed over threads).
@@ -122,15 +127,15 @@ pub struct HostPhases {
     pub kernel: Duration,
     /// Scatter-adds and stores folded into the strip's overlays, and the
     /// overlays folded into their regions' reduction trees as far as the
-    /// worker's chunk of strips allows (summed over threads).
+    /// participant's chunk of strips allows (summed over threads).
     pub scatter: Duration,
-    /// `MemSystem::op_cost` on the worker's shard, flushed before each
-    /// strip (summed over threads).
+    /// `MemSystem::op_cost` on the participant's shard, flushed before
+    /// each strip (summed over threads).
     pub op_cost: Duration,
     /// Chunk outcomes merged into per-op records.
     pub merge: Duration,
-    /// The main thread's finish: the tree nodes across chunks, each sum
-    /// added into its region, then the buffered stores.
+    /// The caller's finish: the tree nodes across chunks, each sum added
+    /// into its region, then the buffered stores.
     pub reduce: Duration,
     /// The timing scoreboard.
     pub scoreboard: Duration,
@@ -141,6 +146,8 @@ impl HostPhases {
     pub fn add(&mut self, o: &HostPhases) {
         self.validate_partition += o.validate_partition;
         self.phase_a_wall += o.phase_a_wall;
+        self.busy += o.busy;
+        self.busy_max += o.busy_max;
         self.gather += o.gather;
         self.load += o.load;
         self.kernel += o.kernel;

@@ -26,7 +26,9 @@
 //! region contents, forces, cycles and counters at **every** thread
 //! count (including 1). Four properties guarantee it:
 //!
-//! 1. each worker runs a contiguous chunk of strips in strip order, and
+//! 1. the strips are cut into one contiguous chunk per thread, by the
+//!    strip count and the thread count alone ([`chunks`]); whichever
+//!    participant claims a chunk runs its strips in strip order, and
 //!    each strip's execution is pure given the (read-only) input
 //!    regions;
 //! 2. a strip's scatter-adds into a region accumulate into an overlay —
@@ -35,10 +37,10 @@
 //!    pairwise tree (at stride 1, 2, 4, … layer `i`, a multiple of twice
 //!    the stride, takes layer `i + stride`, `x += y`). Every node of the
 //!    fixed-shape tree is computed once, by whichever side holds both
-//!    children: a worker inside its chunk, the main thread across chunks;
+//!    children: a participant inside its chunk, the caller across chunks;
 //! 3. each strip's memory ops are costed in op-index order against a
-//!    cold [`MemSystem`] shard ([`MemSystem::strip_shard`], which a
-//!    worker flushes before each of its strips), so a strip's costs are a
+//!    cold [`MemSystem`] shard ([`MemSystem::strip_shard`], one per chunk,
+//!    flushed before each of its strips), so a strip's costs are a
 //!    pure function of its own address trace — of neither the thread
 //!    that ran it nor the other strips run with it; a report's
 //!    [`crate::CacheAccessStats`] are the merge (`u64` sums and a max) of
@@ -48,9 +50,10 @@
 //!    so nothing phase A did on another thread can reach it except
 //!    through those records.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::time::Instant;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use merrimac_kernel::interp::{StreamData, StreamView};
 use merrimac_kernel::BatchWidth;
@@ -62,7 +65,7 @@ use crate::memsys::MemSystem;
 use crate::partition::{partition_program, PartitionReport};
 use crate::program::{AccessKind, BufferId, LabelledOp, Memory, RegionId, StreamOp, StreamProgram};
 
-/// One phase-A worker: the contiguous chunk of strips it runs in order
+/// One phase-A chunk: the contiguous strips a participant runs in order
 /// on one memory-system shard (made at its first strip), and what they
 /// leave.
 #[derive(Default)]
@@ -77,8 +80,15 @@ struct Worker {
     records: Vec<(usize, OpRecord)>,
     /// Sequential stores: `(op index, source stream)`, in op order.
     stores: Vec<(usize, StreamData)>,
-    /// Host time of the chunk's ops by kind, and of pricing them.
+    /// Host time of the chunk's ops by kind, of pricing them, and busy.
     host: HostPhases,
+}
+
+/// Phase A's cut of `strips` strips for `threads` participants: one
+/// contiguous chunk each, or one strip each where there are fewer.
+fn chunks(strips: usize, threads: usize) -> impl Iterator<Item = Range<usize>> {
+    let k = threads.clamp(1, strips.max(1));
+    (0..k).map(move |c| c * strips / k..(c + 1) * strips / k)
 }
 
 /// A node of a region's reduction tree: the sum of its `layers`.
@@ -142,9 +152,10 @@ pub struct Executed {
 }
 
 impl StreamProcessor {
-    /// Everything up to the scoreboard: validate, partition, fan the
-    /// strips out across `self.host.threads` workers (phase A), merge
-    /// their records and fold their writes into `memory`.
+    /// Everything up to the scoreboard: validate, partition, run the
+    /// strips in one chunk per participant on `self.host.threads`
+    /// (phase A), merge their records and fold their writes into
+    /// `memory`.
     pub fn execute(
         &self,
         memory: &mut Memory,
@@ -170,24 +181,22 @@ impl StreamProcessor {
             });
         }
 
-        // ---- phase A: contiguous chunks of strips, one per worker -------
+        // ---- phase A: contiguous chunks of strips, one per participant --
         let t = Instant::now();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.host.threads.max(1))
-            .build()
-            .map_err(|e| SimError::Program(format!("thread pool: {e}")))?;
         let (of_strip, count) = layers(program, &partition.strips);
         let shared: &Memory = memory;
-        let workers: Vec<Result<Worker, SimError>> = pool.install(|| {
-            (0..partition.strips.len())
-                .into_par_iter()
-                .fold(
-                    || Ok(Worker::default()),
-                    |worker, s| {
+        let cut: Vec<Range<usize>> = chunks(partition.strips.len(), self.host.threads).collect();
+        let workers: Vec<Result<(ThreadId, Worker), SimError>> = self.host.install(|| {
+            cut.into_par_iter()
+                .map(|chunk| {
+                    let started = Instant::now();
+                    let mut worker = chunk.into_iter().try_fold(Worker::default(), |w, s| {
                         let (ops, targets) = (&partition.strips[s], &of_strip[s]);
-                        worker?.run_strip(self, shared, program, ops, targets, &count)
-                    },
-                )
+                        w.run_strip(self, shared, program, ops, targets, &count)
+                    })?;
+                    worker.host.busy = started.elapsed();
+                    Ok((std::thread::current().id(), worker))
+                })
                 .collect()
         });
         let mut workers = workers.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -196,19 +205,22 @@ impl StreamProcessor {
         // ---- deterministic merge --------------------------------------
         let t = Instant::now();
         let mut records: Vec<OpRecord> = vec![OpRecord::default(); program.ops.len()];
-        for w in &mut workers {
+        let mut busy: HashMap<ThreadId, Duration> = HashMap::new();
+        for (participant, w) in &mut workers {
             for (i, r) in w.records.drain(..) {
                 records[i] = r;
             }
             host.add(&w.host);
+            *busy.entry(*participant).or_default() += w.host.busy;
         }
+        host.busy_max = busy.into_values().max().unwrap_or_default();
         host.merge = t.elapsed();
         // Per region the tree nodes across chunks, the sum into the region.
         let t = Instant::now();
         let mut spare = Vec::new();
         for (region, layers) in count {
             let mut stack = Vec::new();
-            for w in &mut workers {
+            for (_, w) in &mut workers {
                 for node in w.nodes.remove(&region).unwrap_or_default() {
                     fold(&mut stack, layers, node, &mut spare);
                 }
@@ -220,7 +232,7 @@ impl StreamProcessor {
                 }
             }
         }
-        for (i, src) in workers.iter().flat_map(|w| &w.stores) {
+        for (i, src) in workers.iter().flat_map(|(_, w)| &w.stores) {
             if let Some((region, _)) = program.ops[*i].op.region_use() {
                 write_into(memory.data_mut(region), &program.ops[*i].op, src);
             }
@@ -1048,12 +1060,8 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let n = layers.len();
             for k in 1..=n.max(1) {
-                // `execute`'s split over `k` workers: `rayon`'s fold.
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(k).build();
-                let by_workers: Vec<Vec<usize>> = pool.expect("a pool").install(|| {
-                    let take = |mut chunk: Vec<usize>, i| (chunk.push(i), chunk).1;
-                    (0..n).into_par_iter().fold(Vec::new, take).collect()
-                });
+                // `execute`'s split over `k` threads.
+                let by_workers: Vec<Vec<usize>> = chunks(n, k).map(Iterator::collect).collect();
                 let got = chunked_fold(&layers, &by_workers);
                 assert_eq!(bits(&got), bits(&want), "{n} layers, {k} workers");
                 let by_size: Vec<Vec<usize>> = (0..n)
@@ -1140,6 +1148,26 @@ mod tests {
             };
             assert_eq!(got(1), want_a, "region a at {threads} threads");
             assert_eq!(got(2), want_b, "region b at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn phase_a_is_the_serial_run_with_fewer_as_many_and_more_strips_than_threads() {
+        let run = |strips, threads| {
+            let (mut mem, program, _) = two_region_setup(strips, 48);
+            let proc = StreamProcessor::new(MachineConfig::default());
+            let r = on(&proc, threads).run(&mut mem, &program).expect("runs");
+            assert!(r.partition.parallelized, "{:?}", r.partition.fallback);
+            let bits = |r| mem.data(RegionId(r)).iter().map(|x| x.to_bits());
+            let (a, b): (Vec<_>, Vec<_>) = (bits(1).collect(), bits(2).collect());
+            (a, b, r.cycles, r.counters, r.cache_stats)
+        };
+        for threads in [1, 2, 3, 8] {
+            for strips in [threads.max(2) - 1, threads, 4 * threads + 5] {
+                let want = run(strips, 1);
+                let got = run(strips, threads);
+                assert_eq!(got, want, "{strips} strips, {threads} threads");
+            }
         }
     }
 }

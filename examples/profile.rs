@@ -132,13 +132,15 @@ fn profile(
     let faults = faults.map_or(String::new(), |f| f.to_string());
     let (slots, bytes) = lane_file;
     let kb = bytes as f64 / 1e3;
-    println!(" {per_iteration:14.1} {faults:>7} {slots:>6} {kb:>7.0}");
+    let busy = t.host.busy.as_secs_f64() / app.host.threads as f64;
+    let wall = busy / t.host.phase_a_wall.as_secs_f64();
+    let mean = busy / t.host.busy_max.as_secs_f64();
+    println!(" {per_iteration:14.1} {faults:>7} {slots:>6} {kb:>7.0} {wall:9.3} {mean:8.3}");
 }
 
-/// The `traj-216` row: one op to warm, then the per-op means of
-/// `TRAJ_OPS` more, each from the same start.
-fn profile_trajectory(host: HostExec) {
-    const TRAJ_OPS: u32 = 5;
+/// The 216-molecule box of the repo benchmark's `fixed` workloads, and
+/// an app over `traj-fixed-216`'s list parameters.
+fn water_216(host: HostExec) -> (WaterBox, StreamMdApp) {
     let system = WaterBox::builder().molecules(216).seed(42).build();
     let params = NeighborListParams {
         cutoff: (0.45 * system.pbc().side()).min(1.0),
@@ -146,15 +148,22 @@ fn profile_trajectory(host: HostExec) {
         rebuild_interval: 10,
     };
     let app = StreamMdApp::builder().neighbor(params).host(host);
-    let app = app.build().expect("valid");
+    (system, app.build().expect("valid"))
+}
+
+/// The `traj-216` row: one op to warm, then the per-op means of
+/// `TRAJ_OPS` more, each from the same start.
+fn profile_trajectory(host: HostExec) {
+    const TRAJ_OPS: u32 = 5;
+    let (system, app) = water_216(host);
     let integ = Integrator {
         dt: 0.002,
-        neighbor: params,
+        neighbor: app.neighbor,
     };
     let op = |wall: &mut Duration, forces: &mut Duration| {
         let mut system = system.clone();
         timed(wall, || {
-            integ.run_with(&mut system, STEPS as usize, host.threads, |system, list| {
+            integ.run_with(&mut system, STEPS as usize, |system, list| {
                 let out = timed(forces, || {
                     app.run_step_with_list(system, list, Variant::Fixed)
                 })?;
@@ -197,6 +206,11 @@ fn main() {
     let host = HostExec {
         threads: strict(env_usize(env, "MERRIMAC_HOST_THREADS")).unwrap_or(2),
     };
+    host.install(|| profile_all(&system, host));
+}
+
+/// Every row, at the installed host width.
+fn profile_all(system: &WaterBox, host: HostExec) {
     let app = StreamMdApp::builder().host(host).build().expect("valid");
     print!("{:11} {:>7}", "variant", "step");
     for name in STAGES
@@ -205,16 +219,21 @@ fn main() {
     {
         print!(" {name:>w$}", w = name.len().max(6));
     }
-    println!(" kernel ns/iter  minflt  slots lane KB");
+    println!(" kernel ns/iter  minflt  slots lane KB busy/wall mean/max");
     for variant in Variant::ALL {
-        profile(variant.name(), &system, &app, variant, |program| {
-            let step = app.run_step_program(&system, program);
+        profile(variant.name(), system, &app, variant, |program| {
+            let step = app.run_step_program(system, program);
             step.expect("runs").report
         });
     }
-    profile("variable@n8", &system, &app, Variant::Variable, |program| {
-        let step = run_multinode_program(&app, &system, program, 8);
+    profile("variable@n8", system, &app, Variant::Variable, |program| {
+        let step = run_multinode_program(&app, system, program, 8);
         step.expect("runs").outcome.report
+    });
+    let (small, fixed) = water_216(host);
+    profile("fixed216", &small, &fixed, Variant::Fixed, |program| {
+        let step = fixed.run_step_program(&small, program);
+        step.expect("runs").report
     });
     profile_trajectory(host);
 }

@@ -1,7 +1,7 @@
 //! One integration loop: `Integrator::run_with` over any force source.
 //!
-//! `Integrator::run` is that loop over the reference engine at width 1
-//! and `MerrimacDriver::run` is it over the simulated machine, so what is
+//! `Integrator::run` is that loop over the reference engine and
+//! `MerrimacDriver::run` is it over the simulated machine, so what is
 //! pinned here is the loop itself: its recorded trajectory, its
 //! independence of the host width, and the unconstrained 1-site path
 //! only the driver used to have.
@@ -15,6 +15,7 @@ use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
 use md_sim::vec3::Vec3;
 use md_sim::water::WaterModel;
+use merrimac_sim::HostExec;
 
 fn reference(system: &WaterBox, list: &NeighborList) -> Result<(Vec<Vec3>, f64), Infallible> {
     let result = compute_forces(system, list);
@@ -108,7 +109,8 @@ fn generic_loop_over_the_reference_engine_is_integrator_run_at_every_width() {
         );
         for width in [1, 4] {
             let mut b = start.clone();
-            let got = match integ.run_with(&mut b, steps, width, reference) {
+            let host = HostExec { threads: width };
+            let got = match host.install(|| integ.run_with(&mut b, steps, reference)) {
                 Ok(got) => got,
                 Err(never) => match never {},
             };
@@ -151,7 +153,7 @@ fn one_site_box_integrates_unconstrained_with_bounded_drift() {
         let result = compute_forces_atomic(system, list);
         Ok::<_, Infallible>((result.forces, result.lj_energy + result.coulomb_energy))
     };
-    let reports = match integ.run_with(&mut system, 200, 1, atomic) {
+    let reports = match integ.run_with(&mut system, 200, atomic) {
         Ok(reports) => reports,
         Err(never) => match never {},
     };
